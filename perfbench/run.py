@@ -5,11 +5,12 @@
 
 Run from the root of a source checkout (the directory holding ``src/``).
 Every pass runs in a fresh interpreter (``worker.py``) with
-``PYTHONPATH=src``; passes repeat until ``--seconds`` of measuring is spent.
+``PYTHONPATH=src``, two at a time, one pinned to each CPU (see
+``Run.loop``); rounds repeat until ``--seconds`` of measuring is spent.
 With ``--trace 0`` the result holds the end-to-end metrics over the run's
-passes (see ``END_TO_END``); with ``--trace 1`` untraced and traced passes
-alternate and the result holds the per-layer metrics of the traced ones and
-the tracing overhead (traced minus untraced ``wall_s``).
+passes (see ``END_TO_END``); with ``--trace 1`` each round pairs a traced
+and an untraced pass and the result holds the per-layer metrics of the
+traced ones and the tracing overhead (traced minus untraced ``wall_s``).
 
 Human-readable lines come first; the last line of standard output is one
 JSON object ``{"correct", "attempted", "failed", "metrics"}``.  A config
@@ -38,10 +39,9 @@ DEADLINE_S = 170  # a run must end within 180 s
 MIN_PASSES = 2  # a traced run alternates, so it has at least one of each kind
 SETUP_SAMPLES = 7  # set-up is ~0.2 s; its median needs more samples than passes give
 
-# metric -> (unit, how a run's samples combine).  The host's speed shifts
-# between phases that last seconds to minutes; a run of passes often spans two
-# phases, and the mean of its passes then moves less from run to run than
-# their median, which jumps to whichever phase has more passes.
+# metric -> (unit, how a run's samples combine).  The passes of a round run
+# on two CPUs whose speeds drift independently; the mean of a run's passes
+# averages the two, where their median would jump between them.
 END_TO_END = {
     "wall_s": ("s", statistics.fmean),
     "verify_s": ("s", statistics.fmean),
@@ -70,7 +70,10 @@ class Run:
         self.work = root / ".perfbench" / f"{args.workload}-s{args.seed}-t{args.trace}"
         self.started = time.monotonic()
         self.pins = json.loads(PINS.read_text()) if PINS.is_file() else None
+        self.cpus = sorted(os.sched_getaffinity(0))[:2]
         self.passes = []  # (traced, result or None)
+        self.rounds = []  # seconds per round of concurrent passes
+        self.spawned = 0
         self.setups = []
         self.attempted = 0
         self.failed = 0
@@ -79,31 +82,44 @@ class Run:
     def remaining(self):
         return DEADLINE_S - (time.monotonic() - self.started)
 
-    def spawn(self, traced, setup_only=False):
-        n = len(self.passes) + len(self.setups)
-        pass_dir = self.work / f"pass-{n:02d}"
-        result_path = self.work / f"pass-{n:02d}.json"
-        cmd = [
-            sys.executable, str(HERE / "worker.py"),
-            "--workload", self.args.workload, "--seed", str(self.args.seed),
-            "--trace", "1" if traced else "0",
-            "--work", str(pass_dir), "--result", str(result_path),
-        ]
-        if setup_only:
-            cmd.append("--setup-only")
-        env = dict(os.environ, PYTHONPATH=str(self.root / "src"))
-        t_spawn = time.monotonic()
-        try:
-            proc = subprocess.run(
-                cmd, env=env, capture_output=True, text=True,
-                timeout=max(self.remaining(), 1),
+    def spawn(self, kinds, setup_only=False):
+        """Run one worker per entry of ``kinds`` (traced or not) at once, each
+        pinned to its own CPU; returns [(result or None, error), ...]."""
+        procs = []
+        for i, traced in enumerate(kinds):
+            n = self.spawned
+            self.spawned += 1
+            pass_dir = self.work / f"pass-{n:02d}"
+            result_path = self.work / f"pass-{n:02d}.json"
+            cmd = [
+                sys.executable, str(HERE / "worker.py"),
+                "--workload", self.args.workload, "--seed", str(self.args.seed),
+                "--trace", "1" if traced else "0",
+                "--work", str(pass_dir), "--result", str(result_path),
+            ]
+            if len(kinds) > 1:
+                cmd += ["--cpu", str(self.cpus[i])]
+            if setup_only:
+                cmd.append("--setup-only")
+            env = dict(os.environ, PYTHONPATH=str(self.root / "src"))
+            t_spawn = time.monotonic()
+            proc = subprocess.Popen(
+                cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             )
+            procs.append((proc, t_spawn, pass_dir, result_path))
+        return [self._finish(*p) for p in procs]
+
+    def _finish(self, proc, t_spawn, pass_dir, result_path):
+        try:
+            _, stderr = proc.communicate(timeout=max(self.remaining(), 1))
         except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
             return None, "pass exceeded the run's deadline"
         finally:
             shutil.rmtree(pass_dir, ignore_errors=True)
         if proc.returncode != 0 or not result_path.is_file():
-            return None, f"worker exit {proc.returncode}: {proc.stderr[-2000:]}"
+            return None, f"worker exit {proc.returncode}: {stderr[-2000:]}"
         result = json.loads(result_path.read_text())
         result_path.unlink()
         expected_src = str(self.root / "src")
@@ -112,18 +128,20 @@ class Run:
         self.setups.append(result["t_ready"] - t_spawn)
         return result, None
 
-    def measure_pass(self, traced):
+    def measure(self, kinds):
         t0 = time.monotonic()
-        result, error = self.spawn(traced)
-        self.passes.append((traced, result, time.monotonic() - t0))
-        if result is None:
-            self.failures.append(error)
-            # the pass's configs are unaccounted for: count them all as failed
-            n = max(len(self.pins["outputs"].get(self.args.workload, {})), 1)
-            self.attempted += n
-            self.failed += n
-            return
-        self.check(result)
+        outcomes = self.spawn(kinds)
+        self.rounds.append(time.monotonic() - t0)
+        for traced, (result, error) in zip(kinds, outcomes):
+            self.passes.append((traced, result))
+            if result is None:
+                self.failures.append(error)
+                # the pass's configs are unaccounted for: count them all as failed
+                n = max(len(self.pins["outputs"].get(self.args.workload, {})), 1)
+                self.attempted += n
+                self.failed += n
+            else:
+                self.check(result)
 
     def check(self, result):
         pinned_in = self.pins["inputs"].get(self.args.workload, {})
@@ -143,26 +161,39 @@ class Run:
                 self.failures.append(f"{cid}: " + "; ".join(problems))
 
     def loop(self):
-        kinds = [True, False] if self.args.trace else [False]
+        """Rounds of passes until ``--seconds`` is spent.  Except on sweep
+        (which uses both CPUs itself), a round is two passes at once, one
+        pinned to each CPU: the two CPUs' speeds drift independently, so each
+        round samples both.  A traced run pairs a traced and an untraced
+        pass and swaps their CPUs every round."""
         self.work.mkdir(parents=True, exist_ok=True)
+        paired = len(self.cpus) > 1 and self.args.workload != "sweep"
         while True:
-            done = len(self.passes)
-            if done >= MIN_PASSES:
+            done = len(self.rounds)
+            if len(self.passes) >= MIN_PASSES:
                 spent = time.monotonic() - self.started
-                per_pass = statistics.fmean(d for _, _, d in self.passes)
-                if spent + per_pass > self.args.seconds or self.remaining() < 2 * per_pass:
+                per_round = statistics.fmean(self.rounds)
+                if spent + per_round > self.args.seconds or self.remaining() < 2 * per_round:
                     break
-            self.measure_pass(kinds[done % len(kinds)])
+            if not self.args.trace:
+                kinds = [False, False] if paired else [False]
+            elif paired:
+                kinds = [True, False] if done % 2 == 0 else [False, True]
+            else:
+                kinds = [done % 2 == 0]
+            self.measure(kinds)
             if self.remaining() <= 0:
                 break
         while len(self.setups) < SETUP_SAMPLES and self.remaining() > 5:
-            result, error = self.spawn(False, setup_only=True)
-            if result is None:
-                self.failures.append(error)
+            kinds = [False, False] if paired else [False]
+            for result, error in self.spawn(kinds, setup_only=True):
+                if result is None:
+                    self.failures.append(error)
+            if self.failures:
                 break
 
     def results(self, traced):
-        return [r for t, r, _ in self.passes if t == traced and r is not None]
+        return [r for t, r in self.passes if t == traced and r is not None]
 
 
 def end_to_end(run):
@@ -286,7 +317,7 @@ def pin(run):
         run.work = run.root / ".perfbench" / f"pin-{workload}"
         run.work.mkdir(parents=True, exist_ok=True)
         run.started = time.monotonic()
-        result, error = run.spawn(False)
+        [(result, error)] = run.spawn([False])
         shutil.rmtree(run.work, ignore_errors=True)
         if result is None:
             print(f"error: {workload}: {error}", file=sys.stderr)

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import resource
 import statistics
 import sys
@@ -223,7 +224,10 @@ def main():
     ap.add_argument("--work", required=True)
     ap.add_argument("--result", required=True)
     ap.add_argument("--setup-only", action="store_true")
+    ap.add_argument("--cpu", type=int, help="pin this process to one CPU")
     args = ap.parse_args()
+    if args.cpu is not None:
+        os.sched_setaffinity(0, {args.cpu})
 
     import fronttrack
     from fronttrack import cli, harness
