@@ -134,7 +134,7 @@ def _den_bits(value):
     return Fraction(value).denominator.bit_length()
 
 
-def layer_metrics(summary, tracer, caches, reports, verify_repeats):
+def layer_metrics(summary, run_phase, sizes, caches, reports, recheck_s):
     """Per-layer metrics of one traced pass."""
 
     def total(names):
@@ -145,8 +145,8 @@ def layer_metrics(summary, tracer, caches, reports, verify_repeats):
 
     m = {k: total(v) for k, v in TIME_METRICS.items()}
     m.update({k: calls(v) for k, v in CALL_METRICS.items()})
-    m["potential.restart_s"] = total(RESTART_SPANS) + _restart_profile_s(tracer.spans)
-    m["report.recheck_s"] = total(["report.verify_report"]) / verify_repeats
+    m["potential.restart_s"] = total(RESTART_SPANS) + _restart_profile_s(run_phase)
+    m["report.recheck_s"] = recheck_s
     m["report.bytes"] = sum(len(r["bytes"]) for r in reports.values())
     m["potential.q_den_bits_max"] = max(
         (
@@ -156,7 +156,6 @@ def layer_metrics(summary, tracer, caches, reports, verify_repeats):
         ),
         default=0,
     )
-    sizes = tracer.sizes
     for name in SIZE_METRICS:
         m[name] = sum(s[name] for s in sizes.values())
     m["envelope.hull_cache_hits"] = caches["envelope.hull_cache_hits"]
@@ -164,7 +163,7 @@ def layer_metrics(summary, tracer, caches, reports, verify_repeats):
     m["envelope.hull_cache_entries"] = caches["envelope.hull_cache_entries"]
     m["potential.slope_cache_hits"] = caches["potential.slope_cache_hits"]
     m["potential.slope_cache_misses"] = caches["potential.slope_cache_misses"]
-    m["potential.scaling_exp"] = _scaling_exp(tracer.spans, sizes)
+    m["potential.scaling_exp"] = _scaling_exp(run_phase, sizes)
     for layer in LAYERS:
         m[f"self.{layer}_s"] = sum(
             row["self_s"] for name, row in summary.items() if name.split(".")[0] == layer
@@ -265,11 +264,12 @@ def main():
         outcome[job.cid] = traced(job.cid, "cli." + job.command, job.args(path, outs[job.cid]))
     wall_s = time.perf_counter() - t0
 
-    caches_by_config, counts = {}, None
+    caches_by_config, counts, run_spans = {}, None, 0
     if tracer is not None:
         # counted before verify, whose repeat count depends on the clock
         caches_by_config = tracer.merge_members()
         counts = config_counts(tracer, caches_by_config)
+        run_spans = len(tracer.spans)
 
     reports = {}
     for job in jobs:
@@ -324,12 +324,22 @@ def main():
     if tracer is not None:
         import spans
 
-        summary = spans.summarize(tracer.spans, tracer.leaves)
+        # the per-layer figures cover the run phase; verify, repeated for as
+        # long as the clock says, adds only its mean sweep (report.recheck_s)
+        run_phase = tracer.spans[:run_spans]
+        summary = spans.summarize(run_phase, tracer.leaves)
+        recheck_s = sum(
+            end - start
+            for name, start, end, _, _ in tracer.spans[run_spans:]
+            if name == "report.verify_report"
+        ) / len(verify_times)
         totals = spans.cache_counts()
         for caches in caches_by_config.values():
             for k, v in caches.items():
                 totals[k] += v
-        result["layers"] = layer_metrics(summary, tracer, totals, reports, len(verify_times))
+        result["layers"] = layer_metrics(
+            summary, run_phase, tracer.sizes, totals, reports, recheck_s
+        )
         result["summary"] = summary
         result["counts"] = counts
         result["spans"] = len(tracer.spans)
