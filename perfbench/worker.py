@@ -1,7 +1,7 @@
 """One pass of a workload, in a fresh interpreter.
 
     python3 perfbench/worker.py --workload W --seed N --trace 0|1 \
-        --work DIR --result FILE [--setup-only]
+        --work DIR --result FILE [--setup-only] [--cpu N]
 
 The parent (``run.py``) starts one of these per pass, so the process-global
 caches of the program start empty every time.  Set-up is the interpreter
