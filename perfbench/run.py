@@ -37,7 +37,7 @@ PINS = HERE / "pins.json"
 WORKLOADS = ("ladder", "family", "restart", "sweep")
 DEADLINE_S = 170  # a run must end within 180 s
 MIN_PASSES = 2  # a traced run alternates, so it has at least one of each kind
-SETUP_SAMPLES = 7  # set-up is ~0.2 s; its median needs more samples than passes give
+SETUP_SAMPLES = 11  # set-up is ~0.2 s; its median needs more samples than passes give
 
 # metric -> (unit, how a run's samples combine).  The passes of a round run
 # on two CPUs whose speeds drift independently; the mean of a run's passes
@@ -75,6 +75,7 @@ class Run:
         self.rounds = []  # seconds per round of concurrent passes
         self.spawned = 0
         self.setups = []
+        self.setups_raw = []
         self.attempted = 0
         self.failed = 0
         self.failures = []
@@ -125,7 +126,8 @@ class Run:
         expected_src = str(self.root / "src")
         if not result["fronttrack"].startswith(expected_src):
             return None, f"imported {result['fronttrack']}, not the checkout's src/"
-        self.setups.append(result["t_ready"] - t_spawn)
+        self.setups_raw.append(result["t_ready"] - t_spawn)
+        self.setups.append(self.setups_raw[-1] * result["setup_scale"])
         return result, None
 
     def measure(self, kinds):
@@ -207,9 +209,11 @@ def end_to_end(run):
     for name, (unit, combine) in END_TO_END.items():
         if values[name]:
             print(_line(name, values[name], unit, combine))
-    calib = [r["calib_s"] for r in plain]
-    if calib:
-        print(_line("host.calib_s (no gate)", calib, "s"))
+    raw = {name: [r[name] for r in plain] for name in ("wall_raw_s", "verify_raw_s", "calib_s")}
+    raw["setup_raw_s"] = run.setups_raw
+    for name, vals in raw.items():
+        if vals:
+            print(_line(f"host.{name} (no gate)", vals, "s"))
     return values
 
 

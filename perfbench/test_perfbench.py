@@ -9,6 +9,7 @@ import json
 import shutil
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from fronttrack import harness  # noqa: E402
 
 import run  # noqa: E402
 import spans  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -145,6 +147,40 @@ def test_refuses_a_directory_without_the_program(tmp_path):
     assert proc.returncode != 0
     assert proc.stdout.strip() == ""
     assert not (tmp_path / ".perfbench").exists()
+
+
+def test_host_speed_samples_forked_workers(tmp_path):
+    """sweep's time is set by its forked workers, so they sample the host and
+    its idle parent does not.  In a subprocess: HostSpeed registers an at-fork
+    hook for good."""
+    code = textwrap.dedent(f"""
+        import os, sys, time
+        sys.path.insert(0, {str(HERE)!r})
+        import worker
+
+        host = worker.HostSpeed({str(tmp_path / "host")!r})
+
+        def body():
+            pid = os.fork()
+            if pid == 0:
+                end = time.monotonic() + 1.7
+                while time.monotonic() < end:
+                    pass
+                os._exit(0)
+            os.waitpid(pid, 0)
+
+        raw_s, ref_s = host.phase(body)
+        print(sum(c is not None for *_, c in host.own), len(host.forked), raw_s, ref_s)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    own, forked, raw_s, ref_s = proc.stdout.split()
+    assert int(own) == 2 * worker.CALIB_BRACKET
+    ticks = 1.7 / worker.CALIB_EVERY_S
+    assert int(forked) >= ticks - 3
+    assert 1.7 <= float(raw_s) < 2.5
+    assert float(ref_s) > 0
+    assert not any((tmp_path / "host").iterdir())
 
 
 def test_spelled_rationals_are_unreduced_but_equal():

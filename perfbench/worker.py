@@ -9,8 +9,9 @@ start, ``import fronttrack`` and writing the configs; the worker stamps the
 end of set-up with ``time.monotonic()``, a clock shared by all processes.
 
 The pass runs every job through ``fronttrack.cli.main`` (``run`` or
-``sweep``), then ``verify`` on every report it wrote, then a fixed
-``Fraction`` loop that calibrates the host.  It writes one JSON result.
+``sweep``), then ``verify`` on every report it wrote, while a timer samples
+the host's speed with a fixed ``Fraction`` loop (``HostSpeed``).  It writes
+one JSON result.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import resource
+import signal
 import statistics
 import sys
 import time
@@ -28,11 +30,27 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
+# The host changes speed by up to 2x from one tenth of a second to the next,
+# faster than passes can be repeated.  So a pass samples its speed while it
+# runs: every CALIB_EVERY_S a SIGALRM runs calibrate() and records the loop's
+# CPU time.  Each stretch of a phase between two ticks is reported at the
+# reference speed, its seconds x CALIB_REF_S / the mean of the samples that
+# bound it and those its forked workers took during it.  The samples' own time
+# is taken out (they cost ~2%).  A process that sat idle since the last tick
+# (sweep's parent, a waiting worker) skips its sample: the speed that counts
+# is that of the processes at work.
+CALIB_EVERY_S = 0.1
+CALIB_BRACKET = 3  # samples taken just before and just after each phase
+CALIB_REF_S = 0.002  # calibrate()'s CPU seconds at the reference speed
+
 # verify takes 3 ms to 0.15 s per pass, too short to time once on a host
-# whose speed swings within a second: repeat it until both limits are met and
-# report the mean repeat
+# whose speed swings within a second: repeat it, with a calibration sample
+# after each repeat, until both limits are met, and report the median repeat.
+# A repeat runs verify as often as fits VERIFY_GROUP_S, so that a sample's
+# ~2 ms stays small beside the time it corrects.
 VERIFY_REPEATS = 5
 VERIFY_MIN_S = 2.0
+VERIFY_GROUP_S = 0.02
 
 # per-layer metric -> span/leaf names whose inclusive seconds it sums
 TIME_METRICS = {
@@ -77,14 +95,134 @@ LAYERS = (
 
 
 def calibrate():
-    """A fixed pure-Python Fraction loop: its time is the host's speed for
+    """CPU seconds of a fixed pure-Python Fraction loop: the host's speed for
     the kind of arithmetic the program does."""
+    t0 = time.thread_time()
     acc = Fraction(0)
-    for i in range(1, 20000):
+    for i in range(1, 241):
         acc += Fraction(i % 97 - 48, 1 + i % 89) * Fraction(1 + i % 7, 3 + i % 5)
-        if i % 1000 == 0:
-            acc = Fraction(acc.numerator % 1_000_003, acc.denominator % 1_000_033 + 1)
-    return acc
+    return time.thread_time() - t0
+
+
+_cpu_at_tick = [0.0]
+
+
+def _busy():
+    """Whether this process used the CPU for at least half the time since the
+    last call (a tick), by its CPU time."""
+    cpu = time.process_time()
+    busy = cpu - _cpu_at_tick[0] >= CALIB_EVERY_S / 2
+    _cpu_at_tick[0] = cpu
+    return busy
+
+
+class HostSpeed:
+    """calibrate() samples taken around and, by SIGALRM, during timed phases.
+
+    CPU time, not wall time: on ``sweep`` the sampling processes share the two
+    CPUs with each other, and CPU time leaves out the waits that causes.
+    Processes forked during a phase (``sweep``'s workers, which set its time)
+    sample themselves too and leave their samples in ``fork_dir``, stamped
+    with ``time.monotonic()``, a clock all processes share.
+    """
+
+    def __init__(self, fork_dir):
+        self.own = []  # (start, end, CPU seconds or None) of this process's ticks
+        self.forked = []  # (midpoint, CPU seconds) of its forked workers' samples
+        self.fork_dir = Path(fork_dir)
+        self.fork_dir.mkdir()
+        os.register_at_fork(after_in_child=self._in_child)
+
+    def sample(self, *_):
+        t0 = time.monotonic()
+        cpu_s = calibrate()
+        self.own.append((t0, time.monotonic(), cpu_s))
+
+    def _tick(self, *_):
+        if _busy():
+            self.sample()
+        else:  # still a stretch boundary, for the workers' samples
+            t = time.monotonic()
+            self.own.append((t, t, None))
+
+    def _in_child(self):
+        path = self.fork_dir / f"{os.getpid()}.txt"
+
+        def tick(*_):
+            if _busy():
+                t0 = time.monotonic()
+                cpu_s = calibrate()
+                t1 = time.monotonic()
+                with open(path, "a") as f:
+                    f.write(f"{(t0 + t1) / 2!r} {cpu_s!r}\n")
+
+        signal.signal(signal.SIGALRM, tick)
+        _busy()
+        signal.setitimer(signal.ITIMER_REAL, CALIB_EVERY_S, CALIB_EVERY_S)
+
+    def _collect_forks(self):
+        for path in sorted(self.fork_dir.glob("*.txt")):
+            lines = path.read_text().splitlines(keepends=True)
+            # a worker killed mid-write leaves a partial last line
+            self.forked += [tuple(map(float, x.split())) for x in lines if x.endswith("\n")]
+            path.unlink()
+
+    def phase(self, body):
+        """Run ``body()``; returns its seconds less this process's sampling,
+        raw and at the reference speed."""
+        for _ in range(CALIB_BRACKET):
+            self.sample()
+        first = len(self.own) - 1  # the last sample before the phase
+        signal.signal(signal.SIGALRM, self._tick)
+        _busy()
+        start = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, CALIB_EVERY_S, CALIB_EVERY_S)
+        try:
+            body()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        end = time.monotonic()
+        for _ in range(CALIB_BRACKET):
+            self.sample()
+        self._collect_forks()
+        bounds = self.own[first:len(self.own) - CALIB_BRACKET + 1]
+        stretches = []
+        for (_, a, before), (b, _, after) in zip(bounds, bounds[1:]):
+            a, b = max(a, start), min(b, end)
+            speeds = [c for c in (before, after) if c is not None]
+            stretches.append((b - a, speeds + [c for t, c in self.forked if a <= t <= b]))
+        # a stretch without samples (sweep's parent idle, its workers not yet
+        # at work) takes the nearest sampled one's; the first always has one
+        sampled = [i for i, (_, speeds) in enumerate(stretches) if speeds]
+        raw_s = ref_s = 0.0
+        for i, (seconds, speeds) in enumerate(stretches):
+            if not speeds:
+                speeds = stretches[min(sampled, key=lambda j: abs(j - i))][1]
+            raw_s += seconds
+            ref_s += seconds * CALIB_REF_S / statistics.fmean(speeds)
+        return raw_s, ref_s
+
+    def repeat(self, body, repeats, min_s, group_s):
+        """Run ``body()`` in at least ``repeats`` groups and for at least
+        ``min_s`` seconds, with a sample between groups; a group runs it as
+        often as fits ``group_s`` (at least once).  Returns (runs, median raw
+        seconds per run, the same at the reference speed, each group corrected
+        by the mean of the samples either side of it)."""
+        self.sample()
+        raw, corrected, runs = [], [], 0
+        t_end = time.perf_counter() + min_s
+        while len(raw) < repeats or time.perf_counter() < t_end:
+            t0, n = time.perf_counter(), 0
+            while not n or time.perf_counter() - t0 < group_s:
+                body()
+                n += 1
+            raw.append((time.perf_counter() - t0) / n)
+            runs += n
+            self.sample()
+            speed = statistics.fmean(c for _, _, c in self.own[-2:])
+            corrected.append(raw[-1] * CALIB_REF_S / speed)
+        return runs, statistics.median(raw), statistics.median(corrected)
 
 
 def report_digest(report):
@@ -240,6 +378,10 @@ def main():
     for job, path in zip(jobs, paths):
         Path(path).write_text(job.text)
     result = {"t_ready": time.monotonic(), "fronttrack": fronttrack.__file__}
+    # set-up is reported at the reference speed too, by samples taken right after it
+    result["setup_scale"] = CALIB_REF_S / statistics.median(
+        calibrate() for _ in range(CALIB_BRACKET)
+    )
     if args.setup_only:
         Path(args.result).write_text(json.dumps(result))
         return 0
@@ -258,11 +400,16 @@ def main():
         tracer.config = cid
         return tracer.call(name, _run_cli, (cli, argv), {})
 
+    host = HostSpeed(work / "host")
     outcome = {}
-    t0 = time.perf_counter()
-    for job, path in zip(jobs, paths):
-        outcome[job.cid] = traced(job.cid, "cli." + job.command, job.args(path, outs[job.cid]))
-    wall_s = time.perf_counter() - t0
+
+    def run_jobs():
+        for job, path in zip(jobs, paths):
+            outcome[job.cid] = traced(
+                job.cid, "cli." + job.command, job.args(path, outs[job.cid])
+            )
+
+    wall_raw_s, wall_s = host.phase(run_jobs)
 
     caches_by_config, counts, run_spans = {}, None, 0
     if tracer is not None:
@@ -278,22 +425,21 @@ def main():
             data = path.read_bytes()
             reports[job.cid] = {"path": str(path), "bytes": data, "report": json.loads(data)}
 
-    verify_times = []
-    while reports and (len(verify_times) < VERIFY_REPEATS or sum(verify_times) < VERIFY_MIN_S):
-        t0 = time.perf_counter()
+    def verify_all():
         for job in jobs:
             if job.command == "run" and job.cid in reports:
                 rc, err = traced(job.cid, "cli.verify", ["verify", reports[job.cid]["path"]])
                 if rc != 0:
                     outcome[job.cid] = (rc, "verify: " + err)
-        verify_times.append(time.perf_counter() - t0)
+
+    verify_repeats, verify_raw_s, verify_s = 0, 0.0, 0.0
+    if reports:
+        verify_repeats, verify_raw_s, verify_s = host.repeat(
+            verify_all, VERIFY_REPEATS, VERIFY_MIN_S, VERIFY_GROUP_S
+        )
 
     if tracer is not None:
         tracer.uninstall()
-
-    t0 = time.perf_counter()
-    calibrate()
-    calib_s = time.perf_counter() - t0
 
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if args.workload == "sweep":
@@ -312,9 +458,11 @@ def main():
 
     result.update(
         wall_s=wall_s,
-        verify_s=statistics.fmean(verify_times) if verify_times else 0.0,
+        wall_raw_s=wall_raw_s,
+        verify_s=verify_s,
+        verify_raw_s=verify_raw_s,
         peak_rss_mb=rss_kb / 1024,
-        calib_s=calib_s,
+        calib_s=statistics.median([c for *_, c in host.own + host.forked if c is not None]),
         jobs=[job.cid for job in jobs],
         exit_codes={cid: rc for cid, (rc, _) in outcome.items()},
         errors={cid: err[-2000:] for cid, (rc, err) in outcome.items() if rc != 0},
@@ -332,7 +480,7 @@ def main():
             end - start
             for name, start, end, _, _ in tracer.spans[run_spans:]
             if name == "report.verify_report"
-        ) / len(verify_times)
+        ) / max(verify_repeats, 1)
         totals = spans.cache_counts()
         for caches in caches_by_config.values():
             for k, v in caches.items():
