@@ -15,9 +15,8 @@ from .envelope import (
     curvature_constant,
     rh_speed,
     sample_flux,
-    slope_at,
 )
-from .diagram import render_diagram, render_front_diagram, render_potential_plot
+from .diagram import render_front_diagram, render_potential_plot
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -38,18 +37,14 @@ from .harness import (
     sweep,
 )
 from .potential import (
-    PairWeightRecord,
     PotentialSeries,
     bianchini_cubic,
     delta_sigma,
-    delta_sigma_cancellation,
     delta_sigma_closed_form,
-    delta_sigma_same_sign,
-    maximal_noncontact_interval,
-    pair_weight,
     quadratic_potential,
     run_pipeline,
     upsilon,
+    verdict_table,
     verify_run,
 )
 from .riemann import Front, is_admissible, solve_riemann
@@ -66,13 +61,10 @@ from .tracker import (
     validate_timeline,
 )
 from .tracing import (
-    WaveCell,
     WaveInterval,
     WaveSystem,
     advance_tracing,
     build_initial_waves,
-    debug_dump,
-    interaction_query,
     sigma,
     validate_tracing,
     waves_at,

@@ -13,14 +13,6 @@ from .tracker import Timeline
 WIDTH, HEIGHT, MARGIN = 800, 600, 60
 
 
-def render_diagram(tl: Timeline, series: PotentialSeries) -> dict:
-    """Both SVG documents for a completed run, keyed by file name."""
-    return {
-        "fronts.svg": render_front_diagram(tl),
-        "potential.svg": render_potential_plot(series, tl),
-    }
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 

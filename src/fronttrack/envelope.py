@@ -179,9 +179,6 @@ class PiecewiseLinearFn:
             i = max(bisect_left(self.breakpoints, u) - 1, 0)
         return self._piece_slope(i)
 
-def slope_at(g: PiecewiseLinearFn, u: Fraction, side: str = "right") -> Fraction:
-    return g.slope_at(u, side)
-
 
 def _lower_hull(points):
     """Lower convex hull of x-sorted points; collinear interior points dropped."""

@@ -24,40 +24,15 @@ never on how the profile got there.  The restart checks in `verify_run`
 exercise exactly that property.
 """
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .envelope import (
-    CurvatureConstant,
-    GridFlux,
-    convex_envelope,
-    curvature_constant,
-    envelope,
-)
+from .envelope import CurvatureConstant, GridFlux, curvature_constant, envelope
 from .errors import ConsistencyError, InputError
 from .rationals import grid_index
-from .tracker import (
-    CANCELLATION,
-    SAME_SIGN,
-    InteractionEvent,
-    Timeline,
-    evolve,
-    profile_at,
-)
-from .tracing import (
-    WaveCell,
-    WaveSystem,
-    advance_tracing,
-    build_initial_waves,
-    first_common_event,
-)
-
-MIXED_SIGN = "mixed_sign"
-SAME_POSITION = "same_position"
-NEVER_INTERACT = "never_interact"
-GENERIC = "generic"
+from .tracker import SAME_SIGN, InteractionEvent, Timeline, evolve, profile_at
+from .tracing import WaveSystem, advance_tracing, build_initial_waves, first_common_event
 
 
 # -- speed change ----------------------------------------------------------------
@@ -134,18 +109,6 @@ def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
     return total
 
 
-def delta_sigma_same_sign(event: InteractionEvent, flux: GridFlux) -> Fraction:
-    if event.kind != SAME_SIGN:
-        raise InputError("event is not a same-sign interaction")
-    return delta_sigma(event, flux)
-
-
-def delta_sigma_cancellation(event: InteractionEvent, flux: GridFlux) -> Fraction:
-    if event.kind != CANCELLATION:
-        raise InputError("event is not a cancellation")
-    return delta_sigma(event, flux)
-
-
 def delta_sigma_closed_form(event: InteractionEvent) -> Fraction:
     """2 (s' - s'') |jump'||jump''| / (|jump'| + |jump''|) for a binary
     same-sign interaction; equals the envelope integral exactly there."""
@@ -159,33 +122,8 @@ def delta_sigma_closed_form(event: InteractionEvent) -> Fraction:
 # -- pair weights and Q ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairWeightRecord:
-    atom_lo: int
-    atom_hi: int
-    classification: str
-    q: Fraction
-    pi: Fraction
-    d: Fraction
-    j_left: object = None  # WaveInterval for generic pairs
-    j_right: object = None
-    meeting: object = None  # (t, x) of the first joint event
-
-
 def _k_value(K) -> Fraction:
     return K.K if isinstance(K, CurvatureConstant) else Fraction(K)
-
-
-def _atom_id(ws: WaveSystem, c) -> int:
-    if isinstance(c, int):
-        if not 0 <= c < ws.atom_count:
-            raise InputError(f"atom index {c} out of range")
-        return c
-    if isinstance(c, WaveCell):
-        if len(c.atoms) != 1:
-            raise InputError("pair weights are defined per atom; split the cell")
-        return c.atoms[0]
-    return ws.atom_of(Fraction(c))
 
 
 def _j_interval(ws, s, fid, event_index):
@@ -198,59 +136,6 @@ def _j_interval(ws, s, fid, event_index):
     if ks != list(range(ks[0], ks[0] + len(ks))):
         raise ConsistencyError("meeting interval has non-contiguous states")
     return interval
-
-
-def _entropic_slope(ws, flux, interval, atom):
-    lo = grid_index(interval.state_lo, flux.epsilon)
-    hi = grid_index(interval.state_hi, flux.epsilon)
-    return _cell_slopes(flux, lo, hi, interval.sign)[ws.cell[atom]]
-
-
-def pair_weight(ws: WaveSystem, t_bar, c, c_prime, K, flux: GridFlux) -> PairWeightRecord:
-    """Classify one wave pair at time t_bar and compute its weight."""
-    ws._require_traced()
-    K = _k_value(K)
-    a, b = _atom_id(ws, c), _atom_id(ws, c_prime)
-    if a == b:
-        raise InputError("need two distinct waves")
-    if a > b:
-        a, b = b, a
-    t_bar = Fraction(t_bar)
-    s = ws.timeline.slab_index_at(t_bar, side="pre")
-    for atom in (a, b):
-        if not ws.alive_in_slab(atom, s):
-            raise InputError("wave not live at the query time")
-    return _pair_weight_in_slab(ws, s, a, b, K, flux, with_intervals=True)
-
-
-def _pair_weight_in_slab(ws, s, a, b, K, flux, with_intervals=False):
-    sign = ws.sign[a]
-    live = ws.live_atoms(s)
-    i_a = bisect_left(live, a)
-    i_b = bisect_left(live, b)
-    if any(ws.sign[live[i]] != sign for i in range(i_a, i_b + 1)):
-        return PairWeightRecord(a, b, MIXED_SIGN, K, Fraction(0), Fraction(0))
-    if ws.fid_of(a, s) == ws.fid_of(b, s):
-        return PairWeightRecord(a, b, SAME_POSITION, Fraction(0), Fraction(0), Fraction(0))
-    e = first_common_event(ws, a, b, after_slab=s)
-    if e is None:
-        return PairWeightRecord(a, b, NEVER_INTERACT, Fraction(0), Fraction(0), Fraction(0))
-    ev = ws.timeline.events[e]
-    d = abs(ev.c - ev.a)
-    j_left = _j_interval(ws, s, ws.fid_of(a, s), e)
-    j_right = _j_interval(ws, s, ws.fid_of(b, s), e)
-    pi = _entropic_slope(ws, flux, j_left, a) - _entropic_slope(ws, flux, j_right, b)
-    if pi < 0:
-        pi = Fraction(0)
-    q = pi / d
-    if not 0 <= q <= K:
-        raise ConsistencyError(f"weight {q} outside [0, {K}] for atoms ({a}, {b})")
-    return PairWeightRecord(
-        a, b, GENERIC, q, pi, d,
-        j_left=j_left if with_intervals else None,
-        j_right=j_right if with_intervals else None,
-        meeting=(ev.t, ev.x),
-    )
 
 
 class _SlabPotential:
@@ -318,29 +203,16 @@ class _SlabPotential:
         return total
 
 
-def quadratic_potential(ws: WaveSystem, t_bar, side="post", K=None, flux=None,
-                        with_records=False):
+def quadratic_potential(ws: WaveSystem, t_bar, side="post", K=None, flux=None) -> Fraction:
     """Q at time t_bar (the constant value of the surrounding open slab).
 
-    ``side`` picks the one-sided limit at event instants.  Returns the exact
-    value, plus the per-pair records when requested.
+    ``side`` picks the one-sided limit at event instants.
     """
     ws._require_traced()
     flux = flux if flux is not None else ws.timeline.flux
     K = K if K is not None else curvature_constant(flux).K
     s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
-    value = _SlabPotential(ws, flux, K).q_of_slab(s)
-    if not with_records:
-        return value
-    records = []
-    live = ws.live_atoms(s)
-    for i, a in enumerate(live):
-        for b in live[i + 1:]:
-            records.append(_pair_weight_in_slab(ws, s, a, b, K, flux))
-    check = sum((r.q for r in records), Fraction(0)) * ws.epsilon * ws.epsilon
-    if check != value:
-        raise ConsistencyError("pair records disagree with the slab potential")
-    return value, records
+    return _SlabPotential(ws, flux, K).q_of_slab(s)
 
 
 def upsilon(q_value, tv_now, tv0, K):
@@ -375,23 +247,6 @@ def _bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
             speed_j = ws.timeline.fronts_by_id[fid_j].speed
             total += abs(speed_i - speed_j) * (len(atoms_i) * eps) * (len(atoms_j) * eps)
     return total
-
-
-def maximal_noncontact_interval(flux: GridFlux, a, b, d_j) -> Fraction:
-    """First grid point at or beyond b where the hull of the flux on [a, d_j]
-    touches the flux samples; d_j itself if the hull leaves the samples
-    strictly above everywhere before it."""
-    a, b, d_j = Fraction(a), Fraction(b), Fraction(d_j)
-    if not a < b <= d_j:
-        raise InputError("need a < b <= d_j")
-    hull = convex_envelope(flux, a, d_j)
-    k_b = grid_index(b, flux.epsilon)
-    k_hi = grid_index(d_j, flux.epsilon)
-    for k in range(k_b, k_hi + 1):
-        u = k * flux.epsilon
-        if hull.value_at(u) == flux.value_at_index(flux.index_of(u)):
-            return u
-    raise ConsistencyError("hull does not touch its own right endpoint")
 
 
 # -- run-level verification ---------------------------------------------------------
@@ -447,34 +302,91 @@ HARD_EVENT_VERDICTS = (
 )
 
 
+@dataclass(frozen=True)
+class VerdictTable:
+    events: list  # verdict dict per event
+    restarts: list  # per restart probe: Q reproduced exactly
+    flags: dict
+    hard_failures: list
+
+
+def verdict_table(K, tv0, slabs, events, restarts) -> VerdictTable:
+    """Every inequality the run is checked against, from its exact values.
+
+    ``slabs`` holds (Q, TV, upsilon_paper, upsilon_strict) per slab, in order;
+    ``events`` holds (index, kind, composite, a, b, c, delta_sigma) per event,
+    event i separating slabs i and i+1; ``restarts`` holds (slab, Q, Q_restart)
+    per restart probe.  `verify_run` and `report.verify_report` both call this,
+    so a run and its stored report are judged by the same table.
+
+    Hard verdicts (exact, expected to hold always): Q non-increasing; at
+    binary same-sign events half the speed change is dominated by the Q drop;
+    at binary cancellations the speed change is dominated by K|c-a||c-b| and
+    by K*TV0*(TV drop); the doubled-Q functional dominates the full speed
+    change at every event and never increases; Q <= K*TV^2 on every slab;
+    every restart reproduces Q.
+
+    Flags (recorded, allowed to fail): the single-Q drop bound and the
+    constant-1 initial bound, which the doubled-Q forms repair; the constant-2
+    initial bound is recorded next to them.
+    """
+    failures = []
+    if any(q > K * tv * tv for q, tv, _, _ in slabs):
+        failures.append("slab_q_bound")
+    verdicts, paper_drop_failures = [], []
+    for index, kind, composite, a, b, c, dsig in events:
+        q_minus, tv_minus, up_minus, us_minus = slabs[index]
+        q_plus, tv_plus, up_plus, us_plus = slabs[index + 1]
+        drop = q_minus - q_plus
+        v = {
+            "q_monotone": drop >= 0,
+            "delta_sigma_le_upsilon_strict_drop": dsig <= us_minus - us_plus,
+            "delta_sigma_le_upsilon_paper_drop": dsig <= up_minus - up_plus,
+            "upsilon_paper_monotone": up_plus <= up_minus,
+            "upsilon_strict_monotone": us_plus <= us_minus,
+        }
+        # the per-kind drop bounds are statements about one state triple; they
+        # are attached only to binary events (composite events carry a summed
+        # speed change and are covered by the combined-potential verdicts)
+        if not composite:
+            if kind == SAME_SIGN:
+                v["half_delta_sigma_le_q_drop"] = dsig / 2 <= drop
+            else:
+                v["cancellation_curvature_bound"] = dsig <= K * abs(c - a) * abs(c - b)
+                v["cancellation_tv_bound"] = dsig <= K * tv0 * (tv_minus - tv_plus)
+        if not v["delta_sigma_le_upsilon_paper_drop"]:
+            paper_drop_failures.append(index)
+        failures += [
+            f"event{index}:{name}" for name in HARD_EVENT_VERDICTS if v.get(name) is False
+        ]
+        verdicts.append(v)
+    equal = [q == q_restart for _, q, q_restart in restarts]
+    failures += [f"restart@slab{s}" for (s, _, _), ok in zip(restarts, equal) if not ok]
+    flags = {
+        **initial_bound_flags(slabs[0][2], tv0, K),
+        "upsilon_paper_drop_failures": paper_drop_failures,
+    }
+    return VerdictTable(verdicts, equal, flags, failures)
+
+
 @dataclass
 class PotentialSeries:
     K: Fraction
     tv0: Fraction
     epsilon: Fraction
-    slabs: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    restart_checks: list = field(default_factory=list)
-    flags: dict = field(default_factory=dict)
-    slab_bound_ok: bool = True
-    max_weight: Fraction = Fraction(0)
+    slabs: list
+    events: list
+    restart_checks: list
+    flags: dict
+    failures: list  # the verdict table's hard failures
+    max_weight: Fraction
 
     def hard_failures(self):
-        out = []
-        if not self.slab_bound_ok:
-            out.append("slab_q_bound")
-        for ev in self.events:
-            for name in HARD_EVENT_VERDICTS:
-                if name in ev.verdicts and not ev.verdicts[name]:
-                    out.append(f"event{ev.index}:{name}")
-        for rc in self.restart_checks:
-            if not rc.equal:
-                out.append(f"restart@slab{rc.slab}")
-        return out
+        return list(self.failures)
 
     @property
     def all_pass(self) -> bool:
-        return not self.hard_failures()
+        return not self.failures
 
 
 def _restart_probe_times(tl: Timeline, count: int):
@@ -507,149 +419,50 @@ def run_pipeline(profile, flux):
 
 def verify_run(tl: Timeline, ws: WaveSystem, flux: GridFlux,
                restart_checks: int = 0, K=None) -> PotentialSeries:
-    """Evaluate every potential on every slab and check every inequality.
-
-    Hard verdicts (exact, expected to hold always): Q non-increasing; at
-    same-sign events half the speed change is dominated by the Q drop; at
-    cancellations the speed change is dominated by K|c-a||c-b| and by
-    K*TV0*(TV drop); the doubled-Q functional dominates the full speed
-    change at every event and never increases; Q <= K*TV^2 on every slab.
-
-    Flags (recorded, allowed to fail): the single-Q drop bound and the
-    constant-1 initial bound, which the doubled-Q forms repair.
-    """
+    """Evaluate every potential on every slab, re-run the restart probes, and
+    judge the run by `verdict_table`."""
     K = curvature_constant(flux).K if K is None else _k_value(K)
     tv0 = tl.initial_profile.total_variation()
-    series = PotentialSeries(K=K, tv0=tv0, epsilon=flux.epsilon)
     engine = _SlabPotential(ws, flux, K)
 
-    q_by_slab = []
+    slabs = []
     for s, slab in enumerate(tl.slabs):
         q_val = engine.q_of_slab(s)
         tv = tl.slab_tv(s)
         if len(ws.live_atoms(s)) * ws.epsilon != tv:
             raise ConsistencyError("wave mass does not match front variation")
-        u_paper, u_strict = upsilon(q_val, tv, tv0, K)
-        if q_val > K * tv * tv:
-            series.slab_bound_ok = False
-        q_by_slab.append((q_val, tv, u_paper, u_strict))
-        series.slabs.append(
-            SlabRecord(s, slab.t_lo, slab.t_hi, q_val, tv, u_paper, u_strict,
+        slabs.append(
+            SlabRecord(s, slab.t_lo, slab.t_hi, q_val, tv, *upsilon(q_val, tv, tv0, K),
                        _bianchini_of_slab(ws, s))
         )
-    series.max_weight = engine.max_weight
+    rows = [(r.Q, r.TV, r.upsilon_paper, r.upsilon_strict) for r in slabs]
+    event_rows = [
+        (ev.index, ev.kind, len(ev.incoming) > 2, ev.a, ev.b, ev.c, delta_sigma(ev, flux))
+        for ev in tl.events
+    ]
 
-    upsilon_paper_drop_failures = []
-    for ev in tl.events:
-        q_minus, tv_minus, up_minus, us_minus = q_by_slab[ev.index]
-        q_plus, tv_plus, up_plus, us_plus = q_by_slab[ev.index + 1]
-        dsig = delta_sigma(ev, flux)
-        drop = q_minus - q_plus
-        verdicts = {
-            "q_monotone": drop >= 0,
-            "delta_sigma_le_upsilon_strict_drop": dsig <= us_minus - us_plus,
-            "delta_sigma_le_upsilon_paper_drop": dsig <= up_minus - up_plus,
-            "upsilon_paper_monotone": up_plus <= up_minus,
-            "upsilon_strict_monotone": us_plus <= us_minus,
-        }
-        # the per-kind drop bounds are statements about one state triple; they
-        # are attached only to binary events (composite events carry a summed
-        # speed change and are covered by the combined-potential verdicts)
-        if len(ev.incoming) == 2:
-            if ev.kind == SAME_SIGN:
-                verdicts["half_delta_sigma_le_q_drop"] = dsig / 2 <= drop
-            else:
-                verdicts["cancellation_curvature_bound"] = (
-                    dsig <= K * abs(ev.c - ev.a) * abs(ev.c - ev.b)
-                )
-                verdicts["cancellation_tv_bound"] = (
-                    dsig <= K * tv0 * (tv_minus - tv_plus)
-                )
-        if not verdicts["delta_sigma_le_upsilon_paper_drop"]:
-            upsilon_paper_drop_failures.append(ev.index)
-        series.events.append(
-            EventRecord(
-                ev.index, ev.t, ev.x, ev.kind, ev.a, ev.b, ev.c,
-                dsig, q_minus, q_plus, tv_minus, tv_plus,
-                len(ev.incoming) > 2, verdicts,
-            )
-        )
-
-    series.flags = {
-        **initial_bound_flags(series.slabs[0].upsilon_paper, tv0, K),
-        "upsilon_paper_drop_failures": upsilon_paper_drop_failures,
-    }
-    if not series.flags["upsilon0_le_2k_tv0_sq"]:
-        raise ConsistencyError("doubled initial bound violated; this is a bug")
-
+    probes = []
     for s, t_probe in _restart_probe_times(tl, restart_checks):
-        q_here = q_by_slab[s][0]
         tl2, ws2 = run_pipeline(profile_at(tl, t_probe), flux)
-        q_restart = _SlabPotential(ws2, flux, K).q_of_slab(0)
-        series.restart_checks.append(
-            RestartCheck(s, t_probe, q_here, q_restart, q_here == q_restart)
-        )
-    return series
+        probes.append((s, t_probe, _SlabPotential(ws2, flux, K).q_of_slab(0)))
 
-
-# -- extra structural checks ---------------------------------------------------------
-
-
-def cancellation_weight_stability(tl: Timeline, ws: WaveSystem, flux: GridFlux,
-                                  K=None) -> list:
-    """Across each cancellation: cross pairs (one wave outside the surviving
-    jump, one inside) keep their weight when their classification persists,
-    and pairs fully inside come out with zero weight.  Returns violations."""
-    if K is None:
-        K = curvature_constant(flux).K
-    bad = []
-    for ev in tl.events:
-        if ev.kind != CANCELLATION:
-            continue
-        s_pre, s_post = ev.index, ev.index + 1
-        survivors = set(ws.survivors_by_event[ev.index])
-        live_post = ws.live_atoms(s_post)
-        for i, a in enumerate(live_post):
-            for b in live_post[i + 1:]:
-                a_in, b_in = a in survivors, b in survivors
-                if not (a_in or b_in):
-                    continue
-                post = _pair_weight_in_slab(ws, s_post, a, b, K, flux)
-                if a_in and b_in:
-                    if post.q != 0:
-                        bad.append((ev.index, a, b, "inside pair kept weight"))
-                    continue
-                pre = _pair_weight_in_slab(ws, s_pre, a, b, K, flux)
-                if pre.classification == post.classification and pre.q != post.q:
-                    bad.append((ev.index, a, b, "cross pair weight changed"))
-    return bad
-
-
-def fundamental_property_violations(ws: WaveSystem, flux: GridFlux, K=None) -> list:
-    """For wave triples w <= w' <= w'': equal right meeting intervals for
-    (w, w') and (w, w'') force equal left meeting intervals.  Exhaustive
-    over live atom triples of every slab; returns violations."""
-    if K is None:
-        K = curvature_constant(ws.timeline.flux).K
-    bad = []
-    for s in range(len(ws.timeline.slabs)):
-        live = ws.live_atoms(s)
-        # precompute the meeting intervals of every generic pair once
-        j_sets = {}
-        for i, a in enumerate(live):
-            for b in live[i + 1:]:
-                rec = _pair_weight_in_slab(ws, s, a, b, K, flux, with_intervals=True)
-                if rec.classification == GENERIC:
-                    j_sets[(a, b)] = (rec.j_left.atoms, rec.j_right.atoms)
-        for i, a in enumerate(live):
-            for j in range(i + 1, len(live)):
-                ab = j_sets.get((a, live[j]))
-                if ab is None:
-                    continue
-                for k in range(j + 1, len(live)):
-                    ac = j_sets.get((a, live[k]))
-                    if ac is None:
-                        continue
-                    if ab[1] == ac[1] and ab[0] != ac[0]:
-                        bad.append((s, a, live[j], live[k]))
-    return bad
+    table = verdict_table(
+        K, tv0, rows, event_rows, [(s, rows[s][0], q_restart) for s, _, q_restart in probes]
+    )
+    if not table.flags["upsilon0_le_2k_tv0_sq"]:
+        raise ConsistencyError("doubled initial bound violated; this is a bug")
+    events = []
+    for ev, (i, _, composite, *_, dsig), verdicts in zip(tl.events, event_rows, table.events):
+        (q_minus, tv_minus, _, _), (q_plus, tv_plus, _, _) = rows[i], rows[i + 1]
+        events.append(EventRecord(
+            i, ev.t, ev.x, ev.kind, ev.a, ev.b, ev.c, dsig,
+            q_minus, q_plus, tv_minus, tv_plus, composite, verdicts,
+        ))
+    restart_records = [
+        RestartCheck(s, t_probe, rows[s][0], q_restart, equal)
+        for (s, t_probe, q_restart), equal in zip(probes, table.restarts)
+    ]
+    return PotentialSeries(
+        K, tv0, flux.epsilon, slabs, events, restart_records, table.flags,
+        table.hard_failures, engine.max_weight,
+    )

@@ -10,8 +10,6 @@ from math import ceil, floor
 
 from .errors import InputError
 
-Rat = Fraction
-
 
 def parse_rational(value) -> Fraction:
     """Convert a config value to an exact Fraction.

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .harness import RunResult
-from .potential import HARD_EVENT_VERDICTS, initial_bound_flags
+from .potential import upsilon, verdict_table
 from .rationals import format_rational, parse_rational
 
 EVENTS_COLUMNS = [
@@ -148,83 +148,121 @@ def potential_csv(report: dict, decimal: bool = False) -> str:
     return out.getvalue()
 
 
+def _report_reader():
+    """``read(obj, key, kind, where)`` returns the stored field ``obj[key]``:
+    a rational string parsed to a Fraction when ``kind`` is Fraction, else a
+    value checked to be a ``kind``.  A missing or mistyped field raises
+    InputError.  Each distinct rational string is parsed once, because a
+    report repeats most of its values (the event columns copy slab values)."""
+    parsed = {}
+
+    def read(obj, key, kind, where=""):
+        try:
+            value = obj[key]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"report field '{where}{key}' is missing") from exc
+        if kind is not Fraction:
+            if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+                return value
+            raise InputError(f"report field '{where}{key}' must be of type {kind.__name__}")
+        if type(value) is not str:
+            raise InputError(f"report field '{where}{key}' must be a rational string")
+        if value not in parsed:
+            try:
+                parsed[value] = parse_rational(value)
+            except InputError as exc:
+                raise InputError(f"report field '{where}{key}': {exc}") from exc
+        return parsed[value]
+
+    return read
+
+
 def verify_report(report: dict) -> list:
-    """Re-check every stored verdict and identity from the stored rationals.
+    """Re-check a stored report against the verdict table recomputed from its
+    stored rationals.
 
-    Returns a list of failure descriptions; an empty list means the report is
-    internally consistent and all hard checks hold.
+    Returns a list of failure descriptions; an empty list means every stored
+    verdict, flag, identity and summary field re-checks and all hard checks
+    hold.  A malformed report (a missing or mistyped field, or events that do
+    not separate consecutive slabs) raises InputError.
     """
+    read = _report_reader()
+    K = read(report, "K", Fraction)
+    tv0 = read(report, "TV0", Fraction)
+    slabs = []
+    for i, rec in enumerate(read(report, "slabs", list)):
+        where = f"slabs[{i}]."
+        if read(rec, "index", int, where) != i:
+            raise InputError(f"report field '{where}index' is not {i}")
+        slabs.append(tuple(
+            read(rec, k, Fraction, where)
+            for k in ("Q", "TV", "upsilon_paper", "upsilon_strict")
+        ))
+    events = read(report, "events", list)
+    if len(slabs) != len(events) + 1:
+        raise InputError(f"report has {len(events)} events but {len(slabs)} slabs")
+    event_rows, columns, stored_verdicts = [], [], []
+    for i, ev in enumerate(events):
+        where = f"events[{i}]."
+        if read(ev, "index", int, where) != i:
+            raise InputError(f"report field '{where}index' is not {i}")
+        event_rows.append((
+            i, read(ev, "kind", str, where), read(ev, "composite", bool, where),
+            *(read(ev, k, Fraction, where) for k in ("a", "b", "c", "delta_sigma")),
+        ))
+        columns.append(tuple(
+            read(ev, k, Fraction, where)
+            for k in ("Q_minus", "Q_plus", "TV_minus", "TV_plus")
+        ))
+        stored_verdicts.append(read(ev, "verdicts", dict, where))
+    restarts, stored_equal = [], []
+    for i, rc in enumerate(read(report, "restart_checks", list)):
+        where = f"restart_checks[{i}]."
+        s = read(rc, "slab", int, where)
+        if not 0 <= s < len(slabs):
+            raise InputError(f"report field '{where}slab' names no slab")
+        restarts.append(
+            (s, read(rc, "Q", Fraction, where), read(rc, "Q_restart", Fraction, where))
+        )
+        stored_equal.append(read(rc, "equal", bool, where))
+    flags = read(report, "flags", dict)
+    table = verdict_table(K, tv0, slabs, event_rows, restarts)
+
     failures = []
-    try:
-        K = parse_rational(report["K"])
-        tv0 = parse_rational(report["TV0"])
-        slabs = report["slabs"]
-        events = report["events"]
-        flags = report["flags"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"report is missing required fields: {exc}") from exc
-    if not isinstance(flags, dict):
-        raise InputError("report field 'flags' must be an object")
-
-    by_index = {}
-    for rec in slabs:
-        q = parse_rational(rec["Q"])
-        tv = parse_rational(rec["TV"])
-        up = parse_rational(rec["upsilon_paper"])
-        us = parse_rational(rec["upsilon_strict"])
-        by_index[rec["index"]] = (q, tv, up, us)
-        if up != K * tv0 * tv + q:
-            failures.append(f"slab{rec['index']}: upsilon_paper inconsistent")
-        if us != K * tv0 * tv + 2 * q:
-            failures.append(f"slab{rec['index']}: upsilon_strict inconsistent")
-        if q > K * tv * tv:
-            failures.append(f"slab{rec['index']}: Q exceeds K*TV^2")
-
-    if 0 not in by_index:
-        raise InputError("report has no slab 0")
-    initial = initial_bound_flags(by_index[0][2], tv0, K)
-    for name, value in initial.items():
-        if flags.get(name) != value:
+    for i, (q, tv, up, us) in enumerate(slabs):
+        paper, strict = upsilon(q, tv, tv0, K)
+        if up != paper:
+            failures.append(f"slab{i}: upsilon_paper inconsistent")
+        if us != strict:
+            failures.append(f"slab{i}: upsilon_strict inconsistent")
+    if slabs[0][1] != tv0:
+        failures.append("slab0: TV differs from TV0")
+    for name, value in table.flags.items():
+        if read(flags, name, type(value), "flags.") != value:
             failures.append(f"flags: stored {name} does not re-check")
-    if not initial["upsilon0_le_2k_tv0_sq"]:
+    if not table.flags["upsilon0_le_2k_tv0_sq"]:
         failures.append("flags: upsilon0_le_2k_tv0_sq fails")
-
-    for ev in events:
-        idx = ev["index"]
-        dsig = parse_rational(ev["delta_sigma"])
-        q_minus, q_plus = parse_rational(ev["Q_minus"]), parse_rational(ev["Q_plus"])
-        tv_minus, tv_plus = parse_rational(ev["TV_minus"]), parse_rational(ev["TV_plus"])
-        sm, _, up_m, us_m = by_index[idx]
-        sp, _, up_p, us_p = by_index[idx + 1]
-        if (sm, sp) != (q_minus, q_plus):
-            failures.append(f"event{idx}: Q columns disagree with slab table")
-        recomputed = {
-            "q_monotone": q_minus >= q_plus,
-            "delta_sigma_le_upsilon_strict_drop": dsig <= us_m - us_p,
-            "delta_sigma_le_upsilon_paper_drop": dsig <= up_m - up_p,
-            "upsilon_paper_monotone": up_p <= up_m,
-            "upsilon_strict_monotone": us_p <= us_m,
-        }
-        if not ev.get("composite", False):
-            if ev["kind"] == "same_sign":
-                recomputed["half_delta_sigma_le_q_drop"] = dsig / 2 <= q_minus - q_plus
-            else:
-                a, b, c = (parse_rational(ev[k]) for k in "abc")
-                recomputed["cancellation_curvature_bound"] = (
-                    dsig <= K * abs(c - a) * abs(c - b)
-                )
-                recomputed["cancellation_tv_bound"] = (
-                    dsig <= K * tv0 * (tv_minus - tv_plus)
-                )
-        for name, value in recomputed.items():
-            if ev["verdicts"].get(name) != value:
-                failures.append(f"event{idx}: stored verdict {name} does not re-check")
-        for name in HARD_EVENT_VERDICTS:
-            if name in recomputed and not recomputed[name]:
-                failures.append(f"event{idx}: {name} fails")
-
-    for rc in report.get("restart_checks", []):
-        equal = parse_rational(rc["Q"]) == parse_rational(rc["Q_restart"])
-        if rc["equal"] != equal or not equal:
-            failures.append(f"restart@slab{rc['slab']}: potential not reproduced")
+    for i, (q_minus, q_plus, tv_minus, tv_plus) in enumerate(columns):
+        if (q_minus, q_plus) != (slabs[i][0], slabs[i + 1][0]):
+            failures.append(f"event{i}: Q columns disagree with slab table")
+        if (tv_minus, tv_plus) != (slabs[i][1], slabs[i + 1][1]):
+            failures.append(f"event{i}: TV columns disagree with slab table")
+        stored = stored_verdicts[i]
+        for name in dict.fromkeys([*table.events[i], *stored]):
+            if stored.get(name) != table.events[i].get(name):
+                failures.append(f"event{i}: stored verdict {name} does not re-check")
+    for (s, q, _), equal, stored in zip(restarts, table.restarts, stored_equal):
+        if q != slabs[s][0]:
+            failures.append(f"restart@slab{s}: Q disagrees with slab table")
+        if stored != equal:
+            failures.append(f"restart@slab{s}: stored equal does not re-check")
+    failures += [f"{name} fails" for name in table.hard_failures]
+    summary = {
+        "event_count": len(events),
+        "all_pass": not table.hard_failures,
+        "hard_failures": table.hard_failures,
+    }
+    for name, value in summary.items():
+        if read(report, name, type(value)) != value:
+            failures.append(f"{name}: stored value does not re-check")
     return failures

@@ -21,21 +21,6 @@ from .errors import ConsistencyError, InputError
 from .rationals import grid_index
 from .tracker import Profile, Timeline
 
-SIGN_NAMES = {1: "+", -1: "-"}
-
-
-@dataclass(frozen=True)
-class WaveCell:
-    """A maximal run of consecutive live atoms sharing sign and (per-slab) front."""
-
-    w_lo: Fraction
-    w_hi: Fraction
-    sign: int
-    state_lo: Fraction  # closed lower edge of the state range
-    state_hi: Fraction
-    atoms: tuple
-
-
 @dataclass(frozen=True)
 class WaveInterval:
     """Sign-constant, betweenness-closed wave set at a fixed time."""
@@ -53,13 +38,6 @@ class WaveInterval:
     @property
     def is_empty(self) -> bool:
         return not self.atoms
-
-
-@dataclass(frozen=True)
-class InteractionAnswer:
-    status: str  # "same_position" | "meets" | "never"
-    t: object = None
-    x: object = None
 
 
 class WaveSystem:
@@ -185,35 +163,6 @@ class WaveSystem:
 
     def atoms_of_front(self, s: int, fid: int):
         return [a for f, atoms in self.runs(s) if f == fid for a in atoms]
-
-    def cells(self, s: int):
-        """The slab's live waves as maximal WaveCells (atoms merge when they
-        are really contiguous, share the front, and chain states)."""
-        out = []
-        for fid, atoms in self.runs(s):
-            start = 0
-            for i in range(1, len(atoms) + 1):
-                contiguous = (
-                    i < len(atoms)
-                    and atoms[i] == atoms[i - 1] + 1
-                    and self.cell[atoms[i]]
-                    == self.cell[atoms[i - 1]] + self.sign[atoms[i]]
-                )
-                if not contiguous:
-                    chunk = atoms[start:i]
-                    ks = [self.cell[a] for a in chunk]
-                    out.append(
-                        WaveCell(
-                            w_lo=self.atom_w_lo(chunk[0]),
-                            w_hi=self.atom_w_hi(chunk[-1]),
-                            sign=self.sign[chunk[0]],
-                            state_lo=min(ks) * self.epsilon,
-                            state_hi=(max(ks) + 1) * self.epsilon,
-                            atoms=tuple(chunk),
-                        )
-                    )
-                    start = i
-        return out
 
     def interval_of(self, atoms, strict: bool = True) -> WaveInterval:
         """Package an atom list as a WaveInterval, checking sign constancy."""
@@ -352,18 +301,6 @@ def _slab_for_query(ws, t: Fraction) -> int:
     return ws.timeline.slab_index_at(t, side="pre")
 
 
-def position_of(ws: WaveSystem, t: Fraction, w: Fraction) -> Fraction:
-    """X(t, w): the carrying front's position."""
-    ws._require_traced()
-    t = Fraction(t)
-    a = ws.atom_of(w)
-    tc = ws.t_canc(a)
-    if tc is not None and tc <= t:
-        raise InputError(f"wave {w} was canceled at t={tc}")
-    s = _slab_for_query(ws, t)
-    return ws.front_of(a, s).position_at(t)
-
-
 def sigma(ws: WaveSystem, t: Fraction, w: Fraction) -> Fraction:
     """Forward speed of the wave at time t (the outgoing speed at event instants)."""
     ws._require_traced()
@@ -394,27 +331,6 @@ def waves_at(ws: WaveSystem, t: Fraction, x: Fraction) -> WaveInterval:
     return ws.interval_of(found)
 
 
-def interaction_query(ws: WaveSystem, t_bar, w, w_prime) -> InteractionAnswer:
-    """Will the two waves share a position after t_bar, and where first?"""
-    ws._require_traced()
-    t_bar = Fraction(t_bar)
-    a, b = ws.atom_of(w), ws.atom_of(w_prime)
-    for atom in (a, b):
-        tc = ws.t_canc(atom)
-        if tc is not None and tc <= t_bar:
-            raise InputError("wave not live at the query time")
-    s = _slab_for_query(ws, t_bar)
-    pa = ws.front_of(a, s).position_at(t_bar)
-    pb = ws.front_of(b, s).position_at(t_bar)
-    if pa == pb:
-        return InteractionAnswer("same_position", t_bar, pa)
-    e = first_common_event(ws, a, b, after_time=t_bar)
-    if e is None:
-        return InteractionAnswer("never")
-    ev = ws.timeline.events[e]
-    return InteractionAnswer("meets", ev.t, ev.x)
-
-
 def first_common_event(ws, a: int, b: int, after_slab=None, after_time=None):
     """Earliest event both atoms sit at and survive, filtered by slab or time."""
     ea, eb = ws.events_of[a], ws.events_of[b]
@@ -438,7 +354,7 @@ def first_common_event(ws, a: int, b: int, after_slab=None, after_time=None):
     return None
 
 
-# -- validation and debugging ----------------------------------------------------
+# -- validation ----------------------------------------------------------------
 
 
 def validate_tracing(tl: Timeline, ws: WaveSystem) -> None:
@@ -479,63 +395,3 @@ def validate_tracing(tl: Timeline, ws: WaveSystem) -> None:
         kept = len(ws.survivors_by_event[e_idx]) * eps
         if kept != abs(ev.c - ev.a):
             raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
-
-
-def state_consistency_holds(tl: Timeline, ws: WaveSystem, t, x) -> bool:
-    """Closure/measure form of the jump-state identity at one point:
-    the wave states at (t, x) fill the one-sided profile jump there."""
-    from .tracker import profile_at  # local import to avoid a cycle at import time
-
-    t, x = Fraction(t), Fraction(x)
-    interval = waves_at(ws, t, x)
-    post = profile_at(tl, t, side="post")
-    u_minus = _left_limit(post, x)
-    u_plus = post.value_at(x)
-    if u_minus == u_plus:
-        return interval.is_empty
-    lo, hi = min(u_minus, u_plus), max(u_minus, u_plus)
-    return (
-        interval.state_lo == lo
-        and interval.state_hi == hi
-        and interval.measure == hi - lo
-    )
-
-
-def _left_limit(profile: Profile, x: Fraction) -> Fraction:
-    v = profile.constant_state
-    for xj, vj in profile.jumps:
-        if xj < x:
-            v = vj
-        else:
-            break
-    return v
-
-
-def debug_dump(ws: WaveSystem) -> dict:
-    """Per-slab cell table used by golden tests."""
-    ws._require_traced()
-    tl = ws.timeline
-    slabs = []
-    for s, slab in enumerate(tl.slabs):
-        rows = []
-        for cell in ws.cells(s):
-            fid = ws.fid_of(cell.atoms[0], s)
-            fr = tl.fronts_by_id[fid]
-            rows.append(
-                {
-                    "range": [str(cell.w_lo), str(cell.w_hi)],
-                    "sign": SIGN_NAMES[cell.sign],
-                    "state_range": [str(cell.state_lo), str(cell.state_hi)],
-                    "front": fid,
-                    "x_at_slab_start": str(fr.position_at(slab.t_lo)),
-                    "speed": str(fr.speed),
-                }
-            )
-        slabs.append(
-            {
-                "t_lo": str(slab.t_lo),
-                "t_hi": None if slab.t_hi is None else str(slab.t_hi),
-                "cells": rows,
-            }
-        )
-    return {"epsilon": str(ws.epsilon), "atoms": ws.atom_count, "slabs": slabs}

@@ -13,16 +13,9 @@ from fractions import Fraction as F
 
 from fronttrack.envelope import convex_envelope, sample_flux
 from fronttrack.harness import l1_distance, parse_run_config, run_simulation
-from fronttrack.potential import (
-    cancellation_weight_stability,
-    delta_sigma,
-    delta_sigma_closed_form,
-    fundamental_property_violations,
-    pair_weight,
-    run_pipeline,
-)
+from fronttrack.potential import delta_sigma, delta_sigma_closed_form, run_pipeline
 from fronttrack.tracker import profile_at, validate_timeline
-from fronttrack.tracing import state_consistency_holds, validate_tracing
+from fronttrack.tracing import validate_tracing
 
 from oracles import (
     WORKED_EVENT_TIMES,
@@ -32,6 +25,12 @@ from oracles import (
     hull_oracle_values,
 )
 from suite_builder import SUITE_SIZE, binary_only_run
+from wave_oracles import (
+    cancellation_weight_stability,
+    fundamental_property_violations,
+    pair_weight,
+    state_consistency_holds,
+)
 
 BURGERS = {"polynomial": ["0", "0", "1/2"]}
 

@@ -14,7 +14,6 @@ from fronttrack.envelope import (
     curvature_constant,
     rh_speed,
     sample_flux,
-    slope_at,
 )
 from fronttrack.errors import DomainError, InputError
 
@@ -130,31 +129,31 @@ def test_envelope_errors():
 def test_slope_at_interior_of_chord():
     f = sample_flux(CUBIC, "1", (-1, 1))
     env = convex_envelope(f, F(-1), F(1))
-    assert slope_at(env, F(0), "left") == F(1)
-    assert slope_at(env, F(0), "right") == F(1)
+    assert env.slope_at(F(0), "left") == F(1)
+    assert env.slope_at(F(0), "right") == F(1)
 
 
 def test_slope_at_cubic_quarter_grid():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
     env = convex_envelope(f, F(-1), F(1))
-    assert slope_at(env, F(1, 4), "right") == F(3, 4)
+    assert env.slope_at(F(1, 4), "right") == F(3, 4)
 
 
 def test_slope_at_breakpoint_one_sided():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
     env = convex_envelope(f, F(-1), F(1))
-    assert slope_at(env, F(1, 2), "left") == F(3, 4)
-    assert slope_at(env, F(1, 2), "right") == F(19, 16)
+    assert env.slope_at(F(1, 2), "left") == F(3, 4)
+    assert env.slope_at(F(1, 2), "right") == F(19, 16)
 
 
 def test_slope_at_domain_edges():
     f = sample_flux(BURGERS, "1", (-2, 2))
     env = convex_envelope(f, F(-1), F(1))
-    assert slope_at(env, F(-1), "right") == F(-1, 2)
+    assert env.slope_at(F(-1), "right") == F(-1, 2)
     with pytest.raises(DomainError):
-        slope_at(env, F(-1), "left")
+        env.slope_at(F(-1), "left")
     with pytest.raises(DomainError):
-        slope_at(env, F(2), "right")
+        env.slope_at(F(2), "right")
 
 
 # -- rh speed ----------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from fronttrack.cli import main
 from fronttrack.errors import InputError
 from fronttrack.harness import (
     l1_distance,
+    load_json,
     parse_run_config,
     parse_sweep_config,
     random_datum_spec,
@@ -26,6 +29,8 @@ from fronttrack.report import (
 from fronttrack.tracker import Profile
 
 from oracles import l1_profile_distance_oracle
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN_CONFIG = {
     "flux": {"polynomial": ["0", "0", "1/2"]},
@@ -130,12 +135,37 @@ def test_csv_decimal_columns(golden_result):
     assert ",0.5," in lines[1]
 
 
+def _verify_edited(report, edit):
+    copy = json.loads(report_bytes(report))
+    edit(copy)
+    return verify_report(copy)
+
+
 def test_verify_report_recheck(golden_result):
-    report = build_report(golden_result)
-    assert verify_report(report) == []
-    tampered = json.loads(report_bytes(report))
-    tampered["slabs"][0]["Q"] = "100"
-    assert verify_report(tampered)
+    nonconvex = run_simulation(
+        parse_run_config(load_json(str(CONFIGS / "nonconvex_splitting.json")))
+    )
+    # each summary field, the single-Q drop flag and a TV column are re-derived
+    edits = [
+        (lambda r: r.update(all_pass=False), "all_pass: stored value does not re-check"),
+        (lambda r: r.update(hard_failures=["slab_q_bound"]),
+         "hard_failures: stored value does not re-check"),
+        (lambda r: r.update(event_count=r["event_count"] + 1),
+         "event_count: stored value does not re-check"),
+        (lambda r: r["flags"].update(upsilon_paper_drop_failures=[]),
+         "flags: stored upsilon_paper_drop_failures does not re-check"),
+        (lambda r: r["events"][0].update(TV_minus="1000"),
+         "event0: TV columns disagree with slab table"),
+    ]
+    for result in (golden_result, nonconvex):
+        report = build_report(result)
+        assert verify_report(report) == []
+        tampered = json.loads(report_bytes(report))
+        tampered["slabs"][0]["Q"] = "100"
+        assert verify_report(tampered)
+        assert report["flags"]["upsilon_paper_drop_failures"]
+        for edit, line in edits:
+            assert _verify_edited(report, edit) == [line]
 
 
 def test_verify_report_recheck_initial_bound_flags(golden_result):
@@ -160,8 +190,13 @@ def test_verify_report_recheck_initial_bound_flags(golden_result):
     slab0["upsilon_strict"] = str(K * tv0 * tv + 2 * q0)
     broken["flags"]["upsilon0_le_2k_tv0_sq"] = False
     # the larger slab-0 Upsilon also flips the event's single-Q drop verdict
+    # and its flag, and the slab-0 TV no longer matches TV0 or the event's
+    # TV column
     assert verify_report(broken) == [
+        "slab0: TV differs from TV0",
+        "flags: stored upsilon_paper_drop_failures does not re-check",
         "flags: upsilon0_le_2k_tv0_sq fails",
+        "event0: TV columns disagree with slab table",
         "event0: stored verdict delta_sigma_le_upsilon_paper_drop does not re-check",
     ]
 
@@ -245,6 +280,56 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "FAIL: flags: stored upsilon0_le_k_tv0_sq does not re-check\n"
     )
+    # a malformed report is an input error with one line, not a traceback
+    malformed = [
+        lambda r: r["events"][0].pop("delta_sigma"),
+        lambda r: r["events"][0].update(index=5),  # no slab 5
+    ]
+    for edit in malformed:
+        report = json.loads((out_dir / "report.json").read_text())
+        edit(report)
+        (out_dir / "malformed.json").write_text(json.dumps(report))
+        assert main(["verify", str(out_dir / "malformed.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+GOLDEN_SHA256 = {
+    "nonconvex_splitting": {
+        "events.csv": "8c5aa3128d3e025d95ee151107f7738354e9b32596066be7322498046244b7fe",
+        "fronts.svg": "7aecae3b74603af82cb23e068c971b61ab2dc50b5181ec17bfe476e2fe88032a",
+        "potential.csv": "7e8ef797df41b0fa33d1d4f5c6a6396ec512dee7690b03119fca9a9e6d1cd11f",
+        "potential.svg": "fee3aff1fae9a065e7d6f2a9f948fc4b576c4c6eb877366a8502b887f6bbdf4d",
+        "report.json": "bbc487a48d01ef78850e44ff353b71643ebfb1c56b40822acf99fc3addf38225",
+    },
+    "sweep_shock_rarefaction": {
+        "sweep.csv": "1e300ff93a6613c5c119d3946bae48d26b87904fec025f74514258d331716d91",
+        "sweep.json": "5cfe3215871ccbcbe01c534eb789883234a71e96ddce86786a067035d5790f06",
+    },
+    "two_shock_burgers": {
+        "events.csv": "c0797070b64aab07d441e465a5f6692cf2f358b0cb875ab08ce2204cd96f9bde",
+        "fronts.svg": "d9f8f688445cf7488e08f3bd0c939c5c3b1b26d30cf4a1cd5b4105f50e604119",
+        "potential.csv": "cdb29df74717719f517ad7b15a7bfa02fd80bd3eb4851b43a7d8e1ddb332c31d",
+        "potential.svg": "242acdb029ccf93605d148cb14c4903ede48ba300aa227d3ed7974fb657d33e7",
+        "report.json": "621614abeb4b6fb72d07c7a48de4a09063e1dfb3dc991a972d43e57cd647c1d7",
+    },
+}
+
+
+def test_configs_golden_bytes(tmp_path):
+    """`run --svg` on every run config and `sweep` on the sweep config write
+    exactly the pinned bytes, so refactors keep every artifact identical."""
+    assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(GOLDEN_SHA256)
+    for name, pinned in GOLDEN_SHA256.items():
+        path = CONFIGS / f"{name}.json"
+        out = tmp_path / name
+        if "epsilons" in load_json(str(path)):
+            args = ["sweep", str(path), "--out", str(out)]
+        else:
+            args = ["run", str(path), "--out", str(out), "--svg"]
+        assert main(args) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == pinned, name
 
 
 # -- sweeps ------------------------------------------------------------------------

@@ -7,21 +7,11 @@ from hypothesis import strategies as st
 from fronttrack.envelope import GridFlux, curvature_constant, sample_flux
 from fronttrack.errors import InputError
 from fronttrack.potential import (
-    GENERIC,
-    MIXED_SIGN,
-    NEVER_INTERACT,
-    SAME_POSITION,
     _cancellation_triple,
     _same_sign_triple,
     bianchini_cubic,
-    cancellation_weight_stability,
     delta_sigma,
-    delta_sigma_cancellation,
     delta_sigma_closed_form,
-    delta_sigma_same_sign,
-    fundamental_property_violations,
-    maximal_noncontact_interval,
-    pair_weight,
     quadratic_potential,
     run_pipeline,
     upsilon,
@@ -38,6 +28,17 @@ from oracles import (
     WORKED_Q_BY_SLAB,
     oracle_cancellation_speed_change,
     oracle_same_sign_speed_change,
+)
+from wave_oracles import (
+    GENERIC,
+    MIXED_SIGN,
+    NEVER_INTERACT,
+    SAME_POSITION,
+    cancellation_weight_stability,
+    fundamental_property_violations,
+    maximal_noncontact_interval,
+    oracle_q_of_slab,
+    pair_weight,
 )
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
@@ -57,7 +58,8 @@ def traced(profile, flux):
 def test_two_shock_speed_change_is_one():
     tl, ws = traced(TWO_SHOCK, BURGERS)
     ev = tl.events[0]
-    assert delta_sigma_same_sign(ev, BURGERS) == F(1)
+    assert ev.kind == "same_sign"
+    assert delta_sigma(ev, BURGERS) == F(1)
     assert delta_sigma_closed_form(ev) == F(1)
     assert oracle_same_sign_speed_change(F(1), F(0), F(-1), BURGERS) == F(1)
 
@@ -86,9 +88,11 @@ def test_cancellation_speed_change_cubic_quarter_grid():
 
 
 def test_speed_change_wrong_kind_rejected():
-    tl, ws = traced(TWO_SHOCK, BURGERS)
+    tl, ws = traced(WORKED_PROFILE, WORKED_FLUX)
+    ev = tl.events[0]
+    assert ev.kind == "cancellation" and len(ev.incoming) == 2
     with pytest.raises(InputError):
-        delta_sigma_cancellation(tl.events[0], BURGERS)
+        delta_sigma_closed_form(ev)
 
 
 def _reflect_flux(flux):
@@ -202,7 +206,7 @@ def test_two_shock_quadratic_potential():
     assert quadratic_potential(ws, F(1), side="pre") == F(1, 2)
     assert quadratic_potential(ws, F(1), side="post") == F(0)
     assert quadratic_potential(ws, F(5)) == F(0)
-    value, records = quadratic_potential(ws, F(0), with_records=True)
+    value, records = oracle_q_of_slab(ws, 0, curvature_constant(BURGERS).K, BURGERS)
     assert value == F(1, 2) and len(records) == 1
 
 
@@ -330,6 +334,7 @@ def test_worked_example_potential_series():
     for s, expected in enumerate(WORKED_Q_BY_SLAB):
         t_probe = tl.slabs[s].t_lo
         assert quadratic_potential(ws, t_probe, side="post") == expected
+        assert oracle_q_of_slab(ws, s, WORKED_K, WORKED_FLUX)[0] == expected
 
 
 def test_worked_example_verify_run():

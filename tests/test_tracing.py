@@ -8,14 +8,17 @@ from fronttrack.tracker import Profile, evolve
 from fronttrack.tracing import (
     advance_tracing,
     build_initial_waves,
-    debug_dump,
     first_common_event,
-    interaction_query,
-    position_of,
     sigma,
-    state_consistency_holds,
     validate_tracing,
     waves_at,
+)
+
+from wave_oracles import (
+    debug_dump,
+    interaction_query,
+    position_of,
+    state_consistency_holds,
 )
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))

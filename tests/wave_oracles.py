@@ -1,0 +1,341 @@
+"""Reference checkers over a traced run, used only by the tests.
+
+These are per-pair and per-point restatements of what the package computes in
+bulk: the weight of one wave pair (its classification, meeting intervals,
+``pi`` and ``d``), the interaction query and position of single waves, the
+jump-state identity at one point, the per-slab cell table, and the structural
+checks built on them (meeting-interval implication, weight stability across
+cancellations, hull contact).  `oracle_q_of_slab` sums the per-pair weights,
+so tests compare it with the package's bulk `_SlabPotential.q_of_slab`.
+"""
+
+from bisect import bisect_left
+from dataclasses import dataclass
+from fractions import Fraction
+
+from fronttrack.envelope import GridFlux, convex_envelope, curvature_constant
+from fronttrack.errors import ConsistencyError, InputError
+from fronttrack.potential import _cell_slopes, _j_interval, _k_value
+from fronttrack.rationals import grid_index
+from fronttrack.tracker import CANCELLATION, Profile, Timeline, profile_at
+from fronttrack.tracing import WaveSystem, _slab_for_query, first_common_event, waves_at
+
+MIXED_SIGN = "mixed_sign"
+SAME_POSITION = "same_position"
+NEVER_INTERACT = "never_interact"
+GENERIC = "generic"
+
+SIGN_NAMES = {1: "+", -1: "-"}
+
+
+# -- pair weights ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PairWeightRecord:
+    atom_lo: int
+    atom_hi: int
+    classification: str
+    q: Fraction
+    pi: Fraction
+    d: Fraction
+    j_left: object = None  # WaveInterval for generic pairs
+    j_right: object = None
+    meeting: object = None  # (t, x) of the first joint event
+
+
+@dataclass(frozen=True)
+class WaveCell:
+    """A maximal run of consecutive live atoms sharing sign and (per-slab) front."""
+
+    w_lo: Fraction
+    w_hi: Fraction
+    sign: int
+    state_lo: Fraction  # closed lower edge of the state range
+    state_hi: Fraction
+    atoms: tuple
+
+
+def _atom_id(ws: WaveSystem, c) -> int:
+    if isinstance(c, int):
+        if not 0 <= c < ws.atom_count:
+            raise InputError(f"atom index {c} out of range")
+        return c
+    if isinstance(c, WaveCell):
+        if len(c.atoms) != 1:
+            raise InputError("pair weights are defined per atom; split the cell")
+        return c.atoms[0]
+    return ws.atom_of(Fraction(c))
+
+
+def _entropic_slope(ws, flux, interval, atom):
+    lo = grid_index(interval.state_lo, flux.epsilon)
+    hi = grid_index(interval.state_hi, flux.epsilon)
+    return _cell_slopes(flux, lo, hi, interval.sign)[ws.cell[atom]]
+
+
+def pair_weight(ws: WaveSystem, t_bar, c, c_prime, K, flux: GridFlux) -> PairWeightRecord:
+    """Classify one wave pair at time t_bar and compute its weight."""
+    ws._require_traced()
+    K = _k_value(K)
+    a, b = _atom_id(ws, c), _atom_id(ws, c_prime)
+    if a == b:
+        raise InputError("need two distinct waves")
+    if a > b:
+        a, b = b, a
+    t_bar = Fraction(t_bar)
+    s = ws.timeline.slab_index_at(t_bar, side="pre")
+    for atom in (a, b):
+        if not ws.alive_in_slab(atom, s):
+            raise InputError("wave not live at the query time")
+    return _pair_weight_in_slab(ws, s, a, b, K, flux)
+
+
+def _pair_weight_in_slab(ws, s, a, b, K, flux):
+    sign = ws.sign[a]
+    live = ws.live_atoms(s)
+    i_a = bisect_left(live, a)
+    i_b = bisect_left(live, b)
+    if any(ws.sign[live[i]] != sign for i in range(i_a, i_b + 1)):
+        return PairWeightRecord(a, b, MIXED_SIGN, K, Fraction(0), Fraction(0))
+    if ws.fid_of(a, s) == ws.fid_of(b, s):
+        return PairWeightRecord(a, b, SAME_POSITION, Fraction(0), Fraction(0), Fraction(0))
+    e = first_common_event(ws, a, b, after_slab=s)
+    if e is None:
+        return PairWeightRecord(a, b, NEVER_INTERACT, Fraction(0), Fraction(0), Fraction(0))
+    ev = ws.timeline.events[e]
+    d = abs(ev.c - ev.a)
+    j_left = _j_interval(ws, s, ws.fid_of(a, s), e)
+    j_right = _j_interval(ws, s, ws.fid_of(b, s), e)
+    pi = _entropic_slope(ws, flux, j_left, a) - _entropic_slope(ws, flux, j_right, b)
+    if pi < 0:
+        pi = Fraction(0)
+    q = pi / d
+    if not 0 <= q <= K:
+        raise ConsistencyError(f"weight {q} outside [0, {K}] for atoms ({a}, {b})")
+    return PairWeightRecord(a, b, GENERIC, q, pi, d, j_left, j_right, (ev.t, ev.x))
+
+
+def oracle_q_of_slab(ws: WaveSystem, s: int, K, flux: GridFlux):
+    """Q of slab s as eps^2 times the sum of the per-pair weights, with the
+    records of every live pair."""
+    live = ws.live_atoms(s)
+    records = [
+        _pair_weight_in_slab(ws, s, a, b, K, flux)
+        for i, a in enumerate(live)
+        for b in live[i + 1:]
+    ]
+    return sum((r.q for r in records), Fraction(0)) * ws.epsilon * ws.epsilon, records
+
+
+# -- structural checks ---------------------------------------------------------------
+
+
+def maximal_noncontact_interval(flux: GridFlux, a, b, d_j) -> Fraction:
+    """First grid point at or beyond b where the hull of the flux on [a, d_j]
+    touches the flux samples; d_j itself if the hull leaves the samples
+    strictly above everywhere before it."""
+    a, b, d_j = Fraction(a), Fraction(b), Fraction(d_j)
+    if not a < b <= d_j:
+        raise InputError("need a < b <= d_j")
+    hull = convex_envelope(flux, a, d_j)
+    k_b = grid_index(b, flux.epsilon)
+    k_hi = grid_index(d_j, flux.epsilon)
+    for k in range(k_b, k_hi + 1):
+        u = k * flux.epsilon
+        if hull.value_at(u) == flux.value_at_index(flux.index_of(u)):
+            return u
+    raise ConsistencyError("hull does not touch its own right endpoint")
+
+
+def cancellation_weight_stability(tl: Timeline, ws: WaveSystem, flux: GridFlux,
+                                  K=None) -> list:
+    """Across each cancellation: cross pairs (one wave outside the surviving
+    jump, one inside) keep their weight when their classification persists,
+    and pairs fully inside come out with zero weight.  Returns violations."""
+    if K is None:
+        K = curvature_constant(flux).K
+    bad = []
+    for ev in tl.events:
+        if ev.kind != CANCELLATION:
+            continue
+        s_pre, s_post = ev.index, ev.index + 1
+        survivors = set(ws.survivors_by_event[ev.index])
+        live_post = ws.live_atoms(s_post)
+        for i, a in enumerate(live_post):
+            for b in live_post[i + 1:]:
+                a_in, b_in = a in survivors, b in survivors
+                if not (a_in or b_in):
+                    continue
+                post = _pair_weight_in_slab(ws, s_post, a, b, K, flux)
+                if a_in and b_in:
+                    if post.q != 0:
+                        bad.append((ev.index, a, b, "inside pair kept weight"))
+                    continue
+                pre = _pair_weight_in_slab(ws, s_pre, a, b, K, flux)
+                if pre.classification == post.classification and pre.q != post.q:
+                    bad.append((ev.index, a, b, "cross pair weight changed"))
+    return bad
+
+
+def fundamental_property_violations(ws: WaveSystem, flux: GridFlux, K=None) -> list:
+    """For wave triples w <= w' <= w'': equal right meeting intervals for
+    (w, w') and (w, w'') force equal left meeting intervals.  Exhaustive
+    over live atom triples of every slab; returns violations."""
+    if K is None:
+        K = curvature_constant(ws.timeline.flux).K
+    bad = []
+    for s in range(len(ws.timeline.slabs)):
+        live = ws.live_atoms(s)
+        # precompute the meeting intervals of every generic pair once
+        j_sets = {}
+        for i, a in enumerate(live):
+            for b in live[i + 1:]:
+                rec = _pair_weight_in_slab(ws, s, a, b, K, flux)
+                if rec.classification == GENERIC:
+                    j_sets[(a, b)] = (rec.j_left.atoms, rec.j_right.atoms)
+        for i, a in enumerate(live):
+            for j in range(i + 1, len(live)):
+                ab = j_sets.get((a, live[j]))
+                if ab is None:
+                    continue
+                for k in range(j + 1, len(live)):
+                    ac = j_sets.get((a, live[k]))
+                    if ac is None:
+                        continue
+                    if ab[1] == ac[1] and ab[0] != ac[0]:
+                        bad.append((s, a, live[j], live[k]))
+    return bad
+
+
+# -- single-wave queries ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class InteractionAnswer:
+    status: str  # "same_position" | "meets" | "never"
+    t: object = None
+    x: object = None
+
+
+def position_of(ws: WaveSystem, t: Fraction, w: Fraction) -> Fraction:
+    """X(t, w): the carrying front's position."""
+    ws._require_traced()
+    t = Fraction(t)
+    a = ws.atom_of(w)
+    tc = ws.t_canc(a)
+    if tc is not None and tc <= t:
+        raise InputError(f"wave {w} was canceled at t={tc}")
+    s = _slab_for_query(ws, t)
+    return ws.front_of(a, s).position_at(t)
+
+
+def interaction_query(ws: WaveSystem, t_bar, w, w_prime) -> InteractionAnswer:
+    """Will the two waves share a position after t_bar, and where first?"""
+    ws._require_traced()
+    t_bar = Fraction(t_bar)
+    a, b = ws.atom_of(w), ws.atom_of(w_prime)
+    for atom in (a, b):
+        tc = ws.t_canc(atom)
+        if tc is not None and tc <= t_bar:
+            raise InputError("wave not live at the query time")
+    s = _slab_for_query(ws, t_bar)
+    pa = ws.front_of(a, s).position_at(t_bar)
+    pb = ws.front_of(b, s).position_at(t_bar)
+    if pa == pb:
+        return InteractionAnswer("same_position", t_bar, pa)
+    e = first_common_event(ws, a, b, after_time=t_bar)
+    if e is None:
+        return InteractionAnswer("never")
+    ev = ws.timeline.events[e]
+    return InteractionAnswer("meets", ev.t, ev.x)
+
+
+def state_consistency_holds(tl: Timeline, ws: WaveSystem, t, x) -> bool:
+    """Closure/measure form of the jump-state identity at one point:
+    the wave states at (t, x) fill the one-sided profile jump there."""
+    t, x = Fraction(t), Fraction(x)
+    interval = waves_at(ws, t, x)
+    post = profile_at(tl, t, side="post")
+    u_minus = _left_limit(post, x)
+    u_plus = post.value_at(x)
+    if u_minus == u_plus:
+        return interval.is_empty
+    lo, hi = min(u_minus, u_plus), max(u_minus, u_plus)
+    return (
+        interval.state_lo == lo
+        and interval.state_hi == hi
+        and interval.measure == hi - lo
+    )
+
+
+def _left_limit(profile: Profile, x: Fraction) -> Fraction:
+    v = profile.constant_state
+    for xj, vj in profile.jumps:
+        if xj < x:
+            v = vj
+        else:
+            break
+    return v
+
+
+# -- per-slab cell table ---------------------------------------------------------------
+
+
+def cells(ws: WaveSystem, s: int):
+    """The slab's live waves as maximal WaveCells (atoms merge when they
+    are really contiguous, share the front, and chain states)."""
+    out = []
+    for fid, atoms in ws.runs(s):
+        start = 0
+        for i in range(1, len(atoms) + 1):
+            contiguous = (
+                i < len(atoms)
+                and atoms[i] == atoms[i - 1] + 1
+                and ws.cell[atoms[i]] == ws.cell[atoms[i - 1]] + ws.sign[atoms[i]]
+            )
+            if not contiguous:
+                chunk = atoms[start:i]
+                ks = [ws.cell[a] for a in chunk]
+                out.append(
+                    WaveCell(
+                        w_lo=ws.atom_w_lo(chunk[0]),
+                        w_hi=ws.atom_w_hi(chunk[-1]),
+                        sign=ws.sign[chunk[0]],
+                        state_lo=min(ks) * ws.epsilon,
+                        state_hi=(max(ks) + 1) * ws.epsilon,
+                        atoms=tuple(chunk),
+                    )
+                )
+                start = i
+    return out
+
+
+def debug_dump(ws: WaveSystem) -> dict:
+    """Per-slab cell table used by golden tests."""
+    ws._require_traced()
+    tl = ws.timeline
+    slabs = []
+    for s, slab in enumerate(tl.slabs):
+        rows = []
+        for cell in cells(ws, s):
+            fid = ws.fid_of(cell.atoms[0], s)
+            fr = tl.fronts_by_id[fid]
+            rows.append(
+                {
+                    "range": [str(cell.w_lo), str(cell.w_hi)],
+                    "sign": SIGN_NAMES[cell.sign],
+                    "state_range": [str(cell.state_lo), str(cell.state_hi)],
+                    "front": fid,
+                    "x_at_slab_start": str(fr.position_at(slab.t_lo)),
+                    "speed": str(fr.speed),
+                }
+            )
+        slabs.append(
+            {
+                "t_lo": str(slab.t_lo),
+                "t_hi": None if slab.t_hi is None else str(slab.t_hi),
+                "cells": rows,
+            }
+        )
+    return {"epsilon": str(ws.epsilon), "atoms": ws.atom_count, "slabs": slabs}
