@@ -21,6 +21,8 @@ EXIT_INPUT = 2
 def _cmd_run(args) -> int:
     cfg = parse_run_config(load_json(args.config))
     if args.restart_checks is not None:
+        if args.restart_checks < 0:
+            raise InputError("--restart-checks must be at least 0")
         cfg.restart_check_points = args.restart_checks
     if args.svg:
         cfg.emit_svg = True

@@ -39,6 +39,14 @@ class GridFlux:
             raise InputError("flux window must contain at least two grid points")
         if len(self.values) != self.k_max - self.k_min + 1:
             raise InputError("flux sample count does not match the index range")
+        # the lru caches key on the flux: hash the samples once, not on
+        # every lookup
+        object.__setattr__(
+            self, "_hash", hash((self.epsilon, self.k_min, self.k_max, self.values))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     # -- grid geometry -----------------------------------------------------
 
@@ -102,6 +110,8 @@ def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
         raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
 
     if "polynomial" in flux_spec:
+        if not isinstance(flux_spec["polynomial"], (list, tuple)):
+            raise InputError("flux polynomial must be a list of coefficients")
         coeffs = [parse_rational(c) for c in flux_spec["polynomial"]]
         values = []
         for k in range(k_min, k_max + 1):
@@ -111,7 +121,12 @@ def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
                 acc = acc * u + c
             values.append(acc)
     elif "table" in flux_spec:
-        table = {int(k): parse_rational(v) for k, v in flux_spec["table"].items()}
+        if not isinstance(flux_spec["table"], dict):
+            raise InputError("flux table must be an object keyed by grid index")
+        try:
+            table = {int(k): parse_rational(v) for k, v in flux_spec["table"].items()}
+        except ValueError as exc:
+            raise InputError(f"flux table keys must be grid indices: {exc}") from exc
         missing = [k for k in range(k_min, k_max + 1) if k not in table]
         if missing:
             raise InputError(f"flux table is missing grid indices {missing}")

@@ -41,10 +41,15 @@ def _parse_datum(datum) -> tuple:
         raise InputError("datum must be an object")
     constant = parse_rational(datum.get("constant", "0"))
     if "jumps" in datum:
-        jumps = [
-            (parse_rational(x), parse_rational(v)) for x, v in datum["jumps"]
-        ]
+        raw = datum["jumps"]
+        if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(j, (list, tuple)) and len(j) == 2 for j in raw
+        ):
+            raise InputError("datum.jumps must be a list of [x, value] pairs")
+        jumps = [(parse_rational(x), parse_rational(v)) for x, v in raw]
     elif "samples" in datum:
+        if not isinstance(datum["samples"], dict):
+            raise InputError("datum.samples must be an object")
         if datum.get("round", "nearest") != "nearest":
             raise InputError("datum.round: only 'nearest' is supported")
         jumps = sorted(
@@ -59,6 +64,21 @@ def _parse_datum(datum) -> tuple:
     return constant, jumps
 
 
+def _int_field(value, name: str, minimum=None) -> int:
+    """A JSON integer (not a bool), at least ``minimum`` when one is given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"config field '{name}' must be an integer")
+    if minimum is not None and value < minimum:
+        raise InputError(f"config field '{name}' must be at least {minimum}")
+    return value
+
+
+def _bool_field(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"config field '{name}' must be true or false")
+    return value
+
+
 def parse_run_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
@@ -70,24 +90,31 @@ def parse_run_config(data: dict) -> RunConfig:
         raise InputError("config field 'epsilon' must be positive")
     window = data.get("window")
     if window is not None:
-        window = (int(window[0]), int(window[1]))
+        if not isinstance(window, (list, tuple)) or len(window) != 2:
+            raise InputError("config field 'window' must be a pair of integers")
+        window = tuple(_int_field(k, "window") for k in window)
         if window[1] <= window[0]:
             raise InputError("config field 'window' must be an increasing pair")
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise InputError("config field 'options' must be an object")
     bound = options.get("analytic_curvature_bound")
+    max_events = options.get("max_events")
+    if max_events is not None:
+        max_events = _int_field(max_events, "options.max_events", 0)
     return RunConfig(
         flux_spec=data["flux"],
         epsilon=epsilon,
         datum=_parse_datum(data["datum"]),
         window=window,
-        seed=int(data.get("seed", 0)),
-        emit_svg=bool(options.get("emit_svg", False)),
-        restart_check_points=int(options.get("restart_check_points", 0)),
-        max_events=options.get("max_events"),
+        seed=_int_field(data.get("seed", 0), "seed"),
+        emit_svg=_bool_field(options.get("emit_svg", False), "options.emit_svg"),
+        restart_check_points=_int_field(
+            options.get("restart_check_points", 0), "options.restart_check_points", 0
+        ),
+        max_events=max_events,
         analytic_curvature_bound=None if bound is None else parse_rational(bound),
-        decimal=bool(options.get("decimal", False)),
+        decimal=_bool_field(options.get("decimal", False), "options.decimal"),
         raw=data,
     )
 

@@ -146,6 +146,7 @@ class _SlabPotential:
         self.flux = flux
         self.K = K
         self._slope_memo = {}
+        self._d_memo = {}  # event index -> (d, K*d)
         self.max_weight = Fraction(0)
 
     def _slopes_for(self, s, fid, e):
@@ -158,49 +159,74 @@ class _SlabPotential:
             self._slope_memo[key] = _cell_slopes(self.flux, lo, hi, interval.sign)
         return self._slope_memo[key]
 
-    def _event_d(self, e: int) -> Fraction:
-        ev = self.ws.timeline.events[e]
-        return abs(ev.c - ev.a)
+    def _event_d(self, e: int):
+        """(d, K*d) of event e, where d = |c - a| is the mass at the meeting."""
+        if e not in self._d_memo:
+            ev = self.ws.timeline.events[e]
+            d = abs(ev.c - ev.a)
+            self._d_memo[e] = (d, self.K * d)
+        return self._d_memo[e]
 
     def q_of_slab(self, s: int) -> Fraction:
+        """eps^2 times the sum of the pair weights over the slab's atom pairs.
+
+        Runs split into sign blocks (maximal stretches of one sign).  Every
+        atom pair across two blocks weighs K, so that part is K times an
+        integer pair count.  Pairs inside one block sum their positive slope
+        gaps per meeting event, divided by the event's d once at the end.
+        """
         ws = self.ws
+        cell = ws.cell
         runs = ws.runs(s)
-        flips = [0]
-        for (_, left), (_, right) in zip(runs, runs[1:]):
-            changed = ws.sign[left[0]] != ws.sign[right[0]]
-            flips.append(flips[-1] + (1 if changed else 0))
-        eps2 = ws.epsilon * ws.epsilon
-        total = Fraction(0)
+        block_of, block_sizes, sign = [], [], None
+        for _, atoms in runs:
+            if ws.sign[atoms[0]] != sign:
+                sign = ws.sign[atoms[0]]
+                block_sizes.append(0)
+            block_of.append(len(block_sizes) - 1)
+            block_sizes[-1] += len(atoms)
+        n = sum(block_sizes)
+        cross_pairs = (n * n - sum(m * m for m in block_sizes)) // 2
+        if cross_pairs and self.K > self.max_weight:
+            self.max_weight = self.K
+
+        gaps = {}  # event index -> [sum, max] of the positive slope gaps
         for i, (fid_i, atoms_i) in enumerate(runs):
             for j in range(i + 1, len(runs)):
+                if block_of[j] != block_of[i]:
+                    break
                 fid_j, atoms_j = runs[j]
-                if flips[j] != flips[i]:
-                    total += self.K * eps2 * len(atoms_i) * len(atoms_j)
-                    if self.K > self.max_weight:
-                        self.max_weight = self.K
-                    continue
-                sums = {}  # event index -> accumulated positive slope gaps
                 for a in atoms_i:
-                    cached = None
+                    current = None
                     for b in atoms_j:
                         e = first_common_event(ws, a, b, after_slab=s)
                         if e is None:
                             continue
-                        if cached is None or cached[0] != e:
-                            cached = (e, self._slopes_for(s, fid_i, e))
-                        gap = cached[1][ws.cell[a]] - self._slopes_for(s, fid_j, e)[ws.cell[b]]
+                        if e != current:
+                            current = e
+                            slope_a = self._slopes_for(s, fid_i, e)[cell[a]]
+                            slopes_b = self._slopes_for(s, fid_j, e)
+                            kd = self._event_d(e)[1]
+                            acc = gaps.get(e)
+                        gap = slope_a - slopes_b[cell[b]]
                         if gap > 0:
-                            d = self._event_d(e)
-                            if gap > self.K * d:
+                            if gap > kd:
                                 raise ConsistencyError(
                                     f"weight above K for atoms ({a}, {b}) in slab {s}"
                                 )
-                            if gap > self.max_weight * d:
-                                self.max_weight = gap / d
-                            sums[e] = sums.get(e, Fraction(0)) + gap
-                for e, acc in sums.items():
-                    total += acc * eps2 / self._event_d(e)
-        return total
+                            if acc is None:
+                                acc = gaps[e] = [gap, gap]
+                            else:
+                                acc[0] += gap
+                                if gap > acc[1]:
+                                    acc[1] = gap
+        total = self.K * cross_pairs
+        for e, (gap_sum, top) in gaps.items():
+            d = self._event_d(e)[0]
+            total += gap_sum / d
+            if top > self.max_weight * d:
+                self.max_weight = top / d
+        return total * ws.epsilon * ws.epsilon
 
 
 def quadratic_potential(ws: WaveSystem, t_bar, side="post", K=None, flux=None) -> Fraction:
@@ -238,15 +264,18 @@ def bianchini_cubic(ws: WaveSystem, t_bar, side="post") -> Fraction:
 
 
 def _bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
-    runs = ws.runs(s)
-    eps = ws.epsilon
+    """Sum over run pairs of |speed gap| times both run masses.  With the runs
+    sorted by speed, a run of n atoms at speed v adds n * (v * N - S) over all
+    slower runs, where N counts their atoms and S sums their atoms' speeds."""
+    fronts = ws.timeline.fronts_by_id
+    runs = sorted((fronts[fid].speed, len(atoms)) for fid, atoms in ws.runs(s))
     total = Fraction(0)
-    for i, (fid_i, atoms_i) in enumerate(runs):
-        speed_i = ws.timeline.fronts_by_id[fid_i].speed
-        for fid_j, atoms_j in runs[i + 1:]:
-            speed_j = ws.timeline.fronts_by_id[fid_j].speed
-            total += abs(speed_i - speed_j) * (len(atoms_i) * eps) * (len(atoms_j) * eps)
-    return total
+    below_count, below_speed = 0, Fraction(0)
+    for v, n in runs:
+        total += n * (v * below_count - below_speed)
+        below_count += n
+        below_speed += n * v
+    return total * ws.epsilon * ws.epsilon
 
 
 # -- run-level verification ---------------------------------------------------------

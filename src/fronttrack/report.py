@@ -214,7 +214,11 @@ def verify_report(report: dict) -> list:
             read(ev, k, Fraction, where)
             for k in ("Q_minus", "Q_plus", "TV_minus", "TV_plus")
         ))
-        stored_verdicts.append(read(ev, "verdicts", dict, where))
+        verdicts = read(ev, "verdicts", dict, where)
+        for name, value in verdicts.items():
+            if type(value) is not bool:  # the accessor names the mistyped verdict
+                read(verdicts, name, bool, where + "verdicts.")
+        stored_verdicts.append(verdicts)
     restarts, stored_equal = [], []
     for i, rc in enumerate(read(report, "restart_checks", list)):
         where = f"restart_checks[{i}]."
@@ -238,7 +242,10 @@ def verify_report(report: dict) -> list:
     if slabs[0][1] != tv0:
         failures.append("slab0: TV differs from TV0")
     for name, value in table.flags.items():
-        if read(flags, name, type(value), "flags.") != value:
+        stored = read(flags, name, type(value), "flags.")
+        if isinstance(stored, list):  # event indices
+            stored = [read(stored, j, int, f"flags.{name}.") for j in range(len(stored))]
+        if stored != value:
             failures.append(f"flags: stored {name} does not re-check")
     if not table.flags["upsilon0_le_2k_tv0_sq"]:
         failures.append("flags: upsilon0_le_2k_tv0_sq fails")

@@ -14,6 +14,7 @@ cancellation event if any.  Those participation lists answer every
 which is all the interaction potential needs.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -331,23 +332,15 @@ def waves_at(ws: WaveSystem, t: Fraction, x: Fraction) -> WaveInterval:
     return ws.interval_of(found)
 
 
-def first_common_event(ws, a: int, b: int, after_slab=None, after_time=None):
-    """Earliest event both atoms sit at and survive, filtered by slab or time."""
+def first_common_event(ws, a: int, b: int, after_slab: int = 0):
+    """Earliest event at or after ``after_slab`` that both atoms sit at and
+    survive (event e separates slabs e and e+1)."""
     ea, eb = ws.events_of[a], ws.events_of[b]
-    i = j = 0
+    i, j = bisect_left(ea, after_slab), bisect_left(eb, after_slab)
     while i < len(ea) and j < len(eb):
         if ea[i] == eb[j]:
-            e = ea[i]
-            ok = True
-            if after_slab is not None and e < after_slab:
-                ok = False
-            if after_time is not None and ws.timeline.events[e].t <= after_time:
-                ok = False
-            if ok:
-                return e
-            i += 1
-            j += 1
-        elif ea[i] < eb[j]:
+            return ea[i]
+        if ea[i] < eb[j]:
             i += 1
         else:
             j += 1

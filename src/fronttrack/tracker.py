@@ -359,6 +359,7 @@ def validate_timeline(tl: Timeline) -> None:
             raise ConsistencyError("events not in lexicographic (t, x) order")
 
     baseline = conserved_moment(tl, 0, Fraction(0))
+    admissible = set()  # Front values, not fids: a reused fid is checked again
     prev_tv = None
     for slab in tl.slabs:
         tv = tl.slab_tv(slab.index)
@@ -380,8 +381,10 @@ def validate_timeline(tl: Timeline) -> None:
             prev_v = fr.right
             if not (lo0 <= fr.u_lo and fr.u_hi <= hi0):
                 raise ConsistencyError("profile left the initial value range")
-            if not is_admissible(fr, tl.flux):
-                raise ConsistencyError("live front is not admissible")
+            if fr not in admissible:
+                if not is_admissible(fr, tl.flux):
+                    raise ConsistencyError("live front is not admissible")
+                admissible.add(fr)
         if prev_v != p.right_constant:
             raise ConsistencyError("right tail value changed")
 

@@ -28,6 +28,8 @@ from suite_builder import SUITE_SIZE, binary_only_run
 from wave_oracles import (
     cancellation_weight_stability,
     fundamental_property_violations,
+    oracle_bianchini_of_slab,
+    oracle_q_of_slab,
     pair_weight,
     state_consistency_holds,
 )
@@ -48,9 +50,17 @@ def test_acceptance_1_inequality_suite(suite):
     for r in runs:
         series = r.series
         K, tv0 = series.K, series.tv0
-        # Q <= K*TV^2 on every slab, and every pair weight sits in [0, K]
-        for rec in series.slabs:
+        # Q <= K*TV^2 on every slab, and every pair weight sits in [0, K];
+        # the stored Q and Bianchini sums (from q_of_slab, _bianchini_of_slab)
+        # equal the per-pair oracles, and max_weight is the largest pair weight
+        top = F(0)
+        for s, rec in enumerate(series.slabs):
             assert rec.Q <= K * rec.TV * rec.TV
+            q, records = oracle_q_of_slab(r.waves, s, K, r.flux)
+            assert rec.Q == q
+            assert rec.bianchini == oracle_bianchini_of_slab(r.waves, s)
+            top = max([top, *(p.q for p in records)])
+        assert series.max_weight == top
         assert F(0) <= series.max_weight <= K
         # the doubled-Q initial bound (the provable constant)
         assert series.slabs[0].upsilon_paper <= 2 * K * tv0 * tv0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -75,9 +76,36 @@ def test_parse_config_rejects_bad_epsilon():
         parse_run_config(bad)
 
 
+def _with_options(**options):
+    return dict(GOLDEN_CONFIG, options=dict(GOLDEN_CONFIG["options"], **options))
+
+
+# each raised a ValueError or TypeError, or was accepted silently, before the
+# fields were validated; the flux spec is read when the run samples it
+MALFORMED_CONFIGS = [
+    dict(GOLDEN_CONFIG, window=["a", 3]),
+    dict(GOLDEN_CONFIG, window=5),
+    dict(GOLDEN_CONFIG, window=[0, True]),
+    dict(GOLDEN_CONFIG, seed="x"),
+    dict(GOLDEN_CONFIG, seed=True),
+    dict(GOLDEN_CONFIG, datum={"constant": "1", "jumps": [["0"]]}),
+    dict(GOLDEN_CONFIG, datum={"samples": ["0", "1"]}),
+    dict(GOLDEN_CONFIG, flux={"table": {"a": "1"}}),
+    dict(GOLDEN_CONFIG, flux={"polynomial": "012"}),
+    _with_options(max_events="5"),
+    _with_options(max_events=-1),
+    _with_options(restart_check_points=-3),
+    _with_options(restart_check_points=2.5),
+    _with_options(emit_svg="yes"),
+]
+
+
 def test_parse_config_rejects_missing_fields():
     with pytest.raises(InputError):
         parse_run_config({"epsilon": "1"})
+    for bad in MALFORMED_CONFIGS:
+        with pytest.raises(InputError):
+            run_simulation(parse_run_config(bad))
 
 
 def test_auto_window_covers_datum():
@@ -166,6 +194,18 @@ def test_verify_report_recheck(golden_result):
         assert report["flags"]["upsilon_paper_drop_failures"]
         for edit, line in edits:
             assert _verify_edited(report, edit) == [line]
+        # a verdict or a drop-failure index of the wrong JSON type is an
+        # input error, although Python has 1 == True
+        mistyped = [
+            (lambda r: r["events"][0]["verdicts"].update(q_monotone=1),
+             "events[0].verdicts.q_monotone"),
+            (lambda r: r["flags"].update(upsilon_paper_drop_failures=[
+                bool(i) for i in r["flags"]["upsilon_paper_drop_failures"]
+            ]), "flags.upsilon_paper_drop_failures.0"),
+        ]
+        for edit, field in mistyped:
+            with pytest.raises(InputError, match=f"'{re.escape(field)}' must be of type"):
+                _verify_edited(report, edit)
 
 
 def test_verify_report_recheck_initial_bound_flags(golden_result):
@@ -256,10 +296,19 @@ def test_cli_rejects_zero_epsilon(tmp_path):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_cli_rejects_malformed_json(tmp_path):
+def test_cli_rejects_malformed_json(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{not json")
     assert main(["run", str(cfg_path)]) == 2
+    # malformed fields: exit 2 and one line, never a traceback
+    cases = [(bad, []) for bad in MALFORMED_CONFIGS]
+    cases.append((GOLDEN_CONFIG, ["--restart-checks", "-1"]))
+    for cfg, flags in cases:
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["run", str(cfg_path), *flags, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 def test_cli_verify_roundtrip(tmp_path, capsys):
@@ -284,6 +333,7 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
     malformed = [
         lambda r: r["events"][0].pop("delta_sigma"),
         lambda r: r["events"][0].update(index=5),  # no slab 5
+        lambda r: r["events"][0]["verdicts"].update(q_monotone=1),
     ]
     for edit in malformed:
         report = json.loads((out_dir / "report.json").read_text())

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,8 @@ from fronttrack.tracker import (
     validate_timeline,
 )
 from fronttrack.riemann import Front
+
+from oracles import WORKED_FLUX, WORKED_PROFILE
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
 BURGERS_WIDE = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
@@ -343,3 +346,27 @@ def test_simultaneous_events_potential_bookkeeping():
     for ev in series.events[:2]:
         assert ev.t == F(1)
         assert ev.delta_sigma / 2 == ev.Q_minus - ev.Q_plus
+
+
+def _forge_slab(tl, s, fronts):
+    slabs = list(tl.slabs)
+    slabs[s] = replace(slabs[s], fronts=tuple(fronts))
+    return replace(tl, slabs=tuple(slabs))
+
+
+def test_validate_timeline_rejects_forged_inadmissible_fronts():
+    tl = evolve(WORKED_PROFILE, WORKED_FLUX)
+    validate_timeline(tl)
+    # a front first seen in slab 2 (born at event 1), forged to a wrong speed
+    late = list(tl.slabs[2].fronts)
+    assert late[1].fid == tl.events[1].outgoing[0].fid
+    late[1] = replace(late[1], speed=late[1].speed + 1)
+    # slab 1's two chords over [1,2] and [2,3] merged into one front over the
+    # convex [1,3] (two envelope pieces), carrying the fid of a slab-0 front
+    # that passed the check
+    f4, f5, *rest = tl.slabs[1].fronts
+    reused = tl.slabs[0].fronts[1].fid
+    merged = replace(f4, right=f5.right, speed=F(3, 2), fid=reused)
+    for forged in (_forge_slab(tl, 2, late), _forge_slab(tl, 1, [merged, *rest])):
+        with pytest.raises(ConsistencyError, match="live front is not admissible"):
+            validate_timeline(forged)

@@ -5,8 +5,9 @@ bulk: the weight of one wave pair (its classification, meeting intervals,
 ``pi`` and ``d``), the interaction query and position of single waves, the
 jump-state identity at one point, the per-slab cell table, and the structural
 checks built on them (meeting-interval implication, weight stability across
-cancellations, hull contact).  `oracle_q_of_slab` sums the per-pair weights,
-so tests compare it with the package's bulk `_SlabPotential.q_of_slab`.
+cancellations, hull contact).  `oracle_q_of_slab` sums the per-pair weights
+and `oracle_bianchini_of_slab` the per-run-pair speed gaps, so tests compare
+them with the package's `_SlabPotential.q_of_slab` and `_bianchini_of_slab`.
 """
 
 from bisect import bisect_left
@@ -128,6 +129,19 @@ def oracle_q_of_slab(ws: WaveSystem, s: int, K, flux: GridFlux):
     return sum((r.q for r in records), Fraction(0)) * ws.epsilon * ws.epsilon, records
 
 
+def oracle_bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
+    """The Bianchini sum of slab s as the double loop over its run pairs."""
+    runs = ws.runs(s)
+    eps = ws.epsilon
+    total = Fraction(0)
+    for i, (fid_i, atoms_i) in enumerate(runs):
+        speed_i = ws.timeline.fronts_by_id[fid_i].speed
+        for fid_j, atoms_j in runs[i + 1:]:
+            speed_j = ws.timeline.fronts_by_id[fid_j].speed
+            total += abs(speed_i - speed_j) * (len(atoms_i) * eps) * (len(atoms_j) * eps)
+    return total
+
+
 # -- structural checks ---------------------------------------------------------------
 
 
@@ -244,7 +258,7 @@ def interaction_query(ws: WaveSystem, t_bar, w, w_prime) -> InteractionAnswer:
     pb = ws.front_of(b, s).position_at(t_bar)
     if pa == pb:
         return InteractionAnswer("same_position", t_bar, pa)
-    e = first_common_event(ws, a, b, after_time=t_bar)
+    e = first_common_event(ws, a, b, after_slab=ws.timeline.slab_index_at(t_bar, side="post"))
     if e is None:
         return InteractionAnswer("never")
     ev = ws.timeline.events[e]
