@@ -60,6 +60,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_sweep_config(load_json(args.config))
+    if args.jobs < 1:
+        raise InputError("--jobs must be at least 1")
     rows = sweep(cfg, jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

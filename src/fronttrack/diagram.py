@@ -17,6 +17,18 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _frame() -> list:
+    """The opening tag, the white canvas and the two axes."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
+        f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
+        f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{MARGIN}" y2="{MARGIN}" '
+        f'stroke="black"/>',
+    ]
+
+
 def _death_events(tl: Timeline) -> dict:
     out = {}
     for ev in tl.events:
@@ -55,14 +67,7 @@ def render_front_diagram(tl: Timeline) -> str:
     def py(t):
         return HEIGHT - MARGIN - float(Fraction(t) / span_t) * (HEIGHT - 2 * MARGIN)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
-        f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
-        f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{MARGIN}" y2="{MARGIN}" '
-        f'stroke="black"/>',
-    ]
+    parts = _frame()
     for fid, fr, t0, x0, t1, x1 in segments:
         parts.append(
             f'<line id="front-{fid}" class="front" '
@@ -110,14 +115,7 @@ def render_potential_plot(series: PotentialSeries, tl: Timeline) -> str:
             )
         return parts
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
-        f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
-        f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{MARGIN}" y2="{MARGIN}" '
-        f'stroke="black"/>',
-    ]
+    parts = _frame()
     parts += steps([rec.Q for rec in series.slabs], "#2ca02c", "q-step")
     parts += steps(
         [rec.upsilon_strict for rec in series.slabs], "#9467bd", "upsilon-step"

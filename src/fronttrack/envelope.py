@@ -94,8 +94,7 @@ def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
 
     ``flux_spec`` is either ``{"polynomial": [c0, c1, ...]}`` (rational
     coefficients, exact Horner evaluation at each grid point) or
-    ``{"table": {k: value, ...}}`` keyed by grid index.  A bare list is read
-    as polynomial coefficients.
+    ``{"table": {k: value, ...}}`` keyed by grid index.
     """
     eps = parse_rational(epsilon)
     if eps <= 0:
@@ -104,8 +103,6 @@ def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
     if k_max <= k_min:
         raise InputError("index range must contain at least two grid points")
 
-    if isinstance(flux_spec, (list, tuple)):
-        flux_spec = {"polynomial": list(flux_spec)}
     if not isinstance(flux_spec, dict) or len(flux_spec) != 1:
         raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
 
@@ -150,32 +147,28 @@ class PiecewiseLinearFn:
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if a >= b:
                 raise InputError("breakpoints must strictly increase")
+        xs, ys = self.breakpoints, self.ordinates
+        object.__setattr__(self, "_slopes", tuple(
+            (y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
+        ))
 
     @property
     def domain(self):
         return self.breakpoints[0], self.breakpoints[-1]
 
     def pieces(self):
-        """Yield (x_lo, x_hi, slope) for each affine piece."""
-        for i in range(len(self.breakpoints) - 1):
-            x0, x1 = self.breakpoints[i], self.breakpoints[i + 1]
-            s = (self.ordinates[i + 1] - self.ordinates[i]) / (x1 - x0)
-            yield x0, x1, s
+        """(x_lo, x_hi, slope) for each affine piece, left to right."""
+        return zip(self.breakpoints, self.breakpoints[1:], self._slopes)
 
     def piece_slopes(self):
-        return [s for _, _, s in self.pieces()]
-
-    def _piece_slope(self, i: int) -> Fraction:
-        return (self.ordinates[i + 1] - self.ordinates[i]) / (
-            self.breakpoints[i + 1] - self.breakpoints[i]
-        )
+        return list(self._slopes)
 
     def value_at(self, u: Fraction) -> Fraction:
         lo, hi = self.domain
         if not lo <= u <= hi:
             raise DomainError(f"{u} outside [{lo}, {hi}]")
         i = min(bisect_right(self.breakpoints, u) - 1, len(self.breakpoints) - 2)
-        return self.ordinates[i] + self._piece_slope(i) * (u - self.breakpoints[i])
+        return self.ordinates[i] + self._slopes[i] * (u - self.breakpoints[i])
 
     def slope_at(self, u: Fraction, side: str = "right") -> Fraction:
         """One-sided slope at u; at domain endpoints only the inward side exists."""
@@ -192,7 +185,7 @@ class PiecewiseLinearFn:
             i = min(bisect_right(self.breakpoints, u) - 1, len(self.breakpoints) - 2)
         else:
             i = max(bisect_left(self.breakpoints, u) - 1, 0)
-        return self._piece_slope(i)
+        return self._slopes[i]
 
 
 def _lower_hull(points):
@@ -211,18 +204,22 @@ def _lower_hull(points):
     return hull
 
 
+def _hull_by_index(f: GridFlux, ka: int, kb: int, sign: int) -> PiecewiseLinearFn:
+    """sign times the lower hull of sign*F on the grid points ka..kb: the
+    convex envelope for sign 1, the concave one for sign -1."""
+    pts = [(f.grid_u(k), sign * f.value_at_index(k)) for k in range(ka, kb + 1)]
+    hull = _lower_hull(pts)
+    return PiecewiseLinearFn(tuple(x for x, _ in hull), tuple(sign * y for _, y in hull))
+
+
 @lru_cache(maxsize=None)
 def _convex_by_index(f: GridFlux, ka: int, kb: int) -> PiecewiseLinearFn:
-    pts = [(f.grid_u(k), f.value_at_index(k)) for k in range(ka, kb + 1)]
-    hull = _lower_hull(pts)
-    return PiecewiseLinearFn(tuple(x for x, _ in hull), tuple(y for _, y in hull))
+    return _hull_by_index(f, ka, kb, 1)
 
 
 @lru_cache(maxsize=None)
 def _concave_by_index(f: GridFlux, ka: int, kb: int) -> PiecewiseLinearFn:
-    pts = [(f.grid_u(k), -f.value_at_index(k)) for k in range(ka, kb + 1)]
-    hull = _lower_hull(pts)
-    return PiecewiseLinearFn(tuple(x for x, _ in hull), tuple(-y for _, y in hull))
+    return _hull_by_index(f, ka, kb, -1)
 
 
 def _index_interval(f: GridFlux, a, b):

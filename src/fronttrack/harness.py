@@ -5,11 +5,12 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, floor
 
 from .envelope import GridFlux, sample_flux
 from .errors import InputError, VerificationError
 from .potential import PotentialSeries, verify_run
-from .rationals import ceil_to_grid, floor_to_grid, parse_rational
+from .rationals import parse_rational
 from .tracker import (
     Profile,
     Timeline,
@@ -73,6 +74,16 @@ def _int_field(value, name: str, minimum=None) -> int:
     return value
 
 
+def _field(data: dict, name: str, kind, default):
+    """``data[name]``, or ``default`` when absent; a JSON list or object."""
+    value = data.get(name, default)
+    if not isinstance(value, kind):
+        raise InputError(
+            f"config field '{name}' must be {'a list' if kind is list else 'an object'}"
+        )
+    return value
+
+
 def _bool_field(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise InputError(f"config field '{name}' must be true or false")
@@ -95,9 +106,7 @@ def parse_run_config(data: dict) -> RunConfig:
         window = tuple(_int_field(k, "window") for k in window)
         if window[1] <= window[0]:
             raise InputError("config field 'window' must be an increasing pair")
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise InputError("config field 'options' must be an object")
+    options = _field(data, "options", dict, {})
     bound = options.get("analytic_curvature_bound")
     max_events = options.get("max_events")
     if max_events is not None:
@@ -121,8 +130,7 @@ def parse_run_config(data: dict) -> RunConfig:
 
 def _auto_window(profile: Profile, epsilon: Fraction) -> tuple:
     lo, hi = profile.value_span()
-    k_lo = int(floor_to_grid(lo, epsilon) / epsilon)
-    k_hi = int(ceil_to_grid(hi, epsilon) / epsilon)
+    k_lo, k_hi = floor(lo / epsilon), ceil(hi / epsilon)
     if k_hi - k_lo < 2:
         k_lo, k_hi = k_lo - 1, k_lo + 1 + (k_hi - k_lo)
     return k_lo, k_hi
@@ -136,10 +144,6 @@ class RunResult:
     timeline: Timeline
     waves: WaveSystem
     series: PotentialSeries
-
-    @property
-    def passed(self) -> bool:
-        return self.series.all_pass
 
 
 def run_simulation(cfg: RunConfig) -> RunResult:
@@ -222,19 +226,24 @@ class SweepConfig:
 def parse_sweep_config(data: dict) -> SweepConfig:
     if not isinstance(data, dict):
         raise InputError("sweep config must be a JSON object")
-    if "epsilons" not in data or len(data["epsilons"]) < 2:
+    epsilons = [parse_rational(e) for e in _field(data, "epsilons", list, [])]
+    if len(epsilons) < 2:
         raise InputError("sweep needs at least two epsilons")
-    epsilons = [parse_rational(e) for e in data["epsilons"]]
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise InputError("sweep epsilons must strictly decrease")
     if any(e <= 0 for e in epsilons):
         raise InputError("sweep epsilons must be positive")
-    base = data.get("base", {})
+    base = _field(data, "base", dict, {})
     datum = data.get("datum")
     random_family = data.get("random")
     if (datum is None) == (random_family is None):
         raise InputError("sweep needs exactly one of 'datum' or 'random'")
-    probe_times = [parse_rational(t) for t in data.get("probe_times", ["1"])]
+    if random_family is not None:
+        _field(data, "random", dict, None)
+        _int_field(random_family.get("seed", 0), "random.seed")
+        if random_family.get("jumps") is not None:
+            _int_field(random_family["jumps"], "random.jumps", 0)
+    probe_times = [parse_rational(t) for t in _field(data, "probe_times", list, ["1"])]
     return SweepConfig(base, epsilons, datum, random_family, probe_times, data)
 
 
@@ -245,7 +254,7 @@ def _member_config(sweep: SweepConfig, epsilon: Fraction) -> dict:
         cfg["datum"] = sweep.datum
     else:
         fam = sweep.random_family
-        rng = random.Random(int(fam.get("seed", 0)))
+        rng = random.Random(fam.get("seed", 0))
         cfg.setdefault("flux", random_flux_spec(rng))
         cfg["datum"] = random_datum_spec(
             rng,
@@ -256,7 +265,8 @@ def _member_config(sweep: SweepConfig, epsilon: Fraction) -> dict:
 
 
 def _sweep_member(arg):
-    epsilon_str, cfg_dict, probe_strs = arg
+    """One member's summary row and its profiles at the probe times."""
+    epsilon_str, cfg_dict, probe_times = arg
     cfg = parse_run_config(cfg_dict)
     result = run_simulation(cfg)
     series = result.series
@@ -266,10 +276,7 @@ def _sweep_member(arg):
         up_plus = series.slabs[ev.index + 1].upsilon_strict
         gap = (up_minus - up_plus) - ev.delta_sigma
         slack = gap if slack is None or gap > slack else slack
-    profiles = {
-        t: profile_at(result.timeline, parse_rational(t)) for t in probe_strs
-    }
-    return {
+    row = {
         "epsilon": epsilon_str,
         "passed": series.all_pass,
         "failures": series.hard_failures(),
@@ -280,26 +287,24 @@ def _sweep_member(arg):
         "upsilon0_strict": str(series.slabs[0].upsilon_strict),
         "events": len(series.events),
         "max_delta_sigma_slack": None if slack is None else str(slack),
-        "_profiles": {
-            t: (str(p.constant_state), [(str(x), str(v)) for x, v in p.jumps])
-            for t, p in profiles.items()
-        },
     }
+    return row, [profile_at(result.timeline, t) for t in probe_times]
 
 
 def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
     """Run every epsilon member; rows carry the headline numbers plus exact
     L1 distances to the finest member at the probe times."""
-    probe_strs = [str(t) for t in sweep_cfg.probe_times]
+    probe_times = sweep_cfg.probe_times
     args = [
-        (str(eps), _member_config(sweep_cfg, eps), probe_strs)
+        (str(eps), _member_config(sweep_cfg, eps), probe_times)
         for eps in sweep_cfg.epsilons
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_member, args))
+            members = list(pool.map(_sweep_member, args))
     else:
-        rows = [_sweep_member(a) for a in args]
+        members = [_sweep_member(a) for a in args]
+    rows = [row for row, _ in members]
 
     failing = [r["epsilon"] for r in rows if not r["passed"]]
     if failing:
@@ -308,22 +313,11 @@ def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
             detail={r["epsilon"]: r["failures"] for r in rows if not r["passed"]},
         )
 
-    def to_profile(packed):
-        constant, jumps = packed
-        return Profile(
-            parse_rational(constant),
-            tuple((parse_rational(x), parse_rational(v)) for x, v in jumps),
-        )
-
-    finest = rows[-1]
-    for row in rows:
-        dists = {}
-        for t in probe_strs:
-            p = to_profile(row["_profiles"][t])
-            q = to_profile(finest["_profiles"][t])
-            dists[t] = str(l1_distance(p, q))
-        row["l1_to_finest"] = dists
-        del row["_profiles"]
+    finest = members[-1][1]
+    for row, profiles in members:
+        row["l1_to_finest"] = {
+            str(t): str(l1_distance(p, q)) for t, p, q in zip(probe_times, profiles, finest)
+        }
     return rows
 
 

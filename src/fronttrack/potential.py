@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .envelope import CurvatureConstant, GridFlux, curvature_constant, envelope
+from .envelope import GridFlux, curvature_constant, envelope
 from .errors import ConsistencyError, InputError
 from .rationals import grid_index
 from .tracker import SAME_SIGN, InteractionEvent, Timeline, evolve, profile_at
@@ -59,49 +59,36 @@ def _slope_gap_integral(flux, span_a, span_b, over, sign):
     return total * flux.epsilon
 
 
+def _span(u, v, flux):
+    """Grid index range (lo, hi) of the states between u and v."""
+    return tuple(sorted((grid_index(u, flux.epsilon), grid_index(v, flux.epsilon))))
+
+
 def _same_sign_triple(a, b, c, flux) -> Fraction:
-    if a < b < c:
-        sign = 1
-        ia, ib, ic = (grid_index(u, flux.epsilon) for u in (a, b, c))
-        return _slope_gap_integral(flux, (ia, ib), (ia, ic), (ia, ib), sign) + \
-            _slope_gap_integral(flux, (ib, ic), (ia, ic), (ib, ic), sign)
-    if a > b > c:
-        sign = -1
-        ia, ib, ic = (grid_index(u, flux.epsilon) for u in (a, b, c))
-        return _slope_gap_integral(flux, (ib, ia), (ic, ia), (ib, ia), sign) + \
-            _slope_gap_integral(flux, (ic, ib), (ic, ia), (ic, ib), sign)
-    raise InputError("same-sign speed change needs a monotone state triple")
+    """Each part's envelope slopes against the whole jump's, over the part."""
+    if not (a < b < c or a > b > c):
+        raise InputError("same-sign speed change needs a monotone state triple")
+    whole, sign = _span(a, c, flux), 1 if c > a else -1
+    return sum(
+        _slope_gap_integral(flux, part, whole, part, sign)
+        for part in (_span(a, b, flux), _span(b, c, flux))
+    )
 
 
 def _cancellation_triple(a, b, c, flux) -> Fraction:
     if a == c:
         return Fraction(0)
-    sign = 1 if c > a else -1
-    survivor = (min(a, c), max(a, c))
-    bigger = (min(a, b), max(a, b)) if abs(b - a) > abs(b - c) else (min(b, c), max(b, c))
-    i_surv = tuple(grid_index(u, flux.epsilon) for u in survivor)
-    i_big = tuple(grid_index(u, flux.epsilon) for u in bigger)
-    return _slope_gap_integral(flux, i_surv, i_big, i_surv, sign)
-
-
-def _sequential_steps(event: InteractionEvent):
-    """The left-to-right pairwise merge steps of a composite event."""
-    states = event.chain_states
-    p, q = states[0], states[1]
-    steps = []
-    for r in states[2:]:
-        if p == q:
-            q = r
-            continue
-        steps.append((p, q, r))
-        q = r
-    return steps
+    survivor = _span(a, c, flux)
+    bigger = _span(a, b, flux) if abs(b - a) > abs(b - c) else _span(b, c, flux)
+    return _slope_gap_integral(flux, survivor, bigger, survivor, 1 if c > a else -1)
 
 
 def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
     """Total speed change of an event; composite events sum their merge steps."""
     total = Fraction(0)
-    for p, q, r in _sequential_steps(event):
+    for _, p, q, r in event.merge_steps():
+        if p == q:
+            continue
         if (r > q) == (q > p):
             total += _same_sign_triple(p, q, r, flux)
         else:
@@ -120,10 +107,6 @@ def delta_sigma_closed_form(event: InteractionEvent) -> Fraction:
 
 
 # -- pair weights and Q ------------------------------------------------------------
-
-
-def _k_value(K) -> Fraction:
-    return K.K if isinstance(K, CurvatureConstant) else Fraction(K)
 
 
 def _j_interval(ws, s, fid, event_index):
@@ -229,16 +212,15 @@ class _SlabPotential:
         return total * ws.epsilon * ws.epsilon
 
 
-def quadratic_potential(ws: WaveSystem, t_bar, side="post", K=None, flux=None) -> Fraction:
+def quadratic_potential(ws: WaveSystem, t_bar, side="post") -> Fraction:
     """Q at time t_bar (the constant value of the surrounding open slab).
 
     ``side`` picks the one-sided limit at event instants.
     """
     ws._require_traced()
-    flux = flux if flux is not None else ws.timeline.flux
-    K = K if K is not None else curvature_constant(flux).K
+    flux = ws.timeline.flux
     s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
-    return _SlabPotential(ws, flux, K).q_of_slab(s)
+    return _SlabPotential(ws, flux, curvature_constant(flux).K).q_of_slab(s)
 
 
 def upsilon(q_value, tv_now, tv0, K):
@@ -279,6 +261,8 @@ def _bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
 
 
 # -- run-level verification ---------------------------------------------------------
+
+# report.json writes each record's fields in declaration order, as its keys
 
 
 @dataclass(frozen=True)
@@ -447,10 +431,10 @@ def run_pipeline(profile, flux):
 
 
 def verify_run(tl: Timeline, ws: WaveSystem, flux: GridFlux,
-               restart_checks: int = 0, K=None) -> PotentialSeries:
+               restart_checks: int = 0) -> PotentialSeries:
     """Evaluate every potential on every slab, re-run the restart probes, and
     judge the run by `verdict_table`."""
-    K = curvature_constant(flux).K if K is None else _k_value(K)
+    K = curvature_constant(flux).K
     tv0 = tl.initial_profile.total_variation()
     engine = _SlabPotential(ws, flux, K)
 

@@ -6,7 +6,7 @@ parsing/formatting of "p/q" strings and exact grid rounding.
 """
 
 from fractions import Fraction
-from math import ceil, floor
+from math import floor
 
 from .errors import InputError
 
@@ -31,7 +31,7 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" (or "p") form; inverse of parse_rational on its image."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def grid_index(u: Fraction, epsilon: Fraction) -> int:
@@ -55,11 +55,3 @@ def round_to_grid_half_even(u: Fraction, epsilon: Fraction) -> Fraction:
     else:
         k = lo if lo % 2 == 0 else lo + 1
     return k * epsilon
-
-
-def floor_to_grid(u: Fraction, epsilon: Fraction) -> Fraction:
-    return floor(Fraction(u) / epsilon) * epsilon
-
-
-def ceil_to_grid(u: Fraction, epsilon: Fraction) -> Fraction:
-    return ceil(Fraction(u) / epsilon) * epsilon

@@ -10,6 +10,7 @@ same.
 import csv
 import io
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import InputError
@@ -26,126 +27,74 @@ POTENTIAL_COLUMNS = [
 ]
 
 
-def _r(x) -> str:
-    return format_rational(x)
+_REPORT_KEYS = {"Q_original": "Q"}  # record field -> report key, where they differ
+
+
+def _json(value):
+    """A Fraction as its "p/q" string, a dict with sorted keys, else as is."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return dict(sorted(value.items()))
+    return value
+
+
+def _rows(records) -> list:
+    """One report row per record: its fields, in declaration order."""
+    if not records:
+        return []
+    names = [f.name for f in fields(records[0])]
+    keys = [_REPORT_KEYS.get(name, name) for name in names]
+    return [{k: _json(getattr(rec, n)) for k, n in zip(keys, names)} for rec in records]
 
 
 def build_report(result: RunResult) -> dict:
-    series = result.series
-    events = []
-    for ev in series.events:
-        events.append(
-            {
-                "index": ev.index,
-                "t": _r(ev.t),
-                "x": _r(ev.x),
-                "kind": ev.kind,
-                "a": _r(ev.a),
-                "b": _r(ev.b),
-                "c": _r(ev.c),
-                "delta_sigma": _r(ev.delta_sigma),
-                "Q_minus": _r(ev.Q_minus),
-                "Q_plus": _r(ev.Q_plus),
-                "TV_minus": _r(ev.TV_minus),
-                "TV_plus": _r(ev.TV_plus),
-                "composite": ev.composite,
-                "verdicts": dict(sorted(ev.verdicts.items())),
-            }
-        )
-    slabs = []
-    for rec in series.slabs:
-        slabs.append(
-            {
-                "index": rec.index,
-                "t_lo": _r(rec.t_lo),
-                "t_hi": None if rec.t_hi is None else _r(rec.t_hi),
-                "Q": _r(rec.Q),
-                "TV": _r(rec.TV),
-                "upsilon_paper": _r(rec.upsilon_paper),
-                "upsilon_strict": _r(rec.upsilon_strict),
-                "bianchini": _r(rec.bianchini),
-            }
-        )
-    restart_checks = [
-        {
-            "slab": rc.slab,
-            "t": _r(rc.t),
-            "Q": _r(rc.Q_original),
-            "Q_restart": _r(rc.Q_restart),
-            "equal": rc.equal,
-        }
-        for rc in series.restart_checks
-    ]
-    report = {
-        "run_config": result.config.raw,
-        "epsilon": _r(result.config.epsilon),
+    series, cfg = result.series, result.config
+    return {
+        "run_config": cfg.raw,
+        "epsilon": _json(cfg.epsilon),
         "window": [result.flux.k_min, result.flux.k_max],
-        "K": _r(series.K),
-        "analytic_curvature_bound": (
-            None
-            if result.config.analytic_curvature_bound is None
-            else _r(result.config.analytic_curvature_bound)
-        ),
-        "TV0": _r(series.tv0),
+        "K": _json(series.K),
+        "analytic_curvature_bound": _json(cfg.analytic_curvature_bound),
+        "TV0": _json(series.tv0),
         "atom_count": result.waves.atom_count,
         "initial_front_count": len(result.timeline.slabs[0].fronts),
         "event_count": len(series.events),
-        "max_weight": _r(series.max_weight),
+        "max_weight": _json(series.max_weight),
         "all_pass": series.all_pass,
         "hard_failures": series.hard_failures(),
-        "flags": {
-            "upsilon0_le_k_tv0_sq": series.flags["upsilon0_le_k_tv0_sq"],
-            "upsilon0_le_2k_tv0_sq": series.flags["upsilon0_le_2k_tv0_sq"],
-            "upsilon_paper_drop_failures": list(series.flags["upsilon_paper_drop_failures"]),
-        },
-        "events": events,
-        "slabs": slabs,
-        "restart_checks": restart_checks,
+        "flags": dict(series.flags),
+        "events": _rows(series.events),
+        "slabs": _rows(series.slabs),
+        "restart_checks": _rows(series.restart_checks),
     }
-    return report
 
 
 def report_bytes(report: dict) -> bytes:
     return (json.dumps(report, indent=2, sort_keys=False) + "\n").encode("utf-8")
 
 
-def events_csv(report: dict, decimal: bool = False) -> str:
+def _csv(rows, columns, decimal, exact_only) -> str:
+    """The rows' ``columns`` as CSV; with ``decimal``, a float twin of every
+    column not in ``exact_only`` follows.  An open end (None) reads "inf"."""
+    floats = [c for c in columns if c not in exact_only] if decimal else []
     out = io.StringIO()
-    cols = list(EVENTS_COLUMNS)
-    if decimal:
-        cols += [c + "_float" for c in EVENTS_COLUMNS if c != "kind"]
-    writer = csv.DictWriter(out, fieldnames=cols, lineterminator="\n")
-    writer.writeheader()
-    for ev in report["events"]:
-        row = {c: ev[c] for c in EVENTS_COLUMNS}
-        if decimal:
-            for c in EVENTS_COLUMNS:
-                if c != "kind":
-                    row[c + "_float"] = repr(float(Fraction(ev[c])))
-        writer.writerow(row)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns + [c + "_float" for c in floats])
+    for row in rows:
+        writer.writerow(
+            ["inf" if row[c] is None else row[c] for c in columns]
+            + ["inf" if row[c] is None else repr(float(Fraction(row[c]))) for c in floats]
+        )
     return out.getvalue()
+
+
+def events_csv(report: dict, decimal: bool = False) -> str:
+    return _csv(report["events"], EVENTS_COLUMNS, decimal, exact_only=("kind",))
 
 
 def potential_csv(report: dict, decimal: bool = False) -> str:
-    out = io.StringIO()
-    cols = list(POTENTIAL_COLUMNS)
-    if decimal:
-        cols += [c + "_float" for c in POTENTIAL_COLUMNS]
-    writer = csv.DictWriter(out, fieldnames=cols, lineterminator="\n")
-    writer.writeheader()
-    for rec in report["slabs"]:
-        row = {c: rec[c] for c in POTENTIAL_COLUMNS}
-        if row["t_hi"] is None:
-            row["t_hi"] = "inf"
-        if decimal:
-            for c in POTENTIAL_COLUMNS:
-                raw = rec[c]
-                if raw is None:
-                    row[c + "_float"] = "inf"
-                else:
-                    row[c + "_float"] = repr(float(Fraction(raw)))
-        writer.writerow(row)
-    return out.getvalue()
+    return _csv(report["slabs"], POTENTIAL_COLUMNS, decimal, exact_only=())
 
 
 def _report_reader():

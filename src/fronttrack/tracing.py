@@ -103,16 +103,12 @@ class WaveSystem:
             a -= 1
         return a
 
-    def atom_state_bounds(self, a: int):
-        k = self.cell[a]
-        return k * self.epsilon, (k + 1) * self.epsilon
-
     def state_of(self, w: Fraction) -> Fraction:
         """The state map: constant_state plus the signed integral of the sign."""
         a = self.atom_of(w)
-        lo, hi = self.atom_state_bounds(a)
+        lo = self.cell[a] * self.epsilon
         offset = Fraction(w) - self.atom_w_lo(a)
-        return (lo + offset) if self.sign[a] > 0 else (hi - offset)
+        return (lo + offset) if self.sign[a] > 0 else (lo + self.epsilon - offset)
 
     # -- per-slab structure ----------------------------------------------------
 
@@ -165,12 +161,12 @@ class WaveSystem:
     def atoms_of_front(self, s: int, fid: int):
         return [a for f, atoms in self.runs(s) if f == fid for a in atoms]
 
-    def interval_of(self, atoms, strict: bool = True) -> WaveInterval:
+    def interval_of(self, atoms) -> WaveInterval:
         """Package an atom list as a WaveInterval, checking sign constancy."""
         if not atoms:
             return WaveInterval((), (), 0, Fraction(0), Fraction(0))
         sign = self.sign[atoms[0]]
-        if strict and any(self.sign[a] != sign for a in atoms):
+        if any(self.sign[a] != sign for a in atoms):
             raise ConsistencyError("wave interval mixes signs")
         intervals = []
         start = prev = atoms[0]
@@ -244,34 +240,27 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
     for e_idx, ev in enumerate(tl.events):
         groups = [list(atoms_of_fid.get(fr.fid, [])) for fr in ev.incoming]
         states = ev.chain_states
+        if (states[0], states[-1]) != (ev.a, ev.c):
+            raise ConsistencyError("merged jump does not match the event record")
 
-        # sequential left-to-right merge; survival is decided by state membership
-        # in the running merged jump, which stays sign-pure at every step
-        p = states[0]
-        q = states[1]
-        survivors = list(groups[0])
+        # survival is decided by state membership in the running merged jump,
+        # which stays sign-pure at every step; once it cancels out (p == q)
+        # the next front's atoms all lie in [p, r) and survive
+        survivors = groups[0]
         casualties = []
-        for i in range(1, len(ev.incoming)):
-            r = states[i + 1]
-            g = groups[i]
-            if p == q:
-                survivors, q = list(g), r
-                continue
+        for i, p, q, r in ev.merge_steps():
             if (r > q) == (q > p):
-                survivors.extend(g)
-                q = r
+                survivors.extend(groups[i])
                 continue
             lo = grid_index(min(p, r), eps)
             hi = grid_index(max(p, r), eps)
             kept = []
-            for a in survivors + g:
+            for a in survivors + groups[i]:
                 if lo <= ws.cell[a] < hi:
                     kept.append(a)
                 else:
                     casualties.append(a)
-            survivors, q = kept, r
-        if (p, q) != (ev.a, ev.c):
-            raise ConsistencyError("merged jump does not match the event record")
+            survivors = kept
 
         for a in casualties:
             ws.canc_event[a] = e_idx
@@ -296,12 +285,6 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
 # -- queries -------------------------------------------------------------------
 
 
-def _slab_for_query(ws, t: Fraction) -> int:
-    if t < 0:
-        raise InputError("time must be nonnegative")
-    return ws.timeline.slab_index_at(t, side="pre")
-
-
 def sigma(ws: WaveSystem, t: Fraction, w: Fraction) -> Fraction:
     """Forward speed of the wave at time t (the outgoing speed at event instants)."""
     ws._require_traced()
@@ -310,7 +293,7 @@ def sigma(ws: WaveSystem, t: Fraction, w: Fraction) -> Fraction:
     tc = ws.t_canc(a)
     if tc is not None and tc <= t:
         raise InputError(f"wave {w} was canceled at t={tc}")
-    s = _slab_for_query(ws, t)
+    s = ws.timeline.slab_index_at(t, side="pre")
     slab = ws.timeline.slabs[s]
     if slab.t_hi is not None and t == slab.t_hi and a in ws.survivor_sets[s]:
         return ws.front_of(a, s + 1).speed
@@ -321,7 +304,7 @@ def waves_at(ws: WaveSystem, t: Fraction, x: Fraction) -> WaveInterval:
     """W(t, x): all live waves positioned at x, as a WaveInterval."""
     ws._require_traced()
     t, x = Fraction(t), Fraction(x)
-    s = _slab_for_query(ws, t)
+    s = ws.timeline.slab_index_at(t, side="pre")
     found = []
     for fid, atoms in ws.runs(s):
         if ws.timeline.fronts_by_id[fid].position_at(t) == x:

@@ -120,6 +120,17 @@ class InteractionEvent:
     def chain_states(self):
         return (self.incoming[0].left,) + tuple(fr.right for fr in self.incoming)
 
+    def merge_steps(self):
+        """The left-to-right pairwise merge: for each incoming front i >= 1,
+        yield (i, p, q, r), where (p, q) is the jump merged from the fronts
+        before i (p == q once they cancel out) and r is front i's right state."""
+        states = self.chain_states
+        p, q = states[0], states[1]
+        for i in range(1, len(self.incoming)):
+            r = states[i + 1]
+            yield i, p, q, r
+            q = r
+
     @property
     def canceled_mass(self) -> Fraction:
         incoming_tv = sum((fr.strength for fr in self.incoming), Fraction(0))

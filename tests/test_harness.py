@@ -97,6 +97,30 @@ MALFORMED_CONFIGS = [
     _with_options(restart_check_points=-3),
     _with_options(restart_check_points=2.5),
     _with_options(emit_svg="yes"),
+    dict(GOLDEN_CONFIG, flux=["0", "0", "1/2"]),
+]
+
+GOLDEN_SWEEP = {
+    "base": {"flux": {"polynomial": ["0", "0", "1/2"]}, "window": [-4, 4]},
+    "epsilons": ["1", "1/2"],
+    "datum": {"constant": "1", "jumps": [["0", "0"], ["1", "-1"]]},
+    "probe_times": ["2"],
+}
+
+
+def _random_sweep(family):
+    return dict({k: v for k, v in GOLDEN_SWEEP.items() if k != "datum"}, random=family)
+
+
+# each ended in a traceback, or (probe_times) probed t = 1 and t = 2, before
+# the sweep fields were validated
+MALFORMED_SWEEPS = [
+    dict(GOLDEN_SWEEP, epsilons=5),
+    dict(GOLDEN_SWEEP, base=5),
+    dict(GOLDEN_SWEEP, probe_times="12"),
+    _random_sweep(5),
+    _random_sweep({"seed": "x"}),
+    _random_sweep({"jumps": "5"}),
 ]
 
 
@@ -301,12 +325,14 @@ def test_cli_rejects_malformed_json(tmp_path, capsys):
     cfg_path.write_text("{not json")
     assert main(["run", str(cfg_path)]) == 2
     # malformed fields: exit 2 and one line, never a traceback
-    cases = [(bad, []) for bad in MALFORMED_CONFIGS]
-    cases.append((GOLDEN_CONFIG, ["--restart-checks", "-1"]))
-    for cfg, flags in cases:
+    cases = [("run", bad, []) for bad in MALFORMED_CONFIGS]
+    cases.append(("run", GOLDEN_CONFIG, ["--restart-checks", "-1"]))
+    cases += [("sweep", bad, []) for bad in MALFORMED_SWEEPS]
+    cases += [("sweep", GOLDEN_SWEEP, ["--jobs", jobs]) for jobs in ("0", "-3")]
+    for command, cfg, flags in cases:
         cfg_path.write_text(json.dumps(cfg))
         capsys.readouterr()
-        assert main(["run", str(cfg_path), *flags, "--out", str(tmp_path / "out")]) == 2
+        assert main([command, str(cfg_path), *flags, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1, err
 
@@ -366,9 +392,30 @@ GOLDEN_SHA256 = {
 }
 
 
+# the CSVs of `run --decimal`, whose float columns the files above lack
+GOLDEN_DECIMAL_SHA256 = {
+    "nonconvex_splitting": {
+        "events.csv": "bcb6e8eed0411ee2ba3e2763f2384f355089acc616b1e97be993a675a380216d",
+        "potential.csv": "2abc643d2fd56c61fccbc017f2437211af61853d9d51c13d248ebdc05486a0ab",
+    },
+    "two_shock_burgers": {
+        "events.csv": "cbd35c460a65bab912a61ab5c43eb1ff41b4f28366476a22e926fe60220c3072",
+        "potential.csv": "c49d13c38cdb14a788326ad53bc90054aac7d7afc3bf6a3b58caf928f143c4f7",
+    },
+}
+
+
+def _sha256_of_files(out, names=None):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir() if names is None or p.name in names
+    }
+
+
 def test_configs_golden_bytes(tmp_path):
     """`run --svg` on every run config and `sweep` on the sweep config write
-    exactly the pinned bytes, so refactors keep every artifact identical."""
+    exactly the pinned bytes, so refactors keep every artifact identical;
+    `run --decimal` writes the pinned CSVs."""
     assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(GOLDEN_SHA256)
     for name, pinned in GOLDEN_SHA256.items():
         path = CONFIGS / f"{name}.json"
@@ -378,8 +425,11 @@ def test_configs_golden_bytes(tmp_path):
         else:
             args = ["run", str(path), "--out", str(out), "--svg"]
         assert main(args) == 0
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        assert got == pinned, name
+        assert _sha256_of_files(out) == pinned, name
+    for name, pinned in GOLDEN_DECIMAL_SHA256.items():
+        out = tmp_path / f"{name}-decimal"
+        assert main(["run", str(CONFIGS / f"{name}.json"), "--out", str(out), "--decimal"]) == 0
+        assert _sha256_of_files(out, pinned) == pinned, name
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -409,6 +459,9 @@ def test_sweep_requires_decreasing_epsilons():
                 "datum": {"constant": "0", "jumps": []},
             }
         )
+    for bad in MALFORMED_SWEEPS:
+        with pytest.raises(InputError):
+            parse_sweep_config(bad)
 
 
 def test_sweep_random_family(tmp_path):

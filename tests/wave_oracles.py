@@ -14,12 +14,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fronttrack.envelope import GridFlux, convex_envelope, curvature_constant
+from fronttrack.envelope import CurvatureConstant, GridFlux, convex_envelope, curvature_constant
 from fronttrack.errors import ConsistencyError, InputError
-from fronttrack.potential import _cell_slopes, _j_interval, _k_value
+from fronttrack.potential import _cell_slopes, _j_interval
 from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, profile_at
-from fronttrack.tracing import WaveSystem, _slab_for_query, first_common_event, waves_at
+from fronttrack.tracing import WaveSystem, first_common_event, waves_at
 
 MIXED_SIGN = "mixed_sign"
 SAME_POSITION = "same_position"
@@ -78,7 +78,7 @@ def _entropic_slope(ws, flux, interval, atom):
 def pair_weight(ws: WaveSystem, t_bar, c, c_prime, K, flux: GridFlux) -> PairWeightRecord:
     """Classify one wave pair at time t_bar and compute its weight."""
     ws._require_traced()
-    K = _k_value(K)
+    K = K.K if isinstance(K, CurvatureConstant) else Fraction(K)
     a, b = _atom_id(ws, c), _atom_id(ws, c_prime)
     if a == b:
         raise InputError("need two distinct waves")
@@ -240,7 +240,7 @@ def position_of(ws: WaveSystem, t: Fraction, w: Fraction) -> Fraction:
     tc = ws.t_canc(a)
     if tc is not None and tc <= t:
         raise InputError(f"wave {w} was canceled at t={tc}")
-    s = _slab_for_query(ws, t)
+    s = ws.timeline.slab_index_at(t, side="pre")
     return ws.front_of(a, s).position_at(t)
 
 
@@ -253,7 +253,7 @@ def interaction_query(ws: WaveSystem, t_bar, w, w_prime) -> InteractionAnswer:
         tc = ws.t_canc(atom)
         if tc is not None and tc <= t_bar:
             raise InputError("wave not live at the query time")
-    s = _slab_for_query(ws, t_bar)
+    s = ws.timeline.slab_index_at(t_bar, side="pre")
     pa = ws.front_of(a, s).position_at(t_bar)
     pb = ws.front_of(b, s).position_at(t_bar)
     if pa == pb:
