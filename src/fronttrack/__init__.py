@@ -60,14 +60,6 @@ from .tracker import (
     resolve_event,
     validate_timeline,
 )
-from .tracing import (
-    WaveInterval,
-    WaveSystem,
-    advance_tracing,
-    build_initial_waves,
-    sigma,
-    validate_tracing,
-    waves_at,
-)
+from .tracing import WaveSystem, advance_tracing, build_initial_waves, validate_tracing
 
 __version__ = "0.1.0"

@@ -18,6 +18,16 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
+def _out_dir(path: str) -> Path:
+    """The --out directory, created if missing."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot use --out {path}: {exc}") from exc
+    return out_dir
+
+
 def _cmd_run(args) -> int:
     cfg = parse_run_config(load_json(args.config))
     if args.restart_checks is not None:
@@ -34,8 +44,7 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     report = build_report(result)
     (out_dir / "report.json").write_bytes(report_bytes(report))
     (out_dir / "events.csv").write_text(events_csv(report, cfg.decimal))
@@ -63,8 +72,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
     rows = sweep(cfg, jobs=args.jobs)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     import json
 
     (out_dir / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n")

@@ -300,7 +300,8 @@ def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
         for eps in sweep_cfg.epsilons
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all its workers up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             members = list(pool.map(_sweep_member, args))
     else:
         members = [_sweep_member(a) for a in args]

@@ -109,16 +109,18 @@ def delta_sigma_closed_form(event: InteractionEvent) -> Fraction:
 # -- pair weights and Q ------------------------------------------------------------
 
 
-def _j_interval(ws, s, fid, event_index):
-    """Waves at the front's position that will sit at the joint event: the
-    front's slab-s atoms that survive that event."""
+def _j_interval(ws, fid, event_index):
+    """Grid cells [lo, hi) and sign of the waves the front carries into the
+    joint event: its atoms that survive that event."""
     survivors = ws.survivor_sets[event_index]
-    atoms = [a for a in ws.atoms_of_front(s, fid) if a in survivors]
-    interval = ws.interval_of(atoms)
+    atoms = [a for a in ws.atoms_of[fid] if a in survivors]
+    sign = ws.sign[atoms[0]]
+    if any(ws.sign[a] != sign for a in atoms):
+        raise ConsistencyError("wave interval mixes signs")
     ks = sorted(ws.cell[a] for a in atoms)
     if ks != list(range(ks[0], ks[0] + len(ks))):
         raise ConsistencyError("meeting interval has non-contiguous states")
-    return interval
+    return ks[0], ks[-1] + 1, sign
 
 
 class _SlabPotential:
@@ -128,18 +130,14 @@ class _SlabPotential:
         self.ws = ws
         self.flux = flux
         self.K = K
-        self._slope_memo = {}
+        self._slope_memo = {}  # (fid, event index) -> cell slopes
         self._d_memo = {}  # event index -> (d, K*d)
         self.max_weight = Fraction(0)
 
-    def _slopes_for(self, s, fid, e):
-        key = (s, fid, e)
+    def _slopes_for(self, fid, e):
+        key = (fid, e)
         if key not in self._slope_memo:
-            ws = self.ws
-            interval = _j_interval(ws, s, fid, e)
-            lo = grid_index(interval.state_lo, self.flux.epsilon)
-            hi = grid_index(interval.state_hi, self.flux.epsilon)
-            self._slope_memo[key] = _cell_slopes(self.flux, lo, hi, interval.sign)
+            self._slope_memo[key] = _cell_slopes(self.flux, *_j_interval(self.ws, fid, e))
         return self._slope_memo[key]
 
     def _event_d(self, e: int):
@@ -187,8 +185,8 @@ class _SlabPotential:
                             continue
                         if e != current:
                             current = e
-                            slope_a = self._slopes_for(s, fid_i, e)[cell[a]]
-                            slopes_b = self._slopes_for(s, fid_j, e)
+                            slope_a = self._slopes_for(fid_i, e)[cell[a]]
+                            slopes_b = self._slopes_for(fid_j, e)
                             kd = self._event_d(e)[1]
                             acc = gaps.get(e)
                         gap = slope_a - slopes_b[cell[b]]

@@ -16,6 +16,7 @@ any time, with a pre/post side selector at the event instants themselves.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .envelope import GridFlux
 from .errors import ConsistencyError, InputError, TrackerError
@@ -155,18 +156,13 @@ class Timeline:
     slabs: tuple = ()
     fronts_by_id: dict = field(default_factory=dict)
 
-    @property
-    def event_times(self):
-        return [ev.t for ev in self.events]
-
     def slab_index_at(self, t: Fraction, side: str = "post") -> int:
         if t < 0:
             raise InputError("time must be nonnegative")
-        times = self.event_times
         if side == "pre":
-            return bisect_left(times, t)
+            return bisect_left(self.events, t, key=attrgetter("t"))
         if side == "post":
-            return bisect_right(times, t)
+            return bisect_right(self.events, t, key=attrgetter("t"))
         raise InputError("side must be 'pre' or 'post'")
 
     def slab_tv(self, slab_index: int) -> Fraction:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fronttrack import harness
 from fronttrack.cli import main
 from fronttrack.errors import InputError
 from fronttrack.harness import (
@@ -329,10 +330,16 @@ def test_cli_rejects_malformed_json(tmp_path, capsys):
     cases.append(("run", GOLDEN_CONFIG, ["--restart-checks", "-1"]))
     cases += [("sweep", bad, []) for bad in MALFORMED_SWEEPS]
     cases += [("sweep", GOLDEN_SWEEP, ["--jobs", jobs]) for jobs in ("0", "-3")]
+    # an --out naming a file, or a path below one
+    cases += [
+        (command, cfg, ["--out", str(out)])
+        for command, cfg in (("run", GOLDEN_CONFIG), ("sweep", GOLDEN_SWEEP))
+        for out in (cfg_path, cfg_path / "sub")
+    ]
     for command, cfg, flags in cases:
         cfg_path.write_text(json.dumps(cfg))
         capsys.readouterr()
-        assert main([command, str(cfg_path), *flags, "--out", str(tmp_path / "out")]) == 2
+        assert main([command, str(cfg_path), "--out", str(tmp_path / "out"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1, err
 
@@ -496,6 +503,30 @@ def test_cli_sweep(tmp_path):
     rows = json.loads((out_dir / "sweep.json").read_text())
     assert len(rows) == 2
     assert (out_dir / "sweep.csv").read_text().startswith("epsilon,")
+
+
+def test_sweep_forks_no_more_workers_than_members(monkeypatch):
+    pools = []
+
+    class RecordingExecutor:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    two_members = parse_sweep_config(GOLDEN_SWEEP)
+    assert sweep(two_members, jobs=8) == sweep(two_members)
+    assert pools == [2]
 
 
 # -- distance and generators --------------------------------------------------------

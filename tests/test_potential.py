@@ -35,6 +35,7 @@ from wave_oracles import (
     NEVER_INTERACT,
     SAME_POSITION,
     cancellation_weight_stability,
+    fid_of,
     fundamental_property_violations,
     maximal_noncontact_interval,
     oracle_q_of_slab,
@@ -288,7 +289,7 @@ def test_worked_example_timeline_and_split():
     # and splits the survivors into chords over [1,2] and [2,3]
     assert sorted(ws.casualties_by_event[0]) == [0, 1]
     assert ws.survivors_by_event[0] == [2, 3]
-    assert ws.fid_of(2, 1) != ws.fid_of(3, 1)
+    assert fid_of(ws, 2, 1) != fid_of(ws, 3, 1)
 
 
 def test_worked_example_weight_identities():

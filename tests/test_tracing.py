@@ -3,22 +3,27 @@ from fractions import Fraction as F
 import pytest
 
 from fronttrack.envelope import sample_flux
-from fronttrack.errors import InputError
+from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.tracker import Profile, evolve
 from fronttrack.tracing import (
     advance_tracing,
     build_initial_waves,
     first_common_event,
-    sigma,
     validate_tracing,
-    waves_at,
 )
 
 from wave_oracles import (
+    atom_of,
     debug_dump,
+    front_of,
     interaction_query,
     position_of,
+    sigma,
     state_consistency_holds,
+    state_of,
+    t_canc,
+    waves_at,
+    x0,
 )
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
@@ -40,9 +45,9 @@ def test_single_positive_jump_layer():
     ws = build_initial_waves(p, F(1))
     assert ws.atom_count == 1
     assert ws.sign == [1]
-    assert ws.state_of(F(1)) == F(1)
-    assert ws.state_of(F(1, 3)) == F(1, 3)
-    assert ws.x0 == [F(0)]
+    assert state_of(ws, F(1)) == F(1)
+    assert state_of(ws, F(1, 3)) == F(1, 3)
+    assert x0(ws) == [F(0)]
 
 
 def test_up_down_layer_reversed_states():
@@ -51,9 +56,9 @@ def test_up_down_layer_reversed_states():
     assert ws.atom_count == 3
     assert ws.sign == [1, -1, -1]
     # the negative waves map (1, 3] onto [-1, 1) reversed affinely
-    assert ws.state_of(F(3, 2)) == F(1, 2)
-    assert ws.state_of(F(3)) == F(-1)
-    assert ws.x0 == [F(0), F(1), F(1)]
+    assert state_of(ws, F(3, 2)) == F(1, 2)
+    assert state_of(ws, F(3)) == F(-1)
+    assert x0(ws) == [F(0), F(1), F(1)]
 
 
 def test_layer_rejects_offgrid_variation():
@@ -65,12 +70,12 @@ def test_layer_rejects_offgrid_variation():
 def test_wave_coordinate_lookup():
     p = Profile(F(0), ((F(0), F(1)),))
     ws = build_initial_waves(p, F(1, 2))
-    assert ws.atom_of(F(1, 2)) == 0
-    assert ws.atom_of(F(3, 4)) == 1
+    assert atom_of(ws, F(1, 2)) == 0
+    assert atom_of(ws, F(3, 4)) == 1
     with pytest.raises(InputError):
-        ws.atom_of(F(0))
+        atom_of(ws, F(0))
     with pytest.raises(InputError):
-        ws.atom_of(F(3, 2))
+        atom_of(ws, F(3, 2))
 
 
 # -- golden two-shock run ---------------------------------------------------------
@@ -150,10 +155,28 @@ def test_shock_eats_rarefaction_cancellation():
     assert len(casualties) == 2
     for a in casualties:
         assert ws.cell[a] == 1
-        assert ws.t_canc(a) == F(2)
+        assert t_canc(ws, a) == F(2)
     survivors = ws.survivors_by_event[0]
     assert all(ws.cell[a] == 0 for a in survivors)
     validate_tracing(tl, ws)
+
+
+def test_validate_tracing_rejects_forged_wave_systems():
+    wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
+    p = Profile(F(0), ((F(0), F(2)), (F(1), F(0))))
+    forgeries = [
+        ({0: (0, 1), 1: ()}, "front 0: state span"),  # atom 1 moved to front 0
+        ({3: (2, 3)}, "slab 1: live atoms"),  # canceled atom 2 left on front 3
+        ({2: (3, 2)}, "slab 0: live atoms"),  # front 2's atoms out of id order
+    ]
+    for forged, message in forgeries:
+        tl, ws = traced(p, wide, F(1))
+        # the fan's fronts 0 and 1 and the shock 2; event 0 cancels atoms 1, 2
+        assert ws.runs(0) == [(0, (0,)), (1, (1,)), (2, (2, 3))]
+        assert ws.runs(1) == [(0, (0,)), (3, (3,))]
+        ws.atoms_of.update(forged)
+        with pytest.raises(ConsistencyError, match=message):
+            validate_tracing(tl, ws)
 
 
 def test_triple_point_full_cancellation_tracing():
@@ -226,5 +249,5 @@ def test_monotone_positions_across_slabs():
     for s, slab in enumerate(tl.slabs):
         t_probe = slab.t_lo if slab.t_hi is None else (slab.t_lo + slab.t_hi) / 2
         live = ws.live_atoms(s)
-        xs = [ws.front_of(a, s).position_at(t_probe) for a in live]
+        xs = [front_of(ws, a, s).position_at(t_probe) for a in live]
         assert xs == sorted(xs)

@@ -5,7 +5,9 @@ bulk: the weight of one wave pair (its classification, meeting intervals,
 ``pi`` and ``d``), the interaction query and position of single waves, the
 jump-state identity at one point, the per-slab cell table, and the structural
 checks built on them (meeting-interval implication, weight stability across
-cancellations, hull contact).  `oracle_q_of_slab` sums the per-pair weights
+cancellations, hull contact).  The wave-coordinate queries (`atom_of`,
+`state_of`, `sigma`, `waves_at`, ...) read the package's traced `WaveSystem`
+but restate every lookup from its runs and event lists.  `oracle_q_of_slab` sums the per-pair weights
 and `oracle_bianchini_of_slab` the per-run-pair speed gaps, so tests compare
 them with the package's `_SlabPotential.q_of_slab` and `_bianchini_of_slab`.
 """
@@ -16,10 +18,10 @@ from fractions import Fraction
 
 from fronttrack.envelope import CurvatureConstant, GridFlux, convex_envelope, curvature_constant
 from fronttrack.errors import ConsistencyError, InputError
-from fronttrack.potential import _cell_slopes, _j_interval
+from fronttrack.potential import _cell_slopes
 from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, profile_at
-from fronttrack.tracing import WaveSystem, first_common_event, waves_at
+from fronttrack.tracing import WaveSystem, first_common_event
 
 MIXED_SIGN = "mixed_sign"
 SAME_POSITION = "same_position"
@@ -27,6 +29,147 @@ NEVER_INTERACT = "never_interact"
 GENERIC = "generic"
 
 SIGN_NAMES = {1: "+", -1: "-"}
+
+
+# -- wave coordinates and front membership -------------------------------------------
+
+
+@dataclass(frozen=True)
+class WaveInterval:
+    """Sign-constant, betweenness-closed wave set at a fixed time."""
+
+    atoms: tuple  # atom ids, in w order
+    w_intervals: tuple  # maximal real intervals ((lo, hi], ...)
+    sign: int
+    state_lo: Fraction
+    state_hi: Fraction
+
+    @property
+    def measure(self) -> Fraction:
+        return sum((hi - lo for lo, hi in self.w_intervals), Fraction(0))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.atoms
+
+
+def atom_w_lo(ws: WaveSystem, a: int) -> Fraction:
+    return a * ws.epsilon
+
+
+def atom_w_hi(ws: WaveSystem, a: int) -> Fraction:
+    return (a + 1) * ws.epsilon
+
+
+def x0(ws: WaveSystem) -> list:
+    """Initial position of every atom: the point of its initial jump."""
+    return [ws.profile.jumps[j][0] for j in ws.jump_of]
+
+
+def atom_of(ws: WaveSystem, w) -> int:
+    """Atom containing the wave coordinate w in (0, TV]."""
+    w = Fraction(w)
+    tv = ws.atom_count * ws.epsilon
+    if not 0 < w <= tv:
+        raise InputError(f"wave coordinate {w} outside (0, {tv}]")
+    q = w / ws.epsilon
+    a = q.numerator // q.denominator  # floor
+    if q.denominator == 1:
+        a -= 1
+    return a
+
+
+def state_of(ws: WaveSystem, w) -> Fraction:
+    """The state map: constant_state plus the signed integral of the sign."""
+    a = atom_of(ws, w)
+    lo = ws.cell[a] * ws.epsilon
+    offset = Fraction(w) - atom_w_lo(ws, a)
+    return (lo + offset) if ws.sign[a] > 0 else (lo + ws.epsilon - offset)
+
+
+def t_canc(ws: WaveSystem, a: int):
+    """Cancellation time of atom a, None if it lives forever."""
+    ws._require_traced()
+    e = ws.canc_event[a]
+    return None if e is None else ws.timeline.events[e].t
+
+
+def fid_of(ws: WaveSystem, a: int, s: int) -> int:
+    """The front of slab s whose run holds atom a."""
+    for fid, atoms in ws.runs(s):
+        if a in atoms:
+            return fid
+    raise InputError(f"atom {a} is not live in slab {s}")
+
+
+def front_of(ws: WaveSystem, a: int, s: int):
+    return ws.timeline.fronts_by_id[fid_of(ws, a, s)]
+
+
+def interval_of(ws: WaveSystem, atoms) -> WaveInterval:
+    """Package an atom list as a WaveInterval, checking sign constancy."""
+    if not atoms:
+        return WaveInterval((), (), 0, Fraction(0), Fraction(0))
+    sign = ws.sign[atoms[0]]
+    if any(ws.sign[a] != sign for a in atoms):
+        raise ConsistencyError("wave interval mixes signs")
+    intervals = []
+    start = prev = atoms[0]
+    for a in atoms[1:]:
+        if a != prev + 1:
+            intervals.append((atom_w_lo(ws, start), atom_w_hi(ws, prev)))
+            start = a
+        prev = a
+    intervals.append((atom_w_lo(ws, start), atom_w_hi(ws, prev)))
+    ks = [ws.cell[a] for a in atoms]
+    return WaveInterval(
+        tuple(atoms),
+        tuple(intervals),
+        sign,
+        min(ks) * ws.epsilon,
+        (max(ks) + 1) * ws.epsilon,
+    )
+
+
+def sigma(ws: WaveSystem, t, w) -> Fraction:
+    """Forward speed of the wave at time t (the outgoing speed at event instants)."""
+    ws._require_traced()
+    t = Fraction(t)
+    a = atom_of(ws, w)
+    tc = t_canc(ws, a)
+    if tc is not None and tc <= t:
+        raise InputError(f"wave {w} was canceled at t={tc}")
+    s = ws.timeline.slab_index_at(t, side="pre")
+    slab = ws.timeline.slabs[s]
+    if slab.t_hi is not None and t == slab.t_hi and a in ws.survivor_sets[s]:
+        return front_of(ws, a, s + 1).speed
+    return front_of(ws, a, s).speed
+
+
+def waves_at(ws: WaveSystem, t, x) -> WaveInterval:
+    """W(t, x): all live waves positioned at x, as a WaveInterval."""
+    ws._require_traced()
+    t, x = Fraction(t), Fraction(x)
+    s = ws.timeline.slab_index_at(t, side="pre")
+    found = []
+    for fid, atoms in ws.runs(s):
+        if ws.timeline.fronts_by_id[fid].position_at(t) == x:
+            for a in atoms:
+                tc = t_canc(ws, a)
+                if tc is None or tc > t:
+                    found.append(a)
+    return interval_of(ws, found)
+
+
+def meeting_interval(ws: WaveSystem, s: int, fid: int, e: int) -> WaveInterval:
+    """The waves of slab-s front ``fid`` that survive event e, which must
+    have contiguous states."""
+    atoms = [a for a in ws.survivors_by_event[e] if fid_of(ws, a, s) == fid]
+    interval = interval_of(ws, sorted(atoms))
+    ks = sorted(ws.cell[a] for a in atoms)
+    if ks != list(range(ks[0], ks[0] + len(ks))):
+        raise ConsistencyError("meeting interval has non-contiguous states")
+    return interval
 
 
 # -- pair weights ------------------------------------------------------------------
@@ -66,7 +209,7 @@ def _atom_id(ws: WaveSystem, c) -> int:
         if len(c.atoms) != 1:
             raise InputError("pair weights are defined per atom; split the cell")
         return c.atoms[0]
-    return ws.atom_of(Fraction(c))
+    return atom_of(ws, c)
 
 
 def _entropic_slope(ws, flux, interval, atom):
@@ -99,15 +242,16 @@ def _pair_weight_in_slab(ws, s, a, b, K, flux):
     i_b = bisect_left(live, b)
     if any(ws.sign[live[i]] != sign for i in range(i_a, i_b + 1)):
         return PairWeightRecord(a, b, MIXED_SIGN, K, Fraction(0), Fraction(0))
-    if ws.fid_of(a, s) == ws.fid_of(b, s):
+    fid_a, fid_b = fid_of(ws, a, s), fid_of(ws, b, s)
+    if fid_a == fid_b:
         return PairWeightRecord(a, b, SAME_POSITION, Fraction(0), Fraction(0), Fraction(0))
     e = first_common_event(ws, a, b, after_slab=s)
     if e is None:
         return PairWeightRecord(a, b, NEVER_INTERACT, Fraction(0), Fraction(0), Fraction(0))
     ev = ws.timeline.events[e]
     d = abs(ev.c - ev.a)
-    j_left = _j_interval(ws, s, ws.fid_of(a, s), e)
-    j_right = _j_interval(ws, s, ws.fid_of(b, s), e)
+    j_left = meeting_interval(ws, s, fid_a, e)
+    j_right = meeting_interval(ws, s, fid_b, e)
     pi = _entropic_slope(ws, flux, j_left, a) - _entropic_slope(ws, flux, j_right, b)
     if pi < 0:
         pi = Fraction(0)
@@ -236,26 +380,26 @@ def position_of(ws: WaveSystem, t: Fraction, w: Fraction) -> Fraction:
     """X(t, w): the carrying front's position."""
     ws._require_traced()
     t = Fraction(t)
-    a = ws.atom_of(w)
-    tc = ws.t_canc(a)
+    a = atom_of(ws, w)
+    tc = t_canc(ws, a)
     if tc is not None and tc <= t:
         raise InputError(f"wave {w} was canceled at t={tc}")
     s = ws.timeline.slab_index_at(t, side="pre")
-    return ws.front_of(a, s).position_at(t)
+    return front_of(ws, a, s).position_at(t)
 
 
 def interaction_query(ws: WaveSystem, t_bar, w, w_prime) -> InteractionAnswer:
     """Will the two waves share a position after t_bar, and where first?"""
     ws._require_traced()
     t_bar = Fraction(t_bar)
-    a, b = ws.atom_of(w), ws.atom_of(w_prime)
+    a, b = atom_of(ws, w), atom_of(ws, w_prime)
     for atom in (a, b):
-        tc = ws.t_canc(atom)
+        tc = t_canc(ws, atom)
         if tc is not None and tc <= t_bar:
             raise InputError("wave not live at the query time")
     s = ws.timeline.slab_index_at(t_bar, side="pre")
-    pa = ws.front_of(a, s).position_at(t_bar)
-    pb = ws.front_of(b, s).position_at(t_bar)
+    pa = front_of(ws, a, s).position_at(t_bar)
+    pb = front_of(ws, b, s).position_at(t_bar)
     if pa == pb:
         return InteractionAnswer("same_position", t_bar, pa)
     e = first_common_event(ws, a, b, after_slab=ws.timeline.slab_index_at(t_bar, side="post"))
@@ -313,8 +457,8 @@ def cells(ws: WaveSystem, s: int):
                 ks = [ws.cell[a] for a in chunk]
                 out.append(
                     WaveCell(
-                        w_lo=ws.atom_w_lo(chunk[0]),
-                        w_hi=ws.atom_w_hi(chunk[-1]),
+                        w_lo=atom_w_lo(ws, chunk[0]),
+                        w_hi=atom_w_hi(ws, chunk[-1]),
                         sign=ws.sign[chunk[0]],
                         state_lo=min(ks) * ws.epsilon,
                         state_hi=(max(ks) + 1) * ws.epsilon,
@@ -333,7 +477,7 @@ def debug_dump(ws: WaveSystem) -> dict:
     for s, slab in enumerate(tl.slabs):
         rows = []
         for cell in cells(ws, s):
-            fid = ws.fid_of(cell.atoms[0], s)
+            fid = fid_of(ws, cell.atoms[0], s)
             fr = tl.fronts_by_id[fid]
             rows.append(
                 {
