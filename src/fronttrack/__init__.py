@@ -7,11 +7,8 @@ forward-in-time restart property) with zero tolerance on every run.
 """
 
 from .envelope import (
-    CurvatureConstant,
     GridFlux,
     PiecewiseLinearFn,
-    concave_envelope,
-    convex_envelope,
     curvature_constant,
     rh_speed,
     sample_flux,

@@ -29,22 +29,25 @@ def _out_dir(path: str) -> Path:
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_run_config(load_json(args.config))
-    if args.restart_checks is not None:
-        if args.restart_checks < 0:
-            raise InputError("--restart-checks must be at least 0")
-        cfg.restart_check_points = args.restart_checks
-    if args.svg:
-        cfg.emit_svg = True
-    if args.decimal:
-        cfg.decimal = True
+    data = load_json(args.config)
+    # the given flags go into the config's options, so that the report's
+    # run_config reproduces the run
+    given = {
+        "restart_check_points": args.restart_checks,
+        "emit_svg": args.svg,
+        "decimal": args.decimal,
+    }
+    given = {k: v for k, v in given.items() if v is not None}
+    if given and isinstance(data, dict) and isinstance(data.get("options", {}), dict):
+        data["options"] = {**data.get("options", {}), **given}
+    cfg = parse_run_config(data)
+    out_dir = _out_dir(args.out)
     try:
         result = run_simulation(cfg)
     except TrackerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
-    out_dir = _out_dir(args.out)
     report = build_report(result)
     (out_dir / "report.json").write_bytes(report_bytes(report))
     (out_dir / "events.csv").write_text(events_csv(report, cfg.decimal))
@@ -55,7 +58,7 @@ def _cmd_run(args) -> int:
             render_potential_plot(result.series, result.timeline)
         )
 
-    failures = result.series.hard_failures()
+    failures = result.series.hard_failures
     if failures:
         print(f"verification FAILED: {failures}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -71,8 +74,8 @@ def _cmd_sweep(args) -> int:
     cfg = parse_sweep_config(load_json(args.config))
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
-    rows = sweep(cfg, jobs=args.jobs)
     out_dir = _out_dir(args.out)
+    rows = sweep(cfg, jobs=args.jobs)
     import json
 
     (out_dir / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n")
@@ -113,9 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one config and emit artifacts")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--svg", action="store_true")
-    p_run.add_argument("--restart-checks", type=int, default=None)
-    p_run.add_argument("--decimal", action="store_true")
+    # an absent flag is None: the config's own option applies
+    p_run.add_argument("--svg", action="store_const", const=True)
+    p_run.add_argument("--restart-checks", type=int)
+    p_run.add_argument("--decimal", action="store_const", const=True)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a family of epsilons")

@@ -73,29 +73,34 @@ class GridFlux:
             raise DomainError(f"grid index {k} outside the flux window")
         return self.values[k - self.k_min]
 
-    def value_at(self, u: Fraction) -> Fraction:
-        """Affine interpolation of the samples at an arbitrary in-window u."""
-        if not self.contains_u(u):
-            raise DomainError(f"state {u} outside the flux window")
-        q = Fraction(u) / self.epsilon
-        k = min(q.__floor__(), self.k_max - 1)
-        t = q - k
-        lo = self.value_at_index(k)
-        hi = self.value_at_index(k + 1)
-        return lo + t * (hi - lo)
-
     def cell_slope(self, k: int) -> Fraction:
         """Slope of the affine piece on [k*eps, (k+1)*eps]."""
         return (self.value_at_index(k + 1) - self.value_at_index(k)) / self.epsilon
 
 
-def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
-    """Sample a flux spec on the grid.
+def parse_flux_spec(flux_spec):
+    """("polynomial", coefficients) or ("table", {grid index: value}) from a
+    flux spec: ``{"polynomial": [c0, c1, ...]}`` (rational coefficients) or
+    ``{"table": {k: value, ...}}`` keyed by grid index."""
+    if not isinstance(flux_spec, dict) or len(flux_spec) != 1:
+        raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
+    if "polynomial" in flux_spec:
+        if not isinstance(flux_spec["polynomial"], (list, tuple)):
+            raise InputError("flux polynomial must be a list of coefficients")
+        return "polynomial", [parse_rational(c) for c in flux_spec["polynomial"]]
+    if "table" in flux_spec:
+        if not isinstance(flux_spec["table"], dict):
+            raise InputError("flux table must be an object keyed by grid index")
+        try:
+            return "table", {int(k): parse_rational(v) for k, v in flux_spec["table"].items()}
+        except ValueError as exc:
+            raise InputError(f"flux table keys must be grid indices: {exc}") from exc
+    raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
 
-    ``flux_spec`` is either ``{"polynomial": [c0, c1, ...]}`` (rational
-    coefficients, exact Horner evaluation at each grid point) or
-    ``{"table": {k: value, ...}}`` keyed by grid index.
-    """
+
+def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
+    """Sample a flux spec (see `parse_flux_spec`) on the grid; a polynomial
+    is evaluated exactly by Horner's rule at each grid point."""
     eps = parse_rational(epsilon)
     if eps <= 0:
         raise InputError("epsilon must be positive")
@@ -103,34 +108,20 @@ def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
     if k_max <= k_min:
         raise InputError("index range must contain at least two grid points")
 
-    if not isinstance(flux_spec, dict) or len(flux_spec) != 1:
-        raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
-
-    if "polynomial" in flux_spec:
-        if not isinstance(flux_spec["polynomial"], (list, tuple)):
-            raise InputError("flux polynomial must be a list of coefficients")
-        coeffs = [parse_rational(c) for c in flux_spec["polynomial"]]
+    kind, spec = parse_flux_spec(flux_spec)
+    if kind == "polynomial":
         values = []
         for k in range(k_min, k_max + 1):
             u = k * eps
             acc = Fraction(0)
-            for c in reversed(coeffs):
+            for c in reversed(spec):
                 acc = acc * u + c
             values.append(acc)
-    elif "table" in flux_spec:
-        if not isinstance(flux_spec["table"], dict):
-            raise InputError("flux table must be an object keyed by grid index")
-        try:
-            table = {int(k): parse_rational(v) for k, v in flux_spec["table"].items()}
-        except ValueError as exc:
-            raise InputError(f"flux table keys must be grid indices: {exc}") from exc
-        missing = [k for k in range(k_min, k_max + 1) if k not in table]
+    else:
+        missing = [k for k in range(k_min, k_max + 1) if k not in spec]
         if missing:
             raise InputError(f"flux table is missing grid indices {missing}")
-        values = [table[k] for k in range(k_min, k_max + 1)]
-    else:
-        raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
-
+        values = [spec[k] for k in range(k_min, k_max + 1)]
     return GridFlux(eps, k_min, k_max, tuple(values))
 
 
@@ -222,28 +213,14 @@ def _concave_by_index(f: GridFlux, ka: int, kb: int) -> PiecewiseLinearFn:
     return _hull_by_index(f, ka, kb, -1)
 
 
-def _index_interval(f: GridFlux, a, b):
+def envelope(f: GridFlux, a, b, sign: int) -> PiecewiseLinearFn:
+    """On the grid interval [a, b], the largest convex minorant of the samples
+    for sign > 0 (positive jumps), else the smallest concave majorant."""
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise InputError(f"need a < b, got [{a}, {b}]")
-    return f.index_of(a), f.index_of(b)
-
-
-def convex_envelope(f: GridFlux, a, b) -> PiecewiseLinearFn:
-    """Largest convex minorant of the samples on the grid interval [a, b]."""
-    ka, kb = _index_interval(f, a, b)
-    return _convex_by_index(f, ka, kb)
-
-
-def concave_envelope(f: GridFlux, a, b) -> PiecewiseLinearFn:
-    """Smallest concave majorant; equals -convex_envelope(-f) exactly."""
-    ka, kb = _index_interval(f, a, b)
-    return _concave_by_index(f, ka, kb)
-
-
-def envelope(f: GridFlux, a, b, sign: int) -> PiecewiseLinearFn:
-    """Convex envelope for positive jumps, concave for negative ones."""
-    return convex_envelope(f, a, b) if sign > 0 else concave_envelope(f, a, b)
+    by_index = _convex_by_index if sign > 0 else _concave_by_index
+    return by_index(f, f.index_of(a), f.index_of(b))
 
 
 def rh_speed(f: GridFlux, a: Fraction, b: Fraction) -> Fraction:
@@ -256,19 +233,7 @@ def rh_speed(f: GridFlux, a: Fraction, b: Fraction) -> Fraction:
     return (fb - fa) / (b - a)
 
 
-@dataclass(frozen=True)
-class CurvatureConstant:
-    """Discrete curvature bound of the sampled flux over its whole window."""
-
-    K: Fraction
-    window: tuple  # (k_min, k_max) the constant was taken over
-
-    def __post_init__(self):
-        if self.K < 0:
-            raise InputError("curvature constant cannot be negative")
-
-
-def curvature_constant(f: GridFlux) -> CurvatureConstant:
+def curvature_constant(f: GridFlux) -> Fraction:
     """max_k |cell_slope(k) - cell_slope(k-1)| / epsilon, zero iff affine."""
     if f.k_max - f.k_min < 2:
         raise InputError("need at least three grid points for a curvature bound")
@@ -280,4 +245,4 @@ def curvature_constant(f: GridFlux) -> CurvatureConstant:
         if jump > best:
             best = jump
         prev = cur
-    return CurvatureConstant(best, (f.k_min, f.k_max))
+    return best

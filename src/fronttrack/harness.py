@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 
-from .envelope import GridFlux, sample_flux
+from .envelope import parse_flux_spec, sample_flux
 from .errors import InputError, VerificationError
 from .potential import PotentialSeries, verify_run
 from .rationals import parse_rational
@@ -28,7 +28,6 @@ class RunConfig:
     epsilon: Fraction
     datum: tuple  # (constant, [(x, value), ...]) raw rationals
     window: tuple = None  # (k_min, k_max) or None for automatic
-    seed: int = 0
     emit_svg: bool = False
     restart_check_points: int = 0
     max_events: int = None
@@ -99,6 +98,7 @@ def parse_run_config(data: dict) -> RunConfig:
     epsilon = parse_rational(data["epsilon"])
     if epsilon <= 0:
         raise InputError("config field 'epsilon' must be positive")
+    parse_flux_spec(data["flux"])  # a malformed flux fails here, before any run
     window = data.get("window")
     if window is not None:
         if not isinstance(window, (list, tuple)) or len(window) != 2:
@@ -111,12 +111,12 @@ def parse_run_config(data: dict) -> RunConfig:
     max_events = options.get("max_events")
     if max_events is not None:
         max_events = _int_field(max_events, "options.max_events", 0)
+    _int_field(data.get("seed", 0), "seed")
     return RunConfig(
         flux_spec=data["flux"],
         epsilon=epsilon,
         datum=_parse_datum(data["datum"]),
         window=window,
-        seed=_int_field(data.get("seed", 0), "seed"),
         emit_svg=_bool_field(options.get("emit_svg", False), "options.emit_svg"),
         restart_check_points=_int_field(
             options.get("restart_check_points", 0), "options.restart_check_points", 0
@@ -139,8 +139,6 @@ def _auto_window(profile: Profile, epsilon: Fraction) -> tuple:
 @dataclass
 class RunResult:
     config: RunConfig
-    flux: GridFlux
-    profile: Profile
     timeline: Timeline
     waves: WaveSystem
     series: PotentialSeries
@@ -154,9 +152,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     tl = evolve(profile, flux, max_events=cfg.max_events)
     validate_timeline(tl)
     ws = advance_tracing(build_initial_waves(profile, cfg.epsilon), tl)
-    validate_tracing(tl, ws)
-    series = verify_run(tl, ws, flux, restart_checks=cfg.restart_check_points)
-    return RunResult(cfg, flux, profile, tl, ws, series)
+    validate_tracing(ws)
+    series = verify_run(ws, restart_checks=cfg.restart_check_points)
+    return RunResult(cfg, tl, ws, series)
 
 
 # -- profile distance -----------------------------------------------------------
@@ -220,7 +218,6 @@ class SweepConfig:
     datum: dict = None
     random_family: dict = None
     probe_times: list = field(default_factory=lambda: [Fraction(1)])
-    raw: dict = field(default_factory=dict)
 
 
 def parse_sweep_config(data: dict) -> SweepConfig:
@@ -244,7 +241,7 @@ def parse_sweep_config(data: dict) -> SweepConfig:
         if random_family.get("jumps") is not None:
             _int_field(random_family["jumps"], "random.jumps", 0)
     probe_times = [parse_rational(t) for t in _field(data, "probe_times", list, ["1"])]
-    return SweepConfig(base, epsilons, datum, random_family, probe_times, data)
+    return SweepConfig(base, epsilons, datum, random_family, probe_times)
 
 
 def _member_config(sweep: SweepConfig, epsilon: Fraction) -> dict:
@@ -279,7 +276,7 @@ def _sweep_member(arg):
     row = {
         "epsilon": epsilon_str,
         "passed": series.all_pass,
-        "failures": series.hard_failures(),
+        "failures": series.hard_failures,
         "K": str(series.K),
         "tv0": str(series.tv0),
         "Q0": str(series.slabs[0].Q),

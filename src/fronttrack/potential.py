@@ -126,9 +126,9 @@ def _j_interval(ws, fid, event_index):
 class _SlabPotential:
     """Per-slab Q evaluation with memoized meeting intervals and slopes."""
 
-    def __init__(self, ws: WaveSystem, flux: GridFlux, K: Fraction):
+    def __init__(self, ws: WaveSystem, K: Fraction):
         self.ws = ws
-        self.flux = flux
+        self.flux = ws.timeline.flux
         self.K = K
         self._slope_memo = {}  # (fid, event index) -> cell slopes
         self._d_memo = {}  # event index -> (d, K*d)
@@ -216,9 +216,8 @@ def quadratic_potential(ws: WaveSystem, t_bar, side="post") -> Fraction:
     ``side`` picks the one-sided limit at event instants.
     """
     ws._require_traced()
-    flux = ws.timeline.flux
     s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
-    return _SlabPotential(ws, flux, curvature_constant(flux).K).q_of_slab(s)
+    return _SlabPotential(ws, curvature_constant(ws.timeline.flux)).q_of_slab(s)
 
 
 def upsilon(q_value, tv_now, tv0, K):
@@ -297,7 +296,7 @@ class EventRecord:
 class RestartCheck:
     slab: int
     t: Fraction
-    Q_original: Fraction
+    Q: Fraction
     Q_restart: Fraction
     equal: bool
 
@@ -335,11 +334,11 @@ def verdict_table(K, tv0, slabs, events, restarts) -> VerdictTable:
     at binary cancellations the speed change is dominated by K|c-a||c-b| and
     by K*TV0*(TV drop); the doubled-Q functional dominates the full speed
     change at every event and never increases; Q <= K*TV^2 on every slab;
-    every restart reproduces Q.
+    every restart reproduces Q; Upsilon(0) <= 2*K*TV0^2 (its flag
+    ``upsilon0_le_2k_tv0_sq``).
 
     Flags (recorded, allowed to fail): the single-Q drop bound and the
-    constant-1 initial bound, which the doubled-Q forms repair; the constant-2
-    initial bound is recorded next to them.
+    constant-1 initial bound, which the doubled-Q forms repair.
     """
     failures = []
     if any(q > K * tv * tv for q, tv, _, _ in slabs):
@@ -377,6 +376,8 @@ def verdict_table(K, tv0, slabs, events, restarts) -> VerdictTable:
         **initial_bound_flags(slabs[0][2], tv0, K),
         "upsilon_paper_drop_failures": paper_drop_failures,
     }
+    if not flags["upsilon0_le_2k_tv0_sq"]:
+        failures.append("upsilon0_le_2k_tv0_sq")
     return VerdictTable(verdicts, equal, flags, failures)
 
 
@@ -384,20 +385,16 @@ def verdict_table(K, tv0, slabs, events, restarts) -> VerdictTable:
 class PotentialSeries:
     K: Fraction
     tv0: Fraction
-    epsilon: Fraction
     slabs: list
     events: list
     restart_checks: list
     flags: dict
-    failures: list  # the verdict table's hard failures
+    hard_failures: list  # the verdict table's
     max_weight: Fraction
-
-    def hard_failures(self):
-        return list(self.failures)
 
     @property
     def all_pass(self) -> bool:
-        return not self.failures
+        return not self.hard_failures
 
 
 def _restart_probe_times(tl: Timeline, count: int):
@@ -428,13 +425,14 @@ def run_pipeline(profile, flux):
     return tl, ws
 
 
-def verify_run(tl: Timeline, ws: WaveSystem, flux: GridFlux,
-               restart_checks: int = 0) -> PotentialSeries:
-    """Evaluate every potential on every slab, re-run the restart probes, and
-    judge the run by `verdict_table`."""
-    K = curvature_constant(flux).K
+def verify_run(ws: WaveSystem, restart_checks: int = 0) -> PotentialSeries:
+    """Evaluate every potential on every slab of the traced run, re-run the
+    restart probes, and judge the run by `verdict_table`."""
+    ws._require_traced()
+    tl, flux = ws.timeline, ws.timeline.flux
+    K = curvature_constant(flux)
     tv0 = tl.initial_profile.total_variation()
-    engine = _SlabPotential(ws, flux, K)
+    engine = _SlabPotential(ws, K)
 
     slabs = []
     for s, slab in enumerate(tl.slabs):
@@ -454,14 +452,12 @@ def verify_run(tl: Timeline, ws: WaveSystem, flux: GridFlux,
 
     probes = []
     for s, t_probe in _restart_probe_times(tl, restart_checks):
-        tl2, ws2 = run_pipeline(profile_at(tl, t_probe), flux)
-        probes.append((s, t_probe, _SlabPotential(ws2, flux, K).q_of_slab(0)))
+        _, ws2 = run_pipeline(profile_at(tl, t_probe), flux)
+        probes.append((s, t_probe, _SlabPotential(ws2, K).q_of_slab(0)))
 
     table = verdict_table(
         K, tv0, rows, event_rows, [(s, rows[s][0], q_restart) for s, _, q_restart in probes]
     )
-    if not table.flags["upsilon0_le_2k_tv0_sq"]:
-        raise ConsistencyError("doubled initial bound violated; this is a bug")
     events = []
     for ev, (i, _, composite, *_, dsig), verdicts in zip(tl.events, event_rows, table.events):
         (q_minus, tv_minus, _, _), (q_plus, tv_plus, _, _) = rows[i], rows[i + 1]
@@ -474,6 +470,6 @@ def verify_run(tl: Timeline, ws: WaveSystem, flux: GridFlux,
         for (s, t_probe, q_restart), equal in zip(probes, table.restarts)
     ]
     return PotentialSeries(
-        K, tv0, flux.epsilon, slabs, events, restart_records, table.flags,
+        K, tv0, slabs, events, restart_records, table.flags,
         table.hard_failures, engine.max_weight,
     )

@@ -27,9 +27,6 @@ POTENTIAL_COLUMNS = [
 ]
 
 
-_REPORT_KEYS = {"Q_original": "Q"}  # record field -> report key, where they differ
-
-
 def _json(value):
     """A Fraction as its "p/q" string, a dict with sorted keys, else as is."""
     if isinstance(value, Fraction):
@@ -44,8 +41,7 @@ def _rows(records) -> list:
     if not records:
         return []
     names = [f.name for f in fields(records[0])]
-    keys = [_REPORT_KEYS.get(name, name) for name in names]
-    return [{k: _json(getattr(rec, n)) for k, n in zip(keys, names)} for rec in records]
+    return [{n: _json(getattr(rec, n)) for n in names} for rec in records]
 
 
 def build_report(result: RunResult) -> dict:
@@ -53,7 +49,7 @@ def build_report(result: RunResult) -> dict:
     return {
         "run_config": cfg.raw,
         "epsilon": _json(cfg.epsilon),
-        "window": [result.flux.k_min, result.flux.k_max],
+        "window": [result.timeline.flux.k_min, result.timeline.flux.k_max],
         "K": _json(series.K),
         "analytic_curvature_bound": _json(cfg.analytic_curvature_bound),
         "TV0": _json(series.tv0),
@@ -62,7 +58,7 @@ def build_report(result: RunResult) -> dict:
         "event_count": len(series.events),
         "max_weight": _json(series.max_weight),
         "all_pass": series.all_pass,
-        "hard_failures": series.hard_failures(),
+        "hard_failures": series.hard_failures,
         "flags": dict(series.flags),
         "events": _rows(series.events),
         "slabs": _rows(series.slabs),
@@ -196,8 +192,6 @@ def verify_report(report: dict) -> list:
             stored = [read(stored, j, int, f"flags.{name}.") for j in range(len(stored))]
         if stored != value:
             failures.append(f"flags: stored {name} does not re-check")
-    if not table.flags["upsilon0_le_2k_tv0_sq"]:
-        failures.append("flags: upsilon0_le_2k_tv0_sq fails")
     for i, (q_minus, q_plus, tv_minus, tv_plus) in enumerate(columns):
         if (q_minus, q_plus) != (slabs[i][0], slabs[i + 1][0]):
             failures.append(f"event{i}: Q columns disagree with slab table")

@@ -27,7 +27,6 @@ class WaveSystem:
 
     def __init__(self, epsilon: Fraction, profile: Profile):
         self.epsilon = epsilon
-        self.profile = profile
         count = profile.total_variation() / epsilon
         if count.denominator != 1:
             raise InputError("profile variation is not a multiple of epsilon")
@@ -184,9 +183,11 @@ def first_common_event(ws, a: int, b: int, after_slab: int = 0):
 # -- validation ----------------------------------------------------------------
 
 
-def validate_tracing(tl: Timeline, ws: WaveSystem) -> None:
-    """Exact structural checks tying waves to fronts; raises on failure."""
-    eps = ws.epsilon
+def validate_tracing(ws: WaveSystem) -> None:
+    """Exact structural checks tying waves to their timeline's fronts; raises
+    on failure."""
+    ws._require_traced()
+    tl, eps = ws.timeline, ws.epsilon
     checked = set()
     for s in range(len(tl.slabs)):
         runs = ws.runs(s)

@@ -14,7 +14,7 @@ any time, with a pre/post side selector at the event instants themselves.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
@@ -152,9 +152,9 @@ class Slab:
 class Timeline:
     flux: GridFlux
     initial_profile: Profile
-    events: tuple = ()
-    slabs: tuple = ()
-    fronts_by_id: dict = field(default_factory=dict)
+    events: tuple
+    slabs: tuple
+    fronts_by_id: dict
 
     def slab_index_at(self, t: Fraction, side: str = "post") -> int:
         if t < 0:
@@ -340,32 +340,26 @@ def profile_at(tl: Timeline, t: Fraction, side: str = "post") -> Profile:
     return Profile(constant, tuple(jumps))
 
 
-def conserved_moment(tl: Timeline, slab_index: int, t: Fraction) -> Fraction:
-    """sum_j jump_j * x_j(t)  -  t * (F(right tail) - F(left tail)).
-
-    Constant in time for the exact evolution; reduces to conservation of
-    the integral of (u - constant) when the two tails agree.
-    """
-    slab = tl.slabs[slab_index]
-    total = Fraction(0)
-    for fr in slab.fronts:
-        total += (fr.right - fr.left) * fr.position_at(t)
-    p = tl.initial_profile
-    f_left = tl.flux.value_at(p.constant_state)
-    f_right = tl.flux.value_at(p.right_constant)
-    return total - t * (f_right - f_left)
-
-
 def validate_timeline(tl: Timeline) -> None:
-    """Exact structural checks; raises ConsistencyError on any failure."""
-    p = tl.initial_profile
+    """Exact structural checks; raises ConsistencyError on any failure.
+
+    Among them: the moment sum_j jump_j * x_j(t) - t * (F(right tail) -
+    F(left tail)) keeps its time-zero value (with equal tails, the integral
+    of u - constant is conserved), and no fronts converge after the last
+    event."""
+    p, flux = tl.initial_profile, tl.flux
     lo0, hi0 = p.value_span() if p.jumps else (p.constant_state,) * 2
 
     for ev, nxt in zip(tl.events, tl.events[1:]):
         if (ev.t, ev.x) >= (nxt.t, nxt.x):
             raise ConsistencyError("events not in lexicographic (t, x) order")
+    last = tl.slabs[-1].fronts
+    if any(fr.speed > gr.speed for fr, gr in zip(last, last[1:])):
+        raise ConsistencyError("fronts still converge after the last event")
 
-    baseline = conserved_moment(tl, 0, Fraction(0))
+    tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
+                 - flux.value_at_index(flux.index_of(p.constant_state)))
+    baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
     admissible = set()  # Front values, not fids: a reused fid is checked again
     prev_tv = None
     for slab in tl.slabs:
@@ -389,7 +383,7 @@ def validate_timeline(tl: Timeline) -> None:
             if not (lo0 <= fr.u_lo and fr.u_hi <= hi0):
                 raise ConsistencyError("profile left the initial value range")
             if fr not in admissible:
-                if not is_admissible(fr, tl.flux):
+                if not is_admissible(fr, flux):
                     raise ConsistencyError("live front is not admissible")
                 admissible.add(fr)
         if prev_v != p.right_constant:
@@ -401,7 +395,8 @@ def validate_timeline(tl: Timeline) -> None:
             xs = [fr.position_at(t_probe) for fr in slab.fronts]
             if any(b < a for a, b in zip(xs, xs[1:])):
                 raise ConsistencyError("fronts crossed inside a slab")
-
+        # xs holds the positions at t_hi, or at t_lo on the last slab
         t_ref = slab.t_lo if slab.t_hi is None else slab.t_hi
-        if conserved_moment(tl, slab.index, t_ref) != baseline:
+        moment = sum((fr.right - fr.left) * x for fr, x in zip(slab.fronts, xs))
+        if moment - t_ref * tail_flux != baseline:
             raise ConsistencyError("conserved moment drifted")

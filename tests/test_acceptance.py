@@ -11,7 +11,7 @@ single-Q drop bound.
 
 from fractions import Fraction as F
 
-from fronttrack.envelope import convex_envelope, sample_flux
+from fronttrack.envelope import envelope, sample_flux
 from fronttrack.harness import l1_distance, parse_run_config, run_simulation
 from fronttrack.potential import delta_sigma, delta_sigma_closed_form, run_pipeline
 from fronttrack.tracker import profile_at, validate_timeline
@@ -56,7 +56,7 @@ def test_acceptance_1_inequality_suite(suite):
         top = F(0)
         for s, rec in enumerate(series.slabs):
             assert rec.Q <= K * rec.TV * rec.TV
-            q, records = oracle_q_of_slab(r.waves, s, K, r.flux)
+            q, records = oracle_q_of_slab(r.waves, s, K, r.timeline.flux)
             assert rec.Q == q
             assert rec.bianchini == oracle_bianchini_of_slab(r.waves, s)
             top = max([top, *(p.q for p in records)])
@@ -76,7 +76,7 @@ def test_acceptance_1_inequality_suite(suite):
                 assert ev.verdicts["cancellation_curvature_bound"]
                 assert ev.delta_sigma <= K * abs(ev.c - ev.a) * abs(ev.c - ev.b)
                 assert ev.verdicts["cancellation_tv_bound"]
-        assert series.all_pass, series.hard_failures()
+        assert series.all_pass, series.hard_failures
     assert suite["elapsed"] < 60, f"suite took {suite['elapsed']:.1f}s"
     print(f"suite: {len(runs)} runs in {suite['elapsed']:.1f}s")
     _announce("1", "exact inequality suite")
@@ -101,7 +101,7 @@ def test_acceptance_1b_initial_bound_constant_one(suite):
     worst_ratio = F(0)
     for r in runs:
         series = r.series
-        K, tv0, eps = series.K, series.tv0, series.epsilon
+        K, tv0, eps = series.K, series.tv0, r.waves.epsilon
         slab0 = series.slabs[0]
         assert slab0.TV == tv0
         assert slab0.upsilon_paper == K * tv0 * tv0 + slab0.Q
@@ -133,7 +133,7 @@ def test_acceptance_2_forward_restart(suite):
         assert len(checks) >= expected
         for rc in checks:
             assert rc.equal, (
-                f"restart at slab {rc.slab}: {rc.Q_restart} != {rc.Q_original}"
+                f"restart at slab {rc.slab}: {rc.Q_restart} != {rc.Q}"
             )
         total += len(checks)
     assert total >= 150
@@ -147,7 +147,7 @@ def test_acceptance_2_forward_restart(suite):
 def test_acceptance_3_worked_example():
     tl, ws = run_pipeline(WORKED_PROFILE, WORKED_FLUX)
     validate_timeline(tl)
-    validate_tracing(tl, ws)
+    validate_tracing(ws)
     assert [ev.t for ev in tl.events] == WORKED_EVENT_TIMES
 
     Fv = WORKED_FLUX.value_at_index
@@ -178,7 +178,7 @@ def test_acceptance_3_worked_example():
 def test_acceptance_4_closed_form(suite):
     runs = list(suite["runs"])
     events = [
-        (ev, r.flux)
+        (ev, r.timeline.flux)
         for r in runs
         for ev in r.timeline.events
         if ev.kind == "same_sign" and len(ev.incoming) == 2
@@ -187,7 +187,7 @@ def test_acceptance_4_closed_form(suite):
     while len(events) < 100:
         r = binary_only_run(extra)
         events.extend(
-            (ev, r.flux)
+            (ev, r.timeline.flux)
             for ev in r.timeline.events
             if ev.kind == "same_sign" and len(ev.incoming) == 2
         )
@@ -231,7 +231,7 @@ def _exhaustive_hull_check(flux):
            for k in range(flux.k_min, flux.k_max + 1)]
     for i in range(len(pts) - 1):
         for j in range(i + 1, len(pts)):
-            env = convex_envelope(flux, pts[i][0], pts[j][0])
+            env = envelope(flux, pts[i][0], pts[j][0], 1)
             expected = hull_oracle_values(pts[i:j + 1])
             for (x, _), want in zip(pts[i:j + 1], expected):
                 assert env.value_at(x) == want
@@ -248,9 +248,9 @@ def test_acceptance_6_structural_invariants(suite):
     ]
     per_tier = {}
     for r in runs:
-        n_points = r.flux.k_max - r.flux.k_min + 1
+        n_points = r.timeline.flux.k_max - r.timeline.flux.k_min + 1
         if n_points <= 50 and len(per_tier.setdefault(n_points, [])) < 2:
-            per_tier[n_points].append(r.flux)
+            per_tier[n_points].append(r.timeline.flux)
     checked = fixed + [f for group in per_tier.values() for f in group]
     for flux in checked:
         _exhaustive_hull_check(flux)
@@ -260,7 +260,7 @@ def test_acceptance_6_structural_invariants(suite):
     # consistency: re-run the validators over the whole family
     for r in runs:
         validate_timeline(r.timeline)
-        validate_tracing(r.timeline, r.waves)
+        validate_tracing(r.waves)
 
     # jump-state consistency through the independent profile-reconstruction
     # route, at every event point and at mid-slab jump positions
@@ -283,14 +283,14 @@ def test_acceptance_6_structural_invariants(suite):
     small = [r for r in runs if r.waves.atom_count <= 40]
     assert small
     for r in small:
-        assert fundamental_property_violations(r.waves, r.flux, K=r.series.K) == []
+        assert fundamental_property_violations(r.waves, r.timeline.flux, K=r.series.K) == []
     print(f"meeting-interval implication: {len(small)} runs, all atom triples")
 
     # weight stability across cancellations (cross pairs keep q, inside pairs
     # drop to zero)
     for r in small:
         assert cancellation_weight_stability(
-            r.timeline, r.waves, r.flux, K=r.series.K
+            r.timeline, r.waves, r.timeline.flux, K=r.series.K
         ) == []
     _announce("6", "structural invariants")
 

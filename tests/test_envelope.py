@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fronttrack.envelope import (
-    CurvatureConstant,
     GridFlux,
-    concave_envelope,
-    convex_envelope,
     curvature_constant,
+    envelope,
     rh_speed,
     sample_flux,
 )
@@ -26,7 +24,7 @@ CUBIC = {"polynomial": ["0", "0", "0", "1"]}
 def envelope_matches_oracle(flux, ka, kb):
     pts = [(flux.grid_u(k), flux.value_at_index(k)) for k in range(ka, kb + 1)]
     expected = hull_oracle_values(pts)
-    env = convex_envelope(flux, flux.grid_u(ka), flux.grid_u(kb))
+    env = envelope(flux, flux.grid_u(ka), flux.grid_u(kb), 1)
     for (x, _), want in zip(pts, expected):
         assert env.value_at(x) == want
     # hull vertices must be sample points where envelope touches the samples
@@ -70,21 +68,21 @@ def test_sample_degenerate_range():
 
 def test_convex_envelope_of_convex_flux_is_identity():
     f = sample_flux(BURGERS, "1", (-2, 2))
-    env = convex_envelope(f, F(-1), F(1))
+    env = envelope(f, F(-1), F(1), 1)
     assert env.breakpoints == (F(-1), F(0), F(1))
     assert env.ordinates == (F(1, 2), F(0), F(1, 2))
 
 
 def test_convex_envelope_collinear_cubic_points():
     f = sample_flux(CUBIC, "1", (-1, 1))
-    env = convex_envelope(f, F(-1), F(1))
+    env = envelope(f, F(-1), F(1), 1)
     assert env.breakpoints == (F(-1), F(1))
     assert env.piece_slopes() == [F(1)]
 
 
 def test_convex_envelope_cubic_quarter_grid():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
-    env = convex_envelope(f, F(-1), F(1))
+    env = envelope(f, F(-1), F(1), 1)
     # chord from (-1,-1) to the tangency point (1/2, 1/8), then the samples
     assert env.breakpoints == (F(-1), F(1, 2), F(3, 4), F(1))
     assert env.piece_slopes() == [F(3, 4), F(19, 16), F(37, 16)]
@@ -93,7 +91,7 @@ def test_convex_envelope_cubic_quarter_grid():
 
 def test_concave_envelope_burgers_single_chord():
     f = sample_flux(BURGERS, "1", (-2, 2))
-    env = concave_envelope(f, F(-1), F(1))
+    env = envelope(f, F(-1), F(1), -1)
     assert env.breakpoints == (F(-1), F(1))
     assert env.ordinates == (F(1, 2), F(1, 2))
     assert env.piece_slopes() == [F(0)]
@@ -101,14 +99,14 @@ def test_concave_envelope_burgers_single_chord():
 
 def test_concave_envelope_of_concave_input_is_identity():
     f = sample_flux({"polynomial": ["0", "0", "-1"]}, "1", (-2, 2))
-    env = concave_envelope(f, F(-2), F(2))
+    env = envelope(f, F(-2), F(2), -1)
     assert env.breakpoints == (F(-2), F(-1), F(0), F(1), F(2))
 
 
 def test_envelope_on_two_point_interval_is_chord():
     f = sample_flux(CUBIC, "1", (-2, 2))
-    for env_fn in (convex_envelope, concave_envelope):
-        env = env_fn(f, F(1), F(2))
+    for sign in (1, -1):
+        env = envelope(f, F(1), F(2), sign)
         assert env.breakpoints == (F(1), F(2))
         assert env.piece_slopes() == [F(7)]
 
@@ -116,11 +114,11 @@ def test_envelope_on_two_point_interval_is_chord():
 def test_envelope_errors():
     f = sample_flux(BURGERS, "1", (-2, 2))
     with pytest.raises(InputError):
-        convex_envelope(f, F(1), F(1))
+        envelope(f, F(1), F(1), 1)
     with pytest.raises(DomainError):
-        convex_envelope(f, F(-3), F(1))
+        envelope(f, F(-3), F(1), 1)
     with pytest.raises(InputError):
-        convex_envelope(f, F(1, 3), F(1))  # off-grid endpoint
+        envelope(f, F(1, 3), F(1), 1)  # off-grid endpoint
 
 
 # -- slopes ------------------------------------------------------------------
@@ -128,27 +126,27 @@ def test_envelope_errors():
 
 def test_slope_at_interior_of_chord():
     f = sample_flux(CUBIC, "1", (-1, 1))
-    env = convex_envelope(f, F(-1), F(1))
+    env = envelope(f, F(-1), F(1), 1)
     assert env.slope_at(F(0), "left") == F(1)
     assert env.slope_at(F(0), "right") == F(1)
 
 
 def test_slope_at_cubic_quarter_grid():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
-    env = convex_envelope(f, F(-1), F(1))
+    env = envelope(f, F(-1), F(1), 1)
     assert env.slope_at(F(1, 4), "right") == F(3, 4)
 
 
 def test_slope_at_breakpoint_one_sided():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
-    env = convex_envelope(f, F(-1), F(1))
+    env = envelope(f, F(-1), F(1), 1)
     assert env.slope_at(F(1, 2), "left") == F(3, 4)
     assert env.slope_at(F(1, 2), "right") == F(19, 16)
 
 
 def test_slope_at_domain_edges():
     f = sample_flux(BURGERS, "1", (-2, 2))
-    env = convex_envelope(f, F(-1), F(1))
+    env = envelope(f, F(-1), F(1), 1)
     assert env.slope_at(F(-1), "right") == F(-1, 2)
     with pytest.raises(DomainError):
         env.slope_at(F(-1), "left")
@@ -174,19 +172,19 @@ def test_rh_speed_examples():
 
 def test_curvature_burgers():
     f = sample_flux(BURGERS, "1", (-2, 2))
-    assert curvature_constant(f).K == F(1)
+    assert curvature_constant(f) == F(1)
 
 
 def test_curvature_affine_flux():
     f = sample_flux({"polynomial": ["1", "2/3"]}, "1", (-3, 3))
-    assert curvature_constant(f).K == F(0)
+    assert curvature_constant(f) == F(0)
 
 
 def test_curvature_cubic_windows():
     narrow = sample_flux(CUBIC, "1", (-1, 1))
-    assert curvature_constant(narrow).K == F(0)
+    assert curvature_constant(narrow) == F(0)
     wide = sample_flux(CUBIC, "1", (-2, 2))
-    assert curvature_constant(wide).K == F(6)
+    assert curvature_constant(wide) == F(6)
 
 
 def test_curvature_needs_three_points():
@@ -220,7 +218,7 @@ def test_envelope_equals_hull_oracle(f, data):
 @given(small_flux)
 def test_envelope_minorant_and_endpoint_equality(f):
     a, b = f.grid_u(f.k_min), f.grid_u(f.k_max)
-    env = convex_envelope(f, a, b)
+    env = envelope(f, a, b, 1)
     for k in range(f.k_min, f.k_max + 1):
         assert env.value_at(f.grid_u(k)) <= f.value_at_index(k)
     assert env.value_at(a) == f.value_at_index(f.k_min)
@@ -231,7 +229,7 @@ def test_envelope_minorant_and_endpoint_equality(f):
 @given(small_flux)
 def test_envelope_idempotent(f):
     a, b = f.grid_u(f.k_min), f.grid_u(f.k_max)
-    env = convex_envelope(f, a, b)
+    env = envelope(f, a, b, 1)
     # resample the envelope on the same grid and take the envelope again
     resampled = GridFlux(
         f.epsilon,
@@ -239,7 +237,7 @@ def test_envelope_idempotent(f):
         f.k_max,
         tuple(env.value_at(f.grid_u(k)) for k in range(f.k_min, f.k_max + 1)),
     )
-    again = convex_envelope(resampled, a, b)
+    again = envelope(resampled, a, b, 1)
     assert again == env
 
 
@@ -248,8 +246,8 @@ def test_envelope_idempotent(f):
 def test_concave_convex_duality(f):
     a, b = f.grid_u(f.k_min), f.grid_u(f.k_max)
     neg = GridFlux(f.epsilon, f.k_min, f.k_max, tuple(-v for v in f.values))
-    conc = concave_envelope(f, a, b)
-    conv_of_neg = convex_envelope(neg, a, b)
+    conc = envelope(f, a, b, -1)
+    conv_of_neg = envelope(neg, a, b, 1)
     assert conc.breakpoints == conv_of_neg.breakpoints
     assert conc.ordinates == tuple(-y for y in conv_of_neg.ordinates)
 
@@ -258,9 +256,9 @@ def test_concave_convex_duality(f):
 @given(small_flux)
 def test_envelope_slope_monotonicity(f):
     a, b = f.grid_u(f.k_min), f.grid_u(f.k_max)
-    conv_slopes = convex_envelope(f, a, b).piece_slopes()
+    conv_slopes = envelope(f, a, b, 1).piece_slopes()
     assert all(s < t for s, t in zip(conv_slopes, conv_slopes[1:]))
-    conc_slopes = concave_envelope(f, a, b).piece_slopes()
+    conc_slopes = envelope(f, a, b, -1).piece_slopes()
     assert all(s > t for s, t in zip(conc_slopes, conc_slopes[1:]))
 
 
@@ -270,7 +268,7 @@ def test_rh_speed_between_extreme_envelope_slopes(f, data):
     ka = data.draw(st.integers(f.k_min, f.k_max - 1))
     kb = data.draw(st.integers(ka + 1, f.k_max))
     a, b = f.grid_u(ka), f.grid_u(kb)
-    slopes = convex_envelope(f, a, b).piece_slopes()
+    slopes = envelope(f, a, b, 1).piece_slopes()
     speed = rh_speed(f, a, b)
     assert min(slopes) <= speed <= max(slopes)
 
@@ -280,10 +278,11 @@ def test_rh_speed_between_extreme_envelope_slopes(f, data):
 def test_envelope_slope_gap_bounded_by_curvature(f, data):
     if f.k_max - f.k_min < 2:
         return
-    K = curvature_constant(f).K
+    K = curvature_constant(f)
+    assert K >= 0
     ka = data.draw(st.integers(f.k_min, f.k_max - 1))
     kb = data.draw(st.integers(ka + 1, f.k_max))
-    env = convex_envelope(f, f.grid_u(ka), f.grid_u(kb))
+    env = envelope(f, f.grid_u(ka), f.grid_u(kb), 1)
     ku = data.draw(st.integers(ka, kb - 1))
     kv = data.draw(st.integers(ku, kb - 1))
     mid_u = f.grid_u(ku) + f.epsilon / 2
@@ -291,8 +290,3 @@ def test_envelope_slope_gap_bounded_by_curvature(f, data):
     su = env.slope_at(mid_u)
     sv = env.slope_at(mid_v)
     assert abs(sv - su) <= K * (mid_v - mid_u)
-
-
-def test_curvature_dataclass_rejects_negative():
-    with pytest.raises(InputError):
-        CurvatureConstant(F(-1), (0, 1))

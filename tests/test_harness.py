@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fronttrack import harness
+from fronttrack import cli, harness
 from fronttrack.cli import main
 from fronttrack.errors import InputError
 from fronttrack.harness import (
@@ -142,7 +142,7 @@ def test_auto_window_covers_datum():
         }
     )
     result = run_simulation(cfg)
-    assert result.flux.k_min <= -1 and result.flux.k_max >= 1
+    assert result.timeline.flux.k_min <= -1 and result.timeline.flux.k_max >= 1
 
 
 # -- run + report ------------------------------------------------------------------
@@ -260,9 +260,11 @@ def test_verify_report_recheck_initial_bound_flags(golden_result):
     assert verify_report(broken) == [
         "slab0: TV differs from TV0",
         "flags: stored upsilon_paper_drop_failures does not re-check",
-        "flags: upsilon0_le_2k_tv0_sq fails",
         "event0: TV columns disagree with slab table",
         "event0: stored verdict delta_sigma_le_upsilon_paper_drop does not re-check",
+        "upsilon0_le_2k_tv0_sq fails",
+        "all_pass: stored value does not re-check",
+        "hard_failures: stored value does not re-check",
     ]
 
 
@@ -300,6 +302,15 @@ def test_cli_run_golden(tmp_path, capsys):
     assert fronts_svg.count('data-t0="1" data-x0="1/2"') == 1
     assert 'data-kind="same_sign"' in fronts_svg
     assert (out_dir / "potential.svg").exists()
+    # the given flags are recorded in the report's run_config
+    assert report["run_config"]["options"] == {"restart_check_points": 2, "emit_svg": True}
+    out_dir = tmp_path / "out-flags"
+    flags = ["--restart-checks", "0", "--decimal"]
+    assert main(["run", str(cfg_path), "--out", str(out_dir), *flags]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["restart_checks"] == []
+    assert report["run_config"]["options"] == {"restart_check_points": 0, "decimal": True}
+    assert "Q_float" in (out_dir / "potential.csv").read_text()
 
 
 def test_cli_svg_bytes_stable(tmp_path):
@@ -321,7 +332,12 @@ def test_cli_rejects_zero_epsilon(tmp_path):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_cli_rejects_malformed_json(tmp_path, capsys):
+def test_cli_rejects_malformed_json(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        pytest.fail("a rejected invocation reached a run")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    monkeypatch.setattr(cli, "sweep", no_run)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{not json")
     assert main(["run", str(cfg_path)]) == 2

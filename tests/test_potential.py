@@ -49,7 +49,7 @@ TWO_SHOCK = Profile(F(1), ((F(0), F(0)), (F(1), F(-1))))
 def traced(profile, flux):
     tl = evolve(profile, flux)
     ws = advance_tracing(build_initial_waves(profile, flux.epsilon), tl)
-    validate_tracing(tl, ws)
+    validate_tracing(ws)
     return tl, ws
 
 
@@ -149,7 +149,7 @@ def test_speed_change_matches_oracle(data):
 
 def test_two_shock_pair_weight():
     tl, ws = traced(TWO_SHOCK, BURGERS)
-    K = curvature_constant(BURGERS).K
+    K = curvature_constant(BURGERS)
     rec = pair_weight(ws, F(0), 0, 1, K, BURGERS)
     assert rec.classification == GENERIC
     assert (rec.pi, rec.d, rec.q) == (F(1), F(2), F(1, 2))
@@ -161,7 +161,7 @@ def test_mixed_sign_pair_gets_curvature_weight():
     wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
     p = Profile(F(0), ((F(0), F(1)), (F(5), F(0))))
     tl, ws = traced(p, wide)
-    K = curvature_constant(wide).K
+    K = curvature_constant(wide)
     rec = pair_weight(ws, F(0), 0, 1, K, wide)
     assert rec.classification == MIXED_SIGN and rec.q == K == F(1)
 
@@ -171,7 +171,7 @@ def test_receding_pair_with_future_meeting_has_zero_weight():
     p = Profile(F(3), ((F(0), F(2)), (F(1), F(1)), (F(2), F(0))))
     tl, ws = traced(p, flux)
     assert [ev.t for ev in tl.events] == [F(1, 5), F(3)]
-    K = curvature_constant(flux).K
+    K = curvature_constant(flux)
     # middle and right shocks recede, but the left one later pushes them together
     rec = pair_weight(ws, F(0), 1, 2, K, flux)
     assert rec.classification == GENERIC
@@ -184,7 +184,7 @@ def test_receding_pair_with_future_meeting_has_zero_weight():
 
 def test_same_front_pair_weight_zero():
     tl, ws = traced(TWO_SHOCK, BURGERS)
-    K = curvature_constant(BURGERS).K
+    K = curvature_constant(BURGERS)
     rec = pair_weight(ws, F(2), 0, 1, K, BURGERS)
     assert rec.classification == SAME_POSITION and rec.q == F(0)
 
@@ -192,7 +192,7 @@ def test_same_front_pair_weight_zero():
 def test_never_interacting_pair_weight_zero():
     p = Profile(F(-1), ((F(0), F(1)),))
     tl, ws = traced(p, BURGERS)
-    K = curvature_constant(BURGERS).K
+    K = curvature_constant(BURGERS)
     rec = pair_weight(ws, F(1), 0, 1, K, BURGERS)
     assert rec.classification == NEVER_INTERACT and rec.q == F(0)
 
@@ -207,7 +207,7 @@ def test_two_shock_quadratic_potential():
     assert quadratic_potential(ws, F(1), side="pre") == F(1, 2)
     assert quadratic_potential(ws, F(1), side="post") == F(0)
     assert quadratic_potential(ws, F(5)) == F(0)
-    value, records = oracle_q_of_slab(ws, 0, curvature_constant(BURGERS).K, BURGERS)
+    value, records = oracle_q_of_slab(ws, 0, curvature_constant(BURGERS), BURGERS)
     assert value == F(1, 2) and len(records) == 1
 
 
@@ -219,7 +219,7 @@ def test_single_front_potential_zero():
 
 def test_two_shock_upsilon_values():
     tl, ws = traced(TWO_SHOCK, BURGERS)
-    K = curvature_constant(BURGERS).K
+    K = curvature_constant(BURGERS)
     tv0 = TWO_SHOCK.total_variation()
     u_paper, u_strict = upsilon(quadratic_potential(ws, F(0)), tv0, tv0, K)
     assert (u_paper, u_strict) == (F(9, 2), F(5))
@@ -284,7 +284,7 @@ def test_worked_example_timeline_and_split():
     tl, ws = traced(WORKED_PROFILE, WORKED_FLUX)
     assert [ev.t for ev in tl.events] == WORKED_EVENT_TIMES
     assert [ev.kind for ev in tl.events] == ["cancellation", "same_sign", "same_sign"]
-    assert curvature_constant(WORKED_FLUX).K == WORKED_K
+    assert curvature_constant(WORKED_FLUX) == WORKED_K
     # the cancellation kills the negative wave and the lowest positive one,
     # and splits the survivors into chords over [1,2] and [2,3]
     assert sorted(ws.casualties_by_event[0]) == [0, 1]
@@ -340,8 +340,8 @@ def test_worked_example_potential_series():
 
 def test_worked_example_verify_run():
     tl, ws = traced(WORKED_PROFILE, WORKED_FLUX)
-    series = verify_run(tl, ws, WORKED_FLUX, restart_checks=3)
-    assert series.all_pass, series.hard_failures()
+    series = verify_run(ws, restart_checks=3)
+    assert series.all_pass, series.hard_failures
     assert [rec.Q for rec in series.slabs] == WORKED_Q_BY_SLAB
     assert [rec.TV for rec in series.slabs] == [F(6), F(4), F(4), F(4)]
     # both same-sign merges drop Q by exactly half the speed change
@@ -371,8 +371,8 @@ def test_worked_example_fundamental_property():
 
 def test_two_shock_verify_run():
     tl, ws = traced(TWO_SHOCK, BURGERS)
-    series = verify_run(tl, ws, BURGERS, restart_checks=2)
-    assert series.all_pass, series.hard_failures()
+    series = verify_run(ws, restart_checks=2)
+    assert series.all_pass, series.hard_failures
     (ev,) = series.events
     assert ev.delta_sigma == F(1)
     assert (ev.Q_minus, ev.Q_plus) == (F(1, 2), F(0))
@@ -394,5 +394,5 @@ def test_restart_reproduces_potential_from_any_slab():
         if s == 0:
             t_probe = slab.t_hi / 2
         tl2, ws2 = run_pipeline(profile_at(tl, t_probe), WORKED_FLUX)
-        engine = _SlabPotential(ws2, WORKED_FLUX, WORKED_K)
+        engine = _SlabPotential(ws2, WORKED_K)
         assert engine.q_of_slab(0) == WORKED_Q_BY_SLAB[s]

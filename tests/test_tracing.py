@@ -33,7 +33,7 @@ TWO_SHOCK = Profile(F(1), ((F(0), F(0)), (F(1), F(-1))))
 def traced(profile, flux, epsilon):
     tl = evolve(profile, flux)
     ws = advance_tracing(build_initial_waves(profile, epsilon), tl)
-    validate_tracing(tl, ws)
+    validate_tracing(ws)
     return tl, ws
 
 
@@ -47,7 +47,7 @@ def test_single_positive_jump_layer():
     assert ws.sign == [1]
     assert state_of(ws, F(1)) == F(1)
     assert state_of(ws, F(1, 3)) == F(1, 3)
-    assert x0(ws) == [F(0)]
+    assert x0(ws, p) == [F(0)]
 
 
 def test_up_down_layer_reversed_states():
@@ -58,7 +58,7 @@ def test_up_down_layer_reversed_states():
     # the negative waves map (1, 3] onto [-1, 1) reversed affinely
     assert state_of(ws, F(3, 2)) == F(1, 2)
     assert state_of(ws, F(3)) == F(-1)
-    assert x0(ws) == [F(0), F(1), F(1)]
+    assert x0(ws, p) == [F(0), F(1), F(1)]
 
 
 def test_layer_rejects_offgrid_variation():
@@ -158,7 +158,7 @@ def test_shock_eats_rarefaction_cancellation():
         assert t_canc(ws, a) == F(2)
     survivors = ws.survivors_by_event[0]
     assert all(ws.cell[a] == 0 for a in survivors)
-    validate_tracing(tl, ws)
+    validate_tracing(ws)
 
 
 def test_validate_tracing_rejects_forged_wave_systems():
@@ -176,7 +176,7 @@ def test_validate_tracing_rejects_forged_wave_systems():
         assert ws.runs(1) == [(0, (0,)), (3, (3,))]
         ws.atoms_of.update(forged)
         with pytest.raises(ConsistencyError, match=message):
-            validate_tracing(tl, ws)
+            validate_tracing(ws)
 
 
 def test_triple_point_full_cancellation_tracing():

@@ -240,6 +240,9 @@ def test_event_cap_diagnostic():
         evolve(TWO_SHOCK, BURGERS, max_events=0)
     partial = exc_info.value.partial_timeline
     assert partial is not None and partial.events == ()
+    # its one slab still holds the two converging shocks
+    with pytest.raises(ConsistencyError, match="fronts still converge"):
+        validate_timeline(partial)
 
 
 def test_evolve_window_too_small():
@@ -338,10 +341,10 @@ def test_simultaneous_events_potential_bookkeeping():
     from fronttrack.potential import verify_run
     from fronttrack.tracing import advance_tracing, build_initial_waves, validate_tracing
 
-    ws = advance_tracing(build_initial_waves(p, F(1)), tl := evolve(p, wide))
-    validate_tracing(tl, ws)
-    series = verify_run(tl, ws, wide, restart_checks=3)
-    assert series.all_pass, series.hard_failures()
+    ws = advance_tracing(build_initial_waves(p, F(1)), evolve(p, wide))
+    validate_tracing(ws)
+    series = verify_run(ws, restart_checks=3)
+    assert series.all_pass, series.hard_failures
     # each simultaneous merge still drops Q by exactly half its speed change
     for ev in series.events[:2]:
         assert ev.t == F(1)

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fronttrack.envelope import CurvatureConstant, GridFlux, convex_envelope, curvature_constant
+from fronttrack.envelope import GridFlux, curvature_constant, envelope
 from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.potential import _cell_slopes
 from fronttrack.rationals import grid_index
@@ -61,9 +61,10 @@ def atom_w_hi(ws: WaveSystem, a: int) -> Fraction:
     return (a + 1) * ws.epsilon
 
 
-def x0(ws: WaveSystem) -> list:
-    """Initial position of every atom: the point of its initial jump."""
-    return [ws.profile.jumps[j][0] for j in ws.jump_of]
+def x0(ws: WaveSystem, profile: Profile) -> list:
+    """Initial position of every atom: the point of its initial jump in the
+    profile the layer was built from."""
+    return [profile.jumps[j][0] for j in ws.jump_of]
 
 
 def atom_of(ws: WaveSystem, w) -> int:
@@ -221,7 +222,7 @@ def _entropic_slope(ws, flux, interval, atom):
 def pair_weight(ws: WaveSystem, t_bar, c, c_prime, K, flux: GridFlux) -> PairWeightRecord:
     """Classify one wave pair at time t_bar and compute its weight."""
     ws._require_traced()
-    K = K.K if isinstance(K, CurvatureConstant) else Fraction(K)
+    K = Fraction(K)
     a, b = _atom_id(ws, c), _atom_id(ws, c_prime)
     if a == b:
         raise InputError("need two distinct waves")
@@ -296,7 +297,7 @@ def maximal_noncontact_interval(flux: GridFlux, a, b, d_j) -> Fraction:
     a, b, d_j = Fraction(a), Fraction(b), Fraction(d_j)
     if not a < b <= d_j:
         raise InputError("need a < b <= d_j")
-    hull = convex_envelope(flux, a, d_j)
+    hull = envelope(flux, a, d_j, 1)
     k_b = grid_index(b, flux.epsilon)
     k_hi = grid_index(d_j, flux.epsilon)
     for k in range(k_b, k_hi + 1):
@@ -312,7 +313,7 @@ def cancellation_weight_stability(tl: Timeline, ws: WaveSystem, flux: GridFlux,
     jump, one inside) keep their weight when their classification persists,
     and pairs fully inside come out with zero weight.  Returns violations."""
     if K is None:
-        K = curvature_constant(flux).K
+        K = curvature_constant(flux)
     bad = []
     for ev in tl.events:
         if ev.kind != CANCELLATION:
@@ -341,7 +342,7 @@ def fundamental_property_violations(ws: WaveSystem, flux: GridFlux, K=None) -> l
     (w, w') and (w, w'') force equal left meeting intervals.  Exhaustive
     over live atom triples of every slab; returns violations."""
     if K is None:
-        K = curvature_constant(ws.timeline.flux).K
+        K = curvature_constant(ws.timeline.flux)
     bad = []
     for s in range(len(ws.timeline.slabs)):
         live = ws.live_atoms(s)
