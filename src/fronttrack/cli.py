@@ -1,7 +1,8 @@
 """Command line entry points.
 
-Exit status: 0 when every hard check passes, 1 on a verification failure,
-2 on malformed input or configuration.
+Exit status: 0 when every hard check passes; 1 when a check fails, after
+``run`` and ``sweep`` have written their artifacts; 2 on malformed input or
+configuration, an event cap hit included, with one ``input error:`` line.
 """
 
 import argparse
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .diagram import render_front_diagram, render_potential_plot
-from .errors import InputError, TrackerError, VerificationError
+from .errors import InputError
 from .harness import load_json, parse_run_config, parse_sweep_config, run_simulation, sweep
 from .report import build_report, events_csv, potential_csv, report_bytes, verify_report
 
@@ -42,12 +43,7 @@ def _cmd_run(args) -> int:
         data["options"] = {**data.get("options", {}), **given}
     cfg = parse_run_config(data)
     out_dir = _out_dir(args.out)
-    try:
-        result = run_simulation(cfg)
-    except TrackerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-
+    result = run_simulation(cfg)
     report = build_report(result)
     (out_dir / "report.json").write_bytes(report_bytes(report))
     (out_dir / "events.csv").write_text(events_csv(report, cfg.decimal))
@@ -76,9 +72,7 @@ def _cmd_sweep(args) -> int:
         raise InputError("--jobs must be at least 1")
     out_dir = _out_dir(args.out)
     rows = sweep(cfg, jobs=args.jobs)
-    import json
-
-    (out_dir / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n")
+    (out_dir / "sweep.json").write_bytes(report_bytes(rows))
     header = [
         "epsilon", "K", "tv0", "Q0", "upsilon0_paper", "upsilon0_strict",
         "events", "max_delta_sigma_slack",
@@ -92,6 +86,10 @@ def _cmd_sweep(args) -> int:
             f"eps={row['epsilon']}: events={row['events']} Q0={row['Q0']} "
             f"upsilon0={row['upsilon0_strict']} l1_to_finest={row['l1_to_finest']}"
         )
+    failures = {row["epsilon"]: row["failures"] for row in rows if not row["passed"]}
+    if failures:
+        print(f"verification FAILED: {failures}", file=sys.stderr)
+        return EXIT_VERIFICATION
     return EXIT_OK
 
 
@@ -139,11 +137,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VerificationError as exc:
-        print(f"verification FAILED: {exc}", file=sys.stderr)
-        if exc.detail:
-            print(f"  {exc.detail}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

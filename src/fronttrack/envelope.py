@@ -3,8 +3,8 @@
 A smooth flux is sampled on the grid ``k*epsilon`` into a :class:`GridFlux`;
 between grid points the flux is the affine interpolant.  Everything downstream
 (Riemann fans, front speeds, interaction weights) reduces to convex/concave
-envelopes of those samples on grid subintervals, their one-sided slopes, and
-chord (Rankine-Hugoniot) slopes.  All arithmetic is exact, so envelope
+envelopes of those samples on grid subintervals and the slopes of their
+affine pieces.  All arithmetic is exact, so envelope
 identities and inequalities can be asserted with ``==`` rather than
 tolerances.
 
@@ -14,7 +14,6 @@ fluxes: for any envelope on any grid interval, slopes at two states differ by
 at most K times the state gap.
 """
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -143,40 +142,9 @@ class PiecewiseLinearFn:
             (y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
         ))
 
-    @property
-    def domain(self):
-        return self.breakpoints[0], self.breakpoints[-1]
-
     def pieces(self):
         """(x_lo, x_hi, slope) for each affine piece, left to right."""
         return zip(self.breakpoints, self.breakpoints[1:], self._slopes)
-
-    def piece_slopes(self):
-        return list(self._slopes)
-
-    def value_at(self, u: Fraction) -> Fraction:
-        lo, hi = self.domain
-        if not lo <= u <= hi:
-            raise DomainError(f"{u} outside [{lo}, {hi}]")
-        i = min(bisect_right(self.breakpoints, u) - 1, len(self.breakpoints) - 2)
-        return self.ordinates[i] + self._slopes[i] * (u - self.breakpoints[i])
-
-    def slope_at(self, u: Fraction, side: str = "right") -> Fraction:
-        """One-sided slope at u; at domain endpoints only the inward side exists."""
-        if side not in ("left", "right"):
-            raise InputError("side must be 'left' or 'right'")
-        lo, hi = self.domain
-        if not lo <= u <= hi:
-            raise DomainError(f"{u} outside [{lo}, {hi}]")
-        if u == lo and side == "left":
-            raise DomainError("no left slope at the left endpoint")
-        if u == hi and side == "right":
-            raise DomainError("no right slope at the right endpoint")
-        if side == "right":
-            i = min(bisect_right(self.breakpoints, u) - 1, len(self.breakpoints) - 2)
-        else:
-            i = max(bisect_left(self.breakpoints, u) - 1, 0)
-        return self._slopes[i]
 
 
 def _lower_hull(points):
@@ -221,16 +189,6 @@ def envelope(f: GridFlux, a, b, sign: int) -> PiecewiseLinearFn:
         raise InputError(f"need a < b, got [{a}, {b}]")
     by_index = _convex_by_index if sign > 0 else _concave_by_index
     return by_index(f, f.index_of(a), f.index_of(b))
-
-
-def rh_speed(f: GridFlux, a: Fraction, b: Fraction) -> Fraction:
-    """Chord slope (F(b) - F(a)) / (b - a): the jump's propagation speed."""
-    a, b = Fraction(a), Fraction(b)
-    if a == b:
-        raise InputError("rh_speed needs two distinct states")
-    fa = f.value_at_index(f.index_of(a))
-    fb = f.value_at_index(f.index_of(b))
-    return (fb - fa) / (b - a)
 
 
 def curvature_constant(f: GridFlux) -> Fraction:

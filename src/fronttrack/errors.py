@@ -13,17 +13,11 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
-class TrackerError(RuntimeError):
-    """Evolution aborted (safety cap); carries the partial timeline for diagnosis."""
+class TrackerError(InputError):
+    """Evolution hit its event cap, ``options.max_events`` or the default
+    derived from the run's size; carries the partial timeline for diagnosis."""
 
     def __init__(self, message, partial_timeline=None):
         super().__init__(message)
         self.partial_timeline = partial_timeline
 
-
-class VerificationError(RuntimeError):
-    """An exact inequality check failed; carries the counterexample data."""
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail

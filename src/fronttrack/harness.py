@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .envelope import parse_flux_spec, sample_flux
-from .errors import InputError, VerificationError
+from .errors import InputError
 from .potential import PotentialSeries, verify_run
 from .rationals import parse_rational
 from .tracker import (
@@ -289,8 +289,9 @@ def _sweep_member(arg):
 
 
 def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
-    """Run every epsilon member; rows carry the headline numbers plus exact
-    L1 distances to the finest member at the probe times."""
+    """Run every epsilon member; rows carry the headline numbers, the
+    member's verdict (``passed``, ``failures``) and exact L1 distances to the
+    finest member at the probe times."""
     probe_times = sweep_cfg.probe_times
     args = [
         (str(eps), _member_config(sweep_cfg, eps), probe_times)
@@ -302,21 +303,12 @@ def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
             members = list(pool.map(_sweep_member, args))
     else:
         members = [_sweep_member(a) for a in args]
-    rows = [row for row, _ in members]
-
-    failing = [r["epsilon"] for r in rows if not r["passed"]]
-    if failing:
-        raise VerificationError(
-            f"sweep members failed verification: {failing}",
-            detail={r["epsilon"]: r["failures"] for r in rows if not r["passed"]},
-        )
-
     finest = members[-1][1]
     for row, profiles in members:
         row["l1_to_finest"] = {
             str(t): str(l1_distance(p, q)) for t, p, q in zip(probe_times, profiles, finest)
         }
-    return rows
+    return [row for row, _ in members]
 
 
 def load_json(path: str) -> dict:

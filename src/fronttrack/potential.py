@@ -96,16 +96,6 @@ def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
     return total
 
 
-def delta_sigma_closed_form(event: InteractionEvent) -> Fraction:
-    """2 (s' - s'') |jump'||jump''| / (|jump'| + |jump''|) for a binary
-    same-sign interaction; equals the envelope integral exactly there."""
-    if event.kind != SAME_SIGN or len(event.incoming) != 2:
-        raise InputError("closed form applies to binary same-sign events")
-    left, right = event.incoming
-    s_l, s_r = left.strength, right.strength
-    return 2 * (left.speed - right.speed) * s_l * s_r / (s_l + s_r)
-
-
 # -- pair weights and Q ------------------------------------------------------------
 
 
@@ -210,16 +200,6 @@ class _SlabPotential:
         return total * ws.epsilon * ws.epsilon
 
 
-def quadratic_potential(ws: WaveSystem, t_bar, side="post") -> Fraction:
-    """Q at time t_bar (the constant value of the surrounding open slab).
-
-    ``side`` picks the one-sided limit at event instants.
-    """
-    ws._require_traced()
-    s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
-    return _SlabPotential(ws, curvature_constant(ws.timeline.flux)).q_of_slab(s)
-
-
 def upsilon(q_value, tv_now, tv0, K):
     """The combined potentials: K*TV0*TV(t) plus Q, and plus 2Q."""
     base = K * tv0 * tv_now
@@ -233,13 +213,6 @@ def initial_bound_flags(upsilon0, tv0, K) -> dict:
         "upsilon0_le_k_tv0_sq": upsilon0 <= bound,
         "upsilon0_le_2k_tv0_sq": upsilon0 <= 2 * bound,
     }
-
-
-def bianchini_cubic(ws: WaveSystem, t_bar, side="post") -> Fraction:
-    """Cubic speed-spread diagnostic: sum over pairs of |speed gap| dw dw'."""
-    ws._require_traced()
-    s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
-    return _bianchini_of_slab(ws, s)
 
 
 def _bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
@@ -401,12 +374,8 @@ def _restart_probe_times(tl: Timeline, count: int):
     """Deterministic spread of slab midpoints (the last slab probes t_lo + 1)."""
     if count <= 0:
         return []
-    n = len(tl.slabs)
-    if n == 1:
-        picks = [0]
-    else:
-        step = max(count - 1, 1)
-        picks = sorted({(i * (n - 1)) // step for i in range(count)})
+    n, step = len(tl.slabs), max(count - 1, 1)
+    picks = sorted({(i * (n - 1)) // step for i in range(count)})
     out = []
     for s in picks:
         slab = tl.slabs[s]
@@ -419,7 +388,7 @@ def _restart_probe_times(tl: Timeline, count: int):
 
 
 def run_pipeline(profile, flux):
-    """Evolve, trace and validate one profile; shared by runs and restarts."""
+    """Evolve and trace one profile, unvalidated: a restart probe."""
     tl = evolve(profile, flux)
     ws = advance_tracing(build_initial_waves(profile, flux.epsilon), tl)
     return tl, ws

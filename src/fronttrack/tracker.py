@@ -204,14 +204,9 @@ def next_collision(fronts, after: Fraction):
         if gap < 0:
             raise ConsistencyError("front ordering lost")
         ds = fronts[i].speed - fronts[i + 1].speed
-        if gap == 0:
-            if ds <= 0:
-                continue
-            t = after
-        else:
-            if ds <= 0:
-                continue
-            t = after + gap / ds
+        if ds <= 0:
+            continue
+        t = after + gap / ds
         x = fronts[i].position_at(t)
         if best is None or (t, x) < (best[0], best[1]):
             best = (t, x, i)

@@ -2,13 +2,18 @@
 
 The hull oracle and the slope-integral oracle deliberately avoid the
 package's monotone-chain envelope code path: envelopes are evaluated as
-minima over all chords, so agreement is a real cross-check.
+minima over all chords, so agreement is a real cross-check.  The pointwise
+envelope queries (`value_at`, `slope_at`, `piece_slopes`), the chord speed
+`rh_speed` and the binary same-sign closed form `delta_sigma_closed_form`
+are queries only the tests make.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 from fronttrack.envelope import sample_flux
-from fronttrack.tracker import Profile
+from fronttrack.errors import DomainError, InputError
+from fronttrack.tracker import SAME_SIGN, Profile
 
 
 def hull_oracle_values(points):
@@ -29,6 +34,65 @@ def hull_oracle_values(points):
                     best = chord
         out.append(best)
     return out
+
+
+# -- pointwise envelope queries ------------------------------------------------------
+
+
+def piece_slopes(env):
+    """The slope of each affine piece of a `PiecewiseLinearFn`, left to right."""
+    return [s for _, _, s in env.pieces()]
+
+
+def value_at(env, u):
+    xs = env.breakpoints
+    lo, hi = xs[0], xs[-1]
+    if not lo <= u <= hi:
+        raise DomainError(f"{u} outside [{lo}, {hi}]")
+    i = min(bisect_right(xs, u) - 1, len(xs) - 2)
+    return env.ordinates[i] + piece_slopes(env)[i] * (u - xs[i])
+
+
+def slope_at(env, u, side="right"):
+    """One-sided slope at u; at domain endpoints only the inward side exists."""
+    if side not in ("left", "right"):
+        raise InputError("side must be 'left' or 'right'")
+    xs = env.breakpoints
+    lo, hi = xs[0], xs[-1]
+    if not lo <= u <= hi:
+        raise DomainError(f"{u} outside [{lo}, {hi}]")
+    if u == lo and side == "left":
+        raise DomainError("no left slope at the left endpoint")
+    if u == hi and side == "right":
+        raise DomainError("no right slope at the right endpoint")
+    if side == "right":
+        i = min(bisect_right(xs, u) - 1, len(xs) - 2)
+    else:
+        i = max(bisect_left(xs, u) - 1, 0)
+    return piece_slopes(env)[i]
+
+
+def rh_speed(f, a, b):
+    """Chord slope (F(b) - F(a)) / (b - a): the jump's propagation speed."""
+    a, b = F(a), F(b)
+    if a == b:
+        raise InputError("rh_speed needs two distinct states")
+    fa = f.value_at_index(f.index_of(a))
+    fb = f.value_at_index(f.index_of(b))
+    return (fb - fa) / (b - a)
+
+
+def delta_sigma_closed_form(event):
+    """2 (s' - s'') |jump'||jump''| / (|jump'| + |jump''|) for a binary
+    same-sign interaction; equals the envelope integral exactly there."""
+    if event.kind != SAME_SIGN or len(event.incoming) != 2:
+        raise InputError("closed form applies to binary same-sign events")
+    left, right = event.incoming
+    s_l, s_r = left.strength, right.strength
+    return 2 * (left.speed - right.speed) * s_l * s_r / (s_l + s_r)
+
+
+# -- slope-integral oracles ----------------------------------------------------------
 
 
 def oracle_cell_slopes(flux, lo_idx, hi_idx, sign):

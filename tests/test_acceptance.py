@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 from fronttrack.envelope import envelope, sample_flux
 from fronttrack.harness import l1_distance, parse_run_config, run_simulation
-from fronttrack.potential import delta_sigma, delta_sigma_closed_form, run_pipeline
+from fronttrack.potential import delta_sigma, run_pipeline
 from fronttrack.tracker import profile_at, validate_timeline
 from fronttrack.tracing import validate_tracing
 
@@ -22,7 +22,9 @@ from oracles import (
     WORKED_FLUX,
     WORKED_K,
     WORKED_PROFILE,
+    delta_sigma_closed_form,
     hull_oracle_values,
+    value_at,
 )
 from suite_builder import SUITE_SIZE, binary_only_run
 from wave_oracles import (
@@ -234,7 +236,7 @@ def _exhaustive_hull_check(flux):
             env = envelope(flux, pts[i][0], pts[j][0], 1)
             expected = hull_oracle_values(pts[i:j + 1])
             for (x, _), want in zip(pts[i:j + 1], expected):
-                assert env.value_at(x) == want
+                assert value_at(env, x) == want
 
 
 def test_acceptance_6_structural_invariants(suite):

@@ -311,6 +311,13 @@ def test_cli_run_golden(tmp_path, capsys):
     assert report["restart_checks"] == []
     assert report["run_config"]["options"] == {"restart_check_points": 0, "decimal": True}
     assert "Q_float" in (out_dir / "potential.csv").read_text()
+    # the event cap is part of the config: exit 2, one line, no artifact
+    capsys.readouterr()
+    cfg_path.write_text(json.dumps(_with_options(max_events=0)))
+    out_dir = tmp_path / "out-capped"
+    assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "input error: event cap 0 exceeded at t=1\n"
+    assert list(out_dir.iterdir()) == []
 
 
 def test_cli_svg_bytes_stable(tmp_path):
@@ -502,23 +509,48 @@ def test_sweep_random_family(tmp_path):
     assert rows == again  # deterministic for a fixed seed
 
 
-def test_cli_sweep(tmp_path):
+def test_cli_sweep(tmp_path, capsys, monkeypatch):
+    cfg = {
+        "base": {"flux": {"polynomial": ["0", "0", "1/2"]}, "window": [-4, 4]},
+        "epsilons": ["1", "1/2"],
+        "datum": {"constant": "1", "jumps": [["0", "0"], ["1", "-1"]]},
+        "probe_times": ["2"],
+    }
     cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(
-        json.dumps(
-            {
-                "base": {"flux": {"polynomial": ["0", "0", "1/2"]}, "window": [-4, 4]},
-                "epsilons": ["1", "1/2"],
-                "datum": {"constant": "1", "jumps": [["0", "0"], ["1", "-1"]]},
-                "probe_times": ["2"],
-            }
-        )
-    )
+    cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
     assert main(["sweep", str(cfg_path), "--out", str(out_dir)]) == 0
     rows = json.loads((out_dir / "sweep.json").read_text())
     assert len(rows) == 2
     assert (out_dir / "sweep.csv").read_text().startswith("epsilon,")
+
+    # an event cap in a member is an input error: exit 2 and one line
+    capsys.readouterr()
+    capped_path = tmp_path / "capped.json"
+    capped = dict(cfg, base=dict(cfg["base"], options={"max_events": 0}))
+    capped_path.write_text(json.dumps(capped))
+    args = ["sweep", str(capped_path), "--out", str(tmp_path / "capped"), "--jobs", "1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "input error: event cap 0 exceeded at t=1\n"
+
+    # a member that fails a check: every row is written, then exit 1
+    member = harness._sweep_member
+
+    def failing_member(arg):
+        row, profiles = member(arg)
+        if row["epsilon"] == "1/2":
+            row.update(passed=False, failures=["event0:q_monotone"])
+        return row, profiles
+
+    monkeypatch.setattr(harness, "_sweep_member", failing_member)
+    out_dir = tmp_path / "out-failing"
+    assert main(["sweep", str(cfg_path), "--out", str(out_dir)]) == 1
+    rows = json.loads((out_dir / "sweep.json").read_text())
+    assert [row["passed"] for row in rows] == [True, False]
+    assert rows[1]["l1_to_finest"] == {"2": "0"}
+    assert (out_dir / "sweep.csv").read_text().startswith("epsilon,")
+    err = capsys.readouterr().err
+    assert err == "verification FAILED: {'1/2': ['event0:q_monotone']}\n"
 
 
 def test_sweep_forks_no_more_workers_than_members(monkeypatch):

@@ -9,10 +9,7 @@ from fronttrack.errors import InputError
 from fronttrack.potential import (
     _cancellation_triple,
     _same_sign_triple,
-    bianchini_cubic,
     delta_sigma,
-    delta_sigma_closed_form,
-    quadratic_potential,
     run_pipeline,
     upsilon,
     verify_run,
@@ -26,6 +23,7 @@ from oracles import (
     WORKED_K,
     WORKED_PROFILE,
     WORKED_Q_BY_SLAB,
+    delta_sigma_closed_form,
     oracle_cancellation_speed_change,
     oracle_same_sign_speed_change,
 )
@@ -34,12 +32,14 @@ from wave_oracles import (
     MIXED_SIGN,
     NEVER_INTERACT,
     SAME_POSITION,
+    bianchini_cubic,
     cancellation_weight_stability,
     fid_of,
     fundamental_property_violations,
     maximal_noncontact_interval,
     oracle_q_of_slab,
     pair_weight,
+    quadratic_potential,
 )
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))

@@ -10,6 +10,8 @@ cancellations, hull contact).  The wave-coordinate queries (`atom_of`,
 but restate every lookup from its runs and event lists.  `oracle_q_of_slab` sums the per-pair weights
 and `oracle_bianchini_of_slab` the per-run-pair speed gaps, so tests compare
 them with the package's `_SlabPotential.q_of_slab` and `_bianchini_of_slab`.
+`quadratic_potential` and `bianchini_cubic` read those two at a time rather
+than a slab index.
 """
 
 from bisect import bisect_left
@@ -18,10 +20,12 @@ from fractions import Fraction
 
 from fronttrack.envelope import GridFlux, curvature_constant, envelope
 from fronttrack.errors import ConsistencyError, InputError
-from fronttrack.potential import _cell_slopes
+from fronttrack.potential import _bianchini_of_slab, _cell_slopes, _SlabPotential
 from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, profile_at
 from fronttrack.tracing import WaveSystem, first_common_event
+
+from oracles import value_at
 
 MIXED_SIGN = "mixed_sign"
 SAME_POSITION = "same_position"
@@ -287,6 +291,26 @@ def oracle_bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
     return total
 
 
+# -- potentials at a time ------------------------------------------------------------
+
+
+def quadratic_potential(ws: WaveSystem, t_bar, side="post") -> Fraction:
+    """Q at time t_bar (the constant value of the surrounding open slab).
+
+    ``side`` picks the one-sided limit at event instants.
+    """
+    ws._require_traced()
+    s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
+    return _SlabPotential(ws, curvature_constant(ws.timeline.flux)).q_of_slab(s)
+
+
+def bianchini_cubic(ws: WaveSystem, t_bar, side="post") -> Fraction:
+    """Cubic speed-spread diagnostic: sum over pairs of |speed gap| dw dw'."""
+    ws._require_traced()
+    s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
+    return _bianchini_of_slab(ws, s)
+
+
 # -- structural checks ---------------------------------------------------------------
 
 
@@ -302,7 +326,7 @@ def maximal_noncontact_interval(flux: GridFlux, a, b, d_j) -> Fraction:
     k_hi = grid_index(d_j, flux.epsilon)
     for k in range(k_b, k_hi + 1):
         u = k * flux.epsilon
-        if hull.value_at(u) == flux.value_at_index(flux.index_of(u)):
+        if value_at(hull, u) == flux.value_at_index(flux.index_of(u)):
             return u
     raise ConsistencyError("hull does not touch its own right endpoint")
 
