@@ -230,6 +230,9 @@ def parse_sweep_config(data: dict) -> SweepConfig:
         raise InputError("sweep epsilons must strictly decrease")
     if any(e <= 0 for e in epsilons):
         raise InputError("sweep epsilons must be positive")
+    probe_times = [parse_rational(t) for t in _field(data, "probe_times", list, ["1"])]
+    if any(t < 0 for t in probe_times):
+        raise InputError("sweep probe_times must be nonnegative")
     base = _field(data, "base", dict, {})
     datum = data.get("datum")
     random_family = data.get("random")
@@ -240,7 +243,6 @@ def parse_sweep_config(data: dict) -> SweepConfig:
         _int_field(random_family.get("seed", 0), "random.seed")
         if random_family.get("jumps") is not None:
             _int_field(random_family["jumps"], "random.jumps", 0)
-    probe_times = [parse_rational(t) for t in _field(data, "probe_times", list, ["1"])]
     return SweepConfig(base, epsilons, datum, random_family, probe_times)
 
 

@@ -32,7 +32,9 @@ from .envelope import GridFlux, curvature_constant, envelope
 from .errors import ConsistencyError, InputError
 from .rationals import grid_index
 from .tracker import SAME_SIGN, InteractionEvent, Timeline, evolve, profile_at
-from .tracing import WaveSystem, advance_tracing, build_initial_waves, first_common_event
+from .tracing import (
+    WaveSystem, advance_tracing, build_initial_waves, first_common_event, meeting_cells,
+)
 
 
 # -- speed change ----------------------------------------------------------------
@@ -99,20 +101,6 @@ def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
 # -- pair weights and Q ------------------------------------------------------------
 
 
-def _j_interval(ws, fid, event_index):
-    """Grid cells [lo, hi) and sign of the waves the front carries into the
-    joint event: its atoms that survive that event."""
-    survivors = ws.survivor_sets[event_index]
-    atoms = [a for a in ws.atoms_of[fid] if a in survivors]
-    sign = ws.sign[atoms[0]]
-    if any(ws.sign[a] != sign for a in atoms):
-        raise ConsistencyError("wave interval mixes signs")
-    ks = sorted(ws.cell[a] for a in atoms)
-    if ks != list(range(ks[0], ks[0] + len(ks))):
-        raise ConsistencyError("meeting interval has non-contiguous states")
-    return ks[0], ks[-1] + 1, sign
-
-
 class _SlabPotential:
     """Per-slab Q evaluation with memoized meeting intervals and slopes."""
 
@@ -127,7 +115,7 @@ class _SlabPotential:
     def _slopes_for(self, fid, e):
         key = (fid, e)
         if key not in self._slope_memo:
-            self._slope_memo[key] = _cell_slopes(self.flux, *_j_interval(self.ws, fid, e))
+            self._slope_memo[key] = _cell_slopes(self.flux, *meeting_cells(self.ws, fid, e))
         return self._slope_memo[key]
 
     def _event_d(self, e: int):
@@ -407,8 +395,6 @@ def verify_run(ws: WaveSystem, restart_checks: int = 0) -> PotentialSeries:
     for s, slab in enumerate(tl.slabs):
         q_val = engine.q_of_slab(s)
         tv = tl.slab_tv(s)
-        if len(ws.live_atoms(s)) * ws.epsilon != tv:
-            raise ConsistencyError("wave mass does not match front variation")
         slabs.append(
             SlabRecord(s, slab.t_lo, slab.t_hi, q_val, tv, *upsilon(q_val, tv, tv0, K),
                        _bianchini_of_slab(ws, s))

@@ -12,9 +12,13 @@ carries (fixed from the front's birth to the event that ends it), the events
 each atom sat at and survived, and the cancellation event if any.  Those
 participation lists answer every "will these two waves meet again, and who
 will be there" query exactly, which is all the interaction potential needs.
+They are the only survival record, and only this module reads them: the
+potential asks `first_common_event` and `meeting_cells`, and
+`validate_tracing` checks the same lists against the timeline.
 """
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
@@ -54,26 +58,10 @@ class WaveSystem:
         self.atoms_of = {}  # fid -> atom ids the front carries, increasing
         self.events_of = [[] for _ in range(self.atom_count)]
         self.canc_event = [None] * self.atom_count
-        self.survivors_by_event = []  # ordered atom ids per event
-        self.survivor_sets = []
-        self.casualties_by_event = []
-        self._live_cache = {}
 
     def _require_traced(self):
         if self.timeline is None:
             raise InputError("wave system has no trajectory data; run advance_tracing")
-
-    def alive_in_slab(self, a: int, s: int) -> bool:
-        e = self.canc_event[a]
-        return e is None or e >= s
-
-    def live_atoms(self, s: int):
-        self._require_traced()
-        if s not in self._live_cache:
-            self._live_cache[s] = [
-                a for a in range(self.atom_count) if self.alive_in_slab(a, s)
-            ]
-        return self._live_cache[s]
 
     def runs(self, s: int):
         """(fid, atoms) of each front of slab s, left to right."""
@@ -158,9 +146,6 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
             ws.canc_event[a] = e_idx
         for a in survivors:
             ws.events_of[a].append(e_idx)
-        ws.survivors_by_event.append(survivors)
-        ws.survivor_sets.append(frozenset(survivors))
-        ws.casualties_by_event.append(casualties)
         _assign_fan(ws, survivors, ev.outgoing, eps)
     return ws
 
@@ -180,6 +165,19 @@ def first_common_event(ws, a: int, b: int, after_slab: int = 0):
     return None
 
 
+def meeting_cells(ws, fid: int, e: int):
+    """Grid cells [lo, hi) and sign of the waves front ``fid`` carries into
+    event e: its atoms that sit at and survive that event."""
+    atoms = [a for a in ws.atoms_of[fid] if e in ws.events_of[a]]
+    sign = ws.sign[atoms[0]]
+    if any(ws.sign[a] != sign for a in atoms):
+        raise ConsistencyError("wave interval mixes signs")
+    ks = sorted(ws.cell[a] for a in atoms)
+    if ks != list(range(ks[0], ks[0] + len(ks))):
+        raise ConsistencyError("meeting interval has non-contiguous states")
+    return ks[0], ks[-1] + 1, sign
+
+
 # -- validation ----------------------------------------------------------------
 
 
@@ -189,10 +187,15 @@ def validate_tracing(ws: WaveSystem) -> None:
     ws._require_traced()
     tl, eps = ws.timeline, ws.epsilon
     checked = set()
+    live = list(range(ws.atom_count))
     for s in range(len(tl.slabs)):
+        if s:
+            live = [a for a in live if ws.canc_event[a] != s - 1]
+        if len(live) * eps != tl.slab_tv(s):
+            raise ConsistencyError("wave mass does not match front variation")
         runs = ws.runs(s)
         covered = [a for _, atoms in runs for a in atoms]
-        if covered != ws.live_atoms(s):
+        if covered != live:
             raise ConsistencyError(f"slab {s}: live atoms not partitioned by fronts")
         for fid, atoms in runs:
             if fid in checked:
@@ -210,12 +213,13 @@ def validate_tracing(ws: WaveSystem) -> None:
             if len(atoms) * eps != fr.strength:
                 raise ConsistencyError(f"front {fid}: mass mismatch")
 
+    canceled = Counter(ws.canc_event)
+    kept = Counter(e for events in ws.events_of for e in events)
     for e_idx, ev in enumerate(tl.events):
-        lost = len(ws.casualties_by_event[e_idx]) * eps
+        lost = canceled[e_idx] * eps
         if lost != ev.canceled_mass:
             raise ConsistencyError(
                 f"event {e_idx}: canceled wave mass {lost} != TV drop {ev.canceled_mass}"
             )
-        kept = len(ws.survivors_by_event[e_idx]) * eps
-        if kept != abs(ev.c - ev.a):
+        if kept[e_idx] * eps != abs(ev.c - ev.a):
             raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")

@@ -83,8 +83,6 @@ def discretize_initial(datum, epsilon) -> Profile:
     at or below the input's (plain pointwise rounding does not).
     """
     eps = parse_rational(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
     constant, raw_jumps = datum
     constant = parse_rational(constant)
     base = round_to_grid_half_even(constant, eps)
@@ -263,7 +261,7 @@ def resolve_event(colliding, t, x, flux, index=0, fid_start=0):
 
 def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
     """Run the tracking to completion and return the full Timeline."""
-    lo, hi = (profile.value_span() if profile.jumps else (profile.constant_state,) * 2)
+    lo, hi = profile.value_span()
     if not (flux.contains_u(lo) and flux.contains_u(hi)):
         raise InputError("flux window does not cover the profile's value range")
 
@@ -343,7 +341,7 @@ def validate_timeline(tl: Timeline) -> None:
     of u - constant is conserved), and no fronts converge after the last
     event."""
     p, flux = tl.initial_profile, tl.flux
-    lo0, hi0 = p.value_span() if p.jumps else (p.constant_state,) * 2
+    lo0, hi0 = p.value_span()
 
     for ev, nxt in zip(tl.events, tl.events[1:]):
         if (ev.t, ev.x) >= (nxt.t, nxt.x):

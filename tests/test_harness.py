@@ -113,12 +113,14 @@ def _random_sweep(family):
     return dict({k: v for k, v in GOLDEN_SWEEP.items() if k != "datum"}, random=family)
 
 
-# each ended in a traceback, or (probe_times) probed t = 1 and t = 2, before
-# the sweep fields were validated
+# each ended in a traceback, or (probe_times) probed t = 1 and t = 2, or (a
+# negative probe time) ran every member before failing, before the sweep
+# fields were validated
 MALFORMED_SWEEPS = [
     dict(GOLDEN_SWEEP, epsilons=5),
     dict(GOLDEN_SWEEP, base=5),
     dict(GOLDEN_SWEEP, probe_times="12"),
+    dict(GOLDEN_SWEEP, probe_times=["-1"]),
     _random_sweep(5),
     _random_sweep({"seed": "x"}),
     _random_sweep({"jumps": "5"}),

@@ -14,15 +14,55 @@ def _trees():
     return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _uses(tree):
-    """How often each name is loaded and each attribute read in ``tree``."""
+# public method names that are also another definition's name, each checked
+# used by hand: `fr.sign` (Front.sign) and `p.values()` (Profile.values)
+SHARED = {"sign", "values"}
+
+
+def _uses(tree, skip):
+    """How often each name is loaded and each attribute read in ``tree``,
+    outside the definitions in ``skip``."""
     names, attrs = Counter(), Counter()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             attrs[node.attr] += 1
+        stack.extend(ast.iter_child_nodes(node))
     return names, attrs
+
+
+def _definitions(trees):
+    """(label, node, is_method) of each public module-level function or class
+    and each public method."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield f"{module}:{node.name}", node, False
+            for method in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{module}:{node.name}.{method.name}", method, True
+
+
+def _data_attributes(trees):
+    """Names stored as ``self.X`` or declared as class-body fields."""
+    out = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                out.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                out.update(item.target.id for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name))
+    return out
 
 
 def test_package_root_exports_nothing():
@@ -35,22 +75,34 @@ def test_package_root_exports_nothing():
 
 def test_every_public_definition_is_used_by_the_package():
     trees = _trees()
-    names, attrs = Counter(), Counter()
-    for tree in trees.values():
-        n, a = _uses(tree)
-        names += n
-        attrs += a
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+    definitions = list(_definitions(trees))
+    # a use inside the definition itself (recursion) or inside an unused
+    # definition does not count; drop unused definitions until none is left
+    unused = {}
+    while True:
+        skip = set(unused.values())
+        names, attrs = Counter(), Counter()
+        for tree in trees.values():
+            n, a = _uses(tree, skip)
+            names += n
+            attrs += a
+        found = {}
+        for label, node, is_method in definitions:
+            if node in skip:
                 continue
-            # a use inside the definition itself (recursion) does not count
-            if not node.name.startswith("_") and names[node.name] == _uses(node)[0][node.name]:
-                unused.append(f"{module}:{node.name}")
-            for method in node.body if isinstance(node, ast.ClassDef) else []:
-                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
-                    continue
-                if attrs[method.name] == _uses(method)[1][method.name]:
-                    unused.append(f"{module}:{node.name}.{method.name}")
-    assert unused == []
+            own = _uses(node, skip)[is_method][node.name]
+            if (attrs if is_method else names)[node.name] == own:
+                found[label] = node
+        if not found:
+            break
+        unused.update(found)
+
+    # an attribute read names a method only when no other definition shares it
+    methods = Counter(node.name for _, node, is_method in definitions if is_method)
+    data = _data_attributes(trees)
+    shared = [
+        f"{label} (shared name)" for label, node, is_method in definitions
+        if is_method and label not in unused and node.name not in SHARED
+        and (methods[node.name] > 1 or node.name in data)
+    ]
+    assert sorted(unused) + shared == []

@@ -34,12 +34,14 @@ from wave_oracles import (
     SAME_POSITION,
     bianchini_cubic,
     cancellation_weight_stability,
+    casualties,
     fid_of,
     fundamental_property_violations,
     maximal_noncontact_interval,
     oracle_q_of_slab,
     pair_weight,
     quadratic_potential,
+    survivors,
 )
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
@@ -287,8 +289,8 @@ def test_worked_example_timeline_and_split():
     assert curvature_constant(WORKED_FLUX) == WORKED_K
     # the cancellation kills the negative wave and the lowest positive one,
     # and splits the survivors into chords over [1,2] and [2,3]
-    assert sorted(ws.casualties_by_event[0]) == [0, 1]
-    assert ws.survivors_by_event[0] == [2, 3]
+    assert sorted(casualties(ws, 0)) == [0, 1]
+    assert survivors(ws, 0) == [2, 3]
     assert fid_of(ws, 2, 1) != fid_of(ws, 3, 1)
 
 

@@ -14,13 +14,16 @@ from fronttrack.tracing import (
 
 from wave_oracles import (
     atom_of,
+    casualties,
     debug_dump,
     front_of,
     interaction_query,
+    live_atoms,
     position_of,
     sigma,
     state_consistency_holds,
     state_of,
+    survivors,
     t_canc,
     waves_at,
     x0,
@@ -151,13 +154,13 @@ def test_shock_eats_rarefaction_cancellation():
     assert (ev.t, ev.x) == (F(2), F(3))
     # the upper fan wave (state cell [1,2]) and the shock wave with the same
     # state range both die; the shock wave with cell [0,1] survives
-    casualties = ws.casualties_by_event[0]
-    assert len(casualties) == 2
-    for a in casualties:
+    canceled = casualties(ws, 0)
+    assert len(canceled) == 2
+    for a in canceled:
         assert ws.cell[a] == 1
         assert t_canc(ws, a) == F(2)
-    survivors = ws.survivors_by_event[0]
-    assert all(ws.cell[a] == 0 for a in survivors)
+    kept = survivors(ws, 0)
+    assert all(ws.cell[a] == 0 for a in kept)
     validate_tracing(ws)
 
 
@@ -177,6 +180,10 @@ def test_validate_tracing_rejects_forged_wave_systems():
         ws.atoms_of.update(forged)
         with pytest.raises(ConsistencyError, match=message):
             validate_tracing(ws)
+    tl, ws = traced(p, wide, F(1))
+    ws.events_of[3].remove(0)  # atom 3 no longer survives event 0
+    with pytest.raises(ConsistencyError, match="event 0: survivor mass mismatch"):
+        validate_tracing(ws)
 
 
 def test_triple_point_full_cancellation_tracing():
@@ -189,7 +196,7 @@ def test_triple_point_full_cancellation_tracing():
     tl, ws = traced(p, flux, F(1))
     assert ws.atom_count == 6
     assert all(e == 0 for e in ws.canc_event)
-    assert ws.survivors_by_event[0] == []
+    assert survivors(ws, 0) == []
     for w in (F(1), F(3), F(6)):
         with pytest.raises(InputError):
             sigma(ws, F(6), w)
@@ -248,6 +255,6 @@ def test_monotone_positions_across_slabs():
     tl, ws = traced(p, wide, F(1))
     for s, slab in enumerate(tl.slabs):
         t_probe = slab.t_lo if slab.t_hi is None else (slab.t_lo + slab.t_hi) / 2
-        live = ws.live_atoms(s)
+        live = live_atoms(ws, s)
         xs = [front_of(ws, a, s).position_at(t_probe) for a in live]
         assert xs == sorted(xs)

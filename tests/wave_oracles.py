@@ -99,6 +99,21 @@ def t_canc(ws: WaveSystem, a: int):
     return None if e is None else ws.timeline.events[e].t
 
 
+def live_atoms(ws: WaveSystem, s: int) -> list:
+    """Atoms not canceled before slab s, in id order."""
+    return [a for a, e in enumerate(ws.canc_event) if e is None or e >= s]
+
+
+def survivors(ws: WaveSystem, e: int) -> list:
+    """Atoms that sit at and survive event e, in id order."""
+    return [a for a, events in enumerate(ws.events_of) if e in events]
+
+
+def casualties(ws: WaveSystem, e: int) -> list:
+    """Atoms canceled at event e, in id order."""
+    return [a for a, c in enumerate(ws.canc_event) if c == e]
+
+
 def fid_of(ws: WaveSystem, a: int, s: int) -> int:
     """The front of slab s whose run holds atom a."""
     for fid, atoms in ws.runs(s):
@@ -146,7 +161,7 @@ def sigma(ws: WaveSystem, t, w) -> Fraction:
         raise InputError(f"wave {w} was canceled at t={tc}")
     s = ws.timeline.slab_index_at(t, side="pre")
     slab = ws.timeline.slabs[s]
-    if slab.t_hi is not None and t == slab.t_hi and a in ws.survivor_sets[s]:
+    if slab.t_hi is not None and t == slab.t_hi and a in survivors(ws, s):
         return front_of(ws, a, s + 1).speed
     return front_of(ws, a, s).speed
 
@@ -169,7 +184,7 @@ def waves_at(ws: WaveSystem, t, x) -> WaveInterval:
 def meeting_interval(ws: WaveSystem, s: int, fid: int, e: int) -> WaveInterval:
     """The waves of slab-s front ``fid`` that survive event e, which must
     have contiguous states."""
-    atoms = [a for a in ws.survivors_by_event[e] if fid_of(ws, a, s) == fid]
+    atoms = [a for a in survivors(ws, e) if fid_of(ws, a, s) == fid]
     interval = interval_of(ws, sorted(atoms))
     ks = sorted(ws.cell[a] for a in atoms)
     if ks != list(range(ks[0], ks[0] + len(ks))):
@@ -235,14 +250,14 @@ def pair_weight(ws: WaveSystem, t_bar, c, c_prime, K, flux: GridFlux) -> PairWei
     t_bar = Fraction(t_bar)
     s = ws.timeline.slab_index_at(t_bar, side="pre")
     for atom in (a, b):
-        if not ws.alive_in_slab(atom, s):
+        if atom not in live_atoms(ws, s):
             raise InputError("wave not live at the query time")
     return _pair_weight_in_slab(ws, s, a, b, K, flux)
 
 
 def _pair_weight_in_slab(ws, s, a, b, K, flux):
     sign = ws.sign[a]
-    live = ws.live_atoms(s)
+    live = live_atoms(ws, s)
     i_a = bisect_left(live, a)
     i_b = bisect_left(live, b)
     if any(ws.sign[live[i]] != sign for i in range(i_a, i_b + 1)):
@@ -269,7 +284,7 @@ def _pair_weight_in_slab(ws, s, a, b, K, flux):
 def oracle_q_of_slab(ws: WaveSystem, s: int, K, flux: GridFlux):
     """Q of slab s as eps^2 times the sum of the per-pair weights, with the
     records of every live pair."""
-    live = ws.live_atoms(s)
+    live = live_atoms(ws, s)
     records = [
         _pair_weight_in_slab(ws, s, a, b, K, flux)
         for i, a in enumerate(live)
@@ -343,11 +358,11 @@ def cancellation_weight_stability(tl: Timeline, ws: WaveSystem, flux: GridFlux,
         if ev.kind != CANCELLATION:
             continue
         s_pre, s_post = ev.index, ev.index + 1
-        survivors = set(ws.survivors_by_event[ev.index])
-        live_post = ws.live_atoms(s_post)
+        kept = set(survivors(ws, ev.index))
+        live_post = live_atoms(ws, s_post)
         for i, a in enumerate(live_post):
             for b in live_post[i + 1:]:
-                a_in, b_in = a in survivors, b in survivors
+                a_in, b_in = a in kept, b in kept
                 if not (a_in or b_in):
                     continue
                 post = _pair_weight_in_slab(ws, s_post, a, b, K, flux)
@@ -369,7 +384,7 @@ def fundamental_property_violations(ws: WaveSystem, flux: GridFlux, K=None) -> l
         K = curvature_constant(ws.timeline.flux)
     bad = []
     for s in range(len(ws.timeline.slabs)):
-        live = ws.live_atoms(s)
+        live = live_atoms(ws, s)
         # precompute the meeting intervals of every generic pair once
         j_sets = {}
         for i, a in enumerate(live):
