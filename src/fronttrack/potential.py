@@ -102,21 +102,30 @@ def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
 
 
 class _SlabPotential:
-    """Per-slab Q evaluation with memoized meeting intervals and slopes."""
+    """Per-slab Q evaluation with memoized meeting slopes and event masses."""
 
     def __init__(self, ws: WaveSystem, K: Fraction):
         self.ws = ws
         self.flux = ws.timeline.flux
         self.K = K
-        self._slope_memo = {}  # (fid, event index) -> cell slopes
+        self._slope_ids = {}  # (fid, event index) -> {cell: slope id}
+        self._id_of = {}  # slope -> slope id
+        self._slopes = []  # slope id -> slope
         self._d_memo = {}  # event index -> (d, K*d)
         self.max_weight = Fraction(0)
 
-    def _slopes_for(self, fid, e):
+    def _slope_ids_for(self, fid, e):
+        """Slope id of each cell front ``fid`` carries into event e."""
         key = (fid, e)
-        if key not in self._slope_memo:
-            self._slope_memo[key] = _cell_slopes(self.flux, *meeting_cells(self.ws, fid, e))
-        return self._slope_memo[key]
+        if key not in self._slope_ids:
+            ids = {}
+            for k, slope in _cell_slopes(self.flux, *meeting_cells(self.ws, fid, e)).items():
+                if slope not in self._id_of:
+                    self._id_of[slope] = len(self._slopes)
+                    self._slopes.append(slope)
+                ids[k] = self._id_of[slope]
+            self._slope_ids[key] = ids
+        return self._slope_ids[key]
 
     def _event_d(self, e: int):
         """(d, K*d) of event e, where d = |c - a| is the mass at the meeting."""
@@ -131,8 +140,10 @@ class _SlabPotential:
 
         Runs split into sign blocks (maximal stretches of one sign).  Every
         atom pair across two blocks weighs K, so that part is K times an
-        integer pair count.  Pairs inside one block sum their positive slope
-        gaps per meeting event, divided by the event's d once at the end.
+        integer pair count.  Pairs inside one block are counted, per meeting
+        event, by the slope ids of the two atoms there; each distinct
+        (event, slope, slope) term then adds count times its positive slope
+        gap, and each event's sum is divided by its d once.
         """
         ws = self.ws
         cell = ws.cell
@@ -149,7 +160,7 @@ class _SlabPotential:
         if cross_pairs and self.K > self.max_weight:
             self.max_weight = self.K
 
-        gaps = {}  # event index -> [sum, max] of the positive slope gaps
+        counts = {}  # (event index, slope id of a) -> {slope id of b: pair count}
         for i, (fid_i, atoms_i) in enumerate(runs):
             for j in range(i + 1, len(runs)):
                 if block_of[j] != block_of[i]:
@@ -158,27 +169,34 @@ class _SlabPotential:
                 for a in atoms_i:
                     current = None
                     for b in atoms_j:
-                        e = first_common_event(ws, a, b, after_slab=s)
+                        e = first_common_event(ws, a, b, s)
                         if e is None:
                             continue
                         if e != current:
                             current = e
-                            slope_a = self._slopes_for(fid_i, e)[cell[a]]
-                            slopes_b = self._slopes_for(fid_j, e)
-                            kd = self._event_d(e)[1]
-                            acc = gaps.get(e)
-                        gap = slope_a - slopes_b[cell[b]]
-                        if gap > 0:
-                            if gap > kd:
-                                raise ConsistencyError(
-                                    f"weight above K for atoms ({a}, {b}) in slab {s}"
-                                )
-                            if acc is None:
-                                acc = gaps[e] = [gap, gap]
-                            else:
-                                acc[0] += gap
-                                if gap > acc[1]:
-                                    acc[1] = gap
+                            id_a = self._slope_ids_for(fid_i, e)[cell[a]]
+                            ids_b = self._slope_ids_for(fid_j, e)
+                            row = counts.setdefault((e, id_a), {})
+                        id_b = ids_b[cell[b]]
+                        row[id_b] = row.get(id_b, 0) + 1
+
+        gaps = {}  # event index -> [sum, max] of the positive slope gaps
+        slopes = self._slopes
+        for (e, id_a), row in counts.items():
+            kd = self._event_d(e)[1]
+            acc = gaps.get(e)
+            for id_b, count in row.items():
+                gap = slopes[id_a] - slopes[id_b]
+                if gap <= 0:
+                    continue
+                if gap > kd:
+                    self._raise_first_weight_above_k(s, runs, block_of)
+                if acc is None:
+                    acc = gaps[e] = [count * gap, gap]
+                else:
+                    acc[0] += count * gap
+                    if gap > acc[1]:
+                        acc[1] = gap
         total = self.K * cross_pairs
         for e, (gap_sum, top) in gaps.items():
             d = self._event_d(e)[0]
@@ -186,6 +204,28 @@ class _SlabPotential:
             if top > self.max_weight * d:
                 self.max_weight = top / d
         return total * ws.epsilon * ws.epsilon
+
+    def _raise_first_weight_above_k(self, s, runs, block_of):
+        """Name the first same-block pair, in the order `q_of_slab` walks
+        them, whose weight exceeds K."""
+        ws, slopes = self.ws, self._slopes
+        for i, (fid_i, atoms_i) in enumerate(runs):
+            for j in range(i + 1, len(runs)):
+                if block_of[j] != block_of[i]:
+                    break
+                fid_j, atoms_j = runs[j]
+                for a in atoms_i:
+                    for b in atoms_j:
+                        e = first_common_event(ws, a, b, s)
+                        if e is None:
+                            continue
+                        id_a = self._slope_ids_for(fid_i, e)[ws.cell[a]]
+                        id_b = self._slope_ids_for(fid_j, e)[ws.cell[b]]
+                        if slopes[id_a] - slopes[id_b] > self._event_d(e)[1]:
+                            raise ConsistencyError(
+                                f"weight above K for atoms ({a}, {b}) in slab {s}"
+                            )
+        raise ConsistencyError(f"weight above K in slab {s}")
 
 
 def upsilon(q_value, tv_now, tv0, K):

@@ -18,7 +18,6 @@ potential asks `first_common_event` and `meeting_cells`, and
 """
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
@@ -213,13 +212,35 @@ def validate_tracing(ws: WaveSystem) -> None:
             if len(atoms) * eps != fr.strength:
                 raise ConsistencyError(f"front {fid}: mass mismatch")
 
-    canceled = Counter(ws.canc_event)
-    kept = Counter(e for events in ws.events_of for e in events)
+    # per event, the atoms that sit at and survive it, and those it cancels
+    n = len(tl.events)
+    survived, canceled = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a in range(ws.atom_count):
+        events = ws.events_of[a]
+        if any(e >= f for e, f in zip(events, events[1:])):
+            raise ConsistencyError(f"atom {a}: survived events not increasing")
+        marks = [(survived, e) for e in events]
+        if ws.canc_event[a] is not None:
+            marks.append((canceled, ws.canc_event[a]))
+        for lists, e in marks:
+            if not 0 <= e < n:
+                raise ConsistencyError(f"atom {a} names unknown event {e}")
+            lists[e].append(a)
     for e_idx, ev in enumerate(tl.events):
-        lost = canceled[e_idx] * eps
+        lost = len(canceled[e_idx]) * eps
         if lost != ev.canceled_mass:
             raise ConsistencyError(
                 f"event {e_idx}: canceled wave mass {lost} != TV drop {ev.canceled_mass}"
             )
-        if kept[e_idx] * eps != abs(ev.c - ev.a):
+        if len(survived[e_idx]) * eps != abs(ev.c - ev.a):
             raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
+        if survived[e_idx] != sorted(a for fr in ev.outgoing for a in ws.atoms_of[fr.fid]):
+            raise ConsistencyError(
+                f"event {e_idx}: survivors are not the atoms of its outgoing fronts"
+            )
+        incoming = sorted(a for fr in ev.incoming for a in ws.atoms_of[fr.fid])
+        if sorted(survived[e_idx] + canceled[e_idx]) != incoming:
+            raise ConsistencyError(
+                f"event {e_idx}: survivors and casualties are not the atoms of its "
+                "incoming fronts"
+            )

@@ -21,7 +21,7 @@ from operator import attrgetter
 from .envelope import GridFlux
 from .errors import ConsistencyError, InputError, TrackerError
 from .rationals import parse_rational, round_to_grid_half_even
-from .riemann import Front, is_admissible, solve_riemann
+from .riemann import is_admissible, solve_riemann
 
 SAME_SIGN = "same_sign"
 CANCELLATION = "cancellation"

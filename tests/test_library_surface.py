@@ -1,7 +1,8 @@
 """The package's only client is its command line (`fronttrack run`, `sweep`
 and `verify`): the root module re-exports nothing, and every public name of
-the package is used by the package itself.  A helper that only the tests
-call belongs in `tests/oracles.py` or `tests/wave_oracles.py`."""
+the package is used by the package itself, and every name a module imports
+is used there.  A helper that only the tests call belongs in
+`tests/oracles.py` or `tests/wave_oracles.py`."""
 
 import ast
 from collections import Counter
@@ -106,3 +107,17 @@ def test_every_public_definition_is_used_by_the_package():
         and (methods[node.name] > 1 or node.name in data)
     ]
     assert sorted(unused) + shared == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for module, tree in _trees().items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{module}:{name}")
+    assert unused == []

@@ -1,12 +1,16 @@
 from fractions import Fraction as F
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fronttrack import harness
 from fronttrack.envelope import GridFlux, curvature_constant, sample_flux
-from fronttrack.errors import InputError
+from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.potential import (
+    _SlabPotential,
     _cancellation_triple,
     _same_sign_triple,
     delta_sigma,
@@ -398,3 +402,37 @@ def test_restart_reproduces_potential_from_any_slab():
         tl2, ws2 = run_pipeline(profile_at(tl, t_probe), WORKED_FLUX)
         engine = _SlabPotential(ws2, WORKED_K)
         assert engine.q_of_slab(0) == WORKED_Q_BY_SLAB[s]
+
+
+
+def test_weight_above_k_names_the_first_offending_pair():
+    # pair weights on slab 0, in run order: (0,1) 1/2, (0,2) 1/2, (0,3) 3/4,
+    # (1,3) 3/8, (2,3) 3/8; atoms 1 and 2 share a front
+    p = Profile(F(2), ((F(0), F(1)), (F(1), F(-1)), (F(3), F(-2))))
+    tl, ws = traced(p, BURGERS)
+    assert ws.runs(0) == [(0, (0,)), (1, (1, 2)), (2, (3,))]
+    for K, pair in [(F(0), "(0, 1)"), (F(1, 2), "(0, 3)")]:
+        with pytest.raises(ConsistencyError) as info:
+            _SlabPotential(ws, K).q_of_slab(0)
+        assert str(info.value) == f"weight above K for atoms {pair} in slab 0"
+
+
+def test_q_matches_oracle_on_the_ladder_rung():
+    # the seed-3 random config of the benchmark's ladder, at eps 1/64 (124
+    # atoms); the 1/128 rung takes about a minute under the oracle
+    rng = random.Random(3)
+    cfg = harness.parse_run_config({
+        "flux": harness.random_flux_spec(rng),
+        "epsilon": "1/64",
+        "window": [-64, 64],
+        "datum": harness.random_datum_spec(rng, F(2), n_jumps=10),
+        "options": {"restart_check_points": 0},
+    })
+    r = harness.run_simulation(cfg)
+    assert r.waves.atom_count == 124
+    top = F(0)
+    for s, rec in enumerate(r.series.slabs):
+        q, records = oracle_q_of_slab(r.waves, s, r.series.K, r.timeline.flux)
+        assert rec.Q == q
+        top = max([top, *(p.q for p in records)])
+    assert r.series.max_weight == top

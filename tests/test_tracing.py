@@ -184,6 +184,20 @@ def test_validate_tracing_rejects_forged_wave_systems():
     ws.events_of[3].remove(0)  # atom 3 no longer survives event 0
     with pytest.raises(ConsistencyError, match="event 0: survivor mass mismatch"):
         validate_tracing(ws)
+    # the right number of survivors, but the wrong atoms: atom 0 claims to
+    # survive event 0 in place of atom 2, which changes Q(slab 0) from 22 to 83/4
+    four = Profile(F(0), ((F(0), F(2)), (F(1), F(0)), (F(3), F(-2)), (F(5), F(0))))
+    tl, ws = traced(four, wide, F(1))
+    ws.events_of[2].remove(0)
+    ws.events_of[0].insert(0, 0)
+    with pytest.raises(ConsistencyError, match="event 0: survivors are not the atoms"):
+        validate_tracing(ws)
+    # the right atoms, out of order: first common events bisect these lists,
+    # and Q(slab 0) would read 43/2
+    tl, ws = traced(four, wide, F(1))
+    ws.events_of[3].reverse()
+    with pytest.raises(ConsistencyError, match="atom 3: survived events not increasing"):
+        validate_tracing(ws)
 
 
 def test_triple_point_full_cancellation_tracing():
