@@ -434,7 +434,7 @@ def verify_run(ws: WaveSystem, restart_checks: int = 0) -> PotentialSeries:
     slabs = []
     for s, slab in enumerate(tl.slabs):
         q_val = engine.q_of_slab(s)
-        tv = tl.slab_tv(s)
+        tv = tl.slab_tvs[s]
         slabs.append(
             SlabRecord(s, slab.t_lo, slab.t_hi, q_val, tv, *upsilon(q_val, tv, tv0, K),
                        _bianchini_of_slab(ws, s))

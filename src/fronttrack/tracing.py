@@ -190,7 +190,7 @@ def validate_tracing(ws: WaveSystem) -> None:
     for s in range(len(tl.slabs)):
         if s:
             live = [a for a in live if ws.canc_event[a] != s - 1]
-        if len(live) * eps != tl.slab_tv(s):
+        if len(live) * eps != tl.slab_tvs[s]:
             raise ConsistencyError("wave mass does not match front variation")
         runs = ws.runs(s)
         covered = [a for _, atoms in runs for a in atoms]

@@ -8,14 +8,31 @@ collision detection and simultaneity handling deterministic: events are
 ordered lexicographically by (time, position), and same-time events at
 distinct positions are processed as separate, causally independent events.
 
+Each event costs the size of its block, not the length of the line.  The
+meeting (t, x) of every converging pair of neighbours sits in a min-heap,
+entered when the pair forms: at t = 0, or at an event's block edges (a fan's
+own pairs diverge).  Two lines meet at one time whenever they are looked at,
+so an entry stays exact while its pair stays adjacent; an entry whose pair
+was broken up by an event is skipped when popped (lazy invalidation).  The
+total variation of each slab is carried along, event by event.
+
 The resulting Timeline is a list of slabs (t_j, t_{j+1}], each with its live
-ordered front set, plus the event records.  Profiles can be reconstructed at
-any time, with a pre/post side selector at the event instants themselves.
+ordered front set, plus the event records and the per-slab total variation.
+Profiles can be reconstructed at any time, with a pre/post side selector at
+the event instants themselves.
+
+`validate_timeline` checks slab 0 in full and then each event locally.  Once
+slab s+1 is known to be slab s with the event's incoming block, met at the
+event point, replaced by its outgoing fronts, born there, a front needs its
+checks only when it is new, a pair of neighbours only when it forms and when
+it ends (positions are linear in t), and the total variation and the
+conserved moment's rate only each event's change.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import attrgetter
 
 from .envelope import GridFlux
@@ -103,6 +120,10 @@ def discretize_initial(datum, epsilon) -> Profile:
     return Profile(base, tuple(out))
 
 
+def _strength(fronts) -> Fraction:
+    return sum((fr.strength for fr in fronts), Fraction(0))
+
+
 @dataclass(frozen=True)
 class InteractionEvent:
     index: int
@@ -132,8 +153,7 @@ class InteractionEvent:
 
     @property
     def canceled_mass(self) -> Fraction:
-        incoming_tv = sum((fr.strength for fr in self.incoming), Fraction(0))
-        return incoming_tv - abs(self.c - self.a)
+        return _strength(self.incoming) - abs(self.c - self.a)
 
 
 @dataclass(frozen=True)
@@ -153,6 +173,7 @@ class Timeline:
     events: tuple
     slabs: tuple
     fronts_by_id: dict
+    slab_tvs: tuple  # total variation of each slab, updated event by event
 
     def slab_index_at(self, t: Fraction, side: str = "post") -> int:
         if t < 0:
@@ -162,11 +183,6 @@ class Timeline:
         if side == "post":
             return bisect_right(self.events, t, key=attrgetter("t"))
         raise InputError("side must be 'pre' or 'post'")
-
-    def slab_tv(self, slab_index: int) -> Fraction:
-        return sum(
-            (fr.strength for fr in self.slabs[slab_index].fronts), Fraction(0)
-        )
 
 
 def initial_fronts(profile: Profile, flux: GridFlux):
@@ -187,35 +203,40 @@ class Collision:
     last: int
 
 
-def next_collision(fronts, after: Fraction):
-    """Earliest (t, x), lexicographic, at which adjacent live fronts meet.
+def _schedule(heap, left, right, t):
+    """Enter two fronts that became neighbours at time t: they must still be
+    ordered there, and if they converge their meeting joins the heap."""
+    gap = right.position_at(t) - left.position_at(t)
+    if gap < 0:
+        raise ConsistencyError("front ordering lost")
+    ds = left.speed - right.speed
+    if ds > 0:
+        t_meet = t + gap / ds
+        heappush(heap, (t_meet, left.position_at(t_meet), left.fid, right.fid))
 
-    ``fronts`` must be ordered and pairwise non-crossed at time ``after``.
-    Fronts already sharing a position collide immediately iff their speeds
-    cross (this happens for same-time events at distinct positions); a fan
-    spreading from a single point does not count as a collision.
+
+def next_collision(heap, live, fids):
+    """Pop the earliest (t, x), lexicographic, at which live neighbours meet.
+
+    ``heap`` holds one (t, x, left fid, right fid) entry per converging pair
+    that was ever adjacent; ``live`` is the ordered front list and ``fids``
+    its fids.  An entry is stale once its left front has left the line or has
+    another right neighbour.  The block that collides is every front at x at
+    time t, found by extending the popped pair left and right.
     """
-    best = None
-    positions = [fr.position_at(after) for fr in fronts]
-    for i in range(len(fronts) - 1):
-        gap = positions[i + 1] - positions[i]
-        if gap < 0:
-            raise ConsistencyError("front ordering lost")
-        ds = fronts[i].speed - fronts[i + 1].speed
-        if ds <= 0:
-            continue
-        t = after + gap / ds
-        x = fronts[i].position_at(t)
-        if best is None or (t, x) < (best[0], best[1]):
-            best = (t, x, i)
-    if best is None:
+    while heap:
+        t, x, lf, rf = heappop(heap)
+        if lf in fids:
+            i = fids.index(lf)
+            if i + 1 < len(fids) and fids[i + 1] == rf:
+                break
+    else:
         return None
-    t, x, i = best
     first = i
-    while first > 0 and fronts[first - 1].position_at(t) == x:
+    while first > 0 and live[first - 1].position_at(t) == x:
         first -= 1
     last = i + 1
-    while last + 1 < len(fronts) and fronts[last + 1].position_at(t) == x:
+    while last + 1 < len(live) and live[last + 1].position_at(t) == x:
         last += 1
     return Collision(t, x, first, last)
 
@@ -266,15 +287,20 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
         raise InputError("flux window does not cover the profile's value range")
 
     live = [fr.with_fid(i) for i, fr in enumerate(initial_fronts(profile, flux))]
+    fids = [fr.fid for fr in live]
     fronts_by_id = {fr.fid: fr for fr in live}
     next_fid = len(live)
     cap = max_events if max_events is not None else 10 * max(len(live), 1) ** 2
 
+    heap = []
+    for fr, gr in zip(live, live[1:]):
+        _schedule(heap, fr, gr, Fraction(0))
     events = []
     slabs = []
+    tvs = [_strength(live)]
     t_prev = Fraction(0)
     while True:
-        hit = next_collision(live, t_prev)
+        hit = next_collision(heap, live, fids)
         if hit is None:
             slabs.append(Slab(len(slabs), t_prev, None, tuple(live)))
             break
@@ -282,7 +308,7 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
             partial = Timeline(
                 flux, profile, tuple(events),
                 tuple(slabs + [Slab(len(slabs), t_prev, None, tuple(live))]),
-                fronts_by_id,
+                fronts_by_id, tuple(tvs),
             )
             raise TrackerError(
                 f"event cap {cap} exceeded at t={hit.t}", partial_timeline=partial
@@ -292,13 +318,21 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
         event = resolve_event(
             block, hit.t, hit.x, flux, index=len(events), fid_start=next_fid
         )
-        next_fid += len(event.outgoing)
-        for fr in event.outgoing:
+        out = event.outgoing
+        next_fid += len(out)
+        for fr in out:
             fronts_by_id[fr.fid] = fr
-        live[hit.first : hit.last + 1] = list(event.outgoing)
+        live[hit.first : hit.last + 1] = out
+        fids[hit.first : hit.last + 1] = [fr.fid for fr in out]
+        # the new neighbour pairs at the block's edges (one pair after a full
+        # cancellation); the fan's own pairs diverge
+        for j in {hit.first - 1, hit.first + len(out) - 1}:
+            if 0 <= j < len(live) - 1:
+                _schedule(heap, live[j], live[j + 1], hit.t)
+        tvs.append(tvs[-1] - _strength(block) + _strength(out))
         events.append(event)
         t_prev = hit.t
-    return Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id)
+    return Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id, tuple(tvs))
 
 
 def profile_at(tl: Timeline, t: Fraction, side: str = "post") -> Profile:
@@ -333,43 +367,60 @@ def profile_at(tl: Timeline, t: Fraction, side: str = "post") -> Profile:
     return Profile(constant, tuple(jumps))
 
 
+def _block_index(fronts, block):
+    """Where ``block`` (two or more fronts) sits in the tuple ``fronts``, or None."""
+    fids = list(map(attrgetter("fid"), fronts))
+    if len(block) < 2 or block[0].fid not in fids:
+        return None
+    i = fids.index(block[0].fid)
+    return i if fronts[i : i + len(block)] == block else None
+
+
+def _moment_rate(fronts) -> Fraction:
+    """d/dt of sum_j jump_j * x_j(t) while ``fronts`` move."""
+    return sum(((fr.right - fr.left) * fr.speed for fr in fronts), Fraction(0))
+
+
 def validate_timeline(tl: Timeline) -> None:
     """Exact structural checks; raises ConsistencyError on any failure.
 
     Among them: the moment sum_j jump_j * x_j(t) - t * (F(right tail) -
     F(left tail)) keeps its time-zero value (with equal tails, the integral
     of u - constant is conserved), and no fronts converge after the last
-    event."""
+    event.
+
+    Slab 0 is checked in full.  Every later slab is then checked to be its
+    predecessor with the event's incoming block replaced by its outgoing
+    fronts, where the incoming fronts meet and the outgoing ones are born at
+    the event point.  That makes local checks sufficient: chaining, value
+    range and admissibility only for the new fronts; non-crossing for a pair
+    of neighbours when it forms and when it ends (positions are linear in t);
+    the total variation and the moment's rate by each event's change.
+    """
     p, flux = tl.initial_profile, tl.flux
+    events, slabs, tvs = tl.events, tl.slabs, tl.slab_tvs
     lo0, hi0 = p.value_span()
 
-    for ev, nxt in zip(tl.events, tl.events[1:]):
+    for ev, nxt in zip(events, events[1:]):
         if (ev.t, ev.x) >= (nxt.t, nxt.x):
             raise ConsistencyError("events not in lexicographic (t, x) order")
-    last = tl.slabs[-1].fronts
+    last = slabs[-1].fronts
     if any(fr.speed > gr.speed for fr, gr in zip(last, last[1:])):
         raise ConsistencyError("fronts still converge after the last event")
+    bounds = [Fraction(0)] + [ev.t for ev in events] + [None]
+    if len(slabs) != len(events) + 1 or len(tvs) != len(slabs) or any(
+        (slab.index, slab.t_lo, slab.t_hi) != (s, bounds[s], bounds[s + 1])
+        for s, slab in enumerate(slabs)
+    ):
+        raise ConsistencyError("slabs do not span the events")
 
-    tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
-                 - flux.value_at_index(flux.index_of(p.constant_state)))
-    baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
     admissible = set()  # Front values, not fids: a reused fid is checked again
-    prev_tv = None
-    for slab in tl.slabs:
-        tv = tl.slab_tv(slab.index)
-        if prev_tv is not None and tv > prev_tv:
-            raise ConsistencyError("total variation increased")
-        if slab.index > 0:
-            ev = tl.events[slab.index - 1]
-            drop = prev_tv - tv
-            if ev.kind == SAME_SIGN and drop != 0:
-                raise ConsistencyError("same-sign event changed total variation")
-            if ev.kind == CANCELLATION and drop != ev.canceled_mass:
-                raise ConsistencyError("cancellation mass does not match TV drop")
-        prev_tv = tv
 
-        prev_v = p.constant_state
-        for fr in slab.fronts:
+    def check_new(fronts, left, right):
+        """Chaining, value range and admissibility of ``fronts``, which sit
+        between the fronts ``left`` and ``right`` (None at an end)."""
+        prev_v = p.constant_state if left is None else left.right
+        for fr in fronts:
             if fr.left != prev_v:
                 raise ConsistencyError("front states do not chain inside a slab")
             prev_v = fr.right
@@ -379,17 +430,66 @@ def validate_timeline(tl: Timeline) -> None:
                 if not is_admissible(fr, flux):
                     raise ConsistencyError("live front is not admissible")
                 admissible.add(fr)
-        if prev_v != p.right_constant:
+        if right is None and prev_v != p.right_constant:
             raise ConsistencyError("right tail value changed")
+        if right is not None and prev_v != right.left:
+            raise ConsistencyError("front states do not chain inside a slab")
 
-        for t_probe in (slab.t_lo, slab.t_hi):
-            if t_probe is None:
-                continue
-            xs = [fr.position_at(t_probe) for fr in slab.fronts]
-            if any(b < a for a, b in zip(xs, xs[1:])):
-                raise ConsistencyError("fronts crossed inside a slab")
-        # xs holds the positions at t_hi, or at t_lo on the last slab
-        t_ref = slab.t_lo if slab.t_hi is None else slab.t_hi
-        moment = sum((fr.right - fr.left) * x for fr, x in zip(slab.fronts, xs))
-        if moment - t_ref * tail_flux != baseline:
+    def check_ordered(fronts, t):
+        xs = [fr.position_at(t) for fr in fronts]
+        if any(b < a for a, b in zip(xs, xs[1:])):
+            raise ConsistencyError("fronts crossed inside a slab")
+
+    first = slabs[0].fronts
+    check_new(first, None, None)
+    check_ordered(first, Fraction(0))
+    if tvs[0] != _strength(first):
+        raise ConsistencyError("slab total variation does not match its fronts")
+    tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
+                 - flux.value_at_index(flux.index_of(p.constant_state)))
+    baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
+    moment0 = sum((fr.right - fr.left) * fr.position_at(0) for fr in first)
+    if moment0 != baseline or _moment_rate(first) != tail_flux:
+        raise ConsistencyError("conserved moment drifted")
+
+    for s, ev in enumerate(events):
+        before, after = slabs[s].fronts, slabs[s + 1].fronts
+        k = len(ev.incoming)
+        m = len(after) - len(before) + k
+        i = _block_index(before, ev.incoming)
+        if (i is None or m < 0 or after[:i] != before[:i]
+                or after[i + m :] != before[i + k :]):
+            raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
+        new = after[i : i + m]
+        left = before[i - 1] if i > 0 else None
+        right = before[i + k] if i + k < len(before) else None
+        check_new(new, left, right)
+        if new != ev.outgoing:
+            raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
+        t, x = ev.t, ev.x
+        if any(fr.position_at(t) != x for fr in ev.incoming) or any(
+            fr.birth_time != t or fr.birth_x != x for fr in ev.outgoing
+        ):
+            raise ConsistencyError(f"event {s}: its fronts do not meet at its point")
+        # every pair that ends or forms here has a block front, at x, on one
+        # side and the block's neighbour, or another block front, on the other
+        if (left is not None and left.position_at(t) > x) or (
+            right is not None and right.position_at(t) < x
+        ):
+            raise ConsistencyError("fronts crossed inside a slab")
+
+        if tvs[s + 1] != tvs[s] - _strength(ev.incoming) + _strength(ev.outgoing):
+            raise ConsistencyError("slab total variation does not match its fronts")
+        drop = tvs[s] - tvs[s + 1]
+        if drop < 0:
+            raise ConsistencyError("total variation increased")
+        if ev.kind == SAME_SIGN and drop != 0:
+            raise ConsistencyError("same-sign event changed total variation")
+        if ev.kind == CANCELLATION and drop != ev.canceled_mass:
+            raise ConsistencyError("cancellation mass does not match TV drop")
+        # the block's jumps sum to the same total before and after, all at x,
+        # so the moment is continuous; its rate must not change either
+        if _moment_rate(ev.incoming) != _moment_rate(ev.outgoing):
             raise ConsistencyError("conserved moment drifted")
+
+    check_ordered(last, slabs[-1].t_lo)

@@ -6,14 +6,29 @@ minima over all chords, so agreement is a real cross-check.  The pointwise
 envelope queries (`value_at`, `slope_at`, `piece_slopes`), the chord speed
 `rh_speed` and the binary same-sign closed form `delta_sigma_closed_form`
 are queries only the tests make.
+
+`oracle_evolve` and `oracle_validate_timeline` are the full-scan tracker:
+every step recomputes every live front's position, and every slab is
+checked in full.  The package's event-local `evolve` and `validate_timeline`
+are compared against them.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 from fronttrack.envelope import sample_flux
-from fronttrack.errors import DomainError, InputError
-from fronttrack.tracker import SAME_SIGN, Profile
+from fronttrack.errors import ConsistencyError, DomainError, InputError, TrackerError
+from fronttrack.riemann import is_admissible
+from fronttrack.tracker import (
+    CANCELLATION,
+    SAME_SIGN,
+    Collision,
+    Profile,
+    Slab,
+    Timeline,
+    initial_fronts,
+    resolve_event,
+)
 
 
 def hull_oracle_values(points):
@@ -156,6 +171,149 @@ def l1_profile_distance_oracle(p, q):
     for x0, x1 in zip(xs, xs[1:]):
         total += abs(p.value_at(x0) - q.value_at(x0)) * (x1 - x0)
     return total
+
+
+# -- full-scan tracker oracles --------------------------------------------------------
+
+
+def oracle_next_collision(fronts, after):
+    """Earliest (t, x), lexicographic, at which adjacent live fronts meet.
+
+    ``fronts`` must be ordered and pairwise non-crossed at time ``after``.
+    Fronts already sharing a position collide immediately iff their speeds
+    cross (this happens for same-time events at distinct positions); a fan
+    spreading from a single point does not count as a collision.
+    """
+    best = None
+    positions = [fr.position_at(after) for fr in fronts]
+    for i in range(len(fronts) - 1):
+        gap = positions[i + 1] - positions[i]
+        if gap < 0:
+            raise ConsistencyError("front ordering lost")
+        ds = fronts[i].speed - fronts[i + 1].speed
+        if ds <= 0:
+            continue
+        t = after + gap / ds
+        x = fronts[i].position_at(t)
+        if best is None or (t, x) < (best[0], best[1]):
+            best = (t, x, i)
+    if best is None:
+        return None
+    t, x, i = best
+    first = i
+    while first > 0 and fronts[first - 1].position_at(t) == x:
+        first -= 1
+    last = i + 1
+    while last + 1 < len(fronts) and fronts[last + 1].position_at(t) == x:
+        last += 1
+    return Collision(t, x, first, last)
+
+
+def _slab_tvs(slabs):
+    return tuple(sum((fr.strength for fr in slab.fronts), F(0)) for slab in slabs)
+
+
+def oracle_evolve(profile, flux, max_events=None):
+    """`evolve` by a full rescan of the live line at every event; each slab's
+    total variation is the sum of its front strengths."""
+    lo, hi = profile.value_span()
+    if not (flux.contains_u(lo) and flux.contains_u(hi)):
+        raise InputError("flux window does not cover the profile's value range")
+
+    live = [fr.with_fid(i) for i, fr in enumerate(initial_fronts(profile, flux))]
+    fronts_by_id = {fr.fid: fr for fr in live}
+    next_fid = len(live)
+    cap = max_events if max_events is not None else 10 * max(len(live), 1) ** 2
+
+    events = []
+    slabs = []
+    t_prev = F(0)
+    while True:
+        hit = oracle_next_collision(live, t_prev)
+        if hit is None:
+            slabs.append(Slab(len(slabs), t_prev, None, tuple(live)))
+            break
+        if len(events) >= cap:
+            partial_slabs = tuple(slabs + [Slab(len(slabs), t_prev, None, tuple(live))])
+            partial = Timeline(
+                flux, profile, tuple(events), partial_slabs, fronts_by_id,
+                _slab_tvs(partial_slabs),
+            )
+            raise TrackerError(
+                f"event cap {cap} exceeded at t={hit.t}", partial_timeline=partial
+            )
+        slabs.append(Slab(len(slabs), t_prev, hit.t, tuple(live)))
+        block = live[hit.first : hit.last + 1]
+        event = resolve_event(
+            block, hit.t, hit.x, flux, index=len(events), fid_start=next_fid
+        )
+        next_fid += len(event.outgoing)
+        for fr in event.outgoing:
+            fronts_by_id[fr.fid] = fr
+        live[hit.first : hit.last + 1] = list(event.outgoing)
+        events.append(event)
+        t_prev = hit.t
+    return Timeline(
+        flux, profile, tuple(events), tuple(slabs), fronts_by_id, _slab_tvs(slabs)
+    )
+
+
+def oracle_validate_timeline(tl):
+    """`validate_timeline` with every check run on every slab; it ignores
+    ``tl.slab_tvs`` and sums each slab's front strengths itself."""
+    p, flux = tl.initial_profile, tl.flux
+    lo0, hi0 = p.value_span()
+
+    for ev, nxt in zip(tl.events, tl.events[1:]):
+        if (ev.t, ev.x) >= (nxt.t, nxt.x):
+            raise ConsistencyError("events not in lexicographic (t, x) order")
+    last = tl.slabs[-1].fronts
+    if any(fr.speed > gr.speed for fr, gr in zip(last, last[1:])):
+        raise ConsistencyError("fronts still converge after the last event")
+
+    tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
+                 - flux.value_at_index(flux.index_of(p.constant_state)))
+    baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
+    admissible = set()
+    prev_tv = None
+    for slab in tl.slabs:
+        tv = sum((fr.strength for fr in slab.fronts), F(0))
+        if prev_tv is not None and tv > prev_tv:
+            raise ConsistencyError("total variation increased")
+        if slab.index > 0:
+            ev = tl.events[slab.index - 1]
+            drop = prev_tv - tv
+            if ev.kind == SAME_SIGN and drop != 0:
+                raise ConsistencyError("same-sign event changed total variation")
+            if ev.kind == CANCELLATION and drop != ev.canceled_mass:
+                raise ConsistencyError("cancellation mass does not match TV drop")
+        prev_tv = tv
+
+        prev_v = p.constant_state
+        for fr in slab.fronts:
+            if fr.left != prev_v:
+                raise ConsistencyError("front states do not chain inside a slab")
+            prev_v = fr.right
+            if not (lo0 <= fr.u_lo and fr.u_hi <= hi0):
+                raise ConsistencyError("profile left the initial value range")
+            if fr not in admissible:
+                if not is_admissible(fr, flux):
+                    raise ConsistencyError("live front is not admissible")
+                admissible.add(fr)
+        if prev_v != p.right_constant:
+            raise ConsistencyError("right tail value changed")
+
+        for t_probe in (slab.t_lo, slab.t_hi):
+            if t_probe is None:
+                continue
+            xs = [fr.position_at(t_probe) for fr in slab.fronts]
+            if any(b < a for a, b in zip(xs, xs[1:])):
+                raise ConsistencyError("fronts crossed inside a slab")
+        # xs holds the positions at t_hi, or at t_lo on the last slab
+        t_ref = slab.t_lo if slab.t_hi is None else slab.t_hi
+        moment = sum((fr.right - fr.left) * x for fr, x in zip(slab.fronts, xs))
+        if moment - t_ref * tail_flux != baseline:
+            raise ConsistencyError("conserved moment drifted")
 
 
 # -- the worked non-convex example --------------------------------------------

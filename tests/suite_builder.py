@@ -48,3 +48,17 @@ def binary_only_run(i: int):
 
 def build_suite(size: int = SUITE_SIZE):
     return [binary_only_run(i) for i in range(size)]
+
+
+def ladder_config(eps: str, probes: int = 0) -> dict:
+    """The seed-3 random config of the benchmark's `ladder` workload at grid
+    ``eps`` (124 atoms at 1/64)."""
+    rng = random.Random(3)
+    w = int(1 / F(eps))
+    return {
+        "flux": random_flux_spec(rng),
+        "epsilon": eps,
+        "window": [-w, w],
+        "datum": random_datum_spec(rng, F(2), n_jumps=10),
+        "options": {"restart_check_points": probes},
+    }

@@ -1,7 +1,5 @@
 from fractions import Fraction as F
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +29,7 @@ from oracles import (
     oracle_cancellation_speed_change,
     oracle_same_sign_speed_change,
 )
+from suite_builder import ladder_config
 from wave_oracles import (
     GENERIC,
     MIXED_SIGN,
@@ -420,15 +419,7 @@ def test_weight_above_k_names_the_first_offending_pair():
 def test_q_matches_oracle_on_the_ladder_rung():
     # the seed-3 random config of the benchmark's ladder, at eps 1/64 (124
     # atoms); the 1/128 rung takes about a minute under the oracle
-    rng = random.Random(3)
-    cfg = harness.parse_run_config({
-        "flux": harness.random_flux_spec(rng),
-        "epsilon": "1/64",
-        "window": [-64, 64],
-        "datum": harness.random_datum_spec(rng, F(2), n_jumps=10),
-        "options": {"restart_check_points": 0},
-    })
-    r = harness.run_simulation(cfg)
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
     assert r.waves.atom_count == 124
     top = F(0)
     for s, rec in enumerate(r.series.slabs):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fronttrack import harness
 from fronttrack.envelope import sample_flux
 from fronttrack.errors import ConsistencyError, InputError, TrackerError
 from fronttrack.tracker import (
@@ -15,19 +16,38 @@ from fronttrack.tracker import (
     discretize_initial,
     evolve,
     initial_fronts,
-    next_collision,
     profile_at,
     resolve_event,
     validate_timeline,
 )
 from fronttrack.riemann import Front
 
-from oracles import WORKED_FLUX, WORKED_PROFILE
+from oracles import (
+    WORKED_FLUX,
+    WORKED_PROFILE,
+    oracle_evolve,
+    oracle_next_collision,
+    oracle_validate_timeline,
+)
+from suite_builder import ladder_config
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
 BURGERS_WIDE = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
 
 TWO_SHOCK = Profile(F(1), ((F(0), F(0)), (F(1), F(-1))))
+TABLE = sample_flux(
+    {"table": {"-2": "-1", "-1": "-1/2", "0": "0", "1": "1", "2": "2", "3": "3"}},
+    "1",
+    (-2, 3),
+)
+TRIPLE_POINT = Profile(F(0), ((F(0), F(2)), (F(1), F(-1)), (F(3), F(0))))
+SIMULTANEOUS = Profile(
+    F(1), ((F(0), F(0)), (F(1), F(-1)), (F(5), F(3)), (F(10), F(2)), (F(11), F(1)))
+)
+
+
+def _profile(constant, *jumps):
+    return Profile(F(constant), tuple((F(x), F(v)) for x, v in jumps))
 
 
 # -- profiles and discretization ----------------------------------------------
@@ -119,13 +139,13 @@ def _front(left, right, speed, x, t=0, fid=-1):
 
 def test_next_collision_two_approaching():
     fronts = [_front(1, 0, F(1, 2), 0), _front(0, -1, F(-1, 2), 1)]
-    hit = next_collision(fronts, F(0))
+    hit = oracle_next_collision(fronts, F(0))
     assert hit == Collision(F(1), F(1, 2), 0, 1)
 
 
 def test_next_collision_parallel_none():
     fronts = [_front(1, 0, F(1, 2), 0), _front(0, -1, F(1, 2), 1)]
-    assert next_collision(fronts, F(0)) is None
+    assert oracle_next_collision(fronts, F(0)) is None
 
 
 def test_next_collision_earliest_pair_only():
@@ -135,13 +155,13 @@ def test_next_collision_earliest_pair_only():
         _front(1, 0, 0, 1),
         _front(0, -1, F(-1, 2), 4),
     ]
-    hit = next_collision(fronts, F(0))
+    hit = oracle_next_collision(fronts, F(0))
     assert (hit.t, hit.x, hit.first, hit.last) == (F(1), F(1), 0, 1)
 
 
 def test_next_collision_spreading_fan_ignored():
     fronts = [_front(-1, 0, F(-1, 2), 0), _front(0, 1, F(1, 2), 0)]
-    assert next_collision(fronts, F(0)) is None
+    assert oracle_next_collision(fronts, F(0)) is None
 
 
 # -- event resolution ----------------------------------------------------------
@@ -167,17 +187,12 @@ def test_resolve_cancellation_kind():
 
 
 def test_resolve_full_cancellation():
-    flux = sample_flux(
-        {"table": {"-2": "-1", "-1": "-1/2", "0": "0", "1": "1", "2": "2", "3": "3"}},
-        "1",
-        (-2, 3),
-    )
     incoming = [
         _front(0, 2, 1, 0),
         _front(2, -1, F(5, 6), 1),
         _front(-1, 0, F(1, 2), 3),
     ]
-    ev = resolve_event(incoming, F(6), F(6), flux)
+    ev = resolve_event(incoming, F(6), F(6), TABLE)
     assert ev.kind == CANCELLATION
     assert ev.outgoing == ()
     assert (ev.a, ev.c) == (F(0), F(0))
@@ -215,23 +230,17 @@ def test_staircase_cascade():
     tl = evolve(p, BURGERS_WIDE)
     assert [ev.t for ev in tl.events] == [F(1), F(5, 3), F(7, 3)]
     assert all(ev.kind == SAME_SIGN for ev in tl.events)
-    assert tl.slab_tv(0) == tl.slab_tv(len(tl.slabs) - 1) == F(4)
+    assert tl.slab_tvs[0] == tl.slab_tvs[-1] == F(4)
     validate_timeline(tl)
 
 
 def test_triple_point_full_cancellation():
-    flux = sample_flux(
-        {"table": {"-2": "-1", "-1": "-1/2", "0": "0", "1": "1", "2": "2", "3": "3"}},
-        "1",
-        (-2, 3),
-    )
-    p = Profile(F(0), ((F(0), F(2)), (F(1), F(-1)), (F(3), F(0))))
-    tl = evolve(p, flux)
+    tl = evolve(TRIPLE_POINT, TABLE)
     assert len(tl.events) == 1
     ev = tl.events[0]
     assert (ev.t, ev.x) == (F(6), F(6))
     assert len(ev.incoming) == 3 and ev.outgoing == ()
-    assert tl.slab_tv(1) == F(0)
+    assert tl.slab_tvs[1] == F(0)
     validate_timeline(tl)
 
 
@@ -305,18 +314,7 @@ def test_restarted_evolution_matches():
 def test_simultaneous_distinct_position_events():
     # two independent merging pairs, built to collide at the same instant,
     # plus a spreading fan between them that stays out of the way until later
-    wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
-    p = Profile(
-        F(1),
-        (
-            (F(0), F(0)),
-            (F(1), F(-1)),
-            (F(5), F(3)),
-            (F(10), F(2)),
-            (F(11), F(1)),
-        ),
-    )
-    tl = evolve(p, wide)
+    tl = evolve(SIMULTANEOUS, BURGERS_WIDE)
     first, second = tl.events[0], tl.events[1]
     assert first.t == second.t == F(1)
     assert first.x == F(1, 2) < second.x == F(25, 2)
@@ -327,21 +325,12 @@ def test_simultaneous_distinct_position_events():
 
 
 def test_simultaneous_events_potential_bookkeeping():
-    wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
-    p = Profile(
-        F(1),
-        (
-            (F(0), F(0)),
-            (F(1), F(-1)),
-            (F(5), F(3)),
-            (F(10), F(2)),
-            (F(11), F(1)),
-        ),
-    )
     from fronttrack.potential import verify_run
     from fronttrack.tracing import advance_tracing, build_initial_waves, validate_tracing
 
-    ws = advance_tracing(build_initial_waves(p, F(1)), evolve(p, wide))
+    ws = advance_tracing(
+        build_initial_waves(SIMULTANEOUS, F(1)), evolve(SIMULTANEOUS, BURGERS_WIDE)
+    )
     validate_tracing(ws)
     series = verify_run(ws, restart_checks=3)
     assert series.all_pass, series.hard_failures
@@ -373,3 +362,220 @@ def test_validate_timeline_rejects_forged_inadmissible_fronts():
     for forged in (_forge_slab(tl, 2, late), _forge_slab(tl, 1, [merged, *rest])):
         with pytest.raises(ConsistencyError, match="live front is not admissible"):
             validate_timeline(forged)
+
+
+# -- the event-local tracker against the full-scan oracles ---------------------
+
+
+def _assert_matches_oracle(profile, flux, max_events=None):
+    """`evolve` gives the oracle's events, slabs, fronts and per-slab TV (the
+    oracle sums each slab's front strengths), or the same partial timeline."""
+    try:
+        ref = oracle_evolve(profile, flux, max_events)
+    except TrackerError as exc:
+        with pytest.raises(TrackerError) as info:
+            evolve(profile, flux, max_events)
+        assert str(info.value) == str(exc)
+        tl, ref = info.value.partial_timeline, exc.partial_timeline
+    else:
+        tl = evolve(profile, flux, max_events)
+    assert tl.events == ref.events
+    assert tl.slabs == ref.slabs
+    assert tl.fronts_by_id == ref.fronts_by_id
+    assert tl.slab_tvs == ref.slab_tvs
+    return tl
+
+
+def _neighbours(tl, e):
+    """The fronts beside event e's incoming block in slab e (None at an end)."""
+    before, ev = tl.slabs[e].fronts, tl.events[e]
+    i = before.index(ev.incoming[0])
+    j = i + len(ev.incoming)
+    return (before[i - 1] if i else None), (before[j] if j < len(before) else None)
+
+
+def _midpoints(tl):
+    return [slab.t_lo + 1 if slab.t_hi is None else (slab.t_lo + slab.t_hi) / 2
+            for slab in tl.slabs]
+
+
+def test_evolve_matches_oracle_on_the_suite(suite):
+    for r in suite["runs"]:
+        tl = r.timeline
+        _assert_matches_oracle(tl.initial_profile, tl.flux)
+
+
+def test_evolve_matches_oracle_on_the_ladder_rung_and_its_restarts():
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
+    tl = _assert_matches_oracle(r.timeline.initial_profile, r.timeline.flux)
+    assert len(tl.events) == 55
+    for t in _midpoints(tl):
+        _assert_matches_oracle(profile_at(tl, t), tl.flux)
+
+
+def test_evolve_matches_oracle_on_the_worked_and_triple_point_runs():
+    _assert_matches_oracle(WORKED_PROFILE, WORKED_FLUX)
+    _assert_matches_oracle(TRIPLE_POINT, TABLE)
+
+
+@pytest.mark.parametrize("end, profile", [
+    ("left", _profile(-1, (1, 0), (3, -3), (4, 1), (6, -3), (10, 0))),
+    ("middle", _profile(-4, (3, 0), (4, -2), (5, -1), (7, -3), (9, 3))),
+    ("right", _profile(2, (7, -4), (8, -3), (9, 0), (10, -2), (11, -1))),
+])
+def test_full_cancellation_leaves_no_live_stale_entry(end, profile):
+    # the cancelled block converged with a surviving neighbour, so the heap
+    # still holds that pair's meeting, which must not fire
+    tl = _assert_matches_oracle(profile, BURGERS_WIDE)
+    validate_timeline(tl)
+    e = next(i for i, ev in enumerate(tl.events) if not ev.outgoing)
+    ev, (left, right) = tl.events[e], _neighbours(tl, e)
+    assert {"left": left is None and right is not None,
+            "middle": left is not None and right is not None,
+            "right": left is not None and right is None}[end]
+    assert ((left is not None and left.speed > ev.incoming[0].speed)
+            or (right is not None and ev.incoming[-1].speed > right.speed))
+
+
+def test_full_cancellation_schedules_the_pair_it_leaves():
+    # event 1 cancels three fronts; their two neighbours converge and meet
+    tl = _assert_matches_oracle(_profile(2, (0, 0), (4, 3), (5, -1), (8, 1), (10, -2)), TABLE)
+    assert len(tl.events[1].incoming) == 3 and tl.events[1].outgoing == ()
+    assert tl.events[2].incoming == _neighbours(tl, 1)
+
+
+def test_same_time_events_at_distinct_positions_match_oracle():
+    for profile, flux in [
+        (SIMULTANEOUS, BURGERS_WIDE),
+        (_profile(-2, (0, 3), (1, -1), (5, 1), (7, -1)), TABLE),
+    ]:
+        tl = _assert_matches_oracle(profile, flux)
+        assert any(ev.t == nxt.t and ev.x < nxt.x
+                   for ev, nxt in zip(tl.events, tl.events[1:]))
+
+
+def test_three_front_meeting_matches_oracle():
+    tl = _assert_matches_oracle(_profile(-2, (0, 2), (2, 1), (3, -1), (4, 0), (5, 2)), TABLE)
+    ev = tl.events[0]
+    assert len(ev.incoming) == 3 and None not in _neighbours(tl, 0)
+
+
+def test_fan_born_beside_a_converging_neighbour():
+    # event 0 splits into a two-front fan whose right front converges with
+    # the x=4 front; they meet at event 1
+    tl = _assert_matches_oracle(WORKED_PROFILE, WORKED_FLUX)
+    fan = tl.events[0].outgoing
+    assert len(fan) == 2
+    _, right = _neighbours(tl, 0)
+    assert fan[-1].speed > right.speed
+    assert tl.events[1].incoming == (fan[-1], right)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_event_cap_partial_timeline_matches_oracle(cap):
+    tl = _assert_matches_oracle(WORKED_PROFILE, WORKED_FLUX, max_events=cap)
+    assert len(tl.events) == cap
+
+
+# -- validate_timeline against the full-scan oracle ------------------------------
+
+
+def _forgeries(tl):
+    """(what, timeline) for single edits of one front in one slab, of the
+    fronts' order in one slab, and of one event's point."""
+    for s, slab in enumerate(tl.slabs):
+        fronts = list(slab.fronts)
+        for j, fr in enumerate(fronts):
+            edits = {
+                "speed": replace(fr, speed=fr.speed + F(1, 3)),
+                "birth_x": replace(fr, birth_x=fr.birth_x + F(1, 5)),
+                "birth_time": replace(fr, birth_time=fr.birth_time + F(1, 7)),
+            }
+            for field in ("left", "right"):
+                other = fr.right if field == "left" else fr.left
+                for step in (-1, 1):
+                    value = getattr(fr, field) + step * tl.flux.epsilon
+                    if value != other:
+                        edits[f"{field} {step:+}"] = replace(fr, **{field: value})
+            for what, forged in edits.items():
+                yield f"slab {s} front {j} {what}", _forge_slab(
+                    tl, s, fronts[:j] + [forged] + fronts[j + 1:])
+            yield f"slab {s} drop {j}", _forge_slab(tl, s, fronts[:j] + fronts[j + 1:])
+            yield f"slab {s} duplicate {j}", _forge_slab(
+                tl, s, fronts[:j + 1] + fronts[j:])
+            if j + 1 < len(fronts):
+                swapped = fronts[:j] + [fronts[j + 1], fronts[j]] + fronts[j + 2:]
+                yield f"slab {s} swap {j}", _forge_slab(tl, s, swapped)
+    for e, ev in enumerate(tl.events):
+        for field in ("t", "x"):
+            events = list(tl.events)
+            events[e] = replace(ev, **{field: getattr(ev, field) + F(1, 11)})
+            yield f"event {e} {field}", replace(tl, events=tuple(events))
+
+
+def _rejects(validate, tl):
+    try:
+        validate(tl)
+    except ConsistencyError:
+        return True
+    return False
+
+
+def test_validate_timeline_rejects_what_the_oracle_rejects(suite):
+    # the oracle never reads an event's point, so it accepts some of these;
+    # the event-local checks reject them all
+    runs = [r.timeline for r in suite["runs"][:3]]
+    by_oracle = 0
+    for tl in [evolve(WORKED_PROFILE, WORKED_FLUX), *runs]:
+        validate_timeline(tl)
+        for what, forged in _forgeries(tl):
+            by_oracle += _rejects(oracle_validate_timeline, forged)
+            assert _rejects(validate_timeline, forged), what
+    assert by_oracle > 400
+
+
+def _substitute(tl, swaps):
+    """``tl`` with each front in ``swaps`` replaced in every slab and event."""
+    def sub(fronts):
+        return tuple(swaps.get(fr, fr) for fr in fronts)
+    slabs = tuple(replace(slab, fronts=sub(slab.fronts)) for slab in tl.slabs)
+    events = tuple(replace(ev, incoming=sub(ev.incoming), outgoing=sub(ev.outgoing))
+                   for ev in tl.events)
+    return replace(tl, slabs=slabs, events=events)
+
+
+def test_validate_timeline_checks_each_event_point():
+    # event 0's fan moved along x in every slab, with and without the
+    # event's own point
+    tl = evolve(WORKED_PROFILE, WORKED_FLUX)
+    ev = tl.events[0]
+    moved = _substitute(tl, {fr: replace(fr, birth_x=fr.birth_x + 1) for fr in ev.outgoing})
+    events = (replace(moved.events[0], x=ev.x + 1), *moved.events[1:])
+    for forged in (moved, replace(moved, events=events)):
+        assert _rejects(oracle_validate_timeline, forged)
+        with pytest.raises(ConsistencyError, match="event 0: its fronts do not meet"):
+            validate_timeline(forged)
+
+
+def test_validate_timeline_checks_neighbours_at_each_event():
+    # the first front, moved 6 to the right in every slab and event (the
+    # last front moved 6 to the left keeps the moment), reaches x = 5/2 at
+    # event 0, past the point 3/2 where its neighbours meet
+    tl = evolve(_profile(3, (-6, 2), (0, 1), (1, 0), (20, -1)), BURGERS_WIDE)
+    validate_timeline(tl)
+    first, *_, last = tl.slabs[0].fronts
+    assert (tl.events[0].t, tl.events[0].x) == (F(1), F(3, 2))
+    forged = _substitute(tl, {first: replace(first, birth_x=first.birth_x + 6),
+                              last: replace(last, birth_x=last.birth_x - 6)})
+    for validate in (oracle_validate_timeline, validate_timeline):
+        with pytest.raises(ConsistencyError, match="fronts crossed inside a slab"):
+            validate(forged)
+
+
+def test_validate_timeline_checks_the_slab_tv_owner():
+    tl = evolve(WORKED_PROFILE, WORKED_FLUX)
+    for s in range(len(tl.slabs)):
+        tvs = list(tl.slab_tvs)
+        tvs[s] += 1
+        with pytest.raises(ConsistencyError, match="slab total variation"):
+            validate_timeline(replace(tl, slab_tvs=tuple(tvs)))
