@@ -78,9 +78,9 @@ def render_front_diagram(tl: Timeline) -> str:
             f'data-speed="{format_rational(fr.speed)}" '
             f'stroke="{"#1f77b4" if fr.sign > 0 else "#d62728"}" stroke-width="1.5"/>'
         )
-    for ev in tl.events:
+    for e, ev in enumerate(tl.events):
         parts.append(
-            f'<circle id="event-{ev.index}" class="event" '
+            f'<circle id="event-{e}" class="event" '
             f'cx="{_fmt(px(ev.x))}" cy="{_fmt(py(ev.t))}" r="3.5" '
             f'data-t="{format_rational(ev.t)}" data-x="{format_rational(ev.x)}" '
             f'data-kind="{ev.kind}" fill="black"/>'

@@ -161,6 +161,7 @@ class _SlabPotential:
             self.max_weight = self.K
 
         counts = {}  # (event index, slope id of a) -> {slope id of b: pair count}
+        first_pair = {}  # (event index, slope id, slope id) -> its first atom pair
         for i, (fid_i, atoms_i) in enumerate(runs):
             for j in range(i + 1, len(runs)):
                 if block_of[j] != block_of[i]:
@@ -178,25 +179,30 @@ class _SlabPotential:
                             ids_b = self._slope_ids_for(fid_j, e)
                             row = counts.setdefault((e, id_a), {})
                         id_b = ids_b[cell[b]]
-                        row[id_b] = row.get(id_b, 0) + 1
+                        if id_b in row:
+                            row[id_b] += 1
+                        else:
+                            row[id_b] = 1
+                            first_pair[e, id_a, id_b] = a, b
 
         gaps = {}  # event index -> [sum, max] of the positive slope gaps
         slopes = self._slopes
-        for (e, id_a), row in counts.items():
-            kd = self._event_d(e)[1]
+        # terms in the order they first appear: a term's weight depends only
+        # on the term, so the first offending term holds the first offending pair
+        for (e, id_a, id_b), (a, b) in first_pair.items():
+            gap = slopes[id_a] - slopes[id_b]
+            if gap <= 0:
+                continue
+            if gap > self._event_d(e)[1]:
+                raise ConsistencyError(f"weight above K for atoms ({a}, {b}) in slab {s}")
+            count = counts[e, id_a][id_b]
             acc = gaps.get(e)
-            for id_b, count in row.items():
-                gap = slopes[id_a] - slopes[id_b]
-                if gap <= 0:
-                    continue
-                if gap > kd:
-                    self._raise_first_weight_above_k(s, runs, block_of)
-                if acc is None:
-                    acc = gaps[e] = [count * gap, gap]
-                else:
-                    acc[0] += count * gap
-                    if gap > acc[1]:
-                        acc[1] = gap
+            if acc is None:
+                gaps[e] = [count * gap, gap]
+            else:
+                acc[0] += count * gap
+                if gap > acc[1]:
+                    acc[1] = gap
         total = self.K * cross_pairs
         for e, (gap_sum, top) in gaps.items():
             d = self._event_d(e)[0]
@@ -204,28 +210,6 @@ class _SlabPotential:
             if top > self.max_weight * d:
                 self.max_weight = top / d
         return total * ws.epsilon * ws.epsilon
-
-    def _raise_first_weight_above_k(self, s, runs, block_of):
-        """Name the first same-block pair, in the order `q_of_slab` walks
-        them, whose weight exceeds K."""
-        ws, slopes = self.ws, self._slopes
-        for i, (fid_i, atoms_i) in enumerate(runs):
-            for j in range(i + 1, len(runs)):
-                if block_of[j] != block_of[i]:
-                    break
-                fid_j, atoms_j = runs[j]
-                for a in atoms_i:
-                    for b in atoms_j:
-                        e = first_common_event(ws, a, b, s)
-                        if e is None:
-                            continue
-                        id_a = self._slope_ids_for(fid_i, e)[ws.cell[a]]
-                        id_b = self._slope_ids_for(fid_j, e)[ws.cell[b]]
-                        if slopes[id_a] - slopes[id_b] > self._event_d(e)[1]:
-                            raise ConsistencyError(
-                                f"weight above K for atoms ({a}, {b}) in slab {s}"
-                            )
-        raise ConsistencyError(f"weight above K in slab {s}")
 
 
 def upsilon(q_value, tv_now, tv0, K):
@@ -406,11 +390,11 @@ def _restart_probe_times(tl: Timeline, count: int):
     picks = sorted({(i * (n - 1)) // step for i in range(count)})
     out = []
     for s in picks:
-        slab = tl.slabs[s]
-        if slab.t_hi is None:
-            out.append((s, slab.t_lo + 1))
-        elif slab.t_hi > slab.t_lo:
-            out.append((s, (slab.t_lo + slab.t_hi) / 2))
+        t_lo, t_hi = tl.slab_bounds(s)
+        if t_hi is None:
+            out.append((s, t_lo + 1))
+        elif t_hi > t_lo:
+            out.append((s, (t_lo + t_hi) / 2))
         # zero-length slabs (simultaneous events) have no interior to probe
     return out
 
@@ -432,17 +416,17 @@ def verify_run(ws: WaveSystem, restart_checks: int = 0) -> PotentialSeries:
     engine = _SlabPotential(ws, K)
 
     slabs = []
-    for s, slab in enumerate(tl.slabs):
+    for s in range(len(tl.slabs)):
         q_val = engine.q_of_slab(s)
         tv = tl.slab_tvs[s]
         slabs.append(
-            SlabRecord(s, slab.t_lo, slab.t_hi, q_val, tv, *upsilon(q_val, tv, tv0, K),
+            SlabRecord(s, *tl.slab_bounds(s), q_val, tv, *upsilon(q_val, tv, tv0, K),
                        _bianchini_of_slab(ws, s))
         )
     rows = [(r.Q, r.TV, r.upsilon_paper, r.upsilon_strict) for r in slabs]
     event_rows = [
-        (ev.index, ev.kind, len(ev.incoming) > 2, ev.a, ev.b, ev.c, delta_sigma(ev, flux))
-        for ev in tl.events
+        (i, ev.kind, len(ev.incoming) > 2, ev.a, ev.b, ev.c, delta_sigma(ev, flux))
+        for i, ev in enumerate(tl.events)
     ]
 
     probes = []

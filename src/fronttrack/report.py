@@ -54,7 +54,7 @@ def build_report(result: RunResult) -> dict:
         "analytic_curvature_bound": _json(cfg.analytic_curvature_bound),
         "TV0": _json(series.tv0),
         "atom_count": result.waves.atom_count,
-        "initial_front_count": len(result.timeline.slabs[0].fronts),
+        "initial_front_count": len(result.timeline.slabs[0]),
         "event_count": len(series.events),
         "max_weight": _json(series.max_weight),
         "all_pass": series.all_pass,

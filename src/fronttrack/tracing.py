@@ -14,7 +14,9 @@ participation lists answer every "will these two waves meet again, and who
 will be there" query exactly, which is all the interaction potential needs.
 They are the only survival record, and only this module reads them: the
 potential asks `first_common_event` and `meeting_cells`, and
-`validate_tracing` checks the same lists against the timeline.
+`validate_tracing` checks the same lists against the timeline, slab 0 in
+full and then event by event.  An atom's initial jump is not stored: the
+slab-0 fans, in line order, take the atoms in id order.
 """
 
 from bisect import bisect_left
@@ -37,9 +39,8 @@ class WaveSystem:
 
         self.sign = []
         self.cell = []  # state cell lower grid index; states span [k*eps, (k+1)*eps]
-        self.jump_of = []  # index of the initial jump the atom belongs to
         prev_v = profile.constant_state
-        for j, (x, v) in enumerate(profile.jumps):
+        for _, v in profile.jumps:
             sign = 1 if v > prev_v else -1
             lo_idx = grid_index(min(prev_v, v), epsilon)
             hi_idx = grid_index(max(prev_v, v), epsilon)
@@ -47,7 +48,6 @@ class WaveSystem:
             for k in cells:
                 self.sign.append(sign)
                 self.cell.append(k)
-                self.jump_of.append(j)
             prev_v = v
         if len(self.sign) != self.atom_count:
             raise ConsistencyError("atom construction lost mass")
@@ -65,16 +65,16 @@ class WaveSystem:
     def runs(self, s: int):
         """(fid, atoms) of each front of slab s, left to right."""
         self._require_traced()
-        return [(fr.fid, self.atoms_of[fr.fid]) for fr in self.timeline.slabs[s].fronts]
+        return [(fr.fid, self.atoms_of[fr.fid]) for fr in self.timeline.slabs[s]]
 
 
 def build_initial_waves(profile: Profile, epsilon) -> WaveSystem:
-    """The time-zero wave layer: atoms with signs, states and jump positions."""
+    """The time-zero wave layer: atoms with signs and states, jump by jump."""
     return WaveSystem(Fraction(epsilon), profile)
 
 
-def _assign_fan(ws, atoms, fronts, eps):
-    """Give each front of a fan the atoms whose state cells it spans."""
+def _fan_cells(fronts, eps):
+    """The fid of the fan front that spans each state cell."""
     cell_to_fid = {}
     for fr in fronts:
         lo = grid_index(fr.u_lo, eps)
@@ -83,6 +83,11 @@ def _assign_fan(ws, atoms, fronts, eps):
             if k in cell_to_fid:
                 raise ConsistencyError("outgoing fronts overlap in state")
             cell_to_fid[k] = fr.fid
+    return cell_to_fid
+
+
+def _assign_fan(ws, atoms, fronts, cell_to_fid):
+    """Give each front of a fan the atoms whose state cells it spans."""
     carried = {fr.fid: [] for fr in fronts}
     seen = set()
     for a in atoms:
@@ -106,22 +111,19 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
     eps = ws.epsilon
     ws.timeline = tl
 
-    # slab 0: distribute each initial jump's atoms over its Riemann fan
-    by_jump = {}
-    for a in range(ws.atom_count):
-        by_jump.setdefault(ws.jump_of[a], []).append(a)
+    # slab 0: the initial jumps' Riemann fans, grouped by birth point in line
+    # order, take the atoms in id order, each fan one per state cell it spans
     fans = {}
-    for fr in tl.slabs[0].fronts:
-        fans.setdefault((fr.birth_x), []).append(fr)
-    for j, (x, _) in enumerate(tl.initial_profile.jumps):
-        _assign_fan(ws, by_jump.get(j, []), fans.get(x, []), eps)
+    for fr in tl.slabs[0]:
+        fans.setdefault(fr.birth_x, []).append(fr)
+    start = 0
+    for fan in fans.values():
+        cells = _fan_cells(fan, eps)
+        _assign_fan(ws, range(start, start + len(cells)), fan, cells)
+        start += len(cells)
 
     for e_idx, ev in enumerate(tl.events):
         groups = [ws.atoms_of[fr.fid] for fr in ev.incoming]
-        states = ev.chain_states
-        if (states[0], states[-1]) != (ev.a, ev.c):
-            raise ConsistencyError("merged jump does not match the event record")
-
         # survival is decided by state membership in the running merged jump,
         # which stays sign-pure at every step; once it cancels out (p == q)
         # the next front's atoms all lie in [p, r) and survive
@@ -145,7 +147,7 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
             ws.canc_event[a] = e_idx
         for a in survivors:
             ws.events_of[a].append(e_idx)
-        _assign_fan(ws, survivors, ev.outgoing, eps)
+        _assign_fan(ws, survivors, ev.outgoing, _fan_cells(ev.outgoing, eps))
     return ws
 
 
@@ -182,25 +184,25 @@ def meeting_cells(ws, fid: int, e: int):
 
 def validate_tracing(ws: WaveSystem) -> None:
     """Exact structural checks tying waves to their timeline's fronts; raises
-    on failure."""
+    on failure.
+
+    Precondition: `validate_timeline` has accepted the timeline, as in
+    `run_simulation`, so slab s+1 is slab s with event s's incoming block
+    replaced by its outgoing fronts.  Slab 0 is checked in full: its runs
+    concatenate to every atom in id order, with the slab's mass.  Each event
+    is then checked locally: its incoming atoms, in order and without those
+    it cancels, are its outgoing atoms in order, and every atom it cancels is
+    in the block (its survivors and casualties are its incoming atoms).  By
+    induction every slab's runs concatenate to the atoms live there, in id
+    order.  Each front's waves are checked once, in slab 0 or at the event
+    that makes it.
+    """
     ws._require_traced()
     tl, eps = ws.timeline, ws.epsilon
-    checked = set()
-    live = list(range(ws.atom_count))
-    for s in range(len(tl.slabs)):
-        if s:
-            live = [a for a in live if ws.canc_event[a] != s - 1]
-        if len(live) * eps != tl.slab_tvs[s]:
-            raise ConsistencyError("wave mass does not match front variation")
-        runs = ws.runs(s)
-        covered = [a for _, atoms in runs for a in atoms]
-        if covered != live:
-            raise ConsistencyError(f"slab {s}: live atoms not partitioned by fronts")
-        for fid, atoms in runs:
-            if fid in checked:
-                continue
-            checked.add(fid)
-            fr = tl.fronts_by_id[fid]
+
+    def check_fronts(fronts):
+        for fr in fronts:
+            fid, atoms = fr.fid, ws.atoms_of[fr.fid]
             signs = {ws.sign[a] for a in atoms}
             if signs != {fr.sign}:
                 raise ConsistencyError(f"front {fid}: sign mismatch")
@@ -211,6 +213,12 @@ def validate_tracing(ws: WaveSystem) -> None:
                 raise ConsistencyError(f"front {fid}: state span does not match its waves")
             if len(atoms) * eps != fr.strength:
                 raise ConsistencyError(f"front {fid}: mass mismatch")
+
+    if ws.atom_count * eps != tl.slab_tvs[0]:
+        raise ConsistencyError("wave mass does not match front variation")
+    if [a for _, atoms in ws.runs(0) for a in atoms] != list(range(ws.atom_count)):
+        raise ConsistencyError("slab 0: live atoms not partitioned by fronts")
+    check_fronts(tl.slabs[0])
 
     # per event, the atoms that sit at and survive it, and those it cancels
     n = len(tl.events)
@@ -227,6 +235,14 @@ def validate_tracing(ws: WaveSystem) -> None:
                 raise ConsistencyError(f"atom {a} names unknown event {e}")
             lists[e].append(a)
     for e_idx, ev in enumerate(tl.events):
+        incoming = [a for fr in ev.incoming for a in ws.atoms_of[fr.fid]]
+        kept = [a for a in incoming if ws.canc_event[a] != e_idx]
+        outgoing = [a for fr in ev.outgoing for a in ws.atoms_of[fr.fid]]
+        if kept != outgoing:
+            raise ConsistencyError(
+                f"slab {e_idx + 1}: live atoms not partitioned by fronts"
+            )
+        check_fronts(ev.outgoing)
         lost = len(canceled[e_idx]) * eps
         if lost != ev.canceled_mass:
             raise ConsistencyError(
@@ -234,11 +250,10 @@ def validate_tracing(ws: WaveSystem) -> None:
             )
         if len(survived[e_idx]) * eps != abs(ev.c - ev.a):
             raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
-        if survived[e_idx] != sorted(a for fr in ev.outgoing for a in ws.atoms_of[fr.fid]):
+        if survived[e_idx] != outgoing:
             raise ConsistencyError(
                 f"event {e_idx}: survivors are not the atoms of its outgoing fronts"
             )
-        incoming = sorted(a for fr in ev.incoming for a in ws.atoms_of[fr.fid])
         if sorted(survived[e_idx] + canceled[e_idx]) != incoming:
             raise ConsistencyError(
                 f"event {e_idx}: survivors and casualties are not the atoms of its "

@@ -16,10 +16,14 @@ so an entry stays exact while its pair stays adjacent; an entry whose pair
 was broken up by an event is skipped when popped (lazy invalidation).  The
 total variation of each slab is carried along, event by event.
 
-The resulting Timeline is a list of slabs (t_j, t_{j+1}], each with its live
-ordered front set, plus the event records and the per-slab total variation.
-Profiles can be reconstructed at any time, with a pre/post side selector at
-the event instants themselves.
+The resulting Timeline holds what the run decides, each fact once: the live
+ordered front set of each slab (t_j, t_{j+1}], the events (their point, the
+fronts that meet there and the fan born there) and the per-slab total
+variation.  Everything else is derived: an event's kind and merged states
+from its incoming fronts, a slab's bounds from the event times
+(`Timeline.slab_bounds`), an index by position in its list.  Profiles can be
+reconstructed at any time, with a pre/post side selector at the event
+instants themselves.
 
 `validate_timeline` checks slab 0 in full and then each event locally.  Once
 slab s+1 is known to be slab s with the event's incoming block, met at the
@@ -30,7 +34,7 @@ conserved moment's rate only each event's change.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -126,15 +130,28 @@ def _strength(fronts) -> Fraction:
 
 @dataclass(frozen=True)
 class InteractionEvent:
-    index: int
+    """The fronts that meet at (t, x) and the fan born there.  The merged
+    jump (a, c), its extremal intermediate state b and the event's kind are
+    read off the incoming chain when the event is made, so they cannot
+    disagree with it, and `dataclasses.replace` cannot set them."""
+
     t: Fraction
     x: Fraction
     incoming: tuple  # Fronts, ordered by pre-collision position
     outgoing: tuple  # Fronts born at (t, x), ordered by speed
-    kind: str
-    a: Fraction  # left state of the merged jump
-    b: Fraction  # extremal intermediate state
-    c: Fraction  # right state of the merged jump
+    kind: str = field(init=False)
+    a: Fraction = field(init=False)  # left state of the merged jump
+    b: Fraction = field(init=False)  # extremal intermediate state
+    c: Fraction = field(init=False)  # right state of the merged jump
+
+    def __post_init__(self):
+        states = self.chain_states
+        a, c = states[0], states[-1]
+        same_sign = a != c and len({fr.sign for fr in self.incoming}) == 1
+        object.__setattr__(self, "kind", SAME_SIGN if same_sign else CANCELLATION)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", _extremal_intermediate(states))
+        object.__setattr__(self, "c", c)
 
     @property
     def chain_states(self):
@@ -156,24 +173,21 @@ class InteractionEvent:
         return _strength(self.incoming) - abs(self.c - self.a)
 
 
-@dataclass(frozen=True)
-class Slab:
-    """Live front set on the time interval (t_lo, t_hi]; t_hi None for the last."""
-
-    index: int
-    t_lo: Fraction
-    t_hi: object  # Fraction or None
-    fronts: tuple  # ordered left to right
-
-
 @dataclass
 class Timeline:
     flux: GridFlux
     initial_profile: Profile
     events: tuple
-    slabs: tuple
+    slabs: tuple  # the live fronts of each slab, left to right
     fronts_by_id: dict
     slab_tvs: tuple  # total variation of each slab, updated event by event
+
+    def slab_bounds(self, s: int):
+        """(t_lo, t_hi) of slab s, the time interval (t_lo, t_hi] between the
+        events around it; t_hi is None on the last slab."""
+        t_lo = self.events[s - 1].t if s else Fraction(0)
+        t_hi = self.events[s].t if s < len(self.events) else None
+        return t_lo, t_hi
 
     def slab_index_at(self, t: Fraction, side: str = "post") -> int:
         if t < 0:
@@ -254,30 +268,21 @@ def _extremal_intermediate(states):
     return best
 
 
-def resolve_event(colliding, t, x, flux, index=0, fid_start=0):
+def resolve_event(colliding, t, x, flux, fid_start=0):
     """Solve the Riemann problem spanned by a colliding block of fronts."""
     for fr, gr in zip(colliding, colliding[1:]):
         if fr.right != gr.left:
             raise ConsistencyError("colliding front states do not chain")
         if fr.position_at(t) != x or gr.position_at(t) != x:
             raise ConsistencyError("colliding fronts do not meet at the event point")
-    a = colliding[0].left
-    c = colliding[-1].right
-    states = [a] + [fr.right for fr in colliding]
-    b = _extremal_intermediate(states)
-    signs = {fr.sign for fr in colliding}
-    kind = SAME_SIGN if len(signs) == 1 and a != c else CANCELLATION
+    a, c = colliding[0].left, colliding[-1].right
     outgoing = []
     if a != c:
         outgoing = [
             fr.with_fid(fid_start + i)
             for i, fr in enumerate(solve_riemann(a, c, flux, t, x))
         ]
-    return InteractionEvent(
-        index=index, t=t, x=x,
-        incoming=tuple(colliding), outgoing=tuple(outgoing),
-        kind=kind, a=a, b=b, c=c,
-    )
+    return InteractionEvent(t, x, tuple(colliding), tuple(outgoing))
 
 
 def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
@@ -296,28 +301,21 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
     for fr, gr in zip(live, live[1:]):
         _schedule(heap, fr, gr, Fraction(0))
     events = []
-    slabs = []
+    slabs = [tuple(live)]
     tvs = [_strength(live)]
-    t_prev = Fraction(0)
     while True:
         hit = next_collision(heap, live, fids)
         if hit is None:
-            slabs.append(Slab(len(slabs), t_prev, None, tuple(live)))
             break
         if len(events) >= cap:
             partial = Timeline(
-                flux, profile, tuple(events),
-                tuple(slabs + [Slab(len(slabs), t_prev, None, tuple(live))]),
-                fronts_by_id, tuple(tvs),
+                flux, profile, tuple(events), tuple(slabs), fronts_by_id, tuple(tvs)
             )
             raise TrackerError(
                 f"event cap {cap} exceeded at t={hit.t}", partial_timeline=partial
             )
-        slabs.append(Slab(len(slabs), t_prev, hit.t, tuple(live)))
         block = live[hit.first : hit.last + 1]
-        event = resolve_event(
-            block, hit.t, hit.x, flux, index=len(events), fid_start=next_fid
-        )
+        event = resolve_event(block, hit.t, hit.x, flux, fid_start=next_fid)
         out = event.outgoing
         next_fid += len(out)
         for fr in out:
@@ -331,7 +329,7 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
                 _schedule(heap, live[j], live[j + 1], hit.t)
         tvs.append(tvs[-1] - _strength(block) + _strength(out))
         events.append(event)
-        t_prev = hit.t
+        slabs.append(tuple(live))
     return Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id, tuple(tvs))
 
 
@@ -341,12 +339,11 @@ def profile_at(tl: Timeline, t: Fraction, side: str = "post") -> Profile:
     t = Fraction(t)
     if t < 0:
         raise InputError("time must be nonnegative")
-    slab = tl.slabs[tl.slab_index_at(t, side)]
     constant = tl.initial_profile.constant_state
     merged = []
     prev_v = constant
     prev_x = None
-    for fr in slab.fronts:
+    for fr in tl.slabs[tl.slab_index_at(t, side)]:
         x = fr.position_at(t)
         if fr.left != prev_v:
             raise ConsistencyError("front states lost their chaining")
@@ -404,14 +401,10 @@ def validate_timeline(tl: Timeline) -> None:
     for ev, nxt in zip(events, events[1:]):
         if (ev.t, ev.x) >= (nxt.t, nxt.x):
             raise ConsistencyError("events not in lexicographic (t, x) order")
-    last = slabs[-1].fronts
+    last = slabs[-1]
     if any(fr.speed > gr.speed for fr, gr in zip(last, last[1:])):
         raise ConsistencyError("fronts still converge after the last event")
-    bounds = [Fraction(0)] + [ev.t for ev in events] + [None]
-    if len(slabs) != len(events) + 1 or len(tvs) != len(slabs) or any(
-        (slab.index, slab.t_lo, slab.t_hi) != (s, bounds[s], bounds[s + 1])
-        for s, slab in enumerate(slabs)
-    ):
+    if len(slabs) != len(events) + 1 or len(tvs) != len(slabs):
         raise ConsistencyError("slabs do not span the events")
 
     admissible = set()  # Front values, not fids: a reused fid is checked again
@@ -440,7 +433,7 @@ def validate_timeline(tl: Timeline) -> None:
         if any(b < a for a, b in zip(xs, xs[1:])):
             raise ConsistencyError("fronts crossed inside a slab")
 
-    first = slabs[0].fronts
+    first = slabs[0]
     check_new(first, None, None)
     check_ordered(first, Fraction(0))
     if tvs[0] != _strength(first):
@@ -453,7 +446,7 @@ def validate_timeline(tl: Timeline) -> None:
         raise ConsistencyError("conserved moment drifted")
 
     for s, ev in enumerate(events):
-        before, after = slabs[s].fronts, slabs[s + 1].fronts
+        before, after = slabs[s], slabs[s + 1]
         k = len(ev.incoming)
         m = len(after) - len(before) + k
         i = _block_index(before, ev.incoming)
@@ -492,4 +485,4 @@ def validate_timeline(tl: Timeline) -> None:
         if _moment_rate(ev.incoming) != _moment_rate(ev.outgoing):
             raise ConsistencyError("conserved moment drifted")
 
-    check_ordered(last, slabs[-1].t_lo)
+    check_ordered(last, tl.slab_bounds(len(events))[0])

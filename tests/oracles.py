@@ -4,8 +4,9 @@ The hull oracle and the slope-integral oracle deliberately avoid the
 package's monotone-chain envelope code path: envelopes are evaluated as
 minima over all chords, so agreement is a real cross-check.  The pointwise
 envelope queries (`value_at`, `slope_at`, `piece_slopes`), the chord speed
-`rh_speed` and the binary same-sign closed form `delta_sigma_closed_form`
-are queries only the tests make.
+`rh_speed`, the binary same-sign closed form `delta_sigma_closed_form` and an
+event's kind and extremal state `event_kind_and_b` are queries only the
+tests make.
 
 `oracle_evolve` and `oracle_validate_timeline` are the full-scan tracker:
 every step recomputes every live front's position, and every slab is
@@ -24,7 +25,6 @@ from fronttrack.tracker import (
     SAME_SIGN,
     Collision,
     Profile,
-    Slab,
     Timeline,
     initial_fronts,
     resolve_event,
@@ -95,6 +95,19 @@ def rh_speed(f, a, b):
     fa = f.value_at_index(f.index_of(a))
     fb = f.value_at_index(f.index_of(b))
     return (fb - fa) / (b - a)
+
+
+def event_kind_and_b(incoming):
+    """The kind of the event the chained fronts ``incoming`` make, and the
+    intermediate state farthest outside the span of the end states (the
+    first such for a monotone chain), restated from their definitions."""
+    states = [incoming[0].left] + [fr.right for fr in incoming]
+    a, c = states[0], states[-1]
+    signs = {fr.sign for fr in incoming}
+    kind = SAME_SIGN if len(signs) == 1 and a != c else CANCELLATION
+    lo, hi = min(a, c), max(a, c)
+    outside = [max(lo - u, u - hi, F(0)) for u in states[1:-1]]
+    return kind, states[1 + outside.index(max(outside))]
 
 
 def delta_sigma_closed_form(event):
@@ -210,7 +223,7 @@ def oracle_next_collision(fronts, after):
 
 
 def _slab_tvs(slabs):
-    return tuple(sum((fr.strength for fr in slab.fronts), F(0)) for slab in slabs)
+    return tuple(sum((fr.strength for fr in fronts), F(0)) for fronts in slabs)
 
 
 def oracle_evolve(profile, flux, max_events=None):
@@ -229,24 +242,20 @@ def oracle_evolve(profile, flux, max_events=None):
     slabs = []
     t_prev = F(0)
     while True:
+        slabs.append(tuple(live))
         hit = oracle_next_collision(live, t_prev)
         if hit is None:
-            slabs.append(Slab(len(slabs), t_prev, None, tuple(live)))
             break
         if len(events) >= cap:
-            partial_slabs = tuple(slabs + [Slab(len(slabs), t_prev, None, tuple(live))])
             partial = Timeline(
-                flux, profile, tuple(events), partial_slabs, fronts_by_id,
-                _slab_tvs(partial_slabs),
+                flux, profile, tuple(events), tuple(slabs), fronts_by_id,
+                _slab_tvs(slabs),
             )
             raise TrackerError(
                 f"event cap {cap} exceeded at t={hit.t}", partial_timeline=partial
             )
-        slabs.append(Slab(len(slabs), t_prev, hit.t, tuple(live)))
         block = live[hit.first : hit.last + 1]
-        event = resolve_event(
-            block, hit.t, hit.x, flux, index=len(events), fid_start=next_fid
-        )
+        event = resolve_event(block, hit.t, hit.x, flux, fid_start=next_fid)
         next_fid += len(event.outgoing)
         for fr in event.outgoing:
             fronts_by_id[fr.fid] = fr
@@ -267,7 +276,7 @@ def oracle_validate_timeline(tl):
     for ev, nxt in zip(tl.events, tl.events[1:]):
         if (ev.t, ev.x) >= (nxt.t, nxt.x):
             raise ConsistencyError("events not in lexicographic (t, x) order")
-    last = tl.slabs[-1].fronts
+    last = tl.slabs[-1]
     if any(fr.speed > gr.speed for fr, gr in zip(last, last[1:])):
         raise ConsistencyError("fronts still converge after the last event")
 
@@ -276,12 +285,12 @@ def oracle_validate_timeline(tl):
     baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
     admissible = set()
     prev_tv = None
-    for slab in tl.slabs:
-        tv = sum((fr.strength for fr in slab.fronts), F(0))
+    for s, fronts in enumerate(tl.slabs):
+        tv = sum((fr.strength for fr in fronts), F(0))
         if prev_tv is not None and tv > prev_tv:
             raise ConsistencyError("total variation increased")
-        if slab.index > 0:
-            ev = tl.events[slab.index - 1]
+        if s > 0:
+            ev = tl.events[s - 1]
             drop = prev_tv - tv
             if ev.kind == SAME_SIGN and drop != 0:
                 raise ConsistencyError("same-sign event changed total variation")
@@ -290,7 +299,7 @@ def oracle_validate_timeline(tl):
         prev_tv = tv
 
         prev_v = p.constant_state
-        for fr in slab.fronts:
+        for fr in fronts:
             if fr.left != prev_v:
                 raise ConsistencyError("front states do not chain inside a slab")
             prev_v = fr.right
@@ -303,15 +312,16 @@ def oracle_validate_timeline(tl):
         if prev_v != p.right_constant:
             raise ConsistencyError("right tail value changed")
 
-        for t_probe in (slab.t_lo, slab.t_hi):
+        t_lo, t_hi = tl.slab_bounds(s)
+        for t_probe in (t_lo, t_hi):
             if t_probe is None:
                 continue
-            xs = [fr.position_at(t_probe) for fr in slab.fronts]
+            xs = [fr.position_at(t_probe) for fr in fronts]
             if any(b < a for a, b in zip(xs, xs[1:])):
                 raise ConsistencyError("fronts crossed inside a slab")
         # xs holds the positions at t_hi, or at t_lo on the last slab
-        t_ref = slab.t_lo if slab.t_hi is None else slab.t_hi
-        moment = sum((fr.right - fr.left) * x for fr, x in zip(slab.fronts, xs))
+        t_ref = t_lo if t_hi is None else t_hi
+        moment = sum((fr.right - fr.left) * x for fr, x in zip(fronts, xs))
         if moment - t_ref * tail_flux != baseline:
             raise ConsistencyError("conserved moment drifted")
 

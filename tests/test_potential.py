@@ -41,6 +41,7 @@ from wave_oracles import (
     fid_of,
     fundamental_property_violations,
     maximal_noncontact_interval,
+    oracle_first_pair_above_k,
     oracle_q_of_slab,
     pair_weight,
     quadratic_potential,
@@ -338,7 +339,7 @@ def test_worked_example_never_and_mixed_pairs():
 def test_worked_example_potential_series():
     tl, ws = traced(WORKED_PROFILE, WORKED_FLUX)
     for s, expected in enumerate(WORKED_Q_BY_SLAB):
-        t_probe = tl.slabs[s].t_lo
+        t_probe = tl.slab_bounds(s)[0]
         assert quadratic_potential(ws, t_probe, side="post") == expected
         assert oracle_q_of_slab(ws, s, WORKED_K, WORKED_FLUX)[0] == expected
 
@@ -394,10 +395,11 @@ def test_restart_reproduces_potential_from_any_slab():
     from fronttrack.tracker import profile_at
     from fronttrack.potential import _SlabPotential
 
-    for s, slab in enumerate(tl.slabs):
-        t_probe = slab.t_lo + 1 if slab.t_hi is None else (slab.t_lo + slab.t_hi) / 2
+    for s in range(len(tl.slabs)):
+        t_lo, t_hi = tl.slab_bounds(s)
+        t_probe = t_lo + 1 if t_hi is None else (t_lo + t_hi) / 2
         if s == 0:
-            t_probe = slab.t_hi / 2
+            t_probe = t_hi / 2
         tl2, ws2 = run_pipeline(profile_at(tl, t_probe), WORKED_FLUX)
         engine = _SlabPotential(ws2, WORKED_K)
         assert engine.q_of_slab(0) == WORKED_Q_BY_SLAB[s]
@@ -414,6 +416,27 @@ def test_weight_above_k_names_the_first_offending_pair():
         with pytest.raises(ConsistencyError) as info:
             _SlabPotential(ws, K).q_of_slab(0)
         assert str(info.value) == f"weight above K for atoms {pair} in slab 0"
+
+
+def test_weight_above_k_names_the_oracle_pair_on_the_suite(suite):
+    # at K = 0 every positive gap offends, at half the run's largest weight
+    # only some do; Q names the first offending pair in walk order
+    named = {"zero": 0, "half": 0}
+    clean = 0
+    for r in suite["runs"]:
+        for which, K in [("zero", F(0)), ("half", r.series.max_weight / 2)]:
+            engine = _SlabPotential(r.waves, K)
+            for s in range(len(r.timeline.slabs)):
+                pair = oracle_first_pair_above_k(r.waves, s, K)
+                if pair is None:
+                    engine.q_of_slab(s)
+                    clean += 1
+                    continue
+                with pytest.raises(ConsistencyError) as info:
+                    engine.q_of_slab(s)
+                assert str(info.value) == f"weight above K for atoms {pair} in slab {s}"
+                named[which] += 1
+    assert named["zero"] > 100 and named["half"] > 0 and clean > 100
 
 
 def test_q_matches_oracle_on_the_ladder_rung():

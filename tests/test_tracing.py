@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from fronttrack.tracing import (
     validate_tracing,
 )
 
+from oracles import WORKED_FLUX, WORKED_PROFILE
 from wave_oracles import (
     atom_of,
     casualties,
@@ -19,6 +21,7 @@ from wave_oracles import (
     front_of,
     interaction_query,
     live_atoms,
+    oracle_validate_tracing,
     position_of,
     sigma,
     state_consistency_holds,
@@ -200,6 +203,85 @@ def test_validate_tracing_rejects_forged_wave_systems():
         validate_tracing(ws)
 
 
+def _forged(ws, name, changes):
+    """A copy of ``ws`` whose record ``name`` holds each value of ``changes``
+    at its key."""
+    out = copy.copy(ws)
+    record = copy.copy(getattr(ws, name))
+    for key, value in changes.items():
+        record[key] = value
+    setattr(out, name, record)
+    return out
+
+
+def _wave_forgeries(ws):
+    """(what, wave system) for single edits of one front's atoms, of one
+    atom's survived events and of one atom's cancellation event, and for an
+    atom moved between two neighbouring fronts; an edit that changes
+    nothing is skipped."""
+    n = len(ws.timeline.events)
+    previous = None
+    for fid, atoms in ws.atoms_of.items():
+        edits = {"drop first": atoms[1:], "drop last": atoms[:-1],
+                 "reverse": atoms[::-1], "add next": atoms + (atoms[-1] + 1,)}
+        if previous is not None:
+            edits["previous front's"] = previous
+            edits["take previous"] = previous[-1:] + atoms
+        previous = atoms
+        for what, value in edits.items():
+            if value != atoms:
+                yield f"front {fid} {what}", _forged(ws, "atoms_of", {fid: value})
+    neighbours = {(fr.fid, gr.fid) for fronts in ws.timeline.slabs
+                  for fr, gr in zip(fronts, fronts[1:])}
+    for left, right in sorted(neighbours):
+        l_atoms, r_atoms = ws.atoms_of[left], ws.atoms_of[right]
+        yield f"front {right}'s first atom moved to {left}", _forged(
+            ws, "atoms_of", {left: l_atoms + r_atoms[:1], right: r_atoms[1:]})
+        yield f"front {left}'s last atom moved to {right}", _forged(
+            ws, "atoms_of", {left: l_atoms[:-1], right: l_atoms[-1:] + r_atoms})
+    for a, events in enumerate(ws.events_of):
+        edits = {"reverse": events[::-1], "drop first": events[1:],
+                 "drop last": events[:-1], "shift": [e + 1 for e in events]}
+        for e in sorted({0, n - 1, ws.canc_event[a] or 0} - set(events)):
+            edits[f"add {e}"] = sorted(events + [e])
+        for what, value in edits.items():
+            if value != events:
+                yield f"atom {a} events {what}", _forged(ws, "events_of", {a: value})
+        c = ws.canc_event[a]
+        for value in {None, 0, n - 1, n, -1, *(() if c is None else (c - 1, c + 1))} - {c}:
+            yield f"atom {a} cancelled at {value}", _forged(ws, "canc_event", {a: value})
+
+
+def _rejects(validate, ws):
+    try:
+        validate(ws)
+    except ConsistencyError:
+        return True
+    return False
+
+
+def test_validate_tracing_rejects_what_the_oracle_rejects(suite):
+    # the full per-slab rebuild of the live atoms rejects every one of these
+    # edits of the runs and the survival record, and so must the event-local
+    # checks.  The systems include the runs with a fan of two or more fronts
+    # born at an event (event 0 of the worked example splits): when both
+    # fronts live to the end, only the per-front checks tie an atom to the
+    # right one
+    wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
+    four = Profile(F(0), ((F(0), F(2)), (F(1), F(0)), (F(3), F(-2)), (F(5), F(0))))
+    runs = suite["runs"]
+    split = [r for r in runs if any(len(ev.outgoing) > 1 for ev in r.timeline.events)]
+    systems = [traced(four, wide, F(1))[1], traced(WORKED_PROFILE, WORKED_FLUX, F(1))[1],
+               *(r.waves for r in runs[:4] + split)]
+    forged = rejected = 0
+    for ws in systems:
+        for what, bad in _wave_forgeries(ws):
+            forged += 1
+            rejected += _rejects(oracle_validate_tracing, bad)
+            assert _rejects(validate_tracing, bad), what
+    assert rejected == forged > 400
+
+
 def test_triple_point_full_cancellation_tracing():
     flux = sample_flux(
         {"table": {"-2": "-1", "-1": "-1/2", "0": "0", "1": "1", "2": "2", "3": "3"}},
@@ -267,8 +349,9 @@ def test_monotone_positions_across_slabs():
     wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
     p = Profile(F(0), ((F(0), F(2)), (F(1), F(0)), (F(3), F(-2)), (F(5), F(0))))
     tl, ws = traced(p, wide, F(1))
-    for s, slab in enumerate(tl.slabs):
-        t_probe = slab.t_lo if slab.t_hi is None else (slab.t_lo + slab.t_hi) / 2
+    for s in range(len(tl.slabs)):
+        t_lo, t_hi = tl.slab_bounds(s)
+        t_probe = t_lo if t_hi is None else (t_lo + t_hi) / 2
         live = live_atoms(ws, s)
         xs = [front_of(ws, a, s).position_at(t_probe) for a in live]
         assert xs == sorted(xs)

@@ -12,6 +12,7 @@ from fronttrack.tracker import (
     CANCELLATION,
     SAME_SIGN,
     Collision,
+    InteractionEvent,
     Profile,
     discretize_initial,
     evolve,
@@ -25,6 +26,7 @@ from fronttrack.riemann import Front
 from oracles import (
     WORKED_FLUX,
     WORKED_PROFILE,
+    event_kind_and_b,
     oracle_evolve,
     oracle_next_collision,
     oracle_validate_timeline,
@@ -200,6 +202,21 @@ def test_resolve_full_cancellation():
     assert ev.canceled_mass == F(6)
 
 
+def test_event_derived_fields_cannot_be_set():
+    # an event's kind and merged states are read off its incoming fronts,
+    # so no edit can make them disagree
+    ev = evolve(TWO_SHOCK, BURGERS).events[0]
+    for name, value in [("kind", CANCELLATION), ("a", ev.a + 1), ("b", ev.b + 1),
+                        ("c", ev.c + 1)]:
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            replace(ev, **{name: value})
+    with pytest.raises(TypeError):
+        InteractionEvent(ev.t, ev.x, ev.incoming, ev.outgoing, kind=SAME_SIGN)
+    flipped = tuple(replace(fr, left=fr.right, right=fr.left) for fr in ev.incoming[::-1])
+    moved = replace(ev, incoming=flipped)
+    assert (moved.a, moved.b, moved.c) == (ev.c, ev.b, ev.a)
+
+
 def test_resolve_rejects_nonchaining():
     incoming = [_front(1, 0, F(1, 2), 0), _front(1, -1, 0, 1)]
     with pytest.raises(ConsistencyError):
@@ -320,7 +337,7 @@ def test_simultaneous_distinct_position_events():
     assert first.x == F(1, 2) < second.x == F(25, 2)
     assert first.kind == SAME_SIGN and second.kind == SAME_SIGN
     # the slab between the two simultaneous events is empty but well-formed
-    assert tl.slabs[1].t_lo == tl.slabs[1].t_hi == F(1)
+    assert tl.slab_bounds(1) == (F(1), F(1))
     validate_timeline(tl)
 
 
@@ -342,7 +359,7 @@ def test_simultaneous_events_potential_bookkeeping():
 
 def _forge_slab(tl, s, fronts):
     slabs = list(tl.slabs)
-    slabs[s] = replace(slabs[s], fronts=tuple(fronts))
+    slabs[s] = tuple(fronts)
     return replace(tl, slabs=tuple(slabs))
 
 
@@ -350,14 +367,14 @@ def test_validate_timeline_rejects_forged_inadmissible_fronts():
     tl = evolve(WORKED_PROFILE, WORKED_FLUX)
     validate_timeline(tl)
     # a front first seen in slab 2 (born at event 1), forged to a wrong speed
-    late = list(tl.slabs[2].fronts)
+    late = list(tl.slabs[2])
     assert late[1].fid == tl.events[1].outgoing[0].fid
     late[1] = replace(late[1], speed=late[1].speed + 1)
     # slab 1's two chords over [1,2] and [2,3] merged into one front over the
     # convex [1,3] (two envelope pieces), carrying the fid of a slab-0 front
     # that passed the check
-    f4, f5, *rest = tl.slabs[1].fronts
-    reused = tl.slabs[0].fronts[1].fid
+    f4, f5, *rest = tl.slabs[1]
+    reused = tl.slabs[0][1].fid
     merged = replace(f4, right=f5.right, speed=F(3, 2), fid=reused)
     for forged in (_forge_slab(tl, 2, late), _forge_slab(tl, 1, [merged, *rest])):
         with pytest.raises(ConsistencyError, match="live front is not admissible"):
@@ -369,7 +386,8 @@ def test_validate_timeline_rejects_forged_inadmissible_fronts():
 
 def _assert_matches_oracle(profile, flux, max_events=None):
     """`evolve` gives the oracle's events, slabs, fronts and per-slab TV (the
-    oracle sums each slab's front strengths), or the same partial timeline."""
+    oracle sums each slab's front strengths), or the same partial timeline,
+    and each event's derived kind and states follow their definitions."""
     try:
         ref = oracle_evolve(profile, flux, max_events)
     except TrackerError as exc:
@@ -383,20 +401,23 @@ def _assert_matches_oracle(profile, flux, max_events=None):
     assert tl.slabs == ref.slabs
     assert tl.fronts_by_id == ref.fronts_by_id
     assert tl.slab_tvs == ref.slab_tvs
+    for ev in tl.events:
+        assert (ev.kind, ev.b) == event_kind_and_b(ev.incoming)
+        assert (ev.a, ev.c) == (ev.incoming[0].left, ev.incoming[-1].right)
     return tl
 
 
 def _neighbours(tl, e):
     """The fronts beside event e's incoming block in slab e (None at an end)."""
-    before, ev = tl.slabs[e].fronts, tl.events[e]
+    before, ev = tl.slabs[e], tl.events[e]
     i = before.index(ev.incoming[0])
     j = i + len(ev.incoming)
     return (before[i - 1] if i else None), (before[j] if j < len(before) else None)
 
 
 def _midpoints(tl):
-    return [slab.t_lo + 1 if slab.t_hi is None else (slab.t_lo + slab.t_hi) / 2
-            for slab in tl.slabs]
+    bounds = [tl.slab_bounds(s) for s in range(len(tl.slabs))]
+    return [t_lo + 1 if t_hi is None else (t_lo + t_hi) / 2 for t_lo, t_hi in bounds]
 
 
 def test_evolve_matches_oracle_on_the_suite(suite):
@@ -484,7 +505,7 @@ def _forgeries(tl):
     """(what, timeline) for single edits of one front in one slab, of the
     fronts' order in one slab, and of one event's point."""
     for s, slab in enumerate(tl.slabs):
-        fronts = list(slab.fronts)
+        fronts = list(slab)
         for j, fr in enumerate(fronts):
             edits = {
                 "speed": replace(fr, speed=fr.speed + F(1, 3)),
@@ -522,8 +543,8 @@ def _rejects(validate, tl):
 
 
 def test_validate_timeline_rejects_what_the_oracle_rejects(suite):
-    # the oracle never reads an event's point, so it accepts some of these;
-    # the event-local checks reject them all
+    # the oracle reads an event's time (the slab bounds) but never its x, so
+    # it accepts the x edits; the event-local checks reject them all
     runs = [r.timeline for r in suite["runs"][:3]]
     by_oracle = 0
     for tl in [evolve(WORKED_PROFILE, WORKED_FLUX), *runs]:
@@ -538,7 +559,7 @@ def _substitute(tl, swaps):
     """``tl`` with each front in ``swaps`` replaced in every slab and event."""
     def sub(fronts):
         return tuple(swaps.get(fr, fr) for fr in fronts)
-    slabs = tuple(replace(slab, fronts=sub(slab.fronts)) for slab in tl.slabs)
+    slabs = tuple(sub(fronts) for fronts in tl.slabs)
     events = tuple(replace(ev, incoming=sub(ev.incoming), outgoing=sub(ev.outgoing))
                    for ev in tl.events)
     return replace(tl, slabs=slabs, events=events)
@@ -563,7 +584,7 @@ def test_validate_timeline_checks_neighbours_at_each_event():
     # event 0, past the point 3/2 where its neighbours meet
     tl = evolve(_profile(3, (-6, 2), (0, 1), (1, 0), (20, -1)), BURGERS_WIDE)
     validate_timeline(tl)
-    first, *_, last = tl.slabs[0].fronts
+    first, *_, last = tl.slabs[0]
     assert (tl.events[0].t, tl.events[0].x) == (F(1), F(3, 2))
     forged = _substitute(tl, {first: replace(first, birth_x=first.birth_x + 6),
                               last: replace(last, birth_x=last.birth_x - 6)})

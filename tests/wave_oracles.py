@@ -23,7 +23,7 @@ from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.potential import _bianchini_of_slab, _cell_slopes, _SlabPotential
 from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, profile_at
-from fronttrack.tracing import WaveSystem, first_common_event
+from fronttrack.tracing import WaveSystem, first_common_event, meeting_cells
 
 from oracles import value_at
 
@@ -67,8 +67,12 @@ def atom_w_hi(ws: WaveSystem, a: int) -> Fraction:
 
 def x0(ws: WaveSystem, profile: Profile) -> list:
     """Initial position of every atom: the point of its initial jump in the
-    profile the layer was built from."""
-    return [profile.jumps[j][0] for j in ws.jump_of]
+    profile the layer was built from, whose jumps hold the atoms in id
+    order, each as many as its size over epsilon."""
+    out = []
+    for (x, v), u in zip(profile.jumps, profile.values()):
+        out += [x] * int(abs(v - u) / ws.epsilon)
+    return out
 
 
 def atom_of(ws: WaveSystem, w) -> int:
@@ -160,8 +164,8 @@ def sigma(ws: WaveSystem, t, w) -> Fraction:
     if tc is not None and tc <= t:
         raise InputError(f"wave {w} was canceled at t={tc}")
     s = ws.timeline.slab_index_at(t, side="pre")
-    slab = ws.timeline.slabs[s]
-    if slab.t_hi is not None and t == slab.t_hi and a in survivors(ws, s):
+    t_hi = ws.timeline.slab_bounds(s)[1]
+    if t_hi is not None and t == t_hi and a in survivors(ws, s):
         return front_of(ws, a, s + 1).speed
     return front_of(ws, a, s).speed
 
@@ -306,6 +310,100 @@ def oracle_bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
     return total
 
 
+def oracle_first_pair_above_k(ws: WaveSystem, s: int, K):
+    """The first same-block atom pair of slab s, in the order
+    `_SlabPotential.q_of_slab` walks them, whose weight exceeds K, or None:
+    the pair walk again, one pair at a time."""
+    runs = ws.runs(s)
+    signs = [ws.sign[atoms[0]] for _, atoms in runs]
+    for i, (fid_i, atoms_i) in enumerate(runs):
+        for j in range(i + 1, len(runs)):
+            if signs[j] != signs[i]:
+                break
+            fid_j, atoms_j = runs[j]
+            for a in atoms_i:
+                for b in atoms_j:
+                    e = first_common_event(ws, a, b, s)
+                    if e is None:
+                        continue
+                    ev = ws.timeline.events[e]
+                    gap = _meeting_slope(ws, fid_i, e, a) - _meeting_slope(ws, fid_j, e, b)
+                    if gap > K * abs(ev.c - ev.a):
+                        return a, b
+    return None
+
+
+def _meeting_slope(ws, fid, e, atom):
+    return _cell_slopes(ws.timeline.flux, *meeting_cells(ws, fid, e))[ws.cell[atom]]
+
+
+def oracle_validate_tracing(ws: WaveSystem) -> None:
+    """`validate_tracing` with every slab checked in full: each slab's live
+    atoms are filtered from the previous slab's by `canc_event`, and its runs
+    must concatenate to them."""
+    ws._require_traced()
+    tl, eps = ws.timeline, ws.epsilon
+    checked = set()
+    live = list(range(ws.atom_count))
+    for s in range(len(tl.slabs)):
+        if s:
+            live = [a for a in live if ws.canc_event[a] != s - 1]
+        if len(live) * eps != tl.slab_tvs[s]:
+            raise ConsistencyError("wave mass does not match front variation")
+        runs = ws.runs(s)
+        covered = [a for _, atoms in runs for a in atoms]
+        if covered != live:
+            raise ConsistencyError(f"slab {s}: live atoms not partitioned by fronts")
+        for fid, atoms in runs:
+            if fid in checked:
+                continue
+            checked.add(fid)
+            fr = tl.fronts_by_id[fid]
+            signs = {ws.sign[a] for a in atoms}
+            if signs != {fr.sign}:
+                raise ConsistencyError(f"front {fid}: sign mismatch")
+            ks = sorted(ws.cell[a] for a in atoms)
+            if ks != list(range(ks[0], ks[0] + len(ks))):
+                raise ConsistencyError(f"front {fid}: states not contiguous")
+            if ks[0] * eps != fr.u_lo or (ks[-1] + 1) * eps != fr.u_hi:
+                raise ConsistencyError(f"front {fid}: state span does not match its waves")
+            if len(atoms) * eps != fr.strength:
+                raise ConsistencyError(f"front {fid}: mass mismatch")
+
+    # per event, the atoms that sit at and survive it, and those it cancels
+    n = len(tl.events)
+    survived, canceled = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a in range(ws.atom_count):
+        events = ws.events_of[a]
+        if any(e >= f for e, f in zip(events, events[1:])):
+            raise ConsistencyError(f"atom {a}: survived events not increasing")
+        marks = [(survived, e) for e in events]
+        if ws.canc_event[a] is not None:
+            marks.append((canceled, ws.canc_event[a]))
+        for lists, e in marks:
+            if not 0 <= e < n:
+                raise ConsistencyError(f"atom {a} names unknown event {e}")
+            lists[e].append(a)
+    for e_idx, ev in enumerate(tl.events):
+        lost = len(canceled[e_idx]) * eps
+        if lost != ev.canceled_mass:
+            raise ConsistencyError(
+                f"event {e_idx}: canceled wave mass {lost} != TV drop {ev.canceled_mass}"
+            )
+        if len(survived[e_idx]) * eps != abs(ev.c - ev.a):
+            raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
+        if survived[e_idx] != sorted(a for fr in ev.outgoing for a in ws.atoms_of[fr.fid]):
+            raise ConsistencyError(
+                f"event {e_idx}: survivors are not the atoms of its outgoing fronts"
+            )
+        incoming = sorted(a for fr in ev.incoming for a in ws.atoms_of[fr.fid])
+        if sorted(survived[e_idx] + canceled[e_idx]) != incoming:
+            raise ConsistencyError(
+                f"event {e_idx}: survivors and casualties are not the atoms of its "
+                "incoming fronts"
+            )
+
+
 # -- potentials at a time ------------------------------------------------------------
 
 
@@ -354,11 +452,11 @@ def cancellation_weight_stability(tl: Timeline, ws: WaveSystem, flux: GridFlux,
     if K is None:
         K = curvature_constant(flux)
     bad = []
-    for ev in tl.events:
+    for e, ev in enumerate(tl.events):
         if ev.kind != CANCELLATION:
             continue
-        s_pre, s_post = ev.index, ev.index + 1
-        kept = set(survivors(ws, ev.index))
+        s_pre, s_post = e, e + 1
+        kept = set(survivors(ws, e))
         live_post = live_atoms(ws, s_post)
         for i, a in enumerate(live_post):
             for b in live_post[i + 1:]:
@@ -368,11 +466,11 @@ def cancellation_weight_stability(tl: Timeline, ws: WaveSystem, flux: GridFlux,
                 post = _pair_weight_in_slab(ws, s_post, a, b, K, flux)
                 if a_in and b_in:
                     if post.q != 0:
-                        bad.append((ev.index, a, b, "inside pair kept weight"))
+                        bad.append((e, a, b, "inside pair kept weight"))
                     continue
                 pre = _pair_weight_in_slab(ws, s_pre, a, b, K, flux)
                 if pre.classification == post.classification and pre.q != post.q:
-                    bad.append((ev.index, a, b, "cross pair weight changed"))
+                    bad.append((e, a, b, "cross pair weight changed"))
     return bad
 
 
@@ -514,7 +612,8 @@ def debug_dump(ws: WaveSystem) -> dict:
     ws._require_traced()
     tl = ws.timeline
     slabs = []
-    for s, slab in enumerate(tl.slabs):
+    for s in range(len(tl.slabs)):
+        t_lo, t_hi = tl.slab_bounds(s)
         rows = []
         for cell in cells(ws, s):
             fid = fid_of(ws, cell.atoms[0], s)
@@ -525,14 +624,14 @@ def debug_dump(ws: WaveSystem) -> dict:
                     "sign": SIGN_NAMES[cell.sign],
                     "state_range": [str(cell.state_lo), str(cell.state_hi)],
                     "front": fid,
-                    "x_at_slab_start": str(fr.position_at(slab.t_lo)),
+                    "x_at_slab_start": str(fr.position_at(t_lo)),
                     "speed": str(fr.speed),
                 }
             )
         slabs.append(
             {
-                "t_lo": str(slab.t_lo),
-                "t_hi": None if slab.t_hi is None else str(slab.t_hi),
+                "t_lo": str(t_lo),
+                "t_hi": None if t_hi is None else str(t_hi),
                 "cells": rows,
             }
         )
