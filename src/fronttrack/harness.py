@@ -314,8 +314,10 @@ def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
 
 
 def load_json(path: str) -> dict:
+    # bytes that are not UTF-8 fail to decode, and a deep enough nesting
+    # exhausts the JSON decoder's recursion limit
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

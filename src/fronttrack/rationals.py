@@ -22,9 +22,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"not a rational value: {value!r}")
     if isinstance(value, (int, float, str)):
+        # an infinite float (JSON reads 1e400 and Infinity as one) overflows
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"not a rational value: {value!r}") from exc
     raise InputError(f"not a rational value: {value!r}")
 

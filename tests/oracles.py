@@ -326,6 +326,12 @@ def oracle_validate_timeline(tl):
             raise ConsistencyError("conserved moment drifted")
 
 
+def slab_midpoints(tl: Timeline):
+    """A time inside each slab (t_lo + 1 on the last), where a restart starts."""
+    bounds = [tl.slab_bounds(s) for s in range(len(tl.slabs))]
+    return [t_lo + 1 if t_hi is None else (t_lo + t_hi) / 2 for t_lo, t_hi in bounds]
+
+
 # -- the worked non-convex example --------------------------------------------
 #
 # Flux samples 0, 4, 5, 7, 8, 17/2 at states 0..5 and the profile
@@ -347,3 +353,21 @@ WORKED_PROFILE = Profile(
 WORKED_EVENT_TIMES = [F(3, 5), F(14, 5), F(22, 5)]
 WORKED_K = F(3)
 WORKED_Q_BY_SLAB = [F(97, 6), F(7, 6), F(2, 3), F(0)]
+
+
+# -- schedule cases ------------------------------------------------------------------
+#
+# TRIPLE_POINT on TABLE: three fronts meet at (6, 6) and cancel completely,
+# an event with no outgoing front.  SIMULTANEOUS on BURGERS_WIDE: two merging
+# pairs meet at t = 1 at distinct positions, so slab 1 has zero length.
+
+BURGERS_WIDE = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
+TABLE = sample_flux(
+    {"table": {"-2": "-1", "-1": "-1/2", "0": "0", "1": "1", "2": "2", "3": "3"}},
+    "1",
+    (-2, 3),
+)
+TRIPLE_POINT = Profile(F(0), ((F(0), F(2)), (F(1), F(-1)), (F(3), F(0))))
+SIMULTANEOUS = Profile(
+    F(1), ((F(0), F(0)), (F(1), F(-1)), (F(5), F(3)), (F(10), F(2)), (F(11), F(1)))
+)

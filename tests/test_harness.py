@@ -99,7 +99,13 @@ MALFORMED_CONFIGS = [
     _with_options(restart_check_points=2.5),
     _with_options(emit_svg="yes"),
     dict(GOLDEN_CONFIG, flux=["0", "0", "1/2"]),
+    # JSON Infinity (and 1e400, which reads as the same float): OverflowError
+    dict(GOLDEN_CONFIG, epsilon=float("inf")),
 ]
+
+# files json cannot read: bytes that are not UTF-8, and an array nested past
+# the decoder's recursion limit (a UnicodeDecodeError and a RecursionError)
+UNREADABLE_JSON = [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000]
 
 GOLDEN_SWEEP = {
     "base": {"flux": {"polynomial": ["0", "0", "1/2"]}, "window": [-4, 4]},
@@ -350,6 +356,15 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{not json")
     assert main(["run", str(cfg_path)]) == 2
+    # unreadable files and a 1e400 literal: exit 2 and one line
+    infinite = json.dumps(GOLDEN_CONFIG).replace('"epsilon": "1"', '"epsilon": 1e400')
+    assert "1e400" in infinite
+    for raw in [*UNREADABLE_JSON, infinite.encode()]:
+        cfg_path.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
     # malformed fields: exit 2 and one line, never a traceback
     cases = [("run", bad, []) for bad in MALFORMED_CONFIGS]
     cases.append(("run", GOLDEN_CONFIG, ["--restart-checks", "-1"]))
@@ -398,6 +413,11 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
         edit(report)
         (out_dir / "malformed.json").write_text(json.dumps(report))
         assert main(["verify", str(out_dir / "malformed.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+    for raw in UNREADABLE_JSON:
+        (out_dir / "unreadable.json").write_bytes(raw)
+        assert main(["verify", str(out_dir / "unreadable.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1, err
 

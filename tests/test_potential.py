@@ -16,10 +16,14 @@ from fronttrack.potential import (
     upsilon,
     verify_run,
 )
-from fronttrack.tracker import Profile, evolve
+from fronttrack.tracker import Profile, evolve, profile_at
 from fronttrack.tracing import advance_tracing, build_initial_waves, validate_tracing
 
 from oracles import (
+    BURGERS_WIDE,
+    SIMULTANEOUS,
+    TABLE,
+    TRIPLE_POINT,
     WORKED_EVENT_TIMES,
     WORKED_FLUX,
     WORKED_K,
@@ -28,6 +32,7 @@ from oracles import (
     delta_sigma_closed_form,
     oracle_cancellation_speed_change,
     oracle_same_sign_speed_change,
+    slab_midpoints,
 )
 from suite_builder import ladder_config
 from wave_oracles import (
@@ -36,6 +41,7 @@ from wave_oracles import (
     NEVER_INTERACT,
     SAME_POSITION,
     bianchini_cubic,
+    bianchini_mismatches,
     cancellation_weight_stability,
     casualties,
     fid_of,
@@ -238,6 +244,48 @@ def test_two_shock_bianchini():
     tl, ws = traced(TWO_SHOCK, BURGERS)
     assert bianchini_cubic(ws, F(0)) == F(1)
     assert bianchini_cubic(ws, F(2)) == F(0)
+
+
+def test_bianchini_matches_oracles_on_the_ladder_rung_and_its_restarts():
+    # the series is kept event by event; every slab must equal the per-slab
+    # sort and the run-pair double loop, on the run and on every restart
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
+    tl = r.timeline
+    assert bianchini_mismatches(r.waves) == []
+    for t in slab_midpoints(tl):
+        _, ws = run_pipeline(profile_at(tl, t), tl.flux)
+        assert bianchini_mismatches(ws) == []
+
+
+def test_bianchini_matches_oracles_on_the_schedule_cases():
+    # a full cancellation (no outgoing front), two simultaneous events (a
+    # zero-length slab) and a block of three fronts cancelled between two
+    # neighbours that then meet
+    cases = [
+        (TRIPLE_POINT, TABLE),
+        (SIMULTANEOUS, BURGERS_WIDE),
+        (Profile(F(-2), ((F(0), F(3)), (F(1), F(-1)), (F(5), F(1)), (F(7), F(-1)))), TABLE),
+        (Profile(F(2), ((F(0), F(0)), (F(4), F(3)), (F(5), F(-1)), (F(8), F(1)),
+                        (F(10), F(-2)))), TABLE),
+    ]
+    empty_outgoing = zero_length = 0
+    for profile, flux in cases:
+        tl, ws = traced(profile, flux)
+        assert bianchini_mismatches(ws) == []
+        empty_outgoing += sum(not ev.outgoing for ev in tl.events)
+        zero_length += sum(a.t == b.t for a, b in zip(tl.events, tl.events[1:]))
+    assert empty_outgoing >= 2 and zero_length >= 2
+
+
+def test_bianchini_with_equal_front_speeds():
+    # fronts 0 and 1 of slab 0 both move at speed 1/2; event 0 removes front 1
+    # and leaves front 0 at the same speed rank
+    tl, ws = traced(Profile(F(1), ((F(0), F(0)), (F(1), F(1)), (F(3), F(-1)))), BURGERS_WIDE)
+    assert [fr.speed for fr in tl.slabs[0]] == [F(1, 2), F(1, 2), F(0)]
+    assert [fr.fid for fr in tl.events[0].incoming] == [1, 2]
+    assert bianchini_mismatches(ws) == []
+    # each speed-1/2 front against the two atoms of the speed-0 shock
+    assert bianchini_cubic(ws, F(0)) == 2 * (F(1, 2) * 2)
 
 
 def test_single_front_bianchini_zero():

@@ -13,9 +13,10 @@ from fronttrack.tracing import (
     validate_tracing,
 )
 
-from oracles import WORKED_FLUX, WORKED_PROFILE
+from oracles import TABLE, TRIPLE_POINT, WORKED_FLUX, WORKED_PROFILE
 from wave_oracles import (
     atom_of,
+    bianchini_mismatches,
     casualties,
     debug_dump,
     front_of,
@@ -183,10 +184,13 @@ def test_validate_tracing_rejects_forged_wave_systems():
         ws.atoms_of.update(forged)
         with pytest.raises(ConsistencyError, match=message):
             validate_tracing(ws)
+        # the event-by-event Bianchini series still equals its per-slab oracles
+        assert bianchini_mismatches(ws) == []
     tl, ws = traced(p, wide, F(1))
     ws.events_of[3].remove(0)  # atom 3 no longer survives event 0
     with pytest.raises(ConsistencyError, match="event 0: survivor mass mismatch"):
         validate_tracing(ws)
+    assert bianchini_mismatches(ws) == []
     # the right number of survivors, but the wrong atoms: atom 0 claims to
     # survive event 0 in place of atom 2, which changes Q(slab 0) from 22 to 83/4
     four = Profile(F(0), ((F(0), F(2)), (F(1), F(0)), (F(3), F(-2)), (F(5), F(0))))
@@ -195,12 +199,14 @@ def test_validate_tracing_rejects_forged_wave_systems():
     ws.events_of[0].insert(0, 0)
     with pytest.raises(ConsistencyError, match="event 0: survivors are not the atoms"):
         validate_tracing(ws)
+    assert bianchini_mismatches(ws) == []
     # the right atoms, out of order: first common events bisect these lists,
     # and Q(slab 0) would read 43/2
     tl, ws = traced(four, wide, F(1))
     ws.events_of[3].reverse()
     with pytest.raises(ConsistencyError, match="atom 3: survived events not increasing"):
         validate_tracing(ws)
+    assert bianchini_mismatches(ws) == []
 
 
 def _forged(ws, name, changes):
@@ -283,13 +289,7 @@ def test_validate_tracing_rejects_what_the_oracle_rejects(suite):
 
 
 def test_triple_point_full_cancellation_tracing():
-    flux = sample_flux(
-        {"table": {"-2": "-1", "-1": "-1/2", "0": "0", "1": "1", "2": "2", "3": "3"}},
-        "1",
-        (-2, 3),
-    )
-    p = Profile(F(0), ((F(0), F(2)), (F(1), F(-1)), (F(3), F(0))))
-    tl, ws = traced(p, flux, F(1))
+    tl, ws = traced(TRIPLE_POINT, TABLE, F(1))
     assert ws.atom_count == 6
     assert all(e == 0 for e in ws.canc_event)
     assert survivors(ws, 0) == []

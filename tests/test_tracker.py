@@ -24,28 +24,23 @@ from fronttrack.tracker import (
 from fronttrack.riemann import Front
 
 from oracles import (
+    BURGERS_WIDE,
+    SIMULTANEOUS,
+    TABLE,
+    TRIPLE_POINT,
     WORKED_FLUX,
     WORKED_PROFILE,
     event_kind_and_b,
     oracle_evolve,
     oracle_next_collision,
     oracle_validate_timeline,
+    slab_midpoints,
 )
 from suite_builder import ladder_config
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
-BURGERS_WIDE = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
 
 TWO_SHOCK = Profile(F(1), ((F(0), F(0)), (F(1), F(-1))))
-TABLE = sample_flux(
-    {"table": {"-2": "-1", "-1": "-1/2", "0": "0", "1": "1", "2": "2", "3": "3"}},
-    "1",
-    (-2, 3),
-)
-TRIPLE_POINT = Profile(F(0), ((F(0), F(2)), (F(1), F(-1)), (F(3), F(0))))
-SIMULTANEOUS = Profile(
-    F(1), ((F(0), F(0)), (F(1), F(-1)), (F(5), F(3)), (F(10), F(2)), (F(11), F(1)))
-)
 
 
 def _profile(constant, *jumps):
@@ -415,11 +410,6 @@ def _neighbours(tl, e):
     return (before[i - 1] if i else None), (before[j] if j < len(before) else None)
 
 
-def _midpoints(tl):
-    bounds = [tl.slab_bounds(s) for s in range(len(tl.slabs))]
-    return [t_lo + 1 if t_hi is None else (t_lo + t_hi) / 2 for t_lo, t_hi in bounds]
-
-
 def test_evolve_matches_oracle_on_the_suite(suite):
     for r in suite["runs"]:
         tl = r.timeline
@@ -430,7 +420,7 @@ def test_evolve_matches_oracle_on_the_ladder_rung_and_its_restarts():
     r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
     tl = _assert_matches_oracle(r.timeline.initial_profile, r.timeline.flux)
     assert len(tl.events) == 55
-    for t in _midpoints(tl):
+    for t in slab_midpoints(tl):
         _assert_matches_oracle(profile_at(tl, t), tl.flux)
 
 

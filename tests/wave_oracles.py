@@ -9,7 +9,9 @@ cancellations, hull contact).  The wave-coordinate queries (`atom_of`,
 `state_of`, `sigma`, `waves_at`, ...) read the package's traced `WaveSystem`
 but restate every lookup from its runs and event lists.  `oracle_q_of_slab` sums the per-pair weights
 and `oracle_bianchini_of_slab` the per-run-pair speed gaps, so tests compare
-them with the package's `_SlabPotential.q_of_slab` and `_bianchini_of_slab`.
+them with the package's `_SlabPotential.q_of_slab` and with the per-slab
+series of `_bianchini_of_slab`, which it keeps event by event;
+`sorted_bianchini_of_slab` is the per-slab sort that series replaced.
 `quadratic_potential` and `bianchini_cubic` read those two at a time rather
 than a slab index.
 """
@@ -310,6 +312,35 @@ def oracle_bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
     return total
 
 
+def sorted_bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
+    """The Bianchini sum of slab s from its runs alone, sorted by speed: a run
+    of n atoms at speed v adds n * (v * N - S) over all slower runs, where N
+    counts their atoms and S sums their atoms' speeds."""
+    fronts = ws.timeline.fronts_by_id
+    runs = sorted((fronts[fid].speed, len(atoms)) for fid, atoms in ws.runs(s))
+    total = Fraction(0)
+    below_count, below_speed = 0, Fraction(0)
+    for v, n in runs:
+        total += n * (v * below_count - below_speed)
+        below_count += n
+        below_speed += n * v
+    return total * ws.epsilon * ws.epsilon
+
+
+def bianchini_mismatches(ws: WaveSystem) -> list:
+    """The slabs on which the package's series `_bianchini_of_slab` differs
+    from `sorted_bianchini_of_slab` or from `oracle_bianchini_of_slab`
+    (every slab when the series has the wrong length)."""
+    series = _bianchini_of_slab(ws)
+    slabs = range(len(ws.timeline.slabs))
+    if len(series) != len(slabs):
+        return list(slabs)
+    return [
+        s for s in slabs
+        if not series[s] == sorted_bianchini_of_slab(ws, s) == oracle_bianchini_of_slab(ws, s)
+    ]
+
+
 def oracle_first_pair_above_k(ws: WaveSystem, s: int, K):
     """The first same-block atom pair of slab s, in the order
     `_SlabPotential.q_of_slab` walks them, whose weight exceeds K, or None:
@@ -421,7 +452,7 @@ def bianchini_cubic(ws: WaveSystem, t_bar, side="post") -> Fraction:
     """Cubic speed-spread diagnostic: sum over pairs of |speed gap| dw dw'."""
     ws._require_traced()
     s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
-    return _bianchini_of_slab(ws, s)
+    return _bianchini_of_slab(ws)[s]
 
 
 # -- structural checks ---------------------------------------------------------------
