@@ -14,7 +14,9 @@ Q(t) integrates q over ordered pairs; it is constant between events, drops
 at events, and its drop at a same-sign interaction dominates half the speed
 change there.  Q is evaluated per slab at atom granularity, where all
 quantities are piecewise constant, so the double integral is an exact
-finite sum.  The cubic speed-spread (Bianchini) sum is kept event by event
+finite sum.  Only events whose survivors come from two or more incoming
+fronts make pairs meet, so Q is a sweep over those events' pairs, kept
+slab by slab.  The cubic speed-spread (Bianchini) sum is kept event by event
 in integer Fenwick trees over the front speed rank, O(k log F) per event of
 k fronts.  Adding K * TV(initial) * TV(current) yields the combined
 functionals (`upsilon`); the variant with the Q term doubled is the one
@@ -26,9 +28,11 @@ never on how the profile got there.  The restart checks in `verify_run`
 exercise exactly that property.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
 from .envelope import GridFlux, curvature_constant, envelope
@@ -104,8 +108,50 @@ def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
 # -- pair weights and Q ------------------------------------------------------------
 
 
+class _MeetingSums:
+    """The active candidate pairs of one meeting event, counted per term."""
+
+    def __init__(self, d: Fraction, k_d: Fraction):
+        self.d = d  # the mass at the meeting
+        self.k_d = k_d  # K * d: a gap above it is a weight above K
+        self.slope_id = {}  # atom -> slope id of its cell, via its current front
+        self.partners = {}  # atom -> its active partners
+        self.counts = {}  # positive-gap term (slope id, slope id) -> active pairs
+        self.delta = {}  # term -> change of its pair count not yet summed
+        self.fresh = set()  # terms changed since the last slab that passed
+        self.offending = set()  # active terms whose weight exceeds K
+        self.gap_sum = Fraction(0)  # over the terms: count times gap
+
+
 class _SlabPotential:
-    """Per-slab Q evaluation with memoized meeting slopes and event masses."""
+    """Per-slab Q as a sweep over the run's meeting events.
+
+    A same-sign pair weighs pi/d at its first future meeting, and two atoms
+    on one front stay together until an event they both survive, so a pair
+    can only meet at a *meeting event*: one whose survivors come from two or
+    more incoming fronts.  The candidates are the pairs (a, b), a < b, in
+    two different survivor groups (incoming fronts) of a meeting event e.
+    Such a pair weighs pi/d at e on exactly the slabs T < s <= e, where T is
+    the later of its last common event before e and the last cancellation of
+    an opposite-sign atom between a and b (from then on the two share a sign
+    block).  Two atoms that met and meet again were split in between, so the
+    common events are looked up (`first_common_event`) only for pairs that
+    both survived a split event (two or more outgoing fronts) since they
+    joined one block.  Every other same-block pair shares a front or never
+    meets, and weighs 0; every pair across two blocks weighs K, which Q
+    counts as K times an integer pair count.
+
+    The engine holds a cursor slab.  Crossing event s drops event s's pairs,
+    re-keys the atoms that event moves onto a new front (the meeting slope
+    of an atom is read through its current front), and activates the
+    candidates with T = s.  Per meeting event it keeps integer pair counts
+    per (slope id, slope id) term and the running sum of count times
+    positive gap, so exact arithmetic runs once per changed term.  A request
+    for an earlier slab rebuilds the state at that slab; a first request
+    finds the run's candidates and builds the state of its slab alone.  A
+    slab holding a weight above K raises and leaves the engine usable for
+    the next slab.
+    """
 
     def __init__(self, ws: WaveSystem, K: Fraction):
         self.ws = ws
@@ -114,8 +160,14 @@ class _SlabPotential:
         self._slope_ids = {}  # (fid, event index) -> {cell: slope id}
         self._id_of = {}  # slope -> slope id
         self._slopes = []  # slope id -> slope
-        self._d_memo = {}  # event index -> (d, K*d)
+        self._gaps = {}  # term -> its gap if positive, else None
         self.max_weight = Fraction(0)
+        self._candidates = None  # meeting event -> its candidates (T, a, b)
+        self._starting = None  # slab T + 1 -> {meeting event: its candidates (a, b)}
+        self._meetings_of = None  # atom -> the meeting events it has candidates at
+        self._slab = None  # the cursor
+        self._fid = []  # atom -> its front in the cursor slab
+        self._sums = {}  # meeting event at or after the cursor -> _MeetingSums
 
     def _slope_ids_for(self, fid, e):
         """Slope id of each cell front ``fid`` carries into event e."""
@@ -130,89 +182,246 @@ class _SlabPotential:
             self._slope_ids[key] = ids
         return self._slope_ids[key]
 
-    def _event_d(self, e: int):
-        """(d, K*d) of event e, where d = |c - a| is the mass at the meeting."""
-        if e not in self._d_memo:
+    def _find_candidates(self):
+        """Every candidate pair of the run with its T (see the class)."""
+        ws = self.ws
+        self._candidates = {}
+        for e, ev in enumerate(ws.timeline.events):
+            if not ev.outgoing:
+                continue
+            # the survivors (the outgoing atoms, in id order) come from one
+            # incoming front when the front holding the first holds the last
+            first = ws.atoms_of[ev.outgoing[0].fid][0]
+            last = ws.atoms_of[ev.outgoing[-1].fid][-1]
+            if next(
+                ws.atoms_of[fr.fid][-1] for fr in ev.incoming if ws.atoms_of[fr.fid][-1] >= first
+            ) >= last:
+                continue
+            groups = [
+                kept for kept in (
+                    [a for a in ws.atoms_of[fr.fid] if ws.canc_event[a] != e]
+                    for fr in ev.incoming
+                ) if kept
+            ]
+            self._candidates[e] = self._meeting_pairs(e, groups)
+
+    def _meeting_pairs(self, e, groups):
+        """(T, a, b) for each pair of atoms a < b in two of the survivor
+        groups of meeting event e (each group a list of atom ids)."""
+        ws = self.ws
+        canc, sign = ws.canc_event, ws.sign
+        never = len(ws.timeline.events)
+        survivor_sign = sign[groups[0][0]]
+
+        def separates_until(x):
+            # the last slab on which atom x splits the survivors' sign block:
+            # -1 for a survivor-sign atom
+            if sign[x] == survivor_sign:
+                return -1
+            return never if canc[x] is None else canc[x]
+
+        # two atoms that met before e were split since: the last split event
+        # (two or more outgoing fronts) each survived before e
+        last_split = {}
+        for group in groups:
+            for x in group:
+                events = ws.events_of[x]
+                k = bisect_left(events, e) - 1
+                while k >= 0 and len(ws.timeline.events[events[k]].outgoing) < 2:
+                    k -= 1
+                last_split[x] = events[k] if k >= 0 else -1
+
+        pairs = []
+        for i, left in enumerate(groups):
+            # suffix[k]: the latest separates_until over the last k ids of
+            # left's span, prefix[k] over the first k ids of right's
+            suffix = list(accumulate(
+                map(separates_until, range(left[-1], left[0] - 1, -1)), max, initial=-1
+            ))
+            for right in groups[i + 1:]:
+                between = max(map(separates_until, range(left[-1] + 1, right[0])), default=-1)
+                prefix = list(accumulate(
+                    map(separates_until, range(right[0], right[-1] + 1)), max, initial=-1
+                ))
+                for a in left:
+                    t_a = max(suffix[left[-1] - a], between)
+                    for b in right:
+                        t = prefix[b - right[0]]
+                        if t < t_a:
+                            t = t_a
+                        if t >= e:
+                            continue  # a and b never share a block before e
+                        if t >= last_split[a] or t >= last_split[b]:
+                            pairs.append((t, a, b))
+                            continue
+                        met = first_common_event(ws, a, b, t + 1)
+                        while met != e:
+                            t = met
+                            met = first_common_event(ws, a, b, t + 1)
+                        pairs.append((t, a, b))
+        return pairs
+
+    def _index_candidates(self):
+        """The candidates by the slab they start on, and each atom's meeting
+        events: what crossing an event needs."""
+        self._starting, self._meetings_of = {}, {}
+        for e, pairs in self._candidates.items():
+            for t, a, b in pairs:
+                self._starting.setdefault(t + 1, {}).setdefault(e, []).append((a, b))
+                for x in (a, b):
+                    events = self._meetings_of.setdefault(x, [])
+                    if not events or events[-1] != e:
+                        events.append(e)
+
+    def _activate(self, e, pairs):
+        """Count the pairs (a, b) of meeting event e from the cursor slab on."""
+        sums = self._sums.get(e)
+        if sums is None:
             ev = self.ws.timeline.events[e]
             d = abs(ev.c - ev.a)
-            self._d_memo[e] = (d, self.K * d)
-        return self._d_memo[e]
+            sums = self._sums[e] = _MeetingSums(d, self.K * d)
+        ids, partners, delta = sums.slope_id, sums.partners, sums.delta
+        fid, cell = self._fid, self.ws.cell
+        for a, b in pairs:
+            id_a = ids.get(a)
+            if id_a is None:
+                id_a = ids[a] = self._slope_ids_for(fid[a], e)[cell[a]]
+                partners[a] = [b]
+            else:
+                partners[a].append(b)
+            id_b = ids.get(b)
+            if id_b is None:
+                id_b = ids[b] = self._slope_ids_for(fid[b], e)[cell[b]]
+                partners[b] = [a]
+            else:
+                partners[b].append(a)
+            delta[id_a, id_b] = delta.get((id_a, id_b), 0) + 1
+
+    def _start_at(self, s):
+        """The sweep state of slab s, built from its fronts."""
+        self._slab = s
+        self._fid = [None] * self.ws.atom_count
+        for fid, atoms in self.ws.runs(s):
+            for a in atoms:
+                self._fid[a] = fid
+        self._sums = {}
+        for e, pairs in self._candidates.items():
+            if e >= s:
+                self._activate(e, [(a, b) for t, a, b in pairs if t < s])
+
+    def _cross_event(self):
+        """Move the cursor from slab s to slab s + 1, across event s."""
+        if self._starting is None:
+            self._index_candidates()
+        s = self._slab
+        ws = self.ws
+        self._sums.pop(s, None)
+        for fr in ws.timeline.events[s].outgoing:
+            for a in ws.atoms_of[fr.fid]:
+                self._fid[a] = fr.fid
+                for e in self._meetings_of.get(a, ()):
+                    sums = self._sums.get(e)
+                    if sums is None or a not in sums.slope_id:
+                        continue
+                    ids = sums.slope_id
+                    old, new = ids[a], self._slope_ids_for(fr.fid, e)[ws.cell[a]]
+                    if new == old:
+                        continue
+                    ids[a] = new
+                    delta = sums.delta
+                    for b in sums.partners[a]:
+                        if a < b:
+                            was, now = (old, ids[b]), (new, ids[b])
+                        else:
+                            was, now = (ids[b], old), (ids[b], new)
+                        delta[was] = delta.get(was, 0) - 1
+                        delta[now] = delta.get(now, 0) + 1
+        self._slab = s + 1
+        for e, pairs in self._starting.get(s + 1, {}).items():
+            self._activate(e, pairs)
+
+    def _gap(self, term):
+        if term not in self._gaps:
+            gap = self._slopes[term[0]] - self._slopes[term[1]]
+            self._gaps[term] = gap if gap > 0 else None
+        return self._gaps[term]
+
+    def _settle(self, sums):
+        """Fold a meeting event's pending count changes into its sums."""
+        for term, change in sums.delta.items():
+            gap = self._gap(term)
+            if not change or gap is None:
+                continue
+            count = sums.counts.get(term, 0) + change
+            if count:
+                sums.counts[term] = count
+            else:
+                del sums.counts[term]
+            sums.gap_sum += change * gap
+            sums.fresh.add(term)
+            if gap > sums.k_d:
+                if count:
+                    sums.offending.add(term)
+                else:
+                    sums.offending.discard(term)
+        sums.delta.clear()
 
     def q_of_slab(self, s: int) -> Fraction:
         """eps^2 times the sum of the pair weights over the slab's atom pairs.
 
         Runs split into sign blocks (maximal stretches of one sign).  Every
         atom pair across two blocks weighs K, so that part is K times an
-        integer pair count.  Pairs inside one block are counted, per meeting
-        event, by the slope ids of the two atoms there; each distinct
-        (event, slope, slope) term then adds count times its positive slope
-        gap, and each event's sum is divided by its d once.
+        integer pair count.  The pairs inside one block come from the sweep
+        state at slab s: per meeting event, its running gap sum divided by
+        its d.
         """
+        if self._candidates is None:
+            self._find_candidates()
+        if self._slab is None or s < self._slab:
+            self._start_at(s)
+        while self._slab < s:
+            self._cross_event()
+
         ws = self.ws
-        cell = ws.cell
         runs = ws.runs(s)
-        block_of, block_sizes, sign = [], [], None
+        block_sizes, sign = [], None
         for _, atoms in runs:
             if ws.sign[atoms[0]] != sign:
                 sign = ws.sign[atoms[0]]
                 block_sizes.append(0)
-            block_of.append(len(block_sizes) - 1)
             block_sizes[-1] += len(atoms)
         n = sum(block_sizes)
         cross_pairs = (n * n - sum(m * m for m in block_sizes)) // 2
         if cross_pairs and self.K > self.max_weight:
             self.max_weight = self.K
 
-        counts = {}  # (event index, slope id of a) -> {slope id of b: pair count}
-        first_pair = {}  # (event index, slope id, slope id) -> its first atom pair
-        for i, (fid_i, atoms_i) in enumerate(runs):
-            for j in range(i + 1, len(runs)):
-                if block_of[j] != block_of[i]:
-                    break
-                fid_j, atoms_j = runs[j]
-                for a in atoms_i:
-                    current = None
-                    for b in atoms_j:
-                        e = first_common_event(ws, a, b, s)
-                        if e is None:
-                            continue
-                        if e != current:
-                            current = e
-                            id_a = self._slope_ids_for(fid_i, e)[cell[a]]
-                            ids_b = self._slope_ids_for(fid_j, e)
-                            row = counts.setdefault((e, id_a), {})
-                        id_b = ids_b[cell[b]]
-                        if id_b in row:
-                            row[id_b] += 1
-                        else:
-                            row[id_b] = 1
-                            first_pair[e, id_a, id_b] = a, b
+        for sums in self._sums.values():
+            self._settle(sums)
+        if any(sums.offending for sums in self._sums.values()):
+            self._raise_first_weight_above_k(s, runs)
 
-        gaps = {}  # event index -> [sum, max] of the positive slope gaps
-        slopes = self._slopes
-        # terms in the order they first appear: a term's weight depends only
-        # on the term, so the first offending term holds the first offending pair
-        for (e, id_a, id_b), (a, b) in first_pair.items():
-            gap = slopes[id_a] - slopes[id_b]
-            if gap <= 0:
-                continue
-            if gap > self._event_d(e)[1]:
-                raise ConsistencyError(f"weight above K for atoms ({a}, {b}) in slab {s}")
-            count = counts[e, id_a][id_b]
-            acc = gaps.get(e)
-            if acc is None:
-                gaps[e] = [count * gap, gap]
-            else:
-                acc[0] += count * gap
-                if gap > acc[1]:
-                    acc[1] = gap
         total = self.K * cross_pairs
-        for e, (gap_sum, top) in gaps.items():
-            d = self._event_d(e)[0]
-            total += gap_sum / d
-            if top > self.max_weight * d:
-                self.max_weight = top / d
+        for sums in self._sums.values():
+            total += sums.gap_sum / sums.d
+            top = max((self._gaps[t] for t in sums.fresh if t in sums.counts), default=0)
+            if top > self.max_weight * sums.d:
+                self.max_weight = top / sums.d
+            sums.fresh.clear()
         return total * ws.epsilon * ws.epsilon
+
+    def _raise_first_weight_above_k(self, s, runs):
+        """Name the slab's first offending pair in run order: the least
+        (run of a, run of b, a, b)."""
+        run_of = {fid: i for i, (fid, _) in enumerate(runs)}
+        fid = self._fid
+        *_, a, b = min(
+            (run_of[fid[a]], run_of[fid[b]], a, b)
+            for sums in self._sums.values() if sums.offending
+            for a, partners in sums.partners.items()
+            for b in partners
+            if a < b and (sums.slope_id[a], sums.slope_id[b]) in sums.offending
+        )
+        raise ConsistencyError(f"weight above K for atoms ({a}, {b}) in slab {s}")
 
 
 def upsilon(q_value, tv_now, tv0, K):

@@ -131,11 +131,22 @@ def verify_report(report: dict) -> list:
     hold.  A malformed report (a missing or mistyped field, or events that do
     not separate consecutive slabs) raises InputError.
     """
+    if not isinstance(report, dict):
+        raise InputError("report must be a JSON object")
     read = _report_reader()
+
+    def entries(key):
+        # the list field ``key``, whose every entry must be an object
+        items = read(report, key, list)
+        for i, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise InputError(f"report field '{key}[{i}]' must be a JSON object")
+        return items
+
     K = read(report, "K", Fraction)
     tv0 = read(report, "TV0", Fraction)
     slabs = []
-    for i, rec in enumerate(read(report, "slabs", list)):
+    for i, rec in enumerate(entries("slabs")):
         where = f"slabs[{i}]."
         if read(rec, "index", int, where) != i:
             raise InputError(f"report field '{where}index' is not {i}")
@@ -143,7 +154,7 @@ def verify_report(report: dict) -> list:
             read(rec, k, Fraction, where)
             for k in ("Q", "TV", "upsilon_paper", "upsilon_strict")
         ))
-    events = read(report, "events", list)
+    events = entries("events")
     if len(slabs) != len(events) + 1:
         raise InputError(f"report has {len(events)} events but {len(slabs)} slabs")
     event_rows, columns, stored_verdicts = [], [], []
@@ -165,7 +176,7 @@ def verify_report(report: dict) -> list:
                 read(verdicts, name, bool, where + "verdicts.")
         stored_verdicts.append(verdicts)
     restarts, stored_equal = [], []
-    for i, rc in enumerate(read(report, "restart_checks", list)):
+    for i, rc in enumerate(entries("restart_checks")):
         where = f"restart_checks[{i}]."
         s = read(rc, "slab", int, where)
         if not 0 <= s < len(slabs):

@@ -415,6 +415,22 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
         assert main(["verify", str(out_dir / "malformed.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1, err
+    # a report that is not an object, or a list entry that is not, says so
+    not_objects = [
+        (lambda r: [], "report must be a JSON object"),
+        (lambda r: 5, "report must be a JSON object"),
+        (lambda r: None, "report must be a JSON object"),
+        (lambda r: {**r, "slabs": [5]}, "report field 'slabs[0]' must be a JSON object"),
+        (lambda r: {**r, "events": [r["events"][0], []]},
+         "report field 'events[1]' must be a JSON object"),
+        (lambda r: {**r, "restart_checks": ["x"]},
+         "report field 'restart_checks[0]' must be a JSON object"),
+    ]
+    for replace, message in not_objects:
+        report = json.loads((out_dir / "report.json").read_text())
+        (out_dir / "malformed.json").write_text(json.dumps(replace(report)))
+        assert main(["verify", str(out_dir / "malformed.json")]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
     for raw in UNREADABLE_JSON:
         (out_dir / "unreadable.json").write_bytes(raw)
         assert main(["verify", str(out_dir / "unreadable.json")]) == 2

@@ -17,7 +17,9 @@ from fronttrack.potential import (
     verify_run,
 )
 from fronttrack.tracker import Profile, evolve, profile_at
-from fronttrack.tracing import advance_tracing, build_initial_waves, validate_tracing
+from fronttrack.tracing import (
+    advance_tracing, build_initial_waves, first_common_event, validate_tracing,
+)
 
 from oracles import (
     BURGERS_WIDE,
@@ -34,7 +36,7 @@ from oracles import (
     oracle_same_sign_speed_change,
     slab_midpoints,
 )
-from suite_builder import ladder_config
+from suite_builder import ladder_config, suite_config
 from wave_oracles import (
     GENERIC,
     MIXED_SIGN,
@@ -49,6 +51,7 @@ from wave_oracles import (
     maximal_noncontact_interval,
     oracle_first_pair_above_k,
     oracle_q_of_slab,
+    pair_walk_q_of_slab,
     pair_weight,
     quadratic_potential,
     survivors,
@@ -485,6 +488,75 @@ def test_weight_above_k_names_the_oracle_pair_on_the_suite(suite):
                 assert str(info.value) == f"weight above K for atoms {pair} in slab {s}"
                 named[which] += 1
     assert named["zero"] > 100 and named["half"] > 0 and clean > 100
+
+
+def test_q_matches_the_pair_walk_on_the_ladder_rungs():
+    # the meeting-event sweep against the all-pairs walk it replaced: every
+    # slab and max_weight of the 1/128 rung (251 atoms), and slab 0 of a
+    # fresh engine on every restart profile of the 1/64 rung
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/128")))
+    assert r.waves.atom_count == 251
+    top = F(0)
+    for s, rec in enumerate(r.series.slabs):
+        q, slab_top = pair_walk_q_of_slab(r.waves, s, r.series.K)
+        assert rec.Q == q
+        top = max(top, slab_top)
+    assert r.series.max_weight == top
+
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
+    tl, K = r.timeline, r.series.K
+    for t in slab_midpoints(tl):
+        _, ws = run_pipeline(profile_at(tl, t), tl.flux)
+        assert _SlabPotential(ws, K).q_of_slab(0) == pair_walk_q_of_slab(ws, 0, K)[0]
+
+
+def _remeets(r):
+    # atom 0 joins atoms 1-14 at event 11, the cancellation at event 16 puts
+    # it on a front of its own, and it meets atoms 1-11 again at event 18:
+    # there the last common event, not the sign block, decides from which
+    # slab a pair counts
+    ws = r.waves
+    return (first_common_event(ws, 0, 1) == 11 and fid_of(ws, 0, 17) != fid_of(ws, 1, 17)
+            and first_common_event(ws, 0, 1, 17) == 18)
+
+
+def _three_survivor_groups(r):
+    # three Burgers shocks meet at one point and all survive: no run of the
+    # acceptance suite or of the ladder has an event with three survivor groups
+    (ev,) = r.timeline.events
+    return len(ev.incoming) == 3 and ev.canceled_mass == 0
+
+
+THREE_SHOCKS = {
+    "flux": {"polynomial": ["0", "0", "1/2"]},
+    "epsilon": "1",
+    "window": [-12, 12],
+    "datum": {"constant": "6", "jumps": [["-5", "4"], ["-3", "2"], ["-1", "0"]]},
+}
+
+
+@pytest.mark.parametrize("config, shape", [
+    (suite_config(58, salt=1), _remeets),
+    (THREE_SHOCKS, _three_survivor_groups),
+], ids=["remeeting", "three_shocks"])
+def test_q_matches_oracle_on_the_pinned_meetings(config, shape):
+    r = harness.run_simulation(harness.parse_run_config(config))
+    assert shape(r)
+    top = F(0)
+    for s, rec in enumerate(r.series.slabs):
+        q, records = oracle_q_of_slab(r.waves, s, r.series.K, r.timeline.flux)
+        assert rec.Q == q
+        top = max([top, *(p.q for p in records)])
+    assert r.series.max_weight == top
+    engine = _SlabPotential(r.waves, F(0))
+    for s in range(len(r.timeline.slabs)):
+        pair = oracle_first_pair_above_k(r.waves, s, F(0))
+        if pair is None:
+            engine.q_of_slab(s)
+            continue
+        with pytest.raises(ConsistencyError) as info:
+            engine.q_of_slab(s)
+        assert str(info.value) == f"weight above K for atoms {pair} in slab {s}"
 
 
 def test_q_matches_oracle_on_the_ladder_rung():

@@ -11,7 +11,9 @@ but restate every lookup from its runs and event lists.  `oracle_q_of_slab` sums
 and `oracle_bianchini_of_slab` the per-run-pair speed gaps, so tests compare
 them with the package's `_SlabPotential.q_of_slab` and with the per-slab
 series of `_bianchini_of_slab`, which it keeps event by event;
-`sorted_bianchini_of_slab` is the per-slab sort that series replaced.
+`pair_walk_q_of_slab` is the walk over every same-block atom pair that Q's
+meeting-event sweep replaced, and `sorted_bianchini_of_slab` the per-slab
+sort that the Bianchini series replaced.
 `quadratic_potential` and `bianchini_cubic` read those two at a time rather
 than a slab index.
 """
@@ -341,10 +343,68 @@ def bianchini_mismatches(ws: WaveSystem) -> list:
     ]
 
 
+def pair_walk_q_of_slab(ws: WaveSystem, s: int, K):
+    """Q of slab s and the largest pair weight on it, by the walk over every
+    same-block atom pair that `_SlabPotential`'s meeting-event sweep
+    replaced: each pair's first common event from slab s is looked up, the
+    meeting pairs are counted per (event, slope, slope) term, and each term
+    adds count times its positive slope gap over d.  Pairs across two sign
+    blocks weigh K.  Raises the package's error on the first term, in walk
+    order (run of a, run of b, a, b), whose weight exceeds K."""
+    flux, events = ws.timeline.flux, ws.timeline.events
+    runs = ws.runs(s)
+    block_of, block_sizes, sign = [], [], None
+    for _, atoms in runs:
+        if ws.sign[atoms[0]] != sign:
+            sign = ws.sign[atoms[0]]
+            block_sizes.append(0)
+        block_of.append(len(block_sizes) - 1)
+        block_sizes[-1] += len(atoms)
+    n = sum(block_sizes)
+    cross_pairs = (n * n - sum(m * m for m in block_sizes)) // 2
+    top = K if cross_pairs else Fraction(0)
+
+    slopes = {}  # (fid, event index) -> {cell: meeting slope}
+
+    def slope(fid, e, atom):
+        if (fid, e) not in slopes:
+            slopes[fid, e] = _cell_slopes(flux, *meeting_cells(ws, fid, e))
+        return slopes[fid, e][ws.cell[atom]]
+
+    terms = {}  # (event index, slope of a, slope of b) -> [pair count, first pair]
+    for i, (fid_i, atoms_i) in enumerate(runs):
+        for j in range(i + 1, len(runs)):
+            if block_of[j] != block_of[i]:
+                break
+            fid_j, atoms_j = runs[j]
+            for a in atoms_i:
+                for b in atoms_j:
+                    e = first_common_event(ws, a, b, s)
+                    if e is None:
+                        continue
+                    key = (e, slope(fid_i, e, a), slope(fid_j, e, b))
+                    if key in terms:
+                        terms[key][0] += 1
+                    else:
+                        terms[key] = [1, (a, b)]
+
+    total = K * cross_pairs
+    for (e, slope_a, slope_b), (count, (a, b)) in terms.items():
+        gap = slope_a - slope_b
+        if gap <= 0:
+            continue
+        d = abs(events[e].c - events[e].a)
+        if gap > K * d:
+            raise ConsistencyError(f"weight above K for atoms ({a}, {b}) in slab {s}")
+        total += count * gap / d
+        top = max(top, gap / d)
+    return total * ws.epsilon * ws.epsilon, top
+
+
 def oracle_first_pair_above_k(ws: WaveSystem, s: int, K):
     """The first same-block atom pair of slab s, in the order
-    `_SlabPotential.q_of_slab` walks them, whose weight exceeds K, or None:
-    the pair walk again, one pair at a time."""
+    `pair_walk_q_of_slab` walks them, whose weight exceeds K, or None: the
+    pair walk again, one pair at a time."""
     runs = ws.runs(s)
     signs = [ws.sign[atoms[0]] for _, atoms in runs]
     for i, (fid_i, atoms_i) in enumerate(runs):
