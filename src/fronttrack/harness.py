@@ -243,6 +243,10 @@ def parse_sweep_config(data: dict) -> SweepConfig:
         _int_field(random_family.get("seed", 0), "random.seed")
         if random_family.get("jumps") is not None:
             _int_field(random_family["jumps"], "random.jumps", 0)
+        max_tv = parse_rational(random_family.get("max_tv", "2"))
+        if max_tv < 0:
+            raise InputError("config field 'random.max_tv' must be nonnegative")
+        random_family = dict(random_family, max_tv=max_tv)
     return SweepConfig(base, epsilons, datum, random_family, probe_times)
 
 
@@ -255,11 +259,7 @@ def _member_config(sweep: SweepConfig, epsilon: Fraction) -> dict:
         fam = sweep.random_family
         rng = random.Random(fam.get("seed", 0))
         cfg.setdefault("flux", random_flux_spec(rng))
-        cfg["datum"] = random_datum_spec(
-            rng,
-            parse_rational(fam.get("max_tv", "2")),
-            n_jumps=fam.get("jumps"),
-        )
+        cfg["datum"] = random_datum_spec(rng, fam["max_tv"], n_jumps=fam.get("jumps"))
     return cfg
 
 

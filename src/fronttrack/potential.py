@@ -118,7 +118,6 @@ class _MeetingSums:
         self.partners = {}  # atom -> its active partners
         self.counts = {}  # positive-gap term (slope id, slope id) -> active pairs
         self.delta = {}  # term -> change of its pair count not yet summed
-        self.fresh = set()  # terms changed since the last slab that passed
         self.offending = set()  # active terms whose weight exceeds K
         self.gap_sum = Fraction(0)  # over the terms: count times gap
 
@@ -146,9 +145,9 @@ class _SlabPotential:
     of an atom is read through its current front), and activates the
     candidates with T = s.  Per meeting event it keeps integer pair counts
     per (slope id, slope id) term and the running sum of count times
-    positive gap, so exact arithmetic runs once per changed term.  A request
-    for an earlier slab rebuilds the state at that slab; a first request
-    finds the run's candidates and builds the state of its slab alone.  A
+    positive gap, so exact arithmetic runs once per changed term.  The first
+    request lists the run's candidates and puts the cursor on slab 0, as
+    does a request for an earlier slab: Q is one sweep forward in time.  A
     slab holding a weight above K raises and leaves the engine usable for
     the next slab.
     """
@@ -162,7 +161,6 @@ class _SlabPotential:
         self._slopes = []  # slope id -> slope
         self._gaps = {}  # term -> its gap if positive, else None
         self.max_weight = Fraction(0)
-        self._candidates = None  # meeting event -> its candidates (T, a, b)
         self._starting = None  # slab T + 1 -> {meeting event: its candidates (a, b)}
         self._meetings_of = None  # atom -> the meeting events it has candidates at
         self._slab = None  # the cursor
@@ -182,10 +180,11 @@ class _SlabPotential:
             self._slope_ids[key] = ids
         return self._slope_ids[key]
 
-    def _find_candidates(self):
-        """Every candidate pair of the run with its T (see the class)."""
+    def _start(self):
+        """List the run's candidates by the slab they start on, with each
+        atom's meeting events, and put the cursor on slab 0."""
         ws = self.ws
-        self._candidates = {}
+        self._starting, self._meetings_of = {}, {}
         for e, ev in enumerate(ws.timeline.events):
             if not ev.outgoing:
                 continue
@@ -203,11 +202,24 @@ class _SlabPotential:
                     for fr in ev.incoming
                 ) if kept
             ]
-            self._candidates[e] = self._meeting_pairs(e, groups)
+            for t, a, b in self._meeting_pairs(e, groups):
+                self._starting.setdefault(t + 1, {}).setdefault(e, []).append((a, b))
+                for x in (a, b):
+                    events = self._meetings_of.setdefault(x, [])
+                    if not events or events[-1] != e:
+                        events.append(e)
+        self._slab = 0
+        self._fid = [None] * ws.atom_count
+        for fid, atoms in ws.runs(0):
+            for a in atoms:
+                self._fid[a] = fid
+        self._sums = {}
+        for e, pairs in self._starting.get(0, {}).items():
+            self._activate(e, pairs)
 
     def _meeting_pairs(self, e, groups):
-        """(T, a, b) for each pair of atoms a < b in two of the survivor
-        groups of meeting event e (each group a list of atom ids)."""
+        """Yield (T, a, b) for each pair of atoms a < b in two of the
+        survivor groups of meeting event e (each group a list of atom ids)."""
         ws = self.ws
         canc, sign = ws.canc_event, ws.sign
         never = len(ws.timeline.events)
@@ -231,7 +243,6 @@ class _SlabPotential:
                     k -= 1
                 last_split[x] = events[k] if k >= 0 else -1
 
-        pairs = []
         for i, left in enumerate(groups):
             # suffix[k]: the latest separates_until over the last k ids of
             # left's span, prefix[k] over the first k ids of right's
@@ -251,27 +262,12 @@ class _SlabPotential:
                             t = t_a
                         if t >= e:
                             continue  # a and b never share a block before e
-                        if t >= last_split[a] or t >= last_split[b]:
-                            pairs.append((t, a, b))
-                            continue
-                        met = first_common_event(ws, a, b, t + 1)
-                        while met != e:
-                            t = met
+                        if t < last_split[a] and t < last_split[b]:
                             met = first_common_event(ws, a, b, t + 1)
-                        pairs.append((t, a, b))
-        return pairs
-
-    def _index_candidates(self):
-        """The candidates by the slab they start on, and each atom's meeting
-        events: what crossing an event needs."""
-        self._starting, self._meetings_of = {}, {}
-        for e, pairs in self._candidates.items():
-            for t, a, b in pairs:
-                self._starting.setdefault(t + 1, {}).setdefault(e, []).append((a, b))
-                for x in (a, b):
-                    events = self._meetings_of.setdefault(x, [])
-                    if not events or events[-1] != e:
-                        events.append(e)
+                            while met != e:
+                                t = met
+                                met = first_common_event(ws, a, b, t + 1)
+                        yield t, a, b
 
     def _activate(self, e, pairs):
         """Count the pairs (a, b) of meeting event e from the cursor slab on."""
@@ -297,22 +293,8 @@ class _SlabPotential:
                 partners[b].append(a)
             delta[id_a, id_b] = delta.get((id_a, id_b), 0) + 1
 
-    def _start_at(self, s):
-        """The sweep state of slab s, built from its fronts."""
-        self._slab = s
-        self._fid = [None] * self.ws.atom_count
-        for fid, atoms in self.ws.runs(s):
-            for a in atoms:
-                self._fid[a] = fid
-        self._sums = {}
-        for e, pairs in self._candidates.items():
-            if e >= s:
-                self._activate(e, [(a, b) for t, a, b in pairs if t < s])
-
     def _cross_event(self):
         """Move the cursor from slab s to slab s + 1, across event s."""
-        if self._starting is None:
-            self._index_candidates()
         s = self._slab
         ws = self.ws
         self._sums.pop(s, None)
@@ -347,7 +329,9 @@ class _SlabPotential:
         return self._gaps[term]
 
     def _settle(self, sums):
-        """Fold a meeting event's pending count changes into its sums."""
+        """Fold a meeting event's pending count changes into its sums and
+        its largest active gap into ``max_weight``."""
+        top = 0
         for term, change in sums.delta.items():
             gap = self._gap(term)
             if not change or gap is None:
@@ -355,16 +339,19 @@ class _SlabPotential:
             count = sums.counts.get(term, 0) + change
             if count:
                 sums.counts[term] = count
+                if gap > top:
+                    top = gap
             else:
                 del sums.counts[term]
             sums.gap_sum += change * gap
-            sums.fresh.add(term)
             if gap > sums.k_d:
                 if count:
                     sums.offending.add(term)
                 else:
                     sums.offending.discard(term)
         sums.delta.clear()
+        if top > self.max_weight * sums.d:
+            self.max_weight = top / sums.d
 
     def q_of_slab(self, s: int) -> Fraction:
         """eps^2 times the sum of the pair weights over the slab's atom pairs.
@@ -375,10 +362,8 @@ class _SlabPotential:
         state at slab s: per meeting event, its running gap sum divided by
         its d.
         """
-        if self._candidates is None:
-            self._find_candidates()
         if self._slab is None or s < self._slab:
-            self._start_at(s)
+            self._start()
         while self._slab < s:
             self._cross_event()
 
@@ -403,10 +388,6 @@ class _SlabPotential:
         total = self.K * cross_pairs
         for sums in self._sums.values():
             total += sums.gap_sum / sums.d
-            top = max((self._gaps[t] for t in sums.fresh if t in sums.counts), default=0)
-            if top > self.max_weight * sums.d:
-                self.max_weight = top / sums.d
-            sums.fresh.clear()
         return total * ws.epsilon * ws.epsilon
 
     def _raise_first_weight_above_k(self, s, runs):

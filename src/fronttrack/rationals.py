@@ -2,11 +2,10 @@
 
 Every speed, time, position, state and potential value in this package is a
 ``fractions.Fraction``.  This module holds the small amount of shared plumbing:
-parsing/formatting of "p/q" strings and exact grid rounding.
+parsing/formatting of "p/q" strings and exact grid indices.
 """
 
 from fractions import Fraction
-from math import floor
 
 from .errors import InputError
 
@@ -41,18 +40,3 @@ def grid_index(u: Fraction, epsilon: Fraction) -> int:
     if q.denominator != 1:
         raise InputError(f"value {u} is not a multiple of the grid size {epsilon}")
     return q.numerator
-
-
-def round_to_grid_half_even(u: Fraction, epsilon: Fraction) -> Fraction:
-    """Nearest grid multiple of epsilon, ties to the even multiple."""
-    q = Fraction(u) / epsilon
-    lo = floor(q)
-    frac = q - lo
-    half = Fraction(1, 2)
-    if frac < half:
-        k = lo
-    elif frac > half:
-        k = lo + 1
-    else:
-        k = lo if lo % 2 == 0 else lo + 1
-    return k * epsilon

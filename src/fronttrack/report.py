@@ -109,7 +109,8 @@ def _report_reader():
         if kind is not Fraction:
             if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
                 return value
-            raise InputError(f"report field '{where}{key}' must be of type {kind.__name__}")
+            kind_name = "a JSON object" if kind is dict else f"of type {kind.__name__}"
+            raise InputError(f"report field '{where}{key}' must be {kind_name}")
         if type(value) is not str:
             raise InputError(f"report field '{where}{key}' must be a rational string")
         if value not in parsed:

@@ -41,7 +41,7 @@ from operator import attrgetter
 
 from .envelope import GridFlux
 from .errors import ConsistencyError, InputError, TrackerError
-from .rationals import parse_rational, round_to_grid_half_even
+from .rationals import parse_rational
 from .riemann import is_admissible, solve_riemann
 
 SAME_SIGN = "same_sign"
@@ -106,7 +106,7 @@ def discretize_initial(datum, epsilon) -> Profile:
     eps = parse_rational(epsilon)
     constant, raw_jumps = datum
     constant = parse_rational(constant)
-    base = round_to_grid_half_even(constant, eps)
+    base = round(constant / eps) * eps  # Fraction rounds half to even
     shift = base - constant
 
     out = []

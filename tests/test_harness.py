@@ -130,6 +130,8 @@ MALFORMED_SWEEPS = [
     _random_sweep(5),
     _random_sweep({"seed": "x"}),
     _random_sweep({"jumps": "5"}),
+    _random_sweep({"max_tv": "-1"}),
+    _random_sweep({"max_tv": "x"}),
 ]
 
 
@@ -425,6 +427,9 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
          "report field 'events[1]' must be a JSON object"),
         (lambda r: {**r, "restart_checks": ["x"]},
          "report field 'restart_checks[0]' must be a JSON object"),
+        (lambda r: {**r, "flags": 5}, "report field 'flags' must be a JSON object"),
+        (lambda r: {**r, "events": [{**r["events"][0], "verdicts": []}, *r["events"][1:]]},
+         "report field 'events[0].verdicts' must be a JSON object"),
     ]
     for replace, message in not_objects:
         report = json.loads((out_dir / "report.json").read_text())

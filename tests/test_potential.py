@@ -559,6 +559,16 @@ def test_q_matches_oracle_on_the_pinned_meetings(config, shape):
         assert str(info.value) == f"weight above K for atoms {pair} in slab {s}"
 
 
+def test_q_in_descending_slab_order_starts_over_from_slab_0():
+    # every request below the cursor sweeps forward from slab 0 again, on
+    # one engine: the values and the largest weight are those of the run
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
+    engine = _SlabPotential(r.waves, r.series.K)
+    slabs = range(len(r.timeline.slabs) - 1, -1, -1)
+    assert [engine.q_of_slab(s) for s in slabs] == [r.series.slabs[s].Q for s in slabs]
+    assert engine.max_weight == r.series.max_weight
+
+
 def test_q_matches_oracle_on_the_ladder_rung():
     # the seed-3 random config of the benchmark's ladder, at eps 1/64 (124
     # atoms); the 1/128 rung takes about a minute under the oracle

@@ -82,6 +82,20 @@ def test_discretize_offgrid_value():
     assert out.total_variation() == F(1) <= F(6, 5)
 
 
+@pytest.mark.parametrize("constant, eps, base", [
+    (F(1, 2), F(1), F(0)),
+    (F(-1, 2), F(1), F(0)),
+    (F(3, 2), F(1), F(2)),
+    (F(-3, 2), F(1), F(-2)),
+    (F(1, 4), F(1, 2), F(0)),
+])
+def test_discretize_rounds_a_tie_constant_to_the_even_multiple(constant, eps, base):
+    assert discretize_initial((constant, []), eps) == Profile(base, ())
+    # later values move with the base: a jump by eps stays a jump by eps
+    out = discretize_initial((constant, [(0, constant + eps)]), eps)
+    assert out == Profile(base, ((F(0), base + eps),))
+
+
 def test_discretize_never_increases_tv():
     # pointwise nearest rounding would double this datum's variation
     raw = (0, [(0, F(2, 5)), (1, F(3, 5)), (2, 0)])
