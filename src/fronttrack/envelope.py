@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InputError
-from .rationals import grid_index, parse_rational
+from .rationals import grid_index, json_field, parse_rational
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,20 @@ def parse_flux_spec(flux_spec):
     if not isinstance(flux_spec, dict) or len(flux_spec) != 1:
         raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
     if "polynomial" in flux_spec:
-        if not isinstance(flux_spec["polynomial"], (list, tuple)):
-            raise InputError("flux polynomial must be a list of coefficients")
-        return "polynomial", [parse_rational(c) for c in flux_spec["polynomial"]]
+        coefficients = json_field(flux_spec, "polynomial", list, "config", "flux.")
+        return "polynomial", [parse_rational(c) for c in coefficients]
     if "table" in flux_spec:
-        if not isinstance(flux_spec["table"], dict):
-            raise InputError("flux table must be an object keyed by grid index")
-        try:
-            return "table", {int(k): parse_rational(v) for k, v in flux_spec["table"].items()}
-        except ValueError as exc:
-            raise InputError(f"flux table keys must be grid indices: {exc}") from exc
+        table = {}
+        for k, v in json_field(flux_spec, "table", dict, "config", "flux.").items():
+            try:
+                index = int(k)
+            except ValueError as exc:
+                raise InputError(f"flux table keys must be grid indices: {exc}") from exc
+            try:
+                table[index] = parse_rational(v)
+            except InputError as exc:
+                raise InputError(f"flux table value at grid index {index}: {exc}") from exc
+        return "table", table
     raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
 
 

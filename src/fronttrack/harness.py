@@ -10,7 +10,7 @@ from math import ceil, floor
 from .envelope import parse_flux_spec, sample_flux
 from .errors import InputError
 from .potential import PotentialSeries, verify_run
-from .rationals import parse_rational
+from .rationals import json_field, parse_rational
 from .tracker import (
     Profile,
     Timeline,
@@ -36,26 +36,21 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _parse_datum(datum) -> tuple:
-    if not isinstance(datum, dict):
-        raise InputError("datum must be an object")
+def _parse_datum(datum: dict) -> tuple:
     constant = parse_rational(datum.get("constant", "0"))
     if "jumps" in datum:
-        raw = datum["jumps"]
-        if not isinstance(raw, (list, tuple)) or not all(
-            isinstance(j, (list, tuple)) and len(j) == 2 for j in raw
-        ):
-            raise InputError("datum.jumps must be a list of [x, value] pairs")
-        jumps = [(parse_rational(x), parse_rational(v)) for x, v in raw]
+        raw = json_field(datum, "jumps", list, "config", "datum.")
+        jumps = []
+        for i in range(len(raw)):
+            pair = json_field(raw, i, list, "config", "datum.jumps")
+            if len(pair) != 2:
+                raise InputError("datum.jumps must be a list of [x, value] pairs")
+            jumps.append((parse_rational(pair[0]), parse_rational(pair[1])))
     elif "samples" in datum:
-        if not isinstance(datum["samples"], dict):
-            raise InputError("datum.samples must be an object")
-        if datum.get("round", "nearest") != "nearest":
+        samples = json_field(datum, "samples", dict, "config", "datum.")
+        if json_field(datum, "round", str, "config", "datum.", "nearest") != "nearest":
             raise InputError("datum.round: only 'nearest' is supported")
-        jumps = sorted(
-            (parse_rational(x), parse_rational(v))
-            for x, v in datum["samples"].items()
-        )
+        jumps = sorted((parse_rational(x), parse_rational(v)) for x, v in samples.items())
     else:
         raise InputError("datum needs a 'jumps' list or a 'samples' table")
     xs = [x for x, _ in jumps]
@@ -64,66 +59,44 @@ def _parse_datum(datum) -> tuple:
     return constant, jumps
 
 
-def _int_field(value, name: str, minimum=None) -> int:
-    """A JSON integer (not a bool), at least ``minimum`` when one is given."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"config field '{name}' must be an integer")
-    if minimum is not None and value < minimum:
-        raise InputError(f"config field '{name}' must be at least {minimum}")
-    return value
-
-
-def _field(data: dict, name: str, kind, default):
-    """``data[name]``, or ``default`` when absent; a JSON list or object."""
-    value = data.get(name, default)
-    if not isinstance(value, kind):
-        raise InputError(
-            f"config field '{name}' must be {'a list' if kind is list else 'an object'}"
-        )
-    return value
-
-
-def _bool_field(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise InputError(f"config field '{name}' must be true or false")
-    return value
-
-
 def parse_run_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
-    for key in ("flux", "epsilon", "datum"):
-        if key not in data:
-            raise InputError(f"config field '{key}' is required")
-    epsilon = parse_rational(data["epsilon"])
+    flux = json_field(data, "flux", dict, "config")
+    epsilon = parse_rational(json_field(data, "epsilon", object, "config"))
+    datum = json_field(data, "datum", dict, "config")
     if epsilon <= 0:
         raise InputError("config field 'epsilon' must be positive")
-    parse_flux_spec(data["flux"])  # a malformed flux fails here, before any run
+    parse_flux_spec(flux)  # a malformed flux fails here, before any run
     window = data.get("window")
     if window is not None:
-        if not isinstance(window, (list, tuple)) or len(window) != 2:
+        window = json_field(data, "window", list, "config")
+        if len(window) != 2:
             raise InputError("config field 'window' must be a pair of integers")
-        window = tuple(_int_field(k, "window") for k in window)
+        window = tuple(json_field(window, i, int, "config", "window") for i in (0, 1))
         if window[1] <= window[0]:
             raise InputError("config field 'window' must be an increasing pair")
-    options = _field(data, "options", dict, {})
+    options = json_field(data, "options", dict, "config", default={})
     bound = options.get("analytic_curvature_bound")
     max_events = options.get("max_events")
     if max_events is not None:
-        max_events = _int_field(max_events, "options.max_events", 0)
-    _int_field(data.get("seed", 0), "seed")
+        max_events = json_field(options, "max_events", int, "config", "options.")
+        if max_events < 0:
+            raise InputError("config field 'options.max_events' must be at least 0")
+    restart_checks = json_field(options, "restart_check_points", int, "config", "options.", 0)
+    if restart_checks < 0:
+        raise InputError("config field 'options.restart_check_points' must be at least 0")
+    json_field(data, "seed", int, "config", default=0)
     return RunConfig(
-        flux_spec=data["flux"],
+        flux_spec=flux,
         epsilon=epsilon,
-        datum=_parse_datum(data["datum"]),
+        datum=_parse_datum(datum),
         window=window,
-        emit_svg=_bool_field(options.get("emit_svg", False), "options.emit_svg"),
-        restart_check_points=_int_field(
-            options.get("restart_check_points", 0), "options.restart_check_points", 0
-        ),
+        emit_svg=json_field(options, "emit_svg", bool, "config", "options.", False),
+        restart_check_points=restart_checks,
         max_events=max_events,
         analytic_curvature_bound=None if bound is None else parse_rational(bound),
-        decimal=_bool_field(options.get("decimal", False), "options.decimal"),
+        decimal=json_field(options, "decimal", bool, "config", "options.", False),
         raw=data,
     )
 
@@ -223,26 +196,32 @@ class SweepConfig:
 def parse_sweep_config(data: dict) -> SweepConfig:
     if not isinstance(data, dict):
         raise InputError("sweep config must be a JSON object")
-    epsilons = [parse_rational(e) for e in _field(data, "epsilons", list, [])]
+    epsilons = [
+        parse_rational(e) for e in json_field(data, "epsilons", list, "config", default=[])
+    ]
     if len(epsilons) < 2:
         raise InputError("sweep needs at least two epsilons")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise InputError("sweep epsilons must strictly decrease")
     if any(e <= 0 for e in epsilons):
         raise InputError("sweep epsilons must be positive")
-    probe_times = [parse_rational(t) for t in _field(data, "probe_times", list, ["1"])]
+    probe_times = [
+        parse_rational(t)
+        for t in json_field(data, "probe_times", list, "config", default=["1"])
+    ]
     if any(t < 0 for t in probe_times):
         raise InputError("sweep probe_times must be nonnegative")
-    base = _field(data, "base", dict, {})
+    base = json_field(data, "base", dict, "config", default={})
     datum = data.get("datum")
     random_family = data.get("random")
     if (datum is None) == (random_family is None):
         raise InputError("sweep needs exactly one of 'datum' or 'random'")
     if random_family is not None:
-        _field(data, "random", dict, None)
-        _int_field(random_family.get("seed", 0), "random.seed")
+        json_field(data, "random", dict, "config")
+        json_field(random_family, "seed", int, "config", "random.", 0)
         if random_family.get("jumps") is not None:
-            _int_field(random_family["jumps"], "random.jumps", 0)
+            if json_field(random_family, "jumps", int, "config", "random.") < 0:
+                raise InputError("config field 'random.jumps' must be at least 0")
         max_tv = parse_rational(random_family.get("max_tv", "2"))
         if max_tv < 0:
             raise InputError("config field 'random.max_tv' must be nonnegative")

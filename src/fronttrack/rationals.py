@@ -2,7 +2,8 @@
 
 Every speed, time, position, state and potential value in this package is a
 ``fractions.Fraction``.  This module holds the small amount of shared plumbing:
-parsing/formatting of "p/q" strings and exact grid indices.
+parsing/formatting of "p/q" strings, exact grid indices, and the one reader
+of JSON fields that configs, flux specs and reports share.
 """
 
 from fractions import Fraction
@@ -40,3 +41,34 @@ def grid_index(u: Fraction, epsilon: Fraction) -> int:
     if q.denominator != 1:
         raise InputError(f"value {u} is not a multiple of the grid size {epsilon}")
     return q.numerator
+
+
+REQUIRED = object()  # json_field's default: the field must be present
+
+_JSON_KINDS = {int: "integer", bool: "boolean", str: "string", list: "array", dict: "object"}
+
+
+def json_field(obj, key, kind, doc, path="", default=REQUIRED):
+    """``obj[key]`` checked to be a JSON ``kind`` (int, bool, str, list or
+    dict; a bool is never an int; ``object`` accepts any value), or
+    ``default`` when the field is absent and a default is given.
+
+    Errors name the field ``<doc> field '<path><key>'``, with a list index
+    ``key`` written ``[key]``, and say that it ``is missing`` or ``must be a
+    JSON <kind>``.
+    """
+    try:
+        value = obj[key]
+    except (KeyError, IndexError):
+        if default is REQUIRED:
+            raise InputError(f"{doc} field '{_field_name(path, key)}' is missing") from None
+        return default
+    if isinstance(value, kind) and (kind is not int or type(value) is not bool):
+        return value
+    raise InputError(
+        f"{doc} field '{_field_name(path, key)}' must be a JSON {_JSON_KINDS[kind]}"
+    )
+
+
+def _field_name(path, key) -> str:
+    return f"{path}[{key}]" if type(key) is int else f"{path}{key}"

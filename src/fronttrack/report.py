@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import InputError
 from .harness import RunResult
 from .potential import upsilon, verdict_table
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, json_field, parse_rational
 
 EVENTS_COLUMNS = [
     "t", "x", "kind", "a", "b", "c",
@@ -93,26 +93,15 @@ def potential_csv(report: dict, decimal: bool = False) -> str:
     return _csv(report["slabs"], POTENTIAL_COLUMNS, decimal, exact_only=())
 
 
-def _report_reader():
-    """``read(obj, key, kind, where)`` returns the stored field ``obj[key]``:
-    a rational string parsed to a Fraction when ``kind`` is Fraction, else a
-    value checked to be a ``kind``.  A missing or mistyped field raises
-    InputError.  Each distinct rational string is parsed once, because a
+def _rational_reader():
+    """``rational(obj, key, where)`` returns the stored rational ``obj[key]``,
+    a JSON string, parsed to a Fraction; a missing, mistyped or unparsable
+    field raises InputError.  Each distinct string is parsed once, because a
     report repeats most of its values (the event columns copy slab values)."""
     parsed = {}
 
-    def read(obj, key, kind, where=""):
-        try:
-            value = obj[key]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"report field '{where}{key}' is missing") from exc
-        if kind is not Fraction:
-            if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
-                return value
-            kind_name = "a JSON object" if kind is dict else f"of type {kind.__name__}"
-            raise InputError(f"report field '{where}{key}' must be {kind_name}")
-        if type(value) is not str:
-            raise InputError(f"report field '{where}{key}' must be a rational string")
+    def rational(obj, key, where=""):
+        value = json_field(obj, key, str, "report", where)
         if value not in parsed:
             try:
                 parsed[value] = parse_rational(value)
@@ -120,7 +109,7 @@ def _report_reader():
                 raise InputError(f"report field '{where}{key}': {exc}") from exc
         return parsed[value]
 
-    return read
+    return rational
 
 
 def verify_report(report: dict) -> list:
@@ -134,26 +123,24 @@ def verify_report(report: dict) -> list:
     """
     if not isinstance(report, dict):
         raise InputError("report must be a JSON object")
-    read = _report_reader()
+    rational = _rational_reader()
 
     def entries(key):
         # the list field ``key``, whose every entry must be an object
-        items = read(report, key, list)
-        for i, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise InputError(f"report field '{key}[{i}]' must be a JSON object")
+        items = json_field(report, key, list, "report")
+        for i in range(len(items)):
+            json_field(items, i, dict, "report", key)
         return items
 
-    K = read(report, "K", Fraction)
-    tv0 = read(report, "TV0", Fraction)
+    K = rational(report, "K")
+    tv0 = rational(report, "TV0")
     slabs = []
     for i, rec in enumerate(entries("slabs")):
         where = f"slabs[{i}]."
-        if read(rec, "index", int, where) != i:
+        if json_field(rec, "index", int, "report", where) != i:
             raise InputError(f"report field '{where}index' is not {i}")
         slabs.append(tuple(
-            read(rec, k, Fraction, where)
-            for k in ("Q", "TV", "upsilon_paper", "upsilon_strict")
+            rational(rec, k, where) for k in ("Q", "TV", "upsilon_paper", "upsilon_strict")
         ))
     events = entries("events")
     if len(slabs) != len(events) + 1:
@@ -161,32 +148,29 @@ def verify_report(report: dict) -> list:
     event_rows, columns, stored_verdicts = [], [], []
     for i, ev in enumerate(events):
         where = f"events[{i}]."
-        if read(ev, "index", int, where) != i:
+        if json_field(ev, "index", int, "report", where) != i:
             raise InputError(f"report field '{where}index' is not {i}")
         event_rows.append((
-            i, read(ev, "kind", str, where), read(ev, "composite", bool, where),
-            *(read(ev, k, Fraction, where) for k in ("a", "b", "c", "delta_sigma")),
+            i, json_field(ev, "kind", str, "report", where),
+            json_field(ev, "composite", bool, "report", where),
+            *(rational(ev, k, where) for k in ("a", "b", "c", "delta_sigma")),
         ))
         columns.append(tuple(
-            read(ev, k, Fraction, where)
-            for k in ("Q_minus", "Q_plus", "TV_minus", "TV_plus")
+            rational(ev, k, where) for k in ("Q_minus", "Q_plus", "TV_minus", "TV_plus")
         ))
-        verdicts = read(ev, "verdicts", dict, where)
-        for name, value in verdicts.items():
-            if type(value) is not bool:  # the accessor names the mistyped verdict
-                read(verdicts, name, bool, where + "verdicts.")
+        verdicts = json_field(ev, "verdicts", dict, "report", where)
+        for name in verdicts:
+            json_field(verdicts, name, bool, "report", where + "verdicts.")
         stored_verdicts.append(verdicts)
     restarts, stored_equal = [], []
     for i, rc in enumerate(entries("restart_checks")):
         where = f"restart_checks[{i}]."
-        s = read(rc, "slab", int, where)
+        s = json_field(rc, "slab", int, "report", where)
         if not 0 <= s < len(slabs):
             raise InputError(f"report field '{where}slab' names no slab")
-        restarts.append(
-            (s, read(rc, "Q", Fraction, where), read(rc, "Q_restart", Fraction, where))
-        )
-        stored_equal.append(read(rc, "equal", bool, where))
-    flags = read(report, "flags", dict)
+        restarts.append((s, rational(rc, "Q", where), rational(rc, "Q_restart", where)))
+        stored_equal.append(json_field(rc, "equal", bool, "report", where))
+    flags = json_field(report, "flags", dict, "report")
     table = verdict_table(K, tv0, slabs, event_rows, restarts)
 
     failures = []
@@ -198,11 +182,14 @@ def verify_report(report: dict) -> list:
             failures.append(f"slab{i}: upsilon_strict inconsistent")
     if slabs[0][1] != tv0:
         failures.append("slab0: TV differs from TV0")
-    for name, value in table.flags.items():
-        stored = read(flags, name, type(value), "flags.")
-        if isinstance(stored, list):  # event indices
-            stored = [read(stored, j, int, f"flags.{name}.") for j in range(len(stored))]
-        if stored != value:
+    for name in dict.fromkeys([*table.flags, *flags]):
+        value = table.flags.get(name)
+        if value is not None:
+            stored = json_field(flags, name, type(value), "report", "flags.")
+            if isinstance(stored, list):  # event indices
+                for j in range(len(stored)):
+                    json_field(stored, j, int, "report", f"flags.{name}")
+        if value is None or stored != value:
             failures.append(f"flags: stored {name} does not re-check")
     for i, (q_minus, q_plus, tv_minus, tv_plus) in enumerate(columns):
         if (q_minus, q_plus) != (slabs[i][0], slabs[i + 1][0]):
@@ -225,6 +212,6 @@ def verify_report(report: dict) -> list:
         "hard_failures": table.hard_failures,
     }
     for name, value in summary.items():
-        if read(report, name, type(value)) != value:
+        if json_field(report, name, type(value), "report") != value:
             failures.append(f"{name}: stored value does not re-check")
     return failures

@@ -337,8 +337,6 @@ def profile_at(tl: Timeline, t: Fraction, side: str = "post") -> Profile:
     """Reconstruct the profile at time t (pre/post selects the one-sided limit
     at event instants; elsewhere the two agree)."""
     t = Fraction(t)
-    if t < 0:
-        raise InputError("time must be nonnegative")
     constant = tl.initial_profile.constant_state
     merged = []
     prev_v = constant
@@ -407,8 +405,6 @@ def validate_timeline(tl: Timeline) -> None:
     if len(slabs) != len(events) + 1 or len(tvs) != len(slabs):
         raise ConsistencyError("slabs do not span the events")
 
-    admissible = set()  # Front values, not fids: a reused fid is checked again
-
     def check_new(fronts, left, right):
         """Chaining, value range and admissibility of ``fronts``, which sit
         between the fronts ``left`` and ``right`` (None at an end)."""
@@ -419,10 +415,8 @@ def validate_timeline(tl: Timeline) -> None:
             prev_v = fr.right
             if not (lo0 <= fr.u_lo and fr.u_hi <= hi0):
                 raise ConsistencyError("profile left the initial value range")
-            if fr not in admissible:
-                if not is_admissible(fr, flux):
-                    raise ConsistencyError("live front is not admissible")
-                admissible.add(fr)
+            if not is_admissible(fr, flux):
+                raise ConsistencyError("live front is not admissible")
         if right is None and prev_v != p.right_constant:
             raise ConsistencyError("right tail value changed")
         if right is not None and prev_v != right.left:

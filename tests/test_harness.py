@@ -92,6 +92,7 @@ MALFORMED_CONFIGS = [
     dict(GOLDEN_CONFIG, datum={"constant": "1", "jumps": [["0"]]}),
     dict(GOLDEN_CONFIG, datum={"samples": ["0", "1"]}),
     dict(GOLDEN_CONFIG, flux={"table": {"a": "1"}}),
+    dict(GOLDEN_CONFIG, flux={"table": {"0": [1], "1": "1"}}),
     dict(GOLDEN_CONFIG, flux={"polynomial": "012"}),
     _with_options(max_events="5"),
     _with_options(max_events=-1),
@@ -219,6 +220,8 @@ def test_verify_report_recheck(golden_result):
          "flags: stored upsilon_paper_drop_failures does not re-check"),
         (lambda r: r["events"][0].update(TV_minus="1000"),
          "event0: TV columns disagree with slab table"),
+        # a flag the verdict table does not compute fails, as a verdict does
+        (lambda r: r["flags"].update(extra=5), "flags: stored extra does not re-check"),
     ]
     for result in (golden_result, nonconvex):
         report = build_report(result)
@@ -233,13 +236,13 @@ def test_verify_report_recheck(golden_result):
         # input error, although Python has 1 == True
         mistyped = [
             (lambda r: r["events"][0]["verdicts"].update(q_monotone=1),
-             "events[0].verdicts.q_monotone"),
+             "'events[0].verdicts.q_monotone' must be a JSON boolean"),
             (lambda r: r["flags"].update(upsilon_paper_drop_failures=[
                 bool(i) for i in r["flags"]["upsilon_paper_drop_failures"]
-            ]), "flags.upsilon_paper_drop_failures.0"),
+            ]), "'flags.upsilon_paper_drop_failures[0]' must be a JSON integer"),
         ]
-        for edit, field in mistyped:
-            with pytest.raises(InputError, match=f"'{re.escape(field)}' must be of type"):
+        for edit, message in mistyped:
+            with pytest.raises(InputError, match=re.escape(message)):
                 _verify_edited(report, edit)
 
 
@@ -441,6 +444,123 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
         assert main(["verify", str(out_dir / "unreadable.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+_DELETE = object()
+
+
+def _with_field(doc, path, value):
+    """A copy of the JSON ``doc`` with the field at ``path`` (keys and list
+    indices) set to ``value``, or deleted when ``value`` is ``_DELETE``."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    *parents, last = path
+    obj = copy
+    for key in parents:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+    return copy
+
+
+def _field_name(path):
+    """``path`` as the reader names it: ``events[0].verdicts``."""
+    return "".join(
+        f"[{key}]" if isinstance(key, int) else f"{'.' if i else ''}{key}"
+        for i, key in enumerate(path)
+    )
+
+
+def _field_paths(doc, path=(), stop=()):
+    """``path`` and the path of every field below it, each list's first two
+    items only; below a field named in ``stop`` nothing is listed."""
+    yield path
+    if isinstance(doc, dict) and not (path and path[-1] in stop):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc[:2])
+    else:
+        return
+    for key, value in children:
+        yield from _field_paths(value, (*path, key), stop)
+
+
+@pytest.fixture
+def golden_report(golden_result):
+    return json.loads(report_bytes(build_report(golden_result)))
+
+
+def _run_cli(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    return main([command, str(path), *extra])
+
+
+SAMPLES_CONFIG = dict(GOLDEN_CONFIG, datum={"constant": "1", "samples": {"0": "0", "1": "-1"}})
+
+
+@pytest.mark.parametrize("kind, config, config_path, report_path", [
+    ("integer", GOLDEN_CONFIG, ("seed",), ("slabs", 0, "index")),
+    ("boolean", GOLDEN_CONFIG, ("options", "emit_svg"), ("events", 0, "composite")),
+    ("string", SAMPLES_CONFIG, ("datum", "round"), ("events", 0, "kind")),
+    ("array", GOLDEN_CONFIG, ("window",), ("restart_checks",)),
+    ("object", GOLDEN_CONFIG, ("options",), ("events", 0, "verdicts")),
+    (None, GOLDEN_CONFIG, ("flux",), ("flags", "upsilon0_le_k_tv0_sq")),
+], ids=["integer", "boolean", "string", "array", "object", "missing"])
+def test_json_field_errors_name_the_field_and_kind(
+    tmp_path, capsys, golden_report, kind, config, config_path, report_path
+):
+    # a float is no kind a field is read as; the missing case deletes the field
+    value = 2.5 if kind else _DELETE
+    words = f"must be a JSON {kind}" if kind else "is missing"
+    for command, doc, path in (("run", config, config_path),
+                               ("verify", golden_report, report_path)):
+        capsys.readouterr()
+        assert _run_cli(tmp_path, command, _with_field(doc, path, value)) == 2
+        doc_name = "config" if command == "run" else "report"
+        assert capsys.readouterr().err == (
+            f"input error: {doc_name} field '{_field_name(path)}' {words}\n"
+        )
+
+
+def test_flux_table_errors_say_key_or_value():
+    with pytest.raises(InputError, match=re.escape(
+        "flux table value at grid index 0: not a rational value: [1]"
+    )):
+        parse_run_config(dict(GOLDEN_CONFIG, flux={"table": {"0": [1], "1": "1"}}))
+    with pytest.raises(InputError, match="^flux table keys must be grid indices: "):
+        parse_run_config(dict(GOLDEN_CONFIG, flux={"table": {"a": "1"}}))
+
+
+MUTANTS = [None, True, False, 0, -1, 2, 2.5, "x", "1/2", "", [], {}, [1, 2], {"a": 1}]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_one_field_mutations_exit_cleanly(tmp_path, capsys, golden_report, command):
+    """Every field of the golden config, or of its report outside
+    ``run_config``, set to each value of every JSON kind: no traceback, exit
+    2 with one ``input error:`` line, or exit 1 with only failure lines."""
+    doc = GOLDEN_CONFIG if command == "run" else golden_report
+    paths = list(_field_paths(doc, stop=("run_config",)))
+    assert len(paths) == (21 if command == "run" else 74)
+    for path in paths:
+        for value in MUTANTS:
+            capsys.readouterr()
+            code = _run_cli(tmp_path, command, _with_field(doc, path, value))
+            lines = capsys.readouterr().err.splitlines()
+            case = (_field_name(path), value, code, lines)
+            if code == 2:
+                assert len(lines) == 1 and lines[0].startswith("input error: "), case
+            elif code == 1:
+                assert lines and all(
+                    line.startswith(("FAIL: ", "verification FAILED")) for line in lines
+                ), case
+            else:
+                assert code == 0 and lines == [], case
 
 
 GOLDEN_SHA256 = {
