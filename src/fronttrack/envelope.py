@@ -12,11 +12,17 @@ The discrete curvature constant K (largest jump of consecutive cell slopes
 divided by epsilon) plays the role a second-derivative bound plays for smooth
 fluxes: for any envelope on any grid interval, slopes at two states differ by
 at most K times the state gap.
+
+Hulls and K run on integers: with D the lcm of the sample denominators,
+every D*F(k*epsilon) is an integer, so a hull is a monotone chain with
+integer cross products and K an integer second difference over D*epsilon^2.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DomainError, InputError
 from .rationals import grid_index, json_field, parse_rational
@@ -42,6 +48,13 @@ class GridFlux:
         # every lookup
         object.__setattr__(
             self, "_hash", hash((self.epsilon, self.k_min, self.k_max, self.values))
+        )
+        # D and the integer samples D*F(k*epsilon), read by the hull builder
+        # and the curvature constant
+        scale = lcm(*(v.denominator for v in self.values))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(
+            self, "_scaled", tuple(v.numerator * (scale // v.denominator) for v in self.values)
         )
 
     def __hash__(self):
@@ -72,10 +85,6 @@ class GridFlux:
             raise DomainError(f"grid index {k} outside the flux window")
         return self.values[k - self.k_min]
 
-    def cell_slope(self, k: int) -> Fraction:
-        """Slope of the affine piece on [k*eps, (k+1)*eps]."""
-        return (self.value_at_index(k + 1) - self.value_at_index(k)) / self.epsilon
-
 
 def parse_flux_spec(flux_spec):
     """("polynomial", coefficients) or ("table", {grid index: value}) from a
@@ -89,10 +98,13 @@ def parse_flux_spec(flux_spec):
     if "table" in flux_spec:
         table = {}
         for k, v in json_field(flux_spec, "table", dict, "config", "flux.").items():
-            try:
-                index = int(k)
-            except ValueError as exc:
-                raise InputError(f"flux table keys must be grid indices: {exc}") from exc
+            # only the canonical spelling, str(int(k)) == k: "01" or "1_0"
+            # would alias "1" or "10"
+            if not re.fullmatch("0|-?[1-9][0-9]*", k):
+                raise InputError(
+                    f"flux table keys must be grid indices: {k!r} is not a plain decimal integer"
+                )
+            index = int(k)
             try:
                 table[index] = parse_rational(v)
             except InputError as exc:
@@ -126,29 +138,21 @@ def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
 
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
-    """Continuous piecewise-linear function given by its breakpoints."""
+    """Continuous piecewise-linear function with its breakpoints on the grid."""
 
-    breakpoints: tuple  # strictly increasing Fractions
+    indices: tuple  # strictly increasing grid indices k of the breakpoints
+    breakpoints: tuple  # k * epsilon for each k in indices
     ordinates: tuple
-
-    def __post_init__(self):
-        if len(self.breakpoints) < 2 or len(self.breakpoints) != len(self.ordinates):
-            raise InputError("need matching breakpoints/ordinates, at least two")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if a >= b:
-                raise InputError("breakpoints must strictly increase")
-        xs, ys = self.breakpoints, self.ordinates
-        object.__setattr__(self, "_slopes", tuple(
-            (y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])
-        ))
+    slopes: tuple  # of the affine pieces, left to right
 
     def pieces(self):
         """(x_lo, x_hi, slope) for each affine piece, left to right."""
-        return zip(self.breakpoints, self.breakpoints[1:], self._slopes)
+        return zip(self.breakpoints, self.breakpoints[1:], self.slopes)
 
 
 def _lower_hull(points):
-    """Lower convex hull of x-sorted points; collinear interior points dropped."""
+    """Lower convex hull of x-sorted integer points; collinear interior
+    points dropped."""
     hull = []
     for p in points:
         while len(hull) >= 2:
@@ -165,10 +169,22 @@ def _lower_hull(points):
 
 def _hull_by_index(f: GridFlux, ka: int, kb: int, sign: int) -> PiecewiseLinearFn:
     """sign times the lower hull of sign*F on the grid points ka..kb: the
-    convex envelope for sign 1, the concave one for sign -1."""
-    pts = [(f.grid_u(k), sign * f.value_at_index(k)) for k in range(ka, kb + 1)]
-    hull = _lower_hull(pts)
-    return PiecewiseLinearFn(tuple(x for x, _ in hull), tuple(sign * y for _, y in hull))
+    convex envelope for sign 1, the concave one for sign -1.  The chain runs
+    on the integer points (k, sign*D*F(k*eps)); a piece rising by dI on the
+    integer samples over dk cells has slope dI / (dk * D * eps)."""
+    base, scaled = f.k_min, f._scaled
+    hull = _lower_hull([(k, sign * scaled[k - base]) for k in range(ka, kb + 1)])
+    ks = tuple(k for k, _ in hull)
+    num, den = f.epsilon.denominator, f._scale * f.epsilon.numerator
+    return PiecewiseLinearFn(
+        ks,
+        tuple(f.grid_u(k) for k in ks),
+        tuple(f.values[k - base] for k in ks),
+        tuple(
+            Fraction(sign * (y1 - y0) * num, (k1 - k0) * den)
+            for (k0, y0), (k1, y1) in zip(hull, hull[1:])
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -192,15 +208,11 @@ def envelope(f: GridFlux, a, b, sign: int) -> PiecewiseLinearFn:
 
 
 def curvature_constant(f: GridFlux) -> Fraction:
-    """max_k |cell_slope(k) - cell_slope(k-1)| / epsilon, zero iff affine."""
+    """max_k |cell slope k - cell slope k-1| / epsilon, zero iff affine: the
+    largest second difference of the integer samples over D * epsilon**2."""
     if f.k_max - f.k_min < 2:
         raise InputError("need at least three grid points for a curvature bound")
-    best = Fraction(0)
-    prev = f.cell_slope(f.k_min)
-    for k in range(f.k_min + 1, f.k_max):
-        cur = f.cell_slope(k)
-        jump = abs(cur - prev) / f.epsilon
-        if jump > best:
-            best = jump
-        prev = cur
-    return best
+    s = f._scaled
+    best = max(abs(s[i - 1] - 2 * s[i] + s[i + 1]) for i in range(1, len(s) - 1))
+    eps = f.epsilon
+    return Fraction(best * eps.denominator**2, f._scale * eps.numerator**2)

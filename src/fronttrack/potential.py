@@ -52,8 +52,8 @@ def _cell_slopes(flux: GridFlux, lo: int, hi: int, sign: int):
     """Envelope slope on each state cell k in [lo, hi) for the given sign."""
     env = envelope(flux, lo * flux.epsilon, hi * flux.epsilon, sign)
     out = {}
-    for x0, x1, s in env.pieces():
-        for k in range(grid_index(x0, flux.epsilon), grid_index(x1, flux.epsilon)):
+    for k0, k1, s in zip(env.indices, env.indices[1:], env.slopes):
+        for k in range(k0, k1):
             out[k] = s
     return out
 

@@ -37,10 +37,10 @@ def format_rational(value: Fraction) -> str:
 
 def grid_index(u: Fraction, epsilon: Fraction) -> int:
     """The integer k with u = k*epsilon, or InputError if u is off-grid."""
-    q = Fraction(u) / epsilon
-    if q.denominator != 1:
+    k, rest = divmod(u.numerator * epsilon.denominator, u.denominator * epsilon.numerator)
+    if rest:
         raise InputError(f"value {u} is not a multiple of the grid size {epsilon}")
-    return q.numerator
+    return k
 
 
 REQUIRED = object()  # json_field's default: the field must be present

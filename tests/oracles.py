@@ -16,6 +16,7 @@ are compared against them.
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from math import lcm
 
 from fronttrack.envelope import sample_flux
 from fronttrack.errors import ConsistencyError, DomainError, InputError, TrackerError
@@ -32,22 +33,30 @@ from fronttrack.tracker import (
 
 
 def hull_oracle_values(points):
-    """Lower-hull value at each sample point, as a min over all chords."""
+    """Lower-hull value at each sample point, as a min over all chords.
+
+    The points are scaled to integers first (x by the lcm of the x
+    denominators, y by that of the y denominators), and each chord value
+    N / W at x_m is compared to the best so far by cross-multiplying."""
+    x_scale = lcm(*(F(x).denominator for x, _ in points))
+    y_scale = lcm(*(F(y).denominator for _, y in points))
+    xs = [int(x * x_scale) for x, _ in points]
+    ys = [int(y * y_scale) for _, y in points]
     n = len(points)
     out = []
     for m in range(n):
-        xm, ym = points[m]
-        best = ym
+        xm = xs[m]
+        best_n, best_w = ys[m], 1
         for i in range(m + 1):
+            xi, yi = xs[i], ys[i]
             for j in range(m, n):
-                xi, yi = points[i]
-                xj, yj = points[j]
-                if xi == xj:
+                w = xs[j] - xi
+                if w == 0:
                     continue
-                chord = yi + (yj - yi) * (xm - xi) / (xj - xi)
-                if chord < best:
-                    best = chord
-        out.append(best)
+                chord_n = yi * w + (ys[j] - yi) * (xm - xi)
+                if chord_n * best_w < best_n * w:
+                    best_n, best_w = chord_n, w
+        out.append(F(best_n, best_w * y_scale))
     return out
 
 

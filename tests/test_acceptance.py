@@ -9,7 +9,9 @@ constant-3/2 form the definitions support; item 7 does the same for the
 single-Q drop bound.
 """
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 from fronttrack.envelope import envelope, sample_flux
 from fronttrack.harness import l1_distance, parse_run_config, run_simulation
@@ -37,6 +39,9 @@ from wave_oracles import (
 )
 
 BURGERS = {"polynomial": ["0", "0", "1/2"]}
+NONCONVEX_TABLE = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "nonconvex_splitting.json").read_text()
+)["flux"]
 
 
 def _announce(item, name):
@@ -227,14 +232,17 @@ def test_acceptance_5_two_shock_golden():
 
 
 def _exhaustive_hull_check(flux):
-    pts = [(flux.grid_u(k), flux.value_at_index(k))
-           for k in range(flux.k_min, flux.k_max + 1)]
-    for i in range(len(pts) - 1):
-        for j in range(i + 1, len(pts)):
-            env = envelope(flux, pts[i][0], pts[j][0], 1)
-            expected = hull_oracle_values(pts[i:j + 1])
-            for (x, _), want in zip(pts[i:j + 1], expected):
-                assert value_at(env, x) == want
+    """Both envelopes on every grid subinterval against the chord oracle: the
+    concave one is minus the convex hull of the negated samples."""
+    for sign in (1, -1):
+        pts = [(flux.grid_u(k), sign * flux.value_at_index(k))
+               for k in range(flux.k_min, flux.k_max + 1)]
+        for i in range(len(pts) - 1):
+            for j in range(i + 1, len(pts)):
+                env = envelope(flux, pts[i][0], pts[j][0], sign)
+                expected = hull_oracle_values(pts[i:j + 1])
+                for (x, _), want in zip(pts[i:j + 1], expected):
+                    assert value_at(env, x) == sign * want
 
 
 def test_acceptance_6_structural_invariants(suite):
@@ -245,6 +253,8 @@ def test_acceptance_6_structural_invariants(suite):
         sample_flux(BURGERS, "1", (-2, 2)),
         sample_flux({"polynomial": ["0", "0", "0", "1"]}, "1/4", (-4, 4)),
         WORKED_FLUX,
+        # the table flux of configs/nonconvex_splitting.json (D = 2)
+        sample_flux(NONCONVEX_TABLE, "1", (0, 5)),
     ]
     per_tier = {}
     for r in runs:

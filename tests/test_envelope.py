@@ -13,6 +13,7 @@ from fronttrack.envelope import (
     sample_flux,
 )
 from fronttrack.errors import DomainError, InputError
+from fronttrack.rationals import grid_index
 
 from oracles import hull_oracle_values, piece_slopes, rh_speed, slope_at, value_at
 
@@ -21,15 +22,18 @@ CUBIC = {"polynomial": ["0", "0", "0", "1"]}
 
 
 def envelope_matches_oracle(flux, ka, kb):
-    pts = [(flux.grid_u(k), flux.value_at_index(k)) for k in range(ka, kb + 1)]
-    expected = hull_oracle_values(pts)
-    env = envelope(flux, flux.grid_u(ka), flux.grid_u(kb), 1)
-    for (x, _), want in zip(pts, expected):
-        assert value_at(env, x) == want
-    # hull vertices must be sample points where envelope touches the samples
-    sample = dict(pts)
-    for bp, val in zip(env.breakpoints, env.ordinates):
-        assert sample[bp] == val
+    """Both envelopes on [ka, kb] against the chord oracle: the concave one is
+    minus the convex hull of the negated samples."""
+    for sign in (1, -1):
+        pts = [(flux.grid_u(k), sign * flux.value_at_index(k)) for k in range(ka, kb + 1)]
+        expected = hull_oracle_values(pts)
+        env = envelope(flux, flux.grid_u(ka), flux.grid_u(kb), sign)
+        for (x, _), want in zip(pts, expected):
+            assert value_at(env, x) == sign * want
+        # hull vertices must be sample points where envelope touches the samples
+        sample = dict(pts)
+        for bp, val in zip(env.breakpoints, env.ordinates):
+            assert sample[bp] == sign * val
 
 
 # -- sampling ----------------------------------------------------------------
@@ -190,6 +194,23 @@ def test_curvature_needs_three_points():
     f = sample_flux(BURGERS, "1", (0, 1))
     with pytest.raises(InputError):
         curvature_constant(f)
+
+
+def test_grid_index_on_and_off_the_grid():
+    eps = F(3, 8)
+    for k in (-9, -1, 0, 1, 8):
+        assert grid_index(k * eps, eps) == k
+    assert grid_index(3, eps) == 8  # an int state
+    for u in (F(1, 8), F(-1, 8), F(3, 4) + F(1, 16), F(-7, 3), F(1, 3)):
+        with pytest.raises(InputError, match=f"^value {u} is not a multiple of the grid size 3/8$"):
+            grid_index(u, eps)
+    f = sample_flux(BURGERS, "3/8", (-2, 2))
+    assert [f.index_of(k * eps) for k in (-2, 0, 2)] == [-2, 0, 2]
+    for a, b, sign in ((F(-9, 8), F(0), 1), (F(0), F(9, 8), -1), (F(-9, 8), F(9, 8), 1)):
+        with pytest.raises(DomainError, match="outside the flux window"):
+            envelope(f, a, b, sign)
+    with pytest.raises(InputError, match="not a multiple of the grid size"):
+        envelope(f, F(1, 8), F(3, 8), 1)
 
 
 # -- property tests ----------------------------------------------------------

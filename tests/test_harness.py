@@ -8,6 +8,7 @@ import pytest
 
 from fronttrack import cli, harness
 from fronttrack.cli import main
+from fronttrack.envelope import sample_flux
 from fronttrack.errors import InputError
 from fronttrack.harness import (
     l1_distance,
@@ -81,6 +82,9 @@ def _with_options(**options):
     return dict(GOLDEN_CONFIG, options=dict(GOLDEN_CONFIG["options"], **options))
 
 
+# Burgers' flux F(u) = u^2/2 as a table over GOLDEN_CONFIG's window
+BURGERS_TABLE = {"-2": "2", "-1": "1/2", "0": "0", "1": "1/2", "2": "2"}
+
 # each raised a ValueError or TypeError, or was accepted silently, before the
 # fields were validated; the flux spec is read when the run samples it
 MALFORMED_CONFIGS = [
@@ -93,6 +97,9 @@ MALFORMED_CONFIGS = [
     dict(GOLDEN_CONFIG, datum={"samples": ["0", "1"]}),
     dict(GOLDEN_CONFIG, flux={"table": {"a": "1"}}),
     dict(GOLDEN_CONFIG, flux={"table": {"0": [1], "1": "1"}}),
+    # a second spelling of index 1, and index 10 spelt with an underscore
+    dict(GOLDEN_CONFIG, flux={"table": dict(BURGERS_TABLE, **{"01": "5"})}),
+    dict(GOLDEN_CONFIG, flux={"table": dict(BURGERS_TABLE, **{"1_0": "2"})}),
     dict(GOLDEN_CONFIG, flux={"polynomial": "012"}),
     _with_options(max_events="5"),
     _with_options(max_events=-1),
@@ -534,6 +541,15 @@ def test_flux_table_errors_say_key_or_value():
         parse_run_config(dict(GOLDEN_CONFIG, flux={"table": {"0": [1], "1": "1"}}))
     with pytest.raises(InputError, match="^flux table keys must be grid indices: "):
         parse_run_config(dict(GOLDEN_CONFIG, flux={"table": {"a": "1"}}))
+    for key in ("01", "1_0", "-0", "+1", " 1"):
+        with pytest.raises(InputError, match=re.escape(
+            f"flux table keys must be grid indices: {key!r} is not a plain decimal integer"
+        )):
+            parse_run_config(dict(GOLDEN_CONFIG, flux={"table": dict(BURGERS_TABLE, **{key: "1"})}))
+    # negative keys are grid indices too
+    assert sample_flux({"table": BURGERS_TABLE}, "1", (-2, 2)) == sample_flux(
+        GOLDEN_CONFIG["flux"], "1", (-2, 2)
+    )
 
 
 MUTANTS = [None, True, False, 0, -1, 2, 2.5, "x", "1/2", "", [], {}, [1, 2], {"a": 1}]
