@@ -199,8 +199,8 @@ def _concave_by_index(f: GridFlux, ka: int, kb: int) -> PiecewiseLinearFn:
 
 def envelope(f: GridFlux, a, b, sign: int) -> PiecewiseLinearFn:
     """On the grid interval [a, b], the largest convex minorant of the samples
-    for sign > 0 (positive jumps), else the smallest concave majorant."""
-    a, b = Fraction(a), Fraction(b)
+    for sign > 0 (positive jumps), else the smallest concave majorant.  The
+    endpoints are used as given (`Fraction`s or ints)."""
     if a >= b:
         raise InputError(f"need a < b, got [{a}, {b}]")
     by_index = _convex_by_index if sign > 0 else _concave_by_index

@@ -5,6 +5,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import merge
 from math import ceil, floor
 
 from .envelope import parse_flux_spec, sample_flux
@@ -134,13 +135,22 @@ def run_simulation(cfg: RunConfig) -> RunResult:
 
 
 def l1_distance(p: Profile, q: Profile) -> Fraction:
-    """Exact L1 distance between two profiles; requires matching tails."""
+    """Exact L1 distance between two profiles; requires matching tails.
+
+    One merge walk over both jump lists, ordered by position (p's jump
+    first at a shared one): between consecutive breakpoints both profiles
+    are constant, and values[0], values[1] hold their values there."""
     if p.constant_state != q.constant_state or p.right_constant != q.right_constant:
         raise InputError("profiles with different tails are not L1-comparable")
-    xs = sorted({x for x, _ in p.jumps} | {x for x, _ in q.jumps})
+    values = [p.constant_state, q.constant_state]
+    x = None  # the last breakpoint; both tails agree before the first
     total = Fraction(0)
-    for x0, x1 in zip(xs, xs[1:]):
-        total += abs(p.value_at(x0) - q.value_at(x0)) * (x1 - x0)
+    steps = merge(((y, 0, w) for y, w in p.jumps), ((y, 1, w) for y, w in q.jumps))
+    for y, side, w in steps:
+        if values[0] != values[1]:
+            total += abs(values[0] - values[1]) * (y - x)
+        values[side] = w
+        x = y
     return total
 
 

@@ -6,7 +6,7 @@ the state interval.  Fronts come out ordered left to right by strictly
 increasing speed, with states chaining from u_left to u_right.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .envelope import GridFlux, envelope
@@ -15,7 +15,12 @@ from .errors import ConsistencyError, InputError
 
 @dataclass(frozen=True)
 class Front:
-    """One admissible wavefront: a jump travelling at its chord speed."""
+    """One admissible wavefront: a jump travelling at its chord speed.
+
+    A front moves on one line from its birth to its death, so its sign,
+    strength, state span and the line's intercept ``x_at_zero`` (its position
+    at t = 0) are derived once, when it is made; `dataclasses.replace`
+    cannot set them, and derives them again from the edited fields."""
 
     left: Fraction
     right: Fraction
@@ -23,52 +28,47 @@ class Front:
     birth_time: Fraction
     birth_x: Fraction
     fid: int = -1
+    sign: int = field(init=False, compare=False, repr=False)
+    strength: Fraction = field(init=False, compare=False, repr=False)
+    u_lo: Fraction = field(init=False, compare=False, repr=False)
+    u_hi: Fraction = field(init=False, compare=False, repr=False)
+    x_at_zero: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.left == self.right:
+        left, right = self.left, self.right
+        if left == right:
             raise InputError("a front must carry a nonzero jump")
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.right > self.left else -1
-
-    @property
-    def strength(self) -> Fraction:
-        return abs(self.right - self.left)
-
-    @property
-    def u_lo(self) -> Fraction:
-        return min(self.left, self.right)
-
-    @property
-    def u_hi(self) -> Fraction:
-        return max(self.left, self.right)
+        sign, lo, hi = (1, left, right) if right > left else (-1, right, left)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "strength", hi - lo)
+        object.__setattr__(self, "u_lo", lo)
+        object.__setattr__(self, "u_hi", hi)
+        x0, t0 = self.birth_x, self.birth_time
+        object.__setattr__(self, "x_at_zero", x0 - self.speed * t0 if t0 else x0)
 
     def position_at(self, t: Fraction) -> Fraction:
-        return self.birth_x + self.speed * (t - self.birth_time)
-
-    def with_fid(self, fid: int) -> "Front":
-        return replace(self, fid=fid)
+        return self.x_at_zero + self.speed * t
 
 
-def solve_riemann(u_left, u_right, flux: GridFlux, t0=Fraction(0), x0=Fraction(0)):
-    """Decompose the jump (u_left, u_right) at (t0, x0) into admissible fronts.
+def solve_riemann(u_left, u_right, flux: GridFlux, t0=Fraction(0), x0=Fraction(0),
+                  fid_start=0):
+    """Decompose the jump (u_left, u_right) at (t0, x0) into admissible fronts,
+    numbered fid_start, fid_start + 1, ... from left to right.
 
     Returns [] for a null jump.  Fronts are in bijection with the envelope
     pieces on [min, max] of the two states, traversed from the u_left end.
+    The arguments are used as given: t0 and x0 must be `Fraction`s.
     """
-    u_left, u_right = Fraction(u_left), Fraction(u_right)
     if u_left == u_right:
         return []
-    sign = 1 if u_right > u_left else -1
-    env = envelope(flux, min(u_left, u_right), max(u_left, u_right), sign)
-    pieces = list(env.pieces())
-    if sign < 0:
+    if u_right > u_left:
+        pieces = list(envelope(flux, u_left, u_right, 1).pieces())
+    else:
         # decreasing jump: traverse the concave envelope from the top state
+        pieces = list(envelope(flux, u_right, u_left, -1).pieces())
         pieces = [(x1, x0_, s) for x0_, x1, s in reversed(pieces)]
     fronts = [
-        Front(left=a, right=b, speed=s, birth_time=Fraction(t0), birth_x=Fraction(x0))
-        for a, b, s in pieces
+        Front(a, b, s, t0, x0, fid) for fid, (a, b, s) in enumerate(pieces, fid_start)
     ]
     speeds = [fr.speed for fr in fronts]
     if any(s >= t for s, t in zip(speeds, speeds[1:])):

@@ -76,15 +76,6 @@ class Profile:
         """The value sequence, starting from the left constant."""
         return [self.constant_state] + [v for _, v in self.jumps]
 
-    def value_at(self, x: Fraction) -> Fraction:
-        v = self.constant_state
-        for xj, vj in self.jumps:
-            if xj <= x:
-                v = vj
-            else:
-                break
-        return v
-
     def total_variation(self) -> Fraction:
         vals = self.values()
         return sum((abs(b - a) for a, b in zip(vals, vals[1:])), Fraction(0))
@@ -200,11 +191,11 @@ class Timeline:
 
 
 def initial_fronts(profile: Profile, flux: GridFlux):
-    """Riemann fans at every initial jump, at time zero."""
+    """Riemann fans at every initial jump, at time zero, numbered from 0."""
     fronts = []
     prev = profile.constant_state
     for x, v in profile.jumps:
-        fronts.extend(solve_riemann(prev, v, flux, Fraction(0), x))
+        fronts.extend(solve_riemann(prev, v, flux, Fraction(0), x, len(fronts)))
         prev = v
     return fronts
 
@@ -219,13 +210,14 @@ class Collision:
 
 def _schedule(heap, left, right, t):
     """Enter two fronts that became neighbours at time t: they must still be
-    ordered there, and if they converge their meeting joins the heap."""
-    gap = right.position_at(t) - left.position_at(t)
-    if gap < 0:
-        raise ConsistencyError("front ordering lost")
+    ordered there, and if they converge their meeting joins the heap.  The
+    gap between their lines is gap0 - ds * t, so they meet at gap0 / ds."""
+    gap0 = right.x_at_zero - left.x_at_zero
     ds = left.speed - right.speed
+    if gap0 < ds * t:
+        raise ConsistencyError("front ordering lost")
     if ds > 0:
-        t_meet = t + gap / ds
+        t_meet = gap0 / ds
         heappush(heap, (t_meet, left.position_at(t_meet), left.fid, right.fid))
 
 
@@ -259,10 +251,10 @@ def _extremal_intermediate(states):
     """Among the intermediate chain states, the one farthest outside the
     closed span of the end states (any of them for a monotone chain)."""
     a, c = states[0], states[-1]
-    lo, hi = min(a, c), max(a, c)
+    lo, hi = (a, c) if a < c else (c, a)
     best, best_d = states[1], None
     for u in states[1:-1]:
-        d = max(lo - u, u - hi, Fraction(0))
+        d = lo - u if u < lo else u - hi if u > hi else 0
         if best_d is None or d > best_d:
             best, best_d = u, d
     return best
@@ -273,15 +265,9 @@ def resolve_event(colliding, t, x, flux, fid_start=0):
     for fr, gr in zip(colliding, colliding[1:]):
         if fr.right != gr.left:
             raise ConsistencyError("colliding front states do not chain")
-        if fr.position_at(t) != x or gr.position_at(t) != x:
-            raise ConsistencyError("colliding fronts do not meet at the event point")
-    a, c = colliding[0].left, colliding[-1].right
-    outgoing = []
-    if a != c:
-        outgoing = [
-            fr.with_fid(fid_start + i)
-            for i, fr in enumerate(solve_riemann(a, c, flux, t, x))
-        ]
+    if any(fr.position_at(t) != x for fr in colliding):
+        raise ConsistencyError("colliding fronts do not meet at the event point")
+    outgoing = solve_riemann(colliding[0].left, colliding[-1].right, flux, t, x, fid_start)
     return InteractionEvent(t, x, tuple(colliding), tuple(outgoing))
 
 
@@ -291,7 +277,7 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
     if not (flux.contains_u(lo) and flux.contains_u(hi)):
         raise InputError("flux window does not cover the profile's value range")
 
-    live = [fr.with_fid(i) for i, fr in enumerate(initial_fronts(profile, flux))]
+    live = initial_fronts(profile, flux)
     fids = [fr.fid for fr in live]
     fronts_by_id = {fr.fid: fr for fr in live}
     next_fid = len(live)

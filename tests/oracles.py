@@ -11,10 +11,14 @@ tests make.
 `oracle_evolve` and `oracle_validate_timeline` are the full-scan tracker:
 every step recomputes every live front's position, and every slab is
 checked in full.  The package's event-local `evolve` and `validate_timeline`
-are compared against them.
+are compared against them.  They read a front's kinematics through
+`front_position`, `front_kinematics` and `meeting_time`, which restate the
+definitions from the front's states and birth point, not from the fields a
+`Front` derives at its birth.
 """
 
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -112,7 +116,7 @@ def event_kind_and_b(incoming):
     first such for a monotone chain), restated from their definitions."""
     states = [incoming[0].left] + [fr.right for fr in incoming]
     a, c = states[0], states[-1]
-    signs = {fr.sign for fr in incoming}
+    signs = {front_kinematics(fr)[0] for fr in incoming}
     kind = SAME_SIGN if len(signs) == 1 and a != c else CANCELLATION
     lo, hi = min(a, c), max(a, c)
     outside = [max(lo - u, u - hi, F(0)) for u in states[1:-1]]
@@ -184,6 +188,18 @@ def oracle_cancellation_speed_change(a, b, c, flux):
     return sum(abs(s1[k] - s2[k]) for k in range(*i_surv)) * eps
 
 
+def profile_value_at(p, x):
+    """The value of the right-continuous profile ``p`` at x, by a scan from
+    the left."""
+    v = p.constant_state
+    for xj, vj in p.jumps:
+        if xj <= x:
+            v = vj
+        else:
+            break
+    return v
+
+
 def l1_profile_distance_oracle(p, q):
     """Exact L1 distance of two profiles by breakpoint sweep."""
     assert p.constant_state == q.constant_state
@@ -191,8 +207,32 @@ def l1_profile_distance_oracle(p, q):
     xs = sorted({x for x, _ in p.jumps} | {x for x, _ in q.jumps})
     total = F(0)
     for x0, x1 in zip(xs, xs[1:]):
-        total += abs(p.value_at(x0) - q.value_at(x0)) * (x1 - x0)
+        total += abs(profile_value_at(p, x0) - profile_value_at(q, x0)) * (x1 - x0)
     return total
+
+
+# -- front kinematics from the definitions ----------------------------------------
+
+
+def front_position(fr, t):
+    """Where ``fr`` is at time t: its birth point moved at its speed."""
+    return fr.birth_x + fr.speed * (t - fr.birth_time)
+
+
+def front_kinematics(fr):
+    """(sign, strength, u_lo, u_hi) of ``fr``, read off its two states."""
+    sign = 1 if fr.right > fr.left else -1
+    return sign, abs(fr.right - fr.left), min(fr.left, fr.right), max(fr.left, fr.right)
+
+
+def meeting_time(left, right, after):
+    """When two neighbours, ordered at time ``after``, meet: ``after`` plus
+    their gap over the speed difference; None if they do not converge."""
+    gap = front_position(right, after) - front_position(left, after)
+    if gap < 0:
+        raise ConsistencyError("front ordering lost")
+    ds = left.speed - right.speed
+    return after + gap / ds if ds > 0 else None
 
 
 # -- full-scan tracker oracles --------------------------------------------------------
@@ -207,32 +247,31 @@ def oracle_next_collision(fronts, after):
     spreading from a single point does not count as a collision.
     """
     best = None
-    positions = [fr.position_at(after) for fr in fronts]
     for i in range(len(fronts) - 1):
-        gap = positions[i + 1] - positions[i]
-        if gap < 0:
-            raise ConsistencyError("front ordering lost")
-        ds = fronts[i].speed - fronts[i + 1].speed
-        if ds <= 0:
+        t = meeting_time(fronts[i], fronts[i + 1], after)
+        if t is None:
             continue
-        t = after + gap / ds
-        x = fronts[i].position_at(t)
+        x = front_position(fronts[i], t)
         if best is None or (t, x) < (best[0], best[1]):
             best = (t, x, i)
     if best is None:
         return None
     t, x, i = best
     first = i
-    while first > 0 and fronts[first - 1].position_at(t) == x:
+    while first > 0 and front_position(fronts[first - 1], t) == x:
         first -= 1
     last = i + 1
-    while last + 1 < len(fronts) and fronts[last + 1].position_at(t) == x:
+    while last + 1 < len(fronts) and front_position(fronts[last + 1], t) == x:
         last += 1
     return Collision(t, x, first, last)
 
 
+def _tv(fronts):
+    return sum((front_kinematics(fr)[1] for fr in fronts), F(0))
+
+
 def _slab_tvs(slabs):
-    return tuple(sum((fr.strength for fr in fronts), F(0)) for fronts in slabs)
+    return tuple(_tv(fronts) for fronts in slabs)
 
 
 def oracle_evolve(profile, flux, max_events=None):
@@ -242,7 +281,7 @@ def oracle_evolve(profile, flux, max_events=None):
     if not (flux.contains_u(lo) and flux.contains_u(hi)):
         raise InputError("flux window does not cover the profile's value range")
 
-    live = [fr.with_fid(i) for i, fr in enumerate(initial_fronts(profile, flux))]
+    live = [replace(fr, fid=i) for i, fr in enumerate(initial_fronts(profile, flux))]
     fronts_by_id = {fr.fid: fr for fr in live}
     next_fid = len(live)
     cap = max_events if max_events is not None else 10 * max(len(live), 1) ** 2
@@ -295,7 +334,7 @@ def oracle_validate_timeline(tl):
     admissible = set()
     prev_tv = None
     for s, fronts in enumerate(tl.slabs):
-        tv = sum((fr.strength for fr in fronts), F(0))
+        tv = _tv(fronts)
         if prev_tv is not None and tv > prev_tv:
             raise ConsistencyError("total variation increased")
         if s > 0:
@@ -312,7 +351,8 @@ def oracle_validate_timeline(tl):
             if fr.left != prev_v:
                 raise ConsistencyError("front states do not chain inside a slab")
             prev_v = fr.right
-            if not (lo0 <= fr.u_lo and fr.u_hi <= hi0):
+            _, _, u_lo, u_hi = front_kinematics(fr)
+            if not (lo0 <= u_lo and u_hi <= hi0):
                 raise ConsistencyError("profile left the initial value range")
             if fr not in admissible:
                 if not is_admissible(fr, flux):
@@ -325,7 +365,7 @@ def oracle_validate_timeline(tl):
         for t_probe in (t_lo, t_hi):
             if t_probe is None:
                 continue
-            xs = [fr.position_at(t_probe) for fr in fronts]
+            xs = [front_position(fr, t_probe) for fr in fronts]
             if any(b < a for a, b in zip(xs, xs[1:])):
                 raise ConsistencyError("fronts crossed inside a slab")
         # xs holds the positions at t_hi, or at t_lo on the last slab

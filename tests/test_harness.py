@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fronttrack import cli, harness
 from fronttrack.cli import main
@@ -765,6 +767,53 @@ def test_l1_distance_matches_oracle():
     d = l1_distance(p, q)
     assert d == l1_profile_distance_oracle(p, q)
     assert d == F(1, 2) + F(1, 2)
+
+
+def test_l1_distance_matches_oracle_on_the_sweep_members():
+    # the seed-3 family of the benchmark's `sweep` workload, every pair of
+    # members at each probe time
+    sweep_cfg = parse_sweep_config({
+        "epsilons": ["1/16", "1/32", "1/64", "1/96"],
+        "random": {"seed": 3, "max_tv": "2", "jumps": 10},
+        "probe_times": ["1", "4"],
+    })
+    members = [
+        harness._sweep_member((str(eps), harness._member_config(sweep_cfg, eps),
+                               sweep_cfg.probe_times))[1]
+        for eps in sweep_cfg.epsilons
+    ]
+    for k in range(len(sweep_cfg.probe_times)):
+        for a in members:
+            for b in members:
+                assert l1_distance(a[k], b[k]) == l1_profile_distance_oracle(a[k], b[k])
+    assert l1_distance(members[0][0], members[-1][0]) > 0
+
+
+def _profile_with_tails(constant, tail, steps):
+    """A profile from ``constant`` through the (x gap, value) ``steps`` to
+    ``tail``, skipping steps that do not change the value."""
+    jumps, x, v = [], F(0), constant
+    for gap, w in steps + [(F(1), tail)]:
+        x += gap
+        if w != v:
+            jumps.append((x, w))
+            v = w
+    return Profile(constant, tuple(jumps))
+
+
+_steps = st.lists(
+    st.tuples(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8),
+              st.integers(-3, 3).map(F)),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-3, 3).map(F), st.integers(-3, 3).map(F), _steps, _steps)
+def test_l1_distance_matches_oracle_on_profiles_with_equal_tails(constant, tail, ps, qs):
+    p = _profile_with_tails(constant, tail, ps)
+    q = _profile_with_tails(constant, tail, qs)
+    assert l1_distance(p, q) == l1_profile_distance_oracle(p, q) == l1_distance(q, p)
 
 
 def test_l1_distance_rejects_tail_mismatch():

@@ -16,8 +16,8 @@ def _trees():
 
 
 # public method names that are also another definition's name, each checked
-# used by hand: `fr.sign` (Front.sign) and `p.values()` (Profile.values)
-SHARED = {"sign", "values"}
+# used by hand: `p.values()` (Profile.values)
+SHARED = {"values"}
 
 
 def _uses(tree, skip):

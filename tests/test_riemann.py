@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fronttrack.envelope import GridFlux, sample_flux
-from fronttrack.errors import InputError
+from fronttrack import riemann
+from fronttrack.envelope import GridFlux, PiecewiseLinearFn, sample_flux
+from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.riemann import Front, is_admissible, solve_riemann
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
@@ -40,8 +41,33 @@ def test_decreasing_jump_nonconvex_flux():
 
 
 def test_front_rejects_null_jump():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="a front must carry a nonzero jump"):
         Front(F(1), F(1), F(0), F(0), F(0))
+
+
+def _crafted_envelope(monkeypatch, breakpoints, slopes):
+    """Make `solve_riemann` read these pieces in place of the flux's envelope."""
+    env = PiecewiseLinearFn(
+        tuple(range(len(breakpoints))), breakpoints, (F(0),) * len(breakpoints), slopes
+    )
+    monkeypatch.setattr(riemann, "envelope", lambda *args: env)
+
+
+@pytest.mark.parametrize("u_left, u_right", [(F(-1), F(1)), (F(1), F(-1))])
+def test_solve_riemann_rejects_a_fan_whose_speeds_do_not_increase(
+    monkeypatch, u_left, u_right
+):
+    _crafted_envelope(monkeypatch, (F(-1), F(0), F(1)), (F(1, 2), F(1, 2)))
+    with pytest.raises(ConsistencyError, match="Riemann fan speeds must strictly increase"):
+        solve_riemann(u_left, u_right, BURGERS)
+
+
+@pytest.mark.parametrize("u_left, u_right", [(F(-1), F(1)), (F(1), F(-1))])
+def test_solve_riemann_rejects_a_fan_that_misses_the_data(monkeypatch, u_left, u_right):
+    # the pieces span [-1, 0] only: the fan stops short of one end state
+    _crafted_envelope(monkeypatch, (F(-1), F(0)), (F(1, 2),))
+    with pytest.raises(ConsistencyError, match="Riemann fan states do not chain to the data"):
+        solve_riemann(u_left, u_right, BURGERS)
 
 
 def test_is_admissible_examples():

@@ -14,6 +14,7 @@ from fronttrack.tracker import (
     Collision,
     InteractionEvent,
     Profile,
+    _schedule,
     discretize_initial,
     evolve,
     initial_fronts,
@@ -31,9 +32,12 @@ from oracles import (
     WORKED_FLUX,
     WORKED_PROFILE,
     event_kind_and_b,
+    front_kinematics,
+    front_position,
     oracle_evolve,
     oracle_next_collision,
     oracle_validate_timeline,
+    profile_value_at,
     slab_midpoints,
 )
 from suite_builder import ladder_config
@@ -59,9 +63,9 @@ def test_profile_validation():
 
 def test_profile_tv_and_values():
     assert TWO_SHOCK.total_variation() == F(2)
-    assert TWO_SHOCK.value_at(F(-1)) == F(1)
-    assert TWO_SHOCK.value_at(F(0)) == F(0)
-    assert TWO_SHOCK.value_at(F(5)) == F(-1)
+    assert profile_value_at(TWO_SHOCK, F(-1)) == F(1)
+    assert profile_value_at(TWO_SHOCK, F(0)) == F(0)
+    assert profile_value_at(TWO_SHOCK, F(5)) == F(-1)
     assert TWO_SHOCK.right_constant == F(-1)
 
 
@@ -175,6 +179,21 @@ def test_next_collision_spreading_fan_ignored():
     assert oracle_next_collision(fronts, F(0)) is None
 
 
+@pytest.mark.parametrize("left, right", [
+    # converging: the left front, at speed 1 from x = 0, passed x = 1/2 at t = 1/2
+    (_front(1, 0, 1, 0), _front(0, -1, 0, F(1, 2))),
+    # parallel, the wrong way round from the start
+    (_front(1, 0, 0, 1), _front(0, -1, 0, 0)),
+    # diverging, still crossed at t = 1
+    (_front(1, 0, -1, 3), _front(0, -1, 0, 0)),
+])
+def test_schedule_rejects_neighbours_out_of_order(left, right):
+    heap = []
+    with pytest.raises(ConsistencyError, match="front ordering lost"):
+        _schedule(heap, left, right, F(1))
+    assert heap == []
+
+
 # -- event resolution ----------------------------------------------------------
 
 
@@ -228,8 +247,22 @@ def test_event_derived_fields_cannot_be_set():
 
 def test_resolve_rejects_nonchaining():
     incoming = [_front(1, 0, F(1, 2), 0), _front(1, -1, 0, 1)]
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="colliding front states do not chain"):
         resolve_event(incoming, F(2), F(1), BURGERS)
+
+
+def test_resolve_rejects_fronts_that_miss_the_event_point():
+    # the pair meets at (1, 1/2); the triple at (1, 3/2), unless its middle
+    # front is moved off the point
+    pair = [_front(1, 0, F(1, 2), 0), _front(0, -1, F(-1, 2), 1)]
+    triple = [_front(2, 1, F(3, 2), 0), _front(1, 0, F(1, 2), 1), _front(0, -1, F(-1, 2), 2)]
+    assert resolve_event(triple, F(1), F(3, 2), BURGERS_WIDE).outgoing
+    off = [triple[0], _front(1, 0, F(1, 2), F(11, 10)), triple[2]]
+    for block, t, x in [(pair, F(1), F(1)), (pair, F(2), F(1, 2)),
+                        (off, F(1), F(3, 2))]:
+        with pytest.raises(ConsistencyError,
+                           match="colliding fronts do not meet at the event point"):
+            resolve_event(block, t, x, BURGERS_WIDE)
 
 
 # -- evolution -----------------------------------------------------------------
@@ -327,6 +360,18 @@ def test_profile_at_negative_time():
     tl = evolve(TWO_SHOCK, BURGERS)
     with pytest.raises(InputError):
         profile_at(tl, F(-1))
+
+
+def test_profile_at_rejects_a_forged_slab():
+    tl = evolve(TWO_SHOCK, BURGERS)
+    first, second = tl.slabs[0]
+    # the first front dropped: the second starts from 0, not the constant 1
+    with pytest.raises(ConsistencyError, match="front states lost their chaining"):
+        profile_at(_forge_slab(tl, 0, [second]), F(1, 2))
+    # the second front born at x = -1, left of the first
+    crossed = _forge_slab(tl, 0, [first, replace(second, birth_x=F(-1))])
+    with pytest.raises(ConsistencyError, match="fronts crossed inside a slab"):
+        profile_at(crossed, F(0))
 
 
 def test_restarted_evolution_matches():
@@ -500,6 +545,42 @@ def test_fan_born_beside_a_converging_neighbour():
 def test_event_cap_partial_timeline_matches_oracle(cap):
     tl = _assert_matches_oracle(WORKED_PROFILE, WORKED_FLUX, max_events=cap)
     assert len(tl.events) == cap
+
+
+def _assert_kinematics_match_oracle(tl):
+    """Every front's derived fields, and its position at t = 0, at its birth
+    and at every event time of the run, as restated from its states and
+    birth point."""
+    times = [F(0)] + [ev.t for ev in tl.events]
+    for fr in tl.fronts_by_id.values():
+        assert (fr.sign, fr.strength, fr.u_lo, fr.u_hi) == front_kinematics(fr)
+        assert fr.x_at_zero == front_position(fr, F(0))
+        for t in [fr.birth_time, *times]:
+            assert fr.position_at(t) == front_position(fr, t)
+
+
+def test_front_kinematics_match_oracle_on_the_ladder_rung_and_its_restarts():
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
+    tl = r.timeline
+    _assert_kinematics_match_oracle(tl)
+    for t in slab_midpoints(tl):
+        _assert_kinematics_match_oracle(evolve(profile_at(tl, t), tl.flux))
+    # a front born at an event, off the t = 0 line
+    fr = tl.events[-1].outgoing[0]
+    assert fr.birth_time > 0 and fr.x_at_zero != fr.birth_x
+    for name in ("sign", "strength", "u_lo", "u_hi", "x_at_zero"):
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            replace(fr, **{name: getattr(fr, name)})
+    eps = tl.flux.epsilon
+    for edit in [{"birth_x": fr.birth_x + F(1, 3)}, {"birth_time": fr.birth_time + 1},
+                 {"speed": fr.speed - F(1, 5)}, {"left": fr.right, "right": fr.left},
+                 {"right": fr.right + 3 * eps * fr.sign}]:
+        moved = replace(fr, **edit)
+        assert (moved.sign, moved.strength, moved.u_lo, moved.u_hi) == front_kinematics(moved)
+        for t in (F(0), moved.birth_time, fr.birth_time + 2):
+            assert moved.position_at(t) == front_position(moved, t)
+    moved = replace(fr, birth_x=fr.birth_x + F(1, 3))
+    assert moved.x_at_zero == fr.x_at_zero + F(1, 3)
 
 
 # -- validate_timeline against the full-scan oracle ------------------------------

@@ -29,7 +29,7 @@ from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, profile_at
 from fronttrack.tracing import WaveSystem, first_common_event, meeting_cells
 
-from oracles import value_at
+from oracles import profile_value_at, value_at
 
 MIXED_SIGN = "mixed_sign"
 SAME_POSITION = "same_position"
@@ -645,7 +645,7 @@ def state_consistency_holds(tl: Timeline, ws: WaveSystem, t, x) -> bool:
     interval = waves_at(ws, t, x)
     post = profile_at(tl, t, side="post")
     u_minus = _left_limit(post, x)
-    u_plus = post.value_at(x)
+    u_plus = profile_value_at(post, x)
     if u_minus == u_plus:
         return interval.is_empty
     lo, hi = min(u_minus, u_plus), max(u_minus, u_plus)
