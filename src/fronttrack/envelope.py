@@ -28,9 +28,13 @@ from .errors import DomainError, InputError
 from .rationals import grid_index, json_field, parse_rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFlux:
-    """Flux samples F(k*epsilon) for k in [k_min, k_max], affine in between."""
+    """Flux samples F(k*epsilon) for k in [k_min, k_max], affine in between.
+
+    Two fluxes are equal when their grids and integer samples D*F(k*epsilon)
+    are: D is the lcm of the sample denominators, so that is equality of the
+    samples, decided and hashed on ints."""
 
     epsilon: Fraction
     k_min: int
@@ -44,18 +48,21 @@ class GridFlux:
             raise InputError("flux window must contain at least two grid points")
         if len(self.values) != self.k_max - self.k_min + 1:
             raise InputError("flux sample count does not match the index range")
-        # the lru caches key on the flux: hash the samples once, not on
-        # every lookup
-        object.__setattr__(
-            self, "_hash", hash((self.epsilon, self.k_min, self.k_max, self.values))
-        )
-        # D and the integer samples D*F(k*epsilon), read by the hull builder
-        # and the curvature constant
+        # D and the integer samples D*F(k*epsilon), read by the hull builder,
+        # the curvature constant and the equality below
         scale = lcm(*(v.denominator for v in self.values))
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(
             self, "_scaled", tuple(v.numerator * (scale // v.denominator) for v in self.values)
         )
+        # the lru caches key on the flux: hash it once, not on every lookup
+        object.__setattr__(self, "_key", (self.epsilon, self.k_min, self.k_max, scale, self._scaled))
+        object.__setattr__(self, "_hash", hash(self._key))
+
+    def __eq__(self, other):
+        if not isinstance(other, GridFlux):
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self):
         return self._hash

@@ -28,7 +28,7 @@ never on how the profile got there.  The restart checks in `verify_run`
 exercise exactly that property.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,13 +59,27 @@ def _cell_slopes(flux: GridFlux, lo: int, hi: int, sign: int):
 
 
 def _slope_gap_integral(flux, span_a, span_b, over, sign):
-    """Integral over ``over`` of |envelope-slope(span_a) - envelope-slope(span_b)|."""
-    sa = _cell_slopes(flux, *span_a, sign)
-    sb = _cell_slopes(flux, *span_b, sign)
+    """Integral over ``over`` of |envelope-slope(span_a) - envelope-slope(span_b)|.
+
+    One walk over the merged breakpoints of the two envelopes: on each
+    stretch [k0, k1) of cells where both are affine, (k1 - k0) times the
+    gap of their slopes."""
+    eps = flux.epsilon
+    env_a = envelope(flux, span_a[0] * eps, span_a[1] * eps, sign)
+    env_b = envelope(flux, span_b[0] * eps, span_b[1] * eps, sign)
+    ka, kb = env_a.indices, env_b.indices
+    k, hi = over
+    i, j = bisect_right(ka, k) - 1, bisect_right(kb, k) - 1
     total = Fraction(0)
-    for k in range(*over):
-        total += abs(sa[k] - sb[k])
-    return total * flux.epsilon
+    while k < hi:
+        k1 = min(ka[i + 1], kb[j + 1], hi)
+        total += (k1 - k) * abs(env_a.slopes[i] - env_b.slopes[j])
+        if ka[i + 1] == k1:
+            i += 1
+        if kb[j + 1] == k1:
+            j += 1
+        k = k1
+    return total * eps
 
 
 def _span(u, v, flux):
@@ -146,10 +160,12 @@ class _SlabPotential:
     candidates with T = s.  Per meeting event it keeps integer pair counts
     per (slope id, slope id) term and the running sum of count times
     positive gap, so exact arithmetic runs once per changed term.  The first
-    request lists the run's candidates and puts the cursor on slab 0, as
-    does a request for an earlier slab: Q is one sweep forward in time.  A
-    slab holding a weight above K raises and leaves the engine usable for
-    the next slab.
+    request lists the run's candidates and puts the cursor on slab 0; a
+    request for an earlier slab puts it back there: Q is one sweep forward
+    in time.  Each atom's meeting events are indexed when the cursor first
+    moves, so an engine asked only for slab 0 (a restart probe) never
+    builds that index.  A slab holding a weight above K raises and leaves
+    the engine usable for the next slab.
     """
 
     def __init__(self, ws: WaveSystem, K: Fraction):
@@ -181,10 +197,24 @@ class _SlabPotential:
         return self._slope_ids[key]
 
     def _start(self):
-        """List the run's candidates by the slab they start on, with each
-        atom's meeting events, and put the cursor on slab 0."""
+        """Put the cursor on slab 0, listing the run's candidates by the slab
+        they start on first when they are not listed yet."""
         ws = self.ws
-        self._starting, self._meetings_of = {}, {}
+        if self._starting is None:
+            self._starting = self._list_candidates()
+        self._slab = 0
+        self._fid = [None] * ws.atom_count
+        for fid, atoms in ws.runs(0):
+            for a in atoms:
+                self._fid[a] = fid
+        self._sums = {}
+        for e, pairs in self._starting.get(0, {}).items():
+            self._activate(e, pairs)
+
+    def _list_candidates(self):
+        """slab T + 1 -> {meeting event e: its candidates (a, b) with that T}."""
+        ws = self.ws
+        starting = {}
         for e, ev in enumerate(ws.timeline.events):
             if not ev.outgoing:
                 continue
@@ -203,19 +233,8 @@ class _SlabPotential:
                 ) if kept
             ]
             for t, a, b in self._meeting_pairs(e, groups):
-                self._starting.setdefault(t + 1, {}).setdefault(e, []).append((a, b))
-                for x in (a, b):
-                    events = self._meetings_of.setdefault(x, [])
-                    if not events or events[-1] != e:
-                        events.append(e)
-        self._slab = 0
-        self._fid = [None] * ws.atom_count
-        for fid, atoms in ws.runs(0):
-            for a in atoms:
-                self._fid[a] = fid
-        self._sums = {}
-        for e, pairs in self._starting.get(0, {}).items():
-            self._activate(e, pairs)
+                starting.setdefault(t + 1, {}).setdefault(e, []).append((a, b))
+        return starting
 
     def _meeting_pairs(self, e, groups):
         """Yield (T, a, b) for each pair of atoms a < b in two of the
@@ -297,6 +316,14 @@ class _SlabPotential:
         """Move the cursor from slab s to slab s + 1, across event s."""
         s = self._slab
         ws = self.ws
+        if self._meetings_of is None:
+            # the atoms' meeting events, read only once the cursor moves
+            self._meetings_of = {}
+            for by_event in self._starting.values():
+                for e, pairs in by_event.items():
+                    for pair in pairs:
+                        for x in pair:
+                            self._meetings_of.setdefault(x, set()).add(e)
         self._sums.pop(s, None)
         for fr in ws.timeline.events[s].outgoing:
             for a in ws.atoms_of[fr.fid]:

@@ -18,9 +18,11 @@ class Front:
     """One admissible wavefront: a jump travelling at its chord speed.
 
     A front moves on one line from its birth to its death, so its sign,
-    strength, state span and the line's intercept ``x_at_zero`` (its position
-    at t = 0) are derived once, when it is made; `dataclasses.replace`
-    cannot set them, and derives them again from the edited fields."""
+    strength, state span, the line's intercept ``x_at_zero`` (its position
+    at t = 0) and the line's integers ``line`` (the numerator and
+    denominator of ``x_at_zero`` and of ``speed``) are derived once, when it
+    is made; `dataclasses.replace` cannot set them, and derives them again
+    from the edited fields."""
 
     left: Fraction
     right: Fraction
@@ -33,6 +35,7 @@ class Front:
     u_lo: Fraction = field(init=False, compare=False, repr=False)
     u_hi: Fraction = field(init=False, compare=False, repr=False)
     x_at_zero: Fraction = field(init=False, compare=False, repr=False)
+    line: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         left, right = self.left, self.right
@@ -43,11 +46,23 @@ class Front:
         object.__setattr__(self, "strength", hi - lo)
         object.__setattr__(self, "u_lo", lo)
         object.__setattr__(self, "u_hi", hi)
-        x0, t0 = self.birth_x, self.birth_time
-        object.__setattr__(self, "x_at_zero", x0 - self.speed * t0 if t0 else x0)
+        x0, t0, v = self.birth_x, self.birth_time, self.speed
+        x_at_zero = x0 - v * t0 if t0 else x0
+        object.__setattr__(self, "x_at_zero", x_at_zero)
+        object.__setattr__(
+            self, "line", (x_at_zero.numerator, x_at_zero.denominator, v.numerator, v.denominator)
+        )
 
     def position_at(self, t: Fraction) -> Fraction:
         return self.x_at_zero + self.speed * t
+
+    def passes_through(self, t: Fraction, x: Fraction) -> bool:
+        """Whether the front's line holds the point (t, x): with x_at_zero =
+        a/b and speed = c/d, whether (a*d + c*b*t) / (b*d) == x, compared by
+        cross-multiplying the integers."""
+        a, b, c, d = self.line
+        td = t.denominator
+        return (a * d * td + c * b * t.numerator) * x.denominator == x.numerator * b * d * td
 
 
 def solve_riemann(u_left, u_right, flux: GridFlux, t0=Fraction(0), x0=Fraction(0),

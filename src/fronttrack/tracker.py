@@ -16,6 +16,14 @@ so an entry stays exact while its pair stays adjacent; an entry whose pair
 was broken up by an event is skipped when popped (lazy invalidation).  The
 total variation of each slab is carried along, event by event.
 
+The collision kernel runs on integers.  Each front carries the numerators
+and denominators of its line's intercept and speed (`Front.line`, fixed at
+its birth), so the ordering test and the convergence test of a new pair are
+cross-multiplications, a converging pair makes one `Fraction`, its meeting
+time, and "this front is at x at time t" (`Front.passes_through`), asked
+when a block is extended, when an event is resolved and when it is
+validated, is one integer equality.
+
 The resulting Timeline holds what the run decides, each fact once: the live
 ordered front set of each slab (t_j, t_{j+1}], the events (their point, the
 fronts that meet there and the fan born there) and the per-slab total
@@ -211,13 +219,19 @@ class Collision:
 def _schedule(heap, left, right, t):
     """Enter two fronts that became neighbours at time t: they must still be
     ordered there, and if they converge their meeting joins the heap.  The
-    gap between their lines is gap0 - ds * t, so they meet at gap0 / ds."""
-    gap0 = right.x_at_zero - left.x_at_zero
-    ds = left.speed - right.speed
-    if gap0 < ds * t:
+    gap between their lines is gap0 - ds * t, so they meet at gap0 / ds.
+
+    It runs on the lines' integers: gap0 = g_n / g_d and ds = d_n / d_d with
+    positive denominators, so the ordering test and the sign of ds are
+    cross-multiplications, and the meeting is the one `Fraction` made."""
+    al, bl, cl, dl = left.line
+    ar, br, cr, dr = right.line
+    g_n, g_d = ar * bl - al * br, bl * br
+    d_n, d_d = cl * dr - cr * dl, dl * dr
+    if g_n * d_d * t.denominator < d_n * t.numerator * g_d:
         raise ConsistencyError("front ordering lost")
-    if ds > 0:
-        t_meet = gap0 / ds
+    if d_n > 0:
+        t_meet = Fraction(g_n * d_d, g_d * d_n)
         heappush(heap, (t_meet, left.position_at(t_meet), left.fid, right.fid))
 
 
@@ -239,10 +253,10 @@ def next_collision(heap, live, fids):
     else:
         return None
     first = i
-    while first > 0 and live[first - 1].position_at(t) == x:
+    while first > 0 and live[first - 1].passes_through(t, x):
         first -= 1
     last = i + 1
-    while last + 1 < len(live) and live[last + 1].position_at(t) == x:
+    while last + 1 < len(live) and live[last + 1].passes_through(t, x):
         last += 1
     return Collision(t, x, first, last)
 
@@ -265,7 +279,7 @@ def resolve_event(colliding, t, x, flux, fid_start=0):
     for fr, gr in zip(colliding, colliding[1:]):
         if fr.right != gr.left:
             raise ConsistencyError("colliding front states do not chain")
-    if any(fr.position_at(t) != x for fr in colliding):
+    if not all(fr.passes_through(t, x) for fr in colliding):
         raise ConsistencyError("colliding fronts do not meet at the event point")
     outgoing = solve_riemann(colliding[0].left, colliding[-1].right, flux, t, x, fid_start)
     return InteractionEvent(t, x, tuple(colliding), tuple(outgoing))
@@ -440,7 +454,7 @@ def validate_timeline(tl: Timeline) -> None:
         if new != ev.outgoing:
             raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
         t, x = ev.t, ev.x
-        if any(fr.position_at(t) != x for fr in ev.incoming) or any(
+        if not all(fr.passes_through(t, x) for fr in ev.incoming) or any(
             fr.birth_time != t or fr.birth_x != x for fr in ev.outgoing
         ):
             raise ConsistencyError(f"event {s}: its fronts do not meet at its point")

@@ -1,8 +1,10 @@
 """Independent oracles and shared fixtures for the test suite.
 
-The hull oracle and the slope-integral oracle deliberately avoid the
+The hull oracle and the slope-integral oracles deliberately avoid the
 package's monotone-chain envelope code path: envelopes are evaluated as
-minima over all chords, so agreement is a real cross-check.  The pointwise
+minima over all chords, so agreement is a real cross-check.  The per-cell
+sum `slope_gap_integral_by_cells` is the slow path the speed change's
+breakpoint walk replaced; it reads the package's cell slopes.  The pointwise
 envelope queries (`value_at`, `slope_at`, `piece_slopes`), the chord speed
 `rh_speed`, the binary same-sign closed form `delta_sigma_closed_form` and an
 event's kind and extremal state `event_kind_and_b` are queries only the
@@ -24,6 +26,7 @@ from math import lcm
 
 from fronttrack.envelope import sample_flux
 from fronttrack.errors import ConsistencyError, DomainError, InputError, TrackerError
+from fronttrack.potential import _cell_slopes
 from fronttrack.riemann import is_admissible
 from fronttrack.tracker import (
     CANCELLATION,
@@ -147,6 +150,14 @@ def oracle_cell_slopes(flux, lo_idx, hi_idx, sign):
         lo_idx + i: s * (vals[i + 1] - vals[i]) / flux.epsilon
         for i in range(len(vals) - 1)
     }
+
+
+def slope_gap_integral_by_cells(flux, span_a, span_b, over, sign):
+    """`_slope_gap_integral` as one sum per state cell of ``over``: the gap
+    between the two envelopes' cell slopes, as Q reads them (`_cell_slopes`)."""
+    sa = _cell_slopes(flux, *span_a, sign)
+    sb = _cell_slopes(flux, *span_b, sign)
+    return sum((abs(sa[k] - sb[k]) for k in range(*over)), F(0)) * flux.epsilon
 
 
 def oracle_same_sign_speed_change(a, b, c, flux):

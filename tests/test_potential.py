@@ -11,6 +11,7 @@ from fronttrack.potential import (
     _SlabPotential,
     _cancellation_triple,
     _same_sign_triple,
+    _slope_gap_integral,
     delta_sigma,
     run_pipeline,
     upsilon,
@@ -35,6 +36,7 @@ from oracles import (
     oracle_cancellation_speed_change,
     oracle_same_sign_speed_change,
     slab_midpoints,
+    slope_gap_integral_by_cells,
 )
 from suite_builder import ladder_config, suite_config
 from wave_oracles import (
@@ -157,6 +159,38 @@ def test_speed_change_matches_oracle(data):
     assert _cancellation_triple(a, b2, c2, f) == oracle_cancellation_speed_change(
         a, b2, c2, f
     )
+
+
+# the fluxes of acceptance item 6's exhaustive hull check (the table flux of
+# configs/nonconvex_splitting.json is the worked flux) and the acceptance
+# family's at grid 1/4
+SPEED_CHANGE_FLUXES = [
+    BURGERS,
+    sample_flux({"polynomial": ["0", "0", "0", "1"]}, "1/4", (-4, 4)),
+    WORKED_FLUX,
+    *(
+        sample_flux(cfg["flux"], cfg["epsilon"], cfg["window"])
+        for cfg in map(suite_config, range(60)) if cfg["epsilon"] == "1/4"
+    ),
+]
+
+
+def test_slope_gap_walk_matches_the_per_cell_sum():
+    # every part span inside every whole span, both envelopes, and the two
+    # spans in either order (the part's breakpoints include the whole's
+    # inside the part, not the other way round)
+    checked = 0
+    for f in SPEED_CHANGE_FLUXES:
+        spans = [(lo, hi) for lo in range(f.k_min, f.k_max) for hi in range(lo + 1, f.k_max + 1)]
+        for sign in (1, -1):
+            for whole in spans:
+                for part in spans:
+                    if whole[0] <= part[0] and part[1] <= whole[1]:
+                        want = slope_gap_integral_by_cells(f, part, whole, part, sign)
+                        assert _slope_gap_integral(f, part, whole, part, sign) == want
+                        assert _slope_gap_integral(f, whole, part, part, sign) == want
+                        checked += 1
+    assert len(SPEED_CHANGE_FLUXES) == 27 and checked == 16_710
 
 
 # -- pair weights ---------------------------------------------------------------

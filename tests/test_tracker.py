@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fronttrack import harness
@@ -34,6 +34,7 @@ from oracles import (
     event_kind_and_b,
     front_kinematics,
     front_position,
+    meeting_time,
     oracle_evolve,
     oracle_next_collision,
     oracle_validate_timeline,
@@ -192,6 +193,57 @@ def test_schedule_rejects_neighbours_out_of_order(left, right):
     with pytest.raises(ConsistencyError, match="front ordering lost"):
         _schedule(heap, left, right, F(1))
     assert heap == []
+
+
+# rationals of both signs with small and large denominators, and times from 0
+rationals = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 7, 12, 10**9 + 7]))
+times = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 60), st.sampled_from([1, 4, 9, 10**6])))
+tiny = st.builds(F, st.sampled_from([-1, 1]), st.builds(pow, st.just(10), st.integers(6, 40)))
+
+
+@st.composite
+def fronts(draw):
+    left = draw(rationals)
+    right = draw(rationals.filter(lambda v: v != left))
+    return Front(left, right, draw(rationals), draw(times), draw(rationals), draw(st.integers(0, 9)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(left=fronts(), right=fronts(), ds=st.one_of(st.just(F(0)), rationals), t=times)
+@example(  # converging from t = 0, negative intercepts and speeds
+    left=_front(1, 0, -1, -5), right=_front(0, -1, F(-3, 2), -4), ds=F(1, 2), t=F(0))
+@example(  # parallel
+    left=_front(1, 0, 2, -1), right=_front(0, -1, 0, 1), ds=F(0), t=F(3))
+@example(  # diverging
+    left=_front(1, 0, -1, -1), right=_front(0, -1, 0, 1), ds=F(-1, 3), t=F(0))
+@example(  # converging, and ordered at t by 1e-30 only
+    left=_front(1, 0, 1, 0), right=_front(0, -1, 0, 1 + F(1, 10**30)), ds=F(1), t=F(1))
+def test_schedule_matches_the_meeting_time_oracle(left, right, ds, t):
+    # the speed gap ds = v_left - v_right is drawn, so that parallel (0),
+    # diverging (< 0) and converging (> 0) pairs all come up
+    right = replace(right, speed=left.speed - ds)
+    heap = []
+    try:
+        t_meet = meeting_time(left, right, t)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError, match="front ordering lost"):
+            _schedule(heap, left, right, t)
+        assert heap == []
+        return
+    _schedule(heap, left, right, t)
+    if t_meet is None:
+        assert heap == []
+    else:
+        x = front_position(left, t_meet)
+        assert front_position(right, t_meet) == x
+        assert heap == [(t_meet, x, left.fid, right.fid)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(fr=fronts(), t=times, miss=st.one_of(st.just(F(0)), tiny, rationals))
+def test_passes_through_matches_the_position_oracle(fr, t, miss):
+    x = front_position(fr, t) + miss
+    assert fr.passes_through(t, x) is (front_position(fr, t) == x) is (miss == 0)
 
 
 # -- event resolution ----------------------------------------------------------
