@@ -19,7 +19,7 @@ integer cross products and K an integer second difference over D*epsilon^2.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -151,6 +151,11 @@ class PiecewiseLinearFn:
     breakpoints: tuple  # k * epsilon for each k in indices
     ordinates: tuple
     slopes: tuple  # of the affine pieces, left to right
+    # the Riemann fan template of each traversal direction, [falling, rising],
+    # made by `riemann.solve_riemann` on its first read of the hull
+    fans: list = field(
+        default_factory=lambda: [None, None], init=False, compare=False, repr=False
+    )
 
     def pieces(self):
         """(x_lo, x_hi, slope) for each affine piece, left to right."""

@@ -4,6 +4,14 @@ A jump (u_left, u_right) decomposes into one front per affine piece of the
 convex (increasing jump) or concave (decreasing jump) envelope of the flux on
 the state interval.  Fronts come out ordered left to right by strictly
 increasing speed, with states chaining from u_left to u_right.
+
+A fan depends on its hull and on the direction it is traversed in, not on
+where it is born.  So the first solve that reads a hull in one direction
+derives the fan's fields that do not depend on the birth point (states,
+speed, sign, strength, state span), runs the fan's guards, and keeps the
+result on the hull (`PiecewiseLinearFn.fans`); every later solve of a jump
+on that hull reads it back and derives only each front's line through its
+birth point (`x_at_zero`, `line`), on integers.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +19,26 @@ from fractions import Fraction
 
 from .envelope import GridFlux, envelope
 from .errors import ConsistencyError, InputError
+
+
+def _jump_fields(left, right) -> tuple:
+    """(sign, strength, u_lo, u_hi) of a front's jump."""
+    if left == right:
+        raise InputError("a front must carry a nonzero jump")
+    if right > left:
+        return 1, right - left, left, right
+    return -1, left - right, right, left
+
+
+def _line_fields(n, m, t0, x0) -> tuple:
+    """(x_at_zero, line) of the line through (t0, x0) at the speed n/m: with
+    x0 = p/q and t0 = r/w, x_at_zero = x0 - (n/m)*t0 = (p*w*m - n*r*q) / (q*w*m),
+    one `Fraction`, and line = (its numerator and denominator, n, m)."""
+    if t0:
+        r, w = t0.numerator, t0.denominator
+        p, q = x0.numerator, x0.denominator
+        x0 = Fraction(p * w * m - n * r * q, q * w * m)
+    return x0, (x0.numerator, x0.denominator, n, m)
 
 
 @dataclass(frozen=True)
@@ -22,7 +50,8 @@ class Front:
     at t = 0) and the line's integers ``line`` (the numerator and
     denominator of ``x_at_zero`` and of ``speed``) are derived once, when it
     is made; `dataclasses.replace` cannot set them, and derives them again
-    from the edited fields."""
+    from the edited fields.  `solve_riemann` births its fronts from a fan
+    template with the same fields (`_jump_fields`, `_line_fields`)."""
 
     left: Fraction
     right: Fraction
@@ -38,23 +67,20 @@ class Front:
     line: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        left, right = self.left, self.right
-        if left == right:
-            raise InputError("a front must carry a nonzero jump")
-        sign, lo, hi = (1, left, right) if right > left else (-1, right, left)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "strength", hi - lo)
-        object.__setattr__(self, "u_lo", lo)
-        object.__setattr__(self, "u_hi", hi)
-        x0, t0, v = self.birth_x, self.birth_time, self.speed
-        x_at_zero = x0 - v * t0 if t0 else x0
-        object.__setattr__(self, "x_at_zero", x_at_zero)
-        object.__setattr__(
-            self, "line", (x_at_zero.numerator, x_at_zero.denominator, v.numerator, v.denominator)
+        fields, speed = vars(self), self.speed
+        fields["sign"], fields["strength"], fields["u_lo"], fields["u_hi"] = _jump_fields(
+            self.left, self.right
+        )
+        fields["x_at_zero"], fields["line"] = _line_fields(
+            speed.numerator, speed.denominator, self.birth_time, self.birth_x
         )
 
-    def position_at(self, t: Fraction) -> Fraction:
-        return self.x_at_zero + self.speed * t
+    def position_at(self, t) -> Fraction:
+        """Where the front's line is at time t (a `Fraction` or an int): with
+        x_at_zero = a/b and speed = c/d, (a*d*t_d + c*b*t_n) / (b*d*t_d)."""
+        a, b, c, d = self.line
+        td = t.denominator
+        return Fraction(a * d * td + c * b * t.numerator, b * d * td)
 
     def passes_through(self, t: Fraction, x: Fraction) -> bool:
         """Whether the front's line holds the point (t, x): with x_at_zero =
@@ -65,6 +91,26 @@ class Front:
         return (a * d * td + c * b * t.numerator) * x.denominator == x.numerator * b * d * td
 
 
+def _fan(hull, rising: bool, u_left, u_right) -> tuple:
+    """The fan template of ``hull`` traversed from the u_left end: for each
+    piece, left to right, the fields of its front that do not depend on its
+    birth point (left, right, speed, sign, strength, u_lo, u_hi) and its
+    speed's numerator and denominator.  The fan's guards run here, once per
+    hull and direction: a hull's end states are its grid points, so every
+    jump that reads it has the same two states."""
+    pieces = list(hull.pieces())
+    if not rising:
+        # decreasing jump: traverse the concave envelope from the top state
+        pieces = [(b, a, s) for a, b, s in reversed(pieces)]
+    fan = tuple((a, b, s, *_jump_fields(a, b), s.numerator, s.denominator) for a, b, s in pieces)
+    speeds = [s for _, _, s in pieces]
+    if any(s >= t for s, t in zip(speeds, speeds[1:])):
+        raise ConsistencyError("Riemann fan speeds must strictly increase")
+    if pieces[0][0] != u_left or pieces[-1][1] != u_right:
+        raise ConsistencyError("Riemann fan states do not chain to the data")
+    return fan
+
+
 def solve_riemann(u_left, u_right, flux: GridFlux, t0=Fraction(0), x0=Fraction(0),
                   fid_start=0):
     """Decompose the jump (u_left, u_right) at (t0, x0) into admissible fronts,
@@ -72,24 +118,32 @@ def solve_riemann(u_left, u_right, flux: GridFlux, t0=Fraction(0), x0=Fraction(0
 
     Returns [] for a null jump.  Fronts are in bijection with the envelope
     pieces on [min, max] of the two states, traversed from the u_left end.
-    The arguments are used as given: t0 and x0 must be `Fraction`s.
+    The arguments are used as given: t0 and x0 must be `Fraction`s.  Each
+    front is born from the hull's fan template (`_fan`) with the fields that
+    `Front.__post_init__` would derive, so it equals, field for field, the
+    `Front(left, right, speed, t0, x0, fid)` of its piece.
     """
     if u_left == u_right:
         return []
-    if u_right > u_left:
-        pieces = list(envelope(flux, u_left, u_right, 1).pieces())
+    rising = u_right > u_left
+    if rising:
+        hull = envelope(flux, u_left, u_right, 1)
     else:
-        # decreasing jump: traverse the concave envelope from the top state
-        pieces = list(envelope(flux, u_right, u_left, -1).pieces())
-        pieces = [(x1, x0_, s) for x0_, x1, s in reversed(pieces)]
-    fronts = [
-        Front(a, b, s, t0, x0, fid) for fid, (a, b, s) in enumerate(pieces, fid_start)
-    ]
-    speeds = [fr.speed for fr in fronts]
-    if any(s >= t for s, t in zip(speeds, speeds[1:])):
-        raise ConsistencyError("Riemann fan speeds must strictly increase")
-    if fronts[0].left != u_left or fronts[-1].right != u_right:
-        raise ConsistencyError("Riemann fan states do not chain to the data")
+        hull = envelope(flux, u_right, u_left, -1)
+    fans = hull.fans
+    fan = fans[rising]
+    if fan is None:
+        fan = fans[rising] = _fan(hull, rising, u_left, u_right)
+    fronts = []
+    for fid, (left, right, speed, sign, strength, u_lo, u_hi, n, m) in enumerate(fan, fid_start):
+        x_at_zero, line = _line_fields(n, m, t0, x0)
+        front = object.__new__(Front)
+        object.__setattr__(front, "__dict__", {
+            "left": left, "right": right, "speed": speed, "birth_time": t0, "birth_x": x0,
+            "fid": fid, "sign": sign, "strength": strength, "u_lo": u_lo, "u_hi": u_hi,
+            "x_at_zero": x_at_zero, "line": line,
+        })
+        fronts.append(front)
     return fronts
 
 

@@ -19,10 +19,13 @@ total variation of each slab is carried along, event by event.
 The collision kernel runs on integers.  Each front carries the numerators
 and denominators of its line's intercept and speed (`Front.line`, fixed at
 its birth), so the ordering test and the convergence test of a new pair are
-cross-multiplications, a converging pair makes one `Fraction`, its meeting
-time, and "this front is at x at time t" (`Front.passes_through`), asked
-when a block is extended, when an event is resolved and when it is
-validated, is one integer equality.
+cross-multiplications, a converging pair makes two `Fraction`s, its meeting
+time and its meeting point (`Front.position_at`, one `Fraction` from the
+line's integers), and "this front is at x at time t"
+(`Front.passes_through`), asked when a block is extended, when an event is
+resolved and when it is validated, is one integer equality.  An event's
+outgoing fan is born from its hull's fan template (see `riemann`), so an
+event that re-solves a jump seen before derives only the new fronts' lines.
 
 The resulting Timeline holds what the run decides, each fact once: the live
 ordered front set of each slab (t_j, t_{j+1}], the events (their point, the
@@ -223,7 +226,8 @@ def _schedule(heap, left, right, t):
 
     It runs on the lines' integers: gap0 = g_n / g_d and ds = d_n / d_d with
     positive denominators, so the ordering test and the sign of ds are
-    cross-multiplications, and the meeting is the one `Fraction` made."""
+    cross-multiplications, and the meeting time and its point on the left
+    line (`Front.position_at`) are the two `Fraction`s made."""
     al, bl, cl, dl = left.line
     ar, br, cr, dr = right.line
     g_n, g_d = ar * bl - al * br, bl * br

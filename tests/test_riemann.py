@@ -1,13 +1,19 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fronttrack import riemann
+from fronttrack import harness, riemann, tracker
 from fronttrack.envelope import GridFlux, PiecewiseLinearFn, sample_flux
 from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.riemann import Front, is_admissible, solve_riemann
+
+from suite_builder import ladder_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
 
@@ -121,3 +127,72 @@ def test_fan_conservation_ordering_and_resolve(f, data):
         assert [(g.left, g.right, g.speed) for g in again] == [
             (fr.left, fr.right, fr.speed)
         ]
+
+
+# -- fan templates against the fronts they stand for ---------------------------
+
+
+def _record_solves(monkeypatch):
+    """Record (arguments, fronts) of every `solve_riemann` call that front
+    tracking makes from now on."""
+    calls = []
+
+    def recording(u_left, u_right, flux, t0, x0, fid_start):
+        fronts = solve_riemann(u_left, u_right, flux, t0, x0, fid_start)
+        calls.append(((u_left, u_right, t0, x0, fid_start), fronts))
+        return fronts
+
+    monkeypatch.setattr(tracker, "solve_riemann", recording)
+    return calls
+
+
+def _assert_born_as_constructed(calls):
+    """Each front equals, field for field (`vars`, so the derived fields that
+    `Front.__eq__` skips too), the front constructed from its piece."""
+    for (u_left, u_right, t0, x0, fid_start), fronts in calls:
+        assert fronts[0].left == u_left and fronts[-1].right == u_right
+        for fid, fr in enumerate(fronts, fid_start):
+            built = Front(fr.left, fr.right, fr.speed, t0, x0, fid)
+            assert type(fr) is Front and vars(fr) == vars(built)
+
+
+def test_fans_match_constructed_fronts_on_the_ladder_rung_and_its_restarts(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64", probes=56)))
+    assert len(r.timeline.slabs) == 56
+    _assert_born_as_constructed(calls)
+    # the rung's own fans, and the probes' re-solved ones
+    assert len(calls) > 56 * len(r.timeline.initial_profile.jumps)
+    assert any(t0 > 0 for (_, _, t0, _, _), _ in calls)
+
+
+def test_fans_match_constructed_fronts_on_the_nonconvex_config(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    config = json.loads((CONFIGS / "nonconvex_splitting.json").read_text())
+    harness.run_simulation(harness.parse_run_config(config))
+    _assert_born_as_constructed(calls)
+    # the concave flux splits increasing jumps into fans of two fronts
+    assert any(len(fronts) > 1 for _, fronts in calls)
+    assert any(u_right < u_left for (u_left, u_right, *_), _ in calls)
+
+
+def test_a_hulls_fan_template_is_built_once(monkeypatch):
+    # a flux no other test samples, so that its hulls start without templates
+    flux = sample_flux({"polynomial": ["0", "1/7", "0", "-5/11"]}, "1/3", (-6, 6))
+    fan, builds = riemann._fan, []
+
+    def counting(hull, rising, u_left, u_right):
+        builds.append(rising)
+        return fan(hull, rising, u_left, u_right)
+
+    monkeypatch.setattr(riemann, "_fan", counting)
+    for u_left, u_right in [(F(-2), F(2)), (F(2), F(-2))]:
+        first = solve_riemann(u_left, u_right, flux, F(0), F(1), 0)
+        again = solve_riemann(u_left, u_right, flux, F(1, 2), F(-3), 5)
+        hull = riemann.envelope(flux, min(u_left, u_right), max(u_left, u_right),
+                                1 if u_right > u_left else -1)
+        assert builds == [u_right > u_left] and hull.fans[u_right > u_left] is not None
+        assert len(first) > 1
+        _assert_born_as_constructed([((u_left, u_right, F(0), F(1), 0), first),
+                                     ((u_left, u_right, F(1, 2), F(-3), 5), again)])
+        builds.clear()

@@ -221,7 +221,12 @@ def fronts(draw):
 def test_schedule_matches_the_meeting_time_oracle(left, right, ds, t):
     # the speed gap ds = v_left - v_right is drawn, so that parallel (0),
     # diverging (< 0) and converging (> 0) pairs all come up
-    right = replace(right, speed=left.speed - ds)
+    _assert_schedule_matches_oracle(left, replace(right, speed=left.speed - ds), t)
+
+
+def _assert_schedule_matches_oracle(left, right, t):
+    """`_schedule`'s heap entry for the pair at time t is the oracle's
+    meeting (t, x), or none, or the same ordering error."""
     heap = []
     try:
         t_meet = meeting_time(left, right, t)
@@ -244,6 +249,40 @@ def test_schedule_matches_the_meeting_time_oracle(left, right, ds, t):
 def test_passes_through_matches_the_position_oracle(fr, t, miss):
     x = front_position(fr, t) + miss
     assert fr.passes_through(t, x) is (front_position(fr, t) == x) is (miss == 0)
+
+
+# large numerators and denominators (up to about 2^100), of both signs
+big_rationals = st.builds(
+    F, st.integers(-(2**100), 2**100),
+    st.one_of(st.integers(1, 2**100), st.sampled_from([2**61 - 1, 10**30 + 57])),
+)
+big_times = st.builds(F, st.integers(0, 2**80), st.integers(1, 2**80))
+
+
+@st.composite
+def big_fronts(draw):
+    left = draw(big_rationals)
+    right = draw(big_rationals.filter(lambda v: v != left))
+    return Front(left, right, draw(big_rationals), draw(big_times), draw(big_rationals),
+                 draw(st.integers(0, 9)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fr=st.one_of(fronts(), big_fronts()),
+       t=st.one_of(st.just(0), times, big_times),
+       other=st.one_of(fronts(), big_fronts()), ds=st.one_of(rationals, big_rationals))
+@example(  # int t = 0, negative intercept and speed
+    fr=_front(1, 0, -7, F(-5, 3)), t=0, other=_front(0, -1, 0, 1), ds=F(1))
+@example(  # born at t = 3 with a large denominator, looked at before its birth
+    fr=Front(F(1), F(0), F(-2, 2**61 - 1), F(3), F(-1, 10**30 + 57)), t=F(1, 2**40),
+    other=_front(0, -1, 0, 1), ds=F(-1, 7))
+def test_position_at_matches_the_position_oracle(fr, t, other, ds):
+    x = fr.position_at(t)
+    assert type(x) is F and x == front_position(fr, t)
+    # a right neighbour, ds slower and |ds| to the right at time t
+    right = replace(other, speed=fr.speed - ds, birth_time=F(t), birth_x=x + abs(ds))
+    assert right.position_at(t) == x + abs(ds)
+    _assert_schedule_matches_oracle(fr, right, F(t))
 
 
 # -- event resolution ----------------------------------------------------------
