@@ -149,7 +149,6 @@ class PiecewiseLinearFn:
 
     indices: tuple  # strictly increasing grid indices k of the breakpoints
     breakpoints: tuple  # k * epsilon for each k in indices
-    ordinates: tuple
     slopes: tuple  # of the affine pieces, left to right
     # the Riemann fan template of each traversal direction, [falling, rising],
     # made by `riemann.solve_riemann` on its first read of the hull
@@ -191,7 +190,6 @@ def _hull_by_index(f: GridFlux, ka: int, kb: int, sign: int) -> PiecewiseLinearF
     return PiecewiseLinearFn(
         ks,
         tuple(f.grid_u(k) for k in ks),
-        tuple(f.values[k - base] for k in ks),
         tuple(
             Fraction(sign * (y1 - y0) * num, (k1 - k0) * den)
             for (k0, y0), (k1, y1) in zip(hull, hull[1:])

@@ -15,8 +15,16 @@ will be there" query exactly, which is all the interaction potential needs.
 They are the only survival record, and only this module reads them: the
 potential asks `first_common_event` and `meeting_cells`, and
 `validate_tracing` checks the same lists against the timeline, slab 0 in
-full and then event by event.  An atom's initial jump is not stored: the
-slab-0 fans, in line order, take the atoms in id order.
+full and then event by event.
+
+Atoms keep their order (the wave tracing of Bressan, ch. 7): along a chain of
+fronts, left to right, the atoms in id order cross the state cells in the
+order the chain traverses them, from its left state to its right one.  So
+slab 0's fronts, one chain over every initial jump, take the atoms in id
+order, and each event's outgoing fan takes its survivors the same way, each
+front one atom per state cell it spans; one list comparison per front checks
+that those atoms' cells are the front's cells in traversal order
+(`_take_atoms`).  An atom's initial jump is not stored.
 """
 
 from bisect import bisect_left
@@ -32,25 +40,16 @@ class WaveSystem:
 
     def __init__(self, epsilon: Fraction, profile: Profile):
         self.epsilon = epsilon
-        count = profile.total_variation() / epsilon
-        if count.denominator != 1:
-            raise InputError("profile variation is not a multiple of epsilon")
-        self.atom_count = count.numerator
-
         self.sign = []
         self.cell = []  # state cell lower grid index; states span [k*eps, (k+1)*eps]
-        prev_v = profile.constant_state
-        for _, v in profile.jumps:
-            sign = 1 if v > prev_v else -1
-            lo_idx = grid_index(min(prev_v, v), epsilon)
-            hi_idx = grid_index(max(prev_v, v), epsilon)
-            cells = range(lo_idx, hi_idx) if sign > 0 else range(hi_idx - 1, lo_idx - 1, -1)
-            for k in cells:
-                self.sign.append(sign)
-                self.cell.append(k)
-            prev_v = v
-        if len(self.sign) != self.atom_count:
-            raise ConsistencyError("atom construction lost mass")
+        # an off-grid state raises InputError; with no jumps there is no state
+        # to place, the constant one included
+        ks = [grid_index(u, epsilon) for u in profile.values()] if profile.jumps else []
+        for k0, k1 in zip(ks, ks[1:]):
+            cells = _cells(k0, k1)
+            self.sign += [1 if k1 > k0 else -1] * len(cells)
+            self.cell += cells
+        self.atom_count = len(self.cell)
 
         # populated by advance_tracing
         self.timeline = None
@@ -73,35 +72,33 @@ def build_initial_waves(profile: Profile, epsilon) -> WaveSystem:
     return WaveSystem(Fraction(epsilon), profile)
 
 
-def _fan_cells(fronts, eps):
-    """The fid of the fan front that spans each state cell."""
-    cell_to_fid = {}
+def _cells(k0: int, k1: int) -> range:
+    """The state cells a jump from grid index k0 to k1 crosses, in traversal
+    order (cell k spans [k*eps, (k+1)*eps])."""
+    return range(k0, k1) if k1 > k0 else range(k0 - 1, k1 - 1, -1)
+
+
+def _take_atoms(ws, fronts, atoms):
+    """Give each of ``fronts``, a chain left to right, the next of ``atoms``
+    in id order, one per state cell it spans: their cells must be the
+    front's cells from its left state to its right one, and no atom may be
+    left over."""
+    eps, cell = ws.epsilon, ws.cell
+    start = 0
+    if fronts:
+        state, k0 = fronts[0].left, grid_index(fronts[0].left, eps)
     for fr in fronts:
-        lo = grid_index(fr.u_lo, eps)
-        hi = grid_index(fr.u_hi, eps)
-        for k in range(lo, hi):
-            if k in cell_to_fid:
-                raise ConsistencyError("outgoing fronts overlap in state")
-            cell_to_fid[k] = fr.fid
-    return cell_to_fid
-
-
-def _assign_fan(ws, atoms, fronts, cell_to_fid):
-    """Give each front of a fan the atoms whose state cells it spans."""
-    carried = {fr.fid: [] for fr in fronts}
-    seen = set()
-    for a in atoms:
-        k = ws.cell[a]
-        if k not in cell_to_fid:
-            raise ConsistencyError(f"no outgoing front covers state cell {k}")
-        if k in seen:
-            raise ConsistencyError(f"two surviving waves carry state cell {k}")
-        seen.add(k)
-        carried[cell_to_fid[k]].append(a)
-    if len(seen) != len(cell_to_fid):
-        raise ConsistencyError("outgoing front states not fully covered by waves")
-    for fid, members in carried.items():
-        ws.atoms_of[fid] = tuple(members)
+        if fr.left != state:
+            raise ConsistencyError(f"front {fr.fid}: its left state is not its neighbour's right")
+        k1 = grid_index(fr.right, eps)
+        cells = _cells(k0, k1)
+        carried = atoms[start:start + len(cells)]
+        if [cell[a] for a in carried] != [*cells]:
+            raise ConsistencyError(f"front {fr.fid}: its waves do not cross its states in order")
+        ws.atoms_of[fr.fid] = tuple(carried)
+        start, state, k0 = start + len(cells), fr.right, k1
+    if start != len(atoms):
+        raise ConsistencyError(f"waves left over after the fronts: {len(atoms) - start}")
 
 
 def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
@@ -110,17 +107,7 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
         raise InputError("wave system already traced")
     eps = ws.epsilon
     ws.timeline = tl
-
-    # slab 0: the initial jumps' Riemann fans, grouped by birth point in line
-    # order, take the atoms in id order, each fan one per state cell it spans
-    fans = {}
-    for fr in tl.slabs[0]:
-        fans.setdefault(fr.birth_x, []).append(fr)
-    start = 0
-    for fan in fans.values():
-        cells = _fan_cells(fan, eps)
-        _assign_fan(ws, range(start, start + len(cells)), fan, cells)
-        start += len(cells)
+    _take_atoms(ws, tl.slabs[0], range(ws.atom_count))
 
     for e_idx, ev in enumerate(tl.events):
         groups = [ws.atoms_of[fr.fid] for fr in ev.incoming]
@@ -147,7 +134,7 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
             ws.canc_event[a] = e_idx
         for a in survivors:
             ws.events_of[a].append(e_idx)
-        _assign_fan(ws, survivors, ev.outgoing, _fan_cells(ev.outgoing, eps))
+        _take_atoms(ws, ev.outgoing, survivors)
     return ws
 
 

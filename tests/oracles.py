@@ -5,7 +5,7 @@ package's monotone-chain envelope code path: envelopes are evaluated as
 minima over all chords, so agreement is a real cross-check.  The per-cell
 sum `slope_gap_integral_by_cells` is the slow path the speed change's
 breakpoint walk replaced; it reads the package's cell slopes.  The pointwise
-envelope queries (`value_at`, `slope_at`, `piece_slopes`), the chord speed
+envelope queries (`ordinates`, `value_at`, `slope_at`, `piece_slopes`), the chord speed
 `rh_speed`, the binary same-sign closed form `delta_sigma_closed_form` and an
 event's kind and extremal state `event_kind_and_b` are queries only the
 tests make.
@@ -75,13 +75,20 @@ def piece_slopes(env):
     return [s for _, _, s in env.pieces()]
 
 
-def value_at(env, u):
+def ordinates(f, env):
+    """The samples of ``f`` at the breakpoints of its envelope ``env``, where
+    the envelope touches them."""
+    return tuple(f.values[k - f.k_min] for k in env.indices)
+
+
+def value_at(f, env, u):
+    """The value at u of ``env``, an envelope of the samples of ``f``."""
     xs = env.breakpoints
     lo, hi = xs[0], xs[-1]
     if not lo <= u <= hi:
         raise DomainError(f"{u} outside [{lo}, {hi}]")
     i = min(bisect_right(xs, u) - 1, len(xs) - 2)
-    return env.ordinates[i] + piece_slopes(env)[i] * (u - xs[i])
+    return ordinates(f, env)[i] + piece_slopes(env)[i] * (u - xs[i])
 
 
 def slope_at(env, u, side="right"):

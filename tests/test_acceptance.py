@@ -242,7 +242,7 @@ def _exhaustive_hull_check(flux):
                 env = envelope(flux, pts[i][0], pts[j][0], sign)
                 expected = hull_oracle_values(pts[i:j + 1])
                 for (x, _), want in zip(pts[i:j + 1], expected):
-                    assert value_at(env, x) == sign * want
+                    assert value_at(flux, env, x) == sign * want
 
 
 def test_acceptance_6_structural_invariants(suite):

@@ -53,9 +53,7 @@ def test_front_rejects_null_jump():
 
 def _crafted_envelope(monkeypatch, breakpoints, slopes):
     """Make `solve_riemann` read these pieces in place of the flux's envelope."""
-    env = PiecewiseLinearFn(
-        tuple(range(len(breakpoints))), breakpoints, (F(0),) * len(breakpoints), slopes
-    )
+    env = PiecewiseLinearFn(tuple(range(len(breakpoints))), breakpoints, slopes)
     monkeypatch.setattr(riemann, "envelope", lambda *args: env)
 
 

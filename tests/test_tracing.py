@@ -1,8 +1,11 @@
 import copy
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from fronttrack import harness, potential
 from fronttrack.envelope import sample_flux
 from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.tracker import Profile, evolve
@@ -14,10 +17,12 @@ from fronttrack.tracing import (
 )
 
 from oracles import TABLE, TRIPLE_POINT, WORKED_FLUX, WORKED_PROFILE
+from suite_builder import ladder_config
 from wave_oracles import (
     atom_of,
     bianchini_mismatches,
     casualties,
+    cell_dict_trace,
     debug_dump,
     front_of,
     interaction_query,
@@ -32,6 +37,8 @@ from wave_oracles import (
     waves_at,
     x0,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
 TWO_SHOCK = Profile(F(1), ((F(0), F(0)), (F(1), F(-1))))
@@ -72,6 +79,13 @@ def test_layer_rejects_offgrid_variation():
     p = Profile(F(0), ((F(0), F(1, 3)),))
     with pytest.raises(InputError):
         build_initial_waves(p, F(1, 2))
+
+
+def test_layer_without_jumps_is_empty():
+    # no state is placed, not even an off-grid constant one
+    for constant in (F(0), F(1, 3)):
+        ws = build_initial_waves(Profile(constant, ()), F(1, 2))
+        assert (ws.atom_count, ws.sign, ws.cell) == (0, [], [])
 
 
 def test_wave_coordinate_lookup():
@@ -207,6 +221,79 @@ def test_validate_tracing_rejects_forged_wave_systems():
     with pytest.raises(ConsistencyError, match="atom 3: survived events not increasing"):
         validate_tracing(ws)
     assert bianchini_mismatches(ws) == []
+
+
+def test_advance_tracing_rejects_cells_out_of_order():
+    # the shock (2, 0) crosses cell 1, then cell 0; with its two atoms' cells
+    # swapped, the cell-dict assignment accepted the layer (and so did
+    # validate_tracing) and let atom 2 survive event 0 in place of atom 3
+    wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
+    p = Profile(F(0), ((F(0), F(2)), (F(1), F(0))))
+    tl = evolve(p, wide)
+    ws = build_initial_waves(p, F(1))
+    assert ws.cell == [0, 1, 1, 0]
+    ws.cell[2], ws.cell[3] = ws.cell[3], ws.cell[2]
+    with pytest.raises(ConsistencyError, match="front 2: its waves do not cross its states"):
+        advance_tracing(ws, tl)
+
+
+def test_advance_tracing_rejects_fronts_that_do_not_chain():
+    wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
+    p = Profile(F(0), ((F(0), F(2)), (F(1), F(0))))
+    tl = evolve(p, wide)
+    # the fan's fronts 0 -> 1 -> 2 and the shock 2 -> 0: drop the fan's upper
+    # front, so the shock's left state is no longer its neighbour's right
+    fronts = tl.slabs[0]
+    forged = copy.copy(tl)
+    forged.slabs = (fronts[:1] + fronts[2:], *tl.slabs[1:])
+    with pytest.raises(ConsistencyError, match="front 2: its left state is not"):
+        advance_tracing(build_initial_waves(p, F(1)), forged)
+    # every front in place, but an atom too many for them
+    with pytest.raises(ConsistencyError, match="waves left over after the fronts: 1"):
+        advance_tracing(build_initial_waves(Profile(F(0), ((F(0), F(2)), (F(1), F(-1)))),
+                                            F(1)), tl)
+
+
+def _assert_matches_cell_dict_oracle(ws):
+    tl = ws.timeline
+    assert cell_dict_trace(tl.initial_profile, ws.epsilon, tl) == (
+        ws.sign, ws.cell, ws.atoms_of, ws.events_of, ws.canc_event)
+
+
+def _record_tracing(monkeypatch):
+    """Every wave system that a run, its restart probes included, traces
+    from now on."""
+    systems = []
+
+    def recording(ws, tl):
+        systems.append(advance_tracing(ws, tl))
+        return ws
+
+    monkeypatch.setattr(harness, "advance_tracing", recording)
+    monkeypatch.setattr(potential, "advance_tracing", recording)
+    return systems
+
+
+def test_atoms_match_the_cell_dict_oracle_on_the_ladder_rung_and_its_restarts(monkeypatch):
+    systems = _record_tracing(monkeypatch)
+    harness.run_simulation(harness.parse_run_config(ladder_config("1/64", probes=56)))
+    assert len(systems) == 1 + 56
+    for ws in systems:
+        _assert_matches_cell_dict_oracle(ws)
+    assert any(len(ev.outgoing) > 1 for ws in systems for ev in ws.timeline.events)
+
+
+def test_atoms_match_the_cell_dict_oracle_on_the_run_configs(monkeypatch):
+    systems = _record_tracing(monkeypatch)
+    runs = 0
+    for path in sorted(CONFIGS.glob("*.json")):
+        config = json.loads(path.read_text())
+        if "epsilons" not in config:
+            harness.run_simulation(harness.parse_run_config(config))
+            runs += 1
+    assert runs == 2 and len(systems) > runs
+    for ws in systems:
+        _assert_matches_cell_dict_oracle(ws)
 
 
 def _forged(ws, name, changes):

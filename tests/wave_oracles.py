@@ -14,6 +14,8 @@ series of `_bianchini_of_slab`, which it keeps event by event;
 `pair_walk_q_of_slab` is the walk over every same-block atom pair that Q's
 meeting-event sweep replaced, and `sorted_bianchini_of_slab` the per-slab
 sort that the Bianchini series replaced.
+`cell_dict_trace` is the assignment of atoms to fronts through per-fan
+state-cell dictionaries that tracing's walk in state order replaced.
 `quadratic_potential` and `bianchini_cubic` read those two at a time rather
 than a slab index.
 """
@@ -495,6 +497,85 @@ def oracle_validate_tracing(ws: WaveSystem) -> None:
             )
 
 
+def _fan_cells(fronts, eps):
+    """The fid of the fan front that spans each state cell."""
+    cell_to_fid = {}
+    for fr in fronts:
+        for k in range(grid_index(fr.u_lo, eps), grid_index(fr.u_hi, eps)):
+            if k in cell_to_fid:
+                raise ConsistencyError("outgoing fronts overlap in state")
+            cell_to_fid[k] = fr.fid
+    return cell_to_fid
+
+
+def _assign_fan(atoms_of, cell, atoms, fronts, eps):
+    """Give each front of a fan the atoms whose state cells it spans."""
+    cell_to_fid = _fan_cells(fronts, eps)
+    carried = {fr.fid: [] for fr in fronts}
+    seen = set()
+    for a in atoms:
+        k = cell[a]
+        if k not in cell_to_fid:
+            raise ConsistencyError(f"no outgoing front covers state cell {k}")
+        if k in seen:
+            raise ConsistencyError(f"two surviving waves carry state cell {k}")
+        seen.add(k)
+        carried[cell_to_fid[k]].append(a)
+    if len(seen) != len(cell_to_fid):
+        raise ConsistencyError("outgoing front states not fully covered by waves")
+    for fid, members in carried.items():
+        atoms_of[fid] = tuple(members)
+
+
+def cell_dict_trace(profile: Profile, epsilon, tl: Timeline):
+    """(sign, cell, atoms_of, events_of, canc_event) of ``profile``'s atoms on
+    ``tl``, the way `build_initial_waves` and `advance_tracing` made them
+    before the chain walk: the atoms counted from the profile's total
+    variation, slab 0's fronts grouped into fans by birth point, and each
+    fan's atoms matched to its fronts through a dict from state cell to front
+    and a set of the cells seen, which does not check their order."""
+    eps = Fraction(epsilon)
+    count = profile.total_variation() / eps
+    if count.denominator != 1:
+        raise InputError("profile variation is not a multiple of epsilon")
+    sign, cell = [], []
+    for u, v in zip(profile.values(), profile.values()[1:]):
+        lo, hi = grid_index(min(u, v), eps), grid_index(max(u, v), eps)
+        ks = range(lo, hi) if v > u else range(hi - 1, lo - 1, -1)
+        sign += [1 if v > u else -1] * len(ks)
+        cell += ks
+    if len(cell) != count:
+        raise ConsistencyError("atom construction lost mass")
+
+    atoms_of = {}
+    events_of, canc_event = [[] for _ in cell], [None] * len(cell)
+    fans = {}
+    for fr in tl.slabs[0]:
+        fans.setdefault(fr.birth_x, []).append(fr)
+    start = 0
+    for fan in fans.values():
+        width = len(_fan_cells(fan, eps))
+        _assign_fan(atoms_of, cell, range(start, start + width), fan, eps)
+        start += width
+    for e_idx, ev in enumerate(tl.events):
+        groups = [atoms_of[fr.fid] for fr in ev.incoming]
+        kept, casualties = list(groups[0]), []
+        for i, p, q, r in ev.merge_steps():
+            if (r > q) == (q > p):
+                kept.extend(groups[i])
+                continue
+            lo, hi = grid_index(min(p, r), eps), grid_index(max(p, r), eps)
+            pool, kept = [*kept, *groups[i]], []
+            for a in pool:
+                (kept if lo <= cell[a] < hi else casualties).append(a)
+        for a in casualties:
+            canc_event[a] = e_idx
+        for a in kept:
+            events_of[a].append(e_idx)
+        _assign_fan(atoms_of, cell, kept, ev.outgoing, eps)
+    return sign, cell, atoms_of, events_of, canc_event
+
+
 # -- potentials at a time ------------------------------------------------------------
 
 
@@ -530,7 +611,7 @@ def maximal_noncontact_interval(flux: GridFlux, a, b, d_j) -> Fraction:
     k_hi = grid_index(d_j, flux.epsilon)
     for k in range(k_b, k_hi + 1):
         u = k * flux.epsilon
-        if value_at(hull, u) == flux.value_at_index(flux.index_of(u)):
+        if value_at(flux, hull, u) == flux.value_at_index(flux.index_of(u)):
             return u
     raise ConsistencyError("hull does not touch its own right endpoint")
 
