@@ -182,7 +182,8 @@ def validate_tracing(ws: WaveSystem) -> None:
     in the block (its survivors and casualties are its incoming atoms).  By
     induction every slab's runs concatenate to the atoms live there, in id
     order.  Each front's waves are checked once, in slab 0 or at the event
-    that makes it.
+    that makes it: their signs, and their cells, in id order, against the
+    cells the front crosses from its left state to its right one.
     """
     ws._require_traced()
     tl, eps = ws.timeline, ws.epsilon
@@ -200,6 +201,11 @@ def validate_tracing(ws: WaveSystem) -> None:
                 raise ConsistencyError(f"front {fid}: state span does not match its waves")
             if len(atoms) * eps != fr.strength:
                 raise ConsistencyError(f"front {fid}: mass mismatch")
+            # the cells the front crosses, from its left state to its right one
+            k0, k1 = grid_index(fr.left, eps), grid_index(fr.right, eps)
+            step = 1 if k1 > k0 else -1
+            if [ws.cell[a] for a in atoms] != [min(k, k + step) for k in range(k0, k1, step)]:
+                raise ConsistencyError(f"front {fid}: its waves do not cross its states in order")
 
     if ws.atom_count * eps != tl.slab_tvs[0]:
         raise ConsistencyError("wave mass does not match front variation")

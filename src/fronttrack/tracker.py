@@ -13,8 +13,12 @@ meeting (t, x) of every converging pair of neighbours sits in a min-heap,
 entered when the pair forms: at t = 0, or at an event's block edges (a fan's
 own pairs diverge).  Two lines meet at one time whenever they are looked at,
 so an entry stays exact while its pair stays adjacent; an entry whose pair
-was broken up by an event is skipped when popped (lazy invalidation).  The
-total variation of each slab is carried along, event by event.
+was broken up by an event is skipped when popped (lazy invalidation).  Each
+entry leads with the integer key floor(t * 2^64), which never decreases as t
+grows, so the heap sifts on ints and compares the exact (t, x) only when two
+keys tie.  The total variation of each slab is carried along, event by
+event, as a whole number of atoms of size epsilon (every state is a grid
+point), and made a `Fraction` once per slab, when the Timeline is built.
 
 The collision kernel runs on integers.  Each front carries the numerators
 and denominators of its line's intercept and speed (`Front.line`, fixed at
@@ -130,6 +134,14 @@ def _strength(fronts) -> Fraction:
     return sum((fr.strength for fr in fronts), Fraction(0))
 
 
+def _atoms(fronts, eps) -> int:
+    """The total strength of ``fronts`` in atoms of size eps: every state is
+    a grid point (`GridFlux.index_of` rejects any other), so a strength n/d
+    is the whole number (n * eps_d) // (d * eps_n) of them."""
+    e_n, e_d = eps.numerator, eps.denominator
+    return sum(fr.strength.numerator * e_d // (fr.strength.denominator * e_n) for fr in fronts)
+
+
 @dataclass(frozen=True)
 class InteractionEvent:
     """The fronts that meet at (t, x) and the fan born there.  The merged
@@ -227,7 +239,10 @@ def _schedule(heap, left, right, t):
     It runs on the lines' integers: gap0 = g_n / g_d and ds = d_n / d_d with
     positive denominators, so the ordering test and the sign of ds are
     cross-multiplications, and the meeting time and its point on the left
-    line (`Front.position_at`) are the two `Fraction`s made."""
+    line (`Front.position_at`) are the two `Fraction`s made.  The entry leads
+    with the integer key floor(t_meet * 2^64), which never decreases as
+    t_meet grows: entries pop in (t, x, left fid, right fid) order, and the
+    `Fraction`s are compared only when two keys tie."""
     al, bl, cl, dl = left.line
     ar, br, cr, dr = right.line
     g_n, g_d = ar * bl - al * br, bl * br
@@ -235,21 +250,24 @@ def _schedule(heap, left, right, t):
     if g_n * d_d * t.denominator < d_n * t.numerator * g_d:
         raise ConsistencyError("front ordering lost")
     if d_n > 0:
-        t_meet = Fraction(g_n * d_d, g_d * d_n)
-        heappush(heap, (t_meet, left.position_at(t_meet), left.fid, right.fid))
+        num, den = g_n * d_d, g_d * d_n
+        t_meet = Fraction(num, den)
+        x = left.position_at(t_meet)
+        heappush(heap, ((num << 64) // den, t_meet, x, left.fid, right.fid))
 
 
 def next_collision(heap, live, fids):
     """Pop the earliest (t, x), lexicographic, at which live neighbours meet.
 
-    ``heap`` holds one (t, x, left fid, right fid) entry per converging pair
-    that was ever adjacent; ``live`` is the ordered front list and ``fids``
-    its fids.  An entry is stale once its left front has left the line or has
-    another right neighbour.  The block that collides is every front at x at
-    time t, found by extending the popped pair left and right.
+    ``heap`` holds one (key, t, x, left fid, right fid) entry per converging
+    pair that was ever adjacent, key = floor(t * 2^64) (see `_schedule`);
+    ``live`` is the ordered front list and ``fids`` its fids.  An entry is
+    stale once its left front has left the line or has another right
+    neighbour.  The block that collides is every front at x at time t, found
+    by extending the popped pair left and right.
     """
     while heap:
-        t, x, lf, rf = heappop(heap)
+        _, t, x, lf, rf = heappop(heap)
         if lf in fids:
             i = fids.index(lf)
             if i + 1 < len(fids) and fids[i + 1] == rf:
@@ -268,6 +286,8 @@ def next_collision(heap, live, fids):
 def _extremal_intermediate(states):
     """Among the intermediate chain states, the one farthest outside the
     closed span of the end states (any of them for a monotone chain)."""
+    if len(states) == 3:
+        return states[1]  # a two-front event has one intermediate state
     a, c = states[0], states[-1]
     lo, hi = (a, c) if a < c else (c, a)
     best, best_d = states[1], None
@@ -301,22 +321,25 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
     next_fid = len(live)
     cap = max_events if max_events is not None else 10 * max(len(live), 1) ** 2
 
-    heap = []
+    heap, t0 = [], Fraction(0)
     for fr, gr in zip(live, live[1:]):
-        _schedule(heap, fr, gr, Fraction(0))
+        _schedule(heap, fr, gr, t0)
     events = []
     slabs = [tuple(live)]
-    tvs = [_strength(live)]
+    eps = flux.epsilon
+    tv_atoms = [_atoms(live, eps)]  # each slab's total variation / eps
+
+    def timeline():
+        tvs = tuple(n * eps for n in tv_atoms)
+        return Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id, tvs)
+
     while True:
         hit = next_collision(heap, live, fids)
         if hit is None:
             break
         if len(events) >= cap:
-            partial = Timeline(
-                flux, profile, tuple(events), tuple(slabs), fronts_by_id, tuple(tvs)
-            )
             raise TrackerError(
-                f"event cap {cap} exceeded at t={hit.t}", partial_timeline=partial
+                f"event cap {cap} exceeded at t={hit.t}", partial_timeline=timeline()
             )
         block = live[hit.first : hit.last + 1]
         event = resolve_event(block, hit.t, hit.x, flux, fid_start=next_fid)
@@ -331,10 +354,10 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
         for j in {hit.first - 1, hit.first + len(out) - 1}:
             if 0 <= j < len(live) - 1:
                 _schedule(heap, live[j], live[j + 1], hit.t)
-        tvs.append(tvs[-1] - _strength(block) + _strength(out))
+        tv_atoms.append(tv_atoms[-1] - _atoms(block, eps) + _atoms(out, eps))
         events.append(event)
         slabs.append(tuple(live))
-    return Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id, tuple(tvs))
+    return timeline()
 
 
 def profile_at(tl: Timeline, t: Fraction, side: str = "post") -> Profile:

@@ -237,6 +237,23 @@ def test_advance_tracing_rejects_cells_out_of_order():
         advance_tracing(ws, tl)
 
 
+def test_validate_tracing_rejects_cells_out_of_order():
+    # the wave system the cell-dict assignment made from swapped cells: the
+    # shock (2, 0) carries atoms 2 and 3 across cells 0, 1 instead of 1, 0,
+    # so atom 2 survives event 0 in place of atom 3; every mass, span and
+    # survival count still matches
+    wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
+    p = Profile(F(0), ((F(0), F(2)), (F(1), F(0))))
+    tl, ws = traced(p, wide, F(1))
+    assert (ws.cell, ws.atoms_of[2], ws.atoms_of[3]) == ([0, 1, 1, 0], (2, 3), (3,))
+    ws.cell = [0, 1, 0, 1]
+    ws.atoms_of[3] = (2,)
+    ws.events_of = [[], [], [0], []]
+    ws.canc_event = [None, 0, None, 0]
+    with pytest.raises(ConsistencyError, match="front 2: its waves do not cross its states"):
+        validate_tracing(ws)
+
+
 def test_advance_tracing_rejects_fronts_that_do_not_chain():
     wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
     p = Profile(F(0), ((F(0), F(2)), (F(1), F(0))))

@@ -1,5 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from heapq import heappop
+from math import floor
 
 import pytest
 from hypothesis import example, given, settings
@@ -241,7 +243,7 @@ def _assert_schedule_matches_oracle(left, right, t):
     else:
         x = front_position(left, t_meet)
         assert front_position(right, t_meet) == x
-        assert heap == [(t_meet, x, left.fid, right.fid)]
+        assert heap == [(floor(t_meet * 2**64), t_meet, x, left.fid, right.fid)]
 
 
 @settings(max_examples=400, deadline=None)
@@ -283,6 +285,31 @@ def test_position_at_matches_the_position_oracle(fr, t, other, ds):
     right = replace(other, speed=fr.speed - ds, birth_time=F(t), birth_x=x + abs(ds))
     assert right.position_at(t) == x + abs(ds)
     _assert_schedule_matches_oracle(fr, right, F(t))
+
+
+# meeting times that share the heap key floor(t * 2^64) with each other
+# (offsets of 2^-80 and 2^-90) and times whose keys differ (2^-64 and 1)
+key_ties = st.builds(F, st.integers(0, 2**70), st.integers(1, 2**70))
+tie_offsets = st.sampled_from([F(0), F(1, 2**90), F(1, 2**80), F(3, 2**80), F(1, 2**64), F(1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases=st.lists(key_ties, min_size=1, max_size=3),
+       meetings=st.lists(st.tuples(st.integers(0, 2), tie_offsets, st.integers(-3, 3),
+                                   st.integers(0, 5)), min_size=2, max_size=12))
+@example(  # equal keys: the earlier meeting pops first, at a larger x and fid
+    bases=[F(1, 3)], meetings=[(0, F(1, 2**80), 0, 0), (0, F(0), 5, 7)])
+def test_heap_pops_meetings_in_exact_order_when_keys_tie(bases, meetings):
+    heap, expected = [], []
+    for i, offset, x, fid in meetings:
+        t = bases[i % len(bases)] + offset
+        # a front at speed 1 and one at rest, ordered at t = 0, meet at (t, x)
+        left, right = _front(1, 0, 1, x - t, fid=fid), _front(0, -1, 0, x, fid=fid + 1)
+        _schedule(heap, left, right, F(0))
+        expected.append((t, F(x), fid, fid + 1))
+    popped = [heappop(heap) for _ in meetings]
+    assert [entry[1:] for entry in popped] == sorted(expected)
+    assert all(key == floor(t * 2**64) for key, t, *_ in popped)
 
 
 # -- event resolution ----------------------------------------------------------
