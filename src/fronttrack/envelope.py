@@ -121,20 +121,30 @@ def parse_flux_spec(flux_spec):
 
 
 def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
-    """Sample a flux spec (see `parse_flux_spec`) on the grid; a polynomial
-    is evaluated exactly by Horner's rule at each grid point."""
+    """Sample a flux spec (see `parse_flux_spec`) on the grid.
+
+    A polynomial is evaluated exactly on integers: with coefficients
+    c_i = a_i/b_i, B = lcm(b_i), epsilon = p/q and degree n, B*q^n*F(k*epsilon)
+    is the integer sum of (a_i*B/b_i) * q^(n-i) * (k*p)^i, taken by Horner's
+    rule in k*p, and each sample is one `Fraction` of it over B*q^n.  An empty
+    coefficient list is the zero flux."""
     eps = parse_rational(epsilon)
     k_min, k_max = int(index_range[0]), int(index_range[1])
 
     kind, spec = parse_flux_spec(flux_spec)
     if kind == "polynomial":
+        p, q = eps.numerator, eps.denominator
+        n = max(len(spec) - 1, 0)
+        scale = lcm(*(c.denominator for c in spec))
+        coefficients = [c.numerator * (scale // c.denominator) * q ** (n - i)
+                        for i, c in enumerate(spec)][::-1]
+        den = scale * q**n
         values = []
         for k in range(k_min, k_max + 1):
-            u = k * eps
-            acc = Fraction(0)
-            for c in reversed(spec):
-                acc = acc * u + c
-            values.append(acc)
+            x, acc = k * p, 0
+            for c in coefficients:
+                acc = acc * x + c
+            values.append(Fraction(acc, den))
     else:
         missing = [k for k in range(k_min, k_max + 1) if k not in spec]
         if missing:
@@ -155,10 +165,6 @@ class PiecewiseLinearFn:
     fans: list = field(
         default_factory=lambda: [None, None], init=False, compare=False, repr=False
     )
-
-    def pieces(self):
-        """(x_lo, x_hi, slope) for each affine piece, left to right."""
-        return zip(self.breakpoints, self.breakpoints[1:], self.slopes)
 
 
 def _lower_hull(points):
@@ -207,14 +213,16 @@ def _concave_by_index(f: GridFlux, ka: int, kb: int) -> PiecewiseLinearFn:
     return _hull_by_index(f, ka, kb, -1)
 
 
-def envelope(f: GridFlux, a, b, sign: int) -> PiecewiseLinearFn:
-    """On the grid interval [a, b], the largest convex minorant of the samples
-    for sign > 0 (positive jumps), else the smallest concave majorant.  The
-    endpoints are used as given (`Fraction`s or ints)."""
+def envelope(f: GridFlux, a: int, b: int, sign: int) -> PiecewiseLinearFn:
+    """On the grid interval from index a to index b (the states a*epsilon and
+    b*epsilon), the largest convex minorant of the samples for sign > 0
+    (positive jumps), else the smallest concave majorant."""
     if a >= b:
         raise InputError(f"need a < b, got [{a}, {b}]")
+    if a < f.k_min or b > f.k_max:
+        raise DomainError(f"grid interval [{a}, {b}] outside the flux window")
     by_index = _convex_by_index if sign > 0 else _concave_by_index
-    return by_index(f, f.index_of(a), f.index_of(b))
+    return by_index(f, a, b)
 
 
 def curvature_constant(f: GridFlux) -> Fraction:

@@ -38,7 +38,7 @@ from math import lcm
 from .envelope import GridFlux, curvature_constant, envelope
 from .errors import ConsistencyError, InputError
 from .rationals import grid_index
-from .tracker import SAME_SIGN, InteractionEvent, Timeline, evolve, profile_at
+from .tracker import SAME_SIGN, InteractionEvent, Timeline, evolve, merge_steps, profile_at
 from .tracing import (
     WaveSystem, advance_tracing, build_initial_waves, first_common_event, meeting_cells,
 )
@@ -50,7 +50,7 @@ from .tracing import (
 @lru_cache(maxsize=None)
 def _cell_slopes(flux: GridFlux, lo: int, hi: int, sign: int):
     """Envelope slope on each state cell k in [lo, hi) for the given sign."""
-    env = envelope(flux, lo * flux.epsilon, hi * flux.epsilon, sign)
+    env = envelope(flux, lo, hi, sign)
     out = {}
     for k0, k1, s in zip(env.indices, env.indices[1:], env.slopes):
         for k in range(k0, k1):
@@ -64,9 +64,8 @@ def _slope_gap_integral(flux, span_a, span_b, over, sign):
     One walk over the merged breakpoints of the two envelopes: on each
     stretch [k0, k1) of cells where both are affine, (k1 - k0) times the
     gap of their slopes."""
-    eps = flux.epsilon
-    env_a = envelope(flux, span_a[0] * eps, span_a[1] * eps, sign)
-    env_b = envelope(flux, span_b[0] * eps, span_b[1] * eps, sign)
+    env_a = envelope(flux, *span_a, sign)
+    env_b = envelope(flux, *span_b, sign)
     ka, kb = env_a.indices, env_b.indices
     k, hi = over
     i, j = bisect_right(ka, k) - 1, bisect_right(kb, k) - 1
@@ -79,7 +78,7 @@ def _slope_gap_integral(flux, span_a, span_b, over, sign):
         if kb[j + 1] == k1:
             j += 1
         k = k1
-    return total * eps
+    return total * flux.epsilon
 
 
 def _span(u, v, flux):
@@ -109,7 +108,7 @@ def _cancellation_triple(a, b, c, flux) -> Fraction:
 def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
     """Total speed change of an event; composite events sum their merge steps."""
     total = Fraction(0)
-    for _, p, q, r in event.merge_steps():
+    for _, p, q, r in merge_steps(event.chain_states):
         if p == q:
             continue
         if (r > q) == (q > p):

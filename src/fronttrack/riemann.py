@@ -1,17 +1,24 @@
 """Entropic Riemann solver for the grid-sampled flux.
 
-A jump (u_left, u_right) decomposes into one front per affine piece of the
-convex (increasing jump) or concave (decreasing jump) envelope of the flux on
-the state interval.  Fronts come out ordered left to right by strictly
-increasing speed, with states chaining from u_left to u_right.
+A jump between two grid states decomposes into one front per affine piece of
+the convex (increasing jump) or concave (decreasing jump) envelope of the
+flux on the state interval.  Fronts come out ordered left to right by
+strictly increasing speed, with states chaining from the left state to the
+right one.
+
+States enter and leave the solver as grid indices: `solve_riemann` takes the
+jump's two indices k_left and k_right (the states k*epsilon), reads the hull
+on them, and gives every front it births the indices of its own states
+(`Front.k_left`, `Front.k_right`, read off the hull's `indices`), so front
+tracking and wave tracing never turn a state back into its index.
 
 A fan depends on its hull and on the direction it is traversed in, not on
 where it is born.  So the first solve that reads a hull in one direction
-derives the fan's fields that do not depend on the birth point (states,
-speed, sign, strength, state span), runs the fan's guards, and keeps the
-result on the hull (`PiecewiseLinearFn.fans`); every later solve of a jump
-on that hull reads it back and derives only each front's line through its
-birth point (`x_at_zero`, `line`), on integers.
+derives the fan's fields that do not depend on the birth point (states and
+their indices, speed, sign, strength, state span), runs the fan's guards,
+and keeps the result on the hull (`PiecewiseLinearFn.fans`); every later
+solve of a jump on that hull reads it back and derives only each front's
+line through its birth point (`x_at_zero`, `line`), on integers.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +58,13 @@ class Front:
     denominator of ``x_at_zero`` and of ``speed``) are derived once, when it
     is made; `dataclasses.replace` cannot set them, and derives them again
     from the edited fields.  `solve_riemann` births its fronts from a fan
-    template with the same fields (`_jump_fields`, `_line_fields`)."""
+    template with the same fields (`_jump_fields`, `_line_fields`).
+
+    A front born in `solve_riemann` also carries the grid indices of its left
+    and right states, ``k_left`` and ``k_right``, which front tracking and
+    wave tracing read in place of the states.  A front made by hand or by
+    `dataclasses.replace` carries None there, so it fails on the first
+    integer use instead of giving a wrong answer."""
 
     left: Fraction
     right: Fraction
@@ -65,6 +78,8 @@ class Front:
     u_hi: Fraction = field(init=False, compare=False, repr=False)
     x_at_zero: Fraction = field(init=False, compare=False, repr=False)
     line: tuple = field(init=False, compare=False, repr=False)
+    k_left: int = field(init=False, compare=False, repr=False)
+    k_right: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         fields, speed = vars(self), self.speed
@@ -74,6 +89,8 @@ class Front:
         fields["x_at_zero"], fields["line"] = _line_fields(
             speed.numerator, speed.denominator, self.birth_time, self.birth_x
         )
+        # a front cannot know the grid size: only `solve_riemann` sets them
+        fields["k_left"] = fields["k_right"] = None
 
     def position_at(self, t) -> Fraction:
         """Where the front's line is at time t (a `Fraction` or an int): with
@@ -91,64 +108,73 @@ class Front:
         return (a * d * td + c * b * t.numerator) * x.denominator == x.numerator * b * d * td
 
 
-def _fan(hull, rising: bool, u_left, u_right) -> tuple:
-    """The fan template of ``hull`` traversed from the u_left end: for each
+def _fan(hull, rising: bool, k_left: int, k_right: int) -> tuple:
+    """The fan template of ``hull`` traversed from the k_left end: for each
     piece, left to right, the fields of its front that do not depend on its
-    birth point (left, right, speed, sign, strength, u_lo, u_hi) and its
-    speed's numerator and denominator.  The fan's guards run here, once per
-    hull and direction: a hull's end states are its grid points, so every
-    jump that reads it has the same two states."""
-    pieces = list(hull.pieces())
+    birth point (left, right, speed, sign, strength, u_lo, u_hi), its
+    speed's numerator and denominator, and its end states' grid indices
+    (k_left, k_right, read off ``hull.indices``).  The fan's guards run here,
+    once per hull and direction: a hull's end states are its grid points, so
+    every jump that reads it has the same two states."""
+    ks, us = hull.indices, hull.breakpoints
+    pieces = list(zip(ks, ks[1:], us, us[1:], hull.slopes))
     if not rising:
         # decreasing jump: traverse the concave envelope from the top state
-        pieces = [(b, a, s) for a, b, s in reversed(pieces)]
-    fan = tuple((a, b, s, *_jump_fields(a, b), s.numerator, s.denominator) for a, b, s in pieces)
-    speeds = [s for _, _, s in pieces]
+        pieces = [(kb, ka, b, a, s) for ka, kb, a, b, s in reversed(pieces)]
+    fan = tuple((a, b, s, *_jump_fields(a, b), s.numerator, s.denominator, ka, kb)
+                for ka, kb, a, b, s in pieces)
+    speeds = [s for *_, s in pieces]
     if any(s >= t for s, t in zip(speeds, speeds[1:])):
         raise ConsistencyError("Riemann fan speeds must strictly increase")
-    if pieces[0][0] != u_left or pieces[-1][1] != u_right:
+    if pieces[0][0] != k_left or pieces[-1][1] != k_right:
         raise ConsistencyError("Riemann fan states do not chain to the data")
     return fan
 
 
-def solve_riemann(u_left, u_right, flux: GridFlux, t0=Fraction(0), x0=Fraction(0),
+def solve_riemann(k_left: int, k_right: int, flux: GridFlux, t0=Fraction(0), x0=Fraction(0),
                   fid_start=0):
-    """Decompose the jump (u_left, u_right) at (t0, x0) into admissible fronts,
-    numbered fid_start, fid_start + 1, ... from left to right.
+    """Decompose the jump between the grid states k_left*epsilon and
+    k_right*epsilon at (t0, x0) into admissible fronts, numbered fid_start,
+    fid_start + 1, ... from left to right.
 
     Returns [] for a null jump.  Fronts are in bijection with the envelope
-    pieces on [min, max] of the two states, traversed from the u_left end.
-    The arguments are used as given: t0 and x0 must be `Fraction`s.  Each
-    front is born from the hull's fan template (`_fan`) with the fields that
-    `Front.__post_init__` would derive, so it equals, field for field, the
-    `Front(left, right, speed, t0, x0, fid)` of its piece.
+    pieces between the two states, traversed from the k_left end.  The
+    arguments are used as given: k_left and k_right must be ints (a `Front`
+    made by hand carries None, which the first comparison rejects), t0 and
+    x0 `Fraction`s.  Each front is born from the hull's fan template
+    (`_fan`) with the fields that `Front.__post_init__` would derive, so it
+    equals, field for field, the `Front(left, right, speed, t0, x0, fid)` of
+    its piece, and carries its states' grid indices besides.
     """
-    if u_left == u_right:
-        return []
-    rising = u_right > u_left
+    rising = k_right > k_left
     if rising:
-        hull = envelope(flux, u_left, u_right, 1)
+        hull = envelope(flux, k_left, k_right, 1)
+    elif k_left == k_right:
+        return []
     else:
-        hull = envelope(flux, u_right, u_left, -1)
+        hull = envelope(flux, k_right, k_left, -1)
     fans = hull.fans
     fan = fans[rising]
     if fan is None:
-        fan = fans[rising] = _fan(hull, rising, u_left, u_right)
+        fan = fans[rising] = _fan(hull, rising, k_left, k_right)
     fronts = []
-    for fid, (left, right, speed, sign, strength, u_lo, u_hi, n, m) in enumerate(fan, fid_start):
+    for fid, (left, right, speed, sign, strength, u_lo, u_hi, n, m, ka, kb) in enumerate(
+        fan, fid_start
+    ):
         x_at_zero, line = _line_fields(n, m, t0, x0)
         front = object.__new__(Front)
         object.__setattr__(front, "__dict__", {
             "left": left, "right": right, "speed": speed, "birth_time": t0, "birth_x": x0,
             "fid": fid, "sign": sign, "strength": strength, "u_lo": u_lo, "u_hi": u_hi,
-            "x_at_zero": x_at_zero, "line": line,
+            "x_at_zero": x_at_zero, "line": line, "k_left": ka, "k_right": kb,
         })
         fronts.append(front)
     return fronts
 
 
 def is_admissible(front: Front, flux: GridFlux) -> bool:
-    """True iff the envelope over the front's jump is the single chord at its speed."""
-    env = envelope(flux, front.u_lo, front.u_hi, front.sign)
-    pieces = list(env.pieces())
-    return len(pieces) == 1 and pieces[0][2] == front.speed
+    """True iff the envelope over the front's jump is the single chord at its
+    speed.  A validator: the grid indices come from the front's states, not
+    from the ones it carries."""
+    env = envelope(flux, flux.index_of(front.u_lo), flux.index_of(front.u_hi), front.sign)
+    return len(env.slopes) == 1 and env.slopes[0] == front.speed

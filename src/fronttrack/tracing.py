@@ -25,6 +25,11 @@ order, and each event's outgoing fan takes its survivors the same way, each
 front one atom per state cell it spans; one list comparison per front checks
 that those atoms' cells are the front's cells in traversal order
 (`_take_atoms`).  An atom's initial jump is not stored.
+
+The walk reads states only as the grid indices each front carries from its
+birth (`Front.k_left`, `Front.k_right`): the cells a front crosses and an
+event's survival walk are integer ranges.  `validate_tracing` does not read
+them; it derives its indices from the fronts' states.
 """
 
 from bisect import bisect_left
@@ -32,7 +37,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
 from .rationals import grid_index
-from .tracker import Profile, Timeline
+from .tracker import Profile, Timeline, merge_steps
 
 
 class WaveSystem:
@@ -81,22 +86,22 @@ def _cells(k0: int, k1: int) -> range:
 def _take_atoms(ws, fronts, atoms):
     """Give each of ``fronts``, a chain left to right, the next of ``atoms``
     in id order, one per state cell it spans: their cells must be the
-    front's cells from its left state to its right one, and no atom may be
-    left over."""
-    eps, cell = ws.epsilon, ws.cell
+    front's cells from its left state to its right one (the grid indices it
+    carries), and no atom may be left over."""
+    cell = ws.cell
     start = 0
     if fronts:
-        state, k0 = fronts[0].left, grid_index(fronts[0].left, eps)
+        k0 = fronts[0].k_left
     for fr in fronts:
-        if fr.left != state:
+        if fr.k_left != k0:
             raise ConsistencyError(f"front {fr.fid}: its left state is not its neighbour's right")
-        k1 = grid_index(fr.right, eps)
+        k1 = fr.k_right
         cells = _cells(k0, k1)
         carried = atoms[start:start + len(cells)]
         if [cell[a] for a in carried] != [*cells]:
             raise ConsistencyError(f"front {fr.fid}: its waves do not cross its states in order")
         ws.atoms_of[fr.fid] = tuple(carried)
-        start, state, k0 = start + len(cells), fr.right, k1
+        start, k0 = start + len(cells), k1
     if start != len(atoms):
         raise ConsistencyError(f"waves left over after the fronts: {len(atoms) - start}")
 
@@ -105,23 +110,24 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
     """Record each front's atoms at its birth, and survivals and cancellations."""
     if ws.timeline is not None:
         raise InputError("wave system already traced")
-    eps = ws.epsilon
     ws.timeline = tl
     _take_atoms(ws, tl.slabs[0], range(ws.atom_count))
 
     for e_idx, ev in enumerate(tl.events):
-        groups = [ws.atoms_of[fr.fid] for fr in ev.incoming]
+        incoming = ev.incoming
+        groups = [ws.atoms_of[fr.fid] for fr in incoming]
         # survival is decided by state membership in the running merged jump,
         # which stays sign-pure at every step; once it cancels out (p == q)
-        # the next front's atoms all lie in [p, r) and survive
+        # the next front's atoms all lie in [p, r) and survive.  The walk
+        # runs on the grid indices of the chain's states.
         survivors = list(groups[0])
         casualties = []
-        for i, p, q, r in ev.merge_steps():
+        chain = [incoming[0].k_left, *(fr.k_right for fr in incoming)]
+        for i, p, q, r in merge_steps(chain):
             if (r > q) == (q > p):
                 survivors.extend(groups[i])
                 continue
-            lo = grid_index(min(p, r), eps)
-            hi = grid_index(max(p, r), eps)
+            lo, hi = (p, r) if p < r else (r, p)
             kept = []
             for a in [*survivors, *groups[i]]:
                 if lo <= ws.cell[a] < hi:

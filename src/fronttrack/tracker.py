@@ -20,6 +20,13 @@ keys tie.  The total variation of each slab is carried along, event by
 event, as a whole number of atoms of size epsilon (every state is a grid
 point), and made a `Fraction` once per slab, when the Timeline is built.
 
+States enter and leave the tracker as grid indices.  `initial_fronts` turns
+each profile value into its index once, and every front carries the indices
+of its two states from its birth (`Front.k_left`, `Front.k_right`), so an
+event's chain test, its re-solve (`solve_riemann` on the block's end
+indices) and the atom counts are integer operations.  `validate_timeline`
+does not read the carried indices: it checks the fronts' `Fraction` states.
+
 The collision kernel runs on integers.  Each front carries the numerators
 and denominators of its line's intercept and speed (`Front.line`, fixed at
 its birth), so the ordering test and the convergence test of a new pair are
@@ -134,12 +141,10 @@ def _strength(fronts) -> Fraction:
     return sum((fr.strength for fr in fronts), Fraction(0))
 
 
-def _atoms(fronts, eps) -> int:
-    """The total strength of ``fronts`` in atoms of size eps: every state is
-    a grid point (`GridFlux.index_of` rejects any other), so a strength n/d
-    is the whole number (n * eps_d) // (d * eps_n) of them."""
-    e_n, e_d = eps.numerator, eps.denominator
-    return sum(fr.strength.numerator * e_d // (fr.strength.denominator * e_n) for fr in fronts)
+def _atoms(fronts) -> int:
+    """The total strength of ``fronts`` in atoms of size epsilon: the number
+    of grid cells between each front's carried state indices."""
+    return sum(abs(fr.k_right - fr.k_left) for fr in fronts)
 
 
 @dataclass(frozen=True)
@@ -171,20 +176,21 @@ class InteractionEvent:
     def chain_states(self):
         return (self.incoming[0].left,) + tuple(fr.right for fr in self.incoming)
 
-    def merge_steps(self):
-        """The left-to-right pairwise merge: for each incoming front i >= 1,
-        yield (i, p, q, r), where (p, q) is the jump merged from the fronts
-        before i (p == q once they cancel out) and r is front i's right state."""
-        states = self.chain_states
-        p, q = states[0], states[1]
-        for i in range(1, len(self.incoming)):
-            r = states[i + 1]
-            yield i, p, q, r
-            q = r
-
     @property
     def canceled_mass(self) -> Fraction:
         return _strength(self.incoming) - abs(self.c - self.a)
+
+
+def merge_steps(states):
+    """The left-to-right pairwise merge of an event's chain of states (its
+    `chain_states`, or their grid indices): for each incoming front i >= 1,
+    yield (i, p, q, r), where (p, q) is the jump merged from the fronts
+    before i (p == q once they cancel out) and r is front i's right state."""
+    p, q = states[0], states[1]
+    for i in range(1, len(states) - 1):
+        r = states[i + 1]
+        yield i, p, q, r
+        q = r
 
 
 @dataclass
@@ -214,12 +220,14 @@ class Timeline:
 
 
 def initial_fronts(profile: Profile, flux: GridFlux):
-    """Riemann fans at every initial jump, at time zero, numbered from 0."""
+    """Riemann fans at every initial jump, at time zero, numbered from 0.
+    Each profile value is turned into its grid index once
+    (`GridFlux.index_of`: an off-grid or out-of-window value is an error)."""
     fronts = []
-    prev = profile.constant_state
-    for x, v in profile.jumps:
-        fronts.extend(solve_riemann(prev, v, flux, Fraction(0), x, len(fronts)))
-        prev = v
+    ks = [flux.index_of(u) for u in profile.values()] if profile.jumps else []
+    t0 = Fraction(0)
+    for (x, _), k0, k1 in zip(profile.jumps, ks, ks[1:]):
+        fronts.extend(solve_riemann(k0, k1, flux, t0, x, len(fronts)))
     return fronts
 
 
@@ -299,13 +307,14 @@ def _extremal_intermediate(states):
 
 
 def resolve_event(colliding, t, x, flux, fid_start=0):
-    """Solve the Riemann problem spanned by a colliding block of fronts."""
+    """Solve the Riemann problem spanned by a colliding block of fronts, on
+    the grid indices the fronts carry."""
     for fr, gr in zip(colliding, colliding[1:]):
-        if fr.right != gr.left:
+        if fr.k_right != gr.k_left:
             raise ConsistencyError("colliding front states do not chain")
     if not all(fr.passes_through(t, x) for fr in colliding):
         raise ConsistencyError("colliding fronts do not meet at the event point")
-    outgoing = solve_riemann(colliding[0].left, colliding[-1].right, flux, t, x, fid_start)
+    outgoing = solve_riemann(colliding[0].k_left, colliding[-1].k_right, flux, t, x, fid_start)
     return InteractionEvent(t, x, tuple(colliding), tuple(outgoing))
 
 
@@ -327,7 +336,7 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
     events = []
     slabs = [tuple(live)]
     eps = flux.epsilon
-    tv_atoms = [_atoms(live, eps)]  # each slab's total variation / eps
+    tv_atoms = [_atoms(live)]  # each slab's total variation / eps
 
     def timeline():
         tvs = tuple(n * eps for n in tv_atoms)
@@ -354,7 +363,7 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
         for j in {hit.first - 1, hit.first + len(out) - 1}:
             if 0 <= j < len(live) - 1:
                 _schedule(heap, live[j], live[j + 1], hit.t)
-        tv_atoms.append(tv_atoms[-1] - _atoms(block, eps) + _atoms(out, eps))
+        tv_atoms.append(tv_atoms[-1] - _atoms(block) + _atoms(out))
         events.append(event)
         slabs.append(tuple(live))
     return timeline()

@@ -1,5 +1,8 @@
 """Independent oracles and shared fixtures for the test suite.
 
+`horner_samples` evaluates a polynomial flux on `Fraction`s, against which
+`sample_flux`'s integer evaluation is checked.
+
 The hull oracle and the slope-integral oracles deliberately avoid the
 package's monotone-chain envelope code path: envelopes are evaluated as
 minima over all chords, so agreement is a real cross-check.  The per-cell
@@ -20,7 +23,6 @@ definitions from the front's states and birth point, not from the fields a
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -67,12 +69,25 @@ def hull_oracle_values(points):
     return out
 
 
+def horner_samples(coefficients, eps, k_min, k_max):
+    """F(k*eps) for k = k_min..k_max, F the polynomial with ``coefficients``
+    (constant term first), by Horner's rule on `Fraction`s: the slow path
+    that `sample_flux`'s integer Horner replaced."""
+    values = []
+    for k in range(k_min, k_max + 1):
+        u, acc = k * F(eps), F(0)
+        for c in reversed(coefficients):
+            acc = acc * u + c
+        values.append(acc)
+    return tuple(values)
+
+
 # -- pointwise envelope queries ------------------------------------------------------
 
 
 def piece_slopes(env):
     """The slope of each affine piece of a `PiecewiseLinearFn`, left to right."""
-    return [s for _, _, s in env.pieces()]
+    return list(env.slopes)
 
 
 def ordinates(f, env):
@@ -299,7 +314,7 @@ def oracle_evolve(profile, flux, max_events=None):
     if not (flux.contains_u(lo) and flux.contains_u(hi)):
         raise InputError("flux window does not cover the profile's value range")
 
-    live = [replace(fr, fid=i) for i, fr in enumerate(initial_fronts(profile, flux))]
+    live = initial_fronts(profile, flux)
     fronts_by_id = {fr.fid: fr for fr in live}
     next_fid = len(live)
     cap = max_events if max_events is not None else 10 * max(len(live), 1) ** 2

@@ -239,7 +239,7 @@ def _exhaustive_hull_check(flux):
                for k in range(flux.k_min, flux.k_max + 1)]
         for i in range(len(pts) - 1):
             for j in range(i + 1, len(pts)):
-                env = envelope(flux, pts[i][0], pts[j][0], sign)
+                env = envelope(flux, flux.k_min + i, flux.k_min + j, sign)
                 expected = hull_oracle_values(pts[i:j + 1])
                 for (x, _), want in zip(pts[i:j + 1], expected):
                     assert value_at(flux, env, x) == sign * want

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fronttrack.envelope import (
@@ -16,7 +16,9 @@ from fronttrack.envelope import (
 from fronttrack.errors import DomainError, InputError
 from fronttrack.rationals import grid_index
 
-from oracles import hull_oracle_values, ordinates, piece_slopes, rh_speed, slope_at, value_at
+from oracles import (
+    horner_samples, hull_oracle_values, ordinates, piece_slopes, rh_speed, slope_at, value_at,
+)
 
 BURGERS = {"polynomial": ["0", "0", "1/2"]}
 CUBIC = {"polynomial": ["0", "0", "0", "1"]}
@@ -28,7 +30,7 @@ def envelope_matches_oracle(flux, ka, kb):
     for sign in (1, -1):
         pts = [(flux.grid_u(k), sign * flux.value_at_index(k)) for k in range(ka, kb + 1)]
         expected = hull_oracle_values(pts)
-        env = envelope(flux, flux.grid_u(ka), flux.grid_u(kb), sign)
+        env = envelope(flux, ka, kb, sign)
         for (x, _), want in zip(pts, expected):
             assert value_at(flux, env, x) == sign * want
         # hull vertices must be sample points where envelope touches the samples
@@ -48,6 +50,23 @@ def test_sample_burgers_unit_grid():
 def test_sample_cubic_half_grid():
     f = sample_flux(CUBIC, "1/2", (-2, 2))
     assert f.values == (F(-1), F(-1, 8), F(0), F(1, 8), F(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=7),
+    st.fractions(min_value=F(1, 97), max_value=5, max_denominator=97),
+    st.integers(-40, 10),
+    st.integers(1, 30),
+)
+@example(coefficients=[], eps=F(1, 3), k_min=-4, width=8)  # the zero flux
+@example(coefficients=[F(-7, 5)], eps=F(2, 3), k_min=-3, width=6)  # degree 0
+def test_polynomial_samples_match_fraction_horner(coefficients, eps, k_min, width):
+    # degrees 0 to 6 and the empty list, windows on both sides of k = 0
+    spec = {"polynomial": [str(c) for c in coefficients]}
+    f = sample_flux(spec, str(eps), (k_min, k_min + width))
+    assert f.values == horner_samples(coefficients, eps, k_min, k_min + width)
+    assert all(type(v) is F for v in f.values)
 
 
 def test_sample_table_echoes():
@@ -72,21 +91,21 @@ def test_sample_degenerate_range():
 
 def test_convex_envelope_of_convex_flux_is_identity():
     f = sample_flux(BURGERS, "1", (-2, 2))
-    env = envelope(f, F(-1), F(1), 1)
+    env = envelope(f, -1, 1, 1)
     assert env.breakpoints == (F(-1), F(0), F(1))
     assert ordinates(f, env) == (F(1, 2), F(0), F(1, 2))
 
 
 def test_convex_envelope_collinear_cubic_points():
     f = sample_flux(CUBIC, "1", (-1, 1))
-    env = envelope(f, F(-1), F(1), 1)
+    env = envelope(f, -1, 1, 1)
     assert env.breakpoints == (F(-1), F(1))
     assert piece_slopes(env) == [F(1)]
 
 
 def test_convex_envelope_cubic_quarter_grid():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
-    env = envelope(f, F(-1), F(1), 1)
+    env = envelope(f, -4, 4, 1)
     # chord from (-1,-1) to the tangency point (1/2, 1/8), then the samples
     assert env.breakpoints == (F(-1), F(1, 2), F(3, 4), F(1))
     assert piece_slopes(env) == [F(3, 4), F(19, 16), F(37, 16)]
@@ -95,7 +114,7 @@ def test_convex_envelope_cubic_quarter_grid():
 
 def test_concave_envelope_burgers_single_chord():
     f = sample_flux(BURGERS, "1", (-2, 2))
-    env = envelope(f, F(-1), F(1), -1)
+    env = envelope(f, -1, 1, -1)
     assert env.breakpoints == (F(-1), F(1))
     assert ordinates(f, env) == (F(1, 2), F(1, 2))
     assert piece_slopes(env) == [F(0)]
@@ -103,14 +122,14 @@ def test_concave_envelope_burgers_single_chord():
 
 def test_concave_envelope_of_concave_input_is_identity():
     f = sample_flux({"polynomial": ["0", "0", "-1"]}, "1", (-2, 2))
-    env = envelope(f, F(-2), F(2), -1)
+    env = envelope(f, -2, 2, -1)
     assert env.breakpoints == (F(-2), F(-1), F(0), F(1), F(2))
 
 
 def test_envelope_on_two_point_interval_is_chord():
     f = sample_flux(CUBIC, "1", (-2, 2))
     for sign in (1, -1):
-        env = envelope(f, F(1), F(2), sign)
+        env = envelope(f, 1, 2, sign)
         assert env.breakpoints == (F(1), F(2))
         assert piece_slopes(env) == [F(7)]
 
@@ -118,11 +137,11 @@ def test_envelope_on_two_point_interval_is_chord():
 def test_envelope_errors():
     f = sample_flux(BURGERS, "1", (-2, 2))
     with pytest.raises(InputError):
-        envelope(f, F(1), F(1), 1)
+        envelope(f, 1, 1, 1)
     with pytest.raises(DomainError):
-        envelope(f, F(-3), F(1), 1)
+        envelope(f, -3, 1, 1)
     with pytest.raises(InputError):
-        envelope(f, F(1, 3), F(1), 1)  # off-grid endpoint
+        f.index_of(F(1, 3))  # an off-grid endpoint has no grid index
 
 
 # -- slopes ------------------------------------------------------------------
@@ -130,27 +149,27 @@ def test_envelope_errors():
 
 def test_slope_at_interior_of_chord():
     f = sample_flux(CUBIC, "1", (-1, 1))
-    env = envelope(f, F(-1), F(1), 1)
+    env = envelope(f, -1, 1, 1)
     assert slope_at(env, F(0), "left") == F(1)
     assert slope_at(env, F(0), "right") == F(1)
 
 
 def test_slope_at_cubic_quarter_grid():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
-    env = envelope(f, F(-1), F(1), 1)
+    env = envelope(f, -4, 4, 1)
     assert slope_at(env, F(1, 4), "right") == F(3, 4)
 
 
 def test_slope_at_breakpoint_one_sided():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
-    env = envelope(f, F(-1), F(1), 1)
+    env = envelope(f, -4, 4, 1)
     assert slope_at(env, F(1, 2), "left") == F(3, 4)
     assert slope_at(env, F(1, 2), "right") == F(19, 16)
 
 
 def test_slope_at_domain_edges():
     f = sample_flux(BURGERS, "1", (-2, 2))
-    env = envelope(f, F(-1), F(1), 1)
+    env = envelope(f, -1, 1, 1)
     assert slope_at(env, F(-1), "right") == F(-1, 2)
     with pytest.raises(DomainError):
         slope_at(env, F(-1), "left")
@@ -229,11 +248,13 @@ def test_grid_index_on_and_off_the_grid():
             grid_index(u, eps)
     f = sample_flux(BURGERS, "3/8", (-2, 2))
     assert [f.index_of(k * eps) for k in (-2, 0, 2)] == [-2, 0, 2]
-    for a, b, sign in ((F(-9, 8), F(0), 1), (F(0), F(9, 8), -1), (F(-9, 8), F(9, 8), 1)):
+    for a, b, sign in ((-3, 0, 1), (0, 3, -1), (-3, 3, 1)):
         with pytest.raises(DomainError, match="outside the flux window"):
             envelope(f, a, b, sign)
+    with pytest.raises(DomainError, match="outside the flux window"):
+        f.index_of(F(9, 8))
     with pytest.raises(InputError, match="not a multiple of the grid size"):
-        envelope(f, F(1, 8), F(3, 8), 1)
+        f.index_of(F(1, 8))
 
 
 # -- property tests ----------------------------------------------------------
@@ -261,7 +282,7 @@ def test_envelope_equals_hull_oracle(f, data):
 @given(small_flux)
 def test_envelope_minorant_and_endpoint_equality(f):
     a, b = f.grid_u(f.k_min), f.grid_u(f.k_max)
-    env = envelope(f, a, b, 1)
+    env = envelope(f, f.k_min, f.k_max, 1)
     for k in range(f.k_min, f.k_max + 1):
         assert value_at(f, env, f.grid_u(k)) <= f.value_at_index(k)
     assert value_at(f, env, a) == f.value_at_index(f.k_min)
@@ -271,8 +292,7 @@ def test_envelope_minorant_and_endpoint_equality(f):
 @settings(max_examples=100, deadline=None)
 @given(small_flux)
 def test_envelope_idempotent(f):
-    a, b = f.grid_u(f.k_min), f.grid_u(f.k_max)
-    env = envelope(f, a, b, 1)
+    env = envelope(f, f.k_min, f.k_max, 1)
     # resample the envelope on the same grid and take the envelope again
     resampled = GridFlux(
         f.epsilon,
@@ -280,17 +300,16 @@ def test_envelope_idempotent(f):
         f.k_max,
         tuple(value_at(f, env, f.grid_u(k)) for k in range(f.k_min, f.k_max + 1)),
     )
-    again = envelope(resampled, a, b, 1)
+    again = envelope(resampled, f.k_min, f.k_max, 1)
     assert again == env
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_flux)
 def test_concave_convex_duality(f):
-    a, b = f.grid_u(f.k_min), f.grid_u(f.k_max)
     neg = GridFlux(f.epsilon, f.k_min, f.k_max, tuple(-v for v in f.values))
-    conc = envelope(f, a, b, -1)
-    conv_of_neg = envelope(neg, a, b, 1)
+    conc = envelope(f, f.k_min, f.k_max, -1)
+    conv_of_neg = envelope(neg, f.k_min, f.k_max, 1)
     assert conc.breakpoints == conv_of_neg.breakpoints
     assert ordinates(f, conc) == tuple(-y for y in ordinates(neg, conv_of_neg))
 
@@ -298,10 +317,9 @@ def test_concave_convex_duality(f):
 @settings(max_examples=100, deadline=None)
 @given(small_flux)
 def test_envelope_slope_monotonicity(f):
-    a, b = f.grid_u(f.k_min), f.grid_u(f.k_max)
-    conv_slopes = piece_slopes(envelope(f, a, b, 1))
+    conv_slopes = piece_slopes(envelope(f, f.k_min, f.k_max, 1))
     assert all(s < t for s, t in zip(conv_slopes, conv_slopes[1:]))
-    conc_slopes = piece_slopes(envelope(f, a, b, -1))
+    conc_slopes = piece_slopes(envelope(f, f.k_min, f.k_max, -1))
     assert all(s > t for s, t in zip(conc_slopes, conc_slopes[1:]))
 
 
@@ -311,7 +329,7 @@ def test_rh_speed_between_extreme_envelope_slopes(f, data):
     ka = data.draw(st.integers(f.k_min, f.k_max - 1))
     kb = data.draw(st.integers(ka + 1, f.k_max))
     a, b = f.grid_u(ka), f.grid_u(kb)
-    slopes = piece_slopes(envelope(f, a, b, 1))
+    slopes = piece_slopes(envelope(f, ka, kb, 1))
     speed = rh_speed(f, a, b)
     assert min(slopes) <= speed <= max(slopes)
 
@@ -325,7 +343,7 @@ def test_envelope_slope_gap_bounded_by_curvature(f, data):
     assert K >= 0
     ka = data.draw(st.integers(f.k_min, f.k_max - 1))
     kb = data.draw(st.integers(ka + 1, f.k_max))
-    env = envelope(f, f.grid_u(ka), f.grid_u(kb), 1)
+    env = envelope(f, ka, kb, 1)
     ku = data.draw(st.integers(ka, kb - 1))
     kv = data.draw(st.integers(ku, kb - 1))
     mid_u = f.grid_u(ku) + f.epsilon / 2

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,17 +17,18 @@ from suite_builder import ladder_config
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
+CARRIED = ("k_left", "k_right")  # a front's grid indices, set only by the solver
 
 
 def test_burgers_shock():
-    fronts = solve_riemann(F(1), F(-1), BURGERS)
+    fronts = solve_riemann(1, -1, BURGERS)
     assert len(fronts) == 1
     (fr,) = fronts
     assert (fr.left, fr.right, fr.speed) == (F(1), F(-1), F(0))
 
 
 def test_burgers_discretized_rarefaction():
-    fronts = solve_riemann(F(-1), F(1), BURGERS)
+    fronts = solve_riemann(-1, 1, BURGERS)
     assert [(fr.left, fr.right, fr.speed) for fr in fronts] == [
         (F(-1), F(0), F(-1, 2)),
         (F(0), F(1), F(1, 2)),
@@ -34,12 +36,12 @@ def test_burgers_discretized_rarefaction():
 
 
 def test_null_jump():
-    assert solve_riemann(F(0), F(0), BURGERS) == []
+    assert solve_riemann(0, 0, BURGERS) == []
 
 
 def test_decreasing_jump_nonconvex_flux():
     cubic = sample_flux({"polynomial": ["0", "0", "0", "1"]}, "1/2", (-2, 2))
-    fronts = solve_riemann(F(1), F(-1), cubic)
+    fronts = solve_riemann(2, -2, cubic)  # the states 1 and -1
     assert [(fr.left, fr.right, fr.speed) for fr in fronts] == [
         (F(1), F(-1, 2), F(3, 4)),
         (F(-1, 2), F(-1), F(7, 4)),
@@ -52,8 +54,10 @@ def test_front_rejects_null_jump():
 
 
 def _crafted_envelope(monkeypatch, breakpoints, slopes):
-    """Make `solve_riemann` read these pieces in place of the flux's envelope."""
-    env = PiecewiseLinearFn(tuple(range(len(breakpoints))), breakpoints, slopes)
+    """Make `solve_riemann` read these pieces, between grid points of
+    `BURGERS`, in place of the flux's envelope."""
+    indices = tuple(BURGERS.index_of(u) for u in breakpoints)
+    env = PiecewiseLinearFn(indices, breakpoints, slopes)
     monkeypatch.setattr(riemann, "envelope", lambda *args: env)
 
 
@@ -63,7 +67,7 @@ def test_solve_riemann_rejects_a_fan_whose_speeds_do_not_increase(
 ):
     _crafted_envelope(monkeypatch, (F(-1), F(0), F(1)), (F(1, 2), F(1, 2)))
     with pytest.raises(ConsistencyError, match="Riemann fan speeds must strictly increase"):
-        solve_riemann(u_left, u_right, BURGERS)
+        solve_riemann(BURGERS.index_of(u_left), BURGERS.index_of(u_right), BURGERS)
 
 
 @pytest.mark.parametrize("u_left, u_right", [(F(-1), F(1)), (F(1), F(-1))])
@@ -71,7 +75,24 @@ def test_solve_riemann_rejects_a_fan_that_misses_the_data(monkeypatch, u_left, u
     # the pieces span [-1, 0] only: the fan stops short of one end state
     _crafted_envelope(monkeypatch, (F(-1), F(0)), (F(1, 2),))
     with pytest.raises(ConsistencyError, match="Riemann fan states do not chain to the data"):
-        solve_riemann(u_left, u_right, BURGERS)
+        solve_riemann(BURGERS.index_of(u_left), BURGERS.index_of(u_right), BURGERS)
+
+
+def test_only_the_solver_sets_a_fronts_grid_indices():
+    (fr,) = solve_riemann(1, -1, BURGERS, F(0), F(0), 3)
+    assert (fr.k_left, fr.k_right) == (1, -1)
+    for name in CARRIED:
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            replace(fr, **{name: 0})
+        with pytest.raises(TypeError):
+            Front(F(1), F(-1), F(0), F(0), F(0), **{name: 1})
+    # a front made by hand or by `replace` carries None, which the solver,
+    # the first integer use on the hot path, rejects
+    for made in (Front(F(1), F(-1), F(0), F(0), F(0), 3), replace(fr, birth_x=F(1))):
+        assert (made.k_left, made.k_right) == (None, None)
+        assert (made.left, made.right, made.speed) == (fr.left, fr.right, fr.speed)
+        with pytest.raises(TypeError):
+            solve_riemann(made.k_left, made.k_right, BURGERS)
 
 
 def test_is_admissible_examples():
@@ -103,7 +124,7 @@ def test_fan_conservation_ordering_and_resolve(f, data):
     ka = data.draw(st.integers(f.k_min, f.k_max))
     kb = data.draw(st.integers(f.k_min, f.k_max).filter(lambda k: k != ka))
     uL, uR = f.grid_u(ka), f.grid_u(kb)
-    fronts = solve_riemann(uL, uR, f)
+    fronts = solve_riemann(ka, kb, f)
 
     # Rankine-Hugoniot summed across the fan
     total = sum(fr.speed * (fr.right - fr.left) for fr in fronts)
@@ -118,10 +139,12 @@ def test_fan_conservation_ordering_and_resolve(f, data):
     for fr in fronts:
         assert fr.sign == direction
 
-    # every output front is admissible and re-solves to itself
+    # every output front carries its states' grid indices, is admissible
+    # and re-solves to itself
     for fr in fronts:
+        assert (fr.k_left, fr.k_right) == (f.index_of(fr.left), f.index_of(fr.right))
         assert is_admissible(fr, f)
-        again = solve_riemann(fr.left, fr.right, f)
+        again = solve_riemann(f.index_of(fr.left), f.index_of(fr.right), f)
         assert [(g.left, g.right, g.speed) for g in again] == [
             (fr.left, fr.right, fr.speed)
         ]
@@ -135,9 +158,9 @@ def _record_solves(monkeypatch):
     tracking makes from now on."""
     calls = []
 
-    def recording(u_left, u_right, flux, t0, x0, fid_start):
-        fronts = solve_riemann(u_left, u_right, flux, t0, x0, fid_start)
-        calls.append(((u_left, u_right, t0, x0, fid_start), fronts))
+    def recording(k_left, k_right, flux, t0, x0, fid_start):
+        fronts = solve_riemann(k_left, k_right, flux, t0, x0, fid_start)
+        calls.append(((k_left, k_right, flux, t0, x0, fid_start), fronts))
         return fronts
 
     monkeypatch.setattr(tracker, "solve_riemann", recording)
@@ -146,12 +169,19 @@ def _record_solves(monkeypatch):
 
 def _assert_born_as_constructed(calls):
     """Each front equals, field for field (`vars`, so the derived fields that
-    `Front.__eq__` skips too), the front constructed from its piece."""
-    for (u_left, u_right, t0, x0, fid_start), fronts in calls:
-        assert fronts[0].left == u_left and fronts[-1].right == u_right
+    `Front.__eq__` skips too), the front constructed from its piece, except
+    for the grid indices of its states, which only `solve_riemann` sets: they
+    must be the indices `GridFlux.index_of` gives its states."""
+    for (k_left, k_right, flux, t0, x0, fid_start), fronts in calls:
+        assert fronts[0].left == flux.grid_u(k_left) and fronts[-1].right == flux.grid_u(k_right)
+        assert fronts[0].k_left == k_left and fronts[-1].k_right == k_right
         for fid, fr in enumerate(fronts, fid_start):
             built = Front(fr.left, fr.right, fr.speed, t0, x0, fid)
-            assert type(fr) is Front and vars(fr) == vars(built)
+            assert type(fr) is Front
+            assert ({k: v for k, v in vars(fr).items() if k not in CARRIED}
+                    == {k: v for k, v in vars(built).items() if k not in CARRIED})
+            assert (fr.k_left, fr.k_right) == (flux.index_of(fr.left), flux.index_of(fr.right))
+            assert (built.k_left, built.k_right) == (None, None)
 
 
 def test_fans_match_constructed_fronts_on_the_ladder_rung_and_its_restarts(monkeypatch):
@@ -161,7 +191,7 @@ def test_fans_match_constructed_fronts_on_the_ladder_rung_and_its_restarts(monke
     _assert_born_as_constructed(calls)
     # the rung's own fans, and the probes' re-solved ones
     assert len(calls) > 56 * len(r.timeline.initial_profile.jumps)
-    assert any(t0 > 0 for (_, _, t0, _, _), _ in calls)
+    assert any(t0 > 0 for (_, _, _, t0, _, _), _ in calls)
 
 
 def test_fans_match_constructed_fronts_on_the_nonconvex_config(monkeypatch):
@@ -171,7 +201,7 @@ def test_fans_match_constructed_fronts_on_the_nonconvex_config(monkeypatch):
     _assert_born_as_constructed(calls)
     # the concave flux splits increasing jumps into fans of two fronts
     assert any(len(fronts) > 1 for _, fronts in calls)
-    assert any(u_right < u_left for (u_left, u_right, *_), _ in calls)
+    assert any(k_right < k_left for (k_left, k_right, *_), _ in calls)
 
 
 def test_a_hulls_fan_template_is_built_once(monkeypatch):
@@ -179,18 +209,18 @@ def test_a_hulls_fan_template_is_built_once(monkeypatch):
     flux = sample_flux({"polynomial": ["0", "1/7", "0", "-5/11"]}, "1/3", (-6, 6))
     fan, builds = riemann._fan, []
 
-    def counting(hull, rising, u_left, u_right):
+    def counting(hull, rising, k_left, k_right):
         builds.append(rising)
-        return fan(hull, rising, u_left, u_right)
+        return fan(hull, rising, k_left, k_right)
 
     monkeypatch.setattr(riemann, "_fan", counting)
-    for u_left, u_right in [(F(-2), F(2)), (F(2), F(-2))]:
-        first = solve_riemann(u_left, u_right, flux, F(0), F(1), 0)
-        again = solve_riemann(u_left, u_right, flux, F(1, 2), F(-3), 5)
-        hull = riemann.envelope(flux, min(u_left, u_right), max(u_left, u_right),
-                                1 if u_right > u_left else -1)
-        assert builds == [u_right > u_left] and hull.fans[u_right > u_left] is not None
+    for k_left, k_right in [(-6, 6), (6, -6)]:  # the states -2 and 2
+        first = solve_riemann(k_left, k_right, flux, F(0), F(1), 0)
+        again = solve_riemann(k_left, k_right, flux, F(1, 2), F(-3), 5)
+        hull = riemann.envelope(flux, min(k_left, k_right), max(k_left, k_right),
+                                1 if k_right > k_left else -1)
+        assert builds == [k_right > k_left] and hull.fans[k_right > k_left] is not None
         assert len(first) > 1
-        _assert_born_as_constructed([((u_left, u_right, F(0), F(1), 0), first),
-                                     ((u_left, u_right, F(1, 2), F(-3), 5), again)])
+        _assert_born_as_constructed([((k_left, k_right, flux, F(0), F(1), 0), first),
+                                     ((k_left, k_right, flux, F(1, 2), F(-3), 5), again)])
         builds.clear()

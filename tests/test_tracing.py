@@ -8,7 +8,7 @@ import pytest
 from fronttrack import harness, potential
 from fronttrack.envelope import sample_flux
 from fronttrack.errors import ConsistencyError, InputError
-from fronttrack.tracker import Profile, evolve
+from fronttrack.tracker import CANCELLATION, Profile, evolve, validate_timeline
 from fronttrack.tracing import (
     advance_tracing,
     build_initial_waves,
@@ -24,6 +24,7 @@ from wave_oracles import (
     casualties,
     cell_dict_trace,
     debug_dump,
+    fraction_trace,
     front_of,
     interaction_query,
     live_atoms,
@@ -311,6 +312,49 @@ def test_atoms_match_the_cell_dict_oracle_on_the_run_configs(monkeypatch):
     assert runs == 2 and len(systems) > runs
     for ws in systems:
         _assert_matches_cell_dict_oracle(ws)
+
+
+def _assert_matches_fraction_walk(ws):
+    assert fraction_trace(ws) == (ws.atoms_of, ws.events_of, ws.canc_event)
+
+
+def test_index_walk_matches_the_fraction_walk_on_the_ladder_rung_and_its_restarts(monkeypatch):
+    systems = _record_tracing(monkeypatch)
+    harness.run_simulation(harness.parse_run_config(ladder_config("1/64", probes=56)))
+    assert len(systems) == 1 + 56
+    for ws in systems:
+        _assert_matches_fraction_walk(ws)
+    assert any(ev.kind == CANCELLATION for ws in systems for ev in ws.timeline.events)
+
+
+def test_index_walk_matches_the_fraction_walk_on_the_suite(suite):
+    runs = suite["runs"]
+    assert len(runs) == 60
+    for r in runs:
+        _assert_matches_fraction_walk(r.waves)
+    assert any(e is not None for r in runs for e in r.waves.canc_event)
+
+
+def test_index_walk_matches_the_fraction_walk_on_the_nonconvex_config(monkeypatch):
+    systems = _record_tracing(monkeypatch)
+    config = json.loads((CONFIGS / "nonconvex_splitting.json").read_text())
+    harness.run_simulation(harness.parse_run_config(config))
+    assert systems
+    for ws in systems:
+        _assert_matches_fraction_walk(ws)
+    assert any(len(ev.outgoing) > 1 for ws in systems for ev in ws.timeline.events)
+
+
+def test_validators_read_no_carried_index():
+    # with every front's carried grid indices wiped, both validators still
+    # accept the run: they derive their indices from the fronts' states
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
+    fronts = r.timeline.fronts_by_id.values()
+    assert all(type(fr.k_left) is int and type(fr.k_right) is int for fr in fronts)
+    for fr in fronts:
+        vars(fr).update(k_left=None, k_right=None)
+    validate_timeline(r.timeline)
+    validate_tracing(r.waves)
 
 
 def _forged(ws, name, changes):

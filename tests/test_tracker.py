@@ -24,7 +24,7 @@ from fronttrack.tracker import (
     resolve_event,
     validate_timeline,
 )
-from fronttrack.riemann import Front
+from fronttrack.riemann import Front, solve_riemann
 
 from oracles import (
     BURGERS_WIDE,
@@ -315,8 +315,25 @@ def test_heap_pops_meetings_in_exact_order_when_keys_tie(bases, meetings):
 # -- event resolution ----------------------------------------------------------
 
 
-def test_resolve_same_sign_merge():
+def _born(flux, left, right, speed, x, t=0, fid=-1):
+    """The single front `solve_riemann` births for the jump (left, right) at
+    (t, x), carrying its states' grid indices; it must equal the front
+    `_front` builds from the same fields."""
+    (fr,) = solve_riemann(flux.index_of(F(left)), flux.index_of(F(right)), flux, F(t), F(x), fid)
+    assert fr == _front(left, right, speed, x, t, fid)
+    return fr
+
+
+def test_resolve_rejects_fronts_made_by_hand():
+    # equal to the solver's fronts, but without the grid indices they carry
     incoming = [_front(1, 0, F(1, 2), 0), _front(0, -1, F(-1, 2), 1)]
+    assert incoming == [_born(BURGERS, 1, 0, F(1, 2), 0), _born(BURGERS, 0, -1, F(-1, 2), 1)]
+    with pytest.raises(TypeError):
+        resolve_event(incoming, F(1), F(1, 2), BURGERS)
+
+
+def test_resolve_same_sign_merge():
+    incoming = [_born(BURGERS, 1, 0, F(1, 2), 0), _born(BURGERS, 0, -1, F(-1, 2), 1)]
     ev = resolve_event(incoming, F(1), F(1, 2), BURGERS)
     assert ev.kind == SAME_SIGN
     assert (ev.a, ev.b, ev.c) == (F(1), F(0), F(-1))
@@ -326,7 +343,7 @@ def test_resolve_same_sign_merge():
 
 
 def test_resolve_cancellation_kind():
-    incoming = [_front(0, 1, F(1, 2), 0), _front(1, -1, 0, 1)]
+    incoming = [_born(BURGERS, 0, 1, F(1, 2), 0), _born(BURGERS, 1, -1, 0, 1)]
     # make them actually meet: speeds 1/2 and 0 from x=0 and x=1 meet at t=2, x=1
     ev = resolve_event(incoming, F(2), F(1), BURGERS)
     assert ev.kind == CANCELLATION
@@ -336,9 +353,9 @@ def test_resolve_cancellation_kind():
 
 def test_resolve_full_cancellation():
     incoming = [
-        _front(0, 2, 1, 0),
-        _front(2, -1, F(5, 6), 1),
-        _front(-1, 0, F(1, 2), 3),
+        _born(TABLE, 0, 2, 1, 0),
+        _born(TABLE, 2, -1, F(5, 6), 1),
+        _born(TABLE, -1, 0, F(1, 2), 3),
     ]
     ev = resolve_event(incoming, F(6), F(6), TABLE)
     assert ev.kind == CANCELLATION
@@ -364,7 +381,7 @@ def test_event_derived_fields_cannot_be_set():
 
 
 def test_resolve_rejects_nonchaining():
-    incoming = [_front(1, 0, F(1, 2), 0), _front(1, -1, 0, 1)]
+    incoming = [_born(BURGERS, 1, 0, F(1, 2), 0), _born(BURGERS, 1, -1, 0, 1)]
     with pytest.raises(ConsistencyError, match="colliding front states do not chain"):
         resolve_event(incoming, F(2), F(1), BURGERS)
 
@@ -372,10 +389,12 @@ def test_resolve_rejects_nonchaining():
 def test_resolve_rejects_fronts_that_miss_the_event_point():
     # the pair meets at (1, 1/2); the triple at (1, 3/2), unless its middle
     # front is moved off the point
-    pair = [_front(1, 0, F(1, 2), 0), _front(0, -1, F(-1, 2), 1)]
-    triple = [_front(2, 1, F(3, 2), 0), _front(1, 0, F(1, 2), 1), _front(0, -1, F(-1, 2), 2)]
-    assert resolve_event(triple, F(1), F(3, 2), BURGERS_WIDE).outgoing
-    off = [triple[0], _front(1, 0, F(1, 2), F(11, 10)), triple[2]]
+    wide = BURGERS_WIDE
+    pair = [_born(wide, 1, 0, F(1, 2), 0), _born(wide, 0, -1, F(-1, 2), 1)]
+    triple = [_born(wide, 2, 1, F(3, 2), 0), _born(wide, 1, 0, F(1, 2), 1),
+              _born(wide, 0, -1, F(-1, 2), 2)]
+    assert resolve_event(triple, F(1), F(3, 2), wide).outgoing
+    off = [triple[0], _born(wide, 1, 0, F(1, 2), F(11, 10)), triple[2]]
     for block, t, x in [(pair, F(1), F(1)), (pair, F(2), F(1, 2)),
                         (off, F(1), F(3, 2))]:
         with pytest.raises(ConsistencyError,

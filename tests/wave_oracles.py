@@ -15,7 +15,9 @@ series of `_bianchini_of_slab`, which it keeps event by event;
 meeting-event sweep replaced, and `sorted_bianchini_of_slab` the per-slab
 sort that the Bianchini series replaced.
 `cell_dict_trace` is the assignment of atoms to fronts through per-fan
-state-cell dictionaries that tracing's walk in state order replaced.
+state-cell dictionaries that tracing's walk in state order replaced, and
+`fraction_trace` that walk as it ran on the fronts' `Fraction` states, before
+it read the grid indices each front carries.
 `quadratic_potential` and `bianchini_cubic` read those two at a time rather
 than a slab index.
 """
@@ -28,7 +30,7 @@ from fronttrack.envelope import GridFlux, curvature_constant, envelope
 from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.potential import _bianchini_of_slab, _cell_slopes, _SlabPotential
 from fronttrack.rationals import grid_index
-from fronttrack.tracker import CANCELLATION, Profile, Timeline, profile_at
+from fronttrack.tracker import CANCELLATION, Profile, Timeline, merge_steps, profile_at
 from fronttrack.tracing import WaveSystem, first_common_event, meeting_cells
 
 from oracles import profile_value_at, value_at
@@ -560,7 +562,7 @@ def cell_dict_trace(profile: Profile, epsilon, tl: Timeline):
     for e_idx, ev in enumerate(tl.events):
         groups = [atoms_of[fr.fid] for fr in ev.incoming]
         kept, casualties = list(groups[0]), []
-        for i, p, q, r in ev.merge_steps():
+        for i, p, q, r in merge_steps(ev.chain_states):
             if (r > q) == (q > p):
                 kept.extend(groups[i])
                 continue
@@ -574,6 +576,56 @@ def cell_dict_trace(profile: Profile, epsilon, tl: Timeline):
             events_of[a].append(e_idx)
         _assign_fan(atoms_of, cell, kept, ev.outgoing, eps)
     return sign, cell, atoms_of, events_of, canc_event
+
+
+def _take_atoms_by_state(atoms_of, cell, fronts, atoms, eps):
+    """`tracing._take_atoms` on the fronts' `Fraction` states: each front's
+    cells from `grid_index` of its left and right states."""
+    start = 0
+    if fronts:
+        state, k0 = fronts[0].left, grid_index(fronts[0].left, eps)
+    for fr in fronts:
+        if fr.left != state:
+            raise ConsistencyError(f"front {fr.fid}: its left state is not its neighbour's right")
+        k1 = grid_index(fr.right, eps)
+        cells = range(k0, k1) if k1 > k0 else range(k0 - 1, k1 - 1, -1)
+        carried = atoms[start:start + len(cells)]
+        if [cell[a] for a in carried] != [*cells]:
+            raise ConsistencyError(f"front {fr.fid}: its waves do not cross its states in order")
+        atoms_of[fr.fid] = tuple(carried)
+        start, state, k0 = start + len(cells), fr.right, k1
+    if start != len(atoms):
+        raise ConsistencyError(f"waves left over after the fronts: {len(atoms) - start}")
+
+
+def fraction_trace(ws: WaveSystem):
+    """(atoms_of, events_of, canc_event) of ``ws``'s atoms on its timeline,
+    the way `advance_tracing` made them on the fronts' `Fraction` states:
+    the survival walk merges the chain's states and finds each cancelling
+    step's cells with `grid_index` of its `Fraction` ends."""
+    ws._require_traced()
+    tl, eps, cell = ws.timeline, ws.epsilon, ws.cell
+    atoms_of = {}
+    events_of, canc_event = [[] for _ in cell], [None] * len(cell)
+    _take_atoms_by_state(atoms_of, cell, tl.slabs[0], range(len(cell)), eps)
+    for e_idx, ev in enumerate(tl.events):
+        groups = [atoms_of[fr.fid] for fr in ev.incoming]
+        survivors, casualties = list(groups[0]), []
+        for i, p, q, r in merge_steps(ev.chain_states):
+            if (r > q) == (q > p):
+                survivors.extend(groups[i])
+                continue
+            lo, hi = grid_index(min(p, r), eps), grid_index(max(p, r), eps)
+            kept = []
+            for a in [*survivors, *groups[i]]:
+                (kept if lo <= cell[a] < hi else casualties).append(a)
+            survivors = kept
+        for a in casualties:
+            canc_event[a] = e_idx
+        for a in survivors:
+            events_of[a].append(e_idx)
+        _take_atoms_by_state(atoms_of, cell, ev.outgoing, survivors, eps)
+    return atoms_of, events_of, canc_event
 
 
 # -- potentials at a time ------------------------------------------------------------
@@ -606,9 +658,9 @@ def maximal_noncontact_interval(flux: GridFlux, a, b, d_j) -> Fraction:
     a, b, d_j = Fraction(a), Fraction(b), Fraction(d_j)
     if not a < b <= d_j:
         raise InputError("need a < b <= d_j")
-    hull = envelope(flux, a, d_j, 1)
+    k_a, k_hi = flux.index_of(a), flux.index_of(d_j)
+    hull = envelope(flux, k_a, k_hi, 1)
     k_b = grid_index(b, flux.epsilon)
-    k_hi = grid_index(d_j, flux.epsilon)
     for k in range(k_b, k_hi + 1):
         u = k * flux.epsilon
         if value_at(flux, hull, u) == flux.value_at_index(flux.index_of(u)):
