@@ -75,9 +75,6 @@ class GridFlux:
     def contains_index(self, k: int) -> bool:
         return self.k_min <= k <= self.k_max
 
-    def contains_u(self, u: Fraction) -> bool:
-        return self.grid_u(self.k_min) <= u <= self.grid_u(self.k_max)
-
     def index_of(self, u: Fraction) -> int:
         """Grid index of a grid-aligned state; errors if off-grid or outside."""
         k = grid_index(u, self.epsilon)
@@ -216,7 +213,11 @@ def _concave_by_index(f: GridFlux, ka: int, kb: int) -> PiecewiseLinearFn:
 def envelope(f: GridFlux, a: int, b: int, sign: int) -> PiecewiseLinearFn:
     """On the grid interval from index a to index b (the states a*epsilon and
     b*epsilon), the largest convex minorant of the samples for sign > 0
-    (positive jumps), else the smallest concave majorant."""
+    (positive jumps), else the smallest concave majorant.  The indices must
+    be ints (a bool is not): the hull caches hash an integral `Fraction`
+    like its int, so it is rejected here, on every call, with a TypeError."""
+    if type(a) is not int or type(b) is not int:
+        raise TypeError(f"grid indices must be ints, got {a!r} and {b!r}")
     if a >= b:
         raise InputError(f"need a < b, got [{a}, {b}]")
     if a < f.k_min or b > f.k_max:

@@ -3,7 +3,7 @@
 Every speed, time, position and potential value in this package is a
 ``fractions.Fraction``.  A state is a grid point k*epsilon: it is a
 ``Fraction`` where it enters (configs, profiles) and where it is checked (the
-validators derive its k with `grid_index`), while the kernel (the Riemann
+validators derive its k with `grid_coordinate`), while the kernel (the Riemann
 solver, front tracking and wave tracing) carries it as its grid index k, an
 int, from the hull a front is born on.  This module holds the small amount
 of shared plumbing:
@@ -46,6 +46,16 @@ def grid_index(u: Fraction, epsilon: Fraction) -> int:
     if rest:
         raise InputError(f"value {u} is not a multiple of the grid size {epsilon}")
     return k
+
+
+def grid_coordinate(u: Fraction, epsilon: Fraction):
+    """u / epsilon, exactly and without raising: the int k when u = k*epsilon
+    is a grid point, else a `Fraction` that is not an integer.  Coordinates
+    compare, subtract and add as the states do, scaled by 1/epsilon, and an
+    off-grid one equals no grid index."""
+    n, d = u.numerator * epsilon.denominator, u.denominator * epsilon.numerator
+    k, rest = divmod(n, d)
+    return Fraction(n, d) if rest else k
 
 
 REQUIRED = object()  # json_field's default: the field must be present

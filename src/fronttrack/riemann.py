@@ -138,14 +138,17 @@ def solve_riemann(k_left: int, k_right: int, flux: GridFlux, t0=Fraction(0), x0=
     fid_start + 1, ... from left to right.
 
     Returns [] for a null jump.  Fronts are in bijection with the envelope
-    pieces between the two states, traversed from the k_left end.  The
-    arguments are used as given: k_left and k_right must be ints (a `Front`
-    made by hand carries None, which the first comparison rejects), t0 and
-    x0 `Fraction`s.  Each front is born from the hull's fan template
-    (`_fan`) with the fields that `Front.__post_init__` would derive, so it
-    equals, field for field, the `Front(left, right, speed, t0, x0, fid)` of
-    its piece, and carries its states' grid indices besides.
+    pieces between the two states, traversed from the k_left end.  k_left
+    and k_right must be ints, checked on every call (TypeError otherwise: a
+    bool, an integral `Fraction`, or the None that a `Front` made by hand
+    carries); t0 and x0 are used as given, as `Fraction`s.  Each front is
+    born from the hull's fan template (`_fan`) with the fields that
+    `Front.__post_init__` would derive, so it equals, field for field, the
+    `Front(left, right, speed, t0, x0, fid)` of its piece, and carries its
+    states' grid indices besides.
     """
+    if type(k_left) is not int or type(k_right) is not int:
+        raise TypeError(f"grid indices must be ints, got {k_left!r} and {k_right!r}")
     rising = k_right > k_left
     if rising:
         hull = envelope(flux, k_left, k_right, 1)

@@ -29,14 +29,15 @@ that those atoms' cells are the front's cells in traversal order
 The walk reads states only as the grid indices each front carries from its
 birth (`Front.k_left`, `Front.k_right`): the cells a front crosses and an
 event's survival walk are integer ranges.  `validate_tracing` does not read
-them; it derives its indices from the fronts' states.
+them; it derives its own from the fronts' states (`grid_coordinate`), once
+per front, and counts spans and masses in cells.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
-from .rationals import grid_index
+from .rationals import grid_coordinate, grid_index
 from .tracker import Profile, Timeline, merge_steps
 
 
@@ -190,9 +191,14 @@ def validate_tracing(ws: WaveSystem) -> None:
     order.  Each front's waves are checked once, in slab 0 or at the event
     that makes it: their signs, and their cells, in id order, against the
     cells the front crosses from its left state to its right one.
+
+    The checks run on integers: each front's states become grid coordinates
+    (`grid_coordinate`) once, when it is checked, and every span and mass is
+    a count of cells.  The carried indices are not read.
     """
     ws._require_traced()
     tl, eps = ws.timeline, ws.epsilon
+    coords = {}  # fid -> (k_left, k_right) of each checked front
 
     def check_fronts(fronts):
         for fr in fronts:
@@ -203,15 +209,17 @@ def validate_tracing(ws: WaveSystem) -> None:
             ks = sorted(ws.cell[a] for a in atoms)
             if ks != list(range(ks[0], ks[0] + len(ks))):
                 raise ConsistencyError(f"front {fid}: states not contiguous")
-            if ks[0] * eps != fr.u_lo or (ks[-1] + 1) * eps != fr.u_hi:
+            k0, k1 = grid_coordinate(fr.left, eps), grid_coordinate(fr.right, eps)
+            lo, hi = (k0, k1) if k0 < k1 else (k1, k0)
+            if ks[0] != lo or ks[-1] + 1 != hi:
                 raise ConsistencyError(f"front {fid}: state span does not match its waves")
-            if len(atoms) * eps != fr.strength:
+            if len(atoms) != hi - lo:
                 raise ConsistencyError(f"front {fid}: mass mismatch")
             # the cells the front crosses, from its left state to its right one
-            k0, k1 = grid_index(fr.left, eps), grid_index(fr.right, eps)
             step = 1 if k1 > k0 else -1
             if [ws.cell[a] for a in atoms] != [min(k, k + step) for k in range(k0, k1, step)]:
                 raise ConsistencyError(f"front {fid}: its waves do not cross its states in order")
+            coords[fid] = k0, k1
 
     if ws.atom_count * eps != tl.slab_tvs[0]:
         raise ConsistencyError("wave mass does not match front variation")
@@ -242,12 +250,14 @@ def validate_tracing(ws: WaveSystem) -> None:
                 f"slab {e_idx + 1}: live atoms not partitioned by fronts"
             )
         check_fronts(ev.outgoing)
-        lost = len(canceled[e_idx]) * eps
-        if lost != ev.canceled_mass:
+        in_ks = [coords[fr.fid] for fr in ev.incoming]
+        merged = abs(in_ks[-1][1] - in_ks[0][0])  # |c - a| in atoms
+        if len(canceled[e_idx]) != sum(abs(k1 - k0) for k0, k1 in in_ks) - merged:
+            lost = len(canceled[e_idx]) * eps
             raise ConsistencyError(
                 f"event {e_idx}: canceled wave mass {lost} != TV drop {ev.canceled_mass}"
             )
-        if len(survived[e_idx]) * eps != abs(ev.c - ev.a):
+        if len(survived[e_idx]) != merged:
             raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
         if survived[e_idx] != outgoing:
             raise ConsistencyError(

@@ -25,7 +25,10 @@ each profile value into its index once, and every front carries the indices
 of its two states from its birth (`Front.k_left`, `Front.k_right`), so an
 event's chain test, its re-solve (`solve_riemann` on the block's end
 indices) and the atom counts are integer operations.  `validate_timeline`
-does not read the carried indices: it checks the fronts' `Fraction` states.
+does not read the carried indices: it derives each new front's grid
+coordinates from its `Fraction` states, and checks on those integers.  The
+flux window is checked once, in `initial_fronts`, on the profile's grid
+coordinates.
 
 The collision kernel runs on integers.  Each front carries the numerators
 and denominators of its line's intercept and speed (`Front.line`, fixed at
@@ -59,11 +62,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 from operator import attrgetter
 
 from .envelope import GridFlux
 from .errors import ConsistencyError, InputError, TrackerError
-from .rationals import parse_rational
+from .rationals import grid_coordinate, grid_index, parse_rational
 from .riemann import is_admissible, solve_riemann
 
 SAME_SIGN = "same_sign"
@@ -221,10 +225,22 @@ class Timeline:
 
 def initial_fronts(profile: Profile, flux: GridFlux):
     """Riemann fans at every initial jump, at time zero, numbered from 0.
-    Each profile value is turned into its grid index once
-    (`GridFlux.index_of`: an off-grid or out-of-window value is an error)."""
+
+    Each profile value is turned into its grid coordinate once
+    (`grid_coordinate`), and the flux window is checked on those: it must
+    cover every value, the constant of a profile without jumps included
+    (InputError).  Where there are jumps every value must then be a grid
+    point, or `grid_index` raises its InputError for the first that is not."""
+    eps = flux.epsilon
+    values = profile.values()
+    ks = [grid_coordinate(u, eps) for u in values]
+    if min(ks) < flux.k_min or max(ks) > flux.k_max:
+        raise InputError("flux window does not cover the profile's value range")
     fronts = []
-    ks = [flux.index_of(u) for u in profile.values()] if profile.jumps else []
+    if not profile.jumps:
+        return fronts
+    if any(type(k) is not int for k in ks):
+        ks = [grid_index(u, eps) for u in values]
     t0 = Fraction(0)
     for (x, _), k0, k1 in zip(profile.jumps, ks, ks[1:]):
         fronts.extend(solve_riemann(k0, k1, flux, t0, x, len(fronts)))
@@ -320,10 +336,6 @@ def resolve_event(colliding, t, x, flux, fid_start=0):
 
 def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
     """Run the tracking to completion and return the full Timeline."""
-    lo, hi = profile.value_span()
-    if not (flux.contains_u(lo) and flux.contains_u(hi)):
-        raise InputError("flux window does not cover the profile's value range")
-
     live = initial_fronts(profile, flux)
     fids = [fr.fid for fr in live]
     fronts_by_id = {fr.fid: fr for fr in live}
@@ -407,9 +419,42 @@ def _block_index(fronts, block):
     return i if fronts[i : i + len(block)] == block else None
 
 
-def _moment_rate(fronts) -> Fraction:
-    """d/dt of sum_j jump_j * x_j(t) while ``fronts`` move."""
-    return sum(((fr.right - fr.left) * fr.speed for fr in fronts), Fraction(0))
+def _exact_sum(terms):
+    """The sum of c * n / d over ``terms`` of (c, n, d), d > 0, as the pair
+    (numerator, denominator) over the lcm of the d's, on integers."""
+    terms = list(terms)
+    den = lcm(*(d for _, _, d in terms))
+    return sum(c * n * (den // d) for c, n, d in terms), den
+
+
+def _rate_terms(fronts, ks):
+    """The terms (k_right - k_left, n, m) of the moment's rate over epsilon,
+    sum_j (k_right - k_left) * speed_j, with speed_j = n/m."""
+    return ((kr - kl, fr.speed.numerator, fr.speed.denominator)
+            for fr, (kl, kr) in zip(fronts, ks))
+
+
+def _offset(fr, t: Fraction, x: Fraction) -> int:
+    """An integer with the sign of the front's position at time t minus x:
+    with x_at_zero = a/b and speed = c/d, (a*d*t_d + c*b*t_n) * x_d -
+    x_n * b*d*t_d, all denominators positive."""
+    a, b, c, d = fr.line
+    td = t.denominator
+    return (a * d * td + c * b * t.numerator) * x.denominator - x.numerator * b * d * td
+
+
+def _ordered_at(fronts, t: Fraction) -> bool:
+    """Whether the fronts' positions at time t do not decrease, compared by
+    cross-multiplying each position's numerator and denominator."""
+    tn, td = t.numerator, t.denominator
+    prev = None
+    for fr in fronts:
+        a, b, c, d = fr.line
+        num, den = a * d * td + c * b * tn, b * d * td
+        if prev is not None and num * prev[1] < prev[0] * den:
+            return False
+        prev = num, den
+    return True
 
 
 def validate_timeline(tl: Timeline) -> None:
@@ -427,52 +472,78 @@ def validate_timeline(tl: Timeline) -> None:
     range and admissibility only for the new fronts; non-crossing for a pair
     of neighbours when it forms and when it ends (positions are linear in t);
     the total variation and the moment's rate by each event's change.
+
+    The checks run on grid coordinates that the validator derives itself
+    (`grid_coordinate`), each front's two once, when it is new: it reads no
+    index a front carries.  A state's coordinate is its grid index, or the
+    exact non-integral u/epsilon of an off-grid state, so every comparison
+    is the one on the `Fraction` states, scaled by 1/epsilon, and deriving
+    one raises nothing.  The total variation is counted in atoms (each slab
+    a running count), and the moment and its rate are sums of coordinate
+    changes times positions or speeds, exact over the lcm of their
+    denominators; the factor epsilon cancels between their two sides.
     """
     p, flux = tl.initial_profile, tl.flux
     events, slabs, tvs = tl.events, tl.slabs, tl.slab_tvs
-    lo0, hi0 = p.value_span()
+    eps = flux.epsilon
+    e_n, e_d = eps.numerator, eps.denominator
+    pks = [grid_coordinate(u, eps) for u in p.values()]
+    lo0, hi0 = min(pks), max(pks)
 
     for ev, nxt in zip(events, events[1:]):
-        if (ev.t, ev.x) >= (nxt.t, nxt.x):
+        t0, t1 = ev.t, nxt.t
+        dt = t0.numerator * t1.denominator - t1.numerator * t0.denominator
+        if dt > 0 or (dt == 0 and ev.x >= nxt.x):
             raise ConsistencyError("events not in lexicographic (t, x) order")
     last = slabs[-1]
-    if any(fr.speed > gr.speed for fr, gr in zip(last, last[1:])):
+    speeds = [(fr.speed.numerator, fr.speed.denominator) for fr in last]
+    if any(n0 * m1 > n1 * m0 for (n0, m0), (n1, m1) in zip(speeds, speeds[1:])):
         raise ConsistencyError("fronts still converge after the last event")
     if len(slabs) != len(events) + 1 or len(tvs) != len(slabs):
         raise ConsistencyError("slabs do not span the events")
 
-    def check_new(fronts, left, right):
+    def check_new(fronts, k_prev, k_next):
         """Chaining, value range and admissibility of ``fronts``, which sit
-        between the fronts ``left`` and ``right`` (None at an end)."""
-        prev_v = p.constant_state if left is None else left.right
+        between the states of coordinates k_prev and k_next (None at the
+        right end); returns each front's (k_left, k_right)."""
+        ks = []
         for fr in fronts:
-            if fr.left != prev_v:
+            kl, kr = grid_coordinate(fr.left, eps), grid_coordinate(fr.right, eps)
+            if kl != k_prev:
                 raise ConsistencyError("front states do not chain inside a slab")
-            prev_v = fr.right
-            if not (lo0 <= fr.u_lo and fr.u_hi <= hi0):
+            k_prev = kr
+            lo, hi = (kl, kr) if kl < kr else (kr, kl)
+            if not (lo0 <= lo and hi <= hi0):
                 raise ConsistencyError("profile left the initial value range")
             if not is_admissible(fr, flux):
                 raise ConsistencyError("live front is not admissible")
-        if right is None and prev_v != p.right_constant:
+            ks.append((kl, kr))
+        if k_next is None and k_prev != pks[-1]:
             raise ConsistencyError("right tail value changed")
-        if right is not None and prev_v != right.left:
+        if k_next is not None and k_prev != k_next:
             raise ConsistencyError("front states do not chain inside a slab")
+        return ks
 
-    def check_ordered(fronts, t):
-        xs = [fr.position_at(t) for fr in fronts]
-        if any(b < a for a, b in zip(xs, xs[1:])):
-            raise ConsistencyError("fronts crossed inside a slab")
+    def matches_atoms(tv, count) -> bool:
+        """Whether tv == count * epsilon."""
+        return tv.numerator * e_d == count * tv.denominator * e_n
 
     first = slabs[0]
-    check_new(first, None, None)
-    check_ordered(first, Fraction(0))
-    if tvs[0] != _strength(first):
+    coords = check_new(first, pks[0], None)  # (k_left, k_right) of each live front
+    if not _ordered_at(first, Fraction(0)):
+        raise ConsistencyError("fronts crossed inside a slab")
+    count = sum(abs(kr - kl) for kl, kr in coords)  # the live atoms
+    if not matches_atoms(tvs[0], count):
         raise ConsistencyError("slab total variation does not match its fronts")
     tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
                  - flux.value_at_index(flux.index_of(p.constant_state)))
-    baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
-    moment0 = sum((fr.right - fr.left) * fr.position_at(0) for fr in first)
-    if moment0 != baseline or _moment_rate(first) != tail_flux:
+    # the moment at t = 0, front by front and jump by jump, over epsilon
+    m_n, m_d = _exact_sum((kr - kl, *fr.line[:2]) for fr, (kl, kr) in zip(first, coords))
+    b_n, b_d = _exact_sum((v - u, x.numerator, x.denominator)
+                          for (x, _), u, v in zip(p.jumps, pks, pks[1:]))
+    r_n, r_d = _exact_sum(_rate_terms(first, coords))
+    if (m_n * b_d != b_n * m_d
+            or e_n * r_n * tail_flux.denominator != tail_flux.numerator * e_d * r_d):
         raise ConsistencyError("conserved moment drifted")
 
     for s, ev in enumerate(events):
@@ -484,9 +555,9 @@ def validate_timeline(tl: Timeline) -> None:
                 or after[i + m :] != before[i + k :]):
             raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
         new = after[i : i + m]
-        left = before[i - 1] if i > 0 else None
-        right = before[i + k] if i + k < len(before) else None
-        check_new(new, left, right)
+        k_prev = coords[i - 1][1] if i > 0 else pks[0]
+        k_next = coords[i + k][0] if i + k < len(before) else None
+        new_ks = check_new(new, k_prev, k_next)
         if new != ev.outgoing:
             raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
         t, x = ev.t, ev.x
@@ -496,23 +567,30 @@ def validate_timeline(tl: Timeline) -> None:
             raise ConsistencyError(f"event {s}: its fronts do not meet at its point")
         # every pair that ends or forms here has a block front, at x, on one
         # side and the block's neighbour, or another block front, on the other
-        if (left is not None and left.position_at(t) > x) or (
-            right is not None and right.position_at(t) < x
+        if (i > 0 and _offset(before[i - 1], t, x) > 0) or (
+            k_next is not None and _offset(before[i + k], t, x) < 0
         ):
             raise ConsistencyError("fronts crossed inside a slab")
 
-        if tvs[s + 1] != tvs[s] - _strength(ev.incoming) + _strength(ev.outgoing):
+        in_ks = coords[i : i + k]
+        atoms_in = sum(abs(kr - kl) for kl, kr in in_ks)
+        drop = atoms_in - sum(abs(kr - kl) for kl, kr in new_ks)
+        if not matches_atoms(tvs[s + 1], count - drop):
             raise ConsistencyError("slab total variation does not match its fronts")
-        drop = tvs[s] - tvs[s + 1]
         if drop < 0:
             raise ConsistencyError("total variation increased")
         if ev.kind == SAME_SIGN and drop != 0:
             raise ConsistencyError("same-sign event changed total variation")
-        if ev.kind == CANCELLATION and drop != ev.canceled_mass:
+        if ev.kind == CANCELLATION and drop != atoms_in - abs(in_ks[-1][1] - in_ks[0][0]):
             raise ConsistencyError("cancellation mass does not match TV drop")
         # the block's jumps sum to the same total before and after, all at x,
         # so the moment is continuous; its rate must not change either
-        if _moment_rate(ev.incoming) != _moment_rate(ev.outgoing):
+        in_n, in_d = _exact_sum(_rate_terms(ev.incoming, in_ks))
+        out_n, out_d = _exact_sum(_rate_terms(ev.outgoing, new_ks))
+        if in_n * out_d != out_n * in_d:
             raise ConsistencyError("conserved moment drifted")
+        count -= drop
+        coords[i : i + k] = new_ks
 
-    check_ordered(last, tl.slab_bounds(len(events))[0])
+    if not _ordered_at(last, tl.slab_bounds(len(events))[0]):
+        raise ConsistencyError("fronts crossed inside a slab")

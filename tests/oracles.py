@@ -19,10 +19,14 @@ checked in full.  The package's event-local `evolve` and `validate_timeline`
 are compared against them.  They read a front's kinematics through
 `front_position`, `front_kinematics` and `meeting_time`, which restate the
 definitions from the front's states and birth point, not from the fields a
-`Front` derives at its birth.
+`Front` derives at its birth.  `fraction_validate_timeline` is the
+event-local `validate_timeline` as it ran on the fronts' `Fraction` states,
+before it checked grid coordinates: the two must give the same verdict,
+exception and message on every timeline.
 """
 
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -36,6 +40,8 @@ from fronttrack.tracker import (
     Collision,
     Profile,
     Timeline,
+    _block_index,
+    _strength,
     initial_fronts,
     resolve_event,
 )
@@ -311,7 +317,7 @@ def oracle_evolve(profile, flux, max_events=None):
     """`evolve` by a full rescan of the live line at every event; each slab's
     total variation is the sum of its front strengths."""
     lo, hi = profile.value_span()
-    if not (flux.contains_u(lo) and flux.contains_u(hi)):
+    if not (flux.grid_u(flux.k_min) <= lo and hi <= flux.grid_u(flux.k_max)):
         raise InputError("flux window does not cover the profile's value range")
 
     live = initial_fronts(profile, flux)
@@ -406,6 +412,141 @@ def oracle_validate_timeline(tl):
         moment = sum((fr.right - fr.left) * x for fr, x in zip(fronts, xs))
         if moment - t_ref * tail_flux != baseline:
             raise ConsistencyError("conserved moment drifted")
+
+
+def _moment_rate(fronts):
+    """d/dt of sum_j jump_j * x_j(t) while ``fronts`` move."""
+    return sum(((fr.right - fr.left) * fr.speed for fr in fronts), F(0))
+
+
+def fraction_validate_timeline(tl: Timeline) -> None:
+    """`validate_timeline` as it ran on the fronts' `Fraction` states, with
+    `Fraction` sums for the total variation, the moment and its rate.
+
+    Among them: the moment sum_j jump_j * x_j(t) - t * (F(right tail) -
+    F(left tail)) keeps its time-zero value (with equal tails, the integral
+    of u - constant is conserved), and no fronts converge after the last
+    event.
+
+    Slab 0 is checked in full.  Every later slab is then checked to be its
+    predecessor with the event's incoming block replaced by its outgoing
+    fronts, where the incoming fronts meet and the outgoing ones are born at
+    the event point.  That makes local checks sufficient: chaining, value
+    range and admissibility only for the new fronts; non-crossing for a pair
+    of neighbours when it forms and when it ends (positions are linear in t);
+    the total variation and the moment's rate by each event's change.
+    """
+    p, flux = tl.initial_profile, tl.flux
+    events, slabs, tvs = tl.events, tl.slabs, tl.slab_tvs
+    lo0, hi0 = p.value_span()
+
+    for ev, nxt in zip(events, events[1:]):
+        if (ev.t, ev.x) >= (nxt.t, nxt.x):
+            raise ConsistencyError("events not in lexicographic (t, x) order")
+    last = slabs[-1]
+    if any(fr.speed > gr.speed for fr, gr in zip(last, last[1:])):
+        raise ConsistencyError("fronts still converge after the last event")
+    if len(slabs) != len(events) + 1 or len(tvs) != len(slabs):
+        raise ConsistencyError("slabs do not span the events")
+
+    def check_new(fronts, left, right):
+        """Chaining, value range and admissibility of ``fronts``, which sit
+        between the fronts ``left`` and ``right`` (None at an end)."""
+        prev_v = p.constant_state if left is None else left.right
+        for fr in fronts:
+            if fr.left != prev_v:
+                raise ConsistencyError("front states do not chain inside a slab")
+            prev_v = fr.right
+            if not (lo0 <= fr.u_lo and fr.u_hi <= hi0):
+                raise ConsistencyError("profile left the initial value range")
+            if not is_admissible(fr, flux):
+                raise ConsistencyError("live front is not admissible")
+        if right is None and prev_v != p.right_constant:
+            raise ConsistencyError("right tail value changed")
+        if right is not None and prev_v != right.left:
+            raise ConsistencyError("front states do not chain inside a slab")
+
+    def check_ordered(fronts, t):
+        xs = [fr.position_at(t) for fr in fronts]
+        if any(b < a for a, b in zip(xs, xs[1:])):
+            raise ConsistencyError("fronts crossed inside a slab")
+
+    first = slabs[0]
+    check_new(first, None, None)
+    check_ordered(first, F(0))
+    if tvs[0] != _strength(first):
+        raise ConsistencyError("slab total variation does not match its fronts")
+    tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
+                 - flux.value_at_index(flux.index_of(p.constant_state)))
+    baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
+    moment0 = sum((fr.right - fr.left) * fr.position_at(0) for fr in first)
+    if moment0 != baseline or _moment_rate(first) != tail_flux:
+        raise ConsistencyError("conserved moment drifted")
+
+    for s, ev in enumerate(events):
+        before, after = slabs[s], slabs[s + 1]
+        k = len(ev.incoming)
+        m = len(after) - len(before) + k
+        i = _block_index(before, ev.incoming)
+        if (i is None or m < 0 or after[:i] != before[:i]
+                or after[i + m :] != before[i + k :]):
+            raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
+        new = after[i : i + m]
+        left = before[i - 1] if i > 0 else None
+        right = before[i + k] if i + k < len(before) else None
+        check_new(new, left, right)
+        if new != ev.outgoing:
+            raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
+        t, x = ev.t, ev.x
+        if not all(fr.passes_through(t, x) for fr in ev.incoming) or any(
+            fr.birth_time != t or fr.birth_x != x for fr in ev.outgoing
+        ):
+            raise ConsistencyError(f"event {s}: its fronts do not meet at its point")
+        # every pair that ends or forms here has a block front, at x, on one
+        # side and the block's neighbour, or another block front, on the other
+        if (left is not None and left.position_at(t) > x) or (
+            right is not None and right.position_at(t) < x
+        ):
+            raise ConsistencyError("fronts crossed inside a slab")
+
+        if tvs[s + 1] != tvs[s] - _strength(ev.incoming) + _strength(ev.outgoing):
+            raise ConsistencyError("slab total variation does not match its fronts")
+        drop = tvs[s] - tvs[s + 1]
+        if drop < 0:
+            raise ConsistencyError("total variation increased")
+        if ev.kind == SAME_SIGN and drop != 0:
+            raise ConsistencyError("same-sign event changed total variation")
+        if ev.kind == CANCELLATION and drop != ev.canceled_mass:
+            raise ConsistencyError("cancellation mass does not match TV drop")
+        # the block's jumps sum to the same total before and after, all at x,
+        # so the moment is continuous; its rate must not change either
+        if _moment_rate(ev.incoming) != _moment_rate(ev.outgoing):
+            raise ConsistencyError("conserved moment drifted")
+
+    check_ordered(last, tl.slab_bounds(len(events))[0])
+
+
+def state_forgeries(tl):
+    """(what, timeline) for each front of ``tl`` with one state moved half an
+    atom off the grid or one grid point outside the flux window, in every
+    slab and event it appears in."""
+    eps, f = tl.flux.epsilon, tl.flux
+    outside = ((f.k_max + 1) * eps, (f.k_min - 1) * eps)
+    for fr in tl.fronts_by_id.values():
+        for name in ("left", "right"):
+            u = getattr(fr, name)
+            for value in (u + eps / 2, u - eps / 2, *outside):
+                if value == (fr.right if name == "left" else fr.left):
+                    continue
+                forged = replace(fr, **{name: value})
+
+                def sub(fronts):
+                    return tuple(forged if g is fr else g for g in fronts)
+
+                events = tuple(replace(ev, incoming=sub(ev.incoming), outgoing=sub(ev.outgoing))
+                               for ev in tl.events)
+                yield f"front {fr.fid} {name} {value}", replace(
+                    tl, slabs=tuple(map(sub, tl.slabs)), events=events)
 
 
 def slab_midpoints(tl: Timeline):

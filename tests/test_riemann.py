@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fronttrack import harness, riemann, tracker
-from fronttrack.envelope import GridFlux, PiecewiseLinearFn, sample_flux
+from fronttrack.envelope import (
+    GridFlux,
+    PiecewiseLinearFn,
+    _concave_by_index,
+    _convex_by_index,
+    envelope,
+    sample_flux,
+)
 from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.riemann import Front, is_admissible, solve_riemann
 
@@ -93,6 +100,33 @@ def test_only_the_solver_sets_a_fronts_grid_indices():
         assert (made.left, made.right, made.speed) == (fr.left, fr.right, fr.speed)
         with pytest.raises(TypeError):
             solve_riemann(made.k_left, made.k_right, BURGERS)
+
+
+def test_solver_and_envelope_reject_an_index_that_is_not_an_int():
+    # an integral Fraction hashes like its int, so a warm hull cache would
+    # hand it the int call's hull: both entry points reject it, and a bool,
+    # on every call, cold or warm, without touching the caches.  The flux is
+    # one no other test samples, so its hulls start cold
+    f = sample_flux({"polynomial": ["0", "0", "1/2", "1/977"]}, "1", (-2, 2))
+
+    def counts():
+        return [cache.cache_info()[:2] for cache in (_convex_by_index, _concave_by_index)]
+
+    def assert_rejected():
+        before = counts()
+        for k_left, k_right in [(F(1), F(-1)), (1, F(-1)), (F(-1), 1), (True, -1), (F(1), F(1))]:
+            with pytest.raises(TypeError, match="grid indices must be ints"):
+                solve_riemann(k_left, k_right, f)
+            lo, hi = sorted([k_left, k_right])
+            for sign in (1, -1):
+                with pytest.raises(TypeError, match="grid indices must be ints"):
+                    envelope(f, lo, hi, sign)
+        assert counts() == before
+
+    assert_rejected()
+    (fr,) = solve_riemann(1, -1, f)
+    assert_rejected()
+    assert solve_riemann(1, -1, f) == [fr]
 
 
 def test_is_admissible_examples():

@@ -1,5 +1,6 @@
 import copy
 import json
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from fronttrack.tracing import (
     validate_tracing,
 )
 
-from oracles import TABLE, TRIPLE_POINT, WORKED_FLUX, WORKED_PROFILE
+from oracles import TABLE, TRIPLE_POINT, WORKED_FLUX, WORKED_PROFILE, state_forgeries
 from suite_builder import ladder_config
 from wave_oracles import (
     atom_of,
@@ -25,6 +26,7 @@ from wave_oracles import (
     cell_dict_trace,
     debug_dump,
     fraction_trace,
+    fraction_validate_tracing,
     front_of,
     interaction_query,
     live_atoms,
@@ -434,6 +436,43 @@ def test_validate_tracing_rejects_what_the_oracle_rejects(suite):
             rejected += _rejects(oracle_validate_tracing, bad)
             assert _rejects(validate_tracing, bad), what
     assert rejected == forged > 400
+
+
+def _verdict(validate, ws):
+    """None when ``validate`` accepts ``ws``, else the type and message of
+    the exception it raises."""
+    try:
+        validate(ws)
+    except Exception as exc:  # the type is part of the verdict
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_tracing_matches_the_fraction_validator(suite):
+    # the same verdict, exception type and message on the systems of the
+    # rejection test above and the 1/64 ladder rung as run, on every edit of
+    # their wave records (not the rung's), and on every front of their
+    # timelines with a state moved off the grid or outside the flux window
+    wide = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-4, 4))
+    four = Profile(F(0), ((F(0), F(2)), (F(1), F(0)), (F(3), F(-2)), (F(5), F(0))))
+    runs = suite["runs"]
+    split = [r for r in runs if any(len(ev.outgoing) > 1 for ev in r.timeline.events)]
+    systems = [traced(four, wide, F(1))[1], traced(WORKED_PROFILE, WORKED_FLUX, F(1))[1],
+               *(r.waves for r in runs[:4] + split)]
+    rung = harness.run_simulation(harness.parse_run_config(ladder_config("1/64"))).waves
+    verdicts = Counter()
+    for ws in [*systems, rung]:
+        assert _verdict(validate_tracing, ws) is None
+        cases = [] if ws is rung else list(_wave_forgeries(ws))
+        for what, tl in state_forgeries(ws.timeline):
+            forged = copy.copy(ws)
+            forged.timeline = tl
+            cases.append((what, forged))
+        for what, forged in cases:
+            expected = _verdict(fraction_validate_tracing, forged)
+            assert _verdict(validate_tracing, forged) == expected, what
+            verdicts[expected and expected[0]] += 1
+    assert verdicts[ConsistencyError] == sum(verdicts.values()) > 1000
 
 
 def test_triple_point_full_cancellation_tracing():

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from heapq import heappop
@@ -34,6 +35,7 @@ from oracles import (
     WORKED_FLUX,
     WORKED_PROFILE,
     event_kind_and_b,
+    fraction_validate_timeline,
     front_kinematics,
     front_position,
     meeting_time,
@@ -42,6 +44,7 @@ from oracles import (
     oracle_validate_timeline,
     profile_value_at,
     slab_midpoints,
+    state_forgeries,
 )
 from suite_builder import ladder_config
 
@@ -456,6 +459,22 @@ def test_evolve_window_too_small():
         evolve(TWO_SHOCK, tight)
 
 
+def test_the_flux_window_is_checked_on_the_profiles_grid_coordinates():
+    tight = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (0, 1))
+    # a profile with jumps that leaves the window, one that leaves it only at
+    # an off-grid value, and profiles without jumps whose constant leaves it
+    for profile in (TWO_SHOCK, _profile(F(1, 2), (0, 3)), _profile(5), _profile(-1),
+                    _profile(F(3, 2))):
+        for run in (evolve, initial_fronts):
+            with pytest.raises(InputError, match="flux window does not cover the profile's"):
+                run(profile, tight)
+    # inside the window an off-grid value is grid_index's error where there
+    # are jumps, and a constant without jumps is not placed on the grid
+    with pytest.raises(InputError, match="value 1/2 is not a multiple of the grid size 1"):
+        evolve(_profile(F(1, 2), (0, 1)), tight)
+    assert evolve(_profile(F(1, 2)), tight).slabs == ((),)
+
+
 # -- profile reconstruction ----------------------------------------------------
 
 
@@ -822,3 +841,39 @@ def test_validate_timeline_checks_the_slab_tv_owner():
         tvs[s] += 1
         with pytest.raises(ConsistencyError, match="slab total variation"):
             validate_timeline(replace(tl, slab_tvs=tuple(tvs)))
+
+
+# -- validate_timeline against the Fraction validator ----------------------------
+
+
+def _verdict(validate, subject):
+    """None when ``validate`` accepts ``subject``, else the type and message
+    of the exception it raises."""
+    try:
+        validate(subject)
+    except Exception as exc:  # the type is part of the verdict
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_timeline_matches_the_fraction_validator(suite):
+    # the same verdict, exception type and message on the worked run, the
+    # first three suite runs and the 1/64 ladder rung as run, on every
+    # single-front, order and event-point edit (on the rung: those of slab 0,
+    # of the last slab and of the events), and on every front with a state
+    # moved off the grid or outside the flux window
+    rung = harness.run_simulation(harness.parse_run_config(ladder_config("1/64"))).timeline
+    runs = [evolve(WORKED_PROFILE, WORKED_FLUX), *(r.timeline for r in suite["runs"][:3])]
+    kept = ("slab 0 ", f"slab {len(rung.slabs) - 1} ", "event ")
+    verdicts = Counter()
+    for tl in [*runs, rung]:
+        assert _verdict(validate_timeline, tl) is None
+        edits = _forgeries(tl)
+        if tl is rung:
+            edits = (edit for edit in edits if edit[0].startswith(kept))
+        for what, forged in [*edits, *state_forgeries(tl)]:
+            expected = _verdict(fraction_validate_timeline, forged)
+            assert _verdict(validate_timeline, forged) == expected, what
+            verdicts[expected and expected[0]] += 1
+    # off-grid states that chain reach the admissibility check's grid index
+    assert verdicts[ConsistencyError] > 2000 and verdicts[InputError] > 100

@@ -17,7 +17,9 @@ sort that the Bianchini series replaced.
 `cell_dict_trace` is the assignment of atoms to fronts through per-fan
 state-cell dictionaries that tracing's walk in state order replaced, and
 `fraction_trace` that walk as it ran on the fronts' `Fraction` states, before
-it read the grid indices each front carries.
+it read the grid indices each front carries, and `fraction_validate_tracing`
+the event-local validator as it ran on `Fraction` masses and spans, before it
+counted them in grid coordinates.
 `quadratic_potential` and `bianchini_cubic` read those two at a time rather
 than a slab index.
 """
@@ -492,6 +494,92 @@ def oracle_validate_tracing(ws: WaveSystem) -> None:
                 f"event {e_idx}: survivors are not the atoms of its outgoing fronts"
             )
         incoming = sorted(a for fr in ev.incoming for a in ws.atoms_of[fr.fid])
+        if sorted(survived[e_idx] + canceled[e_idx]) != incoming:
+            raise ConsistencyError(
+                f"event {e_idx}: survivors and casualties are not the atoms of its "
+                "incoming fronts"
+            )
+
+
+def fraction_validate_tracing(ws: WaveSystem) -> None:
+    """`validate_tracing` as it ran on `Fraction` spans and masses: each
+    front's cells times epsilon against its `u_lo`, `u_hi` and `strength`,
+    and each event's wave masses against its `canceled_mass` and `|c - a|`.
+
+    Precondition: `validate_timeline` has accepted the timeline, as in
+    `run_simulation`, so slab s+1 is slab s with event s's incoming block
+    replaced by its outgoing fronts.  Slab 0 is checked in full: its runs
+    concatenate to every atom in id order, with the slab's mass.  Each event
+    is then checked locally: its incoming atoms, in order and without those
+    it cancels, are its outgoing atoms in order, and every atom it cancels is
+    in the block (its survivors and casualties are its incoming atoms).  By
+    induction every slab's runs concatenate to the atoms live there, in id
+    order.  Each front's waves are checked once, in slab 0 or at the event
+    that makes it: their signs, and their cells, in id order, against the
+    cells the front crosses from its left state to its right one.
+    """
+    ws._require_traced()
+    tl, eps = ws.timeline, ws.epsilon
+
+    def check_fronts(fronts):
+        for fr in fronts:
+            fid, atoms = fr.fid, ws.atoms_of[fr.fid]
+            signs = {ws.sign[a] for a in atoms}
+            if signs != {fr.sign}:
+                raise ConsistencyError(f"front {fid}: sign mismatch")
+            ks = sorted(ws.cell[a] for a in atoms)
+            if ks != list(range(ks[0], ks[0] + len(ks))):
+                raise ConsistencyError(f"front {fid}: states not contiguous")
+            if ks[0] * eps != fr.u_lo or (ks[-1] + 1) * eps != fr.u_hi:
+                raise ConsistencyError(f"front {fid}: state span does not match its waves")
+            if len(atoms) * eps != fr.strength:
+                raise ConsistencyError(f"front {fid}: mass mismatch")
+            # the cells the front crosses, from its left state to its right one
+            k0, k1 = grid_index(fr.left, eps), grid_index(fr.right, eps)
+            step = 1 if k1 > k0 else -1
+            if [ws.cell[a] for a in atoms] != [min(k, k + step) for k in range(k0, k1, step)]:
+                raise ConsistencyError(f"front {fid}: its waves do not cross its states in order")
+
+    if ws.atom_count * eps != tl.slab_tvs[0]:
+        raise ConsistencyError("wave mass does not match front variation")
+    if [a for _, atoms in ws.runs(0) for a in atoms] != list(range(ws.atom_count)):
+        raise ConsistencyError("slab 0: live atoms not partitioned by fronts")
+    check_fronts(tl.slabs[0])
+
+    # per event, the atoms that sit at and survive it, and those it cancels
+    n = len(tl.events)
+    survived, canceled = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a in range(ws.atom_count):
+        events = ws.events_of[a]
+        if any(e >= f for e, f in zip(events, events[1:])):
+            raise ConsistencyError(f"atom {a}: survived events not increasing")
+        marks = [(survived, e) for e in events]
+        if ws.canc_event[a] is not None:
+            marks.append((canceled, ws.canc_event[a]))
+        for lists, e in marks:
+            if not 0 <= e < n:
+                raise ConsistencyError(f"atom {a} names unknown event {e}")
+            lists[e].append(a)
+    for e_idx, ev in enumerate(tl.events):
+        incoming = [a for fr in ev.incoming for a in ws.atoms_of[fr.fid]]
+        kept = [a for a in incoming if ws.canc_event[a] != e_idx]
+        outgoing = [a for fr in ev.outgoing for a in ws.atoms_of[fr.fid]]
+        if kept != outgoing:
+            raise ConsistencyError(
+                f"slab {e_idx + 1}: live atoms not partitioned by fronts"
+            )
+        check_fronts(ev.outgoing)
+        lost = len(canceled[e_idx]) * eps
+        if lost != ev.canceled_mass:
+            raise ConsistencyError(
+                f"event {e_idx}: canceled wave mass {lost} != TV drop {ev.canceled_mass}"
+            )
+        if len(survived[e_idx]) * eps != abs(ev.c - ev.a):
+            raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
+        if survived[e_idx] != outgoing:
+            raise ConsistencyError(
+                f"event {e_idx}: survivors are not the atoms of its outgoing fronts"
+            )
         if sorted(survived[e_idx] + canceled[e_idx]) != incoming:
             raise ConsistencyError(
                 f"event {e_idx}: survivors and casualties are not the atoms of its "
