@@ -2,7 +2,9 @@
 
 The speed change of an interaction is an envelope-slope integral over the
 states involved; with grid-aligned states it is an exact finite sum over
-state cells.  Each ordered pair of waves (w < w') carries a weight q:
+state cells, read off the grid indices its fronts carry
+(`InteractionEvent.chain_indices`).  Each ordered pair of waves (w < w')
+carries a weight q:
 
 * K (the flux curvature constant) when the live waves between them mix signs,
 * 0 when they share a position or will never share one,
@@ -37,7 +39,6 @@ from math import lcm
 
 from .envelope import GridFlux, curvature_constant, envelope
 from .errors import ConsistencyError, InputError
-from .rationals import grid_index
 from .tracker import SAME_SIGN, InteractionEvent, Timeline, evolve, merge_steps, profile_at
 from .tracing import (
     WaveSystem, advance_tracing, build_initial_waves, first_common_event, meeting_cells,
@@ -81,34 +82,35 @@ def _slope_gap_integral(flux, span_a, span_b, over, sign):
     return total * flux.epsilon
 
 
-def _span(u, v, flux):
-    """Grid index range (lo, hi) of the states between u and v."""
-    return tuple(sorted((grid_index(u, flux.epsilon), grid_index(v, flux.epsilon))))
+def _span(i, j):
+    """The grid index range (lo, hi) between the indices i and j."""
+    return (i, j) if i < j else (j, i)
 
 
 def _same_sign_triple(a, b, c, flux) -> Fraction:
     """Each part's envelope slopes against the whole jump's, over the part."""
     if not (a < b < c or a > b > c):
         raise InputError("same-sign speed change needs a monotone state triple")
-    whole, sign = _span(a, c, flux), 1 if c > a else -1
+    whole, sign = _span(a, c), 1 if c > a else -1
     return sum(
-        _slope_gap_integral(flux, part, whole, part, sign)
-        for part in (_span(a, b, flux), _span(b, c, flux))
+        _slope_gap_integral(flux, part, whole, part, sign) for part in (_span(a, b), _span(b, c))
     )
 
 
 def _cancellation_triple(a, b, c, flux) -> Fraction:
+    """The survivor's envelope slopes against the larger part's, over it."""
     if a == c:
         return Fraction(0)
-    survivor = _span(a, c, flux)
-    bigger = _span(a, b, flux) if abs(b - a) > abs(b - c) else _span(b, c, flux)
+    survivor = _span(a, c)
+    bigger = _span(a, b) if abs(b - a) > abs(b - c) else _span(b, c)
     return _slope_gap_integral(flux, survivor, bigger, survivor, 1 if c > a else -1)
 
 
 def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
-    """Total speed change of an event; composite events sum their merge steps."""
+    """Total speed change of an event; composite events sum their merge
+    steps, walked on the grid indices the incoming fronts carry."""
     total = Fraction(0)
-    for _, p, q, r in merge_steps(event.chain_states):
+    for _, p, q, r in merge_steps(event.chain_indices):
         if p == q:
             continue
         if (r > q) == (q > p):

@@ -2,13 +2,14 @@
 
 Every speed, time, position and potential value in this package is a
 ``fractions.Fraction``.  A state is a grid point k*epsilon: it is a
-``Fraction`` where it enters (configs, profiles) and where it is checked (the
-validators derive its k with `grid_coordinate`), while the kernel (the Riemann
-solver, front tracking and wave tracing) carries it as its grid index k, an
-int, from the hull a front is born on.  This module holds the small amount
-of shared plumbing:
-parsing/formatting of "p/q" strings, exact grid indices, and the one reader
-of JSON fields that configs, flux specs and reports share.
+``Fraction`` where it enters (configs, profiles), where it is checked (the
+validators derive its k with `grid_coordinate`) and where it is reported,
+while the kernel (the Riemann solver, front tracking and wave tracing) and
+the potentials (the speed change) carry it as its grid index k, an int,
+from the hull a front is born on.  This module holds the small amount of
+shared plumbing: parsing/formatting of "p/q" strings, exact grid indices,
+and the one reader of JSON fields that configs, flux specs and reports
+share.
 """
 
 from fractions import Fraction

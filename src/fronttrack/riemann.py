@@ -10,15 +10,16 @@ States enter and leave the solver as grid indices: `solve_riemann` takes the
 jump's two indices k_left and k_right (the states k*epsilon), reads the hull
 on them, and gives every front it births the indices of its own states
 (`Front.k_left`, `Front.k_right`, read off the hull's `indices`), so front
-tracking and wave tracing never turn a state back into its index.
+tracking, wave tracing and the potentials never turn a state back into its
+index.  The `Fraction` states are kept for the validators and the report.
 
 A fan depends on its hull and on the direction it is traversed in, not on
 where it is born.  So the first solve that reads a hull in one direction
 derives the fan's fields that do not depend on the birth point (states and
-their indices, speed, sign, strength, state span), runs the fan's guards,
-and keeps the result on the hull (`PiecewiseLinearFn.fans`); every later
-solve of a jump on that hull reads it back and derives only each front's
-line through its birth point (`x_at_zero`, `line`), on integers.
+their indices, speed), runs the fan's guards, and keeps the result on the
+hull (`PiecewiseLinearFn.fans`); every later solve of a jump on that hull
+reads it back and derives only each front's line through its birth point
+(`line`), on integers.  Every front of a fan has the sign of its jump.
 """
 
 from dataclasses import dataclass, field
@@ -28,43 +29,40 @@ from .envelope import GridFlux, envelope
 from .errors import ConsistencyError, InputError
 
 
-def _jump_fields(left, right) -> tuple:
-    """(sign, strength, u_lo, u_hi) of a front's jump."""
+def _jump_sign(left, right) -> int:
+    """The sign of a front's jump: 1 up, -1 down."""
     if left == right:
         raise InputError("a front must carry a nonzero jump")
-    if right > left:
-        return 1, right - left, left, right
-    return -1, left - right, right, left
+    return 1 if right > left else -1
 
 
-def _line_fields(n, m, t0, x0) -> tuple:
-    """(x_at_zero, line) of the line through (t0, x0) at the speed n/m: with
-    x0 = p/q and t0 = r/w, x_at_zero = x0 - (n/m)*t0 = (p*w*m - n*r*q) / (q*w*m),
-    one `Fraction`, and line = (its numerator and denominator, n, m)."""
+def _line(n, m, t0, x0) -> tuple:
+    """The integers (a, b, n, m) of the line through (t0, x0) at the speed
+    n/m: a/b is its intercept (its position at t = 0) in lowest terms; with
+    x0 = p/q and t0 = r/w, x0 - (n/m)*t0 = (p*w*m - n*r*q) / (q*w*m)."""
     if t0:
         r, w = t0.numerator, t0.denominator
         p, q = x0.numerator, x0.denominator
         x0 = Fraction(p * w * m - n * r * q, q * w * m)
-    return x0, (x0.numerator, x0.denominator, n, m)
+    return x0.numerator, x0.denominator, n, m
 
 
 @dataclass(frozen=True)
 class Front:
     """One admissible wavefront: a jump travelling at its chord speed.
 
-    A front moves on one line from its birth to its death, so its sign,
-    strength, state span, the line's intercept ``x_at_zero`` (its position
-    at t = 0) and the line's integers ``line`` (the numerator and
-    denominator of ``x_at_zero`` and of ``speed``) are derived once, when it
-    is made; `dataclasses.replace` cannot set them, and derives them again
-    from the edited fields.  `solve_riemann` births its fronts from a fan
-    template with the same fields (`_jump_fields`, `_line_fields`).
+    A front moves on one line from its birth to its death, so its sign and
+    the line's integers ``line`` (the numerator and denominator of its
+    intercept, its position at t = 0, and of ``speed``) are derived once,
+    when it is made; `dataclasses.replace` cannot set them, and derives them
+    again from the edited fields.  `solve_riemann` births its fronts from a
+    fan template with the same fields (`_jump_sign`, `_line`).
 
     A front born in `solve_riemann` also carries the grid indices of its left
-    and right states, ``k_left`` and ``k_right``, which front tracking and
-    wave tracing read in place of the states.  A front made by hand or by
-    `dataclasses.replace` carries None there, so it fails on the first
-    integer use instead of giving a wrong answer."""
+    and right states, ``k_left`` and ``k_right``, which front tracking, wave
+    tracing and the potentials read in place of the states.  A front made by
+    hand or by `dataclasses.replace` carries None there, so it fails on the
+    first integer use instead of giving a wrong answer."""
 
     left: Fraction
     right: Fraction
@@ -73,35 +71,27 @@ class Front:
     birth_x: Fraction
     fid: int = -1
     sign: int = field(init=False, compare=False, repr=False)
-    strength: Fraction = field(init=False, compare=False, repr=False)
-    u_lo: Fraction = field(init=False, compare=False, repr=False)
-    u_hi: Fraction = field(init=False, compare=False, repr=False)
-    x_at_zero: Fraction = field(init=False, compare=False, repr=False)
     line: tuple = field(init=False, compare=False, repr=False)
     k_left: int = field(init=False, compare=False, repr=False)
     k_right: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         fields, speed = vars(self), self.speed
-        fields["sign"], fields["strength"], fields["u_lo"], fields["u_hi"] = _jump_fields(
-            self.left, self.right
-        )
-        fields["x_at_zero"], fields["line"] = _line_fields(
-            speed.numerator, speed.denominator, self.birth_time, self.birth_x
-        )
+        fields["sign"] = _jump_sign(self.left, self.right)
+        fields["line"] = _line(speed.numerator, speed.denominator, self.birth_time, self.birth_x)
         # a front cannot know the grid size: only `solve_riemann` sets them
         fields["k_left"] = fields["k_right"] = None
 
     def position_at(self, t) -> Fraction:
         """Where the front's line is at time t (a `Fraction` or an int): with
-        x_at_zero = a/b and speed = c/d, (a*d*t_d + c*b*t_n) / (b*d*t_d)."""
+        intercept a/b and speed c/d, (a*d*t_d + c*b*t_n) / (b*d*t_d)."""
         a, b, c, d = self.line
         td = t.denominator
         return Fraction(a * d * td + c * b * t.numerator, b * d * td)
 
     def passes_through(self, t: Fraction, x: Fraction) -> bool:
-        """Whether the front's line holds the point (t, x): with x_at_zero =
-        a/b and speed = c/d, whether (a*d + c*b*t) / (b*d) == x, compared by
+        """Whether the front's line holds the point (t, x): with intercept
+        a/b and speed c/d, whether (a*d + c*b*t) / (b*d) == x, compared by
         cross-multiplying the integers."""
         a, b, c, d = self.line
         td = t.denominator
@@ -110,19 +100,17 @@ class Front:
 
 def _fan(hull, rising: bool, k_left: int, k_right: int) -> tuple:
     """The fan template of ``hull`` traversed from the k_left end: for each
-    piece, left to right, the fields of its front that do not depend on its
-    birth point (left, right, speed, sign, strength, u_lo, u_hi), its
-    speed's numerator and denominator, and its end states' grid indices
-    (k_left, k_right, read off ``hull.indices``).  The fan's guards run here,
-    once per hull and direction: a hull's end states are its grid points, so
+    piece, left to right, its front's states and speed, the speed's
+    numerator and denominator, and the states' grid indices (k_left,
+    k_right, read off ``hull.indices``).  The fan's guards run here, once
+    per hull and direction: a hull's end states are its grid points, so
     every jump that reads it has the same two states."""
     ks, us = hull.indices, hull.breakpoints
     pieces = list(zip(ks, ks[1:], us, us[1:], hull.slopes))
     if not rising:
         # decreasing jump: traverse the concave envelope from the top state
         pieces = [(kb, ka, b, a, s) for ka, kb, a, b, s in reversed(pieces)]
-    fan = tuple((a, b, s, *_jump_fields(a, b), s.numerator, s.denominator, ka, kb)
-                for ka, kb, a, b, s in pieces)
+    fan = tuple((a, b, s, s.numerator, s.denominator, ka, kb) for ka, kb, a, b, s in pieces)
     speeds = [s for *_, s in pieces]
     if any(s >= t for s, t in zip(speeds, speeds[1:])):
         raise ConsistencyError("Riemann fan speeds must strictly increase")
@@ -160,24 +148,25 @@ def solve_riemann(k_left: int, k_right: int, flux: GridFlux, t0=Fraction(0), x0=
     fan = fans[rising]
     if fan is None:
         fan = fans[rising] = _fan(hull, rising, k_left, k_right)
+    sign = 1 if rising else -1
     fronts = []
-    for fid, (left, right, speed, sign, strength, u_lo, u_hi, n, m, ka, kb) in enumerate(
-        fan, fid_start
-    ):
-        x_at_zero, line = _line_fields(n, m, t0, x0)
+    for fid, (left, right, speed, n, m, ka, kb) in enumerate(fan, fid_start):
         front = object.__new__(Front)
         object.__setattr__(front, "__dict__", {
             "left": left, "right": right, "speed": speed, "birth_time": t0, "birth_x": x0,
-            "fid": fid, "sign": sign, "strength": strength, "u_lo": u_lo, "u_hi": u_hi,
-            "x_at_zero": x_at_zero, "line": line, "k_left": ka, "k_right": kb,
+            "fid": fid, "sign": sign, "line": _line(n, m, t0, x0), "k_left": ka, "k_right": kb,
         })
         fronts.append(front)
     return fronts
 
 
-def is_admissible(front: Front, flux: GridFlux) -> bool:
-    """True iff the envelope over the front's jump is the single chord at its
-    speed.  A validator: the grid indices come from the front's states, not
-    from the ones it carries."""
-    env = envelope(flux, flux.index_of(front.u_lo), flux.index_of(front.u_hi), front.sign)
+def is_admissible(front: Front, flux: GridFlux, k_left: int, k_right: int) -> bool:
+    """True iff the envelope over the jump from grid index k_left to k_right
+    is the single chord at the front's speed.  A validator: the caller
+    derives the indices from the front's states (they must be ints inside
+    the flux window), not from the ones it carries."""
+    if k_right > k_left:
+        env = envelope(flux, k_left, k_right, 1)
+    else:
+        env = envelope(flux, k_right, k_left, -1)
     return len(env.slopes) == 1 and env.slopes[0] == front.speed

@@ -27,10 +27,12 @@ that those atoms' cells are the front's cells in traversal order
 (`_take_atoms`).  An atom's initial jump is not stored.
 
 The walk reads states only as the grid indices each front carries from its
-birth (`Front.k_left`, `Front.k_right`): the cells a front crosses and an
-event's survival walk are integer ranges.  `validate_tracing` does not read
-them; it derives its own from the fronts' states (`grid_coordinate`), once
-per front, and counts spans and masses in cells.
+birth (`Front.k_left`, `Front.k_right`): the cells a front crosses are an
+integer range, and an event's survival walk runs on its chain of indices
+(`InteractionEvent.chain_indices`), the one the speed change reads.
+`validate_tracing` does not read them; it derives its own from the fronts'
+states (`grid_coordinate`), once per front, and counts spans and masses in
+cells.
 """
 
 from bisect import bisect_left
@@ -115,16 +117,14 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
     _take_atoms(ws, tl.slabs[0], range(ws.atom_count))
 
     for e_idx, ev in enumerate(tl.events):
-        incoming = ev.incoming
-        groups = [ws.atoms_of[fr.fid] for fr in incoming]
+        groups = [ws.atoms_of[fr.fid] for fr in ev.incoming]
         # survival is decided by state membership in the running merged jump,
         # which stays sign-pure at every step; once it cancels out (p == q)
         # the next front's atoms all lie in [p, r) and survive.  The walk
-        # runs on the grid indices of the chain's states.
+        # runs on the event's chain of grid indices, as `delta_sigma` does.
         survivors = list(groups[0])
         casualties = []
-        chain = [incoming[0].k_left, *(fr.k_right for fr in incoming)]
-        for i, p, q, r in merge_steps(chain):
+        for i, p, q, r in merge_steps(ev.chain_indices):
             if (r > q) == (q > p):
                 survivors.extend(groups[i])
                 continue

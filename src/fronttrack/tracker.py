@@ -24,11 +24,12 @@ States enter and leave the tracker as grid indices.  `initial_fronts` turns
 each profile value into its index once, and every front carries the indices
 of its two states from its birth (`Front.k_left`, `Front.k_right`), so an
 event's chain test, its re-solve (`solve_riemann` on the block's end
-indices) and the atom counts are integer operations.  `validate_timeline`
-does not read the carried indices: it derives each new front's grid
-coordinates from its `Fraction` states, and checks on those integers.  The
-flux window is checked once, in `initial_fronts`, on the profile's grid
-coordinates.
+indices), the atom counts, `profile_at`'s chaining and an event's chain of
+indices (`InteractionEvent.chain_indices`) are integer operations.
+`validate_timeline` does not read the carried indices: it derives each new
+front's grid coordinates from its `Fraction` states, checks on those
+integers and hands them to `is_admissible`.  The flux window is checked
+once, in `initial_fronts`, on the profile's grid coordinates.
 
 The collision kernel runs on integers.  Each front carries the numerators
 and denominators of its line's intercept and speed (`Front.line`, fixed at
@@ -141,10 +142,6 @@ def discretize_initial(datum, epsilon) -> Profile:
     return Profile(base, tuple(out))
 
 
-def _strength(fronts) -> Fraction:
-    return sum((fr.strength for fr in fronts), Fraction(0))
-
-
 def _atoms(fronts) -> int:
     """The total strength of ``fronts`` in atoms of size epsilon: the number
     of grid cells between each front's carried state indices."""
@@ -181,13 +178,18 @@ class InteractionEvent:
         return (self.incoming[0].left,) + tuple(fr.right for fr in self.incoming)
 
     @property
+    def chain_indices(self):
+        """The grid indices of `chain_states`, as the incoming fronts carry them."""
+        return (self.incoming[0].k_left,) + tuple(fr.k_right for fr in self.incoming)
+
+    @property
     def canceled_mass(self) -> Fraction:
-        return _strength(self.incoming) - abs(self.c - self.a)
+        return sum(abs(fr.right - fr.left) for fr in self.incoming) - abs(self.c - self.a)
 
 
 def merge_steps(states):
     """The left-to-right pairwise merge of an event's chain of states (its
-    `chain_states`, or their grid indices): for each incoming front i >= 1,
+    `chain_states`, or its `chain_indices`): for each incoming front i >= 1,
     yield (i, p, q, r), where (p, q) is the jump merged from the fronts
     before i (p == q once they cancel out) and r is front i's right state."""
     p, q = states[0], states[1]
@@ -383,30 +385,30 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
 
 def profile_at(tl: Timeline, t: Fraction, side: str = "post") -> Profile:
     """Reconstruct the profile at time t (pre/post selects the one-sided limit
-    at event instants; elsewhere the two agree)."""
+    at event instants; elsewhere the two agree).  Order is checked first;
+    chaining and repeated values are decided on the carried grid indices."""
     t = Fraction(t)
     constant = tl.initial_profile.constant_state
-    merged = []
-    prev_v = constant
-    prev_x = None
+    k0 = grid_coordinate(constant, tl.flux.epsilon)
+    merged = []  # (x, k, value) after each position
+    k_prev, prev_x = k0, None
     for fr in tl.slabs[tl.slab_index_at(t, side)]:
         x = fr.position_at(t)
-        if fr.left != prev_v:
-            raise ConsistencyError("front states lost their chaining")
         if prev_x is not None and x < prev_x:
             raise ConsistencyError("fronts crossed inside a slab")
+        if fr.k_left != k_prev:
+            raise ConsistencyError("front states lost their chaining")
         if merged and merged[-1][0] == x:
-            merged[-1] = (x, fr.right)
+            merged[-1] = (x, fr.k_right, fr.right)
         else:
-            merged.append((x, fr.right))
-        prev_v = fr.right
-        prev_x = x
+            merged.append((x, fr.k_right, fr.right))
+        k_prev, prev_x = fr.k_right, x
     jumps = []
-    prev_v = constant
-    for x, v in merged:
-        if v != prev_v:
+    k_prev = k0
+    for x, k, v in merged:
+        if k != k_prev:
             jumps.append((x, v))
-            prev_v = v
+            k_prev = k
     return Profile(constant, tuple(jumps))
 
 
@@ -436,7 +438,7 @@ def _rate_terms(fronts, ks):
 
 def _offset(fr, t: Fraction, x: Fraction) -> int:
     """An integer with the sign of the front's position at time t minus x:
-    with x_at_zero = a/b and speed = c/d, (a*d*t_d + c*b*t_n) * x_d -
+    with intercept a/b and speed = c/d, (a*d*t_d + c*b*t_n) * x_d -
     x_n * b*d*t_d, all denominators positive."""
     a, b, c, d = fr.line
     td = t.denominator
@@ -515,7 +517,10 @@ def validate_timeline(tl: Timeline) -> None:
             lo, hi = (kl, kr) if kl < kr else (kr, kl)
             if not (lo0 <= lo and hi <= hi0):
                 raise ConsistencyError("profile left the initial value range")
-            if not is_admissible(fr, flux):
+            if type(lo) is not int or type(hi) is not int or lo < flux.k_min or hi > flux.k_max:
+                for u in sorted((fr.left, fr.right)):  # raises the state's own error
+                    flux.index_of(u)
+            if not is_admissible(fr, flux, kl, kr):
                 raise ConsistencyError("live front is not admissible")
             ks.append((kl, kr))
         if k_next is None and k_prev != pks[-1]:

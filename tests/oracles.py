@@ -22,7 +22,10 @@ definitions from the front's states and birth point, not from the fields a
 `Front` derives at its birth.  `fraction_validate_timeline` is the
 event-local `validate_timeline` as it ran on the fronts' `Fraction` states,
 before it checked grid coordinates: the two must give the same verdict,
-exception and message on every timeline.
+exception and message on every timeline.  `fraction_delta_sigma` and
+`fraction_profile_at` are the speed change and the profile reconstruction
+as they ran on `Fraction` states, before they read the grid indices the
+fronts carry: they must give the same values.
 """
 
 from bisect import bisect_left, bisect_right
@@ -32,7 +35,8 @@ from math import lcm
 
 from fronttrack.envelope import sample_flux
 from fronttrack.errors import ConsistencyError, DomainError, InputError, TrackerError
-from fronttrack.potential import _cell_slopes
+from fronttrack.potential import _cell_slopes, _slope_gap_integral
+from fronttrack.rationals import grid_index
 from fronttrack.riemann import is_admissible
 from fronttrack.tracker import (
     CANCELLATION,
@@ -41,8 +45,8 @@ from fronttrack.tracker import (
     Profile,
     Timeline,
     _block_index,
-    _strength,
     initial_fronts,
+    merge_steps,
     resolve_event,
 )
 
@@ -160,7 +164,7 @@ def delta_sigma_closed_form(event):
     if event.kind != SAME_SIGN or len(event.incoming) != 2:
         raise InputError("closed form applies to binary same-sign events")
     left, right = event.incoming
-    s_l, s_r = left.strength, right.strength
+    s_l, s_r = front_kinematics(left)[1], front_kinematics(right)[1]
     return 2 * (left.speed - right.speed) * s_l * s_r / (s_l + s_r)
 
 
@@ -190,8 +194,6 @@ def slope_gap_integral_by_cells(flux, span_a, span_b, over, sign):
 
 def oracle_same_sign_speed_change(a, b, c, flux):
     """The interaction speed-change integral, via brute-force hulls."""
-    from fronttrack.rationals import grid_index
-
     eps = flux.epsilon
     ia, ib, ic = (grid_index(u, eps) for u in (a, b, c))
     if a < b < c:
@@ -212,8 +214,6 @@ def oracle_same_sign_speed_change(a, b, c, flux):
 
 
 def oracle_cancellation_speed_change(a, b, c, flux):
-    from fronttrack.rationals import grid_index
-
     if a == c:
         return F(0)
     eps = flux.epsilon
@@ -262,6 +262,15 @@ def front_kinematics(fr):
     """(sign, strength, u_lo, u_hi) of ``fr``, read off its two states."""
     sign = 1 if fr.right > fr.left else -1
     return sign, abs(fr.right - fr.left), min(fr.left, fr.right), max(fr.left, fr.right)
+
+
+def admissible(fr, flux):
+    """`is_admissible` on the grid indices of the front's states, lower state
+    first, as `GridFlux.index_of` gives them (or its error for a state off
+    the grid or outside the window)."""
+    sign, _, u_lo, u_hi = front_kinematics(fr)
+    k_lo, k_hi = flux.index_of(u_lo), flux.index_of(u_hi)
+    return is_admissible(fr, flux, *((k_lo, k_hi) if sign > 0 else (k_hi, k_lo)))
 
 
 def meeting_time(left, right, after):
@@ -370,7 +379,7 @@ def oracle_validate_timeline(tl):
     tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
                  - flux.value_at_index(flux.index_of(p.constant_state)))
     baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
-    admissible = set()
+    checked = set()
     prev_tv = None
     for s, fronts in enumerate(tl.slabs):
         tv = _tv(fronts)
@@ -393,10 +402,10 @@ def oracle_validate_timeline(tl):
             _, _, u_lo, u_hi = front_kinematics(fr)
             if not (lo0 <= u_lo and u_hi <= hi0):
                 raise ConsistencyError("profile left the initial value range")
-            if fr not in admissible:
-                if not is_admissible(fr, flux):
+            if fr not in checked:
+                if not admissible(fr, flux):
                     raise ConsistencyError("live front is not admissible")
-                admissible.add(fr)
+                checked.add(fr)
         if prev_v != p.right_constant:
             raise ConsistencyError("right tail value changed")
 
@@ -457,9 +466,10 @@ def fraction_validate_timeline(tl: Timeline) -> None:
             if fr.left != prev_v:
                 raise ConsistencyError("front states do not chain inside a slab")
             prev_v = fr.right
-            if not (lo0 <= fr.u_lo and fr.u_hi <= hi0):
+            _, _, u_lo, u_hi = front_kinematics(fr)
+            if not (lo0 <= u_lo and u_hi <= hi0):
                 raise ConsistencyError("profile left the initial value range")
-            if not is_admissible(fr, flux):
+            if not admissible(fr, flux):
                 raise ConsistencyError("live front is not admissible")
         if right is None and prev_v != p.right_constant:
             raise ConsistencyError("right tail value changed")
@@ -474,7 +484,7 @@ def fraction_validate_timeline(tl: Timeline) -> None:
     first = slabs[0]
     check_new(first, None, None)
     check_ordered(first, F(0))
-    if tvs[0] != _strength(first):
+    if tvs[0] != _tv(first):
         raise ConsistencyError("slab total variation does not match its fronts")
     tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
                  - flux.value_at_index(flux.index_of(p.constant_state)))
@@ -509,7 +519,7 @@ def fraction_validate_timeline(tl: Timeline) -> None:
         ):
             raise ConsistencyError("fronts crossed inside a slab")
 
-        if tvs[s + 1] != tvs[s] - _strength(ev.incoming) + _strength(ev.outgoing):
+        if tvs[s + 1] != tvs[s] - _tv(ev.incoming) + _tv(ev.outgoing):
             raise ConsistencyError("slab total variation does not match its fronts")
         drop = tvs[s] - tvs[s + 1]
         if drop < 0:
@@ -524,6 +534,60 @@ def fraction_validate_timeline(tl: Timeline) -> None:
             raise ConsistencyError("conserved moment drifted")
 
     check_ordered(last, tl.slab_bounds(len(events))[0])
+
+
+def _index_span(u, v, flux):
+    """The grid index range (lo, hi) of the states between u and v."""
+    return tuple(sorted((grid_index(u, flux.epsilon), grid_index(v, flux.epsilon))))
+
+
+def fraction_delta_sigma(event, flux):
+    """`delta_sigma` as it ran on the event's chain of `Fraction` states,
+    each merge step's states turned into grid indices by `grid_index`."""
+    total = F(0)
+    for _, p, q, r in merge_steps(event.chain_states):
+        if p == q or p == r:
+            continue  # a step that cancels out changes no speed
+        sign = 1 if r > p else -1
+        whole = _index_span(p, r, flux)
+        if (r > q) == (q > p):
+            total += sum(
+                _slope_gap_integral(flux, part, whole, part, sign)
+                for part in (_index_span(p, q, flux), _index_span(q, r, flux))
+            )
+        else:
+            part = (p, q) if abs(q - p) > abs(q - r) else (q, r)
+            total += _slope_gap_integral(flux, whole, _index_span(*part, flux), whole, sign)
+    return total
+
+
+def fraction_profile_at(tl, t, side="post"):
+    """`profile_at` as it ran on the fronts' `Fraction` states: chained and
+    with repeated values dropped by comparing states."""
+    t = F(t)
+    constant = tl.initial_profile.constant_state
+    merged = []
+    prev_v = constant
+    prev_x = None
+    for fr in tl.slabs[tl.slab_index_at(t, side)]:
+        x = fr.position_at(t)
+        if fr.left != prev_v:
+            raise ConsistencyError("front states lost their chaining")
+        if prev_x is not None and x < prev_x:
+            raise ConsistencyError("fronts crossed inside a slab")
+        if merged and merged[-1][0] == x:
+            merged[-1] = (x, fr.right)
+        else:
+            merged.append((x, fr.right))
+        prev_v = fr.right
+        prev_x = x
+    jumps = []
+    prev_v = constant
+    for x, v in merged:
+        if v != prev_v:
+            jumps.append((x, v))
+            prev_v = v
+    return Profile(constant, tuple(jumps))
 
 
 def state_forgeries(tl):

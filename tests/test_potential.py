@@ -33,6 +33,7 @@ from oracles import (
     WORKED_PROFILE,
     WORKED_Q_BY_SLAB,
     delta_sigma_closed_form,
+    fraction_delta_sigma,
     oracle_cancellation_speed_change,
     oracle_same_sign_speed_change,
     slab_midpoints,
@@ -84,25 +85,41 @@ def test_two_shock_speed_change_is_one():
 
 def test_speed_change_zero_for_affine_flux():
     affine = sample_flux({"polynomial": ["0", "2"]}, "1", (-3, 3))
-    assert _same_sign_triple(F(0), F(1), F(2), affine) == F(0)
-    assert _cancellation_triple(F(0), F(2), F(1), affine) == F(0)
+    assert _same_sign_triple(0, 1, 2, affine) == F(0)
+    assert _cancellation_triple(0, 2, 1, affine) == F(0)
 
 
 def test_cancellation_speed_change_convex_flux_vanishes():
     # both envelopes coincide with the flux on the surviving interval
-    assert _cancellation_triple(F(0), F(2), F(1), BURGERS) == F(0)
+    assert _cancellation_triple(0, 2, 1, BURGERS) == F(0)
 
 
 def test_cancellation_speed_change_full():
-    assert _cancellation_triple(F(0), F(2), F(0), BURGERS) == F(0)
+    assert _cancellation_triple(0, 2, 0, BURGERS) == F(0)
 
 
 def test_cancellation_speed_change_cubic_quarter_grid():
     cubic = sample_flux({"polynomial": ["0", "0", "0", "1"]}, "1/4", (-4, 4))
     # triple: left jump up to 1/2, right jump back down to 1/4
-    got = _cancellation_triple(F(-1), F(1, 2), F(1, 4), cubic)
+    got = _cancellation_triple(-4, 2, 1, cubic)
     assert got == F(5, 64)
     assert got == oracle_cancellation_speed_change(F(-1), F(1, 2), F(1, 4), cubic)
+
+
+def test_delta_sigma_matches_the_fraction_chain():
+    # every event of the worked run, of the 1/64 ladder rung, and of three
+    # acceptance-family configs whose salt makes a three-front cancellation
+    # (the acceptance suite reseeds those runs away); the last one's second
+    # merge step changes speeds, the other two's do not
+    runs = [harness.run_simulation(harness.parse_run_config(cfg)).timeline
+            for cfg in (ladder_config("1/64"), suite_config(7), suite_config(27),
+                        suite_config(59, salt=2))]
+    composite = [(e, ev.kind) for tl in runs for e, ev in enumerate(tl.events)
+                 if len(ev.incoming) > 2]
+    assert composite == [(2, "cancellation"), (7, "cancellation"), (3, "cancellation")]
+    for tl in [evolve(WORKED_PROFILE, WORKED_FLUX), *runs]:
+        for ev in tl.events:
+            assert delta_sigma(ev, tl.flux) == fraction_delta_sigma(ev, tl.flux)
 
 
 def test_speed_change_wrong_kind_rejected():
@@ -130,12 +147,11 @@ def test_speed_change_reflection_invariance(data):
     f = GridFlux(F(1, 2), 0, len(vals) - 1, tuple(F(n, d) for n, d in vals))
     g = _reflect_flux(f)
     ks = sorted(data.draw(st.sets(st.integers(0, len(vals) - 1), min_size=3, max_size=3)))
-    u = [f.grid_u(k) for k in ks]
     a, b, c = data.draw(st.sampled_from([
-        (u[0], u[1], u[2]),   # same-sign increasing
-        (u[2], u[1], u[0]),   # same-sign decreasing
-        (u[0], u[2], u[1]),   # cancellation, left jump larger
-        (u[2], u[0], u[1]),   # cancellation, mirrored
+        (ks[0], ks[1], ks[2]),   # same-sign increasing
+        (ks[2], ks[1], ks[0]),   # same-sign decreasing
+        (ks[0], ks[2], ks[1]),   # cancellation, left jump larger
+        (ks[2], ks[0], ks[1]),   # cancellation, mirrored
     ]))
     if (c > b) == (b > a):
         assert _same_sign_triple(a, b, c, f) == _same_sign_triple(-a, -b, -c, g)
@@ -153,11 +169,11 @@ def test_speed_change_matches_oracle(data):
     f = GridFlux(F(1, 2), 0, len(vals) - 1, tuple(F(n, d) for n, d in vals))
     ks = sorted(data.draw(st.sets(st.integers(0, len(vals) - 1), min_size=3, max_size=3)))
     u = [f.grid_u(k) for k in ks]
-    a, b, c = u
-    assert _same_sign_triple(a, b, c, f) == oracle_same_sign_speed_change(a, b, c, f)
-    a, c2, b2 = u
+    a, b, c = ks
+    assert _same_sign_triple(a, b, c, f) == oracle_same_sign_speed_change(*u, f)
+    a, c2, b2 = ks
     assert _cancellation_triple(a, b2, c2, f) == oracle_cancellation_speed_change(
-        a, b2, c2, f
+        u[0], u[2], u[1], f
     )
 
 

@@ -130,10 +130,10 @@ def test_solver_and_envelope_reject_an_index_that_is_not_an_int():
 
 
 def test_is_admissible_examples():
-    assert is_admissible(Front(F(1), F(-1), F(0), F(0), F(0)), BURGERS)
+    assert is_admissible(Front(F(1), F(-1), F(0), F(0), F(0)), BURGERS, 1, -1)
     # an increasing unit-spread jump is a two-piece fan, not one front
-    assert not is_admissible(Front(F(-1), F(1), F(0), F(0), F(0)), BURGERS)
-    assert is_admissible(Front(F(0), F(1), F(1, 2), F(0), F(0)), BURGERS)
+    assert not is_admissible(Front(F(-1), F(1), F(0), F(0), F(0)), BURGERS, -1, 1)
+    assert is_admissible(Front(F(0), F(1), F(1, 2), F(0), F(0)), BURGERS, 0, 1)
 
 
 def _centered_flux(eps_den, vals):
@@ -177,7 +177,7 @@ def test_fan_conservation_ordering_and_resolve(f, data):
     # and re-solves to itself
     for fr in fronts:
         assert (fr.k_left, fr.k_right) == (f.index_of(fr.left), f.index_of(fr.right))
-        assert is_admissible(fr, f)
+        assert is_admissible(fr, f, f.index_of(fr.left), f.index_of(fr.right))
         again = solve_riemann(f.index_of(fr.left), f.index_of(fr.right), f)
         assert [(g.left, g.right, g.speed) for g in again] == [
             (fr.left, fr.right, fr.speed)

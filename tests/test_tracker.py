@@ -35,6 +35,7 @@ from oracles import (
     WORKED_FLUX,
     WORKED_PROFILE,
     event_kind_and_b,
+    fraction_profile_at,
     fraction_validate_timeline,
     front_kinematics,
     front_position,
@@ -46,7 +47,7 @@ from oracles import (
     slab_midpoints,
     state_forgeries,
 )
-from suite_builder import ladder_config
+from suite_builder import ladder_config, suite_config
 
 BURGERS = sample_flux({"polynomial": ["0", "0", "1/2"]}, "1", (-2, 2))
 
@@ -530,6 +531,19 @@ def test_profile_at_rejects_a_forged_slab():
         profile_at(crossed, F(0))
 
 
+def test_profile_at_matches_the_fraction_chain():
+    # at every slab midpoint and every event time, on both sides, on runs
+    # with merges, full cancellations, same-time events at distinct points
+    # and three-front meetings
+    runs = [harness.run_simulation(harness.parse_run_config(cfg)).timeline
+            for cfg in (ladder_config("1/64"), suite_config(7), suite_config(27))]
+    for tl in [evolve(TWO_SHOCK, BURGERS), evolve(WORKED_PROFILE, WORKED_FLUX),
+               evolve(TRIPLE_POINT, TABLE), evolve(SIMULTANEOUS, BURGERS_WIDE), *runs]:
+        for t in [*slab_midpoints(tl), *(ev.t for ev in tl.events)]:
+            for side in ("pre", "post"):
+                assert profile_at(tl, t, side) == fraction_profile_at(tl, t, side), (t, side)
+
+
 def test_restarted_evolution_matches():
     tl = evolve(TWO_SHOCK, BURGERS)
     mid = profile_at(tl, F(1, 2))
@@ -709,8 +723,8 @@ def _assert_kinematics_match_oracle(tl):
     birth point."""
     times = [F(0)] + [ev.t for ev in tl.events]
     for fr in tl.fronts_by_id.values():
-        assert (fr.sign, fr.strength, fr.u_lo, fr.u_hi) == front_kinematics(fr)
-        assert fr.x_at_zero == front_position(fr, F(0))
+        assert fr.sign == front_kinematics(fr)[0]
+        assert F(*fr.line[:2]) == front_position(fr, F(0))
         for t in [fr.birth_time, *times]:
             assert fr.position_at(t) == front_position(fr, t)
 
@@ -723,8 +737,8 @@ def test_front_kinematics_match_oracle_on_the_ladder_rung_and_its_restarts():
         _assert_kinematics_match_oracle(evolve(profile_at(tl, t), tl.flux))
     # a front born at an event, off the t = 0 line
     fr = tl.events[-1].outgoing[0]
-    assert fr.birth_time > 0 and fr.x_at_zero != fr.birth_x
-    for name in ("sign", "strength", "u_lo", "u_hi", "x_at_zero"):
+    assert fr.birth_time > 0 and F(*fr.line[:2]) != fr.birth_x
+    for name in ("sign", "line"):
         with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
             replace(fr, **{name: getattr(fr, name)})
     eps = tl.flux.epsilon
@@ -732,11 +746,11 @@ def test_front_kinematics_match_oracle_on_the_ladder_rung_and_its_restarts():
                  {"speed": fr.speed - F(1, 5)}, {"left": fr.right, "right": fr.left},
                  {"right": fr.right + 3 * eps * fr.sign}]:
         moved = replace(fr, **edit)
-        assert (moved.sign, moved.strength, moved.u_lo, moved.u_hi) == front_kinematics(moved)
+        assert moved.sign == front_kinematics(moved)[0]
         for t in (F(0), moved.birth_time, fr.birth_time + 2):
             assert moved.position_at(t) == front_position(moved, t)
     moved = replace(fr, birth_x=fr.birth_x + F(1, 3))
-    assert moved.x_at_zero == fr.x_at_zero + F(1, 3)
+    assert F(*moved.line[:2]) == F(*fr.line[:2]) + F(1, 3)
 
 
 # -- validate_timeline against the full-scan oracle ------------------------------

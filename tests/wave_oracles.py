@@ -35,7 +35,7 @@ from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, merge_steps, profile_at
 from fronttrack.tracing import WaveSystem, first_common_event, meeting_cells
 
-from oracles import profile_value_at, value_at
+from oracles import front_kinematics, profile_value_at, value_at
 
 MIXED_SIGN = "mixed_sign"
 SAME_POSITION = "same_position"
@@ -462,9 +462,10 @@ def oracle_validate_tracing(ws: WaveSystem) -> None:
             ks = sorted(ws.cell[a] for a in atoms)
             if ks != list(range(ks[0], ks[0] + len(ks))):
                 raise ConsistencyError(f"front {fid}: states not contiguous")
-            if ks[0] * eps != fr.u_lo or (ks[-1] + 1) * eps != fr.u_hi:
+            _, strength, u_lo, u_hi = front_kinematics(fr)
+            if ks[0] * eps != u_lo or (ks[-1] + 1) * eps != u_hi:
                 raise ConsistencyError(f"front {fid}: state span does not match its waves")
-            if len(atoms) * eps != fr.strength:
+            if len(atoms) * eps != strength:
                 raise ConsistencyError(f"front {fid}: mass mismatch")
 
     # per event, the atoms that sit at and survive it, and those it cancels
@@ -503,7 +504,8 @@ def oracle_validate_tracing(ws: WaveSystem) -> None:
 
 def fraction_validate_tracing(ws: WaveSystem) -> None:
     """`validate_tracing` as it ran on `Fraction` spans and masses: each
-    front's cells times epsilon against its `u_lo`, `u_hi` and `strength`,
+    front's cells times epsilon against its lower and upper state and its
+    strength (`front_kinematics`),
     and each event's wave masses against its `canceled_mass` and `|c - a|`.
 
     Precondition: `validate_timeline` has accepted the timeline, as in
@@ -530,9 +532,10 @@ def fraction_validate_tracing(ws: WaveSystem) -> None:
             ks = sorted(ws.cell[a] for a in atoms)
             if ks != list(range(ks[0], ks[0] + len(ks))):
                 raise ConsistencyError(f"front {fid}: states not contiguous")
-            if ks[0] * eps != fr.u_lo or (ks[-1] + 1) * eps != fr.u_hi:
+            _, strength, u_lo, u_hi = front_kinematics(fr)
+            if ks[0] * eps != u_lo or (ks[-1] + 1) * eps != u_hi:
                 raise ConsistencyError(f"front {fid}: state span does not match its waves")
-            if len(atoms) * eps != fr.strength:
+            if len(atoms) * eps != strength:
                 raise ConsistencyError(f"front {fid}: mass mismatch")
             # the cells the front crosses, from its left state to its right one
             k0, k1 = grid_index(fr.left, eps), grid_index(fr.right, eps)
@@ -591,7 +594,8 @@ def _fan_cells(fronts, eps):
     """The fid of the fan front that spans each state cell."""
     cell_to_fid = {}
     for fr in fronts:
-        for k in range(grid_index(fr.u_lo, eps), grid_index(fr.u_hi, eps)):
+        _, _, u_lo, u_hi = front_kinematics(fr)
+        for k in range(grid_index(u_lo, eps), grid_index(u_hi, eps)):
             if k in cell_to_fid:
                 raise ConsistencyError("outgoing fronts overlap in state")
             cell_to_fid[k] = fr.fid
