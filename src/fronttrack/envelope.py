@@ -32,9 +32,9 @@ from .rationals import grid_index, json_field, parse_rational
 class GridFlux:
     """Flux samples F(k*epsilon) for k in [k_min, k_max], affine in between.
 
-    Two fluxes are equal when their grids and integer samples D*F(k*epsilon)
-    are: D is the lcm of the sample denominators, so that is equality of the
-    samples, decided and hashed on ints."""
+    A flux compares and hashes by identity, so the hull and slope caches key
+    on the run's own flux object: a run and its restart probes, which share
+    that object, share hulls; no other run reaches them."""
 
     epsilon: Fraction
     k_min: int
@@ -48,24 +48,13 @@ class GridFlux:
             raise InputError("flux window must contain at least two grid points")
         if len(self.values) != self.k_max - self.k_min + 1:
             raise InputError("flux sample count does not match the index range")
-        # D and the integer samples D*F(k*epsilon), read by the hull builder,
-        # the curvature constant and the equality below
+        # D, the lcm of the sample denominators, and the integer samples
+        # D*F(k*epsilon), read by the hull builder and the curvature constant
         scale = lcm(*(v.denominator for v in self.values))
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(
             self, "_scaled", tuple(v.numerator * (scale // v.denominator) for v in self.values)
         )
-        # the lru caches key on the flux: hash it once, not on every lookup
-        object.__setattr__(self, "_key", (self.epsilon, self.k_min, self.k_max, scale, self._scaled))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __eq__(self, other):
-        if not isinstance(other, GridFlux):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     # -- grid geometry -----------------------------------------------------
 

@@ -491,7 +491,7 @@ def _bianchini_of_slab(ws: WaveSystem) -> list:
     so the trees and the running total are ints.
     """
     tl = ws.timeline
-    born = [*tl.slabs[0], *(fr for ev in tl.events for fr in ev.outgoing)]
+    born = tl.fronts_by_id.values()  # slab 0's fronts, then each event's fan
     rank = {v: r for r, v in enumerate(sorted({fr.speed for fr in born}))}
     moments = {fr.fid: len(ws.atoms_of[fr.fid]) * fr.speed for fr in born}
     scale = lcm(*(m.denominator for m in moments.values()))
@@ -669,7 +669,10 @@ def _restart_probe_times(tl: Timeline, count: int):
     """Deterministic spread of slab midpoints (the last slab probes t_lo + 1)."""
     if count <= 0:
         return []
-    n, step = len(tl.slabs), max(count - 1, 1)
+    # at most one probe per slab: for count >= n the picks cover every slab
+    n = len(tl.slabs)
+    count = min(count, n)
+    step = max(count - 1, 1)
     picks = sorted({(i * (n - 1)) // step for i in range(count)})
     out = []
     for s in picks:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fronttrack import cli, harness
+from fronttrack import cli, harness, potential
 from fronttrack.cli import main
-from fronttrack.envelope import sample_flux
+from fronttrack.envelope import _concave_by_index, _convex_by_index, sample_flux
 from fronttrack.errors import InputError
 from fronttrack.harness import (
     l1_distance,
@@ -290,6 +290,50 @@ def test_verify_report_recheck_initial_bound_flags(golden_result):
     ]
 
 
+def test_a_huge_probe_count_takes_one_probe_per_slab():
+    config = load_json(CONFIGS / "two_shock_burgers.json")
+
+    def probes(count):
+        cfg = parse_run_config(dict(config, options={"restart_check_points": count}))
+        return build_report(run_simulation(cfg))["restart_checks"]
+
+    slabs = len(run_simulation(parse_run_config(config)).timeline.slabs)
+    assert probes(10**12) == probes(slabs)
+
+
+def test_runs_in_one_process_share_no_hulls():
+    # each run samples its own flux, so the second run builds every hull the
+    # first built, while the first run's restart probes read the hulls of
+    # the flux object they share with it
+    config = parse_run_config(load_json(CONFIGS / "nonconvex_splitting.json"))
+    assert config.restart_check_points > 0
+    caches = (_convex_by_index, _concave_by_index)
+
+    def counts():
+        return [sum(cache.cache_info()[i] for cache in caches) for i in (0, 1)]
+
+    def counted(run, hits):
+        def probe(*args):
+            before = counts()[0]
+            out = run(*args)
+            hits.append(counts()[0] - before)
+            return out
+        return probe
+
+    misses, probe_hits, reports = [], [], []
+    for _ in range(2):
+        before = counts()[1]
+        probe_hits.append([])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(potential, "run_pipeline", counted(potential.run_pipeline, probe_hits[-1]))
+            result = run_simulation(config)
+        misses.append(counts()[1] - before)
+        reports.append(report_bytes(build_report(result)))
+    assert misses[0] > 0 and misses[1] == misses[0]
+    assert probe_hits[0] and sum(probe_hits[0]) > 0
+    assert reports[1] == reports[0]
+
+
 def test_empty_datum_run():
     cfg = parse_run_config(
         {
@@ -549,8 +593,10 @@ def test_flux_table_errors_say_key_or_value():
         )):
             parse_run_config(dict(GOLDEN_CONFIG, flux={"table": dict(BURGERS_TABLE, **{key: "1"})}))
     # negative keys are grid indices too
-    assert sample_flux({"table": BURGERS_TABLE}, "1", (-2, 2)) == sample_flux(
-        GOLDEN_CONFIG["flux"], "1", (-2, 2)
+    table = sample_flux({"table": BURGERS_TABLE}, "1", (-2, 2))
+    polynomial = sample_flux(GOLDEN_CONFIG["flux"], "1", (-2, 2))
+    assert (table.epsilon, table.k_min, table.k_max, table.values) == (
+        polynomial.epsilon, polynomial.k_min, polynomial.k_max, polynomial.values
     )
 
 

@@ -121,3 +121,22 @@ def test_every_imported_name_is_used():
                     if name not in loaded:
                         unused.append(f"{module}:{name}")
     assert unused == []
+
+
+# the hull and slope caches, keyed on the run's own flux object; any other
+# memo would be process-global state that one run leaves to the next
+CACHED = {"envelope.py:_convex_by_index", "envelope.py:_concave_by_index",
+          "potential.py:_cell_slopes"}
+
+
+def test_no_other_function_is_cached():
+    cached = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    called = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = ast.unparse(called).removeprefix("functools.")
+                    if name in ("lru_cache", "cache"):
+                        cached.add(f"{module}:{node.name}")
+    assert sorted(cached - CACHED) == []
