@@ -157,9 +157,9 @@ def l1_distance(p: Profile, q: Profile) -> Fraction:
 # -- random families --------------------------------------------------------------
 
 
-def random_flux_spec(rng: random.Random, max_degree: int = 5) -> dict:
-    """Polynomial flux with small rational coefficients; degree >= 2."""
-    degree = rng.randint(2, max_degree)
+def random_flux_spec(rng: random.Random) -> dict:
+    """Polynomial flux with small rational coefficients, of degree 2 to 5."""
+    degree = rng.randint(2, 5)
     coeffs = []
     for i in range(degree + 1):
         num = rng.randint(-3, 3)
@@ -236,7 +236,21 @@ def parse_sweep_config(data: dict) -> SweepConfig:
         if max_tv < 0:
             raise InputError("config field 'random.max_tv' must be nonnegative")
         random_family = dict(random_family, max_tv=max_tv)
-    return SweepConfig(base, epsilons, datum, random_family, probe_times)
+    sweep_cfg = SweepConfig(base, epsilons, datum, random_family, probe_times)
+    # every member's config fails here, before any member runs; an L1
+    # distance needs the member's discretized tails to be the finest's
+    tails = {}
+    for eps in epsilons:
+        cfg = parse_run_config(_member_config(sweep_cfg, eps))
+        if probe_times:
+            profile = discretize_initial(cfg.datum, cfg.epsilon)
+            tails[eps] = profile.constant_state, profile.right_constant
+    finest = epsilons[-1]
+    for eps, tail in tails.items():
+        if tail != tails[finest]:
+            raise InputError(f"sweep members at epsilon {eps} and {finest} have different "
+                             "tails, so their L1 distance is undefined")
+    return sweep_cfg
 
 
 def _member_config(sweep: SweepConfig, epsilon: Fraction) -> dict:

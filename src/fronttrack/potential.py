@@ -20,9 +20,10 @@ finite sum.  Only events whose survivors come from two or more incoming
 fronts make pairs meet, so Q is a sweep over those events' pairs, kept
 slab by slab.  The cubic speed-spread (Bianchini) sum is kept event by event
 in integer Fenwick trees over the front speed rank, O(k log F) per event of
-k fronts.  Adding K * TV(initial) * TV(current) yields the combined
-functionals (`upsilon`); the variant with the Q term doubled is the one
-whose event drops dominate the full speed change.
+k fronts; the same walk counts each slab's live atoms, whose mass is its
+total variation TV.  Adding K * TV(initial) * TV(current) yields the
+combined functionals (`upsilon`); the variant with the Q term doubled is
+the one whose event drops dominate the full speed change.
 
 All classifications look only forward in time: they depend on front
 membership in the current slab and on the event list from the slab onward,
@@ -475,9 +476,10 @@ class _Fenwick:
 
 
 def _bianchini_of_slab(ws: WaveSystem) -> list:
-    """The Bianchini sum of every slab, in slab order: over run pairs, |speed
-    gap| times both run masses.  (One call covers the whole run; the name is
-    kept for the benchmark tracer, which wraps it.)
+    """(Bianchini sum, total variation) of every slab, in slab order: over
+    run pairs, |speed gap| times both run masses, and the mass of the live
+    waves, N * epsilon.  (One call covers the whole run; the name is kept for
+    the benchmark tracer, which wraps it.)
 
     Slab s+1 is slab s with event s's incoming fronts replaced by its
     outgoing ones, so the sum is kept event by event, O(k log F) for an event
@@ -514,14 +516,15 @@ def _bianchini_of_slab(ws: WaveSystem) -> list:
 
     for fr in tl.slabs[0]:
         move(fr.fid, 1)
-    eps_sq = ws.epsilon * ws.epsilon
-    out = [Fraction(total, scale) * eps_sq]
+    eps = ws.epsilon
+    eps_sq = eps * eps
+    out = [(Fraction(total, scale) * eps_sq, n_live * eps)]
     for ev in tl.events:
         for fr in ev.incoming:
             move(fr.fid, -1)
         for fr in ev.outgoing:
             move(fr.fid, 1)
-        out.append(Fraction(total, scale) * eps_sq)
+        out.append((Fraction(total, scale) * eps_sq, n_live * eps))
     return out
 
 
@@ -702,9 +705,8 @@ def verify_run(ws: WaveSystem, restart_checks: int = 0) -> PotentialSeries:
     engine = _SlabPotential(ws, K)
 
     slabs = []
-    for s, bianchini in enumerate(_bianchini_of_slab(ws)):
+    for s, (bianchini, tv) in enumerate(_bianchini_of_slab(ws)):
         q_val = engine.q_of_slab(s)
-        tv = tl.slab_tvs[s]
         slabs.append(
             SlabRecord(s, *tl.slab_bounds(s), q_val, tv, *upsilon(q_val, tv, tv0, K),
                        bianchini)

@@ -89,13 +89,13 @@ class Front:
         td = t.denominator
         return Fraction(a * d * td + c * b * t.numerator, b * d * td)
 
-    def passes_through(self, t: Fraction, x: Fraction) -> bool:
-        """Whether the front's line holds the point (t, x): with intercept
-        a/b and speed c/d, whether (a*d + c*b*t) / (b*d) == x, compared by
-        cross-multiplying the integers."""
+    def offset(self, t: Fraction, x: Fraction) -> int:
+        """An int with the sign of the front's position at time t minus x
+        (0 when its line holds the point (t, x)): with intercept a/b and
+        speed c/d, (a*d*t_d + c*b*t_n) * x_d - x_n * b*d*t_d."""
         a, b, c, d = self.line
         td = t.denominator
-        return (a * d * td + c * b * t.numerator) * x.denominator == x.numerator * b * d * td
+        return (a * d * td + c * b * t.numerator) * x.denominator - x.numerator * b * d * td
 
 
 def _fan(hull, rising: bool, k_left: int, k_right: int) -> tuple:

@@ -16,16 +16,14 @@ so an entry stays exact while its pair stays adjacent; an entry whose pair
 was broken up by an event is skipped when popped (lazy invalidation).  Each
 entry leads with the integer key floor(t * 2^64), which never decreases as t
 grows, so the heap sifts on ints and compares the exact (t, x) only when two
-keys tie.  The total variation of each slab is carried along, event by
-event, as a whole number of atoms of size epsilon (every state is a grid
-point), and made a `Fraction` once per slab, when the Timeline is built.
+keys tie.
 
 States enter and leave the tracker as grid indices.  `initial_fronts` turns
 each profile value into its index once, and every front carries the indices
 of its two states from its birth (`Front.k_left`, `Front.k_right`), so an
 event's chain test, its re-solve (`solve_riemann` on the block's end
-indices), the atom counts, `profile_at`'s chaining and an event's chain of
-indices (`InteractionEvent.chain_indices`) are integer operations.
+indices), `profile_at`'s chaining and an event's chain of indices
+(`InteractionEvent.chain_indices`) are integer operations.
 `validate_timeline` does not read the carried indices: it derives each new
 front's grid coordinates from its `Fraction` states, checks on those
 integers and hands them to `is_admissible`.  The flux window is checked
@@ -36,20 +34,20 @@ and denominators of its line's intercept and speed (`Front.line`, fixed at
 its birth), so the ordering test and the convergence test of a new pair are
 cross-multiplications, a converging pair makes two `Fraction`s, its meeting
 time and its meeting point (`Front.position_at`, one `Fraction` from the
-line's integers), and "this front is at x at time t"
-(`Front.passes_through`), asked when a block is extended, when an event is
-resolved and when it is validated, is one integer equality.  An event's
+line's integers), and "where is this front at time t, relative to x"
+(`Front.offset`), asked when a block is extended, when an event is resolved
+and when it is validated, is the sign of one integer.  An event's
 outgoing fan is born from its hull's fan template (see `riemann`), so an
 event that re-solves a jump seen before derives only the new fronts' lines.
 
 The resulting Timeline holds what the run decides, each fact once: the live
-ordered front set of each slab (t_j, t_{j+1}], the events (their point, the
-fronts that meet there and the fan born there) and the per-slab total
-variation.  Everything else is derived: an event's kind and merged states
-from its incoming fronts, a slab's bounds from the event times
-(`Timeline.slab_bounds`), an index by position in its list.  Profiles can be
-reconstructed at any time, with a pre/post side selector at the event
-instants themselves.
+ordered front set of each slab (t_j, t_{j+1}] and the events (their point,
+the fronts that meet there and the fan born there).  Everything else is
+derived: an event's kind and merged states from its incoming fronts, a
+slab's bounds from the event times (`Timeline.slab_bounds`), an index by
+position in its list, a slab's total variation from its waves (see
+`potential`).  Profiles can be reconstructed at any time; at an event
+instant `profile_at` gives the one just after the event.
 
 `validate_timeline` checks slab 0 in full and then each event locally.  Once
 slab s+1 is known to be slab s with the event's incoming block, met at the
@@ -59,7 +57,7 @@ it ends (positions are linear in t), and the total variation and the
 conserved moment's rate only each event's change.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -142,12 +140,6 @@ def discretize_initial(datum, epsilon) -> Profile:
     return Profile(base, tuple(out))
 
 
-def _atoms(fronts) -> int:
-    """The total strength of ``fronts`` in atoms of size epsilon: the number
-    of grid cells between each front's carried state indices."""
-    return sum(abs(fr.k_right - fr.k_left) for fr in fronts)
-
-
 @dataclass(frozen=True)
 class InteractionEvent:
     """The fronts that meet at (t, x) and the fan born there.  The merged
@@ -206,7 +198,6 @@ class Timeline:
     events: tuple
     slabs: tuple  # the live fronts of each slab, left to right
     fronts_by_id: dict
-    slab_tvs: tuple  # total variation of each slab, updated event by event
 
     def slab_bounds(self, s: int):
         """(t_lo, t_hi) of slab s, the time interval (t_lo, t_hi] between the
@@ -215,14 +206,11 @@ class Timeline:
         t_hi = self.events[s].t if s < len(self.events) else None
         return t_lo, t_hi
 
-    def slab_index_at(self, t: Fraction, side: str = "post") -> int:
+    def slab_index_at(self, t: Fraction) -> int:
+        """The slab live at time t, the one just after an event at t."""
         if t < 0:
             raise InputError("time must be nonnegative")
-        if side == "pre":
-            return bisect_left(self.events, t, key=attrgetter("t"))
-        if side == "post":
-            return bisect_right(self.events, t, key=attrgetter("t"))
-        raise InputError("side must be 'pre' or 'post'")
+        return bisect_right(self.events, t, key=attrgetter("t"))
 
 
 def initial_fronts(profile: Profile, flux: GridFlux):
@@ -301,10 +289,10 @@ def next_collision(heap, live, fids):
     else:
         return None
     first = i
-    while first > 0 and live[first - 1].passes_through(t, x):
+    while first > 0 and not live[first - 1].offset(t, x):
         first -= 1
     last = i + 1
-    while last + 1 < len(live) and live[last + 1].passes_through(t, x):
+    while last + 1 < len(live) and not live[last + 1].offset(t, x):
         last += 1
     return Collision(t, x, first, last)
 
@@ -330,7 +318,7 @@ def resolve_event(colliding, t, x, flux, fid_start=0):
     for fr, gr in zip(colliding, colliding[1:]):
         if fr.k_right != gr.k_left:
             raise ConsistencyError("colliding front states do not chain")
-    if not all(fr.passes_through(t, x) for fr in colliding):
+    if any(fr.offset(t, x) for fr in colliding):
         raise ConsistencyError("colliding fronts do not meet at the event point")
     outgoing = solve_riemann(colliding[0].k_left, colliding[-1].k_right, flux, t, x, fid_start)
     return InteractionEvent(t, x, tuple(colliding), tuple(outgoing))
@@ -349,12 +337,9 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
         _schedule(heap, fr, gr, t0)
     events = []
     slabs = [tuple(live)]
-    eps = flux.epsilon
-    tv_atoms = [_atoms(live)]  # each slab's total variation / eps
 
     def timeline():
-        tvs = tuple(n * eps for n in tv_atoms)
-        return Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id, tvs)
+        return Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id)
 
     while True:
         hit = next_collision(heap, live, fids)
@@ -377,22 +362,21 @@ def evolve(profile: Profile, flux: GridFlux, max_events=None) -> Timeline:
         for j in {hit.first - 1, hit.first + len(out) - 1}:
             if 0 <= j < len(live) - 1:
                 _schedule(heap, live[j], live[j + 1], hit.t)
-        tv_atoms.append(tv_atoms[-1] - _atoms(block) + _atoms(out))
         events.append(event)
         slabs.append(tuple(live))
     return timeline()
 
 
-def profile_at(tl: Timeline, t: Fraction, side: str = "post") -> Profile:
-    """Reconstruct the profile at time t (pre/post selects the one-sided limit
-    at event instants; elsewhere the two agree).  Order is checked first;
-    chaining and repeated values are decided on the carried grid indices."""
+def profile_at(tl: Timeline, t: Fraction) -> Profile:
+    """Reconstruct the profile at time t (at an event instant, the one just
+    after the event).  Order is checked first; chaining and repeated values
+    are decided on the carried grid indices."""
     t = Fraction(t)
     constant = tl.initial_profile.constant_state
     k0 = grid_coordinate(constant, tl.flux.epsilon)
     merged = []  # (x, k, value) after each position
     k_prev, prev_x = k0, None
-    for fr in tl.slabs[tl.slab_index_at(t, side)]:
+    for fr in tl.slabs[tl.slab_index_at(t)]:
         x = fr.position_at(t)
         if prev_x is not None and x < prev_x:
             raise ConsistencyError("fronts crossed inside a slab")
@@ -436,29 +420,6 @@ def _rate_terms(fronts, ks):
             for fr, (kl, kr) in zip(fronts, ks))
 
 
-def _offset(fr, t: Fraction, x: Fraction) -> int:
-    """An integer with the sign of the front's position at time t minus x:
-    with intercept a/b and speed = c/d, (a*d*t_d + c*b*t_n) * x_d -
-    x_n * b*d*t_d, all denominators positive."""
-    a, b, c, d = fr.line
-    td = t.denominator
-    return (a * d * td + c * b * t.numerator) * x.denominator - x.numerator * b * d * td
-
-
-def _ordered_at(fronts, t: Fraction) -> bool:
-    """Whether the fronts' positions at time t do not decrease, compared by
-    cross-multiplying each position's numerator and denominator."""
-    tn, td = t.numerator, t.denominator
-    prev = None
-    for fr in fronts:
-        a, b, c, d = fr.line
-        num, den = a * d * td + c * b * tn, b * d * td
-        if prev is not None and num * prev[1] < prev[0] * den:
-            return False
-        prev = num, den
-    return True
-
-
 def validate_timeline(tl: Timeline) -> None:
     """Exact structural checks; raises ConsistencyError on any failure.
 
@@ -480,13 +441,15 @@ def validate_timeline(tl: Timeline) -> None:
     index a front carries.  A state's coordinate is its grid index, or the
     exact non-integral u/epsilon of an off-grid state, so every comparison
     is the one on the `Fraction` states, scaled by 1/epsilon, and deriving
-    one raises nothing.  The total variation is counted in atoms (each slab
-    a running count), and the moment and its rate are sums of coordinate
+    one raises nothing.  Each event's change of the total variation is
+    counted in atoms, and the moment and its rate are sums of coordinate
     changes times positions or speeds, exact over the lcm of their
-    denominators; the factor epsilon cancels between their two sides.
+    denominators; the factor epsilon cancels between their two sides.  Two
+    neighbours are ordered at time t when the right one's `Front.offset`
+    from the left one's position is not negative.
     """
     p, flux = tl.initial_profile, tl.flux
-    events, slabs, tvs = tl.events, tl.slabs, tl.slab_tvs
+    events, slabs = tl.events, tl.slabs
     eps = flux.epsilon
     e_n, e_d = eps.numerator, eps.denominator
     pks = [grid_coordinate(u, eps) for u in p.values()]
@@ -501,7 +464,7 @@ def validate_timeline(tl: Timeline) -> None:
     speeds = [(fr.speed.numerator, fr.speed.denominator) for fr in last]
     if any(n0 * m1 > n1 * m0 for (n0, m0), (n1, m1) in zip(speeds, speeds[1:])):
         raise ConsistencyError("fronts still converge after the last event")
-    if len(slabs) != len(events) + 1 or len(tvs) != len(slabs):
+    if len(slabs) != len(events) + 1:
         raise ConsistencyError("slabs do not span the events")
 
     def check_new(fronts, k_prev, k_next):
@@ -529,17 +492,10 @@ def validate_timeline(tl: Timeline) -> None:
             raise ConsistencyError("front states do not chain inside a slab")
         return ks
 
-    def matches_atoms(tv, count) -> bool:
-        """Whether tv == count * epsilon."""
-        return tv.numerator * e_d == count * tv.denominator * e_n
-
-    first = slabs[0]
+    first, zero = slabs[0], Fraction(0)
     coords = check_new(first, pks[0], None)  # (k_left, k_right) of each live front
-    if not _ordered_at(first, Fraction(0)):
+    if any(gr.offset(zero, fr.position_at(zero)) < 0 for fr, gr in zip(first, first[1:])):
         raise ConsistencyError("fronts crossed inside a slab")
-    count = sum(abs(kr - kl) for kl, kr in coords)  # the live atoms
-    if not matches_atoms(tvs[0], count):
-        raise ConsistencyError("slab total variation does not match its fronts")
     tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
                  - flux.value_at_index(flux.index_of(p.constant_state)))
     # the moment at t = 0, front by front and jump by jump, over epsilon
@@ -566,22 +522,20 @@ def validate_timeline(tl: Timeline) -> None:
         if new != ev.outgoing:
             raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
         t, x = ev.t, ev.x
-        if not all(fr.passes_through(t, x) for fr in ev.incoming) or any(
+        if any(fr.offset(t, x) for fr in ev.incoming) or any(
             fr.birth_time != t or fr.birth_x != x for fr in ev.outgoing
         ):
             raise ConsistencyError(f"event {s}: its fronts do not meet at its point")
         # every pair that ends or forms here has a block front, at x, on one
         # side and the block's neighbour, or another block front, on the other
-        if (i > 0 and _offset(before[i - 1], t, x) > 0) or (
-            k_next is not None and _offset(before[i + k], t, x) < 0
+        if (i > 0 and before[i - 1].offset(t, x) > 0) or (
+            k_next is not None and before[i + k].offset(t, x) < 0
         ):
             raise ConsistencyError("fronts crossed inside a slab")
 
         in_ks = coords[i : i + k]
         atoms_in = sum(abs(kr - kl) for kl, kr in in_ks)
         drop = atoms_in - sum(abs(kr - kl) for kl, kr in new_ks)
-        if not matches_atoms(tvs[s + 1], count - drop):
-            raise ConsistencyError("slab total variation does not match its fronts")
         if drop < 0:
             raise ConsistencyError("total variation increased")
         if ev.kind == SAME_SIGN and drop != 0:
@@ -594,8 +548,8 @@ def validate_timeline(tl: Timeline) -> None:
         out_n, out_d = _exact_sum(_rate_terms(ev.outgoing, new_ks))
         if in_n * out_d != out_n * in_d:
             raise ConsistencyError("conserved moment drifted")
-        count -= drop
         coords[i : i + k] = new_ks
 
-    if not _ordered_at(last, tl.slab_bounds(len(events))[0]):
+    t = tl.slab_bounds(len(events))[0]
+    if any(gr.offset(t, fr.position_at(t)) < 0 for fr, gr in zip(last, last[1:])):
         raise ConsistencyError("fronts crossed inside a slab")

@@ -32,6 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
+from operator import attrgetter
 
 from fronttrack.envelope import sample_flux
 from fronttrack.errors import ConsistencyError, DomainError, InputError, TrackerError
@@ -318,13 +319,8 @@ def _tv(fronts):
     return sum((front_kinematics(fr)[1] for fr in fronts), F(0))
 
 
-def _slab_tvs(slabs):
-    return tuple(_tv(fronts) for fronts in slabs)
-
-
 def oracle_evolve(profile, flux, max_events=None):
-    """`evolve` by a full rescan of the live line at every event; each slab's
-    total variation is the sum of its front strengths."""
+    """`evolve` by a full rescan of the live line at every event."""
     lo, hi = profile.value_span()
     if not (flux.grid_u(flux.k_min) <= lo and hi <= flux.grid_u(flux.k_max)):
         raise InputError("flux window does not cover the profile's value range")
@@ -343,10 +339,7 @@ def oracle_evolve(profile, flux, max_events=None):
         if hit is None:
             break
         if len(events) >= cap:
-            partial = Timeline(
-                flux, profile, tuple(events), tuple(slabs), fronts_by_id,
-                _slab_tvs(slabs),
-            )
+            partial = Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id)
             raise TrackerError(
                 f"event cap {cap} exceeded at t={hit.t}", partial_timeline=partial
             )
@@ -358,14 +351,12 @@ def oracle_evolve(profile, flux, max_events=None):
         live[hit.first : hit.last + 1] = list(event.outgoing)
         events.append(event)
         t_prev = hit.t
-    return Timeline(
-        flux, profile, tuple(events), tuple(slabs), fronts_by_id, _slab_tvs(slabs)
-    )
+    return Timeline(flux, profile, tuple(events), tuple(slabs), fronts_by_id)
 
 
 def oracle_validate_timeline(tl):
-    """`validate_timeline` with every check run on every slab; it ignores
-    ``tl.slab_tvs`` and sums each slab's front strengths itself."""
+    """`validate_timeline` with every check run on every slab; each slab's
+    total variation is the sum of its front strengths."""
     p, flux = tl.initial_profile, tl.flux
     lo0, hi0 = p.value_span()
 
@@ -430,7 +421,8 @@ def _moment_rate(fronts):
 
 def fraction_validate_timeline(tl: Timeline) -> None:
     """`validate_timeline` as it ran on the fronts' `Fraction` states, with
-    `Fraction` sums for the total variation, the moment and its rate.
+    `Fraction` sums for each event's total variation drop, the moment and
+    its rate.
 
     Among them: the moment sum_j jump_j * x_j(t) - t * (F(right tail) -
     F(left tail)) keeps its time-zero value (with equal tails, the integral
@@ -446,7 +438,7 @@ def fraction_validate_timeline(tl: Timeline) -> None:
     the total variation and the moment's rate by each event's change.
     """
     p, flux = tl.initial_profile, tl.flux
-    events, slabs, tvs = tl.events, tl.slabs, tl.slab_tvs
+    events, slabs = tl.events, tl.slabs
     lo0, hi0 = p.value_span()
 
     for ev, nxt in zip(events, events[1:]):
@@ -455,7 +447,7 @@ def fraction_validate_timeline(tl: Timeline) -> None:
     last = slabs[-1]
     if any(fr.speed > gr.speed for fr, gr in zip(last, last[1:])):
         raise ConsistencyError("fronts still converge after the last event")
-    if len(slabs) != len(events) + 1 or len(tvs) != len(slabs):
+    if len(slabs) != len(events) + 1:
         raise ConsistencyError("slabs do not span the events")
 
     def check_new(fronts, left, right):
@@ -484,8 +476,6 @@ def fraction_validate_timeline(tl: Timeline) -> None:
     first = slabs[0]
     check_new(first, None, None)
     check_ordered(first, F(0))
-    if tvs[0] != _tv(first):
-        raise ConsistencyError("slab total variation does not match its fronts")
     tail_flux = (flux.value_at_index(flux.index_of(p.right_constant))
                  - flux.value_at_index(flux.index_of(p.constant_state)))
     baseline = sum((v - u) * x for (x, v), u in zip(p.jumps, p.values()))
@@ -508,7 +498,7 @@ def fraction_validate_timeline(tl: Timeline) -> None:
         if new != ev.outgoing:
             raise ConsistencyError(f"slab {s + 1} is not slab {s} after event {s}")
         t, x = ev.t, ev.x
-        if not all(fr.passes_through(t, x) for fr in ev.incoming) or any(
+        if any(fr.offset(t, x) for fr in ev.incoming) or any(
             fr.birth_time != t or fr.birth_x != x for fr in ev.outgoing
         ):
             raise ConsistencyError(f"event {s}: its fronts do not meet at its point")
@@ -519,9 +509,7 @@ def fraction_validate_timeline(tl: Timeline) -> None:
         ):
             raise ConsistencyError("fronts crossed inside a slab")
 
-        if tvs[s + 1] != tvs[s] - _tv(ev.incoming) + _tv(ev.outgoing):
-            raise ConsistencyError("slab total variation does not match its fronts")
-        drop = tvs[s] - tvs[s + 1]
+        drop = _tv(ev.incoming) - _tv(ev.outgoing)
         if drop < 0:
             raise ConsistencyError("total variation increased")
         if ev.kind == SAME_SIGN and drop != 0:
@@ -561,15 +549,23 @@ def fraction_delta_sigma(event, flux):
     return total
 
 
+def slab_index(tl, t, side="post"):
+    """The slab live at time t; at an event instant, ``side`` picks the one
+    just before ("pre") or just after ("post", `Timeline.slab_index_at`) it."""
+    s = tl.slab_index_at(t)  # raises on a negative time
+    return bisect_left(tl.events, t, key=attrgetter("t")) if side == "pre" else s
+
+
 def fraction_profile_at(tl, t, side="post"):
     """`profile_at` as it ran on the fronts' `Fraction` states: chained and
-    with repeated values dropped by comparing states."""
+    with repeated values dropped by comparing states; ``side`` as in
+    `slab_index`."""
     t = F(t)
     constant = tl.initial_profile.constant_state
     merged = []
     prev_v = constant
     prev_x = None
-    for fr in tl.slabs[tl.slab_index_at(t, side)]:
+    for fr in tl.slabs[slab_index(tl, t, side)]:
         x = fr.position_at(t)
         if fr.left != prev_v:
             raise ConsistencyError("front states lost their chaining")

@@ -129,9 +129,16 @@ def _random_sweep(family):
     return dict({k: v for k, v in GOLDEN_SWEEP.items() if k != "datum"}, random=family)
 
 
+# the right tail 1/3 discretizes to 0 at epsilon 1/2 and to 1/4 at 1/4
+DIFFERENT_TAILS = {
+    "base": {"flux": {"polynomial": ["0", "0", "1/2"]}},
+    "epsilons": ["1/2", "1/4"],
+    "datum": {"constant": "0", "jumps": [["0", "1/3"]]},
+}
+
 # each ended in a traceback, or (probe_times) probed t = 1 and t = 2, or (a
-# negative probe time) ran every member before failing, before the sweep
-# fields were validated
+# negative probe time, members with different tails or a malformed base)
+# ran every member before failing, before the sweep fields were validated
 MALFORMED_SWEEPS = [
     dict(GOLDEN_SWEEP, epsilons=5),
     dict(GOLDEN_SWEEP, base=5),
@@ -142,6 +149,8 @@ MALFORMED_SWEEPS = [
     _random_sweep({"jumps": "5"}),
     _random_sweep({"max_tv": "-1"}),
     _random_sweep({"max_tv": "x"}),
+    DIFFERENT_TAILS,
+    dict(GOLDEN_SWEEP, base={"flux": {"polynomial": ["0", "0", "1/2"]}, "window": [4, -4]}),
 ]
 
 
@@ -719,6 +728,16 @@ def test_sweep_requires_decreasing_epsilons():
     for bad in MALFORMED_SWEEPS:
         with pytest.raises(InputError):
             parse_sweep_config(bad)
+
+
+def test_sweep_members_with_different_tails():
+    # the message names both epsilons; without probe times no L1 distance is
+    # taken, and the members run
+    with pytest.raises(InputError, match="epsilon 1/2 and 1/4 have different tails"):
+        parse_sweep_config(DIFFERENT_TAILS)
+    rows = sweep(parse_sweep_config(dict(DIFFERENT_TAILS, probe_times=[])))
+    assert [r["epsilon"] for r in rows] == ["1/2", "1/4"]
+    assert all(r["passed"] and r["l1_to_finest"] == {} for r in rows)
 
 
 def test_sweep_random_family(tmp_path):

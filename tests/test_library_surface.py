@@ -1,7 +1,8 @@
 """The package's only client is its command line (`fronttrack run`, `sweep`
 and `verify`): the root module re-exports nothing, and every public name of
-the package is used by the package itself, and every name a module imports
-is used there.  A helper that only the tests call belongs in
+the package is used by the package itself, every name a module imports is
+used there, and every parameter with a default is passed by some call in
+the package.  A helper, or an option, that only the tests use belongs in
 `tests/oracles.py` or `tests/wave_oracles.py`."""
 
 import ast
@@ -140,3 +141,60 @@ def test_no_other_function_is_cached():
                     if name in ("lru_cache", "cache"):
                         cached.add(f"{module}:{node.name}")
     assert sorted(cached - CACHED) == []
+
+
+# parameters that only callers outside the package pass: the console script
+# calls `main()`, and the benchmark worker passes `argv`
+PASSED_FROM_OUTSIDE = {"cli.py:main(argv)"}
+
+
+def _defaulted_parameters(trees):
+    """(label, called name, position, name) of each parameter with a default
+    of each function.  Its position counts the arguments a call passes (a
+    method's self is not one), and a class's ``__init__`` is called by the
+    class's name; position None marks a keyword-only parameter."""
+    for module, tree in trees.items():
+        stack = [(tree, None)]
+        while stack:
+            node, owner = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                stack.append((child, node if isinstance(node, ast.ClassDef) else None))
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            called = owner.name if owner and node.name == "__init__" else node.name
+            shift = 1 if owner else 0  # the package has no static methods
+            args = node.args.posonlyargs + node.args.args
+            first = len(args) - len(node.args.defaults)
+            defaulted = [(i - shift, a) for i, a in enumerate(args) if i >= first]
+            defaulted += [(None, a) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if d is not None]
+            for position, arg in defaulted:
+                yield f"{module}:{node.name}({arg.arg})", called, position, arg.arg
+
+
+def _passes(call, position, name) -> bool:
+    """Whether ``call`` passes the parameter at ``position`` (None: keyword
+    only) or named ``name``; a starred argument may pass any of them."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(arg, ast.Starred) for arg in call.args[: position + 1]))
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    trees = _trees()
+    calls = {}  # called name -> its ast.Call nodes
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    never = [
+        label for label, called, position, name in _defaulted_parameters(trees)
+        if label not in PASSED_FROM_OUTSIDE
+        and not any(_passes(call, position, name) for call in calls.get(called, []))
+    ]
+    assert never == []

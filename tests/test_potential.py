@@ -32,6 +32,7 @@ from oracles import (
     WORKED_K,
     WORKED_PROFILE,
     WORKED_Q_BY_SLAB,
+    _tv,
     delta_sigma_closed_form,
     fraction_delta_sigma,
     oracle_cancellation_speed_change,
@@ -461,6 +462,20 @@ def test_worked_example_verify_run():
     assert series.flags["upsilon0_le_2k_tv0_sq"]
     assert all(rc.equal for rc in series.restart_checks)
     assert series.max_weight <= WORKED_K
+
+
+def test_series_tv_is_the_sum_of_front_strengths_on_every_slab():
+    # each slab's TV is counted from its live waves, beside the Bianchini sum;
+    # on the ladder rung and on the suite's three composite cancellations (two
+    # of them full) it must be the oracle's sum of the slab's front strengths
+    composite = 0
+    for cfg in (ladder_config("1/64"), suite_config(7), suite_config(27),
+                suite_config(59, salt=2)):
+        r = harness.run_simulation(harness.parse_run_config(cfg))
+        tl = r.timeline
+        assert [rec.TV for rec in r.series.slabs] == [_tv(fronts) for fronts in tl.slabs]
+        composite += sum(len(ev.incoming) > 2 for ev in tl.events)
+    assert composite >= 3
 
 
 def test_worked_example_cancellation_weight_stability():

@@ -34,6 +34,7 @@ from oracles import (
     TRIPLE_POINT,
     WORKED_FLUX,
     WORKED_PROFILE,
+    _tv,
     event_kind_and_b,
     fraction_profile_at,
     fraction_validate_timeline,
@@ -252,9 +253,10 @@ def _assert_schedule_matches_oracle(left, right, t):
 
 @settings(max_examples=400, deadline=None)
 @given(fr=fronts(), t=times, miss=st.one_of(st.just(F(0)), tiny, rationals))
-def test_passes_through_matches_the_position_oracle(fr, t, miss):
+def test_offset_sign_matches_the_position_oracle(fr, t, miss):
     x = front_position(fr, t) + miss
-    assert fr.passes_through(t, x) is (front_position(fr, t) == x) is (miss == 0)
+    offset, gap = fr.offset(t, x), front_position(fr, t) - x
+    assert (offset > 0, offset < 0) == (gap > 0, gap < 0) == (miss < 0, miss > 0)
 
 
 # large numerators and denominators (up to about 2^100), of both signs
@@ -430,7 +432,7 @@ def test_staircase_cascade():
     tl = evolve(p, BURGERS_WIDE)
     assert [ev.t for ev in tl.events] == [F(1), F(5, 3), F(7, 3)]
     assert all(ev.kind == SAME_SIGN for ev in tl.events)
-    assert tl.slab_tvs[0] == tl.slab_tvs[-1] == F(4)
+    assert _tv(tl.slabs[0]) == _tv(tl.slabs[-1]) == F(4)
     validate_timeline(tl)
 
 
@@ -440,7 +442,7 @@ def test_triple_point_full_cancellation():
     ev = tl.events[0]
     assert (ev.t, ev.x) == (F(6), F(6))
     assert len(ev.incoming) == 3 and ev.outgoing == ()
-    assert tl.slab_tvs[1] == F(0)
+    assert tl.slabs[1] == ()
     validate_timeline(tl)
 
 
@@ -499,18 +501,11 @@ def test_profile_at_post_merge():
 
 def test_profile_at_event_sides():
     tl = evolve(TWO_SHOCK, BURGERS)
-    pre = profile_at(tl, F(1), side="pre")
-    post = profile_at(tl, F(1), side="post")
-    # both one-sided limits collapse to the same single jump at the event point
-    assert pre.jumps == ((F(1, 2), F(-1)),)
+    # at the event instant profile_at reads the slab after the event; the
+    # incoming shocks of the slab before collapse to the same single jump
+    post = profile_at(tl, F(1))
     assert post.jumps == ((F(1, 2), F(-1)),)
-    assert pre == post
-
-
-def test_profile_at_pre_keeps_incoming_fronts_before_event():
-    tl = evolve(TWO_SHOCK, BURGERS)
-    pre = profile_at(tl, F(3, 4), side="pre")
-    assert len(pre.jumps) == 2
+    assert post == fraction_profile_at(tl, F(1), side="pre")
 
 
 def test_profile_at_negative_time():
@@ -532,7 +527,7 @@ def test_profile_at_rejects_a_forged_slab():
 
 
 def test_profile_at_matches_the_fraction_chain():
-    # at every slab midpoint and every event time, on both sides, on runs
+    # at every slab midpoint and every event time, on runs
     # with merges, full cancellations, same-time events at distinct points
     # and three-front meetings
     runs = [harness.run_simulation(harness.parse_run_config(cfg)).timeline
@@ -540,8 +535,7 @@ def test_profile_at_matches_the_fraction_chain():
     for tl in [evolve(TWO_SHOCK, BURGERS), evolve(WORKED_PROFILE, WORKED_FLUX),
                evolve(TRIPLE_POINT, TABLE), evolve(SIMULTANEOUS, BURGERS_WIDE), *runs]:
         for t in [*slab_midpoints(tl), *(ev.t for ev in tl.events)]:
-            for side in ("pre", "post"):
-                assert profile_at(tl, t, side) == fraction_profile_at(tl, t, side), (t, side)
+            assert profile_at(tl, t) == fraction_profile_at(tl, t), t
 
 
 def test_restarted_evolution_matches():
@@ -609,9 +603,9 @@ def test_validate_timeline_rejects_forged_inadmissible_fronts():
 
 
 def _assert_matches_oracle(profile, flux, max_events=None):
-    """`evolve` gives the oracle's events, slabs, fronts and per-slab TV (the
-    oracle sums each slab's front strengths), or the same partial timeline,
-    and each event's derived kind and states follow their definitions."""
+    """`evolve` gives the oracle's events, slabs and fronts, or the same
+    partial timeline, and each event's derived kind and states follow their
+    definitions."""
     try:
         ref = oracle_evolve(profile, flux, max_events)
     except TrackerError as exc:
@@ -624,7 +618,6 @@ def _assert_matches_oracle(profile, flux, max_events=None):
     assert tl.events == ref.events
     assert tl.slabs == ref.slabs
     assert tl.fronts_by_id == ref.fronts_by_id
-    assert tl.slab_tvs == ref.slab_tvs
     for ev in tl.events:
         assert (ev.kind, ev.b) == event_kind_and_b(ev.incoming)
         assert (ev.a, ev.c) == (ev.incoming[0].left, ev.incoming[-1].right)
@@ -846,15 +839,6 @@ def test_validate_timeline_checks_neighbours_at_each_event():
     for validate in (oracle_validate_timeline, validate_timeline):
         with pytest.raises(ConsistencyError, match="fronts crossed inside a slab"):
             validate(forged)
-
-
-def test_validate_timeline_checks_the_slab_tv_owner():
-    tl = evolve(WORKED_PROFILE, WORKED_FLUX)
-    for s in range(len(tl.slabs)):
-        tvs = list(tl.slab_tvs)
-        tvs[s] += 1
-        with pytest.raises(ConsistencyError, match="slab total variation"):
-            validate_timeline(replace(tl, slab_tvs=tuple(tvs)))
 
 
 # -- validate_timeline against the Fraction validator ----------------------------

@@ -35,7 +35,7 @@ from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, merge_steps, profile_at
 from fronttrack.tracing import WaveSystem, first_common_event, meeting_cells
 
-from oracles import front_kinematics, profile_value_at, value_at
+from oracles import _tv, front_kinematics, profile_value_at, slab_index, value_at
 
 MIXED_SIGN = "mixed_sign"
 SAME_POSITION = "same_position"
@@ -173,7 +173,7 @@ def sigma(ws: WaveSystem, t, w) -> Fraction:
     tc = t_canc(ws, a)
     if tc is not None and tc <= t:
         raise InputError(f"wave {w} was canceled at t={tc}")
-    s = ws.timeline.slab_index_at(t, side="pre")
+    s = slab_index(ws.timeline, t, "pre")
     t_hi = ws.timeline.slab_bounds(s)[1]
     if t_hi is not None and t == t_hi and a in survivors(ws, s):
         return front_of(ws, a, s + 1).speed
@@ -184,7 +184,7 @@ def waves_at(ws: WaveSystem, t, x) -> WaveInterval:
     """W(t, x): all live waves positioned at x, as a WaveInterval."""
     ws._require_traced()
     t, x = Fraction(t), Fraction(x)
-    s = ws.timeline.slab_index_at(t, side="pre")
+    s = slab_index(ws.timeline, t, "pre")
     found = []
     for fid, atoms in ws.runs(s):
         if ws.timeline.fronts_by_id[fid].position_at(t) == x:
@@ -262,7 +262,7 @@ def pair_weight(ws: WaveSystem, t_bar, c, c_prime, K, flux: GridFlux) -> PairWei
     if a > b:
         a, b = b, a
     t_bar = Fraction(t_bar)
-    s = ws.timeline.slab_index_at(t_bar, side="pre")
+    s = slab_index(ws.timeline, t_bar, "pre")
     for atom in (a, b):
         if atom not in live_atoms(ws, s):
             raise InputError("wave not live at the query time")
@@ -339,7 +339,7 @@ def bianchini_mismatches(ws: WaveSystem) -> list:
     """The slabs on which the package's series `_bianchini_of_slab` differs
     from `sorted_bianchini_of_slab` or from `oracle_bianchini_of_slab`
     (every slab when the series has the wrong length)."""
-    series = _bianchini_of_slab(ws)
+    series = [bianchini for bianchini, _ in _bianchini_of_slab(ws)]
     slabs = range(len(ws.timeline.slabs))
     if len(series) != len(slabs):
         return list(slabs)
@@ -445,7 +445,7 @@ def oracle_validate_tracing(ws: WaveSystem) -> None:
     for s in range(len(tl.slabs)):
         if s:
             live = [a for a in live if ws.canc_event[a] != s - 1]
-        if len(live) * eps != tl.slab_tvs[s]:
+        if len(live) * eps != _tv(tl.slabs[s]):
             raise ConsistencyError("wave mass does not match front variation")
         runs = ws.runs(s)
         covered = [a for _, atoms in runs for a in atoms]
@@ -543,8 +543,6 @@ def fraction_validate_tracing(ws: WaveSystem) -> None:
             if [ws.cell[a] for a in atoms] != [min(k, k + step) for k in range(k0, k1, step)]:
                 raise ConsistencyError(f"front {fid}: its waves do not cross its states in order")
 
-    if ws.atom_count * eps != tl.slab_tvs[0]:
-        raise ConsistencyError("wave mass does not match front variation")
     if [a for _, atoms in ws.runs(0) for a in atoms] != list(range(ws.atom_count)):
         raise ConsistencyError("slab 0: live atoms not partitioned by fronts")
     check_fronts(tl.slabs[0])
@@ -726,18 +724,18 @@ def fraction_trace(ws: WaveSystem):
 def quadratic_potential(ws: WaveSystem, t_bar, side="post") -> Fraction:
     """Q at time t_bar (the constant value of the surrounding open slab).
 
-    ``side`` picks the one-sided limit at event instants.
+    ``side`` picks the one-sided limit at event instants (see `slab_index`).
     """
     ws._require_traced()
-    s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
+    s = slab_index(ws.timeline, Fraction(t_bar), side)
     return _SlabPotential(ws, curvature_constant(ws.timeline.flux)).q_of_slab(s)
 
 
 def bianchini_cubic(ws: WaveSystem, t_bar, side="post") -> Fraction:
     """Cubic speed-spread diagnostic: sum over pairs of |speed gap| dw dw'."""
     ws._require_traced()
-    s = ws.timeline.slab_index_at(Fraction(t_bar), side=side)
-    return _bianchini_of_slab(ws)[s]
+    s = slab_index(ws.timeline, Fraction(t_bar), side)
+    return _bianchini_of_slab(ws)[s][0]
 
 
 # -- structural checks ---------------------------------------------------------------
@@ -838,7 +836,7 @@ def position_of(ws: WaveSystem, t: Fraction, w: Fraction) -> Fraction:
     tc = t_canc(ws, a)
     if tc is not None and tc <= t:
         raise InputError(f"wave {w} was canceled at t={tc}")
-    s = ws.timeline.slab_index_at(t, side="pre")
+    s = slab_index(ws.timeline, t, "pre")
     return front_of(ws, a, s).position_at(t)
 
 
@@ -851,12 +849,12 @@ def interaction_query(ws: WaveSystem, t_bar, w, w_prime) -> InteractionAnswer:
         tc = t_canc(ws, atom)
         if tc is not None and tc <= t_bar:
             raise InputError("wave not live at the query time")
-    s = ws.timeline.slab_index_at(t_bar, side="pre")
+    s = slab_index(ws.timeline, t_bar, "pre")
     pa = front_of(ws, a, s).position_at(t_bar)
     pb = front_of(ws, b, s).position_at(t_bar)
     if pa == pb:
         return InteractionAnswer("same_position", t_bar, pa)
-    e = first_common_event(ws, a, b, after_slab=ws.timeline.slab_index_at(t_bar, side="post"))
+    e = first_common_event(ws, a, b, after_slab=ws.timeline.slab_index_at(t_bar))
     if e is None:
         return InteractionAnswer("never")
     ev = ws.timeline.events[e]
@@ -868,7 +866,7 @@ def state_consistency_holds(tl: Timeline, ws: WaveSystem, t, x) -> bool:
     the wave states at (t, x) fill the one-sided profile jump there."""
     t, x = Fraction(t), Fraction(x)
     interval = waves_at(ws, t, x)
-    post = profile_at(tl, t, side="post")
+    post = profile_at(tl, t)
     u_minus = _left_limit(post, x)
     u_plus = profile_value_at(post, x)
     if u_minus == u_plus:
