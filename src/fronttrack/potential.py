@@ -434,18 +434,25 @@ class _SlabPotential:
         raise ConsistencyError(f"weight above K for atoms ({a}, {b}) in slab {s}")
 
 
-def upsilon(q_value, tv_now, tv0, K):
-    """The combined potentials: K*TV0*TV(t) plus Q, and plus 2Q."""
-    base = K * tv0 * tv_now
-    return base + q_value, base + 2 * q_value
+def upsilon(q, tv_now, tv0, K):
+    """The combined potentials K*TV0*TV(t) + Q and K*TV0*TV(t) + 2Q.
+
+    Each argument and each result is an exact rational as a (numerator,
+    denominator) pair with a positive denominator; the results are not
+    reduced."""
+    (qn, qd), (tn, td), (t0n, t0d), (kn, kd) = q, tv_now, tv0, K
+    base, den = kn * t0n * tn * qd, kd * t0d * td
+    return (base + qn * den, den * qd), (base + 2 * qn * den, den * qd)
 
 
 def initial_bound_flags(upsilon0, tv0, K) -> dict:
-    """Upsilon(0) <= K*TV0^2 (constant 1) and <= 2*K*TV0^2 (constant 2)."""
-    bound = K * tv0 * tv0
+    """Upsilon(0) <= K*TV0^2 (constant 1) and <= 2*K*TV0^2 (constant 2), on
+    (numerator, denominator) pairs with positive denominators."""
+    (un, ud), (t0n, t0d), (kn, kd) = upsilon0, tv0, K
+    lhs, bound = un * kd * t0d * t0d, kn * t0n * t0n * ud
     return {
-        "upsilon0_le_k_tv0_sq": upsilon0 <= bound,
-        "upsilon0_le_2k_tv0_sq": upsilon0 <= 2 * bound,
+        "upsilon0_le_k_tv0_sq": lhs <= bound,
+        "upsilon0_le_2k_tv0_sq": lhs <= 2 * bound,
     }
 
 
@@ -591,14 +598,22 @@ class VerdictTable:
     hard_failures: list
 
 
+def _difference(x, y):
+    """x - y for (numerator, denominator) pairs, unreduced."""
+    return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
+
+
 def verdict_table(K, tv0, slabs, events, restarts) -> VerdictTable:
     """Every inequality the run is checked against, from its exact values.
 
-    ``slabs`` holds (Q, TV, upsilon_paper, upsilon_strict) per slab, in order;
-    ``events`` holds (index, kind, composite, a, b, c, delta_sigma) per event,
-    event i separating slabs i and i+1; ``restarts`` holds (slab, Q, Q_restart)
-    per restart probe.  `verify_run` and `report.verify_report` both call this,
-    so a run and its stored report are judged by the same table.
+    Every rational is a (numerator, denominator) pair with a positive
+    denominator, reduced or not, and every inequality is decided by
+    cross-multiplying ints.  ``slabs`` holds (Q, TV, upsilon_paper,
+    upsilon_strict) per slab, in order; ``events`` holds (index, kind,
+    composite, a, b, c, delta_sigma) per event, event i separating slabs i
+    and i+1; ``restarts`` holds (slab, Q, Q_restart) per restart probe.
+    `verify_run` and `report.verify_report` both call this, so a run and
+    its stored report are judged by the same table.
 
     Hard verdicts (exact, expected to hold always): Q non-increasing; at
     binary same-sign events half the speed change is dominated by the Q drop;
@@ -611,37 +626,46 @@ def verdict_table(K, tv0, slabs, events, restarts) -> VerdictTable:
     Flags (recorded, allowed to fail): the single-Q drop bound and the
     constant-1 initial bound, which the doubled-Q forms repair.
     """
+    (kn, kd), (t0n, t0d) = K, tv0
     failures = []
-    if any(q > K * tv * tv for q, tv, _, _ in slabs):
+    if any(qn * kd * td * td > kn * tn * tn * qd for (qn, qd), (tn, td), _, _ in slabs):
         failures.append("slab_q_bound")
     verdicts, paper_drop_failures = [], []
-    for index, kind, composite, a, b, c, dsig in events:
+    for index, kind, composite, a, b, c, (dn, dd) in events:
         q_minus, tv_minus, up_minus, us_minus = slabs[index]
         q_plus, tv_plus, up_plus, us_plus = slabs[index + 1]
-        drop = q_minus - q_plus
+        # each drop (minus - plus) as an unreduced pair
+        drop_n, drop_d = _difference(q_minus, q_plus)
+        up_n, up_d = _difference(up_minus, up_plus)
+        us_n, us_d = _difference(us_minus, us_plus)
         v = {
-            "q_monotone": drop >= 0,
-            "delta_sigma_le_upsilon_strict_drop": dsig <= us_minus - us_plus,
-            "delta_sigma_le_upsilon_paper_drop": dsig <= up_minus - up_plus,
-            "upsilon_paper_monotone": up_plus <= up_minus,
-            "upsilon_strict_monotone": us_plus <= us_minus,
+            "q_monotone": drop_n >= 0,
+            "delta_sigma_le_upsilon_strict_drop": dn * us_d <= us_n * dd,
+            "delta_sigma_le_upsilon_paper_drop": dn * up_d <= up_n * dd,
+            "upsilon_paper_monotone": up_n >= 0,
+            "upsilon_strict_monotone": us_n >= 0,
         }
         # the per-kind drop bounds are statements about one state triple; they
         # are attached only to binary events (composite events carry a summed
         # speed change and are covered by the combined-potential verdicts)
         if not composite:
             if kind == SAME_SIGN:
-                v["half_delta_sigma_le_q_drop"] = dsig / 2 <= drop
+                v["half_delta_sigma_le_q_drop"] = dn * drop_d <= 2 * drop_n * dd
             else:
-                v["cancellation_curvature_bound"] = dsig <= K * abs(c - a) * abs(c - b)
-                v["cancellation_tv_bound"] = dsig <= K * tv0 * (tv_minus - tv_plus)
+                ca_n, ca_d = _difference(c, a)
+                cb_n, cb_d = _difference(c, b)
+                v["cancellation_curvature_bound"] = (
+                    dn * kd * ca_d * cb_d <= kn * abs(ca_n * cb_n) * dd
+                )
+                tv_n, tv_d = _difference(tv_minus, tv_plus)
+                v["cancellation_tv_bound"] = dn * kd * t0d * tv_d <= kn * t0n * tv_n * dd
         if not v["delta_sigma_le_upsilon_paper_drop"]:
             paper_drop_failures.append(index)
         failures += [
             f"event{index}:{name}" for name in HARD_EVENT_VERDICTS if v.get(name) is False
         ]
         verdicts.append(v)
-    equal = [q == q_restart for _, q, q_restart in restarts]
+    equal = [qn * rd == rn * qd for _, (qn, qd), (rn, rd) in restarts]
     failures += [f"restart@slab{s}" for (s, _, _), ok in zip(restarts, equal) if not ok]
     flags = {
         **initial_bound_flags(slabs[0][2], tv0, K),
@@ -703,18 +727,23 @@ def verify_run(ws: WaveSystem, restart_checks: int = 0) -> PotentialSeries:
     K = curvature_constant(flux)
     tv0 = tl.initial_profile.total_variation()
     engine = _SlabPotential(ws, K)
+    # the verdict table reads each rational as its (numerator, denominator)
+    K_pair, tv0_pair = K.as_integer_ratio(), tv0.as_integer_ratio()
 
-    slabs = []
+    slabs, rows = [], []
     for s, (bianchini, tv) in enumerate(_bianchini_of_slab(ws)):
         q_val = engine.q_of_slab(s)
-        slabs.append(
-            SlabRecord(s, *tl.slab_bounds(s), q_val, tv, *upsilon(q_val, tv, tv0, K),
-                       bianchini)
-        )
-    rows = [(r.Q, r.TV, r.upsilon_paper, r.upsilon_strict) for r in slabs]
+        q, tv_pair = q_val.as_integer_ratio(), tv.as_integer_ratio()
+        paper, strict = upsilon(q, tv_pair, tv0_pair, K_pair)
+        rows.append((q, tv_pair, paper, strict))
+        slabs.append(SlabRecord(
+            s, *tl.slab_bounds(s), q_val, tv, Fraction(*paper), Fraction(*strict), bianchini
+        ))
+    sigmas = [delta_sigma(ev, flux) for ev in tl.events]
     event_rows = [
-        (i, ev.kind, len(ev.incoming) > 2, ev.a, ev.b, ev.c, delta_sigma(ev, flux))
-        for i, ev in enumerate(tl.events)
+        (i, ev.kind, len(ev.incoming) > 2,
+         *(x.as_integer_ratio() for x in (ev.a, ev.b, ev.c, dsig)))
+        for i, (ev, dsig) in enumerate(zip(tl.events, sigmas))
     ]
 
     probes = []
@@ -722,18 +751,20 @@ def verify_run(ws: WaveSystem, restart_checks: int = 0) -> PotentialSeries:
         _, ws2 = run_pipeline(profile_at(tl, t_probe), flux)
         probes.append((s, t_probe, _SlabPotential(ws2, K).q_of_slab(0)))
 
-    table = verdict_table(
-        K, tv0, rows, event_rows, [(s, rows[s][0], q_restart) for s, _, q_restart in probes]
-    )
+    table = verdict_table(K_pair, tv0_pair, rows, event_rows, [
+        (s, rows[s][0], q_restart.as_integer_ratio()) for s, _, q_restart in probes
+    ])
     events = []
-    for ev, (i, _, composite, *_, dsig), verdicts in zip(tl.events, event_rows, table.events):
-        (q_minus, tv_minus, _, _), (q_plus, tv_plus, _, _) = rows[i], rows[i + 1]
+    for ev, dsig, (i, _, composite, *_), verdicts in zip(
+        tl.events, sigmas, event_rows, table.events
+    ):
+        before, after = slabs[i], slabs[i + 1]
         events.append(EventRecord(
             i, ev.t, ev.x, ev.kind, ev.a, ev.b, ev.c, dsig,
-            q_minus, q_plus, tv_minus, tv_plus, composite, verdicts,
+            before.Q, after.Q, before.TV, after.TV, composite, verdicts,
         ))
     restart_records = [
-        RestartCheck(s, t_probe, rows[s][0], q_restart, equal)
+        RestartCheck(s, t_probe, slabs[s].Q, q_restart, equal)
         for (s, t_probe, q_restart), equal in zip(probes, table.restarts)
     ]
     return PotentialSeries(

@@ -12,6 +12,7 @@ import io
 import json
 from dataclasses import fields
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError
 from .harness import RunResult
@@ -93,21 +94,50 @@ def potential_csv(report: dict, decimal: bool = False) -> str:
     return _csv(report["slabs"], POTENTIAL_COLUMNS, decimal, exact_only=())
 
 
+def _reduced_pair(text: str) -> tuple:
+    """The stored rational ``text`` as its reduced (numerator, denominator).
+
+    The canonical spelling `format_rational` writes ("0", or an ASCII
+    integer without leading zeros, "-" allowed, optionally over a
+    denominator of 2 or more without leading zeros that is coprime to it)
+    is read with two `int` calls; every other string, and a numerator past
+    the interpreter's int-string digit limit, goes through `parse_rational`,
+    with its value and its error."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if (
+        text.isascii() and digits.isdigit() and (digits[0] != "0" or num == text == "0")
+        and (not slash or den.isdigit() and den[0] != "0" and den != "1")
+    ):
+        try:
+            n, d = int(num), int(den) if slash else 1
+        except ValueError:
+            pass
+        else:
+            if gcd(n, d) == 1:
+                return n, d
+    value = parse_rational(text)
+    return value.numerator, value.denominator
+
+
 def _rational_reader():
     """``rational(obj, key, where)`` returns the stored rational ``obj[key]``,
-    a JSON string, parsed to a Fraction; a missing, mistyped or unparsable
-    field raises InputError.  Each distinct string is parsed once, because a
-    report repeats most of its values (the event columns copy slab values)."""
+    a JSON string, as its reduced (numerator, denominator) pair, so that two
+    stored values are equal exactly when their pairs are; a missing,
+    mistyped or unparsable field raises InputError.  Each distinct string is
+    parsed once, because a report repeats most of its values (the event
+    columns copy slab values)."""
     parsed = {}
 
     def rational(obj, key, where=""):
         value = json_field(obj, key, str, "report", where)
-        if value not in parsed:
+        pair = parsed.get(value)
+        if pair is None:
             try:
-                parsed[value] = parse_rational(value)
+                pair = parsed[value] = _reduced_pair(value)
             except InputError as exc:
                 raise InputError(f"report field '{where}{key}': {exc}") from exc
-        return parsed[value]
+        return pair
 
     return rational
 
@@ -134,6 +164,13 @@ def verify_report(report: dict) -> list:
 
     K = rational(report, "K")
     tv0 = rational(report, "TV0")
+    epsilon = rational(report, "epsilon")
+    run_config = json_field(report, "run_config", dict, "report")
+    run_epsilon = json_field(run_config, "epsilon", object, "report", "run_config.")
+    try:
+        run_epsilon = parse_rational(run_epsilon)
+    except InputError as exc:
+        raise InputError(f"report field 'run_config.epsilon': {exc}") from exc
     slabs = []
     for i, rec in enumerate(entries("slabs")):
         where = f"slabs[{i}]."
@@ -174,11 +211,13 @@ def verify_report(report: dict) -> list:
     table = verdict_table(K, tv0, slabs, event_rows, restarts)
 
     failures = []
+    if epsilon != run_epsilon.as_integer_ratio():
+        failures.append("epsilon: stored value does not match run_config")
     for i, (q, tv, up, us) in enumerate(slabs):
-        paper, strict = upsilon(q, tv, tv0, K)
-        if up != paper:
+        (pn, pd), (sn, sd) = upsilon(q, tv, tv0, K)
+        if up[0] * pd != pn * up[1]:
             failures.append(f"slab{i}: upsilon_paper inconsistent")
-        if us != strict:
+        if us[0] * sd != sn * us[1]:
             failures.append(f"slab{i}: upsilon_strict inconsistent")
     if slabs[0][1] != tv0:
         failures.append("slab0: TV differs from TV0")

@@ -25,7 +25,9 @@ before it checked grid coordinates: the two must give the same verdict,
 exception and message on every timeline.  `fraction_delta_sigma` and
 `fraction_profile_at` are the speed change and the profile reconstruction
 as they ran on `Fraction` states, before they read the grid indices the
-fronts carry: they must give the same values.
+fronts carry: they must give the same values.  `fraction_verdict_table` is
+the verdict table as it ran on `Fraction`s, before it cross-multiplied
+(numerator, denominator) pairs: it must give the same table.
 """
 
 from bisect import bisect_left, bisect_right
@@ -36,7 +38,9 @@ from operator import attrgetter
 
 from fronttrack.envelope import sample_flux
 from fronttrack.errors import ConsistencyError, DomainError, InputError, TrackerError
-from fronttrack.potential import _cell_slopes, _slope_gap_integral
+from fronttrack.potential import (
+    HARD_EVENT_VERDICTS, VerdictTable, _cell_slopes, _slope_gap_integral,
+)
 from fronttrack.rationals import grid_index
 from fronttrack.riemann import is_admissible
 from fronttrack.tracker import (
@@ -584,6 +588,50 @@ def fraction_profile_at(tl, t, side="post"):
             jumps.append((x, v))
             prev_v = v
     return Profile(constant, tuple(jumps))
+
+
+def fraction_verdict_table(K, tv0, slabs, events, restarts) -> VerdictTable:
+    """`verdict_table` as it ran on `Fraction`s, before it cross-multiplied
+    (numerator, denominator) pairs: the same arguments with every rational a
+    `Fraction`, and the same table."""
+    failures = []
+    if any(q > K * tv * tv for q, tv, _, _ in slabs):
+        failures.append("slab_q_bound")
+    verdicts, paper_drop_failures = [], []
+    for index, kind, composite, a, b, c, dsig in events:
+        q_minus, tv_minus, up_minus, us_minus = slabs[index]
+        q_plus, tv_plus, up_plus, us_plus = slabs[index + 1]
+        drop = q_minus - q_plus
+        v = {
+            "q_monotone": drop >= 0,
+            "delta_sigma_le_upsilon_strict_drop": dsig <= us_minus - us_plus,
+            "delta_sigma_le_upsilon_paper_drop": dsig <= up_minus - up_plus,
+            "upsilon_paper_monotone": up_plus <= up_minus,
+            "upsilon_strict_monotone": us_plus <= us_minus,
+        }
+        if not composite:
+            if kind == SAME_SIGN:
+                v["half_delta_sigma_le_q_drop"] = dsig / 2 <= drop
+            else:
+                v["cancellation_curvature_bound"] = dsig <= K * abs(c - a) * abs(c - b)
+                v["cancellation_tv_bound"] = dsig <= K * tv0 * (tv_minus - tv_plus)
+        if not v["delta_sigma_le_upsilon_paper_drop"]:
+            paper_drop_failures.append(index)
+        failures += [
+            f"event{index}:{name}" for name in HARD_EVENT_VERDICTS if v.get(name) is False
+        ]
+        verdicts.append(v)
+    equal = [q == q_restart for _, q, q_restart in restarts]
+    failures += [f"restart@slab{s}" for (s, _, _), ok in zip(restarts, equal) if not ok]
+    bound = K * tv0 * tv0
+    flags = {
+        "upsilon0_le_k_tv0_sq": slabs[0][2] <= bound,
+        "upsilon0_le_2k_tv0_sq": slabs[0][2] <= 2 * bound,
+        "upsilon_paper_drop_failures": paper_drop_failures,
+    }
+    if not flags["upsilon0_le_2k_tv0_sq"]:
+        failures.append("upsilon0_le_2k_tv0_sq")
+    return VerdictTable(verdicts, equal, flags, failures)
 
 
 def state_forgeries(tl):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -22,9 +23,11 @@ from fronttrack.harness import (
     run_simulation,
     sweep,
 )
+from fronttrack.rationals import format_rational, parse_rational
 from fronttrack.report import (
     EVENTS_COLUMNS,
     POTENTIAL_COLUMNS,
+    _rational_reader,
     build_report,
     events_csv,
     potential_csv,
@@ -33,7 +36,7 @@ from fronttrack.report import (
 )
 from fronttrack.tracker import Profile
 
-from oracles import l1_profile_distance_oracle
+from oracles import fraction_verdict_table, l1_profile_distance_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -240,6 +243,7 @@ def test_verify_report_recheck(golden_result):
          "event0: TV columns disagree with slab table"),
         # a flag the verdict table does not compute fails, as a verdict does
         (lambda r: r["flags"].update(extra=5), "flags: stored extra does not re-check"),
+        (lambda r: r.update(epsilon="7"), "epsilon: stored value does not match run_config"),
     ]
     for result in (golden_result, nonconvex):
         report = build_report(result)
@@ -250,6 +254,9 @@ def test_verify_report_recheck(golden_result):
         assert report["flags"]["upsilon_paper_drop_failures"]
         for edit, line in edits:
             assert _verify_edited(report, edit) == [line]
+        # the two epsilons are compared as values, whatever their spelling
+        assert _verify_edited(report, lambda r: r["run_config"].update(epsilon="3/3")) == []
+        assert _verify_edited(report, lambda r: r["run_config"].update(epsilon=1)) == []
         # a verdict or a drop-failure index of the wrong JSON type is an
         # input error, although Python has 1 == True
         mistyped = [
@@ -258,6 +265,12 @@ def test_verify_report_recheck(golden_result):
             (lambda r: r["flags"].update(upsilon_paper_drop_failures=[
                 bool(i) for i in r["flags"]["upsilon_paper_drop_failures"]
             ]), "'flags.upsilon_paper_drop_failures[0]' must be a JSON integer"),
+            (lambda r: r.pop("run_config"), "'run_config' is missing"),
+            (lambda r: r.update(run_config=[]), "'run_config' must be a JSON object"),
+            (lambda r: r["run_config"].pop("epsilon"), "'run_config.epsilon' is missing"),
+            (lambda r: r["run_config"].update(epsilon="x"),
+             "'run_config.epsilon': not a rational value: 'x'"),
+            (lambda r: r.update(epsilon="1/0"), "'epsilon': not a rational value: '1/0'"),
         ]
         for edit, message in mistyped:
             with pytest.raises(InputError, match=re.escape(message)):
@@ -297,6 +310,125 @@ def test_verify_report_recheck_initial_bound_flags(golden_result):
         "all_pass: stored value does not re-check",
         "hard_failures: stored value does not re-check",
     ]
+
+
+def _read_both(text):
+    """The verify reader's outcome for ``text`` and parse_rational's: a
+    (numerator, denominator) pair, or the InputError text."""
+    try:
+        got = _rational_reader()({"v": text}, "v")
+    except InputError as exc:
+        got = str(exc)
+    try:
+        value = parse_rational(text)
+        want = value.numerator, value.denominator
+    except InputError as exc:
+        want = f"report field 'v': {exc}"
+    return got, want
+
+
+def _report_strings(doc):
+    """Every string in the JSON ``doc`` outside its run_config."""
+    if isinstance(doc, dict):
+        return [v for k, item in doc.items() if k != "run_config" for v in _report_strings(item)]
+    if isinstance(doc, list):
+        return [v for item in doc for v in _report_strings(item)]
+    return [doc] if isinstance(doc, str) else []
+
+
+def _int_digit_limit():
+    """The interpreter's int-string digit limit, or 0 where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_verify_reader_matches_parse_rational(golden_report, monkeypatch):
+    nonconvex = build_report(
+        run_simulation(parse_run_config(load_json(str(CONFIGS / "nonconvex_splitting.json"))))
+    )
+    stored = set(_report_strings(golden_report)) | set(_report_strings(nonconvex))
+    long = "1" * ((_int_digit_limit() or 4300) + 1)
+    spellings = [
+        "2/4", "0/1", "-0", "+1/2", " 1/2", "1/ 2", "0.5", "1e3", "1_0",
+        "\u0663/\u0664", "1/0", "", "/", "-", long, f"-{long}/3", f"1/{long}",
+    ]
+    for text in [*sorted(stored), *spellings]:
+        got, want = _read_both(text)
+        assert got == want, text
+    if _int_digit_limit():
+        with pytest.raises(ValueError):
+            int(long)
+    # the stored rationals are canonical and read without parse_rational
+    expected = {v: _read_both(v)[1] for v in stored}
+    canonical = {v: pair for v, pair in expected.items() if isinstance(pair, tuple)}
+    assert len(canonical) > 20 and all(format_rational(F(v)) == v for v in canonical)
+    monkeypatch.setattr("fronttrack.report.parse_rational", None)
+    read = _rational_reader()
+    assert {v: read({"v": v}, "v") for v in canonical} == canonical
+
+
+@st.composite
+def rational_spellings(draw):
+    """A spelling of a random fraction: canonical, unreduced, signed,
+    padded, decimal or with leading zeros, or a short random string."""
+    value = draw(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4))
+    n, d, m = value.numerator, value.denominator, draw(st.integers(2, 40))
+    return draw(st.sampled_from([
+        str(value), f"{n * m}/{d * m}", f"{n}/{d}", f"+{value}", f" {value}", f"{value}\n",
+        f"0{value}", f"-{value}", f"{n}/0", f"{n}/{d:03}", f"{n}.0", repr(float(value)),
+        draw(st.text(alphabet="0123456789-+/ ._e\u0663", max_size=8)),
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_spellings())
+def test_verify_reader_matches_parse_rational_on_random_spellings(text):
+    got, want = _read_both(text)
+    assert got == want
+
+
+def _fraction_table(K, tv0, slabs, events, restarts):
+    """`fraction_verdict_table` on the pair table's arguments."""
+    return fraction_verdict_table(
+        F(*K), F(*tv0),
+        [tuple(F(*x) for x in row) for row in slabs],
+        [(*row[:3], *(F(*x) for x in row[3:])) for row in events],
+        [(s, F(*q), F(*q_restart)) for s, q, q_restart in restarts],
+    )
+
+
+def _verify_outcome(report):
+    try:
+        return verify_report(report)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_verify_with_the_fraction_table_patched_in_gives_the_same_failures(
+    golden_report, monkeypatch
+):
+    """Each rational field of the golden report, set to each value below:
+    the same failures, or the same input error, with the pair table and
+    with the Fraction table in its place."""
+    def value_at(path):
+        doc = golden_report
+        for key in path:
+            doc = doc[key]
+        return doc
+
+    paths = [
+        path for path in _field_paths(golden_report, stop=("run_config",))
+        if isinstance(value_at(path), str) and isinstance(_read_both(value_at(path))[1], tuple)
+    ]
+    assert len(paths) > 20
+    edits = [(path, value) for path in paths
+             for value in ("0", "-1", "100", "1/3", "-7/2", "2/4", "1/0", "x")]
+    pairs = [_verify_outcome(_with_field(golden_report, *edit)) for edit in edits]
+    monkeypatch.setattr("fronttrack.report.verdict_table", _fraction_table)
+    fractions = [_verify_outcome(_with_field(golden_report, *edit)) for edit in edits]
+    for edit, got, want in zip(edits, pairs, fractions):
+        assert got == want, edit
+    # the edits reach failing verdicts, not only input errors
+    assert sum(isinstance(out, list) and len(out) > 1 for out in pairs) > 20
 
 
 def test_a_huge_probe_count_takes_one_probe_per_slab():

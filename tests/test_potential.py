@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,15 @@ from fronttrack.potential import (
     _SlabPotential,
     _cancellation_triple,
     _same_sign_triple,
+    HARD_EVENT_VERDICTS,
     _slope_gap_integral,
     delta_sigma,
     run_pipeline,
     upsilon,
+    verdict_table,
     verify_run,
 )
-from fronttrack.tracker import Profile, evolve, profile_at
+from fronttrack.tracker import CANCELLATION, SAME_SIGN, Profile, evolve, profile_at
 from fronttrack.tracing import (
     advance_tracing, build_initial_waves, first_common_event, validate_tracing,
 )
@@ -35,6 +39,7 @@ from oracles import (
     _tv,
     delta_sigma_closed_form,
     fraction_delta_sigma,
+    fraction_verdict_table,
     oracle_cancellation_speed_change,
     oracle_same_sign_speed_change,
     slab_midpoints,
@@ -287,11 +292,17 @@ def test_two_shock_upsilon_values():
     tl, ws = traced(TWO_SHOCK, BURGERS)
     K = curvature_constant(BURGERS)
     tv0 = TWO_SHOCK.total_variation()
-    u_paper, u_strict = upsilon(quadratic_potential(ws, F(0)), tv0, tv0, K)
-    assert (u_paper, u_strict) == (F(9, 2), F(5))
-    u_paper, u_strict = upsilon(quadratic_potential(ws, F(2)), tv0, tv0, K)
-    assert (u_paper, u_strict) == (F(4), F(4))
-    assert upsilon(F(0), F(0), F(0), K) == (F(0), F(0))
+    tv0_pair, K_pair = tv0.as_integer_ratio(), K.as_integer_ratio()
+
+    def upsilon_at(t):
+        q = quadratic_potential(ws, t).as_integer_ratio()
+        return tuple(F(*u) for u in upsilon(q, tv0_pair, tv0_pair, K_pair))
+
+    assert upsilon_at(F(0)) == (F(9, 2), F(5))
+    assert upsilon_at(F(2)) == (F(4), F(4))
+    assert upsilon((0, 1), (0, 1), (0, 1), K_pair) == ((0, 1), (0, 1))
+    # the pairs come back unreduced: Upsilon_strict = 5 as 10/2
+    assert upsilon((1, 2), (2, 1), (2, 1), (1, 1)) == ((9, 2), (10, 2))
 
 
 def test_two_shock_bianchini():
@@ -645,3 +656,184 @@ def test_q_matches_oracle_on_the_ladder_rung():
         assert rec.Q == q
         top = max([top, *(p.q for p in records)])
     assert r.series.max_weight == top
+
+
+# -- the verdict table on (numerator, denominator) pairs -------------------------
+
+
+def _table_rows(series):
+    """A run's verdict-table arguments, every rational a `Fraction`."""
+    return (
+        series.K, series.tv0,
+        [(r.Q, r.TV, r.upsilon_paper, r.upsilon_strict) for r in series.slabs],
+        [(r.index, r.kind, r.composite, r.a, r.b, r.c, r.delta_sigma) for r in series.events],
+        [(r.slab, r.Q, r.Q_restart) for r in series.restart_checks],
+    )
+
+
+def _as_pairs(value, scale=lambda: 1):
+    """``value`` with every `Fraction` in it as a (numerator, denominator)
+    pair, both multiplied by ``scale()``."""
+    if isinstance(value, F):
+        m = scale()
+        return value.numerator * m, value.denominator * m
+    if isinstance(value, (list, tuple)):
+        return type(value)(_as_pairs(v, scale) for v in value)
+    return value
+
+
+def _check_against_the_fraction_table(rows, rng):
+    """The pair table on reduced and on unreduced pairs equals the Fraction
+    table; returns it."""
+    expected = fraction_verdict_table(*rows)
+    assert verdict_table(*_as_pairs(rows)) == expected
+    assert verdict_table(*_as_pairs(rows, lambda: rng.randint(1, 9))) == expected
+    return expected
+
+
+EXAMPLE_CONFIGS = ("two_shock_burgers", "nonconvex_splitting")
+
+
+def _example_series(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    return harness.run_simulation(harness.parse_run_config(harness.load_json(str(path)))).series
+
+
+def test_verdict_table_matches_the_fraction_table_on_every_run(suite):
+    rng = random.Random(0)
+    _, ws = traced(TRIPLE_POINT, TABLE)  # a composite event
+    runs = [r.series for r in suite["runs"]] + [
+        *map(_example_series, EXAMPLE_CONFIGS), verify_run(ws, restart_checks=2)
+    ]
+    for series in runs:
+        table = _check_against_the_fraction_table(_table_rows(series), rng)
+        assert (table.events, table.flags, table.hard_failures) == (
+            [ev.verdicts for ev in series.events], series.flags, series.hard_failures
+        )
+    assert any(ev.composite for ev in runs[-1].events)
+
+
+def _forge(rows, edit):
+    """``rows`` (the verdict-table arguments) with ``edit`` applied to a copy
+    whose slabs, events and restarts are lists of lists."""
+    K, tv0, slabs, events, restarts = rows
+    copy = [K, tv0, [list(r) for r in slabs], [list(r) for r in events],
+            [list(r) for r in restarts]]
+    edit(copy)
+    return tuple(copy[:2]) + tuple([tuple(r) for r in part] for part in copy[2:])
+
+
+def _set(part, i, j, value):
+    def edit(rows):
+        rows[part][i][j] = value
+    return edit
+
+
+SLABS, EVENTS, RESTARTS = 2, 3, 4
+Q, TV, UP, US = range(4)
+DSIG = 6
+
+# The worked example: event 0 a binary cancellation, events 1 and 2 binary
+# same-sign merges; K = 3 and TV0 = 6.  Each forgery names the verdicts it
+# turns False and the flag values it changes; one "at" a bound puts a value
+# exactly on it, where the verdict holds.
+FORGERIES = [
+    ("a Q that rises", _set(SLABS, 1, Q, F(20)), {"event0:q_monotone"}),
+    ("a Q that stays", _set(SLABS, 1, Q, F(97, 6)), set()),
+    ("a TV that rises at a cancellation", _set(SLABS, 1, TV, F(7)),
+     {"event0:cancellation_tv_bound"}),
+    ("a cancellation's speed change above every bound", _set(EVENTS, 0, DSIG, F(1000)),
+     {"event0:cancellation_curvature_bound", "event0:cancellation_tv_bound",
+      "event0:delta_sigma_le_upsilon_strict_drop", "event0:delta_sigma_le_upsilon_paper_drop"}),
+    ("a cancellation's speed change at K|c-a||c-b| = 18", _set(EVENTS, 0, DSIG, F(18)), set()),
+    ("a cancellation's speed change at K TV0 (TV drop) = 36", _set(EVENTS, 0, DSIG, F(36)),
+     {"event0:cancellation_curvature_bound"}),
+    ("a cancellation's speed change at the Upsilon_paper drop 51",
+     _set(EVENTS, 0, DSIG, F(51)),
+     {"event0:cancellation_curvature_bound", "event0:cancellation_tv_bound"}),
+    ("a cancellation's speed change at the Upsilon_strict drop 66",
+     _set(EVENTS, 0, DSIG, F(66)),
+     {"event0:cancellation_curvature_bound", "event0:cancellation_tv_bound",
+      "event0:delta_sigma_le_upsilon_paper_drop"}),
+    ("a merge's speed change above every bound", _set(EVENTS, 1, DSIG, F(1000)),
+     {"event1:half_delta_sigma_le_q_drop", "event1:delta_sigma_le_upsilon_strict_drop"}),
+    ("an Upsilon_paper that rises", _set(SLABS, 1, UP, F(1000)),
+     {"event0:upsilon_paper_monotone", "event0:delta_sigma_le_upsilon_paper_drop"}),
+    ("an Upsilon_paper that stays", _set(SLABS, 1, UP, F(745, 6)),
+     {"event0:delta_sigma_le_upsilon_paper_drop"}),
+    ("an Upsilon_strict that stays", _set(SLABS, 1, US, F(421, 3)),
+     {"event0:delta_sigma_le_upsilon_strict_drop"}),
+    ("an Upsilon_strict that rises", _set(SLABS, 1, US, F(1000)),
+     {"event0:upsilon_strict_monotone", "event0:delta_sigma_le_upsilon_strict_drop"}),
+    ("a slab at K TV^2", _set(SLABS, 3, Q, F(48)),
+     {"event2:q_monotone", "event2:half_delta_sigma_le_q_drop"}),
+    ("a slab past K TV^2", _set(SLABS, 3, Q, F(49)),
+     {"slab_q_bound", "event2:q_monotone", "event2:half_delta_sigma_le_q_drop"}),
+    ("a restart that differs", _set(RESTARTS, 1, 2, F(1, 6)), {"restart@slab1"}),
+    ("Upsilon(0) at K TV0^2", _set(SLABS, 0, UP, F(108)),
+     {"flags:upsilon0_le_k_tv0_sq=True"}),
+    ("Upsilon(0) at 2 K TV0^2", _set(SLABS, 0, UP, F(216)), set()),
+    ("Upsilon(0) past 2 K TV0^2", _set(SLABS, 0, UP, F(217)),
+     {"upsilon0_le_2k_tv0_sq", "flags:upsilon0_le_2k_tv0_sq=False"}),
+]
+
+
+def _outcomes(table):
+    """The table's False verdicts and failures, and its flag values."""
+    names = set(table.hard_failures)
+    for i, verdicts in enumerate(table.events):
+        names |= {f"event{i}:{name}" for name, ok in verdicts.items() if not ok}
+    return names | {
+        f"flags:{name}={value}" for name, value in table.flags.items() if isinstance(value, bool)
+    }
+
+
+def test_verdict_table_matches_the_fraction_table_on_forged_rows():
+    rng = random.Random(1)
+    rows = _table_rows(_example_series("nonconvex_splitting"))
+    base = _outcomes(_check_against_the_fraction_table(rows, rng))
+    # the shipped run fails only the single-Q drop at the merges
+    assert base == {
+        "event1:delta_sigma_le_upsilon_paper_drop", "event2:delta_sigma_le_upsilon_paper_drop",
+        "flags:upsilon0_le_k_tv0_sq=False", "flags:upsilon0_le_2k_tv0_sq=True",
+    }
+    flipped = set()
+    for what, edit, expected in FORGERIES:
+        changed = _outcomes(_check_against_the_fraction_table(_forge(rows, edit), rng)) - base
+        assert changed == expected, what
+        flipped |= changed
+    # every hard verdict, the single-Q drop verdict, both initial-bound flags
+    # and each failure kind of the table turn at least once
+    events = {name.split(":")[1] for name in flipped if name.startswith("event")}
+    assert events == {*HARD_EVENT_VERDICTS, "delta_sigma_le_upsilon_paper_drop"}
+    assert {"slab_q_bound", "restart@slab1", "upsilon0_le_2k_tv0_sq",
+            "flags:upsilon0_le_k_tv0_sq=True", "flags:upsilon0_le_2k_tv0_sq=False"} <= flipped
+
+
+# a few values often, so that rows hit each inequality's equality case
+RATIONALS = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+)
+
+
+@st.composite
+def verdict_rows(draw):
+    """Verdict-table arguments of random values, on 1 to 4 slabs."""
+    slabs = draw(st.lists(st.tuples(*[RATIONALS] * 4), min_size=1, max_size=4))
+    events = [
+        (i, draw(st.sampled_from([SAME_SIGN, CANCELLATION])), draw(st.booleans()),
+         *draw(st.tuples(*[RATIONALS] * 4)))
+        for i in range(len(slabs) - 1)
+    ]
+    restarts = [
+        (s, slabs[s][0], draw(st.one_of(st.just(slabs[s][0]), RATIONALS)))
+        for s in draw(st.lists(st.integers(0, len(slabs) - 1), max_size=3))
+    ]
+    return draw(RATIONALS), draw(RATIONALS), slabs, events, restarts
+
+
+@settings(max_examples=100, deadline=None)
+@given(verdict_rows(), st.randoms(use_true_random=False))
+def test_verdict_table_matches_the_fraction_table_on_random_rows(rows, rng):
+    _check_against_the_fraction_table(rows, rng)
