@@ -49,7 +49,8 @@ class GridFlux:
         if len(self.values) != self.k_max - self.k_min + 1:
             raise InputError("flux sample count does not match the index range")
         # D, the lcm of the sample denominators, and the integer samples
-        # D*F(k*epsilon), read by the hull builder and the curvature constant
+        # D*F(k*epsilon), read by the hull builder, the curvature constant
+        # and the slope keys of `potential._cell_slopes`
         scale = lcm(*(v.denominator for v in self.values))
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(

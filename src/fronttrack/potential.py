@@ -18,7 +18,10 @@ change there.  Q is evaluated per slab at atom granularity, where all
 quantities are piecewise constant, so the double integral is an exact
 finite sum.  Only events whose survivors come from two or more incoming
 fronts make pairs meet, so Q is a sweep over those events' pairs, kept
-slab by slab.  The cubic speed-spread (Bianchini) sum is kept event by event
+slab by slab: slope ids come from the hull pieces' integer keys, each
+outgoing front's atoms are re-keyed once per pending meeting event, and a
+slab settles only the meeting events whose counts changed (see
+`_SlabPotential`).  The cubic speed-spread (Bianchini) sum is kept event by event
 in integer Fenwick trees over the front speed rank, O(k log F) per event of
 k fronts; the same walk counts each slab's live atoms, whose mass is its
 total variation TV.  Adding K * TV(initial) * TV(current) yields the
@@ -32,11 +35,12 @@ exercise exactly that property.
 """
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import lcm
+from itertools import accumulate, chain, groupby
+from math import gcd, lcm
 
 from .envelope import GridFlux, curvature_constant, envelope
 from .errors import ConsistencyError, InputError
@@ -51,13 +55,20 @@ from .tracing import (
 
 @lru_cache(maxsize=None)
 def _cell_slopes(flux: GridFlux, lo: int, hi: int, sign: int):
-    """Envelope slope on each state cell k in [lo, hi) for the given sign."""
+    """The envelope's pieces on the state cells [lo, hi) for the given sign:
+    its breakpoints (grid indices, lo first and hi last), an exact integer
+    key per piece and the pieces' slopes.  A key is the reduced (rise, run)
+    of the piece on the integer samples D*F(k*eps), run > 0: the slope is
+    rise / (run * D * eps), so two pieces of one flux have equal slopes
+    exactly when their keys are equal."""
     env = envelope(flux, lo, hi, sign)
-    out = {}
-    for k0, k1, s in zip(env.indices, env.indices[1:], env.slopes):
-        for k in range(k0, k1):
-            out[k] = s
-    return out
+    base, scaled = flux.k_min, flux._scaled
+    keys = []
+    for k0, k1 in zip(env.indices, env.indices[1:]):
+        rise, run = scaled[k1 - base] - scaled[k0 - base], k1 - k0
+        g = gcd(rise, run)
+        keys.append((rise // g, run // g))
+    return env.indices, tuple(keys), env.slopes
 
 
 def _slope_gap_integral(flux, span_a, span_b, over, sign):
@@ -127,15 +138,19 @@ def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
 class _MeetingSums:
     """The active candidate pairs of one meeting event, counted per term."""
 
-    def __init__(self, d: Fraction, k_d: Fraction):
+    def __init__(self, d: Fraction, K: Fraction, eps: Fraction):
         self.d = d  # the mass at the meeting
-        self.k_d = k_d  # K * d: a gap above it is a weight above K
+        self.k_d = K * d  # a gap above it is a weight above K
+        self.q_per_gap = eps * eps / d  # a pair's share of Q per unit of gap
         self.slope_id = {}  # atom -> slope id of its cell, via its current front
-        self.partners = {}  # atom -> its active partners
-        self.counts = {}  # positive-gap term (slope id, slope id) -> active pairs
-        self.delta = {}  # term -> change of its pair count not yet summed
+        self.atoms = []  # the atoms of slope_id, increasing
+        self.later = {}  # atom -> its active partners with larger ids
+        self.earlier = {}  # atom -> its active partners with smaller ids
+        self.terms = {}  # term -> (gap, whether its weight exceeds K), or None unless gap > 0
+        self.counts = {}  # positive-gap term -> active pairs
+        self.delta = {}  # term -> change of its pair count not yet settled
         self.offending = set()  # active terms whose weight exceeds K
-        self.gap_sum = Fraction(0)  # over the terms: count times gap
+        self.gap_sum = Fraction(0)  # over the terms: settled count times gap
 
 
 class _SlabPotential:
@@ -160,43 +175,63 @@ class _SlabPotential:
     re-keys the atoms that event moves onto a new front (the meeting slope
     of an atom is read through its current front), and activates the
     candidates with T = s.  Per meeting event it keeps integer pair counts
-    per (slope id, slope id) term and the running sum of count times
-    positive gap, so exact arithmetic runs once per changed term.  The first
-    request lists the run's candidates and puts the cursor on slab 0; a
-    request for an earlier slab puts it back there: Q is one sweep forward
-    in time.  Each atom's meeting events are indexed when the cursor first
-    moves, so an engine asked only for slab 0 (a restart probe) never
-    builds that index.  A slab holding a weight above K raises and leaves
-    the engine usable for the next slab.
+    per (slope id, slope id) term and the sum of count times positive gap.
+
+    Slope ids come from the envelopes' pieces: `_cell_slopes` gives each
+    piece an integer key, the reduced (rise, run) of the piece on the
+    integer samples, and the engine interns the keys of each (front, meeting
+    event) table once, so the sweep hashes no `Fraction`.  Each meeting
+    event keeps its active atoms in id order.  The live atoms in the id
+    range of a front's atoms are that front's, so crossing an event finds
+    each outgoing front's atoms at each pending meeting event by two
+    bisections, and no past meeting is visited.  That run of atoms is
+    re-keyed at once: its cells are monotone, so each piece of the front's
+    table covers a stretch of it, and its pairs' counts move in one batch
+    per (old id, new id), counted by partner id.  A request settles only the
+    meeting events whose counts changed since the last one, computes each
+    term's gap and its test against K once per meeting event, keeps Q's
+    same-block part as one running exact sum, and tracks the meeting events
+    that hold a weight above K.
+
+    The first request lists the run's candidates and puts the cursor on
+    slab 0; a request for an earlier slab puts it back there (`_start`
+    resets the cursor, the pending counts and the running sum): Q is one
+    sweep forward in time.  A slab holding a weight above K raises and
+    leaves the engine usable for the next slab.
     """
 
     def __init__(self, ws: WaveSystem, K: Fraction):
         self.ws = ws
         self.flux = ws.timeline.flux
         self.K = K
-        self._slope_ids = {}  # (fid, event index) -> {cell: slope id}
-        self._id_of = {}  # slope -> slope id
+        self._pieces = {}  # (fid, event index) -> (piece breakpoints, piece slope ids)
+        self._id_of = {}  # slope key -> slope id
         self._slopes = []  # slope id -> slope
-        self._gaps = {}  # term -> its gap if positive, else None
         self.max_weight = Fraction(0)
         self._starting = None  # slab T + 1 -> {meeting event: its candidates (a, b)}
-        self._meetings_of = None  # atom -> the meeting events it has candidates at
         self._slab = None  # the cursor
         self._fid = []  # atom -> its front in the cursor slab
         self._sums = {}  # meeting event at or after the cursor -> _MeetingSums
+        self._changed = set()  # meeting events with count changes not yet settled
+        self._offending = set()  # meeting events holding a weight above K
+        self._k_eps_sq = K * ws.epsilon * ws.epsilon  # a cross-block pair's share of Q
+        self._total = Fraction(0)  # Q's same-block part: settled gap_sum * q_per_gap
 
-    def _slope_ids_for(self, fid, e):
-        """Slope id of each cell front ``fid`` carries into event e."""
-        key = (fid, e)
-        if key not in self._slope_ids:
-            ids = {}
-            for k, slope in _cell_slopes(self.flux, *meeting_cells(self.ws, fid, e)).items():
-                if slope not in self._id_of:
-                    self._id_of[slope] = len(self._slopes)
+    def _pieces_of(self, fid, e):
+        """Breakpoints and slope ids of the pieces of the envelope on the
+        cells front ``fid`` carries into event e."""
+        table = self._pieces.get((fid, e))
+        if table is None:
+            bounds, keys, slopes = _cell_slopes(self.flux, *meeting_cells(self.ws, fid, e))
+            ids = []
+            for key, slope in zip(keys, slopes):
+                i = self._id_of.get(key)
+                if i is None:
+                    i = self._id_of[key] = len(self._slopes)
                     self._slopes.append(slope)
-                ids[k] = self._id_of[slope]
-            self._slope_ids[key] = ids
-        return self._slope_ids[key]
+                ids.append(i)
+            table = self._pieces[fid, e] = bounds, ids
+        return table
 
     def _start(self):
         """Put the cursor on slab 0, listing the run's candidates by the slab
@@ -210,6 +245,9 @@ class _SlabPotential:
             for a in atoms:
                 self._fid[a] = fid
         self._sums = {}
+        self._changed = set()
+        self._offending = set()
+        self._total = Fraction(0)
         for e, pairs in self._starting.get(0, {}).items():
             self._activate(e, pairs)
 
@@ -234,8 +272,11 @@ class _SlabPotential:
                     for fr in ev.incoming
                 ) if kept
             ]
+            by_slab = {}
             for t, a, b in self._meeting_pairs(e, groups):
-                starting.setdefault(t + 1, {}).setdefault(e, []).append((a, b))
+                by_slab.setdefault(t + 1, []).append((a, b))
+            for slab, pairs in by_slab.items():
+                starting.setdefault(slab, {})[e] = pairs
         return starting
 
     def _meeting_pairs(self, e, groups):
@@ -277,13 +318,16 @@ class _SlabPotential:
                 ))
                 for a in left:
                     t_a = max(suffix[left[-1] - a], between)
+                    if t_a >= e:
+                        continue  # a shares a block with no atom of right before e
+                    split_a = last_split[a]
                     for b in right:
                         t = prefix[b - right[0]]
+                        if t >= e:
+                            break  # nor with b, or any later atom of right
                         if t < t_a:
                             t = t_a
-                        if t >= e:
-                            continue  # a and b never share a block before e
-                        if t < last_split[a] and t < last_split[b]:
+                        if t < split_a and t < last_split[b]:
                             met = first_common_event(ws, a, b, t + 1)
                             while met != e:
                                 t = met
@@ -295,90 +339,123 @@ class _SlabPotential:
         sums = self._sums.get(e)
         if sums is None:
             ev = self.ws.timeline.events[e]
-            d = abs(ev.c - ev.a)
-            sums = self._sums[e] = _MeetingSums(d, self.K * d)
-        ids, partners, delta = sums.slope_id, sums.partners, sums.delta
+            sums = self._sums[e] = _MeetingSums(abs(ev.c - ev.a), self.K, self.ws.epsilon)
+        ids, later, earlier, delta = sums.slope_id, sums.later, sums.earlier, sums.delta
         fid, cell = self._fid, self.ws.cell
+        for x in set(chain.from_iterable(pairs)).difference(ids):
+            bounds, piece_ids = self._pieces_of(fid[x], e)
+            ids[x] = piece_ids[bisect_right(bounds, cell[x]) - 1]
+            later[x], earlier[x] = [], []
         for a, b in pairs:
-            id_a = ids.get(a)
-            if id_a is None:
-                id_a = ids[a] = self._slope_ids_for(fid[a], e)[cell[a]]
-                partners[a] = [b]
-            else:
-                partners[a].append(b)
-            id_b = ids.get(b)
-            if id_b is None:
-                id_b = ids[b] = self._slope_ids_for(fid[b], e)[cell[b]]
-                partners[b] = [a]
-            else:
-                partners[b].append(a)
-            delta[id_a, id_b] = delta.get((id_a, id_b), 0) + 1
+            later[a].append(b)
+            earlier[b].append(a)
+        lows, highs = zip(*pairs)
+        terms = zip(map(ids.__getitem__, lows), map(ids.__getitem__, highs))
+        for term, count in Counter(terms).items():
+            delta[term] = delta.get(term, 0) + count
+        sums.atoms = sorted(ids)
+        self._changed.add(e)
 
     def _cross_event(self):
         """Move the cursor from slab s to slab s + 1, across event s."""
         s = self._slab
         ws = self.ws
-        if self._meetings_of is None:
-            # the atoms' meeting events, read only once the cursor moves
-            self._meetings_of = {}
-            for by_event in self._starting.values():
-                for e, pairs in by_event.items():
-                    for pair in pairs:
-                        for x in pair:
-                            self._meetings_of.setdefault(x, set()).add(e)
-        self._sums.pop(s, None)
+        done = self._sums.pop(s, None)
+        if done is not None:
+            self._total -= done.gap_sum * done.q_per_gap
+            self._changed.discard(s)
+            self._offending.discard(s)
         for fr in ws.timeline.events[s].outgoing:
-            for a in ws.atoms_of[fr.fid]:
+            atoms = ws.atoms_of[fr.fid]
+            for a in atoms:
                 self._fid[a] = fr.fid
-                for e in self._meetings_of.get(a, ()):
-                    sums = self._sums.get(e)
-                    if sums is None or a not in sums.slope_id:
-                        continue
-                    ids = sums.slope_id
-                    old, new = ids[a], self._slope_ids_for(fr.fid, e)[ws.cell[a]]
-                    if new == old:
-                        continue
-                    ids[a] = new
-                    delta = sums.delta
-                    for b in sums.partners[a]:
-                        if a < b:
-                            was, now = (old, ids[b]), (new, ids[b])
-                        else:
-                            was, now = (ids[b], old), (ids[b], new)
-                        delta[was] = delta.get(was, 0) - 1
-                        delta[now] = delta.get(now, 0) + 1
+            for e, sums in self._sums.items():
+                # the live atoms in the id range of the front's atoms are its
+                # atoms, and every atom with pairs at e is live until e
+                lo = bisect_left(sums.atoms, atoms[0])
+                hi = bisect_right(sums.atoms, atoms[-1], lo)
+                if lo < hi:
+                    self._rekey(e, sums, fr.fid, sums.atoms[lo:hi])
         self._slab = s + 1
         for e, pairs in self._starting.get(s + 1, {}).items():
             self._activate(e, pairs)
 
-    def _gap(self, term):
-        if term not in self._gaps:
-            gap = self._slopes[term[0]] - self._slopes[term[1]]
-            self._gaps[term] = gap if gap > 0 else None
-        return self._gaps[term]
+    def _rekey(self, e, sums, fid, run):
+        """Give the atoms of ``run``, front ``fid``'s atoms with pairs at
+        meeting event e, their slope ids through that front, and move their
+        pairs' counts to the new terms, one batch per (old id, new id)."""
+        bounds, piece_ids = self._pieces_of(fid, e)
+        # the run's cells are monotone in id order: each piece's atoms are
+        # a stretch of the run, found by bisection in the sorted cells
+        cells = list(map(self.ws.cell.__getitem__, run))
+        falling = cells[0] > cells[-1]
+        if falling:
+            cells.reverse()
+        new_ids = []
+        for end, i in zip(bounds[1:], piece_ids):
+            new_ids += [i] * (bisect_left(cells, end) - len(new_ids))
+        if falling:
+            new_ids.reverse()
+        ids = sums.slope_id
+        olds = list(map(ids.__getitem__, run))
+        if olds == new_ids:
+            return
+        moves, start = {}, 0  # (old id, new id) -> the atoms that move
+        for (old, new), same in groupby(zip(olds, new_ids)):
+            stop = start + len(list(same))
+            if old != new:
+                moves.setdefault((old, new), []).extend(run[start:stop])
+            start = stop
+        delta = sums.delta
+        for (old, new), atoms in moves.items():
+            ids.update(dict.fromkeys(atoms, new))
+            # a term leads with the slope id of the pair's smaller atom; the
+            # partners are on other fronts, so their ids stay as they are
+            for partners, leads in ((sums.later, True), (sums.earlier, False)):
+                met = chain.from_iterable(map(partners.__getitem__, atoms))
+                for id_b, count in Counter(map(ids.__getitem__, met)).items():
+                    was, now = ((old, id_b), (new, id_b)) if leads else ((id_b, old), (id_b, new))
+                    delta[was] = delta.get(was, 0) - count
+                    delta[now] = delta.get(now, 0) + count
+        self._changed.add(e)
 
-    def _settle(self, sums):
-        """Fold a meeting event's pending count changes into its sums and
-        its largest active gap into ``max_weight``."""
-        top = 0
+    def _settle(self, e):
+        """Fold meeting event e's pending count changes into its sums and
+        the running total, and its largest changed active gap into
+        ``max_weight``."""
+        sums = self._sums[e]
+        terms, counts = sums.terms, sums.counts
+        top = change_sum = 0
         for term, change in sums.delta.items():
-            gap = self._gap(term)
-            if not change or gap is None:
+            if not change:
                 continue
-            count = sums.counts.get(term, 0) + change
+            if term not in terms:
+                gap = self._slopes[term[0]] - self._slopes[term[1]]
+                terms[term] = (gap, gap > sums.k_d) if gap > 0 else None
+            if terms[term] is None:
+                continue
+            gap, above = terms[term]
+            count = counts.get(term, 0) + change
             if count:
-                sums.counts[term] = count
+                counts[term] = count
                 if gap > top:
                     top = gap
             else:
-                del sums.counts[term]
-            sums.gap_sum += change * gap
-            if gap > sums.k_d:
+                del counts[term]
+            change_sum += change * gap
+            if above:
                 if count:
                     sums.offending.add(term)
                 else:
                     sums.offending.discard(term)
         sums.delta.clear()
+        if change_sum:
+            sums.gap_sum += change_sum
+            self._total += change_sum * sums.q_per_gap
+        if sums.offending:
+            self._offending.add(e)
+        else:
+            self._offending.discard(e)
         if top > self.max_weight * sums.d:
             self.max_weight = top / sums.d
 
@@ -388,8 +465,8 @@ class _SlabPotential:
         Runs split into sign blocks (maximal stretches of one sign).  Every
         atom pair across two blocks weighs K, so that part is K times an
         integer pair count.  The pairs inside one block come from the sweep
-        state at slab s: per meeting event, its running gap sum divided by
-        its d.
+        state at slab s: the running sum over the meeting events of their
+        gap sums over d, once the events whose counts changed are settled.
         """
         if self._slab is None or s < self._slab:
             self._start()
@@ -397,39 +474,38 @@ class _SlabPotential:
             self._cross_event()
 
         ws = self.ws
-        runs = ws.runs(s)
-        block_sizes, sign = [], None
-        for _, atoms in runs:
-            if ws.sign[atoms[0]] != sign:
-                sign = ws.sign[atoms[0]]
-                block_sizes.append(0)
-            block_sizes[-1] += len(atoms)
-        n = sum(block_sizes)
-        cross_pairs = (n * n - sum(m * m for m in block_sizes)) // 2
+        atoms_of, atom_sign = ws.atoms_of, ws.sign
+        n = squares = size = 0  # over the closed blocks: atoms, squared sizes; the open one's size
+        sign = None
+        for fr in ws.timeline.slabs[s]:
+            atoms = atoms_of[fr.fid]
+            if atom_sign[atoms[0]] != sign:
+                sign = atom_sign[atoms[0]]
+                n, squares, size = n + size, squares + size * size, 0
+            size += len(atoms)
+        n += size
+        cross_pairs = (n * n - squares - size * size) // 2
         if cross_pairs and self.K > self.max_weight:
             self.max_weight = self.K
 
-        for sums in self._sums.values():
-            self._settle(sums)
-        if any(sums.offending for sums in self._sums.values()):
-            self._raise_first_weight_above_k(s, runs)
+        for e in self._changed:
+            self._settle(e)
+        self._changed.clear()
+        if self._offending:
+            self._raise_first_weight_above_k(s)
+        return self._k_eps_sq * cross_pairs + self._total
 
-        total = self.K * cross_pairs
-        for sums in self._sums.values():
-            total += sums.gap_sum / sums.d
-        return total * ws.epsilon * ws.epsilon
-
-    def _raise_first_weight_above_k(self, s, runs):
+    def _raise_first_weight_above_k(self, s):
         """Name the slab's first offending pair in run order: the least
         (run of a, run of b, a, b)."""
-        run_of = {fid: i for i, (fid, _) in enumerate(runs)}
+        run_of = {fid: i for i, (fid, _) in enumerate(self.ws.runs(s))}
         fid = self._fid
         *_, a, b = min(
             (run_of[fid[a]], run_of[fid[b]], a, b)
-            for sums in self._sums.values() if sums.offending
-            for a, partners in sums.partners.items()
+            for sums in map(self._sums.get, self._offending)
+            for a, partners in sums.later.items()
             for b in partners
-            if a < b and (sums.slope_id[a], sums.slope_id[b]) in sums.offending
+            if (sums.slope_id[a], sums.slope_id[b]) in sums.offending
         )
         raise ConsistencyError(f"weight above K for atoms ({a}, {b}) in slab {s}")
 

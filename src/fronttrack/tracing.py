@@ -35,7 +35,7 @@ states (`grid_coordinate`), once per front, and counts spans and masses in
 cells.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
@@ -162,15 +162,26 @@ def first_common_event(ws, a: int, b: int, after_slab: int = 0):
 
 def meeting_cells(ws, fid: int, e: int):
     """Grid cells [lo, hi) and sign of the waves front ``fid`` carries into
-    event e: its atoms that sit at and survive that event."""
-    atoms = [a for a in ws.atoms_of[fid] if e in ws.events_of[a]]
-    sign = ws.sign[atoms[0]]
-    if any(ws.sign[a] != sign for a in atoms):
+    event e, for a front that lives on a slab at or before e: its atoms that
+    sit at and survive that event.
+
+    Those are the atoms of e's outgoing fronts in the id range of ``fid``'s
+    atoms, found by bisection, with no atom's event list read: they live on
+    every slab up to e, and on a slab ``fid`` lives on, the live atoms in
+    that range are its own.  They must share a sign, and their cells must
+    be contiguous."""
+    first, last = ws.atoms_of[fid][0], ws.atoms_of[fid][-1]
+    atoms = []
+    for fr in ws.timeline.events[e].outgoing:
+        out = ws.atoms_of[fr.fid]
+        atoms += out[bisect_left(out, first):bisect_right(out, last)]
+    signs = set(map(ws.sign.__getitem__, atoms))
+    if len(signs) > 1:
         raise ConsistencyError("wave interval mixes signs")
-    ks = sorted(ws.cell[a] for a in atoms)
+    ks = sorted(map(ws.cell.__getitem__, atoms))
     if ks != list(range(ks[0], ks[0] + len(ks))):
         raise ConsistencyError("meeting interval has non-contiguous states")
-    return ks[0], ks[-1] + 1, sign
+    return ks[0], ks[-1] + 1, signs.pop()
 
 
 # -- validation ----------------------------------------------------------------

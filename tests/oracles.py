@@ -7,11 +7,13 @@ The hull oracle and the slope-integral oracles deliberately avoid the
 package's monotone-chain envelope code path: envelopes are evaluated as
 minima over all chords, so agreement is a real cross-check.  The per-cell
 sum `slope_gap_integral_by_cells` is the slow path the speed change's
-breakpoint walk replaced; it reads the package's cell slopes.  The pointwise
-envelope queries (`ordinates`, `value_at`, `slope_at`, `piece_slopes`), the chord speed
-`rh_speed`, the binary same-sign closed form `delta_sigma_closed_form` and an
-event's kind and extremal state `event_kind_and_b` are queries only the
-tests make.
+breakpoint walk replaced; it reads `fraction_cell_slopes`, the per-cell
+dictionary of envelope slopes that Q read before its slope ids came from
+hull pieces with integer keys, and that the pair-walk oracles still read.
+The pointwise envelope queries (`ordinates`, `value_at`, `slope_at`,
+`piece_slopes`), the chord speed `rh_speed`, the binary same-sign closed
+form `delta_sigma_closed_form` and an event's kind and extremal state
+`event_kind_and_b` are queries only the tests make.
 
 `oracle_evolve` and `oracle_validate_timeline` are the full-scan tracker:
 every step recomputes every live front's position, and every slab is
@@ -36,10 +38,10 @@ from fractions import Fraction as F
 from math import lcm
 from operator import attrgetter
 
-from fronttrack.envelope import sample_flux
+from fronttrack.envelope import envelope, sample_flux
 from fronttrack.errors import ConsistencyError, DomainError, InputError, TrackerError
 from fronttrack.potential import (
-    HARD_EVENT_VERDICTS, VerdictTable, _cell_slopes, _slope_gap_integral,
+    HARD_EVENT_VERDICTS, VerdictTable, _slope_gap_integral,
 )
 from fronttrack.rationals import grid_index
 from fronttrack.riemann import is_admissible
@@ -189,11 +191,23 @@ def oracle_cell_slopes(flux, lo_idx, hi_idx, sign):
     }
 
 
+def fraction_cell_slopes(flux, lo, hi, sign):
+    """Envelope slope on each state cell k in [lo, hi) for the given sign:
+    the per-cell dictionary of `Fraction`s that Q read before its slope ids
+    came from hull pieces with integer keys (`potential._cell_slopes`)."""
+    env = envelope(flux, lo, hi, sign)
+    out = {}
+    for k0, k1, s in zip(env.indices, env.indices[1:], env.slopes):
+        for k in range(k0, k1):
+            out[k] = s
+    return out
+
+
 def slope_gap_integral_by_cells(flux, span_a, span_b, over, sign):
     """`_slope_gap_integral` as one sum per state cell of ``over``: the gap
-    between the two envelopes' cell slopes, as Q reads them (`_cell_slopes`)."""
-    sa = _cell_slopes(flux, *span_a, sign)
-    sb = _cell_slopes(flux, *span_b, sign)
+    between the two envelopes' cell slopes (`fraction_cell_slopes`)."""
+    sa = fraction_cell_slopes(flux, *span_a, sign)
+    sb = fraction_cell_slopes(flux, *span_b, sign)
     return sum((abs(sa[k] - sb[k]) for k in range(*over)), F(0)) * flux.epsilon
 
 

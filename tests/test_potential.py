@@ -1,9 +1,10 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fronttrack import harness
@@ -23,7 +24,7 @@ from fronttrack.potential import (
 )
 from fronttrack.tracker import CANCELLATION, SAME_SIGN, Profile, evolve, profile_at
 from fronttrack.tracing import (
-    advance_tracing, build_initial_waves, first_common_event, validate_tracing,
+    advance_tracing, build_initial_waves, first_common_event, meeting_cells, validate_tracing,
 )
 
 from oracles import (
@@ -38,6 +39,7 @@ from oracles import (
     WORKED_Q_BY_SLAB,
     _tv,
     delta_sigma_closed_form,
+    fraction_cell_slopes,
     fraction_delta_sigma,
     fraction_verdict_table,
     oracle_cancellation_speed_change,
@@ -656,6 +658,99 @@ def test_q_matches_oracle_on_the_ladder_rung():
         assert rec.Q == q
         top = max([top, *(p.q for p in records)])
     assert r.series.max_weight == top
+
+
+def _check_slope_ids(r):
+    """Sweep a fresh engine over every slab of run ``r``.  At each slab, the
+    slope id of every atom it holds at every meeting event must name the
+    slope `fraction_cell_slopes` gives the atom's cell through its current
+    front; then every piece table the engine read must do so cell by cell,
+    and no two ids may name one slope.  Returns the number of atom checks
+    and of ids that pieces of two different envelopes share."""
+    ws, flux = r.waves, r.timeline.flux
+    engine = _SlabPotential(ws, r.series.K)
+    expected = {}  # (fid, e) -> {cell: slope}
+
+    def slopes(fid, e):
+        if (fid, e) not in expected:
+            expected[fid, e] = fraction_cell_slopes(flux, *meeting_cells(ws, fid, e))
+        return expected[fid, e]
+
+    checked = 0
+    for s, rec in enumerate(r.series.slabs):
+        assert engine.q_of_slab(s) == rec.Q
+        for e, sums in engine._sums.items():
+            for a, i in sums.slope_id.items():
+                assert engine._slopes[i] == slopes(engine._fid[a], e)[ws.cell[a]]
+                checked += 1
+    envelopes_of = {}  # slope id -> the (lo, hi, sign) of the envelopes holding it
+    for (fid, e), (bounds, ids) in engine._pieces.items():
+        for k, slope in slopes(fid, e).items():
+            assert engine._slopes[ids[bisect_right(bounds, k) - 1]] == slope
+        for i in ids:
+            envelopes_of.setdefault(i, set()).add(meeting_cells(ws, fid, e))
+    assert len(set(engine._slopes)) == len(engine._slopes)
+    return checked, sum(len(spans) > 1 for spans in envelopes_of.values())
+
+
+@pytest.mark.parametrize("config, shape", [
+    (ladder_config("1/128"), None),
+    (suite_config(58, salt=1), _remeets),
+    (THREE_SHOCKS, _three_survivor_groups),
+], ids=["ladder_128", "remeeting", "three_shocks"])
+def test_slope_ids_match_the_fraction_cell_slopes(config, shape):
+    # the piece keys against the per-cell Fraction slopes Q read before; on
+    # the remeeting run an atom leaves its meeting partners' front and
+    # meets them again, so its pending meetings are re-keyed from a new front
+    r = harness.run_simulation(harness.parse_run_config(config))
+    assert shape is None or shape(r)
+    checked, _ = _check_slope_ids(r)
+    assert checked > (10_000 if shape is None else 0)
+
+
+def test_slope_ids_match_the_fraction_cell_slopes_on_the_suite(suite):
+    # three of the runs read one slope from the pieces of two envelopes
+    checked = shared = 0
+    for r in suite["runs"]:
+        c, s = _check_slope_ids(r)
+        checked, shared = checked + c, shared + s
+    assert checked > 1000 and shared > 0
+
+
+def _outcome(engine, s):
+    """Q of slab s, or the message of the error the request raises."""
+    try:
+        return engine.q_of_slab(s)
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def rung_64():
+    """The 1/64 ladder rung and, per slab, what a fresh K = 0 engine answers."""
+    r = harness.run_simulation(harness.parse_run_config(ladder_config("1/64")))
+    fresh = [_outcome(_SlabPotential(r.waves, F(0)), s) for s in range(len(r.timeline.slabs))]
+    assert len(fresh) == 56 and any(isinstance(x, str) for x in fresh)
+    return r, fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(requests=st.lists(st.tuples(st.booleans(), st.integers(0, 55)), min_size=1, max_size=16))
+@example(requests=[(False, s) for s in range(56)])
+@example(requests=[(zero, s) for s in range(55, -1, -1) for zero in (False, True)])
+@example(requests=[(False, 30), (True, 30), (False, 30), (True, 12), (False, 12), (True, 50)])
+def test_q_answers_any_request_order(rung_64, requests):
+    # forward, backward and repeated requests on one engine, interleaved with
+    # requests to a K = 0 engine that raises: each answer is the run's Q, and
+    # each K = 0 request answers or raises as a fresh engine does
+    r, fresh = rung_64
+    engine, strict = _SlabPotential(r.waves, r.series.K), _SlabPotential(r.waves, F(0))
+    for zero, s in requests:
+        if zero:
+            assert _outcome(strict, s) == fresh[s]
+        else:
+            assert engine.q_of_slab(s) == r.series.slabs[s].Q
+    assert engine.max_weight <= r.series.max_weight
 
 
 # -- the verdict table on (numerator, denominator) pairs -------------------------

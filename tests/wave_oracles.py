@@ -30,12 +30,14 @@ from fractions import Fraction
 
 from fronttrack.envelope import GridFlux, curvature_constant, envelope
 from fronttrack.errors import ConsistencyError, InputError
-from fronttrack.potential import _bianchini_of_slab, _cell_slopes, _SlabPotential
+from fronttrack.potential import _bianchini_of_slab, _SlabPotential
 from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, merge_steps, profile_at
 from fronttrack.tracing import WaveSystem, first_common_event, meeting_cells
 
-from oracles import _tv, front_kinematics, profile_value_at, slab_index, value_at
+from oracles import (
+    _tv, fraction_cell_slopes, front_kinematics, profile_value_at, slab_index, value_at,
+)
 
 MIXED_SIGN = "mixed_sign"
 SAME_POSITION = "same_position"
@@ -249,7 +251,7 @@ def _atom_id(ws: WaveSystem, c) -> int:
 def _entropic_slope(ws, flux, interval, atom):
     lo = grid_index(interval.state_lo, flux.epsilon)
     hi = grid_index(interval.state_hi, flux.epsilon)
-    return _cell_slopes(flux, lo, hi, interval.sign)[ws.cell[atom]]
+    return fraction_cell_slopes(flux, lo, hi, interval.sign)[ws.cell[atom]]
 
 
 def pair_weight(ws: WaveSystem, t_bar, c, c_prime, K, flux: GridFlux) -> PairWeightRecord:
@@ -374,7 +376,7 @@ def pair_walk_q_of_slab(ws: WaveSystem, s: int, K):
 
     def slope(fid, e, atom):
         if (fid, e) not in slopes:
-            slopes[fid, e] = _cell_slopes(flux, *meeting_cells(ws, fid, e))
+            slopes[fid, e] = fraction_cell_slopes(flux, *meeting_cells(ws, fid, e))
         return slopes[fid, e][ws.cell[atom]]
 
     terms = {}  # (event index, slope of a, slope of b) -> [pair count, first pair]
@@ -431,7 +433,7 @@ def oracle_first_pair_above_k(ws: WaveSystem, s: int, K):
 
 
 def _meeting_slope(ws, fid, e, atom):
-    return _cell_slopes(ws.timeline.flux, *meeting_cells(ws, fid, e))[ws.cell[atom]]
+    return fraction_cell_slopes(ws.timeline.flux, *meeting_cells(ws, fid, e))[ws.cell[atom]]
 
 
 def oracle_validate_tracing(ws: WaveSystem) -> None:
