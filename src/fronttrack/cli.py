@@ -6,6 +6,7 @@ configuration, an event cap hit included, with one ``input error:`` line.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -70,6 +71,8 @@ def _cmd_sweep(args) -> int:
     cfg = parse_sweep_config(load_json(args.config))
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise InputError("--jobs above 1 needs os.fork, which this platform lacks")
     out_dir = _out_dir(args.out)
     rows = sweep(cfg, jobs=args.jobs)
     (out_dir / "sweep.json").write_bytes(report_bytes(rows))

@@ -1,8 +1,8 @@
 """Run orchestration: configs, the full pipeline, and epsilon sweeps."""
 
 import json
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import merge
@@ -303,9 +303,7 @@ def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
         for eps in sweep_cfg.epsilons
     ]
     if jobs > 1:
-        # a forked pool starts all its workers up front
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            members = list(pool.map(_sweep_member, args))
+        members = _forked_members(args, jobs)
     else:
         members = [_sweep_member(a) for a in args]
     finest = members[-1][1]
@@ -314,6 +312,78 @@ def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
             str(t): str(l1_distance(p, q)) for t, p, q in zip(probe_times, profiles, finest)
         }
     return [row for row, _ in members]
+
+
+def _forked_members(args: list, jobs: int) -> list:
+    """``_sweep_member`` of every arg, in min(jobs, len(args)) workers made
+    by ``os.fork`` (the package starts no thread, so forking is safe).
+
+    Members are dealt out finest first, round-robin; each worker runs its
+    share, catching each member's exception, and sends back one pickled
+    list of (index, ok, result or exception) records when it is done.  The
+    parent reads and reaps every worker before it returns or raises, and
+    raises for the first failing member in config order, as ``jobs=1``
+    does; a worker that exits without sending its records fails all of
+    its members."""
+    import pickle  # only this path pays for its import
+
+    finest_first = list(reversed(range(len(args))))
+    n = min(jobs, len(args))
+    shares = [finest_first[w::n] for w in range(n)]
+    started = []  # (pid, read end, share)
+    try:
+        for share in shares:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the worker never returns into the caller's frames
+                status = 1
+                try:
+                    os.close(read_end)
+                    records = []
+                    for i in share:
+                        try:
+                            records.append((i, True, _sweep_member(args[i])))
+                        except Exception as exc:
+                            records.append((i, False, exc))
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(records, pipe)
+                    status = 0
+                except BaseException:  # the parent's error names only the status
+                    import traceback
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            started.append((pid, read_end, share))
+    finally:
+        # a worker writes once, when it is done, so reading one pipe to its
+        # end never holds up another worker's members
+        reaped = []
+        for pid, read_end, share in started:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            reaped.append((pid, os.waitpid(pid, 0)[1], data, share))
+    outcomes = {}
+    for pid, status, data, share in reaped:
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            outcomes.update((i, (ok, value)) for i, ok, value in pickle.loads(data))
+            continue
+        how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+        died = RuntimeError(f"sweep worker {pid} {how} before sending its results")
+        outcomes.update((i, (False, died)) for i in share)
+    members = []
+    for i in range(len(args)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        members.append(value)
+    return members
 
 
 def load_json(path: str) -> dict:

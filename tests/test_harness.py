@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -569,6 +571,9 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, monkeypatch):
     cases.append(("run", GOLDEN_CONFIG, ["--restart-checks", "-1"]))
     cases += [("sweep", bad, []) for bad in MALFORMED_SWEEPS]
     cases += [("sweep", GOLDEN_SWEEP, ["--jobs", jobs]) for jobs in ("0", "-3")]
+    # without os.fork, parallel members cannot run
+    monkeypatch.delattr(os, "fork")
+    cases.append(("sweep", GOLDEN_SWEEP, ["--jobs", "2"]))
     # an --out naming a file, or a path below one
     cases += [
         (command, cfg, ["--out", str(out)])
@@ -902,14 +907,16 @@ def test_cli_sweep(tmp_path, capsys, monkeypatch):
     assert len(rows) == 2
     assert (out_dir / "sweep.csv").read_text().startswith("epsilon,")
 
-    # an event cap in a member is an input error: exit 2 and one line
-    capsys.readouterr()
+    # an event cap in a member is an input error: exit 2 and one line, from
+    # a forked worker too
     capped_path = tmp_path / "capped.json"
     capped = dict(cfg, base=dict(cfg["base"], options={"max_events": 0}))
     capped_path.write_text(json.dumps(capped))
-    args = ["sweep", str(capped_path), "--out", str(tmp_path / "capped"), "--jobs", "1"]
-    assert main(args) == 2
-    assert capsys.readouterr().err == "input error: event cap 0 exceeded at t=1\n"
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        args = ["sweep", str(capped_path), "--out", str(tmp_path / "capped"), "--jobs", jobs]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "input error: event cap 0 exceeded at t=1\n"
 
     # a member that fails a check: every row is written, then exit 1
     member = harness._sweep_member
@@ -931,28 +938,81 @@ def test_cli_sweep(tmp_path, capsys, monkeypatch):
     assert err == "verification FAILED: {'1/2': ['event0:q_monotone']}\n"
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_forks_no_more_workers_than_members(monkeypatch):
-    pools = []
+    forks = []
+    fork = os.fork
 
-    class RecordingExecutor:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "fork", counting_fork)
     two_members = parse_sweep_config(GOLDEN_SWEEP)
-    assert sweep(two_members, jobs=8) == sweep(two_members)
-    assert pools == [2]
+    rows = sweep(two_members)
+    three_members = parse_sweep_config(dict(GOLDEN_SWEEP, epsilons=["1", "1/2", "1/4"]))
+    rows3 = sweep(three_members)
+    assert forks == []
+    for sweep_cfg, expected in ((two_members, rows), (three_members, rows3)):
+        for jobs in (2, 8):
+            forks.clear()
+            assert sweep(sweep_cfg, jobs=jobs) == expected
+            assert len(forks) == min(jobs, len(sweep_cfg.epsilons))
+            _assert_no_child_left()
+
+    # a member that raises: the first failing member in config order raises,
+    # as with jobs=1, and every worker is reaped first
+    member = harness._sweep_member
+
+    def raising_member(arg):
+        if arg[0] != "1/4":
+            raise InputError(f"member {arg[0]} failed")
+        return member(arg)
+
+    monkeypatch.setattr(harness, "_sweep_member", raising_member)
+    for jobs in (1, 2, 3):
+        with pytest.raises(InputError, match="^member 1 failed$"):
+            sweep(three_members, jobs=jobs)
+        _assert_no_child_left()
+
+
+def test_sweep_worker_that_dies_is_reported_and_reaped(monkeypatch):
+    member = harness._sweep_member
+
+    def dying_member(arg):
+        if arg[0] == "1/2":
+            os._exit(3)
+        return member(arg)
+
+    monkeypatch.setattr(harness, "_sweep_member", dying_member)
+    three_members = parse_sweep_config(dict(GOLDEN_SWEEP, epsilons=["1", "1/2", "1/4"]))
+    for jobs in (2, 3):
+        with pytest.raises(RuntimeError, match=r"^sweep worker \d+ exited with status 3 "):
+            sweep(three_members, jobs=jobs)
+        _assert_no_child_left()
+
+
+def test_cli_imports_no_process_pool():
+    """A cold start of the CLI loads neither a process pool nor pickle:
+    only a parallel sweep imports pickle, when it forks its workers."""
+    src = Path(harness.__file__).resolve().parent.parent
+    code = (
+        "import sys, fronttrack.cli, fronttrack.harness; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'pickle') "
+        "if m in sys.modules])"
+    )
+    # -S: the site hooks of the environment are not the package's imports
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 # -- distance and generators --------------------------------------------------------
