@@ -2,7 +2,9 @@
 
 Exit status: 0 when every hard check passes; 1 when a check fails, after
 ``run`` and ``sweep`` have written their artifacts; 2 on malformed input or
-configuration, an event cap hit included, with one ``input error:`` line.
+configuration, an event cap hit included, with one ``input error:`` line;
+3 on an internal fault (a failed invariant, a sweep worker that died), with
+one ``internal error:`` line.
 """
 
 import argparse
@@ -11,13 +13,14 @@ import sys
 from pathlib import Path
 
 from .diagram import render_front_diagram, render_potential_plot
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .harness import load_json, parse_run_config, parse_sweep_config, run_simulation, sweep
 from .report import build_report, events_csv, potential_csv, report_bytes, verify_report
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _out_dir(path: str) -> Path:
@@ -145,6 +148,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

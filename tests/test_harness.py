@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fronttrack import cli, harness, potential
 from fronttrack.cli import main
 from fronttrack.envelope import _concave_by_index, _convex_by_index, sample_flux
-from fronttrack.errors import InputError
+from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.harness import (
     l1_distance,
     load_json,
@@ -996,6 +996,103 @@ def test_sweep_worker_that_dies_is_reported_and_reaped(monkeypatch):
         with pytest.raises(RuntimeError, match=r"^sweep worker \d+ exited with status 3 "):
             sweep(three_members, jobs=jobs)
         _assert_no_child_left()
+
+
+def test_cli_internal_faults_exit_3(tmp_path, capsys, monkeypatch):
+    """A dead sweep worker and a failed invariant each exit 3 with one
+    ``internal error:`` line, not with a traceback and the status of a
+    failed check."""
+    member = harness._sweep_member
+
+    def dying_member(arg):
+        if arg[0] == "1/2":
+            os._exit(3)
+        return member(arg)
+
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(dict(GOLDEN_SWEEP, epsilons=["1", "1/2", "1/4"])))
+    monkeypatch.setattr(harness, "_sweep_member", dying_member)
+    capsys.readouterr()
+    assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "sweep"), "--jobs", "2"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"internal error: sweep worker \d+ exited with status 3 before sending its results",
+        lines[0],
+    )
+    _assert_no_child_left()
+
+    def broken_validator(tl):
+        raise ConsistencyError("front ordering lost")
+
+    monkeypatch.setattr(harness, "validate_timeline", broken_validator)
+    assert _run_cli(tmp_path, "run", GOLDEN_CONFIG) == 3
+    assert capsys.readouterr().err == "internal error: front ordering lost\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls on this platform"
+)
+def test_sweep_pins_each_worker_to_its_own_cpu(monkeypatch):
+    three_members = parse_sweep_config(dict(GOLDEN_SWEEP, epsilons=["1", "1/2", "1/4"]))
+    expected = sweep(three_members)
+    parent_cpus = sorted(os.sched_getaffinity(0))
+    member = harness._sweep_member
+
+    def reporting_member(arg):  # its row also carries the worker's pid and CPUs
+        row, profiles = member(arg)
+        return dict(row, pid=os.getpid(), cpus=sorted(os.sched_getaffinity(0))), profiles
+
+    monkeypatch.setattr(harness, "_sweep_member", reporting_member)
+    for jobs in (2, 3):
+        rows = sweep(three_members, jobs=jobs)
+        assert [{k: row[k] for k in expected[0]} for row in rows] == expected
+        assert sorted(os.sched_getaffinity(0)) == parent_cpus  # the parent stays unpinned
+        _assert_no_child_left()
+        by_worker = {}
+        for row in rows:
+            by_worker.setdefault(row["pid"], []).append(row["cpus"])
+        assert len(by_worker) == jobs and os.getpid() not in by_worker
+        worker_cpus = []
+        for reports in by_worker.values():
+            assert len(reports[0]) == 1 and reports[0][0] in parent_cpus
+            assert all(cpus == reports[0] for cpus in reports)
+            worker_cpus.append(reports[0][0])
+        if len(parent_cpus) >= jobs:
+            assert len(set(worker_cpus)) == jobs
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls on this platform"
+)
+def test_sweep_on_one_allowed_cpu_matches_jobs_1():
+    three_members = parse_sweep_config(dict(GOLDEN_SWEEP, epsilons=["1", "1/2", "1/4"]))
+    expected = sweep(three_members)
+    parent_cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(parent_cpus)})
+    try:
+        assert sweep(three_members, jobs=2) == expected
+        assert os.sched_getaffinity(0) == {min(parent_cpus)}
+    finally:
+        os.sched_setaffinity(0, parent_cpus)
+    _assert_no_child_left()
+
+
+def test_sweep_workers_that_cannot_pin_run_unpinned(monkeypatch):
+    three_members = parse_sweep_config(dict(GOLDEN_SWEEP, epsilons=["1", "1/2", "1/4"]))
+    expected = sweep(three_members)
+
+    def refused(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    assert sweep(three_members, jobs=2) == expected
+    _assert_no_child_left()
+    # no affinity calls at all, as on a platform without them
+    for name in ("sched_getaffinity", "sched_setaffinity"):
+        monkeypatch.delattr(os, name, raising=False)
+    assert sweep(three_members, jobs=2) == expected
+    _assert_no_child_left()
 
 
 def test_cli_imports_no_process_pool():
