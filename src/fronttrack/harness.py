@@ -5,8 +5,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import merge
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from .envelope import parse_flux_spec, sample_flux
 from .errors import ConsistencyError, InputError
@@ -134,24 +133,44 @@ def run_simulation(cfg: RunConfig) -> RunResult:
 # -- profile distance -----------------------------------------------------------
 
 
+def _integer_jumps(p: Profile, den: int) -> list:
+    """p's jumps as (position numerator, position denominator, value * den),
+    all ints; ``den`` is a multiple of every value's denominator."""
+    return [(y.numerator, y.denominator, w.numerator * (den // w.denominator))
+            for y, w in p.jumps]
+
+
 def l1_distance(p: Profile, q: Profile) -> Fraction:
     """Exact L1 distance between two profiles; requires matching tails.
 
-    One merge walk over both jump lists, ordered by position (p's jump
-    first at a shared one): between consecutive breakpoints both profiles
-    are constant, and values[0], values[1] hold their values there."""
+    The gap |p - q| is constant between breakpoints and zero outside them,
+    so its integral is, by parts, the sum over breakpoints y of y times the
+    drop of the gap at y.  One merge walk over both jump lists, ordered by
+    cross-multiplied positions, keeps the values scaled by the lcm ``den``
+    of their denominators, so the gap is an int, and the sum as one integer
+    numerator per denominator of y; one ``Fraction`` is built at the end."""
     if p.constant_state != q.constant_state or p.right_constant != q.right_constant:
         raise InputError("profiles with different tails are not L1-comparable")
-    values = [p.constant_state, q.constant_state]
-    x = None  # the last breakpoint; both tails agree before the first
-    total = Fraction(0)
-    steps = merge(((y, 0, w) for y, w in p.jumps), ((y, 1, w) for y, w in q.jumps))
-    for y, side, w in steps:
-        if values[0] != values[1]:
-            total += abs(values[0] - values[1]) * (y - x)
-        values[side] = w
-        x = y
-    return total
+    den = lcm(*{v.denominator for v in p.values() + q.values()})
+    a, b = _integer_jumps(p, den), _integer_jumps(q, den)
+    c = p.constant_state
+    vp = vq = c.numerator * (den // c.denominator)
+    gap = 0
+    sums = {}  # y's denominator -> sum of y's numerator times the gap's drop
+    i = j = 0
+    while i < len(a) or j < len(b):
+        if j == len(b) or (i < len(a) and a[i][0] * b[j][1] <= b[j][0] * a[i][1]):
+            n, d, vp = a[i]
+            i += 1
+        else:
+            n, d, vq = b[j]
+            j += 1
+        new = abs(vp - vq)
+        if new != gap:
+            sums[d] = sums.get(d, 0) + n * (gap - new)
+            gap = new
+    y_den = lcm(*sums)
+    return Fraction(sum(s * (y_den // d) for d, s in sums.items()), y_den * den)
 
 
 # -- random families --------------------------------------------------------------
@@ -314,24 +333,35 @@ def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
     return [row for row, _ in members]
 
 
+_QUEUE_RECORD = 4  # bytes: a member's index in the queue, big-endian
+
+
 def _forked_members(args: list, jobs: int) -> list:
     """``_sweep_member`` of every arg, in min(jobs, len(args)) workers made
     by ``os.fork`` (the package starts no thread, so forking is safe).
 
-    Members are dealt out finest first, round-robin; each worker runs its
-    share, catching each member's exception, and sends back one pickled
-    list of (index, ok, result or exception) records when it is done.  The
-    parent reads and reaps every worker before it returns or raises, and
-    raises for the first failing member in config order, as ``jobs=1``
-    does; a worker that exits without sending its records fails all of
-    its members.
+    Members are dealt on demand, finest first: worker ``w`` starts on the
+    ``w``-th finest member, and the rest wait in one pipe, the queue, from
+    which a worker reads one fixed-size record, a member's index, each time
+    it finishes a member (a static deal left a worker idle while another
+    still ran its second member).  The parent writes the queue after the
+    forks, in chunks of at most ``select.PIPE_BUF`` bytes, so that no record
+    is split; once every worker is dead, the write fails with EPIPE.
+
+    Each worker catches each member's exception and, when the queue ends,
+    sends back one pickled list of (index, ok, result or exception) records
+    on its own pipe.  The parent reads and reaps every worker before it
+    returns or raises, and raises for the first failing member in config
+    order, as ``jobs=1`` does; a member with no record fails with the first
+    dead worker's ``ConsistencyError``.
 
     Worker ``w`` pins itself to the ``w % len(cpus)``-th of the parent's
     allowed CPUs: left unpinned, the scheduler can keep every worker on one
     CPU, each then taking about twice its CPU time.  The parent is never
     pinned; where the affinity calls are missing or fail, a worker runs
     unpinned."""
-    import pickle  # only this path pays for its import
+    import pickle  # only this path pays for its imports
+    import select
 
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -339,10 +369,10 @@ def _forked_members(args: list, jobs: int) -> list:
         cpus = []
     finest_first = list(reversed(range(len(args))))
     n = min(jobs, len(args))
-    shares = [finest_first[w::n] for w in range(n)]
-    started = []  # (pid, read end, share)
+    queue_read, queue_write = os.pipe()
+    started = []  # (pid, read end)
     try:
-        for w, share in enumerate(shares):
+        for w in range(n):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -354,17 +384,23 @@ def _forked_members(args: list, jobs: int) -> list:
                 status = 1
                 try:
                     os.close(read_end)
+                    os.close(queue_write)  # else the queue never ends
                     if cpus:
                         try:
                             os.sched_setaffinity(0, {cpus[w % len(cpus)]})
                         except OSError:
                             pass
                     records = []
-                    for i in share:
+                    i = finest_first[w]
+                    while True:
                         try:
                             records.append((i, True, _sweep_member(args[i])))
                         except Exception as exc:
                             records.append((i, False, exc))
+                        record = os.read(queue_read, _QUEUE_RECORD)
+                        if not record:
+                            break
+                        i = int.from_bytes(record, "big")
                     with open(write_end, "wb") as pipe:
                         pickle.dump(records, pipe)
                     status = 0
@@ -374,27 +410,39 @@ def _forked_members(args: list, jobs: int) -> list:
                 finally:
                     os._exit(status)
             os.close(write_end)
-            started.append((pid, read_end, share))
+            started.append((pid, read_end))
+        os.close(queue_read)  # now only the workers read: EPIPE once all are dead
+        queue_read = None
+        queue = b"".join(i.to_bytes(_QUEUE_RECORD, "big") for i in finest_first[n:])
+        chunk = select.PIPE_BUF // _QUEUE_RECORD * _QUEUE_RECORD
+        try:
+            for at in range(0, len(queue), chunk):
+                os.write(queue_write, queue[at : at + chunk])
+        except BrokenPipeError:
+            pass  # the undealt members have no record
     finally:
-        # a worker writes once, when it is done, so reading one pipe to its
-        # end never holds up another worker's members
+        if queue_read is not None:
+            os.close(queue_read)
+        os.close(queue_write)
+        # a worker writes its records once, after the queue has ended, so
+        # reading one pipe to its end never holds up another worker's members
         reaped = []
-        for pid, read_end, share in started:
+        for pid, read_end in started:
             with open(read_end, "rb") as pipe:
                 data = pipe.read()
-            reaped.append((pid, os.waitpid(pid, 0)[1], data, share))
+            reaped.append((pid, os.waitpid(pid, 0)[1], data))
     outcomes = {}
-    for pid, status, data, share in reaped:
+    died = None
+    for pid, status, data in reaped:
         code = os.waitstatus_to_exitcode(status)
         if code == 0:
             outcomes.update((i, (ok, value)) for i, ok, value in pickle.loads(data))
-            continue
-        how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
-        died = ConsistencyError(f"sweep worker {pid} {how} before sending its results")
-        outcomes.update((i, (False, died)) for i in share)
+        elif died is None:
+            how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+            died = ConsistencyError(f"sweep worker {pid} {how} before sending its results")
     members = []
     for i in range(len(args)):
-        ok, value = outcomes[i]
+        ok, value = outcomes.get(i, (False, died))
         if not ok:
             raise value
         members.append(value)

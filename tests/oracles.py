@@ -30,11 +30,16 @@ as they ran on `Fraction` states, before they read the grid indices the
 fronts carry: they must give the same values.  `fraction_verdict_table` is
 the verdict table as it ran on `Fraction`s, before it cross-multiplied
 (numerator, denominator) pairs: it must give the same table.
+`fraction_l1_distance` is the sweep's L1 distance as it ran on `Fraction`s,
+before it summed integer numerators per position denominator: it must give
+the same distance, as `l1_profile_distance_oracle`, a scan from the
+definition, must.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
+from heapq import merge
 from math import lcm
 from operator import attrgetter
 
@@ -266,6 +271,24 @@ def l1_profile_distance_oracle(p, q):
     total = F(0)
     for x0, x1 in zip(xs, xs[1:]):
         total += abs(profile_value_at(p, x0) - profile_value_at(q, x0)) * (x1 - x0)
+    return total
+
+
+def fraction_l1_distance(p, q):
+    """`l1_distance` as it ran on `Fraction`s: one merge walk over both jump
+    lists, ordered by position (p's jump first at a shared one), adding the
+    gap times the width of each stretch between breakpoints."""
+    if p.constant_state != q.constant_state or p.right_constant != q.right_constant:
+        raise InputError("profiles with different tails are not L1-comparable")
+    values = [p.constant_state, q.constant_state]
+    x = None  # the last breakpoint; both tails agree before the first
+    total = F(0)
+    steps = merge(((y, 0, w) for y, w in p.jumps), ((y, 1, w) for y, w in q.jumps))
+    for y, side, w in steps:
+        if values[0] != values[1]:
+            total += abs(values[0] - values[1]) * (y - x)
+        values[side] = w
+        x = y
     return total
 
 

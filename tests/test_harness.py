@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from fronttrack.report import (
 )
 from fronttrack.tracker import Profile
 
-from oracles import fraction_verdict_table, l1_profile_distance_oracle
+from oracles import fraction_l1_distance, fraction_verdict_table, l1_profile_distance_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1030,6 +1031,101 @@ def test_cli_internal_faults_exit_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: front ordering lost\n"
 
 
+def test_sweep_deals_members_on_demand(tmp_path, monkeypatch):
+    """At jobs=2 the finest of three members waits until the other two have
+    finished.  Dealt on demand, the second worker runs both; a static deal
+    gives the coarsest to the waiting worker, and the wait times out."""
+    three_members = parse_sweep_config(dict(GOLDEN_SWEEP, epsilons=["1", "1/2", "1/4"]))
+    expected = sweep(three_members)
+    member = harness._sweep_member
+    done = tmp_path / "done"
+    done.mkdir()
+
+    def waiting_member(arg):  # its row also carries the worker's pid
+        if arg[0] == "1/4":
+            deadline = time.monotonic() + 10
+            while len(list(done.iterdir())) < 2:
+                if time.monotonic() > deadline:
+                    raise ConsistencyError("the other members did not finish within 10 s")
+                time.sleep(0.005)
+        row, profiles = member(arg)
+        if arg[0] != "1/4":
+            (done / arg[0].replace("/", "_")).touch()
+        return dict(row, pid=os.getpid()), profiles
+
+    monkeypatch.setattr(harness, "_sweep_member", waiting_member)
+    rows = sweep(three_members, jobs=2)
+    _assert_no_child_left()
+    assert [{k: row[k] for k in expected[0]} for row in rows] == expected
+    assert rows[0]["pid"] == rows[1]["pid"] != rows[2]["pid"]
+    assert os.getpid() not in {row["pid"] for row in rows}
+
+
+def test_forked_members_queue_more_than_a_pipe_holds(monkeypatch):
+    """20,000 members queue 80,000 bytes, more than a pipe holds, so the
+    parent's writes wait for the workers' reads."""
+    import fcntl  # a host that forks is a POSIX one
+
+    args = list(range(20_000))
+    if hasattr(fcntl, "F_GETPIPE_SZ"):
+        read_end, write_end = os.pipe()
+        try:
+            assert fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) < harness._QUEUE_RECORD * len(args)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+    monkeypatch.setattr(harness, "_sweep_member", lambda arg: -arg)
+    for jobs in (2, 3):
+        assert harness._forked_members(args, jobs) == [-i for i in args]
+        _assert_no_child_left()
+
+    # every worker dies on its first member: the write into the full queue
+    # fails with EPIPE, and every member fails with the first dead worker's error
+    def dying_member(arg):
+        os._exit(3)
+
+    monkeypatch.setattr(harness, "_sweep_member", dying_member)
+    with pytest.raises(ConsistencyError, match=r"^sweep worker \d+ exited with status 3 "):
+        harness._forked_members(args, 2)
+    _assert_no_child_left()
+
+
+def test_cli_sweep_worker_that_dies_on_a_queued_member_exits_3(tmp_path):
+    """At --jobs 2 the coarsest of three members waits in the queue, so the
+    worker that dies on it has run a member before; the CLI, run with a time
+    limit, exits 3 with the one-line message and leaves no worker behind."""
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(dict(GOLDEN_SWEEP, epsilons=["1", "1/2", "1/4"])))
+    code = (
+        "import os, sys\n"
+        "from fronttrack import cli, harness\n"
+        "member = harness._sweep_member\n"
+        "def dying_member(arg):\n"
+        "    if arg[0] == '1':\n"
+        "        os._exit(3)\n"
+        "    return member(arg)\n"
+        "harness._sweep_member = dying_member\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    status = 99  # a worker is left\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "sys.exit(status)\n"
+    )
+    src = Path(harness.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "sweep", str(cfg_path), "--out", str(tmp_path / "out"),
+         "--jobs", "2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert re.fullmatch(
+        r"internal error: sweep worker \d+ exited with status 3 before sending its results\n",
+        proc.stderr,
+    )
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls on this platform"
 )
@@ -1119,8 +1215,23 @@ def test_l1_distance_matches_oracle():
     p = Profile(F(0), ((F(0), F(1)), (F(2), F(0))))
     q = Profile(F(0), ((F(1, 2), F(1)), (F(2), F(1, 2)), (F(3), F(0))))
     d = l1_distance(p, q)
-    assert d == l1_profile_distance_oracle(p, q)
+    assert d == l1_profile_distance_oracle(p, q) == fraction_l1_distance(p, q)
     assert d == F(1, 2) + F(1, 2)
+
+
+def test_l1_distance_at_shared_positions_with_non_integral_values():
+    # both profiles jump at 1/2, 1, 3/2 and 5/2; at 1 both rise by 1, so the
+    # gap does not change there
+    p = Profile(F(1, 3), ((F(1, 2), F(-2, 5)), (F(1), F(3, 5)), (F(3, 2), F(7, 4)),
+                          (F(5, 2), F(1, 3))))
+    q = Profile(F(1, 3), ((F(1, 2), F(3, 2)), (F(1), F(5, 2)), (F(3, 2), F(7, 4)),
+                          (F(2), F(-1, 6)), (F(5, 2), F(1, 3))))
+    # a gap of 19/10 on [1/2, 3/2), none on [3/2, 2), 23/12 on [2, 5/2)
+    expected = F(19, 10) + F(23, 12) / 2
+    for a, b in ((p, q), (q, p)):
+        assert l1_distance(a, b) == expected
+        assert l1_profile_distance_oracle(a, b) == fraction_l1_distance(a, b) == expected
+    assert l1_distance(p, p) == 0
 
 
 def test_l1_distance_matches_oracle_on_the_sweep_members():
@@ -1139,7 +1250,9 @@ def test_l1_distance_matches_oracle_on_the_sweep_members():
     for k in range(len(sweep_cfg.probe_times)):
         for a in members:
             for b in members:
-                assert l1_distance(a[k], b[k]) == l1_profile_distance_oracle(a[k], b[k])
+                d = l1_distance(a[k], b[k])
+                assert d == l1_profile_distance_oracle(a[k], b[k])
+                assert d == fraction_l1_distance(a[k], b[k])
     assert l1_distance(members[0][0], members[-1][0]) > 0
 
 
@@ -1155,19 +1268,23 @@ def _profile_with_tails(constant, tail, steps):
     return Profile(constant, tuple(jumps))
 
 
+# values with small denominators, integral ones among them; gaps with
+# denominators up to 8, so the two profiles often share a breakpoint
+_values = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 _steps = st.lists(
-    st.tuples(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8),
-              st.integers(-3, 3).map(F)),
+    st.tuples(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8), _values),
     max_size=8,
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(-3, 3).map(F), st.integers(-3, 3).map(F), _steps, _steps)
+@given(_values, _values, _steps, _steps)
 def test_l1_distance_matches_oracle_on_profiles_with_equal_tails(constant, tail, ps, qs):
     p = _profile_with_tails(constant, tail, ps)
     q = _profile_with_tails(constant, tail, qs)
-    assert l1_distance(p, q) == l1_profile_distance_oracle(p, q) == l1_distance(q, p)
+    d = l1_distance(p, q)
+    assert d == l1_profile_distance_oracle(p, q) == fraction_l1_distance(p, q)
+    assert d == l1_distance(q, p)
 
 
 def test_l1_distance_rejects_tail_mismatch():
