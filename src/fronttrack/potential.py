@@ -167,9 +167,10 @@ class _SlabPotential:
     block).  Two atoms that met and meet again were split in between, so the
     common events are looked up (`first_common_event`) only for pairs that
     both survived a split event (two or more outgoing fronts) since they
-    joined one block.  Every other same-block pair shares a front or never
-    meets, and weighs 0; every pair across two blocks weighs K, which Q
-    counts as K times an integer pair count.
+    joined one block; the listing walks the events in order and keeps each
+    atom's last split event as it goes.  Every other same-block pair shares
+    a front or never meets, and weighs 0; every pair across two blocks
+    weighs K, which Q counts as K times an integer pair count.
 
     The engine holds a cursor slab.  Crossing event s drops event s's pairs,
     re-keys the atoms that event moves onto a new front (the meeting slope
@@ -255,6 +256,9 @@ class _SlabPotential:
         """slab T + 1 -> {meeting event e: its candidates (a, b) with that T}."""
         ws = self.ws
         starting = {}
+        # atom -> the last split event (two or more outgoing fronts) it
+        # survived before the event the walk is at, or -1
+        last_split = [-1] * ws.atom_count
         for e, ev in enumerate(ws.timeline.events):
             if not ev.outgoing:
                 continue
@@ -264,24 +268,29 @@ class _SlabPotential:
             last = ws.atoms_of[ev.outgoing[-1].fid][-1]
             if next(
                 ws.atoms_of[fr.fid][-1] for fr in ev.incoming if ws.atoms_of[fr.fid][-1] >= first
-            ) >= last:
-                continue
-            groups = [
-                kept for kept in (
-                    [a for a in ws.atoms_of[fr.fid] if ws.canc_event[a] != e]
-                    for fr in ev.incoming
-                ) if kept
-            ]
-            by_slab = {}
-            for t, a, b in self._meeting_pairs(e, groups):
-                by_slab.setdefault(t + 1, []).append((a, b))
-            for slab, pairs in by_slab.items():
-                starting.setdefault(slab, {})[e] = pairs
+            ) < last:
+                groups = [
+                    kept for kept in (
+                        [a for a in ws.atoms_of[fr.fid] if ws.canc_event[a] != e]
+                        for fr in ev.incoming
+                    ) if kept
+                ]
+                by_slab = {}
+                for t, a, b in self._meeting_pairs(e, groups, last_split):
+                    by_slab.setdefault(t + 1, []).append((a, b))
+                for slab, pairs in by_slab.items():
+                    starting.setdefault(slab, {})[e] = pairs
+            if len(ev.outgoing) > 1:
+                for fr in ev.outgoing:
+                    for a in ws.atoms_of[fr.fid]:
+                        last_split[a] = e
         return starting
 
-    def _meeting_pairs(self, e, groups):
+    def _meeting_pairs(self, e, groups, last_split):
         """Yield (T, a, b) for each pair of atoms a < b in two of the
-        survivor groups of meeting event e (each group a list of atom ids)."""
+        survivor groups of meeting event e (each group a list of atom ids);
+        ``last_split[x]`` is the last split event atom x survived before e,
+        or -1."""
         ws = self.ws
         canc, sign = ws.canc_event, ws.sign
         never = len(ws.timeline.events)
@@ -293,17 +302,6 @@ class _SlabPotential:
             if sign[x] == survivor_sign:
                 return -1
             return never if canc[x] is None else canc[x]
-
-        # two atoms that met before e were split since: the last split event
-        # (two or more outgoing fronts) each survived before e
-        last_split = {}
-        for group in groups:
-            for x in group:
-                events = ws.events_of[x]
-                k = bisect_left(events, e) - 1
-                while k >= 0 and len(ws.timeline.events[events[k]].outgoing) < 2:
-                    k -= 1
-                last_split[x] = events[k] if k >= 0 else -1
 
         for i, left in enumerate(groups):
             # suffix[k]: the latest separates_until over the last k ids of
@@ -327,6 +325,8 @@ class _SlabPotential:
                             break  # nor with b, or any later atom of right
                         if t < t_a:
                             t = t_a
+                        # two atoms that met before e were split since, so
+                        # both survived a split after their last meeting
                         if t < split_a and t < last_split[b]:
                             met = first_common_event(ws, a, b, t + 1)
                             while met != e:

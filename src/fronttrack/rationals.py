@@ -12,6 +12,7 @@ and the one reader of JSON fields that configs, flux specs and reports
 share.
 """
 
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -22,6 +23,9 @@ def parse_rational(value) -> Fraction:
 
     Strings may be "p/q", an integer, or a decimal literal ("0.6" -> 3/5,
     exact).  Python floats are converted exactly from their binary value.
+    Where the interpreter limits int-to-str conversion, a value whose
+    numerator or denominator has more digits than that is refused: no
+    report could write it.
     """
     if isinstance(value, Fraction):
         return value
@@ -30,10 +34,24 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, (int, float, str)):
         # an infinite float (JSON reads 1e400 and Infinity as one) overflows
         try:
-            return Fraction(value)
+            q = Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"not a rational value: {value!r}") from exc
+        if _too_long(q.numerator) or _too_long(q.denominator):
+            raise InputError(
+                f"rational value has more digits than this interpreter's limit of "
+                f"{sys.get_int_max_str_digits()}: {str(value)[:20]!r}"
+            )
+        return q
     raise InputError(f"not a rational value: {value!r}")
+
+
+def _too_long(n: int) -> bool:
+    """Whether ``n`` has more decimal digits than the interpreter's
+    int-to-str limit, where it has one; below 2**(3 * limit), which is less
+    than 10**limit, no power is computed."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return bool(limit) and abs(n).bit_length() > 3 * limit and abs(n) >= 10 ** limit
 
 
 def format_rational(value: Fraction) -> str:

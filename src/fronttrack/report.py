@@ -71,6 +71,18 @@ def report_bytes(report: dict) -> bytes:
     return (json.dumps(report, indent=2, sort_keys=False) + "\n").encode("utf-8")
 
 
+def _float_text(value) -> str:
+    """The float twin of a stored rational: "inf" for an open end (None), and
+    "inf" or "-inf" by its sign for a value beyond float range."""
+    if value is None:
+        return "inf"
+    q = Fraction(value)
+    try:
+        return repr(float(q))
+    except OverflowError:
+        return "inf" if q > 0 else "-inf"
+
+
 def _csv(rows, columns, decimal, exact_only) -> str:
     """The rows' ``columns`` as CSV; with ``decimal``, a float twin of every
     column not in ``exact_only`` follows.  An open end (None) reads "inf"."""
@@ -81,7 +93,7 @@ def _csv(rows, columns, decimal, exact_only) -> str:
     for row in rows:
         writer.writerow(
             ["inf" if row[c] is None else row[c] for c in columns]
-            + ["inf" if row[c] is None else repr(float(Fraction(row[c]))) for c in floats]
+            + [_float_text(row[c]) for c in floats]
         )
     return out.getvalue()
 

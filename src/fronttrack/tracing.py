@@ -8,14 +8,14 @@ envelope breakpoint and every survival cutoff lies on the state grid, so no
 event ever splits an atom.
 
 `advance_tracing` walks the events once and records the atoms each front
-carries (fixed from the front's birth to the event that ends it), the events
-each atom sat at and survived, and the cancellation event if any.  Those
-participation lists answer every "will these two waves meet again, and who
-will be there" query exactly, which is all the interaction potential needs.
-They are the only survival record, and only this module reads them: the
-potential asks `first_common_event` and `meeting_cells`, and
-`validate_tracing` checks the same lists against the timeline, slab 0 in
-full and then event by event.
+carries (fixed from the front's birth to the event that ends it) and each
+atom's cancellation event, if any.  That is the whole survival record, each
+fact once: an atom survives event e exactly when one of e's outgoing fronts
+carries it.  It answers every "will these two waves meet again, and who
+will be there" query exactly, which is all the interaction potential needs:
+the potential asks `first_common_event` and `meeting_cells`, and
+`validate_tracing` checks the record against the timeline, slab 0 in full
+and then event by event.
 
 Atoms keep their order (the wave tracing of Bressan, ch. 7): along a chain of
 fronts, left to right, the atoms in id order cross the state cells in the
@@ -62,7 +62,6 @@ class WaveSystem:
         # populated by advance_tracing
         self.timeline = None
         self.atoms_of = {}  # fid -> atom ids the front carries, increasing
-        self.events_of = [[] for _ in range(self.atom_count)]
         self.canc_event = [None] * self.atom_count
 
     def _require_traced(self):
@@ -110,7 +109,7 @@ def _take_atoms(ws, fronts, atoms):
 
 
 def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
-    """Record each front's atoms at its birth, and survivals and cancellations."""
+    """Record each front's atoms at its birth, and cancellations."""
     if ws.timeline is not None:
         raise InputError("wave system already traced")
     ws.timeline = tl
@@ -139,24 +138,25 @@ def advance_tracing(ws: WaveSystem, tl: Timeline) -> WaveSystem:
 
         for a in casualties:
             ws.canc_event[a] = e_idx
-        for a in survivors:
-            ws.events_of[a].append(e_idx)
         _take_atoms(ws, ev.outgoing, survivors)
     return ws
 
 
 def first_common_event(ws, a: int, b: int, after_slab: int = 0):
     """Earliest event at or after ``after_slab`` that both atoms sit at and
-    survive (event e separates slabs e and e+1)."""
-    ea, eb = ws.events_of[a], ws.events_of[b]
-    i, j = bisect_left(ea, after_slab), bisect_left(eb, after_slab)
-    while i < len(ea) and j < len(eb):
-        if ea[i] == eb[j]:
-            return ea[i]
-        if ea[i] < eb[j]:
-            i += 1
-        else:
-            j += 1
+    survive (event e separates slabs e and e+1), or None.
+
+    The scan stops at the first cancellation of either atom.  Before it both
+    are live after each event it visits, and the live atoms in the id range
+    of an event's outgoing atoms are that event's survivors, so one test of
+    the range per event decides."""
+    lo, hi = min(a, b), max(a, b)
+    canc = [e for e in (ws.canc_event[a], ws.canc_event[b]) if e is not None]
+    events = ws.timeline.events
+    for e in range(after_slab, min(canc, default=len(events))):
+        out = events[e].outgoing
+        if out and ws.atoms_of[out[0].fid][0] <= lo and hi <= ws.atoms_of[out[-1].fid][-1]:
+            return e
     return None
 
 
@@ -166,10 +166,9 @@ def meeting_cells(ws, fid: int, e: int):
     sit at and survive that event.
 
     Those are the atoms of e's outgoing fronts in the id range of ``fid``'s
-    atoms, found by bisection, with no atom's event list read: they live on
-    every slab up to e, and on a slab ``fid`` lives on, the live atoms in
-    that range are its own.  They must share a sign, and their cells must
-    be contiguous."""
+    atoms, found by bisection: they live on every slab up to e, and on a
+    slab ``fid`` lives on, the live atoms in that range are its own.  They
+    must share a sign, and their cells must be contiguous."""
     first, last = ws.atoms_of[fid][0], ws.atoms_of[fid][-1]
     atoms = []
     for fr in ws.timeline.events[e].outgoing:
@@ -237,20 +236,14 @@ def validate_tracing(ws: WaveSystem) -> None:
         raise ConsistencyError("slab 0: live atoms not partitioned by fronts")
     check_fronts(tl.slabs[0])
 
-    # per event, the atoms that sit at and survive it, and those it cancels
+    # per event, the atoms it cancels
     n = len(tl.events)
-    survived, canceled = [[] for _ in range(n)], [[] for _ in range(n)]
-    for a in range(ws.atom_count):
-        events = ws.events_of[a]
-        if any(e >= f for e, f in zip(events, events[1:])):
-            raise ConsistencyError(f"atom {a}: survived events not increasing")
-        marks = [(survived, e) for e in events]
-        if ws.canc_event[a] is not None:
-            marks.append((canceled, ws.canc_event[a]))
-        for lists, e in marks:
+    canceled = [[] for _ in range(n)]
+    for a, e in enumerate(ws.canc_event):
+        if e is not None:
             if not 0 <= e < n:
                 raise ConsistencyError(f"atom {a} names unknown event {e}")
-            lists[e].append(a)
+            canceled[e].append(a)
     for e_idx, ev in enumerate(tl.events):
         incoming = [a for fr in ev.incoming for a in ws.atoms_of[fr.fid]]
         kept = [a for a in incoming if ws.canc_event[a] != e_idx]
@@ -267,13 +260,9 @@ def validate_tracing(ws: WaveSystem) -> None:
             raise ConsistencyError(
                 f"event {e_idx}: canceled wave mass {lost} != TV drop {ev.canceled_mass}"
             )
-        if len(survived[e_idx]) != merged:
+        if len(outgoing) != merged:
             raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
-        if survived[e_idx] != outgoing:
-            raise ConsistencyError(
-                f"event {e_idx}: survivors are not the atoms of its outgoing fronts"
-            )
-        if sorted(survived[e_idx] + canceled[e_idx]) != incoming:
+        if sorted(outgoing + canceled[e_idx]) != incoming:
             raise ConsistencyError(
                 f"event {e_idx}: survivors and casualties are not the atoms of its "
                 "incoming fronts"

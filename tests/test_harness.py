@@ -223,6 +223,56 @@ def test_csv_decimal_columns(golden_result):
     assert ",0.5," in lines[1]
 
 
+def test_cli_decimal_writes_values_beyond_float_range_as_inf(tmp_path):
+    # a coefficient of 1e400 makes K, Q and the speed change exceed float
+    # range: their float twins read inf, after exact columns as without
+    # --decimal
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(GOLDEN_CONFIG, flux={"polynomial": ["0", "0", "1e400"]})))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "exact")]) == 0
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "decimal"), "--decimal"]) == 0
+    for name in ("events.csv", "potential.csv"):
+        exact = (tmp_path / "exact" / name).read_text().splitlines()
+        decimal = (tmp_path / "decimal" / name).read_text().splitlines()
+        width = len(exact[0].split(","))
+        assert [line.split(",")[:width] for line in decimal] == [line.split(",") for line in exact]
+        assert "inf" in decimal[1].split(",")[width:]
+    report = json.loads((tmp_path / "decimal" / "report.json").read_text())
+    assert len(report["slabs"][0]["Q"]) > 400
+    report["slabs"][0]["Q"] = "-" + report["slabs"][0]["Q"]
+    header, first = potential_csv(report, decimal=True).splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert row["Q_float"] == "-inf" and row["TV_float"] == "2.0"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str digit limit in this interpreter",
+)
+def test_values_beyond_the_digit_limit_are_input_errors(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    for value in (f"1e{limit}", f"-1e{limit}", f"1e-{limit}"):
+        with pytest.raises(InputError, match="more digits than this interpreter's limit"):
+            parse_rational(value)
+    # run, and sweep in process and with forked workers: exit 2 with one
+    # line, and nothing written
+    huge = {"polynomial": ["0", "0", f"1e{limit + 700}"]}
+    cases = [
+        ("run", dict(GOLDEN_CONFIG, flux=huge), []),
+        ("sweep", dict(GOLDEN_SWEEP, base=dict(GOLDEN_SWEEP["base"], flux=huge)), ["--jobs", "1"]),
+        ("sweep", dict(GOLDEN_SWEEP, base=dict(GOLDEN_SWEEP["base"], flux=huge)), ["--jobs", "2"]),
+    ]
+    cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+    for command, cfg, flags in cases:
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main([command, str(cfg_path), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def _verify_edited(report, edit):
     copy = json.loads(report_bytes(report))
     edit(copy)

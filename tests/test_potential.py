@@ -59,12 +59,15 @@ from wave_oracles import (
     casualties,
     fid_of,
     fundamental_property_violations,
+    list_merge_first_common_event,
     maximal_noncontact_interval,
     oracle_first_pair_above_k,
     oracle_q_of_slab,
     pair_walk_q_of_slab,
     pair_weight,
     quadratic_potential,
+    survival_list_candidates,
+    survived_events,
     survivors,
 )
 
@@ -715,6 +718,45 @@ def test_slope_ids_match_the_fraction_cell_slopes_on_the_suite(suite):
         c, s = _check_slope_ids(r)
         checked, shared = checked + c, shared + s
     assert checked > 1000 and shared > 0
+
+
+def _survival_runs():
+    """The runs on which the scan and the walk's split array are compared
+    with the survival lists they replaced: the re-meeting run, the three
+    shocks, both example configs and the 1/64 ladder rung."""
+    configs = [suite_config(58, salt=1), THREE_SHOCKS, ladder_config("1/64")]
+    configs += [harness.load_json(str(Path(__file__).resolve().parent.parent / "configs"
+                                      / f"{name}.json")) for name in EXAMPLE_CONFIGS]
+    return [harness.run_simulation(harness.parse_run_config(cfg)) for cfg in configs]
+
+
+def test_first_common_event_matches_the_list_merge():
+    # every atom pair, either way round and with itself, from every slab
+    found = 0
+    for r in _survival_runs():
+        ws, events_of = r.waves, survived_events(r.waves)
+        for a in range(ws.atom_count):
+            for b in range(ws.atom_count):
+                for s in range(len(r.timeline.slabs)):
+                    e = first_common_event(ws, a, b, s)
+                    assert e == list_merge_first_common_event(events_of, a, b, s), (a, b, s)
+                    found += e is not None
+    assert found > 40_000
+
+
+def test_candidates_match_the_survival_list_walk():
+    # the split array kept along the walk against the bisection and walk
+    # back over each atom's survival list, and the scan against the list
+    # merge, on the runs above and the 1/128 rung
+    runs = [*_survival_runs(),
+            harness.run_simulation(harness.parse_run_config(ladder_config("1/128")))]
+    assert _remeets(runs[0]) and _three_survivor_groups(runs[1])
+    pairs = 0
+    for r in runs:
+        candidates = _SlabPotential(r.waves, r.series.K)._list_candidates()
+        assert candidates == survival_list_candidates(r.waves)
+        pairs += sum(len(p) for by_event in candidates.values() for p in by_event.values())
+    assert pairs > 1000
 
 
 def _outcome(engine, s):

@@ -35,6 +35,7 @@ from wave_oracles import (
     sigma,
     state_consistency_holds,
     state_of,
+    survived_events,
     survivors,
     t_canc,
     waves_at,
@@ -203,28 +204,6 @@ def test_validate_tracing_rejects_forged_wave_systems():
             validate_tracing(ws)
         # the event-by-event Bianchini series still equals its per-slab oracles
         assert bianchini_mismatches(ws) == []
-    tl, ws = traced(p, wide, F(1))
-    ws.events_of[3].remove(0)  # atom 3 no longer survives event 0
-    with pytest.raises(ConsistencyError, match="event 0: survivor mass mismatch"):
-        validate_tracing(ws)
-    assert bianchini_mismatches(ws) == []
-    # the right number of survivors, but the wrong atoms: atom 0 claims to
-    # survive event 0 in place of atom 2, which changes Q(slab 0) from 22 to 83/4
-    four = Profile(F(0), ((F(0), F(2)), (F(1), F(0)), (F(3), F(-2)), (F(5), F(0))))
-    tl, ws = traced(four, wide, F(1))
-    ws.events_of[2].remove(0)
-    ws.events_of[0].insert(0, 0)
-    with pytest.raises(ConsistencyError, match="event 0: survivors are not the atoms"):
-        validate_tracing(ws)
-    assert bianchini_mismatches(ws) == []
-    # the right atoms, out of order: first common events bisect these lists,
-    # and Q(slab 0) would read 43/2
-    tl, ws = traced(four, wide, F(1))
-    ws.events_of[3].reverse()
-    with pytest.raises(ConsistencyError, match="atom 3: survived events not increasing"):
-        validate_tracing(ws)
-    assert bianchini_mismatches(ws) == []
-
 
 def test_advance_tracing_rejects_cells_out_of_order():
     # the shock (2, 0) crosses cell 1, then cell 0; with its two atoms' cells
@@ -251,7 +230,6 @@ def test_validate_tracing_rejects_cells_out_of_order():
     assert (ws.cell, ws.atoms_of[2], ws.atoms_of[3]) == ([0, 1, 1, 0], (2, 3), (3,))
     ws.cell = [0, 1, 0, 1]
     ws.atoms_of[3] = (2,)
-    ws.events_of = [[], [], [0], []]
     ws.canc_event = [None, 0, None, 0]
     with pytest.raises(ConsistencyError, match="front 2: its waves do not cross its states"):
         validate_tracing(ws)
@@ -277,7 +255,7 @@ def test_advance_tracing_rejects_fronts_that_do_not_chain():
 def _assert_matches_cell_dict_oracle(ws):
     tl = ws.timeline
     assert cell_dict_trace(tl.initial_profile, ws.epsilon, tl) == (
-        ws.sign, ws.cell, ws.atoms_of, ws.events_of, ws.canc_event)
+        ws.sign, ws.cell, ws.atoms_of, survived_events(ws), ws.canc_event)
 
 
 def _record_tracing(monkeypatch):
@@ -317,7 +295,7 @@ def test_atoms_match_the_cell_dict_oracle_on_the_run_configs(monkeypatch):
 
 
 def _assert_matches_fraction_walk(ws):
-    assert fraction_trace(ws) == (ws.atoms_of, ws.events_of, ws.canc_event)
+    assert fraction_trace(ws) == (ws.atoms_of, survived_events(ws), ws.canc_event)
 
 
 def test_index_walk_matches_the_fraction_walk_on_the_ladder_rung_and_its_restarts(monkeypatch):
@@ -371,10 +349,9 @@ def _forged(ws, name, changes):
 
 
 def _wave_forgeries(ws):
-    """(what, wave system) for single edits of one front's atoms, of one
-    atom's survived events and of one atom's cancellation event, and for an
-    atom moved between two neighbouring fronts; an edit that changes
-    nothing is skipped."""
+    """(what, wave system) for single edits of one front's atoms and of one
+    atom's cancellation event, and for an atom moved between two
+    neighbouring fronts; an edit that changes nothing is skipped."""
     n = len(ws.timeline.events)
     previous = None
     for fid, atoms in ws.atoms_of.items():
@@ -395,15 +372,7 @@ def _wave_forgeries(ws):
             ws, "atoms_of", {left: l_atoms + r_atoms[:1], right: r_atoms[1:]})
         yield f"front {left}'s last atom moved to {right}", _forged(
             ws, "atoms_of", {left: l_atoms[:-1], right: l_atoms[-1:] + r_atoms})
-    for a, events in enumerate(ws.events_of):
-        edits = {"reverse": events[::-1], "drop first": events[1:],
-                 "drop last": events[:-1], "shift": [e + 1 for e in events]}
-        for e in sorted({0, n - 1, ws.canc_event[a] or 0} - set(events)):
-            edits[f"add {e}"] = sorted(events + [e])
-        for what, value in edits.items():
-            if value != events:
-                yield f"atom {a} events {what}", _forged(ws, "events_of", {a: value})
-        c = ws.canc_event[a]
+    for a, c in enumerate(ws.canc_event):
         for value in {None, 0, n - 1, n, -1, *(() if c is None else (c - 1, c + 1))} - {c}:
             yield f"atom {a} cancelled at {value}", _forged(ws, "canc_event", {a: value})
 

@@ -7,13 +7,18 @@ jump-state identity at one point, the per-slab cell table, and the structural
 checks built on them (meeting-interval implication, weight stability across
 cancellations, hull contact).  The wave-coordinate queries (`atom_of`,
 `state_of`, `sigma`, `waves_at`, ...) read the package's traced `WaveSystem`
-but restate every lookup from its runs and event lists.  `oracle_q_of_slab` sums the per-pair weights
-and `oracle_bianchini_of_slab` the per-run-pair speed gaps, so tests compare
-them with the package's `_SlabPotential.q_of_slab` and with the per-slab
-series of `_bianchini_of_slab`, which it keeps event by event;
+but restate every lookup from its runs and cancellation events.
+`oracle_q_of_slab` sums the per-pair weights and `oracle_bianchini_of_slab`
+the per-run-pair speed gaps, so tests compare them with the package's
+`_SlabPotential.q_of_slab` and with the per-slab series of
+`_bianchini_of_slab`, which it keeps event by event;
 `pair_walk_q_of_slab` is the walk over every same-block atom pair that Q's
 meeting-event sweep replaced, and `sorted_bianchini_of_slab` the per-slab
-sort that the Bianchini series replaced.
+sort that the Bianchini series replaced.  `survived_events` is the per-atom
+survival list that tracing kept beside the fronts' atoms, its transpose;
+`list_merge_first_common_event`, `bisect_last_split` and
+`survival_list_candidates` are the lookups and the candidate listing that
+read it.
 `cell_dict_trace` is the assignment of atoms to fronts through per-fan
 state-cell dictionaries that tracing's walk in state order replaced, and
 `fraction_trace` that walk as it ran on the fronts' `Fraction` states, before
@@ -121,8 +126,20 @@ def live_atoms(ws: WaveSystem, s: int) -> list:
 
 
 def survivors(ws: WaveSystem, e: int) -> list:
-    """Atoms that sit at and survive event e, in id order."""
-    return [a for a, events in enumerate(ws.events_of) if e in events]
+    """Atoms that sit at and survive event e, in id order: the atoms of its
+    outgoing fronts."""
+    return sorted(a for fr in ws.timeline.events[e].outgoing for a in ws.atoms_of[fr.fid])
+
+
+def survived_events(ws: WaveSystem) -> list:
+    """atom -> the events it sits at and survives, increasing: the transpose
+    of the fronts' atoms over each event's outgoing fronts."""
+    events_of = [[] for _ in range(ws.atom_count)]
+    for e, ev in enumerate(ws.timeline.events):
+        for fr in ev.outgoing:
+            for a in ws.atoms_of[fr.fid]:
+                events_of[a].append(e)
+    return events_of
 
 
 def casualties(ws: WaveSystem, e: int) -> list:
@@ -436,6 +453,80 @@ def _meeting_slope(ws, fid, e, atom):
     return fraction_cell_slopes(ws.timeline.flux, *meeting_cells(ws, fid, e))[ws.cell[atom]]
 
 
+def list_merge_first_common_event(events_of, a: int, b: int, after_slab: int = 0):
+    """`first_common_event` as it merged the atoms' survival lists
+    (``events_of``, from `survived_events`): the earliest event at or after
+    ``after_slab`` on both lists, or None."""
+    ea, eb = events_of[a], events_of[b]
+    i, j = bisect_left(ea, after_slab), bisect_left(eb, after_slab)
+    while i < len(ea) and j < len(eb):
+        if ea[i] == eb[j]:
+            return ea[i]
+        if ea[i] < eb[j]:
+            i += 1
+        else:
+            j += 1
+    return None
+
+
+def bisect_last_split(ws: WaveSystem, events_of, x: int, e: int) -> int:
+    """The last split event (two or more outgoing fronts) atom x survived
+    before event e, or -1, as `_SlabPotential` found it: bisection in x's
+    survival list and a walk back over it."""
+    events = events_of[x]
+    k = bisect_left(events, e) - 1
+    while k >= 0 and len(ws.timeline.events[events[k]].outgoing) < 2:
+        k -= 1
+    return events[k] if k >= 0 else -1
+
+
+def survival_list_candidates(ws: WaveSystem):
+    """`_SlabPotential._list_candidates` as it ran on per-atom survival
+    lists, in its order: each candidate's last splits by `bisect_last_split`
+    and its last common event before the meeting by
+    `list_merge_first_common_event`, over a plain loop on the pairs."""
+    events_of = survived_events(ws)
+    canc, sign = ws.canc_event, ws.sign
+    never = len(ws.timeline.events)
+    starting = {}
+    for e, ev in enumerate(ws.timeline.events):
+        groups = [
+            kept for kept in (
+                [a for a in ws.atoms_of[fr.fid] if canc[a] != e] for fr in ev.incoming
+            ) if kept
+        ]
+        if len(groups) < 2:
+            continue
+        survivor_sign = sign[groups[0][0]]
+
+        def separates_until(x):
+            if sign[x] == survivor_sign:
+                return -1
+            return never if canc[x] is None else canc[x]
+
+        split = {x: bisect_last_split(ws, events_of, x, e) for group in groups for x in group}
+        by_slab = {}
+        for i, left in enumerate(groups):
+            for right in groups[i + 1:]:
+                for a in left:
+                    # the latest separation strictly between a and b
+                    t, x = max(map(separates_until, range(a + 1, right[0])), default=-1), right[0]
+                    for b in right:
+                        t, x = max(t, *map(separates_until, range(x, b + 1))), b + 1
+                        if t >= e:
+                            break
+                        last = t
+                        if last < split[a] and last < split[b]:
+                            met = list_merge_first_common_event(events_of, a, b, last + 1)
+                            while met != e:
+                                last = met
+                                met = list_merge_first_common_event(events_of, a, b, last + 1)
+                        by_slab.setdefault(last + 1, []).append((a, b))
+        for slab, pairs in by_slab.items():
+            starting.setdefault(slab, {})[e] = pairs
+    return starting
+
+
 def oracle_validate_tracing(ws: WaveSystem) -> None:
     """`validate_tracing` with every slab checked in full: each slab's live
     atoms are filtered from the previous slab's by `canc_event`, and its runs
@@ -470,34 +561,25 @@ def oracle_validate_tracing(ws: WaveSystem) -> None:
             if len(atoms) * eps != strength:
                 raise ConsistencyError(f"front {fid}: mass mismatch")
 
-    # per event, the atoms that sit at and survive it, and those it cancels
+    # per event, the atoms it cancels
     n = len(tl.events)
-    survived, canceled = [[] for _ in range(n)], [[] for _ in range(n)]
-    for a in range(ws.atom_count):
-        events = ws.events_of[a]
-        if any(e >= f for e, f in zip(events, events[1:])):
-            raise ConsistencyError(f"atom {a}: survived events not increasing")
-        marks = [(survived, e) for e in events]
-        if ws.canc_event[a] is not None:
-            marks.append((canceled, ws.canc_event[a]))
-        for lists, e in marks:
+    canceled = [[] for _ in range(n)]
+    for a, e in enumerate(ws.canc_event):
+        if e is not None:
             if not 0 <= e < n:
                 raise ConsistencyError(f"atom {a} names unknown event {e}")
-            lists[e].append(a)
+            canceled[e].append(a)
     for e_idx, ev in enumerate(tl.events):
         lost = len(canceled[e_idx]) * eps
         if lost != ev.canceled_mass:
             raise ConsistencyError(
                 f"event {e_idx}: canceled wave mass {lost} != TV drop {ev.canceled_mass}"
             )
-        if len(survived[e_idx]) * eps != abs(ev.c - ev.a):
+        outgoing = sorted(a for fr in ev.outgoing for a in ws.atoms_of[fr.fid])
+        if len(outgoing) * eps != abs(ev.c - ev.a):
             raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
-        if survived[e_idx] != sorted(a for fr in ev.outgoing for a in ws.atoms_of[fr.fid]):
-            raise ConsistencyError(
-                f"event {e_idx}: survivors are not the atoms of its outgoing fronts"
-            )
         incoming = sorted(a for fr in ev.incoming for a in ws.atoms_of[fr.fid])
-        if sorted(survived[e_idx] + canceled[e_idx]) != incoming:
+        if sorted(outgoing + canceled[e_idx]) != incoming:
             raise ConsistencyError(
                 f"event {e_idx}: survivors and casualties are not the atoms of its "
                 "incoming fronts"
@@ -549,20 +631,14 @@ def fraction_validate_tracing(ws: WaveSystem) -> None:
         raise ConsistencyError("slab 0: live atoms not partitioned by fronts")
     check_fronts(tl.slabs[0])
 
-    # per event, the atoms that sit at and survive it, and those it cancels
+    # per event, the atoms it cancels
     n = len(tl.events)
-    survived, canceled = [[] for _ in range(n)], [[] for _ in range(n)]
-    for a in range(ws.atom_count):
-        events = ws.events_of[a]
-        if any(e >= f for e, f in zip(events, events[1:])):
-            raise ConsistencyError(f"atom {a}: survived events not increasing")
-        marks = [(survived, e) for e in events]
-        if ws.canc_event[a] is not None:
-            marks.append((canceled, ws.canc_event[a]))
-        for lists, e in marks:
+    canceled = [[] for _ in range(n)]
+    for a, e in enumerate(ws.canc_event):
+        if e is not None:
             if not 0 <= e < n:
                 raise ConsistencyError(f"atom {a} names unknown event {e}")
-            lists[e].append(a)
+            canceled[e].append(a)
     for e_idx, ev in enumerate(tl.events):
         incoming = [a for fr in ev.incoming for a in ws.atoms_of[fr.fid]]
         kept = [a for a in incoming if ws.canc_event[a] != e_idx]
@@ -577,13 +653,9 @@ def fraction_validate_tracing(ws: WaveSystem) -> None:
             raise ConsistencyError(
                 f"event {e_idx}: canceled wave mass {lost} != TV drop {ev.canceled_mass}"
             )
-        if len(survived[e_idx]) * eps != abs(ev.c - ev.a):
+        if len(outgoing) * eps != abs(ev.c - ev.a):
             raise ConsistencyError(f"event {e_idx}: survivor mass mismatch")
-        if survived[e_idx] != outgoing:
-            raise ConsistencyError(
-                f"event {e_idx}: survivors are not the atoms of its outgoing fronts"
-            )
-        if sorted(survived[e_idx] + canceled[e_idx]) != incoming:
+        if sorted(outgoing + canceled[e_idx]) != incoming:
             raise ConsistencyError(
                 f"event {e_idx}: survivors and casualties are not the atoms of its "
                 "incoming fronts"
