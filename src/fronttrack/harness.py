@@ -10,7 +10,7 @@ from math import ceil, floor, lcm
 from .envelope import parse_flux_spec, sample_flux
 from .errors import ConsistencyError, InputError
 from .potential import PotentialSeries, verify_run
-from .rationals import json_field, parse_rational
+from .rationals import format_rational, json_field, parse_rational
 from .tracker import (
     Profile,
     Timeline,
@@ -301,13 +301,13 @@ def _sweep_member(arg):
         "epsilon": epsilon_str,
         "passed": series.all_pass,
         "failures": series.hard_failures,
-        "K": str(series.K),
-        "tv0": str(series.tv0),
-        "Q0": str(series.slabs[0].Q),
-        "upsilon0_paper": str(series.slabs[0].upsilon_paper),
-        "upsilon0_strict": str(series.slabs[0].upsilon_strict),
+        "K": format_rational(series.K),
+        "tv0": format_rational(series.tv0),
+        "Q0": format_rational(series.slabs[0].Q),
+        "upsilon0_paper": format_rational(series.slabs[0].upsilon_paper),
+        "upsilon0_strict": format_rational(series.slabs[0].upsilon_strict),
         "events": len(series.events),
-        "max_delta_sigma_slack": None if slack is None else str(slack),
+        "max_delta_sigma_slack": None if slack is None else format_rational(slack),
     }
     return row, [profile_at(result.timeline, t) for t in probe_times]
 
@@ -328,7 +328,8 @@ def sweep(sweep_cfg: SweepConfig, jobs: int = 1) -> list:
     finest = members[-1][1]
     for row, profiles in members:
         row["l1_to_finest"] = {
-            str(t): str(l1_distance(p, q)) for t, p, q in zip(probe_times, profiles, finest)
+            str(t): format_rational(l1_distance(p, q))
+            for t, p, q in zip(probe_times, profiles, finest)
         }
     return [row for row, _ in members]
 

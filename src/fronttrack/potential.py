@@ -17,14 +17,19 @@ at events, and its drop at a same-sign interaction dominates half the speed
 change there.  Q is evaluated per slab at atom granularity, where all
 quantities are piecewise constant, so the double integral is an exact
 finite sum.  Only events whose survivors come from two or more incoming
-fronts make pairs meet, so Q is a sweep over those events' pairs, kept
-slab by slab: slope ids come from the hull pieces' integer keys, each
-outgoing front's atoms are re-keyed once per pending meeting event, and a
-slab settles only the meeting events whose counts changed (see
-`_SlabPotential`).  The cubic speed-spread (Bianchini) sum is kept event by event
-in integer Fenwick trees over the front speed rank, O(k log F) per event of
-k fronts; the same walk counts each slab's live atoms, whose mass is its
-total variation TV.  Adding K * TV(initial) * TV(current) yields the
+fronts make pairs meet, so Q is a sweep over those events, kept slab by
+slab, and no pair is listed: a meeting event's survivors form a line of
+positions, each survivor group's atoms count as a pair's smaller atom
+from one threshold slab on and as its larger atom from another, so its
+pairs on each (slope id, slope id) term are products of per-group
+histograms over the hull pieces' integer slope keys; a pair that meets
+again after a split is a correction to those products, and a slab settles
+only the meeting events whose counts changed (see `_SlabPotential`).  The
+sign blocks that decide Q's weight-K pairs are kept event by event too
+(`_SignBlocks`).  The cubic speed-spread (Bianchini) sum is kept event by
+event in integer Fenwick trees over the front speed rank, O(k log F) per
+event of k fronts; the same walk counts each slab's live atoms, whose mass
+is its total variation TV.  Adding K * TV(initial) * TV(current) yields the
 combined functionals (`upsilon`); the variant with the Q term doubled is
 the one whose event drops dominate the full speed change.
 
@@ -35,19 +40,16 @@ exercise exactly that property.
 """
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 from .envelope import GridFlux, curvature_constant, envelope
 from .errors import ConsistencyError, InputError
 from .tracker import SAME_SIGN, InteractionEvent, Timeline, evolve, merge_steps, profile_at
-from .tracing import (
-    WaveSystem, advance_tracing, build_initial_waves, first_common_event, meeting_cells,
-)
+from .tracing import WaveSystem, advance_tracing, build_initial_waves, first_common_event
 
 
 # -- speed change ----------------------------------------------------------------
@@ -135,226 +137,576 @@ def delta_sigma(event: InteractionEvent, flux: GridFlux) -> Fraction:
 # -- pair weights and Q ------------------------------------------------------------
 
 
-class _MeetingSums:
-    """The active candidate pairs of one meeting event, counted per term."""
+# the two roles of a survivor group: its atoms as a pair's smaller atom, or
+# as its larger one
+LEFT, RIGHT = 0, 1
+# the kinds of a meeting event's changes: a role's stretch grows, a group
+# pair starts to count, a re-meeting pair's correction starts, and ends
+GROW, PAIR, DEFER, COUNT = range(4)
 
-    def __init__(self, d: Fraction, K: Fraction, eps: Fraction):
-        self.d = d  # the mass at the meeting
-        self.k_d = K * d  # a gap above it is a weight above K
-        self.q_per_gap = eps * eps / d  # a pair's share of Q per unit of gap
-        self.slope_id = {}  # atom -> slope id of its cell, via its current front
-        self.atoms = []  # the atoms of slope_id, increasing
-        self.later = {}  # atom -> its active partners with larger ids
-        self.earlier = {}  # atom -> its active partners with smaller ids
-        self.terms = {}  # term -> (gap, whether its weight exceeds K), or None unless gap > 0
+
+class _Meeting:
+    """What the run fixes about one meeting event for the whole sweep.
+
+    Its survivors, in id order, sit at positions 0, 1, ...; their cells run
+    from ``cell0`` one cell per position, in the direction of ``sign``, so
+    every set of survivors the sweep counts is a stretch of positions.  The
+    survivor groups (one per incoming front with survivors) are the
+    stretches [groups[i], groups[i+1]).  ``actions`` maps a slab to the
+    changes due on it: a role's active stretch grows, a group pair starts
+    to count, or a re-meeting pair's correction starts or ends."""
+
+    def __init__(self, ws, e):
+        self.outs = [ws.atoms_of[fr.fid] for fr in ws.timeline.events[e].outgoing]
+        self.firsts = [atoms[0] for atoms in self.outs]
+        self.offsets = list(accumulate(map(len, self.outs), initial=0))
+        self.sign = ws.sign[self.firsts[0]]
+        self.cell0 = ws.cell[self.firsts[0]]
+        self.groups = [0]
+        self.empty = {}  # role that counts pairs -> its stretch before it counts any
+        self.actions = {}
+
+    def rank(self, x):
+        """The number of survivors with ids below x."""
+        j = bisect_right(self.firsts, x) - 1
+        return 0 if j < 0 else self.offsets[j] + bisect_left(self.outs[j], x)
+
+    def atom(self, k):
+        """The survivor at position k."""
+        j = bisect_right(self.offsets, k) - 1
+        return self.outs[j][k - self.offsets[j]]
+
+    def span(self, atoms):
+        """The positions [lo, hi) of the survivors in the id range of ``atoms``."""
+        return self.rank(atoms[0]), self.rank(atoms[-1] + 1)
+
+    def cells(self, lo, hi):
+        """The cells [lo', hi') of the survivors at the positions [lo, hi)."""
+        if self.sign > 0:
+            return self.cell0 + lo, self.cell0 + hi
+        return self.cell0 + 1 - hi, self.cell0 + 1 - lo
+
+
+class _MeetingSums:
+    """One meeting event's slope histograms and its pair counts per term,
+    from the first slab it counts on to the event."""
+
+    def __init__(self, meeting: _Meeting):
+        self.meeting = meeting
+        self.size = meeting.offsets[-1]  # the survivors: the mass at the meeting over eps
+        self.range = dict(meeting.empty)  # role -> its active stretch of positions [lo, hi)
+        self.partners = {role: [] for role in self.range}  # role -> the roles it counts pairs with
+        self.hist = {}  # live role -> {slope id: active atoms}
+        self.deferred = {}  # (position, position) of a re-meeting pair not yet met -> its term
+        self.terms = {}  # term -> (num, den, whether its weight exceeds K), or () unless gap > 0
         self.counts = {}  # positive-gap term -> active pairs
         self.delta = {}  # term -> change of its pair count not yet settled
         self.offending = set()  # active terms whose weight exceeds K
-        self.gap_sum = Fraction(0)  # over the terms: settled count times gap
+
+
+def _add_products(delta, left, right):
+    """Add the pair counts of two histograms, left atoms' slope ids first,
+    to the pending changes ``delta``."""
+    for p, n in left.items():
+        for q, m in right.items():
+            delta[p, q] = delta.get((p, q), 0) + n * m
+
+
+def _role_steps(inside, bound):
+    """The (slab, bound) steps of a role's stretch: from slab on, it reaches
+    bound.  ``inside`` holds the (rank, slab) barriers inside its group in
+    the order the stretch grows past them, and ``bound`` is the group's far
+    end: the stretch grows past a barrier once it and every barrier before
+    it have cancelled."""
+    steps, cur = [], -1
+    for r, t in inside:
+        if t > cur:
+            steps.append((cur + 1, r))
+            cur = t
+    steps.append((cur + 1, bound))
+    return steps
+
+
+class _SignBlocks:
+    """The sign blocks (maximal stretches of fronts of one sign) of a slab,
+    kept event by event from slab 0 on.  Each block is named by its first
+    atom; its size, the live atoms from there to the next block, is counted
+    in a Fenwick tree over atom ids that holds 1 per live atom, built when
+    the first event is crossed.  An event changes only the blocks that hold
+    its incoming fronts and their two neighbours."""
+
+    def __init__(self, ws: WaveSystem, fids):
+        # ``fids``: the fronts of slab 0, which carry every atom
+        self.ws = ws
+        self.sign = ws.sign
+        self.end = ws.atom_count
+        self.live = None
+        self.canceled = None  # event -> the atoms it cancels
+        self.n = ws.atom_count  # live atoms
+        self.size = {}  # block -> live atoms
+        self.starts = []
+        for fid in fids:
+            atoms = ws.atoms_of[fid]
+            if not self.starts or self.sign[atoms[0]] != self.sign[self.starts[-1]]:
+                self.starts.append(atoms[0])
+                self.size[atoms[0]] = 0
+            self.size[self.starts[-1]] += len(atoms)
+        self.squares = sum(n * n for n in self.size.values())  # of the block sizes
+
+    def _measure(self, starts, end):
+        """Count the blocks named by ``starts``, the last ending before ``end``."""
+        prefix = self.live.prefix
+        for x, y in zip(starts, [*starts[1:], end]):
+            n = self.size[x] = prefix(y) - prefix(x)
+            self.squares += n * n
+
+    def cross_pairs(self) -> int:
+        """The atom pairs in two different blocks."""
+        return (self.n * self.n - self.squares) // 2
+
+    def replace(self, first, last, outgoing, after, e):
+        """Cross event e: the fronts with atoms in [first, last], its incoming
+        block, give way to fronts starting at the atoms ``outgoing``;
+        ``after`` is the first atom of the front after the block, or None."""
+        starts, sign = self.starts, self.sign
+        if self.live is None:
+            self.live = _Fenwick(self.end, 1)
+            self.canceled = [[] for _ in self.ws.timeline.events]
+            for a, at in enumerate(self.ws.canc_event):
+                if at is not None:
+                    self.canceled[at].append(a)
+        canceled = self.canceled[e]
+        lo = bisect_right(starts, first) - 1
+        hi = bisect_right(starts, last) - 1
+        a, b = max(lo - 1, 0), min(hi + 2, len(starts))  # the blocks to rebuild
+        heads = starts[a:lo]  # the fronts that can open a block, in order
+        if starts[lo] < first:
+            heads.append(starts[lo])
+        heads += outgoing
+        if after is not None and (hi + 1 == len(starts) or after < starts[hi + 1]):
+            heads.append(after)
+        heads += starts[hi + 1:b]
+        end = starts[b] if b < len(starts) else self.end
+        for x in starts[a:b]:
+            self.squares -= self.size.pop(x) ** 2
+        for x in canceled:
+            self.live.add(x, -1)
+        self.n -= len(canceled)
+        starts[a:b] = new = [x for k, x in enumerate(heads)
+                             if k == 0 or sign[x] != sign[heads[k - 1]]]
+        self._measure(new, end)
 
 
 class _SlabPotential:
-    """Per-slab Q as a sweep over the run's meeting events.
+    """Per-slab Q as a sweep over the run's meeting events, each counted
+    as products of slope histograms.
 
     A same-sign pair weighs pi/d at its first future meeting, and two atoms
     on one front stay together until an event they both survive, so a pair
     can only meet at a *meeting event*: one whose survivors come from two or
     more incoming fronts.  The candidates are the pairs (a, b), a < b, in
-    two different survivor groups (incoming fronts) of a meeting event e.
-    Such a pair weighs pi/d at e on exactly the slabs T < s <= e, where T is
-    the later of its last common event before e and the last cancellation of
-    an opposite-sign atom between a and b (from then on the two share a sign
-    block).  Two atoms that met and meet again were split in between, so the
-    common events are looked up (`first_common_event`) only for pairs that
-    both survived a split event (two or more outgoing fronts) since they
-    joined one block; the listing walks the events in order and keeps each
-    atom's last split event as it goes.  Every other same-block pair shares
-    a front or never meets, and weighs 0; every pair across two blocks
-    weighs K, which Q counts as K times an integer pair count.
+    two different survivor groups G_i < G_j (incoming fronts) of a meeting
+    event e.  Such a pair weighs pi/d at e on exactly the slabs T < s <= e,
+    where T is the later of its last common event before e and the last
+    cancellation of an opposite-sign atom between a and b (from then on the
+    two share a sign block).  Every other same-block pair shares a front or
+    never meets, and weighs 0; every pair across two blocks weighs K, which
+    Q counts as K times an integer pair count.
 
-    The engine holds a cursor slab.  Crossing event s drops event s's pairs,
-    re-keys the atoms that event moves onto a new front (the meeting slope
-    of an atom is read through its current front), and activates the
-    candidates with T = s.  Per meeting event it keeps integer pair counts
-    per (slope id, slope id) term and the sum of count times positive gap.
+    The sign-block part of T factors: it is max(u_i(a), c_ij, v_j(b)), the
+    last such cancellation among the ids from a to the end of G_i, between
+    the two groups, and from the start of G_j to b.  u_i falls and v_j rises
+    along a group, so the atoms of G_i counted as smaller atoms from slab s
+    on (u_i(a) < s) are a suffix of G_i, its *left* role, and those of G_j
+    counted as larger atoms (v_j(b) < s) a prefix, its *right* role; each
+    grows at the slabs the listing reads off those cancellations, and the
+    group pair counts from c_ij + 1 on.  So the active pairs on the term
+    (p, q) number the sum over the counting group pairs of n_i(p) * m_j(q),
+    the atoms of G_i's left role with slope id p times those of G_j's right
+    role with slope id q.  Two atoms that met and meet again were split in
+    between, so their last common event can be later: the listing takes
+    only atoms whose last split (an event with two or more outgoing fronts)
+    is later than their own threshold, looks up (`first_common_event`) the
+    pairs of those whose last splits are both later than the pair's T, and
+    counts each pair that met again as a correction of -1 on its term from
+    the slab the product counts it on to its true T.  The listing walks the
+    events in order and keeps each atom's last split event as it goes.
+
+    The engine holds a cursor slab.  Per pending meeting event it keeps a
+    histogram over slope ids for each *live* role (one with a counting
+    partner role that holds atoms; no other role's slopes are read) and
+    integer pair counts per (slope id, slope id) term.  A change of n_i(p)
+    by delta changes the count of (p, q) by delta * m_j(q) for each partner
+    role, one row of its histogram.  Crossing event s drops event s's share
+    of Q, re-counts the live roles' atoms on event s's outgoing fronts (the
+    meeting slope of an atom is read through its current front), and
+    applies the changes due on slab s + 1.
 
     Slope ids come from the envelopes' pieces: `_cell_slopes` gives each
     piece an integer key, the reduced (rise, run) of the piece on the
     integer samples, and the engine interns the keys of each (front, meeting
-    event) table once, so the sweep hashes no `Fraction`.  Each meeting
-    event keeps its active atoms in id order.  The live atoms in the id
-    range of a front's atoms are that front's, so crossing an event finds
-    each outgoing front's atoms at each pending meeting event by two
-    bisections, and no past meeting is visited.  That run of atoms is
-    re-keyed at once: its cells are monotone, so each piece of the front's
-    table covers a stretch of it, and its pairs' counts move in one batch
-    per (old id, new id), counted by partner id.  A request settles only the
-    meeting events whose counts changed since the last one, computes each
-    term's gap and its test against K once per meeting event, keeps Q's
+    event) table once, so the sweep hashes no `Fraction`.  A front's
+    survivors of a meeting event are one stretch of positions, and their
+    cells are monotone, so its table's pieces cut the stretch into
+    sub-stretches, and an atom count per piece is a sum of stretch lengths:
+    no atom is visited.  A request settles only the meeting events whose
+    counts changed since the last one, computes each term's gap (on the two
+    keys' ints) and its test against K once per meeting event, keeps Q's
     same-block part as one running exact sum, and tracks the meeting events
-    that hold a weight above K.
+    that hold a weight above K; only when a slab holds one are those
+    events' pairs listed, to name the first.
 
-    The first request lists the run's candidates and puts the cursor on
-    slab 0; a request for an earlier slab puts it back there (`_start`
-    resets the cursor, the pending counts and the running sum): Q is one
-    sweep forward in time.  A slab holding a weight above K raises and
-    leaves the engine usable for the next slab.
+    The first request lists the meeting events and puts the cursor on slab
+    0; a request for an earlier slab puts it back there (`_start` resets the
+    cursor, the counts and the running sum): Q is one sweep forward in time.
+    A slab holding a weight above K raises and leaves the engine usable for
+    the next slab.
     """
 
     def __init__(self, ws: WaveSystem, K: Fraction):
         self.ws = ws
         self.flux = ws.timeline.flux
         self.K = K
-        self._pieces = {}  # (fid, event index) -> (piece breakpoints, piece slope ids)
+        self._pieces = {}  # (fid, e) -> (piece bounds, piece slope ids) on e's positions
         self._id_of = {}  # slope key -> slope id
-        self._slopes = []  # slope id -> slope
+        self._keys = []  # slope id -> slope key
         self.max_weight = Fraction(0)
-        self._starting = None  # slab T + 1 -> {meeting event: its candidates (a, b)}
+        self._meetings = None  # meeting event that counts pairs -> _Meeting
+        self._by_sign = None  # sign -> its atoms, increasing, once a meeting needs them
+        self._due = None  # slab -> the meeting events with changes due on it
         self._slab = None  # the cursor
-        self._fid = []  # atom -> its front in the cursor slab
+        self._firsts = []  # the first atom of each front of the cursor slab, in order
+        self._fids = []  # those fronts
+        self._blocks = None  # the cursor slab's sign blocks
         self._sums = {}  # meeting event at or after the cursor -> _MeetingSums
         self._changed = set()  # meeting events with count changes not yet settled
         self._offending = set()  # meeting events holding a weight above K
-        self._k_eps_sq = K * ws.epsilon * ws.epsilon  # a cross-block pair's share of Q
-        self._total = Fraction(0)  # Q's same-block part: settled gap_sum * q_per_gap
+        (kn, kd), (en, ed) = K.as_integer_ratio(), ws.epsilon.as_integer_ratio()
+        self._k_eps_sq = Fraction(kn * en * en, kd * ed * ed)  # a cross-block pair's share of Q
+        # a slope key (rise, run) stands for rise / (run * D * eps), D the
+        # flux's scale, so a term's gap is num / (den * D * eps) with the
+        # ints num = rise_p * run_q - rise_q * run_p and den = run_p * run_q,
+        # and its weight gap / d, at a meeting of n survivors (d = n * eps),
+        # is num / (den * n) / (D * eps^2)
+        self._scale = scale = self.flux._scale
+        self._k_num, self._k_den = kn * scale * en * en, kd * ed * ed  # K * D * eps^2
+        self._w_num, self._w_den = ed * ed, scale * en * en  # 1 / (D * eps^2)
+        self._total = Fraction(0)  # Q's same-block part: the settled meeting events' shares
 
     def _pieces_of(self, fid, e):
-        """Breakpoints and slope ids of the pieces of the envelope on the
-        cells front ``fid`` carries into event e."""
+        """Breakpoints (positions, increasing) and slope ids of the pieces of
+        the envelope on the cells front ``fid`` carries into event e."""
         table = self._pieces.get((fid, e))
         if table is None:
-            bounds, keys, slopes = _cell_slopes(self.flux, *meeting_cells(self.ws, fid, e))
+            m = self._meetings[e]
+            bounds, keys, _ = _cell_slopes(
+                self.flux, *m.cells(*m.span(self.ws.atoms_of[fid])), m.sign
+            )
             ids = []
-            for key, slope in zip(keys, slopes):
+            for key in keys:
                 i = self._id_of.get(key)
                 if i is None:
-                    i = self._id_of[key] = len(self._slopes)
-                    self._slopes.append(slope)
+                    i = self._id_of[key] = len(self._keys)
+                    self._keys.append(key)
                 ids.append(i)
+            if m.sign > 0:
+                bounds = [k - m.cell0 for k in bounds]
+            else:
+                bounds = [m.cell0 + 1 - k for k in reversed(bounds)]
+                ids.reverse()
             table = self._pieces[fid, e] = bounds, ids
         return table
 
     def _start(self):
-        """Put the cursor on slab 0, listing the run's candidates by the slab
-        they start on first when they are not listed yet."""
+        """Put the cursor on slab 0, listing the meeting events first when
+        they are not listed yet."""
         ws = self.ws
-        if self._starting is None:
-            self._starting = self._list_candidates()
+        if self._meetings is None:
+            self._meetings, self._due = self._list_meetings()
         self._slab = 0
-        self._fid = [None] * ws.atom_count
-        for fid, atoms in ws.runs(0):
-            for a in atoms:
-                self._fid[a] = fid
+        self._fids = [fr.fid for fr in ws.timeline.slabs[0]]
+        self._firsts = [ws.atoms_of[fid][0] for fid in self._fids]
+        self._blocks = _SignBlocks(ws, self._fids)
         self._sums = {}
         self._changed = set()
         self._offending = set()
         self._total = Fraction(0)
-        for e, pairs in self._starting.get(0, {}).items():
-            self._activate(e, pairs)
+        for e in self._due.get(0, ()):
+            self._advance(e, 0)
 
-    def _list_candidates(self):
-        """slab T + 1 -> {meeting event e: its candidates (a, b) with that T}."""
+    def _list_meetings(self):
+        """(meeting event -> its _Meeting, slab -> the meeting events with
+        changes due on it), over the meeting events that count pairs."""
         ws = self.ws
-        starting = {}
+        atoms_of = ws.atoms_of
         # atom -> the last split event (two or more outgoing fronts) it
         # survived before the event the walk is at, or -1
         last_split = [-1] * ws.atom_count
+        meetings, due = {}, {}
         for e, ev in enumerate(ws.timeline.events):
             if not ev.outgoing:
                 continue
             # the survivors (the outgoing atoms, in id order) come from one
             # incoming front when the front holding the first holds the last
-            first = ws.atoms_of[ev.outgoing[0].fid][0]
-            last = ws.atoms_of[ev.outgoing[-1].fid][-1]
-            if next(
-                ws.atoms_of[fr.fid][-1] for fr in ev.incoming if ws.atoms_of[fr.fid][-1] >= first
-            ) < last:
-                groups = [
-                    kept for kept in (
-                        [a for a in ws.atoms_of[fr.fid] if ws.canc_event[a] != e]
-                        for fr in ev.incoming
-                    ) if kept
-                ]
-                by_slab = {}
-                for t, a, b in self._meeting_pairs(e, groups, last_split):
-                    by_slab.setdefault(t + 1, []).append((a, b))
-                for slab, pairs in by_slab.items():
-                    starting.setdefault(slab, {})[e] = pairs
+            first = atoms_of[ev.outgoing[0].fid][0]
+            for fr in ev.incoming:
+                end = atoms_of[fr.fid][-1]
+                if end >= first:
+                    break
+            if end < atoms_of[ev.outgoing[-1].fid][-1]:
+                m = self._meeting(e, last_split)
+                if m is not None:
+                    meetings[e] = m
+                    for slab in m.actions:
+                        due.setdefault(slab, []).append(e)
             if len(ev.outgoing) > 1:
                 for fr in ev.outgoing:
-                    for a in ws.atoms_of[fr.fid]:
+                    for a in atoms_of[fr.fid]:
                         last_split[a] = e
-        return starting
+        return meetings, due
 
-    def _meeting_pairs(self, e, groups, last_split):
-        """Yield (T, a, b) for each pair of atoms a < b in two of the
-        survivor groups of meeting event e (each group a list of atom ids);
-        ``last_split[x]`` is the last split event atom x survived before e,
-        or -1."""
+    def _barriers(self, m):
+        """(rank, slab) for each gap between two neighbouring survivors of a
+        meeting event that holds atoms of the other sign: they split the
+        survivors' sign block until the last of them cancels, on that slab.
+        (The rank of a gap is the number of survivors below it.)"""
+        first, last = m.firsts[0], m.outs[-1][-1]
+        if last - first + 1 == m.offsets[-1]:
+            return []  # the survivors' ids leave no gap
+        if self._by_sign is None:
+            signs = self.ws.sign
+            order = sorted(range(len(signs)), key=signs.__getitem__)
+            k = signs.count(-1)
+            self._by_sign = {-1: order[:k], 1: order[k:]}
+        other, canc = self._by_sign[-m.sign], self.ws.canc_event
+        k, stop = bisect_right(other, first), bisect_left(other, last)
+        barriers = []
+        while k < stop:
+            r = m.rank(other[k])
+            end = bisect_left(other, m.atom(r), k, stop)
+            # no atom in the survivors' id range outlives the event but
+            # the survivors, so each of these has a cancellation event
+            barriers.append((r, max(map(canc.__getitem__, other[k:end]))))
+            k = end
+        return barriers
+
+    def _meeting(self, e, last_split):
+        """Meeting event e's groups and the changes due on each slab, or
+        None when no pair of it ever counts."""
         ws = self.ws
-        canc, sign = ws.canc_event, ws.sign
-        never = len(ws.timeline.events)
-        survivor_sign = sign[groups[0][0]]
+        m = _Meeting(ws, e)
+        g = m.groups
+        for fr in ws.timeline.events[e].incoming:
+            hi = m.rank(ws.atoms_of[fr.fid][-1] + 1)
+            if hi > g[-1]:
+                g.append(hi)  # the front has survivors
+        barriers = self._barriers(m)
+        ranks = [r for r, _ in barriers]
+        n = len(g) - 1
+        counting = {}  # (i, j) -> c_ij, for the group pairs that count before e
+        for i in range(n - 1):
+            # the barriers from the last survivor of group i to the first of
+            # group j, for j = i + 1, i + 2, ...
+            c, k = -1, bisect_left(ranks, g[i + 1])
+            for j in range(i + 1, n):
+                stop = bisect_right(ranks, g[j])
+                for _, t in barriers[k:stop]:
+                    c = max(c, t)
+                k = stop
+                if c < e:
+                    counting[i, j] = c
+        if not counting:
+            return None
+        start = min(counting.values()) + 1
+        # per counting role, its (slab, bound) steps; the barriers inside the
+        # group hold its stretch back
+        lefts, rights = {}, {}
+        for i, j in counting:
+            if i not in lefts:
+                inside = barriers[bisect_right(ranks, g[i]):bisect_left(ranks, g[i + 1])]
+                lefts[i] = _role_steps(reversed(inside), g[i])
+                m.empty[LEFT, i] = (g[i + 1], g[i + 1])
+            if j not in rights:
+                inside = barriers[bisect_right(ranks, g[j]):bisect_left(ranks, g[j + 1])]
+                rights[j] = _role_steps(inside, g[j + 1])
+                m.empty[RIGHT, j] = (g[j], g[j])
+        actions = m.actions
 
-        def separates_until(x):
-            # the last slab on which atom x splits the survivors' sign block:
-            # -1 for a survivor-sign atom
-            if sign[x] == survivor_sign:
-                return -1
-            return never if canc[x] is None else canc[x]
+        def add(slab, action):
+            if slab <= e:
+                actions.setdefault(max(slab, start), []).append(action)
 
-        for i, left in enumerate(groups):
-            # suffix[k]: the latest separates_until over the last k ids of
-            # left's span, prefix[k] over the first k ids of right's
-            suffix = list(accumulate(
-                map(separates_until, range(left[-1], left[0] - 1, -1)), max, initial=-1
-            ))
-            for right in groups[i + 1:]:
-                between = max(map(separates_until, range(left[-1] + 1, right[0])), default=-1)
-                prefix = list(accumulate(
-                    map(separates_until, range(right[0], right[-1] + 1)), max, initial=-1
-                ))
-                for a in left:
-                    t_a = max(suffix[left[-1] - a], between)
-                    if t_a >= e:
-                        continue  # a shares a block with no atom of right before e
-                    split_a = last_split[a]
-                    for b in right:
-                        t = prefix[b - right[0]]
-                        if t >= e:
-                            break  # nor with b, or any later atom of right
-                        if t < t_a:
-                            t = t_a
-                        # two atoms that met before e were split since, so
-                        # both survived a split after their last meeting
-                        if t < split_a and t < last_split[b]:
-                            met = first_common_event(ws, a, b, t + 1)
-                            while met != e:
-                                t = met
-                                met = first_common_event(ws, a, b, t + 1)
-                        yield t, a, b
+        for side, steps_of in ((LEFT, lefts), (RIGHT, rights)):
+            for i, steps in steps_of.items():
+                for slab, bound in steps:
+                    add(slab, (GROW, (side, i), bound))
+        for (i, j), c in counting.items():
+            add(c + 1, (PAIR, i, j))
+        # each slab's changes are in kind order, as `_advance` applies them
+        for ka, kb, t, t_met in self._remeetings(e, m, lefts, rights, counting, last_split):
+            add(t + 1, (DEFER, ka, kb))
+            add(t_met + 1, (COUNT, ka, kb))
+        return m
 
-    def _activate(self, e, pairs):
-        """Count the pairs (a, b) of meeting event e from the cursor slab on."""
+    def _remeetings(self, e, m, lefts, rights, counting, last_split):
+        """Yield (position of a, position of b, T, true T) for each pair of
+        meeting event e whose last common event before e is later than the
+        sign-block T of the product count."""
+        ws = self.ws
+        survivors = list(chain.from_iterable(m.outs))
+        split = list(map(last_split.__getitem__, survivors))
+        if max(split) < 0:
+            return
+
+        def candidates(stretches, c):
+            # (position, threshold) of the atoms whose last split is later
+            # than their threshold, the later of their stretch's and c
+            found = []
+            for lo, hi, t in stretches:
+                t = max(t, c)
+                if t < e and max(split[lo:hi]) > t:
+                    found += [(k, t) for k in range(lo, hi) if split[k] > t]
+            return found
+
+        def stretches(steps, end, left):
+            # (lo, hi, threshold) of each stretch a role's steps add
+            out = []
+            for slab, bound in steps:
+                out.append((bound, end, slab - 1) if left else (end, bound, slab - 1))
+                end = bound
+            return out
+
+        g = m.groups
+        for (i, j), c in counting.items():
+            smaller = candidates(stretches(lefts[i], g[i + 1], True), c)
+            larger = candidates(stretches(rights[j], g[j], False), c) if smaller else []
+            for ka, t_a in smaller:
+                a, split_a = survivors[ka], split[ka]
+                for kb, t_b in larger:
+                    t = max(t_a, t_b)
+                    # two atoms that met before e were split since, so
+                    # both survived a split after their last meeting
+                    if t < split_a and t < split[kb]:
+                        b, t_met = survivors[kb], t
+                        met = first_common_event(ws, a, b, t_met + 1)
+                        while met != e:
+                            t_met = met
+                            met = first_common_event(ws, a, b, t_met + 1)
+                        if t_met > t:
+                            yield ka, kb, t, t_met
+
+    def _advance(self, e, slab):
+        """Apply the changes of meeting event e due on the cursor slab: its
+        roles' growth, then the group pairs that start to count, then the
+        re-meeting corrections, which read slope ids the first two made
+        live."""
         sums = self._sums.get(e)
+        m = self._meetings[e]
         if sums is None:
-            ev = self.ws.timeline.events[e]
-            sums = self._sums[e] = _MeetingSums(abs(ev.c - ev.a), self.K, self.ws.epsilon)
-        ids, later, earlier, delta = sums.slope_id, sums.later, sums.earlier, sums.delta
-        fid, cell = self._fid, self.ws.cell
-        for x in set(chain.from_iterable(pairs)).difference(ids):
-            bounds, piece_ids = self._pieces_of(fid[x], e)
-            ids[x] = piece_ids[bisect_right(bounds, cell[x]) - 1]
-            later[x], earlier[x] = [], []
-        for a, b in pairs:
-            later[a].append(b)
-            earlier[b].append(a)
-        lows, highs = zip(*pairs)
-        terms = zip(map(ids.__getitem__, lows), map(ids.__getitem__, highs))
-        for term, count in Counter(terms).items():
-            delta[term] = delta.get(term, 0) + count
-        sums.atoms = sorted(ids)
+            sums = self._sums[e] = _MeetingSums(m)
+        for kind, *args in m.actions[slab]:
+            if kind == GROW:
+                self._grow(e, sums, *args)
+            elif kind == PAIR:
+                self._pair(e, sums, *args)
+            elif kind == DEFER:
+                term = sums.deferred[tuple(args)] = self._term(e, *args)
+                sums.delta[term] = sums.delta.get(term, 0) - 1
+            else:
+                term = sums.deferred.pop(tuple(args))
+                sums.delta[term] = sums.delta.get(term, 0) + 1
         self._changed.add(e)
+
+    def _count(self, e, lo, hi):
+        """Slope id -> the number of meeting event e's survivors at the
+        positions [lo, hi) with that slope through their cursor-slab front."""
+        m = self._meetings[e]
+        atoms_of, fids = self.ws.atoms_of, self._fids
+        counts = {}
+        if lo < hi:
+            i = bisect_right(self._firsts, m.atom(lo)) - 1
+        while lo < hi:
+            fid = fids[i]
+            i += 1
+            stop = min(m.rank(atoms_of[fid][-1] + 1), hi)
+            if stop <= lo:
+                continue  # no survivor of e on this front
+            bounds, piece_ids = self._pieces_of(fid, e)
+            t = bisect_right(bounds, lo) - 1
+            while lo < stop:
+                end = min(bounds[t + 1], stop)
+                counts[piece_ids[t]] = counts.get(piece_ids[t], 0) + end - lo
+                lo = end
+                t += 1
+        return counts
+
+    def _slope_id(self, e, k):
+        """The slope id of meeting event e's survivor at position k, through
+        its cursor-slab front."""
+        fid = self._fids[bisect_right(self._firsts, self._meetings[e].atom(k)) - 1]
+        bounds, piece_ids = self._pieces_of(fid, e)
+        return piece_ids[bisect_right(bounds, k) - 1]
+
+    def _term(self, e, ka, kb):
+        """The term of the pair of meeting event e's survivors at the
+        positions ka < kb."""
+        return self._slope_id(e, ka), self._slope_id(e, kb)
+
+    def _apply(self, sums, role, change):
+        """Add ``change`` (slope id -> atoms) to a live role's histogram, and
+        its pairs with the partner roles' histograms to the pending term
+        counts."""
+        for other in sums.partners[role]:
+            row = sums.hist.get(other)
+            if row:
+                if role[0] == LEFT:
+                    _add_products(sums.delta, change, row)
+                else:
+                    _add_products(sums.delta, row, change)
+        hist = sums.hist[role]
+        for p, n in change.items():
+            n += hist.get(p, 0)
+            if n:
+                hist[p] = n
+            else:
+                del hist[p]
+
+    def _go_live(self, e, sums, role):
+        """Start a role's histogram: it has a partner role holding atoms."""
+        sums.hist[role] = {}
+        self._apply(sums, role, self._count(e, *sums.range[role]))
+
+    def _grow(self, e, sums, role, bound):
+        """Move a role's stretch to ``bound``."""
+        lo, hi = sums.range[role]
+        if role[0] == LEFT:
+            sums.range[role], extra = (bound, hi), (bound, lo)
+        else:
+            sums.range[role], extra = (lo, bound), (hi, bound)
+        if role in sums.hist:
+            self._apply(sums, role, self._count(e, *extra))
+        if lo == hi:
+            # the role holds atoms now, so its partners are live
+            for other in sums.partners[role]:
+                if other not in sums.hist:
+                    self._go_live(e, sums, other)
+
+    def _pair(self, e, sums, i, j):
+        """Start counting the pairs of group i's left role and group j's
+        right role."""
+        left, right = (LEFT, i), (RIGHT, j)
+        sums.partners[left].append(right)
+        sums.partners[right].append(left)
+        hist = sums.hist
+        if left in hist and right in hist:
+            _add_products(sums.delta, hist[left], hist[right])
+            return
+        lo, hi = sums.range[right]
+        if lo < hi and left not in hist:
+            self._go_live(e, sums, left)
+        lo, hi = sums.range[left]
+        if lo < hi and right not in hist:
+            self._go_live(e, sums, right)
 
     def _cross_event(self):
         """Move the cursor from slab s to slab s + 1, across event s."""
@@ -362,129 +714,129 @@ class _SlabPotential:
         ws = self.ws
         done = self._sums.pop(s, None)
         if done is not None:
-            self._total -= done.gap_sum * done.q_per_gap
+            self._total -= self._share(done.size, (
+                (done.terms[term], count) for term, count in done.counts.items()
+            ))
             self._changed.discard(s)
             self._offending.discard(s)
-        for fr in ws.timeline.events[s].outgoing:
-            atoms = ws.atoms_of[fr.fid]
-            for a in atoms:
-                self._fid[a] = fr.fid
-            for e, sums in self._sums.items():
-                # the live atoms in the id range of the front's atoms are its
-                # atoms, and every atom with pairs at e is live until e
-                lo = bisect_left(sums.atoms, atoms[0])
-                hi = bisect_right(sums.atoms, atoms[-1], lo)
-                if lo < hi:
-                    self._rekey(e, sums, fr.fid, sums.atoms[lo:hi])
+        ev = ws.timeline.events[s]
+        atoms_of = ws.atoms_of
+        first, last = atoms_of[ev.incoming[0].fid][0], atoms_of[ev.incoming[-1].fid][-1]
+        # the live roles' atoms in event s's block move to its outgoing
+        # fronts: count them before and after
+        moves, moved_pairs = [], []
+        for e, sums in self._sums.items():
+            m = sums.meeting
+            if last < m.firsts[0] or first > m.outs[-1][-1]:
+                continue
+            lo, hi = m.rank(first), m.rank(last + 1)
+            if lo == hi:
+                continue
+            for role in sums.hist:
+                x, y = sums.range[role]
+                x, y = max(x, lo), min(y, hi)
+                if x < y:
+                    moves.append((e, sums, role, x, y, self._count(e, x, y)))
+            moved_pairs += [(e, sums, pair) for pair in sums.deferred
+                            if lo <= pair[0] < hi or lo <= pair[1] < hi]
+        i = bisect_left(self._firsts, first)
+        n = len(ev.incoming)
+        outgoing = [atoms_of[fr.fid][0] for fr in ev.outgoing]
+        after = self._firsts[i + n] if i + n < len(self._firsts) else None
+        self._blocks.replace(first, last, outgoing, after, s)
+        self._fids[i:i + n] = [fr.fid for fr in ev.outgoing]
+        self._firsts[i:i + n] = outgoing
+        for e, sums, role, x, y, old in moves:
+            new = self._count(e, x, y)
+            if new != old:
+                for p, count in old.items():
+                    new[p] = new.get(p, 0) - count
+                self._apply(sums, role, {p: count for p, count in new.items() if count})
+                self._changed.add(e)
+        for e, sums, pair in moved_pairs:
+            was, now = sums.deferred[pair], self._term(e, *pair)
+            if was != now:
+                sums.deferred[pair] = now
+                sums.delta[was] = sums.delta.get(was, 0) + 1
+                sums.delta[now] = sums.delta.get(now, 0) - 1
+                self._changed.add(e)
         self._slab = s + 1
-        for e, pairs in self._starting.get(s + 1, {}).items():
-            self._activate(e, pairs)
-
-    def _rekey(self, e, sums, fid, run):
-        """Give the atoms of ``run``, front ``fid``'s atoms with pairs at
-        meeting event e, their slope ids through that front, and move their
-        pairs' counts to the new terms, one batch per (old id, new id)."""
-        bounds, piece_ids = self._pieces_of(fid, e)
-        # the run's cells are monotone in id order: each piece's atoms are
-        # a stretch of the run, found by bisection in the sorted cells
-        cells = list(map(self.ws.cell.__getitem__, run))
-        falling = cells[0] > cells[-1]
-        if falling:
-            cells.reverse()
-        new_ids = []
-        for end, i in zip(bounds[1:], piece_ids):
-            new_ids += [i] * (bisect_left(cells, end) - len(new_ids))
-        if falling:
-            new_ids.reverse()
-        ids = sums.slope_id
-        olds = list(map(ids.__getitem__, run))
-        if olds == new_ids:
-            return
-        moves, start = {}, 0  # (old id, new id) -> the atoms that move
-        for (old, new), same in groupby(zip(olds, new_ids)):
-            stop = start + len(list(same))
-            if old != new:
-                moves.setdefault((old, new), []).extend(run[start:stop])
-            start = stop
-        delta = sums.delta
-        for (old, new), atoms in moves.items():
-            ids.update(dict.fromkeys(atoms, new))
-            # a term leads with the slope id of the pair's smaller atom; the
-            # partners are on other fronts, so their ids stay as they are
-            for partners, leads in ((sums.later, True), (sums.earlier, False)):
-                met = chain.from_iterable(map(partners.__getitem__, atoms))
-                for id_b, count in Counter(map(ids.__getitem__, met)).items():
-                    was, now = ((old, id_b), (new, id_b)) if leads else ((id_b, old), (id_b, new))
-                    delta[was] = delta.get(was, 0) - count
-                    delta[now] = delta.get(now, 0) + count
-        self._changed.add(e)
+        for e in self._due.get(s + 1, ()):
+            self._advance(e, s + 1)
 
     def _settle(self, e):
-        """Fold meeting event e's pending count changes into its sums and
+        """Fold meeting event e's pending count changes into its counts and
         the running total, and its largest changed active gap into
-        ``max_weight``."""
+        ``max_weight``, on the ints of the terms' gaps."""
         sums = self._sums[e]
-        terms, counts = sums.terms, sums.counts
-        top = change_sum = 0
+        terms, counts, keys = sums.terms, sums.counts, self._keys
+        top_num, top_den = 0, 1  # the largest changed active gap, as num / den
+        changed = []  # (gap, change) of each changed positive-gap term
         for term, change in sums.delta.items():
             if not change:
                 continue
-            if term not in terms:
-                gap = self._slopes[term[0]] - self._slopes[term[1]]
-                terms[term] = (gap, gap > sums.k_d) if gap > 0 else None
-            if terms[term] is None:
+            gap = terms.get(term)
+            if gap is None:
+                (rise_p, run_p), (rise_q, run_q) = keys[term[0]], keys[term[1]]
+                num, den = rise_p * run_q - rise_q * run_p, run_p * run_q
+                above = num * self._k_den > den * sums.size * self._k_num
+                gap = terms[term] = (num, den, above) if num > 0 else ()
+            if not gap:
                 continue
-            gap, above = terms[term]
+            num, den, above = gap
             count = counts.get(term, 0) + change
             if count:
                 counts[term] = count
-                if gap > top:
-                    top = gap
+                if num * top_den > top_num * den:
+                    top_num, top_den = num, den
             else:
                 del counts[term]
-            change_sum += change * gap
+            changed.append((gap, change))
             if above:
                 if count:
                     sums.offending.add(term)
                 else:
                     sums.offending.discard(term)
         sums.delta.clear()
-        if change_sum:
-            sums.gap_sum += change_sum
-            self._total += change_sum * sums.q_per_gap
+        if changed:
+            self._total += self._share(sums.size, changed)
         if sums.offending:
             self._offending.add(e)
         else:
             self._offending.discard(e)
-        if top > self.max_weight * sums.d:
-            self.max_weight = top / sums.d
+        if top_num:
+            # the weight gap / d is num / (den * n * D * eps^2)
+            num, den = top_num * self._w_num, top_den * sums.size * self._w_den
+            top = self.max_weight
+            if num * top.denominator > den * top.numerator:
+                self.max_weight = Fraction(num, den)
+
+    def _share(self, size, counts):
+        """The share of Q of a meeting event of ``size`` survivors, over
+        (gap, pair count) terms: the sum of count * gap over d, with d = size
+        * eps and gap = num / (den * D * eps), summed per den on ints."""
+        by_den = {}
+        for (num, den, _), count in counts:
+            by_den[den] = by_den.get(den, 0) + count * num
+        den = lcm(*by_den)
+        return Fraction(sum(n * (den // d) for d, n in by_den.items()), den * size * self._scale)
 
     def q_of_slab(self, s: int) -> Fraction:
         """eps^2 times the sum of the pair weights over the slab's atom pairs.
 
         Runs split into sign blocks (maximal stretches of one sign).  Every
         atom pair across two blocks weighs K, so that part is K times an
-        integer pair count.  The pairs inside one block come from the sweep
-        state at slab s: the running sum over the meeting events of their
-        gap sums over d, once the events whose counts changed are settled.
+        integer pair count, kept with the cursor (`_SignBlocks`).  The pairs
+        inside one block come from the sweep state at slab s: the running
+        sum of the meeting events' shares, once the events whose counts
+        changed are settled.
         """
         if self._slab is None or s < self._slab:
             self._start()
         while self._slab < s:
             self._cross_event()
 
-        ws = self.ws
-        atoms_of, atom_sign = ws.atoms_of, ws.sign
-        n = squares = size = 0  # over the closed blocks: atoms, squared sizes; the open one's size
-        sign = None
-        for fr in ws.timeline.slabs[s]:
-            atoms = atoms_of[fr.fid]
-            if atom_sign[atoms[0]] != sign:
-                sign = atom_sign[atoms[0]]
-                n, squares, size = n + size, squares + size * size, 0
-            size += len(atoms)
-        n += size
-        cross_pairs = (n * n - squares - size * size) // 2
+        cross_pairs = self._blocks.cross_pairs()
         if cross_pairs and self.K > self.max_weight:
             self.max_weight = self.K
 
@@ -497,16 +849,27 @@ class _SlabPotential:
 
     def _raise_first_weight_above_k(self, s):
         """Name the slab's first offending pair in run order: the least
-        (run of a, run of b, a, b)."""
-        run_of = {fid: i for i, (fid, _) in enumerate(self.ws.runs(s))}
-        fid = self._fid
-        *_, a, b = min(
-            (run_of[fid[a]], run_of[fid[b]], a, b)
-            for sums in map(self._sums.get, self._offending)
-            for a, partners in sums.later.items()
-            for b in partners
-            if (sums.slope_id[a], sums.slope_id[b]) in sums.offending
-        )
+        (run of a, run of b, a, b), over the active pairs of the meeting
+        events that hold a weight above K, listed here only."""
+        firsts = self._firsts
+        found = []
+        for e in self._offending:
+            sums = self._sums[e]
+            m = sums.meeting
+            for (side, i), partners in sums.partners.items():
+                lo, hi = sums.range[side, i]
+                if side != LEFT or lo == hi:
+                    continue
+                smaller = [(k, m.atom(k), self._slope_id(e, k)) for k in range(lo, hi)]
+                for right in partners:
+                    larger = [(k, m.atom(k), self._slope_id(e, k))
+                              for k in range(*sums.range[right])]
+                    found += [
+                        (bisect_right(firsts, a) - 1, bisect_right(firsts, b) - 1, a, b)
+                        for ka, a, p in smaller for kb, b, q in larger
+                        if (p, q) in sums.offending and (ka, kb) not in sums.deferred
+                    ]
+        *_, a, b = min(found)
         raise ConsistencyError(f"weight above K for atoms ({a}, {b}) in slab {s}")
 
 
@@ -537,8 +900,9 @@ class _Fenwick:
     update and per query (P. M. Fenwick, Software: Practice and Experience
     24(3), 1994)."""
 
-    def __init__(self, size: int):
-        self._tree = [0] * (size + 1)
+    def __init__(self, size: int, value: int = 0):
+        # ``value`` at every position
+        self._tree = [value * (i & -i) for i in range(size + 1)]
 
     def add(self, i: int, value: int):
         """Add ``value`` at position i."""

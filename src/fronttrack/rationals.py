@@ -30,20 +30,26 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise InputError(f"not a rational value: {value!r}")
+        raise InputError(f"not a rational value: {_shown(value)}")
     if isinstance(value, (int, float, str)):
         # an infinite float (JSON reads 1e400 and Infinity as one) overflows
         try:
             q = Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise InputError(f"not a rational value: {value!r}") from exc
+            raise InputError(f"not a rational value: {_shown(value)}") from exc
         if _too_long(q.numerator) or _too_long(q.denominator):
             raise InputError(
                 f"rational value has more digits than this interpreter's limit of "
-                f"{sys.get_int_max_str_digits()}: {str(value)[:20]!r}"
+                f"{sys.get_int_max_str_digits()}: {_shown(value)}"
             )
         return q
-    raise InputError(f"not a rational value: {value!r}")
+    raise InputError(f"not a rational value: {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """A rejected value as an error message echoes it: its text cut to the
+    first 20 characters, quoted, so that a line stays short."""
+    return repr(str(value)[:20])
 
 
 def _too_long(n: int) -> bool:
@@ -55,8 +61,19 @@ def _too_long(n: int) -> bool:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical "p/q" (or "p") form; inverse of parse_rational on its image."""
-    return str(value if isinstance(value, Fraction) else Fraction(value))
+    """Canonical "p/q" (or "p") form; inverse of parse_rational on its image.
+
+    A run can derive a value with more digits than the interpreter's
+    int-to-str limit from inputs within it; no output can write that value,
+    so it is an input error, as such an input is."""
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(
+            f"derived value has more digits than this interpreter's limit of "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
 
 
 def grid_index(u: Fraction, epsilon: Fraction) -> int:

@@ -13,9 +13,9 @@ atom's cancellation event, if any.  That is the whole survival record, each
 fact once: an atom survives event e exactly when one of e's outgoing fronts
 carries it.  It answers every "will these two waves meet again, and who
 will be there" query exactly, which is all the interaction potential needs:
-the potential asks `first_common_event` and `meeting_cells`, and
-`validate_tracing` checks the record against the timeline, slab 0 in full
-and then event by event.
+the potential asks `first_common_event` and reads each meeting event's
+survivors off its outgoing fronts, and `validate_tracing` checks the record
+against the timeline, slab 0 in full and then event by event.
 
 Atoms keep their order (the wave tracing of Bressan, ch. 7): along a chain of
 fronts, left to right, the atoms in id order cross the state cells in the
@@ -35,7 +35,6 @@ states (`grid_coordinate`), once per front, and counts spans and masses in
 cells.
 """
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
@@ -158,29 +157,6 @@ def first_common_event(ws, a: int, b: int, after_slab: int = 0):
         if out and ws.atoms_of[out[0].fid][0] <= lo and hi <= ws.atoms_of[out[-1].fid][-1]:
             return e
     return None
-
-
-def meeting_cells(ws, fid: int, e: int):
-    """Grid cells [lo, hi) and sign of the waves front ``fid`` carries into
-    event e, for a front that lives on a slab at or before e: its atoms that
-    sit at and survive that event.
-
-    Those are the atoms of e's outgoing fronts in the id range of ``fid``'s
-    atoms, found by bisection: they live on every slab up to e, and on a
-    slab ``fid`` lives on, the live atoms in that range are its own.  They
-    must share a sign, and their cells must be contiguous."""
-    first, last = ws.atoms_of[fid][0], ws.atoms_of[fid][-1]
-    atoms = []
-    for fr in ws.timeline.events[e].outgoing:
-        out = ws.atoms_of[fr.fid]
-        atoms += out[bisect_left(out, first):bisect_right(out, last)]
-    signs = set(map(ws.sign.__getitem__, atoms))
-    if len(signs) > 1:
-        raise ConsistencyError("wave interval mixes signs")
-    ks = sorted(map(ws.cell.__getitem__, atoms))
-    if ks != list(range(ks[0], ks[0] + len(ks))):
-        raise ConsistencyError("meeting interval has non-contiguous states")
-    return ks[0], ks[-1] + 1, signs.pop()
 
 
 # -- validation ----------------------------------------------------------------

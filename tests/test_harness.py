@@ -273,6 +273,50 @@ def test_values_beyond_the_digit_limit_are_input_errors(tmp_path, capsys):
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str digit limit in this interpreter",
+)
+def test_derived_values_beyond_the_digit_limit_are_input_errors(tmp_path, capsys):
+    # a flux coefficient within the limit whose run derives values past it
+    # (K, Q, ...): run, and sweep in process and with forked workers, exit 2
+    # with one line worded as parse_rational's, and write nothing
+    limit = sys.get_int_max_str_digits()
+    flux = {"polynomial": ["0", "0", f"1e{limit - 1}"]}
+    sweep_cfg = dict(GOLDEN_SWEEP, base=dict(GOLDEN_SWEEP["base"], flux=flux))
+    cases = [
+        ("run", dict(GOLDEN_CONFIG, flux=flux), []),
+        ("sweep", sweep_cfg, ["--jobs", "1"]),
+        ("sweep", sweep_cfg, ["--jobs", "2"]),
+    ]
+    cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+    for command, cfg, flags in cases:
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main([command, str(cfg_path), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: derived value has more digits than this interpreter's limit of "
+            f"{limit}\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_an_unreadable_rational_is_echoed_cut_short(tmp_path, capsys):
+    # the rejected value's text is cut to its first 20 characters, as the
+    # digit-limit message cuts it; a string of digits past that limit is
+    # one such value, a JSON array another
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    values = ["x" * 5000, list(range(3000)), *(["1" * (limit + 1)] if limit else [])]
+    cfg_path = tmp_path / "config.json"
+    for value in values:
+        cfg_path.write_text(json.dumps(dict(GOLDEN_CONFIG, epsilon=value)))
+        capsys.readouterr()
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: not a rational value: {str(value)[:20]!r}\n"
+        )
+
+
 def _verify_edited(report, edit):
     copy = json.loads(report_bytes(report))
     edit(copy)
@@ -779,7 +823,7 @@ def test_json_field_errors_name_the_field_and_kind(
 
 def test_flux_table_errors_say_key_or_value():
     with pytest.raises(InputError, match=re.escape(
-        "flux table value at grid index 0: not a rational value: [1]"
+        "flux table value at grid index 0: not a rational value: '[1]'"
     )):
         parse_run_config(dict(GOLDEN_CONFIG, flux={"table": {"0": [1], "1": "1"}}))
     with pytest.raises(InputError, match="^flux table keys must be grid indices: "):

@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from fronttrack.potential import (
 )
 from fronttrack.tracker import CANCELLATION, SAME_SIGN, Profile, evolve, profile_at
 from fronttrack.tracing import (
-    advance_tracing, build_initial_waves, first_common_event, meeting_cells, validate_tracing,
+    advance_tracing, build_initial_waves, first_common_event, validate_tracing,
 )
 
 from oracles import (
@@ -47,7 +48,8 @@ from oracles import (
     slab_midpoints,
     slope_gap_integral_by_cells,
 )
-from suite_builder import ladder_config, suite_config
+from pair_list_potential import PairListSlabPotential
+from suite_builder import SUITE_SIZE, ladder_config, suite_config
 from wave_oracles import (
     GENERIC,
     MIXED_SIGN,
@@ -61,6 +63,7 @@ from wave_oracles import (
     fundamental_property_violations,
     list_merge_first_common_event,
     maximal_noncontact_interval,
+    meeting_cells,
     oracle_first_pair_above_k,
     oracle_q_of_slab,
     pair_walk_q_of_slab,
@@ -616,6 +619,9 @@ THREE_SHOCKS = {
 }
 
 
+EXAMPLE_CONFIGS = ("two_shock_burgers", "nonconvex_splitting")
+
+
 @pytest.mark.parametrize("config, shape", [
     (suite_config(58, salt=1), _remeets),
     (THREE_SHOCKS, _three_survivor_groups),
@@ -665,34 +671,51 @@ def test_q_matches_oracle_on_the_ladder_rung():
 
 def _check_slope_ids(r):
     """Sweep a fresh engine over every slab of run ``r``.  At each slab, the
-    slope id of every atom it holds at every meeting event must name the
-    slope `fraction_cell_slopes` gives the atom's cell through its current
-    front; then every piece table the engine read must do so cell by cell,
-    and no two ids may name one slope.  Returns the number of atom checks
-    and of ids that pieces of two different envelopes share."""
+    histogram of every live role at every pending meeting event must count
+    its atoms by the slope `fraction_cell_slopes` gives each atom's cell
+    through its current front; then every piece table the engine read must
+    cover exactly the positions of its front's survivors of the meeting and
+    give each the slope of that survivor's cell, and no two ids may name one
+    slope.  Returns the number of atoms counted and of ids that pieces of
+    two different envelopes share."""
     ws, flux = r.waves, r.timeline.flux
     engine = _SlabPotential(ws, r.series.K)
     expected = {}  # (fid, e) -> {cell: slope}
+
+    def slope_of(i):
+        # a key (rise, run) stands for rise / (run * D * eps)
+        rise, run = engine._keys[i]
+        return F(rise, run * flux._scale) / flux.epsilon
 
     def slopes(fid, e):
         if (fid, e) not in expected:
             expected[fid, e] = fraction_cell_slopes(flux, *meeting_cells(ws, fid, e))
         return expected[fid, e]
 
+    def survivors(e):
+        return [a for fr in r.timeline.events[e].outgoing for a in ws.atoms_of[fr.fid]]
+
     checked = 0
     for s, rec in enumerate(r.series.slabs):
         assert engine.q_of_slab(s) == rec.Q
+        front_of = {a: fid for fid, atoms in ws.runs(s) for a in atoms}
         for e, sums in engine._sums.items():
-            for a, i in sums.slope_id.items():
-                assert engine._slopes[i] == slopes(engine._fid[a], e)[ws.cell[a]]
-                checked += 1
+            for role, hist in sums.hist.items():
+                atoms = survivors(e)[slice(*sums.range[role])]
+                assert Counter({slope_of(i): n for i, n in hist.items()}) == Counter(
+                    slopes(front_of[a], e)[ws.cell[a]] for a in atoms
+                )
+                checked += len(atoms)
     envelopes_of = {}  # slope id -> the (lo, hi, sign) of the envelopes holding it
     for (fid, e), (bounds, ids) in engine._pieces.items():
-        for k, slope in slopes(fid, e).items():
-            assert engine._slopes[ids[bisect_right(bounds, k) - 1]] == slope
+        first, last = ws.atoms_of[fid][0], ws.atoms_of[fid][-1]
+        held = [(k, a) for k, a in enumerate(survivors(e)) if first <= a <= last]
+        assert [k for k, _ in held] == list(range(bounds[0], bounds[-1]))
+        for k, a in held:
+            assert slope_of(ids[bisect_right(bounds, k) - 1]) == slopes(fid, e)[ws.cell[a]]
         for i in ids:
             envelopes_of.setdefault(i, set()).add(meeting_cells(ws, fid, e))
-    assert len(set(engine._slopes)) == len(engine._slopes)
+    assert len(set(map(slope_of, range(len(engine._keys))))) == len(engine._keys)
     return checked, sum(len(spans) > 1 for spans in envelopes_of.values())
 
 
@@ -753,7 +776,7 @@ def test_candidates_match_the_survival_list_walk():
     assert _remeets(runs[0]) and _three_survivor_groups(runs[1])
     pairs = 0
     for r in runs:
-        candidates = _SlabPotential(r.waves, r.series.K)._list_candidates()
+        candidates = PairListSlabPotential(r.waves, r.series.K)._list_candidates()
         assert candidates == survival_list_candidates(r.waves)
         pairs += sum(len(p) for by_event in candidates.values() for p in by_event.values())
     assert pairs > 1000
@@ -765,6 +788,63 @@ def _outcome(engine, s):
         return engine.q_of_slab(s)
     except ConsistencyError as exc:
         return str(exc)
+
+
+def _answers(engine_class, ws, K, slabs):
+    """What fresh engines of one class answer on the first ``slabs`` slabs
+    of a run, at K, K / 2 and 0: per K, each slab's Q or weight-above-K
+    message, and the engine's ``max_weight`` after the sweep."""
+    out = []
+    for k in (K, K / 2, F(0)):
+        engine = engine_class(ws, k)
+        out.append(([_outcome(engine, s) for s in range(slabs)], engine.max_weight))
+    return out
+
+
+def _check_against_the_pair_list_engine(r):
+    """The histogram engine and the pair-list engine it replaced give the
+    same answers on every slab of run ``r``; returns those of K = 0."""
+    ws, K, slabs = r.waves, r.series.K, len(r.timeline.slabs)
+    answers = _answers(_SlabPotential, ws, K, slabs)
+    assert answers == _answers(PairListSlabPotential, ws, K, slabs)
+    assert answers[0] == ([rec.Q for rec in r.series.slabs], r.series.max_weight)
+    return answers[-1][0]
+
+
+@pytest.mark.parametrize("config, shape", [
+    (ladder_config("1/64"), "probes"),
+    (ladder_config("1/128"), "probes"),
+    (suite_config(58, salt=1), _remeets),
+    (THREE_SHOCKS, _three_survivor_groups),
+    *((name, None) for name in EXAMPLE_CONFIGS),
+], ids=["ladder_64", "ladder_128", "remeeting", "three_shocks", *EXAMPLE_CONFIGS])
+def test_q_matches_the_pair_list_engine(config, shape):
+    # every slab's Q, max_weight and weight-above-K message; on the ladder
+    # rungs also slab 0 of every restart probe, as verify_run re-runs it
+    if isinstance(config, str):
+        config = harness.load_json(
+            str(Path(__file__).resolve().parent.parent / "configs" / f"{config}.json")
+        )
+    r = harness.run_simulation(harness.parse_run_config(config))
+    assert shape in (None, "probes") or shape(r)
+    named = _check_against_the_pair_list_engine(r)
+    assert any(isinstance(x, str) for x in named)
+    if shape == "probes":
+        tl, K = r.timeline, r.series.K
+        probes = slab_midpoints(tl)
+        assert len(probes) == len(tl.slabs)
+        for t in probes:
+            _, ws = run_pipeline(profile_at(tl, t), tl.flux)
+            assert _answers(_SlabPotential, ws, K, 1) == _answers(PairListSlabPotential, ws, K, 1)
+
+
+def test_q_matches_the_pair_list_engine_on_the_suite_configs():
+    # all 60 suite configs as drawn (salt 0), composite events included
+    named = 0
+    for i in range(SUITE_SIZE):
+        r = harness.run_simulation(harness.parse_run_config(suite_config(i)))
+        named += sum(isinstance(x, str) for x in _check_against_the_pair_list_engine(r))
+    assert named > 100
 
 
 @pytest.fixture(scope="module")
@@ -826,9 +906,6 @@ def _check_against_the_fraction_table(rows, rng):
     assert verdict_table(*_as_pairs(rows)) == expected
     assert verdict_table(*_as_pairs(rows, lambda: rng.randint(1, 9))) == expected
     return expected
-
-
-EXAMPLE_CONFIGS = ("two_shock_burgers", "nonconvex_splitting")
 
 
 def _example_series(name):

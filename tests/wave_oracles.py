@@ -18,7 +18,9 @@ sort that the Bianchini series replaced.  `survived_events` is the per-atom
 survival list that tracing kept beside the fronts' atoms, its transpose;
 `list_merge_first_common_event`, `bisect_last_split` and
 `survival_list_candidates` are the lookups and the candidate listing that
-read it.
+read it, and `meeting_cells` the per-atom lookup of the cells a front
+carries into a meeting event that Q read before it placed each meeting's
+survivors on a line of positions.
 `cell_dict_trace` is the assignment of atoms to fronts through per-fan
 state-cell dictionaries that tracing's walk in state order replaced, and
 `fraction_trace` that walk as it ran on the fronts' `Fraction` states, before
@@ -29,7 +31,7 @@ counted them in grid coordinates.
 than a slab index.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +40,7 @@ from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.potential import _bianchini_of_slab, _SlabPotential
 from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, merge_steps, profile_at
-from fronttrack.tracing import WaveSystem, first_common_event, meeting_cells
+from fronttrack.tracing import WaveSystem, first_common_event
 
 from oracles import (
     _tv, fraction_cell_slopes, front_kinematics, profile_value_at, slab_index, value_at,
@@ -447,6 +449,31 @@ def oracle_first_pair_above_k(ws: WaveSystem, s: int, K):
                     if gap > K * abs(ev.c - ev.a):
                         return a, b
     return None
+
+
+def meeting_cells(ws, fid: int, e: int):
+    """Grid cells [lo, hi) and sign of the waves front ``fid`` carries into
+    event e, for a front that lives on a slab at or before e: its atoms that
+    sit at and survive that event.
+
+    Those are the atoms of e's outgoing fronts in the id range of ``fid``'s
+    atoms, found by bisection: they live on every slab up to e, and on a
+    slab ``fid`` lives on, the live atoms in that range are its own.  They
+    must share a sign, and their cells must be contiguous.  (The package
+    reads the same cells off the positions of e's survivors,
+    `potential._Meeting.cells`.)"""
+    first, last = ws.atoms_of[fid][0], ws.atoms_of[fid][-1]
+    atoms = []
+    for fr in ws.timeline.events[e].outgoing:
+        out = ws.atoms_of[fr.fid]
+        atoms += out[bisect_left(out, first):bisect_right(out, last)]
+    signs = set(map(ws.sign.__getitem__, atoms))
+    if len(signs) > 1:
+        raise ConsistencyError("wave interval mixes signs")
+    ks = sorted(map(ws.cell.__getitem__, atoms))
+    if ks != list(range(ks[0], ks[0] + len(ks))):
+        raise ConsistencyError("meeting interval has non-contiguous states")
+    return ks[0], ks[-1] + 1, signs.pop()
 
 
 def _meeting_slope(ws, fid, e, atom):
