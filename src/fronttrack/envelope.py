@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import DomainError, InputError
-from .rationals import grid_index, json_field, parse_rational
+from .rationals import config_rational, grid_index, json_field, parse_rational
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,9 @@ def parse_flux_spec(flux_spec):
         raise InputError("flux spec must be {'polynomial': [...]} or {'table': {...}}")
     if "polynomial" in flux_spec:
         coefficients = json_field(flux_spec, "polynomial", list, "config", "flux.")
-        return "polynomial", [parse_rational(c) for c in coefficients]
+        return "polynomial", [
+            config_rational(c, f"flux.polynomial[{i}]") for i, c in enumerate(coefficients)
+        ]
     if "table" in flux_spec:
         table = {}
         for k, v in json_field(flux_spec, "table", dict, "config", "flux.").items():

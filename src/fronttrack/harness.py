@@ -10,7 +10,7 @@ from math import ceil, floor, lcm
 from .envelope import parse_flux_spec, sample_flux
 from .errors import ConsistencyError, InputError
 from .potential import PotentialSeries, verify_run
-from .rationals import format_rational, json_field, parse_rational
+from .rationals import config_rational, format_rational, json_field
 from .tracker import (
     Profile,
     Timeline,
@@ -37,7 +37,7 @@ class RunConfig:
 
 
 def _parse_datum(datum: dict) -> tuple:
-    constant = parse_rational(datum.get("constant", "0"))
+    constant = config_rational(datum.get("constant", "0"), "datum.constant")
     if "jumps" in datum:
         raw = json_field(datum, "jumps", list, "config", "datum.")
         jumps = []
@@ -45,12 +45,16 @@ def _parse_datum(datum: dict) -> tuple:
             pair = json_field(raw, i, list, "config", "datum.jumps")
             if len(pair) != 2:
                 raise InputError("datum.jumps must be a list of [x, value] pairs")
-            jumps.append((parse_rational(pair[0]), parse_rational(pair[1])))
+            name = f"datum.jumps[{i}]"
+            jumps.append((config_rational(pair[0], name), config_rational(pair[1], name)))
     elif "samples" in datum:
         samples = json_field(datum, "samples", dict, "config", "datum.")
         if json_field(datum, "round", str, "config", "datum.", "nearest") != "nearest":
             raise InputError("datum.round: only 'nearest' is supported")
-        jumps = sorted((parse_rational(x), parse_rational(v)) for x, v in samples.items())
+        jumps = sorted(
+            (config_rational(x, "datum.samples"), config_rational(v, "datum.samples"))
+            for x, v in samples.items()
+        )
     else:
         raise InputError("datum needs a 'jumps' list or a 'samples' table")
     xs = [x for x, _ in jumps]
@@ -63,7 +67,7 @@ def parse_run_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
     flux = json_field(data, "flux", dict, "config")
-    epsilon = parse_rational(json_field(data, "epsilon", object, "config"))
+    epsilon = config_rational(json_field(data, "epsilon", object, "config"), "epsilon")
     datum = json_field(data, "datum", dict, "config")
     if epsilon <= 0:
         raise InputError("config field 'epsilon' must be positive")
@@ -95,7 +99,10 @@ def parse_run_config(data: dict) -> RunConfig:
         emit_svg=json_field(options, "emit_svg", bool, "config", "options.", False),
         restart_check_points=restart_checks,
         max_events=max_events,
-        analytic_curvature_bound=None if bound is None else parse_rational(bound),
+        analytic_curvature_bound=(
+            None if bound is None
+            else config_rational(bound, "options.analytic_curvature_bound")
+        ),
         decimal=json_field(options, "decimal", bool, "config", "options.", False),
         raw=data,
     )
@@ -226,7 +233,8 @@ def parse_sweep_config(data: dict) -> SweepConfig:
     if not isinstance(data, dict):
         raise InputError("sweep config must be a JSON object")
     epsilons = [
-        parse_rational(e) for e in json_field(data, "epsilons", list, "config", default=[])
+        config_rational(e, f"epsilons[{i}]")
+        for i, e in enumerate(json_field(data, "epsilons", list, "config", default=[]))
     ]
     if len(epsilons) < 2:
         raise InputError("sweep needs at least two epsilons")
@@ -235,8 +243,8 @@ def parse_sweep_config(data: dict) -> SweepConfig:
     if any(e <= 0 for e in epsilons):
         raise InputError("sweep epsilons must be positive")
     probe_times = [
-        parse_rational(t)
-        for t in json_field(data, "probe_times", list, "config", default=["1"])
+        config_rational(t, f"probe_times[{i}]")
+        for i, t in enumerate(json_field(data, "probe_times", list, "config", default=["1"]))
     ]
     if any(t < 0 for t in probe_times):
         raise InputError("sweep probe_times must be nonnegative")
@@ -251,7 +259,7 @@ def parse_sweep_config(data: dict) -> SweepConfig:
         if random_family.get("jumps") is not None:
             if json_field(random_family, "jumps", int, "config", "random.") < 0:
                 raise InputError("config field 'random.jumps' must be at least 0")
-        max_tv = parse_rational(random_family.get("max_tv", "2"))
+        max_tv = config_rational(random_family.get("max_tv", "2"), "random.max_tv")
         if max_tv < 0:
             raise InputError("config field 'random.max_tv' must be nonnegative")
         random_family = dict(random_family, max_tv=max_tv)

@@ -196,7 +196,7 @@ class _MeetingSums:
         self.size = meeting.offsets[-1]  # the survivors: the mass at the meeting over eps
         self.range = dict(meeting.empty)  # role -> its active stretch of positions [lo, hi)
         self.partners = {role: [] for role in self.range}  # role -> the roles it counts pairs with
-        self.hist = {}  # live role -> {slope id: active atoms}
+        self.hist = {role: {} for role in self.range}  # role -> {slope id: active atoms}
         self.deferred = {}  # (position, position) of a re-meeting pair not yet met -> its term
         self.terms = {}  # term -> (num, den, whether its weight exceeds K), or () unless gap > 0
         self.counts = {}  # positive-gap term -> active pairs
@@ -230,71 +230,57 @@ def _role_steps(inside, bound):
 class _SignBlocks:
     """The sign blocks (maximal stretches of fronts of one sign) of a slab,
     kept event by event from slab 0 on.  Each block is named by its first
-    atom; its size, the live atoms from there to the next block, is counted
-    in a Fenwick tree over atom ids that holds 1 per live atom, built when
-    the first event is crossed.  An event changes only the blocks that hold
-    its incoming fronts and their two neighbours."""
+    atom and sized by the atoms of its fronts.  An event changes only the
+    blocks that hold its incoming fronts and their two neighbours."""
 
-    def __init__(self, ws: WaveSystem, fids):
-        # ``fids``: the fronts of slab 0, which carry every atom
-        self.ws = ws
-        self.sign = ws.sign
-        self.end = ws.atom_count
-        self.live = None
-        self.canceled = None  # event -> the atoms it cancels
-        self.n = ws.atom_count  # live atoms
-        self.size = {}  # block -> live atoms
-        self.starts = []
-        for fid in fids:
-            atoms = ws.atoms_of[fid]
-            if not self.starts or self.sign[atoms[0]] != self.sign[self.starts[-1]]:
-                self.starts.append(atoms[0])
-                self.size[atoms[0]] = 0
-            self.size[self.starts[-1]] += len(atoms)
-        self.squares = sum(n * n for n in self.size.values())  # of the block sizes
+    def __init__(self, sign, runs):
+        # ``runs``: the atom tuples of slab 0's fronts, in order
+        self.sign = sign
+        self.n = sum(map(len, runs))  # the slab's atoms
+        self.squares = 0  # of the block sizes
+        self.starts, self.sizes = self._join((atoms[0], len(atoms)) for atoms in runs)
 
-    def _measure(self, starts, end):
-        """Count the blocks named by ``starts``, the last ending before ``end``."""
-        prefix = self.live.prefix
-        for x, y in zip(starts, [*starts[1:], end]):
-            n = self.size[x] = prefix(y) - prefix(x)
-            self.squares += n * n
+    def _join(self, stretches):
+        """The names and sizes of the blocks that (first atom, atoms)
+        stretches in order make, neighbours of one sign merged; their
+        squares are added to ``squares``."""
+        names, sizes, sign = [], [], self.sign
+        for x, n in stretches:
+            if not n:
+                continue
+            if names and sign[x] == sign[names[-1]]:
+                sizes[-1] += n
+            else:
+                names.append(x)
+                sizes.append(n)
+        self.squares += sum(n * n for n in sizes)
+        return names, sizes
 
     def cross_pairs(self) -> int:
         """The atom pairs in two different blocks."""
         return (self.n * self.n - self.squares) // 2
 
-    def replace(self, first, last, outgoing, after, e):
-        """Cross event e: the fronts with atoms in [first, last], its incoming
-        block, give way to fronts starting at the atoms ``outgoing``;
-        ``after`` is the first atom of the front after the block, or None."""
-        starts, sign = self.starts, self.sign
-        if self.live is None:
-            self.live = _Fenwick(self.end, 1)
-            self.canceled = [[] for _ in self.ws.timeline.events]
-            for a, at in enumerate(self.ws.canc_event):
-                if at is not None:
-                    self.canceled[at].append(a)
-        canceled = self.canceled[e]
-        lo = bisect_right(starts, first) - 1
-        hi = bisect_right(starts, last) - 1
+    def replace(self, incoming, outgoing, after):
+        """Cross an event: the fronts with the atom tuples ``incoming`` give
+        way to those with ``outgoing``; ``after`` is the first atom of the
+        front after them, or None."""
+        starts, sizes = self.starts, self.sizes
+        lo = bisect_right(starts, incoming[0][0]) - 1
+        hi = bisect_right(starts, incoming[-1][0]) - 1
+        if lo == hi:
+            return  # one sign: the same atoms stay in the same block
+        # what blocks lo and hi keep outside the incoming fronts
+        before = sizes[lo] - sum(len(atoms) for atoms in incoming if atoms[0] < starts[lo + 1])
+        beyond = sizes[hi] - sum(len(atoms) for atoms in incoming if atoms[0] >= starts[hi])
         a, b = max(lo - 1, 0), min(hi + 2, len(starts))  # the blocks to rebuild
-        heads = starts[a:lo]  # the fronts that can open a block, in order
-        if starts[lo] < first:
-            heads.append(starts[lo])
-        heads += outgoing
-        if after is not None and (hi + 1 == len(starts) or after < starts[hi + 1]):
-            heads.append(after)
-        heads += starts[hi + 1:b]
-        end = starts[b] if b < len(starts) else self.end
-        for x in starts[a:b]:
-            self.squares -= self.size.pop(x) ** 2
-        for x in canceled:
-            self.live.add(x, -1)
-        self.n -= len(canceled)
-        starts[a:b] = new = [x for k, x in enumerate(heads)
-                             if k == 0 or sign[x] != sign[heads[k - 1]]]
-        self._measure(new, end)
+        stretches = [
+            *zip(starts[a:lo], sizes[a:lo]), (starts[lo], before),
+            *((atoms[0], len(atoms)) for atoms in outgoing),
+            (after, beyond), *zip(starts[hi + 1:b], sizes[hi + 1:b]),
+        ]
+        self.n += sum(map(len, outgoing)) - sum(map(len, incoming))
+        self.squares -= sum(n * n for n in sizes[a:b])
+        starts[a:b], sizes[a:b] = self._join(stretches)
 
 
 class _SlabPotential:
@@ -333,12 +319,12 @@ class _SlabPotential:
     events in order and keeps each atom's last split event as it goes.
 
     The engine holds a cursor slab.  Per pending meeting event it keeps a
-    histogram over slope ids for each *live* role (one with a counting
-    partner role that holds atoms; no other role's slopes are read) and
+    histogram over slope ids for each role that counts pairs, from the
+    first slab the event counts on (every role's stretch starts empty), and
     integer pair counts per (slope id, slope id) term.  A change of n_i(p)
     by delta changes the count of (p, q) by delta * m_j(q) for each partner
     role, one row of its histogram.  Crossing event s drops event s's share
-    of Q, re-counts the live roles' atoms on event s's outgoing fronts (the
+    of Q, re-counts the roles' atoms on event s's outgoing fronts (the
     meeting slope of an atom is read through its current front), and
     applies the changes due on slab s + 1.
 
@@ -371,16 +357,7 @@ class _SlabPotential:
         self._id_of = {}  # slope key -> slope id
         self._keys = []  # slope id -> slope key
         self.max_weight = Fraction(0)
-        self._meetings = None  # meeting event that counts pairs -> _Meeting
-        self._by_sign = None  # sign -> its atoms, increasing, once a meeting needs them
-        self._due = None  # slab -> the meeting events with changes due on it
-        self._slab = None  # the cursor
-        self._firsts = []  # the first atom of each front of the cursor slab, in order
-        self._fids = []  # those fronts
-        self._blocks = None  # the cursor slab's sign blocks
-        self._sums = {}  # meeting event at or after the cursor -> _MeetingSums
-        self._changed = set()  # meeting events with count changes not yet settled
-        self._offending = set()  # meeting events holding a weight above K
+        self._meetings = None  # meeting event that counts pairs -> _Meeting, once listed
         (kn, kd), (en, ed) = K.as_integer_ratio(), ws.epsilon.as_integer_ratio()
         self._k_eps_sq = Fraction(kn * en * en, kd * ed * ed)  # a cross-block pair's share of Q
         # a slope key (rise, run) stands for rise / (run * D * eps), D the
@@ -391,7 +368,6 @@ class _SlabPotential:
         self._scale = scale = self.flux._scale
         self._k_num, self._k_den = kn * scale * en * en, kd * ed * ed  # K * D * eps^2
         self._w_num, self._w_den = ed * ed, scale * en * en  # 1 / (D * eps^2)
-        self._total = Fraction(0)  # Q's same-block part: the settled meeting events' shares
 
     def _pieces_of(self, fid, e):
         """Breakpoints (positions, increasing) and slope ids of the pieces of
@@ -422,15 +398,17 @@ class _SlabPotential:
         they are not listed yet."""
         ws = self.ws
         if self._meetings is None:
+            # slab -> the meeting events with changes due on it
             self._meetings, self._due = self._list_meetings()
-        self._slab = 0
-        self._fids = [fr.fid for fr in ws.timeline.slabs[0]]
-        self._firsts = [ws.atoms_of[fid][0] for fid in self._fids]
-        self._blocks = _SignBlocks(ws, self._fids)
-        self._sums = {}
-        self._changed = set()
-        self._offending = set()
-        self._total = Fraction(0)
+        self._slab = 0  # the cursor
+        self._fids = [fr.fid for fr in ws.timeline.slabs[0]]  # the cursor slab's fronts
+        runs = [ws.atoms_of[fid] for fid in self._fids]
+        self._firsts = [atoms[0] for atoms in runs]  # their first atoms, in order
+        self._blocks = _SignBlocks(ws.sign, runs)  # the cursor slab's sign blocks
+        self._sums = {}  # meeting event at or after the cursor -> _MeetingSums
+        self._changed = set()  # meeting events with count changes not yet settled
+        self._offending = set()  # meeting events holding a weight above K
+        self._total = Fraction(0)  # Q's same-block part: the settled meeting events' shares
         for e in self._due.get(0, ()):
             self._advance(e, 0)
 
@@ -442,6 +420,9 @@ class _SlabPotential:
         # atom -> the last split event (two or more outgoing fronts) it
         # survived before the event the walk is at, or -1
         last_split = [-1] * ws.atom_count
+        by_sign = {-1: [], 1: []}  # sign -> its atoms, increasing
+        for a, sign in enumerate(ws.sign):
+            by_sign[sign].append(a)
         meetings, due = {}, {}
         for e, ev in enumerate(ws.timeline.events):
             if not ev.outgoing:
@@ -454,7 +435,7 @@ class _SlabPotential:
                 if end >= first:
                     break
             if end < atoms_of[ev.outgoing[-1].fid][-1]:
-                m = self._meeting(e, last_split)
+                m = self._meeting(e, last_split, by_sign)
                 if m is not None:
                     meetings[e] = m
                     for slab in m.actions:
@@ -465,20 +446,16 @@ class _SlabPotential:
                         last_split[a] = e
         return meetings, due
 
-    def _barriers(self, m):
+    def _barriers(self, m, other):
         """(rank, slab) for each gap between two neighbouring survivors of a
-        meeting event that holds atoms of the other sign: they split the
-        survivors' sign block until the last of them cancels, on that slab.
-        (The rank of a gap is the number of survivors below it.)"""
+        meeting event that holds atoms of the other sign (``other``, their
+        ids in order): they split the survivors' sign block until the last
+        of them cancels, on that slab.  (The rank of a gap is the number of
+        survivors below it.)"""
         first, last = m.firsts[0], m.outs[-1][-1]
         if last - first + 1 == m.offsets[-1]:
             return []  # the survivors' ids leave no gap
-        if self._by_sign is None:
-            signs = self.ws.sign
-            order = sorted(range(len(signs)), key=signs.__getitem__)
-            k = signs.count(-1)
-            self._by_sign = {-1: order[:k], 1: order[k:]}
-        other, canc = self._by_sign[-m.sign], self.ws.canc_event
+        canc = self.ws.canc_event
         k, stop = bisect_right(other, first), bisect_left(other, last)
         barriers = []
         while k < stop:
@@ -490,7 +467,7 @@ class _SlabPotential:
             k = end
         return barriers
 
-    def _meeting(self, e, last_split):
+    def _meeting(self, e, last_split, by_sign):
         """Meeting event e's groups and the changes due on each slab, or
         None when no pair of it ever counts."""
         ws = self.ws
@@ -500,7 +477,7 @@ class _SlabPotential:
             hi = m.rank(ws.atoms_of[fr.fid][-1] + 1)
             if hi > g[-1]:
                 g.append(hi)  # the front has survivors
-        barriers = self._barriers(m)
+        barriers = self._barriers(m, by_sign[-m.sign])
         ranks = [r for r, _ in barriers]
         n = len(g) - 1
         counting = {}  # (i, j) -> c_ij, for the group pairs that count before e
@@ -598,8 +575,7 @@ class _SlabPotential:
     def _advance(self, e, slab):
         """Apply the changes of meeting event e due on the cursor slab: its
         roles' growth, then the group pairs that start to count, then the
-        re-meeting corrections, which read slope ids the first two made
-        live."""
+        re-meeting corrections."""
         sums = self._sums.get(e)
         m = self._meetings[e]
         if sums is None:
@@ -608,7 +584,7 @@ class _SlabPotential:
             if kind == GROW:
                 self._grow(e, sums, *args)
             elif kind == PAIR:
-                self._pair(e, sums, *args)
+                self._pair(sums, *args)
             elif kind == DEFER:
                 term = sums.deferred[tuple(args)] = self._term(e, *args)
                 sums.delta[term] = sums.delta.get(term, 0) - 1
@@ -653,16 +629,13 @@ class _SlabPotential:
         return self._slope_id(e, ka), self._slope_id(e, kb)
 
     def _apply(self, sums, role, change):
-        """Add ``change`` (slope id -> atoms) to a live role's histogram, and
-        its pairs with the partner roles' histograms to the pending term
-        counts."""
+        """Add ``change`` (slope id -> atoms) to a role's histogram, and its
+        pairs with the partner roles' histograms to the pending term counts."""
         for other in sums.partners[role]:
-            row = sums.hist.get(other)
-            if row:
-                if role[0] == LEFT:
-                    _add_products(sums.delta, change, row)
-                else:
-                    _add_products(sums.delta, row, change)
+            if role[0] == LEFT:
+                _add_products(sums.delta, change, sums.hist[other])
+            else:
+                _add_products(sums.delta, sums.hist[other], change)
         hist = sums.hist[role]
         for p, n in change.items():
             n += hist.get(p, 0)
@@ -671,11 +644,6 @@ class _SlabPotential:
             else:
                 del hist[p]
 
-    def _go_live(self, e, sums, role):
-        """Start a role's histogram: it has a partner role holding atoms."""
-        sums.hist[role] = {}
-        self._apply(sums, role, self._count(e, *sums.range[role]))
-
     def _grow(self, e, sums, role, bound):
         """Move a role's stretch to ``bound``."""
         lo, hi = sums.range[role]
@@ -683,30 +651,15 @@ class _SlabPotential:
             sums.range[role], extra = (bound, hi), (bound, lo)
         else:
             sums.range[role], extra = (lo, bound), (hi, bound)
-        if role in sums.hist:
-            self._apply(sums, role, self._count(e, *extra))
-        if lo == hi:
-            # the role holds atoms now, so its partners are live
-            for other in sums.partners[role]:
-                if other not in sums.hist:
-                    self._go_live(e, sums, other)
+        self._apply(sums, role, self._count(e, *extra))
 
-    def _pair(self, e, sums, i, j):
+    def _pair(self, sums, i, j):
         """Start counting the pairs of group i's left role and group j's
         right role."""
         left, right = (LEFT, i), (RIGHT, j)
         sums.partners[left].append(right)
         sums.partners[right].append(left)
-        hist = sums.hist
-        if left in hist and right in hist:
-            _add_products(sums.delta, hist[left], hist[right])
-            return
-        lo, hi = sums.range[right]
-        if lo < hi and left not in hist:
-            self._go_live(e, sums, left)
-        lo, hi = sums.range[left]
-        if lo < hi and right not in hist:
-            self._go_live(e, sums, right)
+        _add_products(sums.delta, sums.hist[left], sums.hist[right])
 
     def _cross_event(self):
         """Move the cursor from slab s to slab s + 1, across event s."""
@@ -721,8 +674,10 @@ class _SlabPotential:
             self._offending.discard(s)
         ev = ws.timeline.events[s]
         atoms_of = ws.atoms_of
-        first, last = atoms_of[ev.incoming[0].fid][0], atoms_of[ev.incoming[-1].fid][-1]
-        # the live roles' atoms in event s's block move to its outgoing
+        incoming = [atoms_of[fr.fid] for fr in ev.incoming]
+        outgoing = [atoms_of[fr.fid] for fr in ev.outgoing]
+        first, last = incoming[0][0], incoming[-1][-1]
+        # the roles' atoms in event s's block move to its outgoing
         # fronts: count them before and after
         moves, moved_pairs = [], []
         for e, sums in self._sums.items():
@@ -732,20 +687,19 @@ class _SlabPotential:
             lo, hi = m.rank(first), m.rank(last + 1)
             if lo == hi:
                 continue
-            for role in sums.hist:
-                x, y = sums.range[role]
+            for role, (x, y) in sums.range.items():
                 x, y = max(x, lo), min(y, hi)
                 if x < y:
                     moves.append((e, sums, role, x, y, self._count(e, x, y)))
             moved_pairs += [(e, sums, pair) for pair in sums.deferred
                             if lo <= pair[0] < hi or lo <= pair[1] < hi]
         i = bisect_left(self._firsts, first)
-        n = len(ev.incoming)
-        outgoing = [atoms_of[fr.fid][0] for fr in ev.outgoing]
-        after = self._firsts[i + n] if i + n < len(self._firsts) else None
-        self._blocks.replace(first, last, outgoing, after, s)
+        n = len(incoming)
+        self._blocks.replace(
+            incoming, outgoing, self._firsts[i + n] if i + n < len(self._firsts) else None
+        )
         self._fids[i:i + n] = [fr.fid for fr in ev.outgoing]
-        self._firsts[i:i + n] = outgoing
+        self._firsts[i:i + n] = [atoms[0] for atoms in outgoing]
         for e, sums, role, x, y, old in moves:
             new = self._count(e, x, y)
             if new != old:
@@ -831,7 +785,7 @@ class _SlabPotential:
         sum of the meeting events' shares, once the events whose counts
         changed are settled.
         """
-        if self._slab is None or s < self._slab:
+        if self._meetings is None or s < self._slab:
             self._start()
         while self._slab < s:
             self._cross_event()
@@ -900,9 +854,8 @@ class _Fenwick:
     update and per query (P. M. Fenwick, Software: Practice and Experience
     24(3), 1994)."""
 
-    def __init__(self, size: int, value: int = 0):
-        # ``value`` at every position
-        self._tree = [value * (i & -i) for i in range(size + 1)]
+    def __init__(self, size: int):
+        self._tree = [0] * (size + 1)
 
     def add(self, i: int, value: int):
         """Add ``value`` at position i."""

@@ -46,6 +46,15 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"not a rational value: {_shown(value)}")
 
 
+def config_rational(value, name) -> Fraction:
+    """`parse_rational` on the value of the config field ``name``: its
+    errors name the field, as `json_field`'s do."""
+    try:
+        return parse_rational(value)
+    except InputError as exc:
+        raise InputError(f"config field '{name}': {exc}") from None
+
+
 def _shown(value) -> str:
     """A rejected value as an error message echoes it: its text cut to the
     first 20 characters, quoted, so that a line stays short."""

@@ -313,8 +313,32 @@ def test_an_unreadable_rational_is_echoed_cut_short(tmp_path, capsys):
         capsys.readouterr()
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            f"input error: not a rational value: {str(value)[:20]!r}\n"
+            f"input error: config field 'epsilon': not a rational value: {str(value)[:20]!r}\n"
         )
+
+
+def test_a_malformed_rational_names_its_config_field():
+    # every config field read as a rational, in a run config or a sweep's
+    run, sweep, datum = GOLDEN_CONFIG, GOLDEN_SWEEP, GOLDEN_CONFIG["datum"]
+    family = {k: v for k, v in sweep.items() if k != "datum"}
+    cases = [
+        (parse_run_config, dict(run, epsilon="x"), "epsilon"),
+        (parse_run_config, dict(run, datum=dict(datum, constant="x")), "datum.constant"),
+        (parse_run_config, dict(run, datum=dict(datum, jumps=[["0", "0"], ["1", "x"]])),
+         "datum.jumps[1]"),
+        (parse_run_config, dict(run, datum={"samples": {"0": "x"}}), "datum.samples"),
+        (parse_run_config, dict(run, datum={"samples": {"x": "0"}}), "datum.samples"),
+        (parse_run_config, dict(run, flux={"polynomial": ["0", "x"]}), "flux.polynomial[1]"),
+        (parse_run_config, dict(run, options={"analytic_curvature_bound": "x"}),
+         "options.analytic_curvature_bound"),
+        (parse_sweep_config, dict(sweep, epsilons=["1", "x"]), "epsilons[1]"),
+        (parse_sweep_config, dict(sweep, probe_times=["x"]), "probe_times[0]"),
+        (parse_sweep_config, dict(family, random={"max_tv": "x"}), "random.max_tv"),
+    ]
+    for parse, cfg, name in cases:
+        with pytest.raises(InputError) as info:
+            parse(cfg)
+        assert str(info.value) == f"config field '{name}': not a rational value: 'x'"
 
 
 def _verify_edited(report, edit):

@@ -671,7 +671,7 @@ def test_q_matches_oracle_on_the_ladder_rung():
 
 def _check_slope_ids(r):
     """Sweep a fresh engine over every slab of run ``r``.  At each slab, the
-    histogram of every live role at every pending meeting event must count
+    histogram of every role at every pending meeting event must count
     its atoms by the slope `fraction_cell_slopes` gives each atom's cell
     through its current front; then every piece table the engine read must
     cover exactly the positions of its front's survivors of the meeting and
@@ -845,6 +845,47 @@ def test_q_matches_the_pair_list_engine_on_the_suite_configs():
         r = harness.run_simulation(harness.parse_run_config(suite_config(i)))
         named += sum(isinstance(x, str) for x in _check_against_the_pair_list_engine(r))
     assert named > 100
+
+
+def _check_sign_blocks(r):
+    """Sweep a fresh engine over every slab of run ``r``: at each, its sign
+    blocks must be the maximal same-sign runs of the slab's fronts, each as
+    (first atom, atom count).  Returns the number of events the run has
+    with an empty fan."""
+    ws = r.waves
+    engine = _SlabPotential(ws, r.series.K)
+    for s in range(len(r.timeline.slabs)):
+        engine.q_of_slab(s)
+        blocks = []
+        for _, atoms in ws.runs(s):
+            if blocks and ws.sign[atoms[0]] == ws.sign[blocks[-1][0]]:
+                blocks[-1] = blocks[-1][0], blocks[-1][1] + len(atoms)
+            else:
+                blocks.append((atoms[0], len(atoms)))
+        assert list(zip(engine._blocks.starts, engine._blocks.sizes)) == blocks, s
+    return sum(not ev.outgoing for ev in r.timeline.events)
+
+
+@pytest.mark.parametrize("config, shape", [
+    (ladder_config("1/64"), None),
+    (ladder_config("1/128"), None),
+    (suite_config(58, salt=1), _remeets),
+    (THREE_SHOCKS, _three_survivor_groups),
+], ids=["ladder_64", "ladder_128", "remeeting", "three_shocks"])
+def test_sign_blocks_match_the_walk_over_the_fronts(config, shape):
+    r = harness.run_simulation(harness.parse_run_config(config))
+    assert shape is None or shape(r)
+    _check_sign_blocks(r)
+
+
+def test_sign_blocks_match_the_walk_over_the_fronts_on_the_suite_configs():
+    # all 60 suite configs as drawn (salt 0), which hold the two events
+    # seen so far whose incoming fronts cancel completely
+    empty_fans = 0
+    for i in range(SUITE_SIZE):
+        r = harness.run_simulation(harness.parse_run_config(suite_config(i)))
+        empty_fans += _check_sign_blocks(r)
+    assert empty_fans == 2
 
 
 @pytest.fixture(scope="module")

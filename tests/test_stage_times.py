@@ -1,7 +1,8 @@
-"""The stage timer (tools/stage_times.py) on the 1/256 and 1/512 rungs of
-the benchmark ladder, sizes its workloads do not reach.  The timer's digest
-covers every slab's Q and the run's largest pair weight, so these pin Q
-where the meeting events' survivor groups hold hundreds of atoms."""
+"""The stage timer (tools/stage_times.py) on the 1/256, 1/512 and 1/1024
+rungs of the benchmark ladder, sizes its workloads do not reach.  The
+timer's digest covers every slab's Q and the run's largest pair weight, so
+these pin Q where the meeting events' survivor groups hold hundreds of
+atoms; the slope tables each rung builds pin how many envelopes Q reads."""
 
 import importlib.util
 from pathlib import Path
@@ -16,11 +17,19 @@ def _load_tool():
     return module
 
 
-def test_stage_timer_digests_on_the_1_256_and_1_512_rungs():
+def _check_rungs(rungs):
     tool = _load_tool()
-    for n, sizes, digest in [
-        (256, (506, 216), "700c3f3c40667807"),
-        (512, (1017, 433), "2319c6434ff62c51"),
-    ]:
-        atoms, events, _, got = tool.rung(n)
-        assert ((atoms, events), got) == (sizes, digest), n
+    for n, sizes, digest, misses in rungs:
+        atoms, events, _, got, (_, built) = tool.rung(n)
+        assert ((atoms, events), got, built) == (sizes, digest, misses), n
+
+
+def test_stage_timer_digests_on_the_1_256_and_1_512_rungs():
+    _check_rungs([
+        (256, (506, 216), "700c3f3c40667807", 30),
+        (512, (1017, 433), "2319c6434ff62c51", 41),
+    ])
+
+
+def test_stage_timer_digest_on_the_1_1024_rung():
+    _check_rungs([(1024, (2042, 876), "7f91c043b3161d5e", 76)])
