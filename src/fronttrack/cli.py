@@ -24,13 +24,26 @@ EXIT_INTERNAL = 3
 
 
 def _out_dir(path: str) -> Path:
-    """The --out directory, created if missing."""
+    """The --out directory, checked before a run: it need not exist, but the
+    nearest path at or above it that exists must be a directory.  It is
+    made only when there is something to write (`_make_dir`), so a run that
+    stops on an input error, an event cap included, leaves nothing behind."""
     out_dir = Path(path)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise InputError(f"cannot use --out {path}: {existing} is not a directory")
     except OSError as exc:
         raise InputError(f"cannot use --out {path}: {exc}") from exc
     return out_dir
+
+
+def _make_dir(out_dir: Path):
+    """Create the --out directory ``out_dir`` if it is missing."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot use --out {out_dir}: {exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -49,6 +62,7 @@ def _cmd_run(args) -> int:
     out_dir = _out_dir(args.out)
     result = run_simulation(cfg)
     report = build_report(result)
+    _make_dir(out_dir)
     (out_dir / "report.json").write_bytes(report_bytes(report))
     (out_dir / "events.csv").write_text(events_csv(report, cfg.decimal))
     (out_dir / "potential.csv").write_text(potential_csv(report, cfg.decimal))
@@ -78,6 +92,7 @@ def _cmd_sweep(args) -> int:
         raise InputError("--jobs above 1 needs os.fork, which this platform lacks")
     out_dir = _out_dir(args.out)
     rows = sweep(cfg, jobs=args.jobs)
+    _make_dir(out_dir)
     (out_dir / "sweep.json").write_bytes(report_bytes(rows))
     header = [
         "epsilon", "K", "tv0", "Q0", "upsilon0_paper", "upsilon0_strict",

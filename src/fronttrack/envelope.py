@@ -16,13 +16,17 @@ at most K times the state gap.
 Hulls and K run on integers: with D the lcm of the sample denominators,
 every D*F(k*epsilon) is an integer, so a hull is a monotone chain with
 integer cross products and K an integer second difference over D*epsilon^2.
+A hull is ints only: its breakpoints' grid indices and one key per piece,
+the reduced (rise, run) of the piece on the integer samples, which stands
+for the slope rise / (run * D * epsilon); two pieces of one flux have equal
+slopes exactly when their keys are equal.
 """
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError, InputError
 from .rationals import config_rational, grid_index, json_field, parse_rational
@@ -60,7 +64,14 @@ class GridFlux:
     # -- grid geometry -----------------------------------------------------
 
     def grid_u(self, k: int) -> Fraction:
-        return k * self.epsilon
+        eps = self.epsilon
+        return Fraction(k * eps.numerator, eps.denominator)
+
+    def key_slope(self, key) -> Fraction:
+        """The slope rise / (run * D * epsilon) of the slope key (rise, run)."""
+        rise, run = key
+        eps = self.epsilon
+        return Fraction(rise * eps.denominator, run * self._scale * eps.numerator)
 
     def contains_index(self, k: int) -> bool:
         return self.k_min <= k <= self.k_max
@@ -144,11 +155,11 @@ def sample_flux(flux_spec, epsilon, index_range) -> GridFlux:
 
 @dataclass(frozen=True)
 class PiecewiseLinearFn:
-    """Continuous piecewise-linear function with its breakpoints on the grid."""
+    """Continuous piecewise-linear function with its breakpoints on the grid,
+    as ints (see the module docstring)."""
 
     indices: tuple  # strictly increasing grid indices k of the breakpoints
-    breakpoints: tuple  # k * epsilon for each k in indices
-    slopes: tuple  # of the affine pieces, left to right
+    keys: tuple  # reduced (rise, run) of each affine piece, left to right, run > 0
     # the Riemann fan template of each traversal direction, [falling, rising],
     # made by `riemann.solve_riemann` on its first read of the hull
     fans: list = field(
@@ -176,20 +187,17 @@ def _lower_hull(points):
 def _hull_by_index(f: GridFlux, ka: int, kb: int, sign: int) -> PiecewiseLinearFn:
     """sign times the lower hull of sign*F on the grid points ka..kb: the
     convex envelope for sign 1, the concave one for sign -1.  The chain runs
-    on the integer points (k, sign*D*F(k*eps)); a piece rising by dI on the
-    integer samples over dk cells has slope dI / (dk * D * eps)."""
+    on the integer points (k, sign*D*F(k*eps)); a piece over dk cells on
+    which the integer samples D*F rise by dI has the key (dI, dk) in lowest
+    terms, the slope dI / (dk * D * eps)."""
     base, scaled = f.k_min, f._scaled
     hull = _lower_hull([(k, sign * scaled[k - base]) for k in range(ka, kb + 1)])
-    ks = tuple(k for k, _ in hull)
-    num, den = f.epsilon.denominator, f._scale * f.epsilon.numerator
-    return PiecewiseLinearFn(
-        ks,
-        tuple(f.grid_u(k) for k in ks),
-        tuple(
-            Fraction(sign * (y1 - y0) * num, (k1 - k0) * den)
-            for (k0, y0), (k1, y1) in zip(hull, hull[1:])
-        ),
-    )
+    keys = []
+    for (k0, y0), (k1, y1) in zip(hull, hull[1:]):
+        rise, run = sign * (y1 - y0), k1 - k0
+        g = gcd(rise, run)
+        keys.append((rise // g, run // g))
+    return PiecewiseLinearFn(tuple(k for k, _ in hull), tuple(keys))
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,9 @@
 The speed change of an interaction is an envelope-slope integral over the
 states involved; with grid-aligned states it is an exact finite sum over
 state cells, read off the grid indices its fronts carry
-(`InteractionEvent.chain_indices`).  Each ordered pair of waves (w < w')
-carries a weight q:
+(`InteractionEvent.chain_indices`), and summed on the hull pieces' integer
+slope keys (see `envelope`), one `Fraction` per integral.  Each ordered
+pair of waves (w < w') carries a weight q:
 
 * K (the flux curvature constant) when the live waves between them mix signs,
 * 0 when they share a position or will never share one,
@@ -28,8 +29,9 @@ only the meeting events whose counts changed (see `_SlabPotential`).  The
 sign blocks that decide Q's weight-K pairs are kept event by event too
 (`_SignBlocks`).  The cubic speed-spread (Bianchini) sum is kept event by
 event in integer Fenwick trees over the front speed rank, O(k log F) per
-event of k fronts; the same walk counts each slab's live atoms, whose mass
-is its total variation TV.  Adding K * TV(initial) * TV(current) yields the
+event of k fronts, with each speed read off its front's line integers; the
+same walk counts each slab's live atoms, whose mass is its total variation
+TV.  Adding K * TV(initial) * TV(current) yields the
 combined functionals (`upsilon`); the variant with the Q term doubled is
 the one whose event drops dominate the full speed change.
 
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import lcm
 
 from .envelope import GridFlux, curvature_constant, envelope
 from .errors import ConsistencyError, InputError
@@ -58,42 +60,43 @@ from .tracing import WaveSystem, advance_tracing, build_initial_waves, first_com
 @lru_cache(maxsize=None)
 def _cell_slopes(flux: GridFlux, lo: int, hi: int, sign: int):
     """The envelope's pieces on the state cells [lo, hi) for the given sign:
-    its breakpoints (grid indices, lo first and hi last), an exact integer
-    key per piece and the pieces' slopes.  A key is the reduced (rise, run)
-    of the piece on the integer samples D*F(k*eps), run > 0: the slope is
-    rise / (run * D * eps), so two pieces of one flux have equal slopes
-    exactly when their keys are equal."""
+    its breakpoints (grid indices, lo first and hi last) and the hull's
+    slope key per piece, the reduced (rise, run) of the piece on the integer
+    samples D*F(k*eps), run > 0: the slope is rise / (run * D * eps), so two
+    pieces of one flux have equal slopes exactly when their keys are
+    equal."""
     env = envelope(flux, lo, hi, sign)
-    base, scaled = flux.k_min, flux._scaled
-    keys = []
-    for k0, k1 in zip(env.indices, env.indices[1:]):
-        rise, run = scaled[k1 - base] - scaled[k0 - base], k1 - k0
-        g = gcd(rise, run)
-        keys.append((rise // g, run // g))
-    return env.indices, tuple(keys), env.slopes
+    return env.indices, env.keys
 
 
 def _slope_gap_integral(flux, span_a, span_b, over, sign):
     """Integral over ``over`` of |envelope-slope(span_a) - envelope-slope(span_b)|.
 
     One walk over the merged breakpoints of the two envelopes: on each
-    stretch [k0, k1) of cells where both are affine, (k1 - k0) times the
-    gap of their slopes."""
+    stretch [k0, k1) of cells where both are affine, with keys (r_a, u_a)
+    and (r_b, u_b), (k1 - k0) * eps times the gap of their slopes, which is
+    (k1 - k0) * |r_a*u_b - r_b*u_a| / (u_a*u_b * D).  The walk sums those
+    integers per denominator u_a*u_b and makes one `Fraction` at the end."""
     env_a = envelope(flux, *span_a, sign)
     env_b = envelope(flux, *span_b, sign)
-    ka, kb = env_a.indices, env_b.indices
+    ka, kb, keys_a, keys_b = env_a.indices, env_b.indices, env_a.keys, env_b.keys
     k, hi = over
     i, j = bisect_right(ka, k) - 1, bisect_right(kb, k) - 1
-    total = Fraction(0)
+    sums = {}  # u_a*u_b -> the integer sum over the stretches with that denominator
     while k < hi:
         k1 = min(ka[i + 1], kb[j + 1], hi)
-        total += (k1 - k) * abs(env_a.slopes[i] - env_b.slopes[j])
+        (ra, ua), (rb, ub) = keys_a[i], keys_b[j]
+        gap = ra * ub - rb * ua
+        if gap:
+            den = ua * ub
+            sums[den] = sums.get(den, 0) + (k1 - k) * abs(gap)
         if ka[i + 1] == k1:
             i += 1
         if kb[j + 1] == k1:
             j += 1
         k = k1
-    return total * flux.epsilon
+    common = lcm(*sums)
+    return Fraction(sum(n * (common // d) for d, n in sums.items()), common * flux._scale)
 
 
 def _span(i, j):
@@ -375,7 +378,7 @@ class _SlabPotential:
         table = self._pieces.get((fid, e))
         if table is None:
             m = self._meetings[e]
-            bounds, keys, _ = _cell_slopes(
+            bounds, keys = _cell_slopes(
                 self.flux, *m.cells(*m.span(self.ws.atoms_of[fid])), m.sign
             )
             ids = []
@@ -889,18 +892,19 @@ def _bianchini_of_slab(ws: WaveSystem) -> list:
     the slower fronts and n * (S - v * N) against the faster ones; the fronts
     at its own speed add exactly 0 to both forms, so the total is
     n*v * (2*N_below - N) - n * (2*S_below - S) with N and S over all live
-    fronts.  Moments are scaled by L, the lcm of the denominators of n * v,
-    so the trees and the running total are ints.
+    fronts.  Speeds are read off each front's line integers (c, d) and
+    scaled by L, the lcm of their denominators d, so the ranks, the trees and
+    the running total are ints, and each slab makes two `Fraction`s.
     """
     tl = ws.timeline
     born = tl.fronts_by_id.values()  # slab 0's fronts, then each event's fan
-    rank = {v: r for r, v in enumerate(sorted({fr.speed for fr in born}))}
-    moments = {fr.fid: len(ws.atoms_of[fr.fid]) * fr.speed for fr in born}
-    scale = lcm(*(m.denominator for m in moments.values()))
-    weight = {  # fid -> (speed rank, atom count, moment times L)
-        fr.fid: (rank[fr.speed], len(ws.atoms_of[fr.fid]), int(moments[fr.fid] * scale))
-        for fr in born
-    }
+    scale = lcm(*(fr.line[3] for fr in born))
+    speeds = {fr.fid: fr.line[2] * (scale // fr.line[3]) for fr in born}  # v * L
+    rank = {v: r for r, v in enumerate(sorted(set(speeds.values())))}
+    weight = {}  # fid -> (speed rank, atom count, moment times L)
+    for fid, v in speeds.items():
+        n = len(ws.atoms_of[fid])
+        weight[fid] = rank[v], n, n * v
 
     counts, sums = _Fenwick(len(rank)), _Fenwick(len(rank))
     n_live = s_live = total = 0  # N, S and the scaled sum over the live fronts
@@ -914,17 +918,19 @@ def _bianchini_of_slab(ws: WaveSystem) -> list:
         n_live += sign * n
         s_live += sign * m
 
+    en, ed = ws.epsilon.as_integer_ratio()
+    # Bianchini = total * eps^2 / L and TV = N * eps
+    b_num, b_den = en * en, scale * ed * ed
+
     for fr in tl.slabs[0]:
         move(fr.fid, 1)
-    eps = ws.epsilon
-    eps_sq = eps * eps
-    out = [(Fraction(total, scale) * eps_sq, n_live * eps)]
+    out = [(Fraction(total * b_num, b_den), Fraction(n_live * en, ed))]
     for ev in tl.events:
         for fr in ev.incoming:
             move(fr.fid, -1)
         for fr in ev.outgoing:
             move(fr.fid, 1)
-        out.append((Fraction(total, scale) * eps_sq, n_live * eps))
+        out.append((Fraction(total * b_num, b_den), Fraction(n_live * en, ed)))
     return out
 
 

@@ -160,7 +160,12 @@ def verify_report(report: dict) -> list:
 
     Returns a list of failure descriptions; an empty list means every stored
     verdict, flag, identity and summary field re-checks and all hard checks
-    hold.  A malformed report (a missing or mistyped field, or events that do
+    hold.  The fields a report fixes on its own are re-checked too: each
+    event's time is the end of the slab before it and the start of the slab
+    after it (slab 0 starts at 0, and the last slab has no end), the
+    initial atoms are the cells of TV0 (atom_count * epsilon == TV0), and
+    the largest pair weight is at most K.  A malformed report (a missing or
+    mistyped field, a stored time that is not a rational, or events that do
     not separate consecutive slabs) raises InputError.
     """
     if not isinstance(report, dict):
@@ -183,8 +188,9 @@ def verify_report(report: dict) -> list:
         run_epsilon = parse_rational(run_epsilon)
     except InputError as exc:
         raise InputError(f"report field 'run_config.epsilon': {exc}") from exc
+    slab_records = entries("slabs")
     slabs = []
-    for i, rec in enumerate(entries("slabs")):
+    for i, rec in enumerate(slab_records):
         where = f"slabs[{i}]."
         if json_field(rec, "index", int, "report", where) != i:
             raise InputError(f"report field '{where}index' is not {i}")
@@ -194,6 +200,26 @@ def verify_report(report: dict) -> list:
     events = entries("events")
     if len(slabs) != len(events) + 1:
         raise InputError(f"report has {len(events)} events but {len(slabs)} slabs")
+
+    # event i ends slab i and starts slab i + 1, slab 0 starts at 0 and no
+    # event ends the last slab; the stored strings are compared first, and
+    # parsed only when they differ
+    failures = []
+    times = [ev.get("t") for ev in events]
+    starts = [rec.get("t_lo") for rec in slab_records]
+    ends = [rec.get("t_hi") for rec in slab_records]
+    if starts[0] != "0" and rational(slab_records[0], "t_lo", "slabs[0].") != (0, 1):
+        failures.append("slab0: t_lo is not 0")
+    if ends[-1] is not None:
+        rational(slab_records[-1], "t_hi", f"slabs[{len(events)}].")
+        failures.append(f"slab{len(events)}: t_hi is not null")
+    if times != starts[1:] or times != ends[:-1] or not all(type(t) is str for t in times):
+        for i, ev in enumerate(events):
+            t = rational(ev, "t", f"events[{i}].")
+            if t != rational(slab_records[i], "t_hi", f"slabs[{i}].") or t != rational(
+                slab_records[i + 1], "t_lo", f"slabs[{i + 1}]."
+            ):
+                failures.append(f"event{i}: t differs from the bounds of slabs {i} and {i + 1}")
     event_rows, columns, stored_verdicts = [], [], []
     for i, ev in enumerate(events):
         where = f"events[{i}]."
@@ -222,9 +248,17 @@ def verify_report(report: dict) -> list:
     flags = json_field(report, "flags", dict, "report")
     table = verdict_table(K, tv0, slabs, event_rows, restarts)
 
-    failures = []
     if epsilon != run_epsilon.as_integer_ratio():
         failures.append("epsilon: stored value does not match run_config")
+    # the initial atoms are the cells of TV0: atom_count * epsilon == TV0,
+    # with the run's epsilon (the stored copy is compared with it above)
+    atoms = json_field(report, "atom_count", int, "report")
+    if atoms * run_epsilon.numerator * tv0[1] != tv0[0] * run_epsilon.denominator:
+        failures.append("atom_count: atom_count * epsilon differs from TV0")
+    # a weight above K stops the run, so a stored one is at most K
+    (wn, wd), (kn, kd) = rational(report, "max_weight"), K
+    if wn * kd > kn * wd:
+        failures.append("max_weight: exceeds K")
     for i, (q, tv, up, us) in enumerate(slabs):
         (pn, pd), (sn, sd) = upsilon(q, tv, tv0, K)
         if up[0] * pd != pn * up[1]:

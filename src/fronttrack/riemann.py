@@ -20,6 +20,10 @@ their indices, speed), runs the fan's guards, and keeps the result on the
 hull (`PiecewiseLinearFn.fans`); every later solve of a jump on that hull
 reads it back and derives only each front's line through its birth point
 (`line`), on integers.  Every front of a fan has the sign of its jump.
+
+A hull holds ints (see `envelope`): the fan template makes the fan's
+`Fraction` states and speeds, and `is_admissible` cross-multiplies a
+one-piece hull's key with the front's speed.
 """
 
 from dataclasses import dataclass, field
@@ -98,15 +102,17 @@ class Front:
         return (a * d * td + c * b * t.numerator) * x.denominator - x.numerator * b * d * td
 
 
-def _fan(hull, rising: bool, k_left: int, k_right: int) -> tuple:
+def _fan(hull, rising: bool, k_left: int, k_right: int, flux: GridFlux) -> tuple:
     """The fan template of ``hull`` traversed from the k_left end: for each
     piece, left to right, its front's states and speed, the speed's
     numerator and denominator, and the states' grid indices (k_left,
-    k_right, read off ``hull.indices``).  The fan's guards run here, once
-    per hull and direction: a hull's end states are its grid points, so
-    every jump that reads it has the same two states."""
-    ks, us = hull.indices, hull.breakpoints
-    pieces = list(zip(ks, ks[1:], us, us[1:], hull.slopes))
+    k_right, read off ``hull.indices``), the `Fraction`s made from the
+    hull's ints on ``flux``'s grid.  The fan's guards run here, once per
+    hull and direction: a hull's end states are its grid points, so every
+    jump that reads it has the same two states."""
+    ks = hull.indices
+    us = [flux.grid_u(k) for k in ks]
+    pieces = list(zip(ks, ks[1:], us, us[1:], map(flux.key_slope, hull.keys)))
     if not rising:
         # decreasing jump: traverse the concave envelope from the top state
         pieces = [(kb, ka, b, a, s) for ka, kb, a, b, s in reversed(pieces)]
@@ -147,7 +153,7 @@ def solve_riemann(k_left: int, k_right: int, flux: GridFlux, t0=Fraction(0), x0=
     fans = hull.fans
     fan = fans[rising]
     if fan is None:
-        fan = fans[rising] = _fan(hull, rising, k_left, k_right)
+        fan = fans[rising] = _fan(hull, rising, k_left, k_right, flux)
     sign = 1 if rising else -1
     fronts = []
     for fid, (left, right, speed, n, m, ka, kb) in enumerate(fan, fid_start):
@@ -162,11 +168,17 @@ def solve_riemann(k_left: int, k_right: int, flux: GridFlux, t0=Fraction(0), x0=
 
 def is_admissible(front: Front, flux: GridFlux, k_left: int, k_right: int) -> bool:
     """True iff the envelope over the jump from grid index k_left to k_right
-    is the single chord at the front's speed.  A validator: the caller
-    derives the indices from the front's states (they must be ints inside
-    the flux window), not from the ones it carries."""
+    is the single chord at the front's speed: one piece whose key (rise,
+    run) stands for the speed n/m, rise * eps_d * m == n * run * D * eps_n.
+    A validator: the caller derives the indices from the front's states
+    (they must be ints inside the flux window), not from the ones it
+    carries."""
     if k_right > k_left:
         env = envelope(flux, k_left, k_right, 1)
     else:
         env = envelope(flux, k_right, k_left, -1)
-    return len(env.slopes) == 1 and env.slopes[0] == front.speed
+    if len(env.keys) != 1:
+        return False
+    (rise, run), speed, eps = env.keys[0], front.speed, flux.epsilon
+    return (rise * eps.denominator * speed.denominator
+            == speed.numerator * run * flux._scale * eps.numerator)

@@ -5,14 +5,20 @@
 
 The hull oracle and the slope-integral oracles deliberately avoid the
 package's monotone-chain envelope code path: envelopes are evaluated as
-minima over all chords, so agreement is a real cross-check.  The per-cell
-sum `slope_gap_integral_by_cells` is the slow path the speed change's
-breakpoint walk replaced; it reads `fraction_cell_slopes`, the per-cell
-dictionary of envelope slopes that Q read before its slope ids came from
-hull pieces with integer keys, and that the pair-walk oracles still read.
-The pointwise envelope queries (`ordinates`, `value_at`, `slope_at`,
-`piece_slopes`), the chord speed `rh_speed`, the binary same-sign closed
-form `delta_sigma_closed_form` and an event's kind and extremal state
+minima over all chords, so agreement is a real cross-check;
+`full_scan_hull` reads a hull's breakpoint indices and integer slope keys
+off that oracle on `Fraction`s.  The per-cell sum
+`slope_gap_integral_by_cells` is the slow path the speed change's
+breakpoint walk replaced, and `fraction_slope_gap_integral` that walk as it
+ran on `Fraction` slopes, before it summed the keys' integer gaps; the
+per-cell sum reads `fraction_cell_slopes`, the per-cell dictionary of
+envelope slopes that Q read before its slope ids came from hull pieces
+with integer keys, and that the pair-walk oracles still read.  A hull
+holds only ints, so the tests read its breakpoints and slopes through
+`hull_breakpoints` and `piece_slopes`, and `slope_key` gives a slope's
+key.  The pointwise envelope queries (`ordinates`, `value_at`,
+`slope_at`), the chord speed `rh_speed`, the binary same-sign closed form
+`delta_sigma_closed_form` and an event's kind and extremal state
 `event_kind_and_b` are queries only the tests make.
 
 `oracle_evolve` and `oracle_validate_timeline` are the full-scan tracker:
@@ -45,9 +51,7 @@ from operator import attrgetter
 
 from fronttrack.envelope import envelope, sample_flux
 from fronttrack.errors import ConsistencyError, DomainError, InputError, TrackerError
-from fronttrack.potential import (
-    HARD_EVENT_VERDICTS, VerdictTable, _slope_gap_integral,
-)
+from fronttrack.potential import HARD_EVENT_VERDICTS, VerdictTable
 from fronttrack.rationals import grid_index
 from fronttrack.riemann import is_admissible
 from fronttrack.tracker import (
@@ -107,9 +111,26 @@ def horner_samples(coefficients, eps, k_min, k_max):
 # -- pointwise envelope queries ------------------------------------------------------
 
 
-def piece_slopes(env):
-    """The slope of each affine piece of a `PiecewiseLinearFn`, left to right."""
-    return list(env.slopes)
+def hull_breakpoints(f, env):
+    """The states k*epsilon at the breakpoints of ``env``, an envelope of the
+    samples of ``f``, whose hull holds only their grid indices."""
+    return tuple(f.grid_u(k) for k in env.indices)
+
+
+def piece_slopes(f, env):
+    """The slope of each affine piece of ``env``, an envelope of the samples
+    of ``f``, left to right: each piece's key (rise, run) over the integer
+    samples D*F, read as rise / (run * D * epsilon) on `Fraction`s."""
+    eps = f.epsilon
+    return [F(rise, run * f._scale) / eps for rise, run in env.keys]
+
+
+def slope_key(f, slope):
+    """The key (rise, run) in lowest terms, run > 0, of a piece of the
+    samples of ``f`` at ``slope``: slope * D * epsilon as a reduced
+    fraction."""
+    q = F(slope) * f._scale * f.epsilon
+    return q.numerator, q.denominator
 
 
 def ordinates(f, env):
@@ -120,19 +141,20 @@ def ordinates(f, env):
 
 def value_at(f, env, u):
     """The value at u of ``env``, an envelope of the samples of ``f``."""
-    xs = env.breakpoints
+    xs = hull_breakpoints(f, env)
     lo, hi = xs[0], xs[-1]
     if not lo <= u <= hi:
         raise DomainError(f"{u} outside [{lo}, {hi}]")
     i = min(bisect_right(xs, u) - 1, len(xs) - 2)
-    return ordinates(f, env)[i] + piece_slopes(env)[i] * (u - xs[i])
+    return ordinates(f, env)[i] + piece_slopes(f, env)[i] * (u - xs[i])
 
 
-def slope_at(env, u, side="right"):
-    """One-sided slope at u; at domain endpoints only the inward side exists."""
+def slope_at(f, env, u, side="right"):
+    """One-sided slope at u of ``env``, an envelope of the samples of ``f``;
+    at domain endpoints only the inward side exists."""
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
-    xs = env.breakpoints
+    xs = hull_breakpoints(f, env)
     lo, hi = xs[0], xs[-1]
     if not lo <= u <= hi:
         raise DomainError(f"{u} outside [{lo}, {hi}]")
@@ -144,7 +166,22 @@ def slope_at(env, u, side="right"):
         i = min(bisect_right(xs, u) - 1, len(xs) - 2)
     else:
         i = max(bisect_left(xs, u) - 1, 0)
-    return piece_slopes(env)[i]
+    return piece_slopes(f, env)[i]
+
+
+def full_scan_hull(f, ka, kb, sign):
+    """(breakpoint indices, piece keys) of the envelope of the samples of
+    ``f`` on ka..kb for ``sign``, on `Fraction`s from the chord oracle: the
+    envelope's slope on every cell, a breakpoint at both ends and wherever
+    the slope changes, and each piece's slope times D * epsilon in lowest
+    terms as its key.  The slow path against which the integer monotone
+    chain (`envelope._hull_by_index`) is checked."""
+    pts = [(f.grid_u(k), sign * f.value_at_index(k)) for k in range(ka, kb + 1)]
+    vals = [sign * v for v in hull_oracle_values(pts)]
+    cells = [(b - a) / f.epsilon for a, b in zip(vals, vals[1:])]
+    indices = [ka] + [ka + i for i in range(1, len(cells)) if cells[i] != cells[i - 1]] + [kb]
+    keys = tuple(slope_key(f, cells[k - ka]) for k in indices[:-1])
+    return tuple(indices), keys
 
 
 def rh_speed(f, a, b):
@@ -202,10 +239,33 @@ def fraction_cell_slopes(flux, lo, hi, sign):
     came from hull pieces with integer keys (`potential._cell_slopes`)."""
     env = envelope(flux, lo, hi, sign)
     out = {}
-    for k0, k1, s in zip(env.indices, env.indices[1:], env.slopes):
+    for k0, k1, s in zip(env.indices, env.indices[1:], piece_slopes(flux, env)):
         for k in range(k0, k1):
             out[k] = s
     return out
+
+
+def fraction_slope_gap_integral(flux, span_a, span_b, over, sign):
+    """`_slope_gap_integral` as it ran on `Fraction` slopes, before it summed
+    the gaps of the pieces' integer keys per denominator: one walk over the
+    merged breakpoints of the two envelopes, adding (k1 - k0) times the gap
+    of their slopes on each stretch [k0, k1) where both are affine."""
+    env_a = envelope(flux, *span_a, sign)
+    env_b = envelope(flux, *span_b, sign)
+    ka, kb = env_a.indices, env_b.indices
+    slopes_a, slopes_b = piece_slopes(flux, env_a), piece_slopes(flux, env_b)
+    k, hi = over
+    i, j = bisect_right(ka, k) - 1, bisect_right(kb, k) - 1
+    total = F(0)
+    while k < hi:
+        k1 = min(ka[i + 1], kb[j + 1], hi)
+        total += (k1 - k) * abs(slopes_a[i] - slopes_b[j])
+        if ka[i + 1] == k1:
+            i += 1
+        if kb[j + 1] == k1:
+            j += 1
+        k = k1
+    return total * flux.epsilon
 
 
 def slope_gap_integral_by_cells(flux, span_a, span_b, over, sign):
@@ -572,7 +632,8 @@ def _index_span(u, v, flux):
 
 def fraction_delta_sigma(event, flux):
     """`delta_sigma` as it ran on the event's chain of `Fraction` states,
-    each merge step's states turned into grid indices by `grid_index`."""
+    each merge step's states turned into grid indices by `grid_index`, and
+    on `Fraction` slopes (`fraction_slope_gap_integral`)."""
     total = F(0)
     for _, p, q, r in merge_steps(event.chain_states):
         if p == q or p == r:
@@ -581,12 +642,14 @@ def fraction_delta_sigma(event, flux):
         whole = _index_span(p, r, flux)
         if (r > q) == (q > p):
             total += sum(
-                _slope_gap_integral(flux, part, whole, part, sign)
+                fraction_slope_gap_integral(flux, part, whole, part, sign)
                 for part in (_index_span(p, q, flux), _index_span(q, r, flux))
             )
         else:
             part = (p, q) if abs(q - p) > abs(q - r) else (q, r)
-            total += _slope_gap_integral(flux, whole, _index_span(*part, flux), whole, sign)
+            total += fraction_slope_gap_integral(
+                flux, whole, _index_span(*part, flux), whole, sign
+            )
     return total
 
 

@@ -111,13 +111,13 @@ class PairListSlabPotential:
         cells front ``fid`` carries into event e."""
         table = self._pieces.get((fid, e))
         if table is None:
-            bounds, keys, slopes = _cell_slopes(self.flux, *meeting_cells(self.ws, fid, e))
+            bounds, keys = _cell_slopes(self.flux, *meeting_cells(self.ws, fid, e))
             ids = []
-            for key, slope in zip(keys, slopes):
+            for key in keys:
                 i = self._id_of.get(key)
                 if i is None:
                     i = self._id_of[key] = len(self._slopes)
-                    self._slopes.append(slope)
+                    self._slopes.append(self.flux.key_slope(key))
                 ids.append(i)
             table = self._pieces[fid, e] = bounds, ids
         return table

@@ -1,5 +1,7 @@
 """Envelope algebra: examples against an independent hull oracle, plus properties."""
 
+import fractions
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -8,15 +10,18 @@ from hypothesis import strategies as st
 
 from fronttrack.envelope import (
     GridFlux,
+    _hull_by_index,
     curvature_constant,
     envelope,
     sample_flux,
 )
 from fronttrack.errors import DomainError, InputError
 from fronttrack.rationals import grid_index
+from fronttrack.riemann import Front, is_admissible
 
 from oracles import (
-    horner_samples, hull_oracle_values, ordinates, piece_slopes, rh_speed, slope_at, value_at,
+    full_scan_hull, horner_samples, hull_breakpoints, hull_oracle_values, ordinates, piece_slopes,
+    rh_speed, slope_at, slope_key, value_at,
 )
 
 BURGERS = {"polynomial": ["0", "0", "1/2"]}
@@ -34,7 +39,7 @@ def envelope_matches_oracle(flux, ka, kb):
             assert value_at(flux, env, x) == sign * want
         # hull vertices must be sample points where envelope touches the samples
         sample = dict(pts)
-        for bp, val in zip(env.breakpoints, ordinates(flux, env)):
+        for bp, val in zip(hull_breakpoints(flux, env), ordinates(flux, env)):
             assert sample[bp] == sign * val
 
 
@@ -91,46 +96,46 @@ def test_sample_degenerate_range():
 def test_convex_envelope_of_convex_flux_is_identity():
     f = sample_flux(BURGERS, "1", (-2, 2))
     env = envelope(f, -1, 1, 1)
-    assert env.breakpoints == (F(-1), F(0), F(1))
+    assert hull_breakpoints(f, env) == (F(-1), F(0), F(1))
     assert ordinates(f, env) == (F(1, 2), F(0), F(1, 2))
 
 
 def test_convex_envelope_collinear_cubic_points():
     f = sample_flux(CUBIC, "1", (-1, 1))
     env = envelope(f, -1, 1, 1)
-    assert env.breakpoints == (F(-1), F(1))
-    assert piece_slopes(env) == [F(1)]
+    assert hull_breakpoints(f, env) == (F(-1), F(1))
+    assert piece_slopes(f, env) == [F(1)]
 
 
 def test_convex_envelope_cubic_quarter_grid():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
     env = envelope(f, -4, 4, 1)
     # chord from (-1,-1) to the tangency point (1/2, 1/8), then the samples
-    assert env.breakpoints == (F(-1), F(1, 2), F(3, 4), F(1))
-    assert piece_slopes(env) == [F(3, 4), F(19, 16), F(37, 16)]
+    assert hull_breakpoints(f, env) == (F(-1), F(1, 2), F(3, 4), F(1))
+    assert piece_slopes(f, env) == [F(3, 4), F(19, 16), F(37, 16)]
     envelope_matches_oracle(f, -4, 4)
 
 
 def test_concave_envelope_burgers_single_chord():
     f = sample_flux(BURGERS, "1", (-2, 2))
     env = envelope(f, -1, 1, -1)
-    assert env.breakpoints == (F(-1), F(1))
+    assert hull_breakpoints(f, env) == (F(-1), F(1))
     assert ordinates(f, env) == (F(1, 2), F(1, 2))
-    assert piece_slopes(env) == [F(0)]
+    assert piece_slopes(f, env) == [F(0)]
 
 
 def test_concave_envelope_of_concave_input_is_identity():
     f = sample_flux({"polynomial": ["0", "0", "-1"]}, "1", (-2, 2))
     env = envelope(f, -2, 2, -1)
-    assert env.breakpoints == (F(-2), F(-1), F(0), F(1), F(2))
+    assert hull_breakpoints(f, env) == (F(-2), F(-1), F(0), F(1), F(2))
 
 
 def test_envelope_on_two_point_interval_is_chord():
     f = sample_flux(CUBIC, "1", (-2, 2))
     for sign in (1, -1):
         env = envelope(f, 1, 2, sign)
-        assert env.breakpoints == (F(1), F(2))
-        assert piece_slopes(env) == [F(7)]
+        assert hull_breakpoints(f, env) == (F(1), F(2))
+        assert piece_slopes(f, env) == [F(7)]
 
 
 def test_envelope_errors():
@@ -149,31 +154,31 @@ def test_envelope_errors():
 def test_slope_at_interior_of_chord():
     f = sample_flux(CUBIC, "1", (-1, 1))
     env = envelope(f, -1, 1, 1)
-    assert slope_at(env, F(0), "left") == F(1)
-    assert slope_at(env, F(0), "right") == F(1)
+    assert slope_at(f, env, F(0), "left") == F(1)
+    assert slope_at(f, env, F(0), "right") == F(1)
 
 
 def test_slope_at_cubic_quarter_grid():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
     env = envelope(f, -4, 4, 1)
-    assert slope_at(env, F(1, 4), "right") == F(3, 4)
+    assert slope_at(f, env, F(1, 4), "right") == F(3, 4)
 
 
 def test_slope_at_breakpoint_one_sided():
     f = sample_flux(CUBIC, "1/4", (-4, 4))
     env = envelope(f, -4, 4, 1)
-    assert slope_at(env, F(1, 2), "left") == F(3, 4)
-    assert slope_at(env, F(1, 2), "right") == F(19, 16)
+    assert slope_at(f, env, F(1, 2), "left") == F(3, 4)
+    assert slope_at(f, env, F(1, 2), "right") == F(19, 16)
 
 
 def test_slope_at_domain_edges():
     f = sample_flux(BURGERS, "1", (-2, 2))
     env = envelope(f, -1, 1, 1)
-    assert slope_at(env, F(-1), "right") == F(-1, 2)
+    assert slope_at(f, env, F(-1), "right") == F(-1, 2)
     with pytest.raises(DomainError):
-        slope_at(env, F(-1), "left")
+        slope_at(f, env, F(-1), "left")
     with pytest.raises(DomainError):
-        slope_at(env, F(2), "right")
+        slope_at(f, env, F(2), "right")
 
 
 # -- rh speed ----------------------------------------------------------------
@@ -278,7 +283,7 @@ def test_envelope_idempotent(f):
         tuple(value_at(f, env, f.grid_u(k)) for k in range(f.k_min, f.k_max + 1)),
     )
     again = envelope(resampled, f.k_min, f.k_max, 1)
-    assert again == env
+    assert (again.indices, piece_slopes(resampled, again)) == (env.indices, piece_slopes(f, env))
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,16 +292,16 @@ def test_concave_convex_duality(f):
     neg = GridFlux(f.epsilon, f.k_min, f.k_max, tuple(-v for v in f.values))
     conc = envelope(f, f.k_min, f.k_max, -1)
     conv_of_neg = envelope(neg, f.k_min, f.k_max, 1)
-    assert conc.breakpoints == conv_of_neg.breakpoints
+    assert conc.indices == conv_of_neg.indices
     assert ordinates(f, conc) == tuple(-y for y in ordinates(neg, conv_of_neg))
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_flux)
 def test_envelope_slope_monotonicity(f):
-    conv_slopes = piece_slopes(envelope(f, f.k_min, f.k_max, 1))
+    conv_slopes = piece_slopes(f, envelope(f, f.k_min, f.k_max, 1))
     assert all(s < t for s, t in zip(conv_slopes, conv_slopes[1:]))
-    conc_slopes = piece_slopes(envelope(f, f.k_min, f.k_max, -1))
+    conc_slopes = piece_slopes(f, envelope(f, f.k_min, f.k_max, -1))
     assert all(s > t for s, t in zip(conc_slopes, conc_slopes[1:]))
 
 
@@ -306,7 +311,7 @@ def test_rh_speed_between_extreme_envelope_slopes(f, data):
     ka = data.draw(st.integers(f.k_min, f.k_max - 1))
     kb = data.draw(st.integers(ka + 1, f.k_max))
     a, b = f.grid_u(ka), f.grid_u(kb)
-    slopes = piece_slopes(envelope(f, ka, kb, 1))
+    slopes = piece_slopes(f, envelope(f, ka, kb, 1))
     speed = rh_speed(f, a, b)
     assert min(slopes) <= speed <= max(slopes)
 
@@ -325,6 +330,67 @@ def test_envelope_slope_gap_bounded_by_curvature(f, data):
     kv = data.draw(st.integers(ku, kb - 1))
     mid_u = f.grid_u(ku) + f.epsilon / 2
     mid_v = f.grid_u(kv) + f.epsilon / 2
-    su = slope_at(env, mid_u)
-    sv = slope_at(env, mid_v)
+    su = slope_at(f, env, mid_u)
+    sv = slope_at(f, env, mid_v)
     assert abs(sv - su) <= K * (mid_v - mid_u)
+
+
+# -- the integer hull, exhaustively ---------------------------------------------------
+
+# three small windows: a convex and a non-convex flux whose integer samples
+# make reducible keys, and a table flux with collinear runs of samples and
+# equal neighbours
+EXHAUSTIVE_WINDOWS = [
+    sample_flux(BURGERS, "1/2", (-4, 4)),
+    sample_flux(CUBIC, "1/4", (-4, 4)),
+    sample_flux({"table": {str(k): v for k, v in zip(range(-4, 5), [
+        "2", "1", "0", "0", "1/3", "2/3", "1", "0", "-1",
+    ])}}, "1/2", (-4, 4)),
+]
+
+
+def _fraction_calls(fn, *args):
+    """``fn(*args)`` and the names of the `Fraction` constructors it called
+    (``__new__``, and ``_from_coprime_ints`` where arithmetic uses it)."""
+    made = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
+            "__new__", "_from_coprime_ints"
+        ):
+            made.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, made
+
+
+def test_integer_hull_equals_the_full_scan_on_every_interval():
+    # every interval of each window, both signs: the monotone chain's
+    # breakpoints and reduced keys against the chord oracle's, and the
+    # admissibility test against "the oracle hull is one piece at this
+    # speed" for the interval's chord front (and two speeds off the chord)
+    checked = 0
+    for f in EXHAUSTIVE_WINDOWS:
+        for ka in range(f.k_min, f.k_max):
+            for kb in range(ka + 1, f.k_max + 1):
+                for sign in (1, -1):
+                    oracle = full_scan_hull(f, ka, kb, sign)
+                    env, made = _fraction_calls(_hull_by_index, f, ka, kb, sign)
+                    assert (env.indices, env.keys) == oracle, (ka, kb, sign)
+                    assert made == []
+                    assert envelope(f, ka, kb, sign) == env
+                    k_left, k_right = (ka, kb) if sign > 0 else (kb, ka)
+                    u_left, u_right = f.grid_u(k_left), f.grid_u(k_right)
+                    chord = rh_speed(f, u_left, u_right)
+                    for speed in (chord, chord + F(1, 7), chord - f.epsilon):
+                        front = Front(u_left, u_right, speed, F(0), F(0))
+                        admissible, made = _fraction_calls(is_admissible, front, f, k_left, k_right)
+                        assert admissible == (oracle[1] == (slope_key(f, speed),)), (ka, kb, speed)
+                        assert made == []
+                    checked += 1
+    assert checked == 3 * 2 * 36

@@ -365,6 +365,16 @@ def test_verify_report_recheck(golden_result):
         # a flag the verdict table does not compute fails, as a verdict does
         (lambda r: r["flags"].update(extra=5), "flags: stored extra does not re-check"),
         (lambda r: r.update(epsilon="7"), "epsilon: stored value does not match run_config"),
+        # the fields a report fixes on its own: the event times against the
+        # slab bounds, the atom count against TV0 and the largest weight
+        # against K
+        (lambda r: r["events"][0].update(t="999"),
+         "event0: t differs from the bounds of slabs 0 and 1"),
+        (lambda r: r["slabs"][1].update(t_lo="999"),
+         "event0: t differs from the bounds of slabs 0 and 1"),
+        (lambda r: r["slabs"][0].update(t_lo="1/2"), "slab0: t_lo is not 0"),
+        (lambda r: r.update(atom_count=7), "atom_count: atom_count * epsilon differs from TV0"),
+        (lambda r: r.update(max_weight="12345"), "max_weight: exceeds K"),
     ]
     for result in (golden_result, nonconvex):
         report = build_report(result)
@@ -375,8 +385,21 @@ def test_verify_report_recheck(golden_result):
         assert report["flags"]["upsilon_paper_drop_failures"]
         for edit, line in edits:
             assert _verify_edited(report, edit) == [line]
-        # the two epsilons are compared as values, whatever their spelling
+        last = report["event_count"]
+        assert _verify_edited(report, lambda r: r["slabs"][-1].update(t_hi="999")) == [
+            f"slab{last}: t_hi is not null"
+        ]
+        with pytest.raises(InputError, match=re.escape(
+            f"'slabs[{last}].t_hi': not a rational value: 'x'"
+        )):
+            _verify_edited(report, lambda r: r["slabs"][-1].update(t_hi="x"))
+        # the two epsilons are compared as values, whatever their spelling,
+        # and so are a time and the slab bounds it should equal
         assert _verify_edited(report, lambda r: r["run_config"].update(epsilon="3/3")) == []
+        assert _verify_edited(report, lambda r: r["slabs"][0].update(t_lo="0/5")) == []
+        t0 = F(report["events"][0]["t"])
+        assert _verify_edited(report, lambda r: r["events"][0].update(
+            t=f"{2 * t0.numerator}/{2 * t0.denominator}")) == []
         assert _verify_edited(report, lambda r: r["run_config"].update(epsilon=1)) == []
         # a verdict or a drop-failure index of the wrong JSON type is an
         # input error, although Python has 1 == True
@@ -392,6 +415,11 @@ def test_verify_report_recheck(golden_result):
             (lambda r: r["run_config"].update(epsilon="x"),
              "'run_config.epsilon': not a rational value: 'x'"),
             (lambda r: r.update(epsilon="1/0"), "'epsilon': not a rational value: '1/0'"),
+            (lambda r: r["events"][0].update(t="not a time"),
+             "'events[0].t': not a rational value: 'not a time'"),
+            (lambda r: r["slabs"][0].update(t_hi=None), "'slabs[0].t_hi' must be a JSON string"),
+            (lambda r: r.update(atom_count="7"), "'atom_count' must be a JSON integer"),
+            (lambda r: r.update(max_weight="1/0"), "'max_weight': not a rational value: '1/0'"),
         ]
         for edit, message in mistyped:
             with pytest.raises(InputError, match=re.escape(message)):
@@ -645,7 +673,29 @@ def test_cli_run_golden(tmp_path, capsys):
     out_dir = tmp_path / "out-capped"
     assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err == "input error: event cap 0 exceeded at t=1\n"
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
+
+
+def test_cli_out_that_cannot_be_made_after_the_run(tmp_path, capsys, monkeypatch):
+    # the directory is made once the run has something to write; a refusal
+    # then is an input error, one line, with nothing written
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(GOLDEN_CONFIG))
+    out_dir = tmp_path / "new" / "out"
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.Path, "mkdir", refuse)
+    for command in ("run", "sweep"):
+        if command == "sweep":
+            cfg_path.write_text(json.dumps(GOLDEN_SWEEP))
+        capsys.readouterr()
+        assert main([command, str(cfg_path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: cannot use --out {out_dir}: [Errno 13] Permission denied\n"
+        )
+        assert not (tmp_path / "new").exists()
 
 
 def test_cli_svg_bytes_stable(tmp_path):
@@ -705,6 +755,10 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, monkeypatch):
         assert main([command, str(cfg_path), "--out", str(tmp_path / "out"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1, err
+        if flags[-1:] in ([str(cfg_path)], [str(cfg_path / "sub")]):
+            assert err == (
+                f"input error: cannot use --out {flags[-1]}: {cfg_path} is not a directory\n"
+            )
 
 
 def test_cli_verify_roundtrip(tmp_path, capsys):
@@ -1036,6 +1090,7 @@ def test_cli_sweep(tmp_path, capsys, monkeypatch):
         args = ["sweep", str(capped_path), "--out", str(tmp_path / "capped"), "--jobs", jobs]
         assert main(args) == 2
         assert capsys.readouterr().err == "input error: event cap 0 exceeded at t=1\n"
+        assert not (tmp_path / "capped").exists()
 
     # a member that fails a check: every row is written, then exit 1
     member = harness._sweep_member

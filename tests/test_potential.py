@@ -16,6 +16,7 @@ from fronttrack.potential import (
     _cancellation_triple,
     _same_sign_triple,
     HARD_EVENT_VERDICTS,
+    _bianchini_of_slab,
     _slope_gap_integral,
     delta_sigma,
     run_pipeline,
@@ -42,6 +43,7 @@ from oracles import (
     delta_sigma_closed_form,
     fraction_cell_slopes,
     fraction_delta_sigma,
+    fraction_slope_gap_integral,
     fraction_verdict_table,
     oracle_cancellation_speed_change,
     oracle_same_sign_speed_change,
@@ -60,6 +62,7 @@ from wave_oracles import (
     cancellation_weight_stability,
     casualties,
     fid_of,
+    fraction_bianchini_of_slab,
     fundamental_property_violations,
     list_merge_first_common_event,
     maximal_noncontact_interval,
@@ -120,20 +123,83 @@ def test_cancellation_speed_change_cubic_quarter_grid():
     assert got == oracle_cancellation_speed_change(F(-1), F(1, 2), F(1, 4), cubic)
 
 
+def _potentials_match_the_fraction_walks(ws):
+    """Every slab's (Bianchini sum, TV) and every event's speed change of a
+    traced run against the `Fraction` walks the integer kernels replaced
+    (`fraction_bianchini_of_slab`, `fraction_delta_sigma`); the number of
+    events compared."""
+    tl = ws.timeline
+    assert _bianchini_of_slab(ws) == fraction_bianchini_of_slab(ws)
+    for ev in tl.events:
+        assert delta_sigma(ev, tl.flux) == fraction_delta_sigma(ev, tl.flux)
+    return len(tl.events)
+
+
 def test_delta_sigma_matches_the_fraction_chain():
     # every event of the worked run, of the 1/64 ladder rung, and of three
     # acceptance-family configs whose salt makes a three-front cancellation
-    # (the acceptance suite reseeds those runs away); the last one's second
-    # merge step changes speeds, the other two's do not
-    runs = [harness.run_simulation(harness.parse_run_config(cfg)).timeline
+    # (the acceptance suite reseeds those runs away), and of the restarts
+    # from every slab of those three; the last one's second merge step
+    # changes speeds, the other two's do not.  The Bianchini series of
+    # each run is compared too
+    runs = [harness.run_simulation(harness.parse_run_config(cfg))
             for cfg in (ladder_config("1/64"), suite_config(7), suite_config(27),
                         suite_config(59, salt=2))]
-    composite = [(e, ev.kind) for tl in runs for e, ev in enumerate(tl.events)
+    composite = [(e, ev.kind) for r in runs for e, ev in enumerate(r.timeline.events)
                  if len(ev.incoming) > 2]
     assert composite == [(2, "cancellation"), (7, "cancellation"), (3, "cancellation")]
-    for tl in [evolve(WORKED_PROFILE, WORKED_FLUX), *runs]:
-        for ev in tl.events:
-            assert delta_sigma(ev, tl.flux) == fraction_delta_sigma(ev, tl.flux)
+    _potentials_match_the_fraction_walks(traced(WORKED_PROFILE, WORKED_FLUX)[1])
+    for r in runs:
+        _potentials_match_the_fraction_walks(r.waves)
+    for r in runs[1:]:
+        tl = r.timeline
+        for t in slab_midpoints(tl):
+            _potentials_match_the_fraction_walks(run_pipeline(profile_at(tl, t), tl.flux)[1])
+
+
+def test_potentials_match_the_fraction_walks_on_the_ladder_rungs_and_their_restarts():
+    # both benchmark rungs, and a restart from inside every slab of each
+    events = probes = 0
+    for eps in ("1/64", "1/128"):
+        r = harness.run_simulation(harness.parse_run_config(ladder_config(eps)))
+        tl = r.timeline
+        events += _potentials_match_the_fraction_walks(r.waves)
+        for t in slab_midpoints(tl):
+            _, ws = run_pipeline(profile_at(tl, t), tl.flux)
+            events += _potentials_match_the_fraction_walks(ws)
+            probes += 1
+    assert probes == 56 + 110 and events > 5000
+
+
+def test_potentials_match_the_fraction_walks_on_the_suite(suite):
+    events = sum(_potentials_match_the_fraction_walks(r.waves) for r in suite["runs"])
+    assert len(suite["runs"]) == SUITE_SIZE and events > 300
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_potentials_match_the_fraction_walks_on_random_fluxes(data):
+    """A random table flux on a random grid and a random state triple: the
+    slope-gap integral of every pair of spans the triple makes, and a run
+    from the triple's two jumps, against the `Fraction` walks."""
+    eps = data.draw(st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 5)]))
+    vals = data.draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 4)),
+                              min_size=4, max_size=9))
+    f = GridFlux(eps, 0, len(vals) - 1, tuple(F(n, d) for n, d in vals))
+    a, b, c = data.draw(st.tuples(*[st.integers(0, len(vals) - 1)] * 3))
+    spans = {(lo, hi) for lo, hi in ((a, b), (b, c), (a, c), (b, a), (c, b), (c, a)) if lo < hi}
+    for sign in (1, -1):
+        for span_a in spans:
+            for span_b in spans:
+                lo, hi = max(span_a[0], span_b[0]), min(span_a[1], span_b[1])
+                if lo < hi:
+                    assert _slope_gap_integral(f, span_a, span_b, (lo, hi), sign) == (
+                        fraction_slope_gap_integral(f, span_a, span_b, (lo, hi), sign)
+                    )
+    if a != b != c:
+        x = data.draw(st.integers(1, 4))
+        _, ws = traced(Profile(a * eps, ((F(0), b * eps), (F(x), c * eps))), f)
+        _potentials_match_the_fraction_walks(ws)
 
 
 def test_speed_change_wrong_kind_rejected():

@@ -19,6 +19,7 @@ from fronttrack.envelope import (
 from fronttrack.errors import ConsistencyError, InputError
 from fronttrack.riemann import Front, is_admissible, solve_riemann
 
+from oracles import slope_key
 from suite_builder import ladder_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -64,7 +65,7 @@ def _crafted_envelope(monkeypatch, breakpoints, slopes):
     """Make `solve_riemann` read these pieces, between grid points of
     `BURGERS`, in place of the flux's envelope."""
     indices = tuple(BURGERS.index_of(u) for u in breakpoints)
-    env = PiecewiseLinearFn(indices, breakpoints, slopes)
+    env = PiecewiseLinearFn(indices, tuple(slope_key(BURGERS, s) for s in slopes))
     monkeypatch.setattr(riemann, "envelope", lambda *args: env)
 
 
@@ -243,9 +244,9 @@ def test_a_hulls_fan_template_is_built_once(monkeypatch):
     flux = sample_flux({"polynomial": ["0", "1/7", "0", "-5/11"]}, "1/3", (-6, 6))
     fan, builds = riemann._fan, []
 
-    def counting(hull, rising, k_left, k_right):
+    def counting(hull, rising, k_left, k_right, flux):
         builds.append(rising)
-        return fan(hull, rising, k_left, k_right)
+        return fan(hull, rising, k_left, k_right, flux)
 
     monkeypatch.setattr(riemann, "_fan", counting)
     for k_left, k_right in [(-6, 6), (6, -6)]:  # the states -2 and 2

@@ -13,8 +13,10 @@ the per-run-pair speed gaps, so tests compare them with the package's
 `_SlabPotential.q_of_slab` and with the per-slab series of
 `_bianchini_of_slab`, which it keeps event by event;
 `pair_walk_q_of_slab` is the walk over every same-block atom pair that Q's
-meeting-event sweep replaced, and `sorted_bianchini_of_slab` the per-slab
-sort that the Bianchini series replaced.  `survived_events` is the per-atom
+meeting-event sweep replaced, `sorted_bianchini_of_slab` the per-slab
+sort that the Bianchini series replaced, and `fraction_bianchini_of_slab`
+that series as it ran on `Fraction` speeds, before it ranked and weighed
+the fronts by their speeds' integers.  `survived_events` is the per-atom
 survival list that tracing kept beside the fronts' atoms, its transpose;
 `list_merge_first_common_event`, `bisect_last_split` and
 `survival_list_candidates` are the lookups and the candidate listing that
@@ -34,10 +36,11 @@ than a slab index.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from fronttrack.envelope import GridFlux, curvature_constant, envelope
 from fronttrack.errors import ConsistencyError, InputError
-from fronttrack.potential import _bianchini_of_slab, _SlabPotential
+from fronttrack.potential import _bianchini_of_slab, _Fenwick, _SlabPotential
 from fronttrack.rationals import grid_index
 from fronttrack.tracker import CANCELLATION, Profile, Timeline, merge_steps, profile_at
 from fronttrack.tracing import WaveSystem, first_common_event
@@ -356,17 +359,61 @@ def sorted_bianchini_of_slab(ws: WaveSystem, s: int) -> Fraction:
     return total * ws.epsilon * ws.epsilon
 
 
+def fraction_bianchini_of_slab(ws: WaveSystem) -> list:
+    """`_bianchini_of_slab` as it ran on `Fraction` speeds, before it ranked
+    and weighed the fronts by their speeds' integers: the (Bianchini sum,
+    TV) of every slab, kept event by event in Fenwick trees over the rank
+    of the sorted distinct `Fraction` speeds, with the moments n * v scaled
+    by the lcm of their denominators."""
+    tl = ws.timeline
+    born = tl.fronts_by_id.values()
+    rank = {v: r for r, v in enumerate(sorted({fr.speed for fr in born}))}
+    moments = {fr.fid: len(ws.atoms_of[fr.fid]) * fr.speed for fr in born}
+    scale = lcm(*(m.denominator for m in moments.values()))
+    weight = {
+        fr.fid: (rank[fr.speed], len(ws.atoms_of[fr.fid]), int(moments[fr.fid] * scale))
+        for fr in born
+    }
+    counts, sums = _Fenwick(len(rank)), _Fenwick(len(rank))
+    n_live = s_live = total = 0
+
+    def move(fid, sign):
+        nonlocal n_live, s_live, total
+        r, n, m = weight[fid]
+        total += sign * (m * (2 * counts.prefix(r) - n_live) - n * (2 * sums.prefix(r) - s_live))
+        counts.add(r, sign * n)
+        sums.add(r, sign * m)
+        n_live += sign * n
+        s_live += sign * m
+
+    for fr in tl.slabs[0]:
+        move(fr.fid, 1)
+    eps = ws.epsilon
+    out = [(Fraction(total, scale) * eps * eps, n_live * eps)]
+    for ev in tl.events:
+        for fr in ev.incoming:
+            move(fr.fid, -1)
+        for fr in ev.outgoing:
+            move(fr.fid, 1)
+        out.append((Fraction(total, scale) * eps * eps, n_live * eps))
+    return out
+
+
 def bianchini_mismatches(ws: WaveSystem) -> list:
     """The slabs on which the package's series `_bianchini_of_slab` differs
-    from `sorted_bianchini_of_slab` or from `oracle_bianchini_of_slab`
-    (every slab when the series has the wrong length)."""
-    series = [bianchini for bianchini, _ in _bianchini_of_slab(ws)]
+    from `sorted_bianchini_of_slab`, from `oracle_bianchini_of_slab` or, in
+    its Bianchini sum or its TV, from `fraction_bianchini_of_slab` (every
+    slab when a series has the wrong length)."""
+    series = _bianchini_of_slab(ws)
+    walked = fraction_bianchini_of_slab(ws)
     slabs = range(len(ws.timeline.slabs))
-    if len(series) != len(slabs):
+    if not len(series) == len(walked) == len(slabs):
         return list(slabs)
     return [
         s for s in slabs
-        if not series[s] == sorted_bianchini_of_slab(ws, s) == oracle_bianchini_of_slab(ws, s)
+        if series[s] != walked[s] or not (
+            series[s][0] == sorted_bianchini_of_slab(ws, s) == oracle_bianchini_of_slab(ws, s)
+        )
     ]
 
 
